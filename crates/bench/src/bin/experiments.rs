@@ -31,10 +31,6 @@ fn main() {
             "e9" => drop(overlay_bench::e9_mis(&[256, 1024], &[4, 8, 16, 32])),
             "e10" => drop(overlay_bench::e10_spanner(&[256, 512])),
             "e12" => drop(overlay_bench::e12_baselines(&[256, 512, 1024, 2048])),
-            "e13" => drop(overlay_bench::e13_fault_scenarios(
-                16,
-                Some(std::path::Path::new("reports")),
-            )),
             "e14" => drop(overlay_bench::e14_transport_params(8)),
             other => eprintln!("unknown experiment: {other}"),
         }

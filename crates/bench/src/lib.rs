@@ -561,41 +561,6 @@ pub fn e12_baselines(sizes: &[usize]) -> Vec<Row> {
     rows
 }
 
-/// E13 — fault scenarios: every registered churn/fault scenario swept over `seeds`
-/// seeds (in parallel via rayon), reporting success rate, coverage and loss
-/// accounting. With `report_dir` set, each sweep's deterministic JSON report is also
-/// persisted as `<dir>/<scenario>.json` for cross-commit regression diffs (see
-/// `overlay_scenarios::report`).
-pub fn e13_fault_scenarios(seeds: usize, report_dir: Option<&std::path::Path>) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for scenario in overlay_scenarios::registry() {
-        let sweep = overlay_scenarios::Sweep::over_seeds(scenario.clone(), 0, seeds);
-        let report = sweep.run();
-        if let Some(dir) = report_dir {
-            match overlay_scenarios::report::write_report(&report, dir) {
-                Ok(path) => eprintln!("wrote {}", path.display()),
-                Err(e) => eprintln!("cannot write report for {}: {e}", report.scenario.name),
-            }
-        }
-        rows.push(Row {
-            label: report.scenario.label(),
-            values: vec![
-                ("seeds", report.records.len() as f64),
-                ("success_rate", report.success_rate()),
-                ("coverage", report.mean_coverage()),
-                ("rounds", report.mean_rounds()),
-                ("delivered", report.mean_delivered()),
-                ("dropped_fault", report.total_dropped_fault() as f64),
-            ],
-        });
-    }
-    print_table(
-        "E13: fault scenarios — success rate and coverage under churn, loss, delays and partitions",
-        &rows,
-    );
-    rows
-}
-
 /// E14 — transport parameter sweep: `retransmit_after` × `window` crossed against
 /// the loss rate, on the `lossy-ncc0` cycle/128 workload. Each cell runs the full
 /// pipeline over the reliable transport with that configuration and reports the
@@ -679,17 +644,6 @@ pub fn run_all(quick: bool) {
     );
     e10_spanner(if quick { &[128] } else { &[256, 512] });
     e12_baselines(big);
-    // Only the full run persists reports: its 16-seed sweeps (seeds 0..16) are
-    // exactly the committed `reports/` baselines, while a quick 4-seed run would
-    // clobber them with truncated bodies.
-    e13_fault_scenarios(
-        if quick { 4 } else { 16 },
-        if quick {
-            None
-        } else {
-            Some(std::path::Path::new("reports"))
-        },
-    );
     e14_transport_params(if quick { 2 } else { 8 });
 }
 
@@ -721,31 +675,6 @@ mod tests {
                 .map(|(_, v)| *v)
                 .unwrap();
             assert_eq!(ok, 1.0, "{} diverged from Tarjan", r.label);
-        }
-    }
-
-    #[test]
-    fn e13_runs_all_scenarios_deterministically() {
-        let rows = e13_fault_scenarios(3, None);
-        assert!(
-            rows.len() >= 6,
-            "registry shrank to {} scenarios",
-            rows.len()
-        );
-        for r in &rows {
-            if r.label.starts_with("clean-") {
-                assert!(
-                    r.values
-                        .iter()
-                        .any(|(k, v)| *k == "success_rate" && *v == 1.0),
-                    "{} must always succeed",
-                    r.label
-                );
-            }
-        }
-        let again = e13_fault_scenarios(3, None);
-        for (a, b) in rows.iter().zip(&again) {
-            assert_eq!(a.values, b.values, "{} not deterministic", a.label);
         }
     }
 

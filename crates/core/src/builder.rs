@@ -17,22 +17,29 @@
 //!   after construction, the pipeline continues on the largest connected component
 //!   (the "core") and reports the fragmentation honestly.
 //!
-//! Both entry points are thin facades over the first-class phase pipeline of
-//! [`crate::pipeline`]: each paper phase is a [`Phase`] value executed by a shared
-//! [`PhaseRunner`], and only the typed hand-offs between stages (survivor-core
-//! extraction, BFS convergence, tree validation) live here. Budgets and transports
-//! resolve per phase — see [`PhaseOverrides`] and the
-//! [`OverlayBuilder::with_phase_overrides`] family.
+//! Every entry point — those two, [`OverlayBuilder::build_under_faults_traced`] and
+//! the pluggable-medium [`OverlayBuilder::build_over`] — is the *same* private
+//! driver, `OverlayBuilder::drive`, over a [`PhaseExecutor`]: it validates the
+//! input once, resolves each [`Phase`]'s seed/budget/transport once (see
+//! [`PhaseOverrides`] and the [`OverlayBuilder::with_phase_overrides`] family), hands
+//! the phase and its window of the fault plan to the executor, and computes the
+//! three typed hand-offs (survivor-core extraction, BFS convergence, tree
+//! validation) from the executor's per-node digests. The simulator entry points
+//! differ from `build_over` only in which executor they pass; `build` and
+//! `build_over` differ from `build_under_faults` only in mapping the report through
+//! one shared strict contract.
 
-use crate::bfs::BfsNode;
-use crate::expander::ExpanderNode;
-use crate::pipeline::{Phase, PhaseId, PhaseOverrides, PhaseRunner, TransportChoice};
-use crate::seam::{PhaseExecSpec, PhaseExecutor};
-use crate::wellformed::{BinarizeNode, WellFormedTree};
+use crate::pipeline::{Phase, PhaseId, PhaseMetrics, PhaseOverrides, TransportChoice};
+use crate::seam::{
+    ExecutedPhase, ExpanderSummary, PhaseExecSpec, PhaseExecutor, SimDetail, SimExecutor,
+    SimMedium, Summarize,
+};
+use crate::wellformed::WellFormedTree;
 use crate::{benign, ExpanderParams, OverlayError, RoundBudget};
 use overlay_graph::{analysis, DiGraph, NodeId, UGraph};
 use overlay_netsim::faults::{CrashEvent, FaultPlan, Partition};
 use overlay_netsim::trace::SharedTraceSink;
+use overlay_netsim::wire::Wire;
 use overlay_netsim::{MetricsMode, ParallelismConfig, RunMetrics, TransportConfig};
 use std::collections::BTreeMap;
 
@@ -88,7 +95,7 @@ impl MessageStats {
             .max_per_node_per_round
             .max(metrics.max_sent_in_any_round())
             .max(metrics.max_received_in_any_round());
-        // Totals per node add up across phases; take the max over nodes of the sums.
+        // Per-node totals add up across phases; `Ledger` keeps those sums.
         self.total_delivered += metrics.total_delivered();
         self.dropped_receive += metrics.total_dropped_receive();
         self.dropped_send += metrics.total_dropped_send();
@@ -374,23 +381,10 @@ impl OverlayBuilder {
     /// * [`OverlayError::FinalizeFailed`] if every phase ran but the binarized
     ///   parents did not form a single valid rooted tree.
     pub fn build(&self, g: &DiGraph) -> Result<OverlayResult, OverlayError> {
-        let report = self.build_under_faults(g, &FaultPlan::default())?;
-        match report.result {
-            // The clean path keeps the strict contract: the tree must contain every
-            // node. A fragmented (partial-core) result — possible without faults only
-            // when the w.h.p. connectivity of G_L fails — is an error here, not a
-            // silently smaller tree.
-            Some(result)
-                if report.survivor_ids.len() == g.node_count() && report.tree_valid_over_alive =>
-            {
-                Ok(result)
-            }
-            Some(_) if report.survivor_ids.len() != g.node_count() => {
-                Err(fragmentation_error(&report))
-            }
-            Some(_) => Err(OverlayError::FinalizeFailed),
-            None => Err(failure_error(&report)),
-        }
+        strict_result(
+            self.build_under_faults(g, &FaultPlan::default())?,
+            g.node_count(),
+        )
     }
 
     /// Runs the full pipeline against the given [`FaultPlan`], reporting partial
@@ -415,7 +409,7 @@ impl OverlayBuilder {
         g: &DiGraph,
         faults: &FaultPlan,
     ) -> Result<BuildReport, OverlayError> {
-        self.build_with(g, faults, None)
+        self.drive(g, faults, &mut self.simulator(None))
     }
 
     /// [`OverlayBuilder::build_under_faults`] with a trace sink observing the run:
@@ -433,60 +427,66 @@ impl OverlayBuilder {
         faults: &FaultPlan,
         sink: SharedTraceSink,
     ) -> Result<BuildReport, OverlayError> {
-        self.build_with(g, faults, Some(sink))
+        self.drive(g, faults, &mut self.simulator(Some(sink)))
     }
 
-    /// Runs the clean-path pipeline over a pluggable [`PhaseExecutor`] instead
-    /// of calling the simulator directly.
-    ///
-    /// The builder still owns everything *above* the execution medium — input
-    /// validation, phase construction, per-phase seed/budget/transport
-    /// resolution (identical to [`OverlayBuilder::build`]'s), and the typed
-    /// hand-offs between stages — while the executor owns the medium: the
+    /// Runs the clean-path pipeline over a pluggable [`PhaseExecutor`]: the
     /// lockstep simulator ([`crate::seam::SimExecutor`]), threads over
     /// in-process channels, or TCP sockets across OS processes (the
-    /// `overlay-net` crate). Hand-offs are computed from per-node
-    /// [`crate::seam::Summarize`] digests, which is what lets a multi-process
-    /// executor participate: every process exchanges summaries at phase
-    /// boundaries and re-derives the identical hand-off decisions locally.
+    /// `overlay-net` crate).
     ///
-    /// This entry point is clean-path only (no [`FaultPlan`]): socket backends
-    /// experience *real* asynchrony and failures rather than injected ones.
-    /// Per seed, an executor that replicates the simulator's delivery order
-    /// and RNG seeding produces the same [`OverlayResult`] as
-    /// [`OverlayBuilder::build`], except that [`OverlayResult::messages`]
-    /// carries only the executor-counted
-    /// [`MessageStats::total_delivered`] (the per-round peaks are simulator
-    /// bookkeeping no socket backend can observe).
+    /// This is [`OverlayBuilder::build`] with the medium swapped and nothing
+    /// else: the same driver validates the input, resolves each phase's
+    /// seed/budget/transport and computes the hand-offs from per-node
+    /// [`crate::seam::Summarize`] digests (which is what lets a multi-process
+    /// executor participate: every process exchanges summaries at phase
+    /// boundaries and re-derives the identical hand-off decisions locally),
+    /// and the same strict contract maps its report to a result — the tree
+    /// contains *every* node, or the call is an error.
+    ///
+    /// This entry point is clean-path only (every phase carries a clean
+    /// [`FaultPlan`]): socket backends experience *real* asynchrony and
+    /// failures rather than injected ones. Per seed, an executor that
+    /// replicates the simulator's delivery order and RNG seeding produces the
+    /// same [`OverlayResult`] as [`OverlayBuilder::build`], except that off the
+    /// simulator [`OverlayResult::messages`] carries only the executor-counted
+    /// [`MessageStats::total_delivered`] (everything else is simulator
+    /// bookkeeping no socket backend can observe — see
+    /// [`crate::seam::SimDetail`]).
     ///
     /// # Errors
     ///
     /// Everything [`OverlayBuilder::build`] reports, plus
     /// [`OverlayError::Backend`] when the executor fails below the protocol
     /// layer (a peer process died, a connection broke, a frame failed to
-    /// decode).
+    /// decode). An executor bound to a fixed node set (the socket runners)
+    /// also refuses the smaller BFS phase of a fragmented core that way,
+    /// before the strict contract would name the fragmentation.
     pub fn build_over<E: PhaseExecutor>(
         &self,
         g: &DiGraph,
         exec: &mut E,
     ) -> Result<OverlayResult, OverlayError> {
-        let params = self.params;
-        params.validate().map_err(OverlayError::InvalidParams)?;
-        let n = g.node_count();
-        if n == 0 {
-            return Err(OverlayError::EmptyGraph);
-        }
-        if !analysis::is_connected(&g.to_undirected()) {
-            return Err(OverlayError::Disconnected);
-        }
-        benign::make_benign(g, &params)?;
+        strict_result(self.drive(g, &FaultPlan::default(), exec)?, g.node_count())
+    }
 
-        // Identical resolution to PhaseRunner::run: per-phase seed offset,
-        // override-or-default budget scaled by the clean schedule, and the
-        // override-or-default transport.
-        let spec = |id: PhaseId, clean_rounds: usize| PhaseExecSpec {
-            seed: params.seed.wrapping_add(id.index() as u64),
-            ncc0_cap: params.ncc0_cap,
+    /// The in-crate simulator executor under this builder's parallelism and
+    /// metrics policy.
+    fn simulator(&self, sink: Option<SharedTraceSink>) -> SimMedium {
+        let sim = SimExecutor {
+            parallelism: self.parallelism,
+            metrics_mode: self.metrics_mode,
+        };
+        SimMedium::new(sim, sink)
+    }
+
+    /// The run parameters of phase `id`: the phase-offset seed (each phase runs
+    /// on `params.seed + index`), the override-or-default budget scaled by the
+    /// phase's clean schedule, and the override-or-default transport.
+    fn exec_spec(&self, id: PhaseId, clean_rounds: usize) -> PhaseExecSpec {
+        PhaseExecSpec {
+            seed: self.params.seed.wrapping_add(id.index() as u64),
+            ncc0_cap: self.params.ncc0_cap,
             budget: self
                 .phases
                 .budget(id)
@@ -497,146 +497,39 @@ impl OverlayBuilder {
                 Some(TransportChoice::Bare) => None,
                 Some(TransportChoice::Reliable(config)) => Some(config),
             },
-        };
-        let backend = |e: E::Error| OverlayError::Backend(e.to_string());
-
-        let mut rounds = RoundBreakdown::default();
-        let mut messages = MessageStats::default();
-
-        // Phase 1: CreateExpander over all n nodes.
-        let phase = Phase::create_expander(g, &params, FaultPlan::default());
-        let spec1 = spec(PhaseId::CreateExpander, phase.clean_rounds());
-        let run1 = exec.execute(phase, spec1).map_err(backend)?;
-        rounds.construction = run1.rounds;
-        messages.total_delivered += run1.delivered;
-        if !run1.all_done {
-            return Err(OverlayError::PhaseIncomplete {
-                phase: PhaseId::CreateExpander.name(),
-                budget: spec1.budget,
-            });
-        }
-
-        // Hand-off 1: the survivor-induced final evolution graph, from the
-        // per-node slot summaries (the same computation build_with performs on
-        // full protocol states).
-        let alive1 = run1.alive;
-        let survivors: Vec<usize> = (0..n).filter(|&i| alive1[i]).collect();
-        let slots = SlotEdges::collect_from(
-            run1.summaries
-                .iter()
-                .map(|s| (s.id.index(), s.slots.as_slice())),
-            &alive1,
-        );
-        let full = slots.survivor_graph();
-        let comps = analysis::connected_components(&full.simplify());
-        let mut sizes: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-        for &v in &survivors {
-            *sizes.entry(comps.label(NodeId::from(v))).or_insert(0) += 1;
-        }
-        let component_count = sizes.len();
-        let Some((&core_comp, &core_size)) =
-            sizes.iter().max_by_key(|&(&comp, &size)| (size, comp))
-        else {
-            return Err(OverlayError::Fragmented {
-                components: 0,
-                core_size: 0,
-            });
-        };
-        let core_old_ids: Vec<usize> = survivors
-            .into_iter()
-            .filter(|&v| comps.label(NodeId::from(v)) == core_comp)
-            .collect();
-        if core_old_ids.len() != n {
-            // The strict clean-path contract: the tree must contain every node.
-            return Err(OverlayError::Fragmented {
-                components: component_count,
-                core_size,
-            });
-        }
-        let mut old_to_new = vec![None; n];
-        for (new, &old) in core_old_ids.iter().enumerate() {
-            old_to_new[old] = Some(new);
-        }
-        let expander = slots.remapped(&core_old_ids, &old_to_new);
-
-        // Phase 2: BFS on the expander.
-        let phase = Phase::bfs(&expander, &params, FaultPlan::default());
-        let spec2 = spec(PhaseId::Bfs, phase.clean_rounds());
-        let run2 = exec.execute(phase, spec2).map_err(backend)?;
-        rounds.bfs = run2.rounds;
-        messages.total_delivered += run2.delivered;
-        if !run2.all_done {
-            return Err(OverlayError::PhaseIncomplete {
-                phase: PhaseId::Bfs.name(),
-                budget: spec2.budget,
-            });
-        }
-
-        // Hand-off 2: convergence — one shared root, no self-parents.
-        let alive2 = run2.alive;
-        let bfs = run2.summaries;
-        let root = bfs
-            .iter()
-            .enumerate()
-            .find(|(i, _)| alive2[*i])
-            .map(|(_, b)| b.root);
-        let converged = match root {
-            None => false,
-            Some(root) => bfs.iter().enumerate().all(|(i, node)| {
-                !alive2[i] || (node.root == root && (node.id == root || node.parent != node.id))
-            }),
-        };
-        if !converged {
-            return Err(OverlayError::PhaseIncomplete {
-                phase: "bfs-convergence",
-                budget: spec2.budget,
-            });
-        }
-        let bfs_parents: Vec<NodeId> = bfs.iter().map(|b| b.parent).collect();
-
-        // Phase 3: binarization, constructed from the BFS summaries exactly as
-        // Phase::binarize constructs it from the BFS protocol states.
-        let nodes: Vec<BinarizeNode> = bfs
-            .iter()
-            .map(|b| BinarizeNode::new(b.id, b.parent, b.children.clone()))
-            .collect();
-        let phase = Phase::from_parts(
-            PhaseId::Binarize,
-            nodes,
-            BinarizeNode::total_rounds() + 1,
-            FaultPlan::default(),
-        );
-        let spec3 = spec(PhaseId::Binarize, phase.clean_rounds());
-        let run3 = exec.execute(phase, spec3).map_err(backend)?;
-        rounds.finalize = run3.rounds;
-        messages.total_delivered += run3.delivered;
-        if !run3.all_done {
-            return Err(OverlayError::PhaseIncomplete {
-                phase: PhaseId::Binarize.name(),
-                budget: spec3.budget,
-            });
-        }
-
-        // Hand-off 3: the finalize validation judges binarization's success.
-        let alive3 = run3.alive;
-        let parents: Vec<NodeId> = run3.summaries.iter().map(|s| s.new_parent).collect();
-        match WellFormedTree::from_parents_over(parents, &alive3) {
-            Some(tree) if tree.is_valid_over(&alive3) => Ok(OverlayResult {
-                expander,
-                bfs_parents,
-                tree,
-                rounds,
-                messages,
-            }),
-            _ => Err(OverlayError::FinalizeFailed),
         }
     }
 
-    fn build_with(
+    /// Executes one phase on `exec` and books it into `ledger`. `Ok(None)` means
+    /// the phase stalled (already recorded; the pipeline must exit with the
+    /// ledger's report).
+    fn run_phase<E: PhaseExecutor, P: Summarize + Send>(
+        &self,
+        exec: &mut E,
+        ledger: &mut Ledger,
+        phase: Phase<P>,
+    ) -> Result<Option<ExecutedPhase<P::Summary>>, OverlayError>
+    where
+        P::Message: Wire + Send,
+    {
+        let id = phase.id();
+        let spec = self.exec_spec(id, phase.clean_rounds());
+        let (run, detail) = exec
+            .execute_detailed(phase, spec)
+            .map_err(|e| OverlayError::Backend(e.to_string()))?;
+        Ok(ledger.book(id, spec.budget, &run, detail).then_some(run))
+    }
+
+    /// The one pipeline: validate, then CreateExpander → BFS → binarize on
+    /// `exec`, with the three graph-level hand-offs computed from the per-node
+    /// digests. `faults` spans the whole pipeline; each phase is handed its
+    /// window of it (shifted past the rounds already run, restricted to the
+    /// core).
+    fn drive<E: PhaseExecutor>(
         &self,
         g: &DiGraph,
         faults: &FaultPlan,
-        sink: Option<SharedTraceSink>,
+        exec: &mut E,
     ) -> Result<BuildReport, OverlayError> {
         let params = self.params;
         params.validate().map_err(OverlayError::InvalidParams)?;
@@ -652,19 +545,13 @@ impl OverlayBuilder {
         // locally during the run.
         benign::make_benign(g, &params)?;
 
-        let mut runner =
-            PhaseRunner::new(n, &params, self.round_budget, self.transport, self.phases);
-        runner.set_parallelism(self.parallelism);
-        runner.set_metrics_mode(self.metrics_mode);
-        if let Some(sink) = sink {
-            runner.set_trace_sink(sink);
-        }
+        let mut ledger = Ledger::new(n);
 
         // Phase 1: CreateExpander over all n nodes (joiners included; the fault
         // router keeps them dormant until their join round).
-        let Ok(construction) = runner.run(Phase::create_expander(g, &params, faults.clone()))
-        else {
-            return Ok(runner.into_report());
+        let phase = Phase::create_expander(g, &params, faults.clone());
+        let Some(construction) = self.run_phase(exec, &mut ledger, phase)? else {
+            return Ok(ledger.into_report());
         };
         let alive1 = construction.alive;
 
@@ -672,7 +559,7 @@ impl OverlayBuilder {
         // nodes dangle and are pruned. If the survivors fragment, continue on the
         // largest component — the "core" — and report the fragmentation.
         let survivors: Vec<usize> = (0..n).filter(|&i| alive1[i]).collect();
-        let slots = SlotEdges::collect(&construction.nodes, &alive1);
+        let slots = SlotEdges::collect(&construction.summaries, &alive1);
         let full = slots.survivor_graph();
         let comps = analysis::connected_components(&full.simplify());
         let mut sizes: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
@@ -684,11 +571,11 @@ impl OverlayBuilder {
             sizes.iter().max_by_key(|&(&comp, &size)| (size, comp))
         else {
             // Everyone crashed during construction.
-            runner.fragmented(0, 0);
-            return Ok(runner.into_report());
+            ledger.fragmented(0, 0);
+            return Ok(ledger.into_report());
         };
         if component_count > 1 {
-            runner.fragmented(component_count, core_size);
+            ledger.fragmented(component_count, core_size);
         }
         let core_old_ids: Vec<usize> = survivors
             .into_iter()
@@ -699,17 +586,18 @@ impl OverlayBuilder {
             old_to_new[old] = Some(new);
         }
         let m = core_old_ids.len();
-        runner.adopt_core(&core_old_ids);
         let expander = slots.remapped(&core_old_ids, &old_to_new);
+        ledger.adopt_core(core_old_ids);
 
         // Phase 2: BFS on the core expander, under the remainder of the fault plan.
         let offset1 = construction.rounds;
         let bfs_faults = remap_plan(&faults.shifted(offset1), &old_to_new);
-        let Ok(bfs_run) = runner.run(Phase::bfs(&expander, &params, bfs_faults)) else {
-            return Ok(runner.into_report());
+        let phase = Phase::bfs(&expander, &params, bfs_faults);
+        let Some(bfs_run) = self.run_phase(exec, &mut ledger, phase)? else {
+            return Ok(ledger.into_report());
         };
         let alive2 = bfs_run.alive;
-        let bfs = bfs_run.nodes;
+        let bfs = bfs_run.summaries;
 
         // Hand-off 2: convergence among the nodes still alive — one shared root,
         // no self-parents.
@@ -717,74 +605,214 @@ impl OverlayBuilder {
             .iter()
             .enumerate()
             .find(|(i, _)| alive2[*i])
-            .map(|(_, b)| b.root());
+            .map(|(_, b)| b.root);
         let converged = match root {
             None => false,
             Some(root) => bfs.iter().enumerate().all(|(i, node)| {
-                !alive2[i]
-                    || (node.root() == root && (node.id() == root || node.parent() != node.id()))
+                !alive2[i] || (node.root == root && (node.id == root || node.parent != node.id))
             }),
         };
         if !converged {
             let agreeing = bfs
                 .iter()
                 .enumerate()
-                .filter(|(i, b)| !alive2[*i] || Some(b.root()) == root)
+                .filter(|(i, b)| !alive2[*i] || Some(b.root) == root)
                 .count();
-            runner.stall(
-                "bfs-convergence",
-                bfs_run.rounds,
-                bfs_run.budget,
-                agreeing,
-                m,
-            );
-            return Ok(runner.into_report());
+            ledger.stall("bfs-convergence", bfs_run.rounds, agreeing, m);
+            return Ok(ledger.into_report());
         }
-        let bfs_parents: Vec<NodeId> = bfs.iter().map(BfsNode::parent).collect();
+        let bfs_parents: Vec<NodeId> = bfs.iter().map(|b| b.parent).collect();
 
         // Phase 3: binarization into a well-formed tree.
         let offset2 = offset1 + bfs_run.rounds;
         let bin_faults = remap_plan(&faults.shifted(offset2), &old_to_new);
-        let Ok(bin_run) = runner.run(Phase::binarize(&bfs, bin_faults)) else {
-            return Ok(runner.into_report());
+        let phase = Phase::binarize(&bfs, bin_faults);
+        let Some(bin_run) = self.run_phase(exec, &mut ledger, phase)? else {
+            return Ok(ledger.into_report());
         };
         let alive3 = bin_run.alive;
-        let parents: Vec<NodeId> = bin_run.nodes.iter().map(BinarizeNode::new_parent).collect();
+        let parents: Vec<NodeId> = bin_run.summaries.iter().map(|s| s.new_parent).collect();
 
         // Hand-off 3: the finalize validation judges binarization's success.
-        let mut report = runner.into_report();
-        match WellFormedTree::from_parents_over(parents, &alive3) {
-            Some(tree) => {
-                report.phases.push((
-                    "finalize",
-                    PhaseOutcome::Completed {
-                        rounds: bin_run.rounds,
-                    },
-                ));
-                report.tree_valid_over_alive = tree.is_valid_over(&alive3);
-                report.alive_at_end = alive3;
-                report.result = Some(OverlayResult {
-                    expander,
-                    bfs_parents,
-                    tree,
-                    rounds: report.rounds,
-                    messages: report.messages,
-                });
-            }
+        let tree = WellFormedTree::from_parents_over(parents, &alive3);
+        let rounds = bin_run.rounds;
+        match tree {
+            Some(_) => ledger.event("finalize", PhaseOutcome::Completed { rounds }),
             None => {
-                report.phases.push((
-                    "finalize",
-                    PhaseOutcome::Stalled {
-                        rounds: bin_run.rounds,
-                        budget: bin_run.budget,
-                        nodes_done: alive3.iter().filter(|a| **a).count(),
-                        nodes_total: m,
-                    },
-                ));
-                report.alive_at_end = alive3;
+                let alive = alive3.iter().filter(|a| **a).count();
+                ledger.stall("finalize", rounds, alive, m);
             }
         }
+        let mut report = ledger.into_report();
+        report.tree_valid_over_alive = tree.as_ref().is_some_and(|t| t.is_valid_over(&alive3));
+        report.result = tree.map(|tree| OverlayResult {
+            expander,
+            bfs_parents,
+            tree,
+            rounds: report.rounds,
+            messages: report.messages,
+        });
+        report.alive_at_end = alive3;
         Ok(report)
+    }
+}
+
+/// The report of one pipeline run while it is being written: per-phase rounds,
+/// events, message books and — when the executor is the simulator — the
+/// per-node totals and [`PhaseMetrics`] rollups only a [`SimDetail`] carries.
+struct Ledger {
+    report: BuildReport,
+    /// The round budget of the phase booked last; derived steps that stall
+    /// *after* that phase ran (`bfs-convergence`, `finalize`) report against it.
+    budget: usize,
+    total_sent_per_node: Vec<u64>,
+    /// Original ids of the core nodes once the pipeline has remapped onto the
+    /// survivor core; phases booked after [`Ledger::adopt_core`] fold their
+    /// per-node totals (and inherited-crash corrections) through this mapping.
+    core: Option<Vec<usize>>,
+}
+
+impl Ledger {
+    fn new(n: usize) -> Self {
+        Ledger {
+            report: BuildReport {
+                result: None,
+                phases: Vec::new(),
+                survivor_ids: Vec::new(),
+                alive_at_end: Vec::new(),
+                tree_valid_over_alive: false,
+                rounds: RoundBreakdown::default(),
+                messages: MessageStats::default(),
+                crashed: 0,
+                joined: 0,
+                phase_metrics: Vec::new(),
+            },
+            budget: 0,
+            total_sent_per_node: vec![0; n],
+            core: None,
+        }
+    }
+
+    /// Books one executed construction phase: its rounds, its message books,
+    /// and either its stall (returning `false`) or its completion event.
+    /// Binarization pushes no completion event of its own — it completes only
+    /// if the `finalize` validation accepts the tree.
+    fn book<S>(
+        &mut self,
+        id: PhaseId,
+        budget: usize,
+        run: &ExecutedPhase<S>,
+        detail: Option<SimDetail>,
+    ) -> bool {
+        let rounds = run.rounds;
+        self.budget = budget;
+        match id {
+            PhaseId::CreateExpander => self.report.rounds.construction = rounds,
+            PhaseId::Bfs => self.report.rounds.bfs = rounds,
+            PhaseId::Binarize => self.report.rounds.finalize = rounds,
+            PhaseId::Traffic => unreachable!("traffic is not a construction phase"),
+        }
+        let nodes_done = match detail {
+            Some(detail) => {
+                self.absorb(&detail.metrics);
+                self.report.phase_metrics.push(PhaseMetrics::from_run(
+                    id.name(),
+                    &detail.metrics,
+                    detail.wall,
+                ));
+                detail.done_count
+            }
+            None => {
+                self.report.messages.total_delivered += run.delivered;
+                // All a summary-only executor reveals: the dead count as done.
+                run.alive.iter().filter(|a| !**a).count()
+            }
+        };
+        if !run.all_done {
+            self.stall(id.name(), rounds, nodes_done, run.alive.len());
+            return false;
+        }
+        if id != PhaseId::Binarize {
+            self.event(id.name(), PhaseOutcome::Completed { rounds });
+        }
+        true
+    }
+
+    /// Folds one simulated phase's metrics into the report. For phases running
+    /// on the remapped core, crashes recorded at round 0 are *inherited* (a
+    /// prior phase's crash pinned there by [`FaultPlan::shifted`]) and were
+    /// already counted, so they are skipped, and per-node totals are mapped
+    /// back to original ids.
+    fn absorb(&mut self, metrics: &RunMetrics) {
+        self.report.messages.absorb(metrics);
+        let inherited = if self.core.is_some() {
+            metrics.first_round_crashed()
+        } else {
+            0
+        };
+        self.report.crashed += metrics.total_crashed() - inherited;
+        self.report.joined += metrics.total_joined();
+        for (i, s) in metrics.total_sent_per_node.iter().enumerate() {
+            let orig = self.core.as_ref().map_or(i, |ids| ids[i]);
+            self.total_sent_per_node[orig] += s;
+        }
+    }
+
+    fn event(&mut self, name: &'static str, outcome: PhaseOutcome) {
+        self.report.phases.push((name, outcome));
+    }
+
+    /// Records a stalled phase (or derived step, e.g. `bfs-convergence`). Every
+    /// stall exits the pipeline.
+    fn stall(&mut self, phase: &'static str, rounds: usize, nodes_done: usize, nodes_total: usize) {
+        let outcome = PhaseOutcome::Stalled {
+            rounds,
+            budget: self.budget,
+            nodes_done,
+            nodes_total,
+        };
+        self.event(phase, outcome);
+    }
+
+    /// Records post-construction fragmentation of the survivors (the
+    /// `survivor-connectivity` derived step).
+    fn fragmented(&mut self, components: usize, core_size: usize) {
+        let outcome = PhaseOutcome::Fragmented {
+            components,
+            core_size,
+        };
+        self.event("survivor-connectivity", outcome);
+    }
+
+    /// Declares the survivor core the pipeline continues with:
+    /// `core_old_ids[i]` is the original id of remapped node `i`.
+    fn adopt_core(&mut self, core_old_ids: Vec<usize>) {
+        self.report.survivor_ids = core_old_ids.iter().map(|&v| NodeId::from(v)).collect();
+        self.core = Some(core_old_ids);
+    }
+
+    /// Closes the per-node totals and hands the report back for the final
+    /// hand-off (tree validation) or an early exit.
+    fn into_report(self) -> BuildReport {
+        let mut report = self.report;
+        report.messages.max_total_per_node =
+            self.total_sent_per_node.iter().copied().max().unwrap_or(0);
+        report
+    }
+}
+
+/// The strict contract [`OverlayBuilder::build`] and
+/// [`OverlayBuilder::build_over`] share: a report is a result only if its tree
+/// is valid and contains every one of the `n` input nodes. A fragmented
+/// (partial-core) result — possible without faults only when the w.h.p.
+/// connectivity of `G_L` fails — is an error here, not a silently smaller tree.
+fn strict_result(report: BuildReport, n: usize) -> Result<OverlayResult, OverlayError> {
+    let full_core = report.survivor_ids.len() == n;
+    match report.result {
+        None => Err(failure_error(&report)),
+        Some(_) if !full_core => Err(fragmentation_error(&report)),
+        Some(result) if report.tree_valid_over_alive => Ok(result),
+        Some(_) => Err(OverlayError::FinalizeFailed),
     }
 }
 
@@ -839,14 +867,10 @@ fn fragmentation_error(report: &BuildReport) -> OverlayError {
 type EdgeCounts = BTreeMap<(usize, usize), (usize, usize)>;
 
 /// The alive-to-alive slot edges of the final evolution graph, collected in a single
-/// pass over the protocol states and reused for both views the pipeline needs: the
-/// survivor-connectivity graph (original ids) and the remapped core graph.
-///
-/// `build_under_faults` previously walked every node's slots twice per faulted build
-/// — once per view; collecting once and deriving both halves that cost on the
-/// fault-sweep hot path without changing either graph (see
-/// [`SlotEdges::survivor_graph`] and [`SlotEdges::remapped`] for why the derived
-/// views are identical to the two-pass ones).
+/// pass over the per-node slot digests and reused for both views the pipeline needs:
+/// the survivor-connectivity graph (original ids) and the remapped core graph (see
+/// [`SlotEdges::survivor_graph`] and [`SlotEdges::remapped`] for why deriving both
+/// from one collection equals collecting once per view).
 struct SlotEdges {
     /// Undirected edge multiplicities between alive nodes, keyed by ordered id pair.
     pairs: EdgeCounts,
@@ -863,25 +887,15 @@ impl SlotEdges {
     /// multiplicity the better-informed side holds — so the reconstruction depends on
     /// protocol state only, never on id order. Clean runs hold every edge
     /// symmetrically, and `max(k, k) == k` reproduces the exact fault-free graph.
-    fn collect(nodes: &[ExpanderNode], alive: &[bool]) -> SlotEdges {
-        SlotEdges::collect_from(nodes.iter().map(|n| (n.id().index(), n.slots())), alive)
-    }
-
-    /// [`SlotEdges::collect`] generalized over `(node index, slots)` pairs, so
-    /// the same single pass also serves `build_over`'s hand-off, which sees
-    /// per-node [`crate::seam::ExpanderSummary`] digests instead of protocol
-    /// states.
-    fn collect_from<'a>(
-        nodes: impl Iterator<Item = (usize, &'a [NodeId])>,
-        alive: &[bool],
-    ) -> SlotEdges {
+    fn collect(nodes: &[ExpanderSummary], alive: &[bool]) -> SlotEdges {
         let mut pairs: EdgeCounts = BTreeMap::new();
         let mut self_loops = vec![0usize; alive.len()];
-        for (v, slots) in nodes {
+        for node in nodes {
+            let v = node.id.index();
             if !alive[v] {
                 continue;
             }
-            for &w in slots {
+            for &w in &node.slots {
                 let w = w.index();
                 if w == v {
                     self_loops[v] += 1;
@@ -984,6 +998,8 @@ fn remap_plan(plan: &FaultPlan, old_to_new: &[Option<usize>]) -> FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bfs::BfsNode;
+    use crate::expander::ExpanderNode;
     use overlay_graph::generators;
     use overlay_netsim::caps::log2_ceil;
 
@@ -1078,6 +1094,90 @@ mod tests {
                 direct.messages.total_delivered
             );
         }
+    }
+
+    #[test]
+    fn public_and_internal_simulator_executors_are_one_path() {
+        use crate::seam::SimExecutor;
+        let n = 64;
+        let g = generators::cycle(n);
+        let params = ExpanderParams::for_n(n).with_seed(23);
+        let builder = OverlayBuilder::new(params);
+        let construction = ExpanderNode::total_rounds(&params);
+        let crash_wave = (0..n / 8).fold(FaultPlan::default(), |plan, i| {
+            plan.with_crash(NodeId::from(i * 8), construction / 3)
+        });
+        let side_a: Vec<NodeId> = (0..n / 2).map(NodeId::from).collect();
+        for plan in [
+            crash_wave,
+            FaultPlan::default().with_drop_prob(0.02),
+            FaultPlan::default().with_partition(side_a, construction / 2, construction + 4),
+            FaultPlan::default().with_join(NodeId::from(3usize), construction / 2),
+        ] {
+            let internal = builder.build_under_faults(&g, &plan).expect("valid input");
+            let public = builder
+                .drive(&g, &plan, &mut SimExecutor::default())
+                .expect("valid input");
+            assert_eq!(public.phases, internal.phases, "plan: {plan:?}");
+            assert_eq!(public.survivor_ids, internal.survivor_ids);
+            assert_eq!(public.alive_at_end, internal.alive_at_end);
+            assert_eq!(public.rounds, internal.rounds);
+            assert_eq!(public.messages, internal.messages);
+            assert_eq!(public.phase_metrics, internal.phase_metrics);
+            assert_eq!(
+                (public.crashed, public.joined),
+                (internal.crashed, internal.joined)
+            );
+            let overlay = |r: &BuildReport| {
+                r.result
+                    .as_ref()
+                    .map(|o| (o.tree.clone(), o.expander.clone(), o.bfs_parents.clone()))
+            };
+            assert_eq!(overlay(&public), overlay(&internal));
+        }
+
+        // One strict contract: a fragmenting plan is the identical error on
+        // either executor (`build` and `build_over` both end in `strict_result`).
+        let total_loss = FaultPlan::default().with_drop_prob(1.0);
+        let internal = builder
+            .build_under_faults(&g, &total_loss)
+            .expect("valid input");
+        let public = builder
+            .drive(&g, &total_loss, &mut SimExecutor::default())
+            .expect("valid input");
+        let expected = OverlayError::Fragmented {
+            components: n,
+            core_size: 1,
+        };
+        assert_eq!(strict_result(internal, n).unwrap_err(), expected);
+        assert_eq!(strict_result(public, n).unwrap_err(), expected);
+    }
+
+    #[test]
+    fn exec_spec_resolves_overrides_against_defaults() {
+        let params = ExpanderParams::for_n(32).with_seed(40);
+        let builder = OverlayBuilder::new(params)
+            .with_round_budget(RoundBudget::percent(150))
+            .with_reliable_transport(TransportConfig::default())
+            .with_phase_budget(PhaseId::Bfs, RoundBudget::percent(300))
+            .with_phase_transport(PhaseId::Binarize, TransportChoice::Bare);
+        // Overridden phases use their own values...
+        assert_eq!(builder.exec_spec(PhaseId::Bfs, 10).budget, 30);
+        assert_eq!(builder.exec_spec(PhaseId::Binarize, 10).transport, None);
+        // ...everything else inherits the builder-wide defaults.
+        let construction = builder.exec_spec(PhaseId::CreateExpander, 10);
+        assert_eq!(construction.budget, 15);
+        assert_eq!(construction.transport, Some(TransportConfig::default()));
+        assert_eq!(
+            builder.exec_spec(PhaseId::Bfs, 10).transport,
+            Some(TransportConfig::default())
+        );
+        // Each phase draws from its own offset of the builder's seed.
+        assert_eq!(
+            PhaseId::ALL.map(|id| builder.exec_spec(id, 10).seed),
+            [40, 41, 42]
+        );
+        assert_eq!(construction.ncc0_cap, params.ncc0_cap);
     }
 
     #[test]

@@ -59,9 +59,9 @@ pub use expander::{ExpanderMsg, ExpanderNode};
 pub use maintenance::{EpochSample, MaintenanceConfig, MaintenanceRunner, ServeOutcome};
 pub use overlay_netsim::{MetricsMode, ParallelismConfig, TransportConfig};
 pub use params::{ExpanderParams, RoundBudget};
-pub use pipeline::{Phase, PhaseId, PhaseMetrics, PhaseOverrides, PhaseRunner, TransportChoice};
+pub use pipeline::{Phase, PhaseId, PhaseMetrics, PhaseOverrides, TransportChoice};
 pub use seam::{
-    BfsSummary, BinarizeSummary, ExecutedPhase, ExpanderSummary, PhaseExecSpec, PhaseExecutor,
-    SimExecutor, Summarize,
+    BfsSummary, BinarizeSummary, DetailedPhase, ExecutedPhase, ExpanderSummary, PhaseExecSpec,
+    PhaseExecutor, SimDetail, SimExecutor, Summarize,
 };
 pub use wellformed::WellFormedTree;

@@ -4,40 +4,32 @@
 //! knowledge graph into an expander, BFS spans the survivor core, and a one-round
 //! binarization makes the tree well-formed. This module makes each stage a *value* —
 //! a [`Phase`] bundling its protocol nodes, its schedule-derived clean round count
-//! and the fault plan it runs against — and a [`PhaseRunner`] that owns, exactly
-//! once, the loop every stage shares: resolving the effective round budget and
-//! transport, building the [`SimConfig`] recipe, running the simulation, absorbing
-//! metrics into the [`BuildReport`], and recording stalls and fragmentation.
+//! and the fault plan it runs against — plus the vocabulary the builder's single
+//! pipeline driver resolves per phase: [`PhaseId`], [`PhaseOverrides`] /
+//! [`TransportChoice`] and the [`PhaseMetrics`] rollup.
 //!
-//! [`crate::OverlayBuilder::build_under_faults`] is a thin facade over these types:
-//! it constructs the three phases, feeds them through one runner, and keeps only
-//! the typed hand-offs between stages (survivor-core extraction after
-//! `CreateExpander`, convergence checking after BFS, tree validation after
-//! binarization). Because budgets and transports resolve *per phase* — via
-//! [`PhaseOverrides`] — a caller can, e.g., run the reliable transport only for the
-//! one-round binarization where a single lost message is fatal, while the long
-//! construction phase stays on bare sends.
+//! Phases are executed by a [`crate::seam::PhaseExecutor`] — never directly. Because
+//! budgets and transports resolve *per phase* — via [`PhaseOverrides`] — a caller can,
+//! e.g., run the reliable transport only for the one-round binarization where a
+//! single lost message is fatal, while the long construction phase stays on bare
+//! sends.
 
 use crate::bfs::BfsNode;
-use crate::builder::{BuildReport, PhaseOutcome, RoundBreakdown};
 use crate::expander::ExpanderNode;
+use crate::seam::BfsSummary;
 use crate::wellformed::BinarizeNode;
 use crate::{ExpanderParams, RoundBudget};
 use overlay_graph::{DiGraph, NodeId, UGraph};
 use overlay_netsim::faults::FaultPlan;
-use overlay_netsim::trace::{SharedTraceSink, TraceEvent};
-use overlay_netsim::{
-    MetricsMode, ParallelismConfig, Protocol, RunMetrics, SimConfig, Simulator, TransportConfig,
-};
-use overlay_transport::Reliable;
-use std::time::{Duration, Instant};
+use overlay_netsim::{RunMetrics, TransportConfig};
+use std::time::Duration;
 
 /// Identifies one of the three simulated phases of the paper's pipeline.
 ///
 /// The pipeline-level events that are *derived* from a phase rather than simulated
 /// (`survivor-connectivity` fragmentation after construction, `bfs-convergence`
 /// agreement, the `finalize` tree validation) are reported under their own names in
-/// [`BuildReport::phases`] and have no `PhaseId`.
+/// [`crate::BuildReport::phases`] and have no `PhaseId`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PhaseId {
     /// The `CreateExpander` evolutions over the full initial graph.
@@ -79,25 +71,15 @@ impl PhaseId {
             PhaseId::Traffic => 3,
         }
     }
-
-    /// The event name pushed on simulated completion, or `None` when completion is
-    /// judged later by a derived step (binarization completes only if the
-    /// `finalize` validation accepts the tree, so its success event is pushed
-    /// there; traffic outcomes live in the traffic report, not the event log).
-    fn completed_event(self) -> Option<&'static str> {
-        match self {
-            PhaseId::CreateExpander | PhaseId::Bfs => Some(self.name()),
-            PhaseId::Binarize | PhaseId::Traffic => None,
-        }
-    }
 }
 
 /// One stage of the pipeline as a value: the protocol nodes to simulate, the
 /// schedule-derived clean round count, and the fault plan for the stage's window.
 ///
-/// Budgets and transports are *not* part of a phase: they are resolved by the
-/// [`PhaseRunner`] from its builder-wide defaults and the per-phase
-/// [`PhaseOverrides`], so the same phase value runs identically under any policy.
+/// Budgets and transports are *not* part of a phase: [`crate::OverlayBuilder`]
+/// resolves them from its builder-wide defaults and the per-phase
+/// [`PhaseOverrides`] into a [`crate::seam::PhaseExecSpec`], so the same phase
+/// value runs identically under any policy.
 #[derive(Clone, Debug)]
 pub struct Phase<P> {
     id: PhaseId,
@@ -109,8 +91,8 @@ pub struct Phase<P> {
 impl<P> Phase<P> {
     /// A phase from raw parts. The typed constructors
     /// ([`Phase::create_expander`], [`Phase::bfs`], [`Phase::binarize`]) build the
-    /// paper's stages; this escape hatch lets experiments run a custom protocol
-    /// under the shared budget/metrics/stall machinery.
+    /// paper's stages; this escape hatch lets experiments hand a custom protocol
+    /// (e.g. the traffic routers) to any [`crate::seam::PhaseExecutor`].
     pub fn from_parts(id: PhaseId, nodes: Vec<P>, clean_rounds: usize, faults: FaultPlan) -> Self {
         Phase {
             id,
@@ -185,11 +167,12 @@ impl Phase<BfsNode> {
 }
 
 impl Phase<BinarizeNode> {
-    /// The one-round binarization phase, handed off from the finished BFS states.
-    pub fn binarize(bfs: &[BfsNode], faults: FaultPlan) -> Self {
+    /// The one-round binarization phase, handed off from the BFS phase's per-node
+    /// digests (all any executor, local or multi-process, can hand back).
+    pub fn binarize(bfs: &[BfsSummary], faults: FaultPlan) -> Self {
         let nodes: Vec<BinarizeNode> = bfs
             .iter()
-            .map(|b| BinarizeNode::new(b.id(), b.parent(), b.children().to_vec()))
+            .map(|b| BinarizeNode::new(b.id, b.parent, b.children.clone()))
             .collect();
         Phase::from_parts(
             PhaseId::Binarize,
@@ -262,8 +245,8 @@ impl PhaseOverrides {
 /// budget": rounds executed, delivery and drop totals by cause, transport
 /// overhead, and host wall-clock time.
 ///
-/// One entry per [`PhaseRunner::run`] call is appended to
-/// [`BuildReport::phase_metrics`], in pipeline order, including phases that
+/// One entry per phase the lockstep simulator executed is appended to
+/// [`crate::BuildReport::phase_metrics`], in pipeline order, including phases that
 /// stalled (their partial totals are exactly what a post-mortem needs). Derived
 /// steps (`survivor-connectivity`, `bfs-convergence`, `finalize`) simulate
 /// nothing and have no entry.
@@ -373,333 +356,6 @@ impl PartialEq for PhaseMetrics {
     }
 }
 
-/// Marker returned by [`PhaseRunner::run`] when the phase stalled: the stall has
-/// already been recorded in the report and the pipeline must exit via
-/// [`PhaseRunner::into_report`].
-#[derive(Clone, Copy, Debug)]
-pub struct Stalled;
-
-/// A completed phase execution: the protocol states after the run (unwrapped from
-/// the transport adapter when one was configured) and the facts later stages need.
-#[derive(Clone, Debug)]
-pub struct PhaseRun<P> {
-    /// The protocol states after the run, in node order.
-    pub nodes: Vec<P>,
-    /// Liveness of each simulated node when the phase ended.
-    pub alive: Vec<bool>,
-    /// Rounds the phase executed.
-    pub rounds: usize,
-    /// The round budget the phase ran under (after scaling and slack) — derived
-    /// steps that stall *after* the simulation (BFS convergence) report against it.
-    pub budget: usize,
-}
-
-/// Runs the pipeline's phases against one shared [`BuildReport`], owning the
-/// per-phase boilerplate — budget resolution, [`SimConfig`] recipe, simulation,
-/// metrics absorption, stall and fragmentation recording — that
-/// `build_under_faults` previously hand-rolled once per phase.
-///
-/// The runner is deliberately dumb about *what* the phases compute: hand-offs
-/// between stages (core extraction, convergence checks, tree validation) stay in
-/// the caller, which consumes each [`PhaseRun`] and finally takes the report back
-/// with [`PhaseRunner::into_report`].
-#[derive(Clone, Debug)]
-pub struct PhaseRunner {
-    ncc0_cap: usize,
-    seed: u64,
-    default_budget: RoundBudget,
-    default_transport: Option<TransportConfig>,
-    overrides: PhaseOverrides,
-    /// Original ids of the core nodes once the pipeline has remapped onto the
-    /// survivor core; phases run after [`PhaseRunner::adopt_core`] fold their
-    /// per-node totals (and inherited-crash corrections) through this mapping.
-    core: Option<Vec<usize>>,
-    report: BuildReport,
-    total_sent_per_node: Vec<u64>,
-    /// Trace sink handed to every phase's simulator (plus the runner's own
-    /// `PhaseStart` / `PhaseEnd` markers); `None` keeps runs completely untraced.
-    sink: Option<SharedTraceSink>,
-    /// Within-round parallelism policy handed to every phase's simulator
-    /// (bitwise identical at any worker count, so purely a wall-clock knob).
-    parallelism: ParallelismConfig,
-    /// Metrics-retention mode handed to every phase's simulator; rollup mode
-    /// bounds memory on long-horizon, large-`n` runs.
-    metrics_mode: MetricsMode,
-}
-
-impl PhaseRunner {
-    /// A runner over `n` initial nodes with the given builder-wide defaults and
-    /// per-phase overrides.
-    pub fn new(
-        n: usize,
-        params: &ExpanderParams,
-        budget: RoundBudget,
-        transport: Option<TransportConfig>,
-        overrides: PhaseOverrides,
-    ) -> Self {
-        PhaseRunner {
-            ncc0_cap: params.ncc0_cap,
-            seed: params.seed,
-            default_budget: budget,
-            default_transport: transport,
-            overrides,
-            core: None,
-            report: BuildReport {
-                result: None,
-                phases: Vec::new(),
-                survivor_ids: Vec::new(),
-                alive_at_end: Vec::new(),
-                tree_valid_over_alive: false,
-                rounds: RoundBreakdown::default(),
-                messages: Default::default(),
-                crashed: 0,
-                joined: 0,
-                phase_metrics: Vec::new(),
-            },
-            total_sent_per_node: vec![0; n],
-            sink: None,
-            parallelism: ParallelismConfig::default(),
-            metrics_mode: MetricsMode::Full,
-        }
-    }
-
-    /// Installs a trace sink: every subsequent phase brackets its simulation with
-    /// [`TraceEvent::PhaseStart`] / [`TraceEvent::PhaseEnd`] and streams the
-    /// simulator's events in between. Tracing never changes the run itself.
-    pub fn set_trace_sink(&mut self, sink: SharedTraceSink) {
-        self.sink = Some(sink);
-    }
-
-    /// Sets the within-round parallelism policy for every subsequent phase.
-    /// Never changes results — only how many threads step nodes.
-    pub fn set_parallelism(&mut self, parallelism: ParallelismConfig) {
-        self.parallelism = parallelism;
-    }
-
-    /// Sets the metrics-retention mode for every subsequent phase (rollup mode
-    /// bounds per-run memory; all totals and peaks are mode-independent).
-    pub fn set_metrics_mode(&mut self, mode: MetricsMode) {
-        self.metrics_mode = mode;
-    }
-
-    /// The round budget `id` will run under: its override, or the builder-wide
-    /// default.
-    pub fn effective_budget(&self, id: PhaseId) -> RoundBudget {
-        self.overrides.budget(id).unwrap_or(self.default_budget)
-    }
-
-    /// The transport `id` will run behind: its override, or the builder-wide
-    /// default (`None` = bare sends).
-    pub fn effective_transport(&self, id: PhaseId) -> Option<TransportConfig> {
-        match self.overrides.transport(id) {
-            None => self.default_transport,
-            Some(TransportChoice::Bare) => None,
-            Some(TransportChoice::Reliable(config)) => Some(config),
-        }
-    }
-
-    /// Declares the survivor core the pipeline continues with: `core_old_ids[i]`
-    /// is the original id of remapped node `i`. Sets the report's
-    /// [`BuildReport::survivor_ids`] and makes subsequent phases fold their
-    /// metrics through the mapping.
-    pub fn adopt_core(&mut self, core_old_ids: &[usize]) {
-        self.report.survivor_ids = core_old_ids.iter().map(|&v| NodeId::from(v)).collect();
-        self.core = Some(core_old_ids.to_vec());
-    }
-
-    /// Runs one phase end to end: resolves budget and transport, simulates,
-    /// records the phase's rounds, absorbs its metrics, and either records the
-    /// stall (returning [`Stalled`]) or pushes the completion event and hands the
-    /// protocol states back for the next stage.
-    pub fn run<P: Protocol>(&mut self, phase: Phase<P>) -> Result<PhaseRun<P>, Stalled> {
-        let Phase {
-            id,
-            nodes,
-            clean_rounds,
-            faults,
-        } = phase;
-        let budget = self.effective_budget(id).apply(clean_rounds);
-        let config = SimConfig::ncc0_capped(
-            self.ncc0_cap,
-            self.seed.wrapping_add(id.index() as u64),
-            faults,
-        )
-        .with_parallelism(self.parallelism)
-        .with_metrics_mode(self.metrics_mode);
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut()
-                .record(TraceEvent::PhaseStart { phase: id.name() });
-        }
-        let started = Instant::now();
-        let run = run_phase(
-            nodes,
-            config,
-            budget,
-            self.effective_transport(id),
-            self.sink.clone(),
-        );
-        let wall = started.elapsed();
-        let rounds = run.outcome.rounds;
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut().record(TraceEvent::PhaseEnd {
-                phase: id.name(),
-                rounds,
-                completed: run.outcome.all_done,
-            });
-        }
-        match id {
-            PhaseId::CreateExpander => self.report.rounds.construction = rounds,
-            PhaseId::Bfs => self.report.rounds.bfs = rounds,
-            PhaseId::Binarize => self.report.rounds.finalize = rounds,
-            // Traffic rounds are an application figure, reported by the traffic
-            // layer itself; the construction round breakdown stays untouched.
-            PhaseId::Traffic => {}
-        }
-        self.absorb(&run.metrics);
-        self.report
-            .phase_metrics
-            .push(PhaseMetrics::from_run(id.name(), &run.metrics, wall));
-        if !run.outcome.all_done {
-            self.stall(id.name(), rounds, budget, run.done_count, run.alive.len());
-            return Err(Stalled);
-        }
-        if let Some(event) = id.completed_event() {
-            self.report
-                .phases
-                .push((event, PhaseOutcome::Completed { rounds }));
-        }
-        Ok(PhaseRun {
-            nodes: run.nodes,
-            alive: run.alive,
-            rounds,
-            budget,
-        })
-    }
-
-    /// Records a stalled phase (or derived step, e.g. `bfs-convergence`). Every
-    /// stall exits the pipeline, so the caller follows with
-    /// [`PhaseRunner::into_report`].
-    pub fn stall(
-        &mut self,
-        phase: &'static str,
-        rounds: usize,
-        budget: usize,
-        nodes_done: usize,
-        nodes_total: usize,
-    ) {
-        self.report.phases.push((
-            phase,
-            PhaseOutcome::Stalled {
-                rounds,
-                budget,
-                nodes_done,
-                nodes_total,
-            },
-        ));
-    }
-
-    /// Records post-construction fragmentation of the survivors (the
-    /// `survivor-connectivity` derived step).
-    pub fn fragmented(&mut self, components: usize, core_size: usize) {
-        self.report.phases.push((
-            "survivor-connectivity",
-            PhaseOutcome::Fragmented {
-                components,
-                core_size,
-            },
-        ));
-    }
-
-    /// Closes the per-node totals and hands the accumulated report back to the
-    /// caller for the final hand-off (tree validation) or early exit.
-    pub fn into_report(self) -> BuildReport {
-        let mut report = self.report;
-        report.messages.max_total_per_node =
-            self.total_sent_per_node.iter().copied().max().unwrap_or(0);
-        report
-    }
-
-    /// Folds one phase's metrics into the report. For phases running on the
-    /// remapped core, crashes recorded at round 0 are *inherited* (a prior
-    /// phase's crash pinned there by [`FaultPlan::shifted`]) and were already
-    /// counted, so they are skipped, and per-node totals are mapped back to
-    /// original ids.
-    fn absorb(&mut self, metrics: &RunMetrics) {
-        self.report.messages.absorb(metrics);
-        let inherited = if self.core.is_some() {
-            metrics.first_round_crashed()
-        } else {
-            0
-        };
-        self.report.crashed += metrics.total_crashed() - inherited;
-        self.report.joined += metrics.total_joined();
-        for (i, s) in metrics.total_sent_per_node.iter().enumerate() {
-            let orig = self.core.as_ref().map_or(i, |ids| ids[i]);
-            self.total_sent_per_node[orig] += s;
-        }
-    }
-}
-
-/// One simulated phase's raw outcome, with the protocol states already unwrapped
-/// from the optional transport adapter.
-pub(crate) struct RawRun<P> {
-    pub(crate) nodes: Vec<P>,
-    pub(crate) outcome: overlay_netsim::RunOutcome,
-    pub(crate) metrics: RunMetrics,
-    pub(crate) alive: Vec<bool>,
-    pub(crate) done_count: usize,
-}
-
-/// Runs one phase of the pipeline — behind the reliable transport layer when one
-/// is configured, bare otherwise — and extracts everything the pipeline needs
-/// from the simulator. With a transport, `is_done` (and therefore `done_count`
-/// and the phase's wall-rounds) includes the transport's own drain condition:
-/// a node holding unacknowledged data keeps the phase alive so retransmissions
-/// can land.
-pub(crate) fn run_phase<P: Protocol>(
-    nodes: Vec<P>,
-    config: SimConfig,
-    budget: usize,
-    transport: Option<TransportConfig>,
-    sink: Option<SharedTraceSink>,
-) -> RawRun<P> {
-    fn finish<Q: Protocol, P>(
-        mut sim: Simulator<Q>,
-        budget: usize,
-        sink: Option<SharedTraceSink>,
-        unwrap: impl Fn(Q) -> P,
-    ) -> RawRun<P> {
-        if let Some(sink) = sink {
-            sim.set_trace_sink(sink);
-        }
-        let outcome = sim.run(budget);
-        let alive = (0..sim.node_count())
-            .map(|i| sim.is_active(NodeId::from(i)))
-            .collect();
-        let done_count = sim.done_count();
-        let metrics = sim.metrics().clone();
-        RawRun {
-            nodes: sim.into_nodes().into_iter().map(unwrap).collect(),
-            outcome,
-            metrics,
-            alive,
-            done_count,
-        }
-    }
-    match transport {
-        Some(cfg) => finish(
-            Simulator::new(
-                nodes.into_iter().map(|p| Reliable::new(p, cfg)).collect(),
-                config,
-            ),
-            budget,
-            sink,
-            Reliable::into_inner,
-        ),
-        None => finish(Simulator::new(nodes, config), budget, sink, |p| p),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -741,36 +397,6 @@ mod tests {
             Some(TransportChoice::Reliable(TransportConfig::default()))
         );
         assert_eq!(o.transport(PhaseId::CreateExpander), None);
-    }
-
-    #[test]
-    fn runner_resolves_overrides_against_defaults() {
-        let params = ExpanderParams::for_n(32);
-        let overrides = PhaseOverrides::none()
-            .with_budget(PhaseId::Bfs, RoundBudget::percent(300))
-            .with_transport(PhaseId::Binarize, TransportChoice::Bare);
-        let runner = PhaseRunner::new(
-            32,
-            &params,
-            RoundBudget::percent(150),
-            Some(TransportConfig::default()),
-            overrides,
-        );
-        // Overridden phases use their own values...
-        assert_eq!(
-            runner.effective_budget(PhaseId::Bfs),
-            RoundBudget::percent(300)
-        );
-        assert_eq!(runner.effective_transport(PhaseId::Binarize), None);
-        // ...everything else inherits the builder-wide defaults.
-        assert_eq!(
-            runner.effective_budget(PhaseId::CreateExpander),
-            RoundBudget::percent(150)
-        );
-        assert_eq!(
-            runner.effective_transport(PhaseId::Bfs),
-            Some(TransportConfig::default())
-        );
     }
 
     #[test]

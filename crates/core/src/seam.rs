@@ -1,18 +1,24 @@
-//! The executor seam: run the pipeline's phases on something other than the
-//! lockstep simulator.
+//! The executor seam: the only way the pipeline's phases run.
 //!
-//! [`crate::OverlayBuilder::build_over`] drives the paper's three phases
-//! through a [`PhaseExecutor`] instead of calling the simulator directly. An
-//! executor receives a fully constructed [`Phase`] (every node's protocol
-//! state, for *all* `n` nodes) plus a [`PhaseExecSpec`] (seed, capacity cap,
-//! round budget, transport choice) and returns an [`ExecutedPhase`]: one
+//! [`crate::OverlayBuilder`] has one pipeline driver, and that driver never
+//! touches a simulator: it hands each of the paper's three phases to a
+//! [`PhaseExecutor`]. An executor receives a fully constructed [`Phase`]
+//! (every node's protocol state, for *all* `n` nodes, and the fault plan of
+//! the phase's window) plus a [`PhaseExecSpec`] (seed, capacity cap, round
+//! budget, transport choice) and returns an [`ExecutedPhase`]: one
 //! [`Summarize::Summary`] per node plus the run facts the hand-offs need.
 //!
 //! Two families of executors exist:
 //!
-//! * [`SimExecutor`] (here) — the existing deterministic simulator behind the
-//!   seam. `build_over(&g, &mut SimExecutor::default())` constructs exactly
-//!   the overlay `build(&g)` does.
+//! * The lockstep simulator (here). `build`, `build_under_faults` and
+//!   `build_under_faults_traced` drive the crate-private `SimMedium` — the
+//!   one place that configures a [`Simulator`], owns the trace sink and the
+//!   phase markers, and wraps nodes in the reliable transport — and the
+//!   public [`SimExecutor`] delegates to it, so
+//!   `build_over(&g, &mut SimExecutor::default())` *is* `build(&g)`. Besides
+//!   the summaries the simulator hands the driver a [`SimDetail`] (full
+//!   metrics, done count, wall-clock) through
+//!   [`PhaseExecutor::execute_detailed`]; no other medium can.
 //! * The socket-backed runners in the `overlay-net` crate — one thread per
 //!   node over in-process channels, or multiple OS processes over TCP. They
 //!   replicate the simulator's delivery order, RNG seeding and stop rule, so
@@ -29,11 +35,16 @@
 
 use crate::bfs::BfsNode;
 use crate::expander::ExpanderNode;
-use crate::pipeline::{run_phase, Phase};
+use crate::pipeline::Phase;
 use crate::wellformed::BinarizeNode;
 use overlay_graph::NodeId;
+use overlay_netsim::trace::{SharedTraceSink, TraceEvent};
 use overlay_netsim::wire::{Wire, WireError};
-use overlay_netsim::{MetricsMode, ParallelismConfig, Protocol, SimConfig, TransportConfig};
+use overlay_netsim::{
+    MetricsMode, ParallelismConfig, Protocol, RunMetrics, SimConfig, Simulator, TransportConfig,
+};
+use overlay_transport::Reliable;
+use std::time::{Duration, Instant};
 
 /// A protocol whose per-node end state can be digested into a small,
 /// wire-encodable summary sufficient for the pipeline's phase hand-offs.
@@ -164,14 +175,12 @@ impl Summarize for BinarizeNode {
     }
 }
 
-/// The run parameters [`crate::OverlayBuilder::build_over`] resolves for one
-/// phase, mirroring what [`crate::PhaseRunner::run`] feeds the simulator:
-/// the phase-offset seed, the NCC0 cap, the scaled round budget and the
-/// effective transport.
+/// The run parameters [`crate::OverlayBuilder`] resolves — once, for every
+/// executor — for one phase: the phase-offset seed, the NCC0 cap, the scaled
+/// round budget and the effective transport.
 #[derive(Clone, Copy, Debug)]
 pub struct PhaseExecSpec {
-    /// Seed for this phase's randomness (already offset by the phase index,
-    /// exactly as [`crate::PhaseRunner`] does).
+    /// Seed for this phase's randomness (already offset by the phase index).
     pub seed: u64,
     /// The NCC0 per-node, per-round global message cap.
     pub ncc0_cap: usize,
@@ -198,6 +207,24 @@ pub struct ExecutedPhase<S> {
     pub delivered: u64,
 }
 
+/// What only the lockstep simulator can tell about a phase it executed: the
+/// per-round, per-node books behind [`crate::MessageStats`] and
+/// [`crate::PhaseMetrics`]. Socket executors observe none of it and answer
+/// [`PhaseExecutor::execute_detailed`] with `None`.
+#[derive(Clone, Debug)]
+pub struct SimDetail {
+    /// The simulator's full metrics for the phase.
+    pub metrics: RunMetrics,
+    /// Nodes that reported done when the phase ended (crashed nodes count).
+    pub done_count: usize,
+    /// Host wall-clock time spent simulating the phase.
+    pub wall: Duration,
+}
+
+/// What [`PhaseExecutor::execute_detailed`] returns: the executed phase, and
+/// the [`SimDetail`] only the simulator has.
+pub type DetailedPhase<S> = (ExecutedPhase<S>, Option<SimDetail>);
+
 /// An engine that can execute one pipeline phase end to end.
 ///
 /// Implementations must reproduce the synchronous model faithfully — round
@@ -205,7 +232,9 @@ pub struct ExecutedPhase<S> {
 /// id then send order, the per-sender global send cap applies, and execution
 /// stops when every node is done or the budget is exhausted — but are free to
 /// realize it over any medium (the lockstep simulator, threads and channels,
-/// TCP sockets).
+/// TCP sockets). The phase carries the [`overlay_netsim::FaultPlan`] of its
+/// window: an executor either injects it (the simulator) or refuses a plan
+/// that is not clean (the socket runners) — never silently drops it.
 pub trait PhaseExecutor {
     /// How this executor fails below the protocol layer (connection loss,
     /// undecodable frames). The simulator cannot fail.
@@ -222,14 +251,29 @@ pub trait PhaseExecutor {
     ) -> Result<ExecutedPhase<P::Summary>, Self::Error>
     where
         P::Message: Wire + Send;
+
+    /// [`PhaseExecutor::execute`] plus the simulator-only [`SimDetail`] of the
+    /// phase. This is what the pipeline driver calls; the provided
+    /// implementation answers `None`, which is right for every medium but the
+    /// simulator.
+    fn execute_detailed<P: Summarize + Send>(
+        &mut self,
+        phase: Phase<P>,
+        spec: PhaseExecSpec,
+    ) -> Result<DetailedPhase<P::Summary>, Self::Error>
+    where
+        P::Message: Wire + Send,
+    {
+        Ok((self.execute(phase, spec)?, None))
+    }
 }
 
 /// The lockstep simulator behind the [`PhaseExecutor`] seam.
 ///
-/// [`crate::OverlayBuilder::build_over`] with this executor constructs the
-/// same overlay as [`crate::OverlayBuilder::build`]; it exists so the
-/// simulator is *a* backend on equal footing with the socket-backed ones, and
-/// serves as the model the `overlay-net` equivalence tests compare against.
+/// [`crate::OverlayBuilder::build_over`] with this executor is
+/// [`crate::OverlayBuilder::build`]; it exists so the simulator is *a* backend
+/// on equal footing with the socket-backed ones, and serves as the model the
+/// `overlay-net` equivalence tests compare against.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimExecutor {
     /// Within-round parallelism policy (bitwise identical at any worker count).
@@ -249,18 +293,137 @@ impl PhaseExecutor for SimExecutor {
     where
         P::Message: Wire + Send,
     {
-        let (_, nodes, _, faults) = phase.into_parts();
+        SimMedium::new(*self, None).execute(phase, spec)
+    }
+
+    fn execute_detailed<P: Summarize + Send>(
+        &mut self,
+        phase: Phase<P>,
+        spec: PhaseExecSpec,
+    ) -> Result<DetailedPhase<P::Summary>, Self::Error>
+    where
+        P::Message: Wire + Send,
+    {
+        SimMedium::new(*self, None).execute_detailed(phase, spec)
+    }
+}
+
+/// [`SimExecutor`] plus an optional trace sink: the one place in this crate
+/// that configures and runs a [`Simulator`]. [`crate::OverlayBuilder`]'s
+/// simulator entry points drive it directly; the public [`SimExecutor`]
+/// delegates to it untraced.
+pub(crate) struct SimMedium {
+    sim: SimExecutor,
+    /// Receives every phase's simulator events, bracketed by
+    /// [`TraceEvent::PhaseStart`] / [`TraceEvent::PhaseEnd`]; `None` keeps
+    /// runs completely untraced. Tracing never changes the run itself.
+    sink: Option<SharedTraceSink>,
+}
+
+impl SimMedium {
+    pub(crate) fn new(sim: SimExecutor, sink: Option<SharedTraceSink>) -> Self {
+        SimMedium { sim, sink }
+    }
+
+    /// Simulates one phase under its own fault plan — behind the reliable
+    /// transport layer when `spec` configures one, bare otherwise. With a
+    /// transport, `is_done` (and therefore the done count and the phase's
+    /// wall-rounds) includes the transport's own drain condition: a node
+    /// holding unacknowledged data keeps the phase alive so retransmissions
+    /// can land.
+    fn run<P: Summarize>(
+        &self,
+        phase: Phase<P>,
+        spec: PhaseExecSpec,
+    ) -> (ExecutedPhase<P::Summary>, SimDetail)
+    where
+        P::Message: Wire,
+    {
+        let (id, nodes, _, faults) = phase.into_parts();
         let config = SimConfig::ncc0_capped(spec.ncc0_cap, spec.seed, faults)
-            .with_parallelism(self.parallelism)
-            .with_metrics_mode(self.metrics_mode);
-        let run = run_phase(nodes, config, spec.budget, spec.transport, None);
-        Ok(ExecutedPhase {
-            summaries: run.nodes.iter().map(Summarize::summarize).collect(),
-            alive: run.alive,
-            rounds: run.outcome.rounds,
-            all_done: run.outcome.all_done,
-            delivered: run.metrics.total_delivered(),
-        })
+            .with_parallelism(self.sim.parallelism)
+            .with_metrics_mode(self.sim.metrics_mode);
+        self.mark(TraceEvent::PhaseStart { phase: id.name() });
+        let started = Instant::now();
+        let (run, metrics, done_count) = match spec.transport {
+            Some(cfg) => self.simulate(
+                nodes.into_iter().map(|p| Reliable::new(p, cfg)).collect(),
+                config,
+                spec.budget,
+                |q: &Reliable<P>| q.inner().summarize(),
+            ),
+            None => self.simulate(nodes, config, spec.budget, P::summarize),
+        };
+        let wall = started.elapsed();
+        self.mark(TraceEvent::PhaseEnd {
+            phase: id.name(),
+            rounds: run.rounds,
+            completed: run.all_done,
+        });
+        let detail = SimDetail {
+            metrics,
+            done_count,
+            wall,
+        };
+        (run, detail)
+    }
+
+    fn mark(&self, event: TraceEvent) {
+        if let Some(sink) = &self.sink {
+            sink.borrow_mut().record(event);
+        }
+    }
+
+    fn simulate<Q: Protocol, S>(
+        &self,
+        nodes: Vec<Q>,
+        config: SimConfig,
+        budget: usize,
+        summarize: impl Fn(&Q) -> S,
+    ) -> (ExecutedPhase<S>, RunMetrics, usize) {
+        let mut sim = Simulator::new(nodes, config);
+        if let Some(sink) = &self.sink {
+            sim.set_trace_sink(sink.clone());
+        }
+        let outcome = sim.run(budget);
+        let metrics = sim.metrics().clone();
+        let run = ExecutedPhase {
+            summaries: sim.nodes().iter().map(summarize).collect(),
+            alive: (0..sim.node_count())
+                .map(|i| sim.is_active(NodeId::from(i)))
+                .collect(),
+            rounds: outcome.rounds,
+            all_done: outcome.all_done,
+            delivered: metrics.total_delivered(),
+        };
+        (run, metrics, sim.done_count())
+    }
+}
+
+impl PhaseExecutor for SimMedium {
+    type Error = std::convert::Infallible;
+
+    fn execute<P: Summarize + Send>(
+        &mut self,
+        phase: Phase<P>,
+        spec: PhaseExecSpec,
+    ) -> Result<ExecutedPhase<P::Summary>, Self::Error>
+    where
+        P::Message: Wire + Send,
+    {
+        Ok(self.run(phase, spec).0)
+    }
+
+    fn execute_detailed<P: Summarize + Send>(
+        &mut self,
+        phase: Phase<P>,
+        spec: PhaseExecSpec,
+    ) -> Result<DetailedPhase<P::Summary>, Self::Error>
+    where
+        P::Message: Wire + Send,
+    {
+        let (run, detail) = self.run(phase, spec);
+        Ok((run, Some(detail)))
     }
 }
 

@@ -56,6 +56,13 @@ pub enum NetError {
     },
     /// The frame stream violated the synchronizer or handshake protocol.
     Protocol(String),
+    /// The phase carried a fault plan that is not clean. Fault injection
+    /// lives in the simulator only; running the phase without its plan would
+    /// report a clean run as the faulty one.
+    FaultsUnsupported {
+        /// The refused phase's report name.
+        phase: &'static str,
+    },
 }
 
 impl std::fmt::Display for NetError {
@@ -67,6 +74,10 @@ impl std::fmt::Display for NetError {
                 write!(f, "peer rank {rank} timed out (waiting for {waiting_for})")
             }
             NetError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
+            NetError::FaultsUnsupported { phase } => write!(
+                f,
+                "phase {phase} carries a fault plan, which only the simulator can inject"
+            ),
         }
     }
 }

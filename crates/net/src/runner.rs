@@ -16,7 +16,8 @@
 //!   global sends of a round in send order; messages to addresses outside
 //!   `0..n` are dropped without consuming cap budget. (Receive caps are not
 //!   mirrored: on clean runs they never bind, and the net runner is
-//!   clean-path only.)
+//!   clean-path only — a phase whose fault plan is not clean is refused
+//!   with [`NetError::FaultsUnsupported`].)
 //! * **Randomness.** Node `i` draws from `node_rng(seed, i)` — the simulator's
 //!   exact per-node stream — so random choices match decision for decision.
 //!
@@ -69,7 +70,12 @@ impl<B: Backend> PhaseExecutor for NetRunner<B> {
     where
         P::Message: Wire + Send,
     {
-        let (id, nodes, _clean_rounds, _faults) = phase.into_parts();
+        let (id, nodes, _clean_rounds, faults) = phase.into_parts();
+        // Refused before any frame moves, so every rank of a multi-process
+        // run — each handed the same phase — fails the same way.
+        if !faults.is_clean() {
+            return Err(NetError::FaultsUnsupported { phase: id.name() });
+        }
         let tag = id.index() as u8;
         match spec.transport {
             None => run_phase_net(&mut self.backend, tag, nodes, spec, bare_summary::<P>),
@@ -386,4 +392,49 @@ fn flush_outbox<M: Wire, Snd: FrameSender>(
         }
     }
     outbox.clear();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ChannelBackend;
+    use overlay_core::{BfsSummary, SimExecutor};
+    use overlay_netsim::FaultPlan;
+
+    #[test]
+    fn a_phase_with_a_fault_plan_is_refused_not_run_clean() {
+        // A path rooted at node 0, ready for binarization.
+        let n = 12;
+        let bfs: Vec<BfsSummary> = (0..n)
+            .map(|i| BfsSummary {
+                id: NodeId::from(i),
+                root: NodeId::from(0usize),
+                parent: NodeId::from(i.saturating_sub(1)),
+                children: (i + 1..n).take(1).map(NodeId::from).collect(),
+            })
+            .collect();
+        let spec = PhaseExecSpec {
+            seed: 5,
+            ncc0_cap: 64,
+            budget: 4,
+            transport: None,
+        };
+        let mut runner = NetRunner::new(ChannelBackend::new(n));
+        let lossy = FaultPlan::default().with_drop_prob(0.05);
+        assert!(matches!(
+            runner.execute(Phase::binarize(&bfs, lossy), spec),
+            Err(NetError::FaultsUnsupported { phase: "binarize" })
+        ));
+        // The refusal touched no frame: the same runner still reproduces the
+        // simulator on the clean phase.
+        let clean = || Phase::binarize(&bfs, FaultPlan::default());
+        let model = SimExecutor::default()
+            .execute(clean(), spec)
+            .expect("the simulator cannot fail");
+        let subject = runner.execute(clean(), spec).expect("the clean phase runs");
+        assert_eq!(subject.summaries, model.summaries);
+        assert_eq!(subject.rounds, model.rounds);
+        assert_eq!(subject.delivered, model.delivered);
+        assert!(subject.all_done);
+    }
 }

@@ -53,16 +53,6 @@
 //!                   per-n wall-clocks land in `<dir>/scaling.md`
 //!   --max-n N       cap the scaling harness at cells with n <= N
 //!                   (default 65536)
-//!   --net-smoke     run the transport-equivalence smoke instead of sweeps:
-//!                   a handful of (n, seed) overlay builds through the real
-//!                   `overlay-net` channel backend (a thread per node, frames
-//!                   over mpsc), each asserted identical to the lockstep
-//!                   simulator's build; per-backend wall-clocks are printed
-//!   --traffic-smoke run the traffic-equivalence smoke instead of sweeps: the
-//!                   clean and hotspot traffic cells route their workload over
-//!                   both the lockstep simulator and the real channel backend,
-//!                   and every per-node router summary (the exact delivery
-//!                   ledgers included) is asserted identical
 //!   SCENARIO...     registry names to run (default: the whole registry)
 //! ```
 //!
@@ -100,8 +90,6 @@ struct Options {
     par_threshold: Option<usize>,
     scaling: bool,
     max_n: usize,
-    net_smoke: bool,
-    traffic_smoke: bool,
     names: Vec<String>,
 }
 
@@ -123,8 +111,6 @@ fn parse_args() -> Result<Options, String> {
         par_threshold: None,
         scaling: false,
         max_n: 65536,
-        net_smoke: false,
-        traffic_smoke: false,
         names: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
@@ -164,8 +150,6 @@ fn parse_args() -> Result<Options, String> {
                 )
             }
             "--scaling" => opts.scaling = true,
-            "--net-smoke" => opts.net_smoke = true,
-            "--traffic-smoke" => opts.traffic_smoke = true,
             "--max-n" => {
                 opts.max_n = value("--max-n")?
                     .parse()
@@ -176,8 +160,7 @@ fn parse_args() -> Result<Options, String> {
                     "usage: sweep_runner [--seeds N] [--first-seed S] [--dir PATH] \
                             [--check] [--full] [--compare [--no-run] [--write-thresholds]] \
                             [--trace NAME [--seed S]] [--explain] [--list] [--tag T] \
-                            [--par-threshold N] [--scaling [--max-n N]] [--net-smoke] \
-                            [--traffic-smoke] [SCENARIO...]"
+                            [--par-threshold N] [--scaling [--max-n N]] [SCENARIO...]"
                         .into(),
                 )
             }
@@ -433,135 +416,6 @@ fn run_scaling(opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `--net-smoke`: the in-gate half of `overlay-net`'s "simulator as model"
-/// contract. A few (n, seed) builds run through the real channel backend —
-/// node threads, mpsc frames, the wire codec, the α-synchronizer — and every
-/// final overlay must be identical to the simulator's. The TCP half (multiple
-/// OS processes over loopback sockets) runs as a separate CI step via
-/// `examples/p2p_bootstrap.rs --backend tcp --spawn`.
-fn run_net_smoke() -> ExitCode {
-    use overlay_core::{ExpanderParams, OverlayBuilder, SimExecutor};
-    use overlay_graph::generators;
-    use overlay_net::{ChannelBackend, NetRunner};
-
-    let cases = [(64usize, 3u64), (96, 8), (128, 21)];
-    for (n, seed) in cases {
-        let g = match seed % 2 {
-            0 => generators::cycle(n),
-            _ => generators::binary_tree(n),
-        };
-        let builder = OverlayBuilder::new(ExpanderParams::for_n(n).with_seed(seed));
-        let sim_started = std::time::Instant::now();
-        let sim = match builder.build_over(&g, &mut SimExecutor::default()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("--net-smoke: simulator build failed for n={n} seed={seed}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let sim_wall = sim_started.elapsed();
-        let net_started = std::time::Instant::now();
-        let mut runner = NetRunner::new(ChannelBackend::new(n));
-        let net = match builder.build_over(&g, &mut runner) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("--net-smoke: channel build failed for n={n} seed={seed}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let net_wall = net_started.elapsed();
-        let same_expander = sim.expander.edge_count() == net.expander.edge_count()
-            && sim
-                .expander
-                .nodes()
-                .all(|v| sim.expander.neighbors(v) == net.expander.neighbors(v));
-        let same_tree = (0..n).all(|v| {
-            sim.tree.parent(overlay_graph::NodeId::from(v))
-                == net.tree.parent(overlay_graph::NodeId::from(v))
-        });
-        let same = same_expander
-            && same_tree
-            && sim.bfs_parents == net.bfs_parents
-            && sim.rounds.total() == net.rounds.total()
-            && sim.messages.total_delivered == net.messages.total_delivered;
-        println!(
-            "net-smoke n={n:<4} seed={seed:<3} rounds={:<4} delivered={:<7} sim={sim_wall:.2?} channel={net_wall:.2?} identical={same}",
-            sim.rounds.total(),
-            sim.messages.total_delivered,
-        );
-        if !same {
-            eprintln!(
-                "--net-smoke: channel backend diverged from the simulator (n={n} seed={seed})"
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// `--traffic-smoke`: the workload half of `overlay-net`'s "simulator as
-/// model" contract. The clean and hotspot traffic cells build their overlay
-/// under the simulator, then run the same pre-scheduled router workload over
-/// both the lockstep simulator and the real channel backend (a thread per
-/// router node, frames over mpsc). The per-node summaries carry the exact
-/// delivery ledgers — ids, hops, injection and arrival rounds — so asserting
-/// them identical pins the delivery *sets*, not just the counts.
-fn run_traffic_smoke() -> ExitCode {
-    use overlay_core::SimExecutor;
-    use overlay_net::{ChannelBackend, NetRunner};
-
-    for (name, seed) in [("traffic-uniform", 3u64), ("traffic-hotspot", 11)] {
-        let scenario = registry()
-            .find(name)
-            .expect("traffic smoke cell registered")
-            .clone();
-        let sim_started = std::time::Instant::now();
-        let sim = match scenario.traffic_summaries(seed, &mut SimExecutor::default()) {
-            Some(Ok(phase)) => phase,
-            Some(Err(e)) => {
-                eprintln!("--traffic-smoke: simulator traffic failed for {name} seed={seed}: {e}");
-                return ExitCode::FAILURE;
-            }
-            None => {
-                eprintln!("--traffic-smoke: construction failed for {name} seed={seed}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let sim_wall = sim_started.elapsed();
-        let net_started = std::time::Instant::now();
-        let mut runner = NetRunner::new(ChannelBackend::new(scenario.actual_n()));
-        let net = match scenario.traffic_summaries(seed, &mut runner) {
-            Some(Ok(phase)) => phase,
-            Some(Err(e)) => {
-                eprintln!("--traffic-smoke: channel traffic failed for {name} seed={seed}: {e}");
-                return ExitCode::FAILURE;
-            }
-            None => {
-                eprintln!("--traffic-smoke: construction failed for {name} seed={seed}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let net_wall = net_started.elapsed();
-        let delivered: usize = sim.summaries.iter().map(|s| s.deliveries.len()).sum();
-        let injected: u32 = sim.summaries.iter().map(|s| s.injected).sum();
-        let same = sim.summaries == net.summaries
-            && sim.alive == net.alive
-            && sim.rounds == net.rounds
-            && sim.all_done == net.all_done;
-        println!(
-            "traffic-smoke {name:<16} seed={seed:<3} rounds={:<4} injected={injected:<5} delivered={delivered:<5} sim={sim_wall:.2?} channel={net_wall:.2?} identical={same}",
-            sim.rounds,
-        );
-        if !same {
-            eprintln!(
-                "--traffic-smoke: channel backend diverged from the simulator ({name} seed={seed})"
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(opts) => opts,
@@ -579,12 +433,6 @@ fn main() -> ExitCode {
     }
     if opts.scaling {
         return run_scaling(&opts);
-    }
-    if opts.net_smoke {
-        return run_net_smoke();
-    }
-    if opts.traffic_smoke {
-        return run_traffic_smoke();
     }
     if opts.no_run {
         return compare_committed(&opts);

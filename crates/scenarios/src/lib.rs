@@ -15,9 +15,9 @@
 //! [`Scenario::baseline`] pairing resolves, every derived twin differs from its
 //! baseline only along its declared [`VariantAxis`]), with indexed
 //! [`Registry::find`], tag/family/fault filtering, and a [`Registry::pairs`]
-//! iterator over `(baseline, twin)` couples. Run them all via the `experiments`
-//! binary of `overlay-bench`, sweep a single one with `examples/churn_sweep.rs`,
-//! or discover the cells with `sweep_runner --list [--tag T]`.
+//! iterator over `(baseline, twin)` couples. Sweep them all — or the ones named on
+//! the command line — with the `sweep_runner` binary, and discover the cells
+//! with `sweep_runner --list [--tag T]`.
 //!
 //! # Adding a matrix cell
 //!

@@ -1308,26 +1308,6 @@ impl Scenario {
         )
     }
 
-    /// Builds the overlay exactly as [`Scenario::run`] does (on the lockstep
-    /// simulator), then executes the scenario's traffic phase on `exec` — the
-    /// hook the backend-identity smoke uses to route the same workload over
-    /// the simulator and a thread-backed executor and compare delivery sets.
-    /// `None` when the scenario carries no traffic or construction failed.
-    pub fn traffic_summaries<E: PhaseExecutor>(
-        &self,
-        seed: u64,
-        exec: &mut E,
-    ) -> Option<Result<ExecutedPhase<RouterSummary>, E::Error>> {
-        let spec = self.traffic?;
-        let (_, g, plan, builder) = self.prepare(seed);
-        let report = builder
-            .build_under_faults(&g, &plan)
-            .expect("registry scenarios produce valid inputs");
-        let result = report.result?;
-        let graph = routing_graph(spec.policy, &result);
-        Some(self.run_traffic_over(&spec, &graph, seed, 0, exec))
-    }
-
     /// Runs the traffic phase of a build-then-route cell over the finished
     /// overlay. Returns `None` for non-traffic scenarios and the zeroed
     /// [`TrafficRecord::unrouted`] when construction failed (there is no
