@@ -75,14 +75,14 @@ impl EvolutionEngine {
     /// path: the rewiring (and its RNG stream) is exactly that of
     /// [`EvolutionEngine::evolve`].
     pub fn evolve_quiet(&mut self) {
-        self.step();
+        self.evolve_with(|(), _, _| {}, |_, _, ()| {});
     }
 
     /// Executes one evolution and returns statistics of the resulting graph.
     ///
     /// Setting `track_min_cut` enables the (cubic-time) exact minimum-cut computation.
     pub fn evolve(&mut self, track_min_cut: bool) -> EvolutionStats {
-        self.step();
+        self.evolve_quiet();
 
         let conductance = cuts::conductance_estimate(&self.graph, self.params.seed ^ 0xC0DE);
         let min_cut = track_min_cut.then(|| cuts::min_cut(&self.graph));
@@ -95,33 +95,49 @@ impl EvolutionEngine {
         }
     }
 
-    /// The shared evolution step: token walks, acceptance, self-loop padding.
-    fn step(&mut self) {
+    /// The evolution step — token walks, acceptance, self-loop padding — with
+    /// every token carrying a payload `T` besides its origin.
+    ///
+    /// `hop(payload, from, to)` observes each hop of each walk, in walk order;
+    /// `accept(at, origin, payload)` each accepted token, in the order the
+    /// edges `{at, origin}` are established. The observers see the experiment;
+    /// they cannot steer it: the rewiring and the RNG stream are the same for
+    /// every `T` (a unit payload is [`EvolutionEngine::evolve_quiet`]).
+    pub fn evolve_with<T: Default>(
+        &mut self,
+        mut hop: impl FnMut(&mut T, NodeId, NodeId),
+        mut accept: impl FnMut(NodeId, NodeId, T),
+    ) {
         let n = self.graph.node_count();
         let delta = self.params.delta;
         let tokens_per_node = self.params.tokens_per_node();
         let walk_len = self.params.walk_len;
 
-        // Run every token's walk; group the endpoints by the node they finish at.
-        let mut arrived: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        // Run every token's walk; group the tokens by the node they finish at.
+        let mut arrived: Vec<Vec<(NodeId, T)>> = (0..n).map(|_| Vec::new()).collect();
         for v in 0..n {
             for _ in 0..tokens_per_node {
                 let mut pos = NodeId::from(v);
+                let mut payload = T::default();
                 for _ in 0..walk_len {
                     let slots = self.graph.neighbors(pos);
-                    pos = slots[self.rng.gen_range(0..slots.len())];
+                    let next = slots[self.rng.gen_range(0..slots.len())];
+                    hop(&mut payload, pos, next);
+                    pos = next;
                 }
-                arrived[pos.index()].push(NodeId::from(v));
+                arrived[pos.index()].push((NodeId::from(v), payload));
             }
         }
 
         // Every node accepts up to 3Δ/8 arrived tokens and establishes bidirected edges.
         let mut next = UGraph::new(n);
         for (w, accepted) in arrived.iter_mut().enumerate() {
+            let w = NodeId::from(w);
             accepted.shuffle(&mut self.rng);
             accepted.truncate(self.params.max_accepts());
-            for &origin in accepted.iter() {
-                next.add_edge(NodeId::from(w), origin);
+            for (origin, payload) in accepted.drain(..) {
+                next.add_edge(w, origin);
+                accept(w, origin, payload);
             }
         }
         for v in next.nodes().collect::<Vec<_>>() {
@@ -229,6 +245,33 @@ mod tests {
         }
         assert_eq!(a.graph().edges(), b.graph().edges());
         assert_eq!(a.evolutions_done(), b.evolutions_done());
+    }
+
+    #[test]
+    fn edge_digests_match_the_pre_generic_step() {
+        // FNV-1a over the edge list after 4 evolutions on line(128), computed on
+        // the commit before the step became generic over a token payload.
+        for (seed, expected) in [
+            (1u64, 0x74b3_47ac_0d5b_6551u64),
+            (2, 0x0416_186e_74f4_c510),
+            (3, 0xe2e6_c92a_129b_7146),
+        ] {
+            let mut engine =
+                EvolutionEngine::from_initial(&generators::line(128), params(128, seed)).unwrap();
+            for _ in 0..4 {
+                engine.evolve_quiet();
+            }
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            for (a, b) in engine.graph().edges() {
+                for byte in [a.index() as u64, b.index() as u64]
+                    .into_iter()
+                    .flat_map(u64::to_le_bytes)
+                {
+                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(digest, expected, "seed {seed}");
+        }
     }
 
     #[test]

@@ -26,6 +26,22 @@
 //! (coverage floor/mean, steady-state "sustained" coverage, well-formedness
 //! violations, and rounds-to-repair after correlated crash bursts).
 //!
+//! # Execution model
+//!
+//! [`MaintenanceRunner`] is the **graph-level model** of the maintenance loop,
+//! not a message-level protocol: it is to the epoch protocol what
+//! [`EvolutionEngine`] is to [`crate::expander::ExpanderNode`] — the same
+//! random experiment executed directly on the graph, with the message passing
+//! skipped. An invitation is a seeded coin flip against
+//! [`MaintenanceConfig::invite_loss`] (one coin per attempt, `1 + invite_retries`
+//! attempts), not a message; churn is applied to the member table, repair is one
+//! [`EvolutionEngine`] evolution on the core graph. Nothing in this module goes
+//! through [`crate::PhaseExecutor`], so a serve cell runs on the simulator host
+//! only and has no socket counterpart; what the seam does carry on a serving
+//! cell is the traffic wave routed over [`MaintenanceRunner::core_graph`]
+//! between epochs. Running re-invitation and repair as `Protocol` phases is a
+//! parked direction (ROADMAP), not an unfinished half of this type.
+//!
 //! # Determinism
 //!
 //! The runner is a pure function of `(initial graph, params, config,

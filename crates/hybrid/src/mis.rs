@@ -10,7 +10,12 @@
 //!    (Theorem 1.2) lets the root detect the first execution that finished and broadcast
 //!    its index, which takes `O(log m + log log n)` rounds for components of size `m`.
 //!
-//! The Ghaffari stage runs as a message-level protocol in the simulator. The parallel
+//! The Ghaffari stage runs as a message-level protocol in the simulator. It builds its
+//! own [`Simulator`] rather than going through `overlay_core`'s `PhaseExecutor` seam:
+//! the hybrid model's CONGEST discipline needs [`SimConfig::local_edges`] (local
+//! messages may only travel over initial-graph edges, one per edge per round), and a
+//! `PhaseExecSpec` carries an NCC0 cap, a seed, a budget and a transport — no local
+//! graph. The parallel
 //! Métivier executions and the winner selection are simulated by the harness per
 //! component (each execution is the exact random process, with its round count
 //! recorded); the charged rounds follow the paper's accounting (see DESIGN.md).

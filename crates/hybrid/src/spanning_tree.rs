@@ -19,12 +19,9 @@
 //! level plus `O(log n)` for the loop erasure; see DESIGN.md).
 
 use crate::sparsify::{sparsify, SparsifyResult};
-use overlay_core::{benign, ExpanderParams, OverlayError};
+use overlay_core::{benign, EvolutionEngine, ExpanderParams, OverlayError};
 use overlay_graph::{analysis, sequential, DiGraph, NodeId, UGraph};
 use overlay_netsim::caps::log2_ceil;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
 type EdgeKey = (NodeId, NodeId);
@@ -44,32 +41,26 @@ pub struct TraceLevel {
     paths: HashMap<EdgeKey, Vec<EdgeKey>>,
 }
 
-/// The traced evolution engine: identical random experiment to
-/// [`overlay_core::EvolutionEngine`], additionally remembering the walk behind every
-/// established edge.
+/// The traced evolution engine: [`EvolutionEngine`]'s evolution step, observed so
+/// that the walk behind every established edge is remembered.
 #[derive(Debug)]
 pub struct TracedEvolution {
-    params: ExpanderParams,
-    graph: UGraph,
-    rng: StdRng,
+    engine: EvolutionEngine,
     levels: Vec<TraceLevel>,
 }
 
 impl TracedEvolution {
     /// Creates the engine from a benign graph.
     pub fn from_benign(graph: UGraph, params: ExpanderParams) -> Self {
-        let rng = StdRng::seed_from_u64(params.seed ^ 0x7AACE);
         TracedEvolution {
-            params,
-            graph,
-            rng,
+            engine: EvolutionEngine::from_benign(graph, params.with_seed(params.seed ^ 0x7AACE)),
             levels: Vec::new(),
         }
     }
 
     /// The current graph.
     pub fn graph(&self) -> &UGraph {
-        &self.graph
+        self.engine.graph()
     }
 
     /// The recorded trace levels (one per evolution).
@@ -77,51 +68,22 @@ impl TracedEvolution {
         &self.levels
     }
 
-    /// Runs one traced evolution.
+    /// Runs one traced evolution: a token carries the non-loop hops of its walk,
+    /// and the first token accepted for an edge names the walk that created it.
     pub fn evolve(&mut self) {
-        let n = self.graph.node_count();
-        let delta = self.params.delta;
-        let tokens = self.params.tokens_per_node();
-        let walk_len = self.params.walk_len;
-
-        let mut arrived: Vec<Vec<(NodeId, Vec<EdgeKey>)>> = vec![Vec::new(); n];
-        for v in 0..n {
-            for _ in 0..tokens {
-                let mut pos = NodeId::from(v);
-                let mut path = Vec::new();
-                for _ in 0..walk_len {
-                    let slots = self.graph.neighbors(pos);
-                    let next = slots[self.rng.gen_range(0..slots.len())];
-                    if next != pos {
-                        path.push(norm(pos, next));
-                    }
-                    pos = next;
-                }
-                arrived[pos.index()].push((NodeId::from(v), path));
-            }
-        }
-
-        let mut next = UGraph::new(n);
         let mut level = TraceLevel::default();
-        for (w, accepted) in arrived.iter_mut().enumerate() {
-            accepted.shuffle(&mut self.rng);
-            accepted.truncate(self.params.max_accepts());
-            for (origin, path) in accepted.drain(..) {
-                next.add_edge(NodeId::from(w), origin);
-                if origin.index() != w {
-                    level
-                        .paths
-                        .entry(norm(origin, NodeId::from(w)))
-                        .or_insert(path);
+        self.engine.evolve_with(
+            |path: &mut Vec<EdgeKey>, from, to| {
+                if to != from {
+                    path.push(norm(from, to));
                 }
-            }
-        }
-        for v in next.nodes().collect::<Vec<_>>() {
-            while next.degree(v) < delta {
-                next.add_self_loop(v);
-            }
-        }
-        self.graph = next;
+            },
+            |at, origin, path| {
+                if origin != at {
+                    level.paths.entry(norm(origin, at)).or_insert(path);
+                }
+            },
+        );
         self.levels.push(level);
     }
 }
@@ -338,5 +300,60 @@ mod tests {
                 .unwrap_err(),
             OverlayError::Disconnected
         );
+    }
+
+    #[test]
+    fn traced_walks_match_the_pre_shared_step() {
+        // Pinned on the commit before `TracedEvolution` shared the engine's step:
+        // the tree's parents (the same for all three seeds on this sparse input,
+        // so on their own they pin little), and an FNV-1a digest of the final
+        // graph's edges plus every level's (edge, walk) entries in key order.
+        let g = generators::connected_random(64, 0.08, 5);
+        let parents: [usize; 64] = [
+            0, 12, 19, 19, 12, 14, 47, 0, 55, 7, 55, 51, 0, 54, 0, 52, 19, 58, 3, 0, 47, 1, 0, 3,
+            1, 7, 7, 4, 52, 22, 3, 3, 12, 1, 7, 7, 15, 1, 32, 32, 52, 62, 47, 7, 62, 6, 16, 0, 47,
+            47, 58, 14, 0, 47, 12, 19, 16, 7, 7, 32, 53, 16, 14, 16,
+        ];
+        for (seed, expected) in [
+            (5u64, 0xd602_e292_3df6_2860u64),
+            (6, 0xdb53_8eb7_d931_d742),
+            (7, 0xbd21_425f_5161_c508),
+        ] {
+            let result = check(&g, seed);
+            let parent: Vec<usize> = result.parent.iter().map(|p| p.index()).collect();
+            assert_eq!(parent, parents, "seed {seed}");
+
+            let h = &result.sparsified.reduced;
+            let h_digraph = DiGraph::from_edges(64, h.edges().into_iter().filter(|(a, b)| a != b));
+            let params = tree_params(h, seed, 12);
+            let benign_graph = benign::make_benign(&h_digraph, &params).unwrap();
+            let mut engine = TracedEvolution::from_benign(benign_graph, params);
+            for _ in 0..params.evolutions {
+                engine.evolve();
+            }
+            let mut words: Vec<usize> = Vec::new();
+            let push_edge = |words: &mut Vec<usize>, (a, b): EdgeKey| {
+                words.extend([a.index(), b.index()]);
+            };
+            for edge in engine.graph().edges() {
+                push_edge(&mut words, edge);
+            }
+            for level in engine.levels() {
+                let mut entries: Vec<_> = level.paths.iter().collect();
+                entries.sort();
+                for (edge, path) in entries {
+                    push_edge(&mut words, *edge);
+                    words.push(path.len());
+                    for hop in path {
+                        push_edge(&mut words, *hop);
+                    }
+                }
+            }
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            for byte in words.iter().flat_map(|w| (*w as u64).to_le_bytes()) {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            assert_eq!(digest, expected, "seed {seed}");
+        }
     }
 }

@@ -124,6 +124,16 @@ pub struct TransportCounters {
     pub give_ups: usize,
 }
 
+impl TransportCounters {
+    /// Adds another callback's counters to these.
+    pub(crate) fn absorb(&mut self, t: &TransportCounters) {
+        self.retransmits += t.retransmits;
+        self.acks += t.acks;
+        self.dupes_dropped += t.dupes_dropped;
+        self.give_ups += t.give_ups;
+    }
+}
+
 /// How a [`RunMetrics`] retains per-round history. Aggregate accessors are
 /// mode-independent (see the module docs); only the retained history differs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

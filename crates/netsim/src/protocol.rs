@@ -71,10 +71,11 @@ pub struct Ctx<'a, M> {
     pub(crate) round: usize,
     pub(crate) n: usize,
     pub(crate) rng: &'a mut StdRng,
-    /// The whole round's shared outbox buffer; this node's messages start at `base`.
+    /// The outbox buffer shared by this node's chunk of the round (the whole
+    /// round, when it is one chunk); this node's messages start at `base`.
     pub(crate) outbox: &'a mut Vec<(NodeId, Channel, M)>,
     /// Index into `outbox` where this node's messages begin (the buffer is shared
-    /// across all nodes of a round so it can be reused without reallocation).
+    /// across nodes so it can be reused without reallocation).
     pub(crate) base: usize,
     /// Transport-overhead counters reported by reliable-delivery adapters this
     /// callback; the simulator folds them into the round's metrics afterwards.

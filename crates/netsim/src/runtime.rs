@@ -11,25 +11,25 @@ use rand::{Rng, SeedableRng};
 
 /// Within-round parallelism policy for the simulator.
 ///
-/// When engaged, the simulator steps disjoint groups of nodes on rayon worker
-/// threads inside each round: every node writes into its own outbox shard and
-/// reports its own transport counters, and the shards are merged back in
-/// node-id order before the (serial) dispatch and fault phases run. Each node
-/// already owns its RNG, the fault router's RNG is only drawn during serial
-/// dispatch, and the receive-cap `drop_rng` is only drawn during serial
-/// delivery — so a run is **bitwise identical at every worker count**,
-/// including 1. Parallelism is a wall-clock knob, never a semantics knob.
+/// A round's protocol callbacks run over `k = effective_workers(n)` contiguous
+/// chunks of nodes, every chunk through the same function: chunk 0 on the
+/// calling thread straight into the round's outbox, chunks `1..k` on rayon
+/// worker threads into one reusable buffer each, appended in chunk order
+/// before the (serial) dispatch and fault phases run. Each node owns its RNG,
+/// and the fault router's RNG and the receive-cap `drop_rng` are only drawn in
+/// those serial phases — so a run is **bitwise identical at every `k`**.
+/// Parallelism is a wall-clock knob, never a semantics knob.
 ///
-/// Spawning workers costs real time per round, so small simulations opt out
-/// via `min_nodes`: below the threshold the simulator keeps the classic
-/// serial loop (which shares one outbox buffer and allocates nothing).
+/// Cost per round: `k − 1` thread spawns and `k − 1` appends. With `k = 1`
+/// nothing is spawned or copied, which is what `min_nodes` selects for
+/// simulations too small to repay the spawns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParallelismConfig {
     /// Worker threads to step nodes with; `None` asks rayon
     /// ([`rayon::current_num_threads`], which honors `RAYON_NUM_THREADS`).
     pub workers: Option<usize>,
-    /// Minimum node count before within-round parallelism engages; below it the
-    /// serial loop runs regardless of `workers`.
+    /// Minimum node count before within-round parallelism engages; below it a
+    /// round is one chunk regardless of `workers`.
     pub min_nodes: usize,
 }
 
@@ -38,7 +38,7 @@ impl ParallelismConfig {
     /// (thread spawns are microseconds; small rounds are too).
     pub const DEFAULT_MIN_NODES: usize = 4096;
 
-    /// Always step nodes serially (the historical behavior).
+    /// Always step nodes as one chunk on the calling thread.
     pub fn serial() -> Self {
         ParallelismConfig {
             workers: Some(1),
@@ -54,7 +54,7 @@ impl ParallelismConfig {
         }
     }
 
-    /// The worker count to use for a round over `n` nodes (`1` = serial path).
+    /// The chunk count to use for a round over `n` nodes (`1` = no worker threads).
     pub fn effective_workers(&self, n: usize) -> usize {
         if n < self.min_nodes {
             return 1;
@@ -313,25 +313,75 @@ impl LocalAdjacency {
     }
 }
 
-/// One node's private slice of a parallel round: the messages it queued and the
-/// transport counters it reported. Workers fill shards concurrently; the
-/// simulator merges them back in node-id order, which reproduces the serial
-/// loop's outbox layout, metrics arithmetic, and trace-event order exactly.
-#[derive(Debug)]
-struct NodeShard<M> {
-    /// The node's outbox for this round (the parallel stand-in for a base
-    /// offset into the shared buffer). Capacity is retained across rounds.
-    outbox: Vec<(NodeId, Channel, M)>,
-    /// Transport counters reported by the node's callback this round.
-    transport: TransportCounters,
+/// The per-node state of one contiguous chunk of nodes (`first..first + len`),
+/// borrowed from the simulator for the callbacks of one round.
+struct Chunk<'a, P> {
+    first: usize,
+    nodes: &'a mut [P],
+    rngs: &'a mut [StdRng],
+    done_flags: &'a mut [bool],
+    out_lens: &'a mut [usize],
 }
 
-impl<M> Default for NodeShard<M> {
-    fn default() -> Self {
-        NodeShard {
-            outbox: Vec::new(),
-            transport: TransportCounters::default(),
+/// What one chunk's callbacks produced besides per-node state; reused across
+/// rounds like every other buffer of the hot path.
+#[derive(Debug)]
+struct ChunkOut<M> {
+    /// The chunk's sends, node after node.
+    outbox: Vec<(NodeId, Channel, M)>,
+    /// Sum of the transport counters the chunk's callbacks reported.
+    transport: TransportCounters,
+    /// The nodes the trace names (retransmissions, give-ups), in node order.
+    noted: Vec<(usize, TransportCounters)>,
+}
+
+/// The callback body of a round, for one chunk: every active node of `chunk`
+/// runs `on_start` (in round 0, or in the round it joins) or `on_round`,
+/// appending its sends to `out`. Per node it records the send count and the
+/// done flag; the transport counters the callbacks reported are summed per
+/// chunk. Nothing in here draws from a shared RNG or reaches the trace sink.
+fn step_chunk<P: Protocol>(
+    chunk: Chunk<'_, P>,
+    round: usize,
+    n: usize,
+    arena: &EnvelopeArena<P::Message>,
+    router: &FaultRouter<P::Message>,
+    out: &mut ChunkOut<P::Message>,
+) {
+    debug_assert!(out.outbox.is_empty(), "last round's sends were dispatched");
+    out.transport = TransportCounters::default();
+    out.noted.clear();
+    for (k, node) in chunk.nodes.iter_mut().enumerate() {
+        let i = chunk.first + k;
+        let base = out.outbox.len();
+        if router.is_active(i, round) {
+            let mut ctx = Ctx {
+                me: NodeId::from(i),
+                round,
+                n,
+                rng: &mut chunk.rngs[k],
+                outbox: &mut out.outbox,
+                base,
+                transport: TransportCounters::default(),
+            };
+            if round == 0 || router.joins_at(i, round) {
+                // The node's first round: it runs its start callback with the
+                // initial knowledge its protocol state was built with. Its inbox
+                // is empty: the router drops (and counts) messages that would
+                // land on the join round itself.
+                debug_assert!(arena.inbox(i).is_empty(), "start-round inboxes are empty");
+                node.on_start(&mut ctx);
+            } else {
+                node.on_round(&mut ctx, arena.inbox(i));
+            }
+            let transport = ctx.transport;
+            out.transport.absorb(&transport);
+            if transport.retransmits > 0 || transport.give_ups > 0 {
+                out.noted.push((i, transport));
+            }
+            chunk.done_flags[k] = node.is_done();
         }
+        chunk.out_lens[k] = out.outbox.len() - base;
     }
 }
 
@@ -367,17 +417,16 @@ pub fn node_rng(seed: u64, i: usize) -> StdRng {
 ///
 /// # Within-round parallelism
 ///
-/// With [`SimConfig::parallelism`] engaged, the protocol callbacks of a round
-/// run on rayon worker threads over disjoint chunks of `nodes` / `rngs` /
-/// outbox shards; everything that draws shared randomness (fault routing,
-/// receive-cap eviction) or observes cross-node order (dispatch, tracing,
-/// metrics) stays serial, and shard merging is in node-id order — so results
-/// are bitwise identical to the serial loop at every worker count.
+/// There is one round body. Only the protocol callbacks are ever split across
+/// threads, as contiguous chunks of nodes (see [`ParallelismConfig`] for the
+/// layout and its cost); everything that draws shared randomness (fault
+/// routing, receive-cap eviction) or observes cross-node order (dispatch,
+/// tracing, metrics) is serial, so results do not depend on the chunk count.
 #[derive(Debug)]
 pub struct Simulator<P: Protocol> {
     nodes: Vec<P>,
     rngs: Vec<StdRng>,
-    /// Next round's inboxes: staged during dispatch, grouped at the start of `step`.
+    /// Next round's inboxes: staged during dispatch, grouped at the start of the round.
     arena: EnvelopeArena<P::Message>,
     /// The whole round's outgoing messages, all nodes back to back.
     outbox: Vec<(NodeId, Channel, P::Message)>,
@@ -400,13 +449,15 @@ pub struct Simulator<P: Protocol> {
     /// Cached `Protocol::is_done` per node, refreshed after each callback, so
     /// `done_count` scans a flat bool array instead of virtual-dispatching.
     done_flags: Vec<bool>,
-    /// Per-node outbox shards for parallel rounds (empty until first used).
-    shards: Vec<NodeShard<P::Message>>,
-    parallelism: ParallelismConfig,
+    /// Nodes per chunk of a round's callbacks: `n` over the worker count of
+    /// [`SimConfig::parallelism`], rounded up.
+    chunk_len: usize,
+    /// One output slot per chunk. Chunk 0's buffer is `outbox` itself, lent for
+    /// the callbacks; the others are appended to it in chunk order.
+    chunk_outs: Vec<ChunkOut<P::Message>>,
     router: FaultRouter<P::Message>,
     metrics: RunMetrics,
     round: usize,
-    started: bool,
     /// Structured-event sink; `None` (the default) skips all trace work. The
     /// simulator never draws randomness or moves messages on behalf of the
     /// sink, so traced and untraced runs of one seed are byte-identical.
@@ -432,6 +483,12 @@ impl<P: Protocol> Simulator<P> {
         let rngs = (0..n).map(|i| node_rng(config.seed, i)).collect();
         let local_neighbors = config.local_edges.map(LocalAdjacency::new);
         let done_flags = nodes.iter().map(Protocol::is_done).collect();
+        let chunk_len = n.div_ceil(config.parallelism.effective_workers(n)).max(1);
+        let chunk_outs = (0..n.div_ceil(chunk_len)).map(|_| ChunkOut {
+            outbox: Vec::new(),
+            transport: TransportCounters::default(),
+            noted: Vec::new(),
+        });
         Simulator {
             nodes,
             rngs,
@@ -447,12 +504,11 @@ impl<P: Protocol> Simulator<P> {
             per_edge_stamp: vec![0; n],
             edge_epoch: 0,
             done_flags,
-            shards: Vec::new(),
-            parallelism: config.parallelism,
+            chunk_len,
+            chunk_outs: chunk_outs.collect(),
             router: FaultRouter::new(&config.faults, n, config.seed),
             metrics: RunMetrics::with_mode(n, config.metrics_mode),
             round: 0,
-            started: false,
             sink: None,
         }
     }
@@ -572,7 +628,7 @@ impl<P: Protocol> Simulator<P> {
     /// delivered; they are visible in the metrics only as `delayed` counts (use
     /// [`Simulator::step`] past `all_done` to flush them).
     pub fn run(&mut self, max_rounds: usize) -> RunOutcome {
-        self.ensure_started();
+        self.start();
         let mut executed = 0usize;
         while executed < max_rounds && !self.all_done() {
             self.step();
@@ -586,10 +642,27 @@ impl<P: Protocol> Simulator<P> {
 
     /// Runs exactly one message round (running the start callback first if needed).
     pub fn step(&mut self) {
-        self.ensure_started();
+        self.start();
+        self.run_round(self.round + 1);
+    }
+
+    /// Runs round 0 — the start callbacks — unless it has already run (every
+    /// round that ran is on record in the metrics).
+    fn start(&mut self) {
+        if self.metrics.rounds == 0 {
+            self.run_round(0);
+        }
+    }
+
+    /// One synchronous round: lifecycle, delivery of the messages due now,
+    /// callbacks, dispatch of what they sent. Round 0 is the same skeleton with
+    /// nothing to deliver (the arena is empty until the first dispatch) and
+    /// every active node running `on_start`; late joiners and nodes crashed
+    /// from round 0 do not start then — a joiner's start callback runs at its
+    /// join round instead.
+    fn run_round(&mut self, round: usize) {
         let n = self.nodes.len();
-        self.round += 1;
-        let round = self.round;
+        self.round = round;
         if let Some(sink) = &self.sink {
             sink.borrow_mut().record(TraceEvent::RoundStart { round });
         }
@@ -615,29 +688,9 @@ impl<P: Protocol> Simulator<P> {
             round_metrics.delivered += inbox.len();
         }
 
-        self.run_callbacks(round, false, &mut round_metrics);
+        self.run_callbacks(round, &mut round_metrics);
         self.dispatch(&mut round_metrics);
         self.emit_round_end(round, &round_metrics);
-        self.metrics.record_round(round_metrics);
-    }
-
-    fn ensure_started(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut()
-                .record(TraceEvent::RoundStart { round: 0 });
-        }
-        self.emit_lifecycle(0);
-        let mut round_metrics = RoundMetrics::default();
-        self.router.record_lifecycle(0, &mut round_metrics);
-        // Late joiners and nodes crashed from round 0 do not start now; a
-        // joiner's start callback runs at its join round instead.
-        self.run_callbacks(0, true, &mut round_metrics);
-        self.dispatch(&mut round_metrics);
-        self.emit_round_end(0, &round_metrics);
         self.metrics.record_round(round_metrics);
     }
 
@@ -664,148 +717,58 @@ impl<P: Protocol> Simulator<P> {
     /// Runs every active node's callback for `round`, filling `self.outbox` /
     /// `self.out_lens` and folding transport counters into `round_metrics`.
     ///
-    /// `start_round` selects the round-0 rule (every active node runs
-    /// `on_start`); otherwise joiners run `on_start` and everyone else
-    /// `on_round`. Depending on [`ParallelismConfig::effective_workers`] this
-    /// is the classic serial loop or the sharded parallel path — the two are
-    /// bitwise equivalent (see [`ParallelismConfig`]).
-    fn run_callbacks(&mut self, round: usize, start_round: bool, round_metrics: &mut RoundMetrics) {
-        let n = self.nodes.len();
-        self.outbox.clear();
-        let workers = self.parallelism.effective_workers(n);
-        if workers > 1 && n > 1 {
-            self.run_callbacks_sharded(round, start_round, workers, round_metrics);
-            return;
-        }
-        for i in 0..n {
-            let base = self.outbox.len();
-            if self.router.is_active(i, round) {
-                let mut ctx = Ctx {
-                    me: NodeId::from(i),
-                    round,
-                    n,
-                    rng: &mut self.rngs[i],
-                    outbox: &mut self.outbox,
-                    base,
-                    transport: Default::default(),
-                };
-                if start_round {
-                    self.nodes[i].on_start(&mut ctx);
-                } else if self.router.joins_at(i, round) {
-                    // The node's first round: it runs its start callback with the
-                    // initial knowledge its protocol state was built with. Its inbox
-                    // is empty: the router drops (and counts) messages that would
-                    // land on the join round itself.
-                    debug_assert!(
-                        self.arena.inbox(i).is_empty(),
-                        "join-round inboxes are empty"
-                    );
-                    self.nodes[i].on_start(&mut ctx);
-                } else {
-                    self.nodes[i].on_round(&mut ctx, self.arena.inbox(i));
-                }
-                let transport = ctx.transport;
-                round_metrics.absorb_transport(&transport);
-                self.done_flags[i] = self.nodes[i].is_done();
-                self.emit_transport_events(round, i, &transport);
-            }
-            self.out_lens[i] = self.outbox.len() - base;
-        }
-    }
-
-    /// The parallel body of [`Simulator::run_callbacks`]: nodes are split into
-    /// one contiguous chunk per worker; each worker steps its nodes against the
-    /// shared read-only arena/router and writes into per-node [`NodeShard`]s.
-    /// Afterwards the shards are merged serially in node-id order, which
-    /// reproduces the serial loop's outbox layout, transport-counter
-    /// arithmetic, and trace-event order exactly. Nothing in here draws from a
-    /// shared RNG: each node owns its `StdRng`, and the fault/drop RNGs are
-    /// only touched by the serial phases.
-    fn run_callbacks_sharded(
-        &mut self,
-        round: usize,
-        start_round: bool,
-        workers: usize,
-        round_metrics: &mut RoundMetrics,
-    ) {
-        let n = self.nodes.len();
-        if self.shards.len() < n {
-            self.shards.resize_with(n, NodeShard::default);
-        }
-        let chunk_len = n.div_ceil(workers);
-        {
-            let arena = &self.arena;
-            let router = &self.router;
-            let mut nodes = self.nodes.as_mut_slice();
-            let mut rngs = self.rngs.as_mut_slice();
-            let mut shards = self.shards.as_mut_slice();
-            let mut flags = self.done_flags.as_mut_slice();
+    /// Every chunk (see [`ParallelismConfig`]) runs [`step_chunk`] into its own
+    /// [`ChunkOut`]; chunk 0 filling the outbox itself and the others being
+    /// appended in chunk order puts node `i`'s sends at the same offset of
+    /// `self.outbox` at every chunk count. One chunk is the whole round in
+    /// place: no scope, no spawn, no copy.
+    fn run_callbacks(&mut self, round: usize, round_metrics: &mut RoundMetrics) {
+        let (n, chunk_len) = (self.nodes.len(), self.chunk_len);
+        let (arena, router) = (&self.arena, &self.router);
+        let step = |chunk, out: &mut _| step_chunk(chunk, round, n, arena, router, out);
+        let nodes = self.nodes.chunks_mut(chunk_len);
+        let mut chunks = nodes
+            .zip(self.rngs.chunks_mut(chunk_len))
+            .zip(self.done_flags.chunks_mut(chunk_len))
+            .zip(self.out_lens.chunks_mut(chunk_len))
+            .enumerate()
+            .map(|(c, (((nodes, rngs), done_flags), out_lens))| Chunk {
+                first: c * chunk_len,
+                nodes,
+                rngs,
+                done_flags,
+                out_lens,
+            });
+        let (Some(first), Some((first_out, outs))) =
+            (chunks.next(), self.chunk_outs.split_first_mut())
+        else {
+            return; // no nodes
+        };
+        // Chunk 0 writes straight into the round's outbox (lent to its slot for
+        // the callbacks; dispatch left it drained, capacity retained).
+        first_out.outbox = std::mem::take(&mut self.outbox);
+        if outs.is_empty() {
+            step(first, first_out);
+        } else {
             rayon::scope(|s| {
-                let mut start = 0usize;
-                while !nodes.is_empty() {
-                    let take = chunk_len.min(nodes.len());
-                    let (node_chunk, rest) = nodes.split_at_mut(take);
-                    nodes = rest;
-                    let (rng_chunk, rest) = rngs.split_at_mut(take);
-                    rngs = rest;
-                    let (shard_chunk, rest) = shards.split_at_mut(take);
-                    shards = rest;
-                    let (flag_chunk, rest) = flags.split_at_mut(take);
-                    flags = rest;
-                    let first = start;
-                    start += take;
-                    s.spawn(move |_| {
-                        let per_node = node_chunk
-                            .iter_mut()
-                            .zip(rng_chunk.iter_mut())
-                            .zip(shard_chunk.iter_mut().zip(flag_chunk.iter_mut()));
-                        for (k, ((node, rng), (shard, done))) in per_node.enumerate() {
-                            let i = first + k;
-                            shard.outbox.clear();
-                            shard.transport = TransportCounters::default();
-                            if !router.is_active(i, round) {
-                                continue;
-                            }
-                            let mut ctx = Ctx {
-                                me: NodeId::from(i),
-                                round,
-                                n,
-                                rng,
-                                outbox: &mut shard.outbox,
-                                base: 0,
-                                transport: Default::default(),
-                            };
-                            if start_round {
-                                node.on_start(&mut ctx);
-                            } else if router.joins_at(i, round) {
-                                debug_assert!(
-                                    arena.inbox(i).is_empty(),
-                                    "join-round inboxes are empty"
-                                );
-                                node.on_start(&mut ctx);
-                            } else {
-                                node.on_round(&mut ctx, arena.inbox(i));
-                            }
-                            shard.transport = ctx.transport;
-                            *done = node.is_done();
-                        }
-                    });
+                for (chunk, out) in chunks.zip(outs.iter_mut()) {
+                    s.spawn(move |_| step(chunk, out));
                 }
+                step(first, first_out);
             });
         }
-        // Serial merge in node-id order: exactly the order (and therefore the
-        // outbox layout, metrics arithmetic, and trace emission) of the serial
-        // loop. `append` leaves each shard empty with its capacity retained.
-        for i in 0..n {
-            let base = self.outbox.len();
-            let shard = &mut self.shards[i];
-            self.outbox.append(&mut shard.outbox);
-            let transport = shard.transport;
-            if self.router.is_active(i, round) {
-                round_metrics.absorb_transport(&transport);
-                self.emit_transport_events(round, i, &transport);
+        self.outbox = std::mem::take(&mut first_out.outbox);
+        // `append` leaves each buffer empty with its capacity retained.
+        for out in outs {
+            self.outbox.append(&mut out.outbox);
+        }
+        // Callbacks cannot reach the sink, so emitting after all of them have
+        // run is the order a node-by-node loop would produce.
+        for out in &self.chunk_outs {
+            round_metrics.absorb_transport(&out.transport);
+            for (i, transport) in &out.noted {
+                self.emit_transport_events(round, *i, transport);
             }
-            self.out_lens[i] = self.outbox.len() - base;
         }
     }
 
@@ -1412,25 +1375,68 @@ mod tests {
     }
 
     #[test]
+    fn step_and_run_start_with_the_same_round_zero() {
+        // Round 0 is the r = 0 case of the one round skeleton, whichever entry
+        // point reaches it first — and it runs once.
+        let round_zero = |first: fn(&mut Simulator<Flooder>)| {
+            let mut sim = Simulator::new(flooders(8, 2, 5), stormy_config());
+            let buf = crate::trace::TraceBuffer::shared();
+            sim.set_trace_sink(buf.clone());
+            first(&mut sim);
+            let events = buf.borrow().events.clone();
+            let end = events
+                .iter()
+                .position(|e| matches!(e, TraceEvent::RoundEnd { round: 0, .. }))
+                .expect("round 0 ends");
+            assert!(!events[end + 1..]
+                .iter()
+                .any(|e| matches!(e, TraceEvent::RoundStart { round: 0 })));
+            (events[..=end].to_vec(), sim.metrics().per_round[0])
+        };
+        let stepped = round_zero(|sim| sim.step());
+        let ran = round_zero(|sim| {
+            sim.run(0);
+            sim.step();
+        });
+        assert_eq!(
+            stepped.0.first(),
+            Some(&TraceEvent::RoundStart { round: 0 })
+        );
+        assert_eq!(stepped, ran);
+    }
+
+    #[test]
     fn parallel_path_is_bitwise_identical_to_serial() {
-        let run = |parallelism: ParallelismConfig| {
-            let mut sim = Simulator::new(
-                flooders(8, 2, 5),
-                stormy_config().with_parallelism(parallelism),
-            );
+        let run = |config: SimConfig, parallelism: ParallelismConfig| {
+            let mut sim = Simulator::new(flooders(8, 2, 5), config.with_parallelism(parallelism));
             let buf = crate::trace::TraceBuffer::shared();
             sim.set_trace_sink(buf.clone());
             let outcome = sim.run(12);
             let events = buf.borrow().events.clone();
             let received: Vec<usize> = (0..8).map(|i| sim.node(NodeId::from(i)).received).collect();
-            (outcome.rounds, sim.metrics().clone(), events, received)
+            let chunks = sim.chunk_outs.len();
+            (
+                (outcome.rounds, sim.metrics().clone(), events, received),
+                chunks,
+            )
         };
-        let serial = run(ParallelismConfig::serial());
-        // Worker counts both below and above the node count, plus one that
-        // leaves a ragged final chunk.
-        for workers in [2, 3, 8, 13] {
-            let parallel = run(ParallelismConfig::fixed(workers, 0));
-            assert_eq!(serial, parallel, "workers={workers} must be bitwise serial");
+        // With 3 workers the chunks are 0..3, 3..6, 6..8: this plan crashes the
+        // last node of one chunk and joins the first node of the next.
+        let mut boundary = stormy_config();
+        boundary.faults = FaultPlan::default()
+            .with_drop_prob(0.3)
+            .with_crash(NodeId::from(2usize), 2)
+            .with_join(NodeId::from(3usize), 3);
+        for config in [stormy_config(), boundary] {
+            let (serial, chunks) = run(config.clone(), ParallelismConfig::serial());
+            assert_eq!(chunks, 1, "one chunk runs in place");
+            // One worker (the in-place path again), worker counts below, at and
+            // above the node count, and one that leaves a ragged final chunk.
+            for workers in [1, 2, 3, 8, 13] {
+                let (parallel, chunks) = run(config.clone(), ParallelismConfig::fixed(workers, 0));
+                assert_eq!(serial, parallel, "workers={workers} must be bitwise serial");
+                assert_eq!(chunks, workers.min(8), "one output slot per chunk");
+            }
         }
     }
 

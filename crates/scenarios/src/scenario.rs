@@ -398,15 +398,6 @@ fn traffic_workload_seed(seed: u64, salt: u64) -> u64 {
     (seed ^ TRAFFIC_WORKLOAD_SALT).wrapping_add(salt)
 }
 
-/// The edge set a traffic policy routes over: the constructed expander for
-/// greedy routing, the binarized tree for the compare policy.
-fn routing_graph(policy: RoutingPolicy, result: &OverlayResult) -> UGraph {
-    match policy {
-        RoutingPolicy::Greedy => result.expander.clone(),
-        RoutingPolicy::Tree => result.tree.to_ugraph(),
-    }
-}
-
 /// Emits one traffic wave's structured events: the injections from the
 /// (recomputed, deterministic) schedule, then each node's deliveries and a
 /// per-node drop/expiry rollup. Emission happens after the wave executes, so
@@ -651,8 +642,11 @@ pub struct RunRecord {
 }
 
 /// The per-seed service-level outcome of a serve scenario's maintenance phase —
-/// a flattening of [`overlay_core::ServeOutcome`] into the sweep row.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// a flattening of [`overlay_core::ServeOutcome`] into the sweep row. The
+/// default is the zeroed record of a serve cell whose construction failed:
+/// nothing was served, so service coverage is 0 — the honest reading of "the
+/// overlay was never available".
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ServeRecord {
     /// Whether the maintenance loop ran at all (construction must produce an
     /// overlay to serve; a failed build leaves everything below zeroed).
@@ -686,28 +680,6 @@ pub struct ServeRecord {
 }
 
 impl ServeRecord {
-    /// The zeroed record of a serve cell whose construction failed: nothing was
-    /// served, so service coverage is 0 — the honest reading of "the overlay
-    /// was never available".
-    fn unserved() -> Self {
-        ServeRecord {
-            served: false,
-            sustained_coverage: 0.0,
-            coverage_mean: 0.0,
-            coverage_floor: 0.0,
-            wf_violations: 0,
-            reinvites_sent: 0,
-            reinvites_delivered: 0,
-            repairs: 0,
-            healed: 0,
-            rounds_to_repair_max: 0,
-            joined: 0,
-            left: 0,
-            crashed: 0,
-            final_alive: 0,
-        }
-    }
-
     fn from_outcome(outcome: &overlay_core::ServeOutcome) -> Self {
         ServeRecord {
             served: true,
@@ -728,43 +700,17 @@ impl ServeRecord {
     }
 }
 
-/// The per-seed outcome of a traffic scenario's routing phase — a flattening
-/// of [`overlay_traffic::TrafficReport`] into the sweep row.
+/// The per-seed outcome of a traffic scenario's routing phase: the
+/// [`TrafficReport`] of its wave(s), and whether there was an overlay to route
+/// over at all.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrafficRecord {
     /// Whether any traffic was routed at all (construction must produce an
-    /// overlay to route over; a failed build leaves everything below zeroed).
+    /// overlay to route over; a failed build leaves `report` zeroed).
     pub routed: bool,
-    /// Requests injected across all sources (and, on serving cells, across
-    /// all per-epoch waves).
-    pub injected: u64,
-    /// Requests that reached their destination.
-    pub delivered: u64,
-    /// Requests shed by queue overflow or lack of a route.
-    pub dropped: u64,
-    /// Requests aged out past their TTL while queued.
-    pub expired: u64,
-    /// Requests that vanished in flight (message loss under the spec's fault
-    /// load).
-    pub lost: u64,
-    /// Median hop count over delivered requests.
-    pub hops_p50: u32,
-    /// 99th-percentile hop count — the figure the `O(log n)` diameter bounds.
-    pub hops_p99: u32,
-    /// Worst hop count observed.
-    pub hops_max: u32,
-    /// Median rounds-to-delivery.
-    pub latency_p50: u32,
-    /// 99th-percentile rounds-to-delivery.
-    pub latency_p99: u32,
-    /// Worst rounds-to-delivery observed.
-    pub latency_max: u32,
-    /// Most messages any single directed edge carried.
-    pub max_edge_load: u32,
-    /// Most messages any single node forwarded.
-    pub max_node_forwards: u64,
-    /// Message rounds the traffic phase(s) executed.
-    pub rounds: usize,
+    /// The accounting across all sources and, on serving cells, across all
+    /// per-epoch waves.
+    pub report: TrafficReport,
 }
 
 impl TrafficRecord {
@@ -773,49 +719,7 @@ impl TrafficRecord {
     pub fn unrouted() -> Self {
         TrafficRecord {
             routed: false,
-            injected: 0,
-            delivered: 0,
-            dropped: 0,
-            expired: 0,
-            lost: 0,
-            hops_p50: 0,
-            hops_p99: 0,
-            hops_max: 0,
-            latency_p50: 0,
-            latency_p99: 0,
-            latency_max: 0,
-            max_edge_load: 0,
-            max_node_forwards: 0,
-            rounds: 0,
-        }
-    }
-
-    fn from_report(report: &TrafficReport) -> Self {
-        TrafficRecord {
-            routed: true,
-            injected: report.injected,
-            delivered: report.delivered,
-            dropped: report.dropped,
-            expired: report.expired,
-            lost: report.lost,
-            hops_p50: report.hops_p50,
-            hops_p99: report.hops_p99,
-            hops_max: report.hops_max,
-            latency_p50: report.latency_p50,
-            latency_p99: report.latency_p99,
-            latency_max: report.latency_max,
-            max_edge_load: report.max_edge_load,
-            max_node_forwards: report.max_node_forwards,
-            rounds: report.rounds,
-        }
-    }
-
-    /// Delivered fraction in `[0, 1]` (1 when nothing was injected).
-    pub fn delivered_fraction(&self) -> f64 {
-        if self.injected == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / self.injected as f64
+            report: TrafficTally::new().report(),
         }
     }
 }
@@ -1219,28 +1123,6 @@ impl Scenario {
         MaintenanceRunner::new(result.expander.clone(), params, config, schedule)
     }
 
-    /// Runs the maintenance phase of a serving scenario against the expander a
-    /// finished construction produced. Returns `None` for non-serve scenarios
-    /// and the zeroed [`ServeRecord::unserved`] when construction failed
-    /// (there is no overlay to serve). The optional trace sink receives the
-    /// epoch/re-invite/repair events.
-    fn serve_record(
-        &self,
-        seed: u64,
-        report: &BuildReport,
-        trace: Option<SharedTraceSink>,
-    ) -> Option<ServeRecord> {
-        self.serve?;
-        let Some(result) = report.result.as_ref() else {
-            return Some(ServeRecord::unserved());
-        };
-        let mut runner = self.maintenance_runner(seed, result);
-        if let Some(sink) = trace {
-            runner.set_trace_sink(sink);
-        }
-        Some(ServeRecord::from_outcome(&runner.run()))
-    }
-
     /// Executes one traffic wave over `graph` on `exec`: builds the next-hop
     /// table, pre-schedules the workload, and runs one [`Router`] per node.
     /// `salt` differentiates repeated waves (0 for the single wave of a
@@ -1308,66 +1190,29 @@ impl Scenario {
         )
     }
 
-    /// Runs the traffic phase of a build-then-route cell over the finished
-    /// overlay. Returns `None` for non-traffic scenarios and the zeroed
-    /// [`TrafficRecord::unrouted`] when construction failed (there is no
-    /// overlay to route over).
-    fn traffic_record(
-        &self,
-        seed: u64,
-        report: &BuildReport,
-        trace: Option<&SharedTraceSink>,
-    ) -> Option<TrafficRecord> {
-        let spec = self.traffic?;
-        let Some(result) = report.result.as_ref() else {
-            return Some(TrafficRecord::unrouted());
-        };
-        let graph = routing_graph(spec.policy, result);
-        let mut exec = SimExecutor {
-            parallelism: self.parallelism,
-            metrics_mode: self.metrics_mode,
-        };
-        let run = self
-            .run_traffic_over(&spec, &graph, seed, 0, &mut exec)
-            .expect("the simulator cannot fail");
-        if let Some(sink) = trace {
-            emit_traffic_trace(
-                sink,
-                &spec,
-                graph.node_count(),
-                traffic_workload_seed(seed, 0),
-                &run,
-            );
-        }
-        let mut tally = TrafficTally::new();
-        tally.absorb(&run.summaries, run.rounds);
-        Some(TrafficRecord::from_report(&tally.report()))
-    }
-
-    /// Runs everything that follows construction: the maintenance phase, the
-    /// traffic phase, or — for a serving traffic cell — the interleaving of
-    /// both, where one traffic wave rides the *current* core overlay after
-    /// every maintenance epoch (churn degrades it, repair heals it, and the
-    /// delivered fraction measures what the service sustained in between).
+    /// Runs everything that follows construction, as one loop over traffic
+    /// waves: wave 0 over the finished overlay for a build-then-route cell;
+    /// for a serving cell one wave after each maintenance epoch (waves
+    /// `1..=epochs`), riding the *current* core overlay — churn degrades it,
+    /// repair heals it, and the delivered fraction measures what the service
+    /// sustained in between. A cell without a traffic spec steps its epochs
+    /// and routes nothing; a cell whose construction failed (there is no
+    /// overlay to serve or route over) gets the zeroed records. The optional
+    /// trace sink receives the epoch/re-invite/repair and request events.
     fn post_build(
         &self,
         seed: u64,
         report: &BuildReport,
         trace: Option<SharedTraceSink>,
     ) -> (Option<ServeRecord>, Option<TrafficRecord>) {
-        let (Some(spec), Some(tspec)) = (self.serve, self.traffic) else {
-            let serve = self.serve_record(seed, report, trace.clone());
-            let traffic = self.traffic_record(seed, report, trace.as_ref());
-            return (serve, traffic);
-        };
         let Some(result) = report.result.as_ref() else {
             return (
-                Some(ServeRecord::unserved()),
-                Some(TrafficRecord::unrouted()),
+                self.serve.map(|_| ServeRecord::default()),
+                self.traffic.map(|_| TrafficRecord::unrouted()),
             );
         };
-        let mut runner = self.maintenance_runner(seed, result);
-        if let Some(sink) = trace.clone() {
+        let mut runner = self.serve.map(|_| self.maintenance_runner(seed, result));
+        if let (Some(runner), Some(sink)) = (runner.as_mut(), trace.clone()) {
             runner.set_trace_sink(sink);
         }
         let mut exec = SimExecutor {
@@ -1375,23 +1220,34 @@ impl Scenario {
             metrics_mode: self.metrics_mode,
         };
         let mut tally = TrafficTally::new();
-        for epoch in 0..spec.epochs {
-            runner.step_epoch();
-            let graph = match tspec.policy {
-                RoutingPolicy::Greedy => runner.core_graph().clone(),
-                RoutingPolicy::Tree => match runner.tree() {
+        let waves = match self.serve {
+            Some(spec) => 1..=spec.epochs,
+            None => 0..=0,
+        };
+        for wave in waves {
+            if let Some(runner) = runner.as_mut() {
+                runner.step_epoch();
+            }
+            let Some(spec) = self.traffic else { continue };
+            // Greedy routes over the expander, the compare policy over the
+            // binarized tree — the constructed ones, or the runner's current.
+            let graph = match (spec.policy, runner.as_ref()) {
+                (RoutingPolicy::Greedy, None) => result.expander.clone(),
+                (RoutingPolicy::Greedy, Some(runner)) => runner.core_graph().clone(),
+                (RoutingPolicy::Tree, None) => result.tree.to_ugraph(),
+                (RoutingPolicy::Tree, Some(runner)) => match runner.tree() {
                     Some(tree) => tree.to_ugraph(),
                     None => continue,
                 },
             };
-            let salt = epoch as u64 + 1;
+            let salt = wave as u64;
             let run = self
-                .run_traffic_over(&tspec, &graph, seed, salt, &mut exec)
+                .run_traffic_over(&spec, &graph, seed, salt, &mut exec)
                 .expect("the simulator cannot fail");
             if let Some(sink) = trace.as_ref() {
                 emit_traffic_trace(
                     sink,
-                    &tspec,
+                    &spec,
                     graph.node_count(),
                     traffic_workload_seed(seed, salt),
                     &run,
@@ -1399,10 +1255,12 @@ impl Scenario {
             }
             tally.absorb(&run.summaries, run.rounds);
         }
-        let outcome = runner.into_outcome();
         (
-            Some(ServeRecord::from_outcome(&outcome)),
-            Some(TrafficRecord::from_report(&tally.report())),
+            runner.map(|runner| ServeRecord::from_outcome(&runner.into_outcome())),
+            self.traffic.map(|_| TrafficRecord {
+                routed: true,
+                report: tally.report(),
+            }),
         )
     }
 
@@ -1460,7 +1318,7 @@ impl Scenario {
         if let Some(traffic) = traffic {
             // Routing rounds count toward the run's horizon the way service
             // rounds do.
-            record.rounds += traffic.rounds;
+            record.rounds += traffic.report.rounds;
             record.traffic = Some(traffic);
         }
         record

@@ -240,9 +240,8 @@ impl SweepReport {
     /// the scenario carries no traffic).
     pub fn mean_delivered_fraction(&self) -> f64 {
         let fractions: Vec<f64> = self
-            .records
-            .iter()
-            .filter_map(|r| r.traffic.map(|t| t.delivered_fraction()))
+            .traffic_reports()
+            .map(|t| t.delivered_fraction())
             .collect();
         if fractions.is_empty() {
             1.0
@@ -253,18 +252,18 @@ impl SweepReport {
 
     /// Mean per-seed median rounds-to-delivery (0 without traffic).
     pub fn mean_latency_p50(&self) -> f64 {
-        mean(self.traffic_records().map(|t| t.latency_p50 as f64))
+        mean(self.traffic_reports().map(|t| t.latency_p50 as f64))
     }
 
     /// Mean per-seed 99th-percentile rounds-to-delivery (0 without traffic).
     pub fn mean_latency_p99(&self) -> f64 {
-        mean(self.traffic_records().map(|t| t.latency_p99 as f64))
+        mean(self.traffic_reports().map(|t| t.latency_p99 as f64))
     }
 
     /// Worst per-seed 99th-percentile hop count — the figure the overlay's
     /// `O(log n)` diameter bounds (0 without traffic).
     pub fn hops_p99_max(&self) -> u32 {
-        self.traffic_records()
+        self.traffic_reports()
             .map(|t| t.hops_p99)
             .max()
             .unwrap_or(0)
@@ -272,7 +271,7 @@ impl SweepReport {
 
     /// Most messages any single directed edge carried in any seed.
     pub fn max_edge_load(&self) -> u32 {
-        self.traffic_records()
+        self.traffic_reports()
             .map(|t| t.max_edge_load)
             .max()
             .unwrap_or(0)
@@ -280,24 +279,24 @@ impl SweepReport {
 
     /// Total requests injected across all runs.
     pub fn total_injected(&self) -> u64 {
-        self.traffic_records().map(|t| t.injected).sum()
+        self.traffic_reports().map(|t| t.injected).sum()
     }
 
     /// Total requests delivered across all runs.
     pub fn total_traffic_delivered(&self) -> u64 {
-        self.traffic_records().map(|t| t.delivered).sum()
+        self.traffic_reports().map(|t| t.delivered).sum()
     }
 
     /// Total requests shed (overflow/unroutable), expired, or lost in flight
     /// across all runs.
     pub fn total_traffic_shed(&self) -> u64 {
-        self.traffic_records()
+        self.traffic_reports()
             .map(|t| t.dropped + t.expired + t.lost)
             .sum()
     }
 
-    fn traffic_records(&self) -> impl Iterator<Item = crate::scenario::TrafficRecord> + '_ {
-        self.records.iter().filter_map(|r| r.traffic)
+    fn traffic_reports(&self) -> impl Iterator<Item = overlay_traffic::TrafficReport> + '_ {
+        self.records.iter().filter_map(|r| Some(r.traffic?.report))
     }
 
     /// The deterministic aggregate + per-seed report as a JSON value.
@@ -584,11 +583,12 @@ fn record_json(r: &RunRecord) -> Json {
     }
     // Traffic cells carry their workload outcome; classic rows keep the exact
     // historical shape.
-    if let Some(t) = &r.traffic {
+    if let Some(traffic) = &r.traffic {
+        let t = &traffic.report;
         fields.push((
             "traffic",
             Json::obj(vec![
-                ("routed", Json::Bool(t.routed)),
+                ("routed", Json::Bool(traffic.routed)),
                 ("injected", Json::Int(t.injected as i64)),
                 ("delivered", Json::Int(t.delivered as i64)),
                 ("dropped", Json::Int(t.dropped as i64)),

@@ -765,7 +765,9 @@ impl<P: Protocol> Protocol for Reliable<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overlay_netsim::{CapacityModel, FaultPlan, SimConfig, Simulator};
+    use overlay_netsim::{
+        CapacityModel, FaultPlan, ParallelismConfig, SimConfig, Simulator, TraceBuffer, TraceEvent,
+    };
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -1165,25 +1167,39 @@ mod tests {
     /// one replaced (commit b85b8c3). `seeded_runs_are_byte_identical` proves a
     /// run equals itself; this proves it still equals *that*: same sends in
     /// the same order, hence the same fault decisions, metrics and deliveries.
+    /// Every fleet runs twice — as one chunk and cut into three — and the second
+    /// run must reproduce the digest and the trace (`Retransmits` / `GiveUps`
+    /// events in node order) of the first.
     #[test]
     fn golden_wire_digests() {
         const SEEDS: [u64; 3] = [3, 11, 21];
         let cfg = TransportConfig::default();
-        let run = |nodes: Vec<Reliable<Beacon>>, config: SimConfig, limit: usize| {
+        type Run = (u64, Vec<TraceEvent>);
+        let run = |nodes: Vec<Reliable<Beacon>>, config: SimConfig, limit: usize| -> Run {
             let mut sim = Simulator::new(nodes, config);
+            let trace = TraceBuffer::shared();
+            sim.set_trace_sink(trace.clone());
             assert!(sim.run(limit).all_done);
-            wire_digest(&sim)
+            let events = std::mem::take(&mut trace.borrow_mut().events);
+            (wire_digest(&sim), events)
         };
-        type Case<'a> = (&'a str, &'a dyn Fn(u64) -> u64, [u64; 3]);
+        let lossy = |seed, loss, par| lossy(seed, loss).with_parallelism(par);
+        type Case<'a> = (&'a str, &'a dyn Fn(u64, ParallelismConfig) -> Run, [u64; 3]);
         let cases: [Case<'_>; 6] = [
             (
                 "loss 0",
-                &|seed| run(wrap(Beacon::fleet(6, 2, 3), cfg), lossy(seed, 0.0), 20),
+                &|seed, par| run(wrap(Beacon::fleet(6, 2, 3), cfg), lossy(seed, 0.0, par), 20),
                 [0x508c_75e4_023a_8584; 3],
             ),
             (
                 "loss 0.25",
-                &|seed| run(wrap(Beacon::fleet(7, 2, 3), cfg), lossy(seed, 0.25), 150),
+                &|seed, par| {
+                    run(
+                        wrap(Beacon::fleet(7, 2, 3), cfg),
+                        lossy(seed, 0.25, par),
+                        150,
+                    )
+                },
                 [
                     0x25b8_5f28_3534_315c,
                     0x8a7e_4bff_5b9d_a403,
@@ -1192,7 +1208,13 @@ mod tests {
             ),
             (
                 "loss 0.45",
-                &|seed| run(wrap(Beacon::fleet(6, 3, 4), cfg), lossy(seed, 0.45), 300),
+                &|seed, par| {
+                    run(
+                        wrap(Beacon::fleet(6, 3, 4), cfg),
+                        lossy(seed, 0.45, par),
+                        300,
+                    )
+                },
                 [
                     0x2af8_33f1_94f8_13e4,
                     0x8981_54f4_e2f9_7559,
@@ -1201,9 +1223,9 @@ mod tests {
             ),
             (
                 "window 2",
-                &|seed| {
+                &|seed, par| {
                     let nodes = wrap(Beacon::fleet(4, 5, 3), cfg.with_window(2));
-                    run(nodes, lossy(seed, 0.15), 200)
+                    run(nodes, lossy(seed, 0.15, par), 200)
                 },
                 [
                     0xdcea_9599_20ca_7d6f,
@@ -1213,7 +1235,7 @@ mod tests {
             ),
             (
                 "partition + max_retransmits 2",
-                &|seed| {
+                &|seed, par| {
                     let nodes = wrap(Beacon::fleet(3, 2, 90), cfg.with_max_retransmits(2));
                     let config = SimConfig {
                         faults: FaultPlan::default().with_drop_prob(0.05).with_partition(
@@ -1221,7 +1243,7 @@ mod tests {
                             0,
                             12,
                         ),
-                        ..lossy(seed, 0.0)
+                        ..lossy(seed, 0.0, par)
                     };
                     run(nodes, config, 200)
                 },
@@ -1233,16 +1255,33 @@ mod tests {
             ),
             (
                 "failure detector + total loss",
-                &|seed| {
+                &|seed, par| {
                     let cfg = cfg.with_max_retransmits(2).with_failure_detector(true);
-                    run(wrap(Beacon::fleet(3, 2, 10), cfg), lossy(seed, 1.0), 200)
+                    run(
+                        wrap(Beacon::fleet(3, 2, 10), cfg),
+                        lossy(seed, 1.0, par),
+                        200,
+                    )
                 },
                 [0x989b_3146_66ce_8c48; 3],
             ),
         ];
-        for (name, digest, golden) in cases {
-            assert_eq!(SEEDS.map(digest), golden, "{name}");
+        let mut seen = [false; 2];
+        for (name, run, golden) in cases {
+            let whole = SEEDS.map(|seed| run(seed, ParallelismConfig::serial()));
+            let chunked = SEEDS.map(|seed| run(seed, ParallelismConfig::fixed(3, 0)));
+            assert_eq!(
+                whole.each_ref().map(|(digest, _)| *digest),
+                golden,
+                "{name}"
+            );
+            assert_eq!(whole, chunked, "{name}: three chunks");
+            for event in whole.iter().flat_map(|(_, events)| events) {
+                seen[0] |= matches!(event, TraceEvent::Retransmits { .. });
+                seen[1] |= matches!(event, TraceEvent::GiveUps { .. });
+            }
         }
+        assert_eq!(seen, [true; 2], "the fleets retransmit and give up");
     }
 
     #[test]
