@@ -1,7 +1,7 @@
 //! Experiment harness: one function per experiment of EXPERIMENTS.md (E1–E14).
 //!
 //! Every function prints a self-describing table to stdout and returns the rows so that
-//! tests and the Criterion benches can reuse them. Run all experiments with
+//! tests can reuse them. Run all experiments with
 //! `cargo run --release -p overlay-bench --bin experiments`, or a single one with
 //! `cargo run --release -p overlay-bench --bin experiments -- e5`.
 
@@ -599,9 +599,12 @@ pub fn e14_transport_params(seeds: usize) -> Vec<Row> {
                         ("success_rate", report.success_rate()),
                         ("rounds", report.mean_rounds()),
                         ("delivered", report.mean_delivered()),
-                        ("retransmits", report.total_retransmits() as f64),
-                        ("acks", report.total_acks() as f64),
-                        ("dupes", report.total_dupes_dropped() as f64),
+                        (
+                            "retransmits",
+                            report.message_total(|m| m.retransmits) as f64,
+                        ),
+                        ("acks", report.message_total(|m| m.acks) as f64),
+                        ("dupes", report.message_total(|m| m.dupes_dropped) as f64),
                     ],
                 });
             }

@@ -65,8 +65,6 @@ pub struct MaintenanceConfig {
     pub epochs: usize,
     /// Whether epoch boundaries re-invite stragglers into the overlay.
     pub reinvite: bool,
-    /// Whether epoch boundaries run a repair evolution and rebuild the tree.
-    pub repair: bool,
     /// Probability that one invitation attempt is lost in transit.
     pub invite_loss: f64,
     /// Extra invitation attempts per straggler per epoch (the reliable-transport
@@ -78,14 +76,13 @@ pub struct MaintenanceConfig {
 }
 
 impl MaintenanceConfig {
-    /// A sensible default loop: 25-round epochs, re-invitation and repair on,
-    /// lossless invitations.
+    /// A sensible default loop: 25-round epochs, re-invitation on, lossless
+    /// invitations.
     pub fn new(epochs: usize) -> Self {
         MaintenanceConfig {
             epoch_rounds: 25,
             epochs,
             reinvite: true,
-            repair: true,
             invite_loss: 0.0,
             invite_retries: 0,
             seed: 0x0A11_CE55,
@@ -139,8 +136,9 @@ pub struct EpochSample {
     pub crashes: usize,
 }
 
-/// The distilled outcome of a whole maintenance run.
-#[derive(Clone, Debug, PartialEq)]
+/// The distilled outcome of a whole maintenance run. The default is the
+/// outcome of a service that never ran: no samples, zero coverage.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServeOutcome {
     /// One sample per epoch boundary, in order.
     pub samples: Vec<EpochSample>,
@@ -527,8 +525,7 @@ impl MaintenanceRunner {
     }
 
     /// Alive members covered by the current tree: admitted members whose
-    /// parent chain reaches the root (with no repair, crash holes cut whole
-    /// subtrees out of coverage).
+    /// parent chain reaches the root.
     fn covered_count(&self) -> usize {
         let Some(tree) = &self.tree else { return 0 };
         let alive: Vec<bool> = self
@@ -579,12 +576,9 @@ impl MaintenanceRunner {
         } else {
             (0, 0)
         };
-        let mut healed = 0;
-        if self.config.repair {
-            self.rebuild_core_graph();
-            self.repair_evolution();
-            healed = self.rebuild_tree();
-        }
+        self.rebuild_core_graph();
+        self.repair_evolution();
+        let healed = self.rebuild_tree();
         let tree_valid = self.tree_is_valid();
         self.emit(TraceEvent::Repair {
             epoch: self.epoch,

@@ -477,14 +477,6 @@ impl<M> FaultRouter<M> {
             .push((to, env));
     }
 
-    /// Removes and returns the messages scheduled for delivery at `round`.
-    ///
-    /// Allocates the returned `Vec`'s transfer of ownership; the simulator's hot
-    /// path uses [`FaultRouter::drain_due`] instead, which recycles the buffer.
-    pub fn take_due(&mut self, round: usize) -> Vec<(NodeId, Envelope<M>)> {
-        self.delayed.remove(&round).unwrap_or_default()
-    }
-
     /// Hands every message scheduled for delivery at `round` to `deliver` and
     /// recycles the emptied buffer, so rounds with active delay faults perform no
     /// per-round allocation once the pool is warm.
@@ -682,10 +674,13 @@ mod tests {
         }
         assert_eq!(seen, 20);
         assert!(router.has_in_flight());
-        let total: usize = (12..=14).map(|r| router.take_due(r).len()).sum();
+        let mut total = 0;
+        for r in 12..=14 {
+            router.drain_due(r, |_, _| total += 1);
+        }
         assert_eq!(total, 20);
         assert!(!router.has_in_flight());
-        assert!(router.take_due(15).is_empty());
+        router.drain_due(15, |_, _| panic!("nothing is due at round 15"));
     }
 
     #[test]

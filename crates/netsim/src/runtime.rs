@@ -520,11 +520,6 @@ impl<P: Protocol> Simulator<P> {
         self.sink = Some(sink);
     }
 
-    /// Removes the trace sink, returning the run to the zero-cost untraced mode.
-    pub fn clear_trace_sink(&mut self) {
-        self.sink = None;
-    }
-
     /// Emits the round's lifecycle identity events (who crashed, who joined)
     /// in node order. Only called when a sink is installed — the identity scan
     /// is O(n) and the untraced path keeps the cheap count-only bookkeeping of

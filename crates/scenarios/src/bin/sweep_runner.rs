@@ -11,17 +11,19 @@
 //!   --full          additionally run the on-demand larger-n sweeps
 //!                   (n = 1024 / 4096 / 16384 / 65536); their reports go to
 //!                   `<dir>/full/` and are never part of the committed
-//!                   `--check` baselines; each is timed against a sequential
-//!                   baseline (identical records asserted, speedup in the
-//!                   `.meta.json` sidecar and the summary line)
+//!                   `--check` baselines (serial-vs-parallel wall-clocks are
+//!                   `--scaling`'s and the benchmark ledger's job, not this
+//!                   flag's)
 //!   --compare       after the sweeps, print the baseline-vs-twin delta table
 //!                   (success, coverage, rounds, delivered, retransmits per
-//!                   registered pair) and persist it to `<dir>/compare.md`;
-//!                   when `<dir>/thresholds.json` exists, additionally check
-//!                   every committed pair floor (a twin's success or coverage
-//!                   delta shrinking below its committed value exits 1)
-//!   --no-run        with --compare: build the delta table from the *committed*
-//!                   reports under `<dir>` without re-sweeping anything
+//!                   registered pair) from the reports under `<dir>` — the
+//!                   ones this run just wrote or verified — and persist it to
+//!                   `<dir>/compare.md`; when `<dir>/thresholds.json` exists,
+//!                   additionally check every committed pair floor (a twin's
+//!                   success or coverage delta shrinking below its committed
+//!                   value exits 1)
+//!   --no-run        with --compare: skip the sweeps and build the same table
+//!                   from the reports already under `<dir>`
 //!   --write-thresholds
 //!                   with --compare: instead of checking `<dir>/thresholds.json`,
 //!                   (re)write it from the deltas just computed — the workflow
@@ -67,9 +69,10 @@
 //! Traces are likewise derived output under the untracked `<dir>/traces/`.
 
 use overlay_scenarios::{
-    compare, full_registry, post_mortem, registry, report, scaling, trace, ParallelismConfig,
-    Scenario, Sweep, SweepReport,
+    compare, full_registry, post_mortem, registry, report, scaling, trace, Json, ParallelismConfig,
+    Scenario, Sweep,
 };
+use std::io;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -93,7 +96,13 @@ struct Options {
     names: Vec<String>,
 }
 
-fn parse_args() -> Result<Options, String> {
+const USAGE: &str = "usage: sweep_runner [--seeds N] [--first-seed S] [--dir PATH] \
+    [--check] [--full] [--compare [--no-run] [--write-thresholds]] \
+    [--trace NAME [--seed S]] [--explain] [--list] [--tag T] \
+    [--par-threshold N] [--scaling [--max-n N]] [SCENARIO...]";
+
+/// Parses the command line; `Ok(None)` means `--help` was asked for.
+fn parse_args() -> Result<Option<Options>, String> {
     let mut opts = Options {
         seeds: 16,
         first_seed: 0,
@@ -155,15 +164,7 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--max-n: {e}"))?
             }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: sweep_runner [--seeds N] [--first-seed S] [--dir PATH] \
-                            [--check] [--full] [--compare [--no-run] [--write-thresholds]] \
-                            [--trace NAME [--seed S]] [--explain] [--list] [--tag T] \
-                            [--par-threshold N] [--scaling [--max-n N]] [SCENARIO...]"
-                        .into(),
-                )
-            }
+            "--help" | "-h" => return Ok(None),
             name if !name.starts_with('-') => opts.names.push(name.to_string()),
             other => return Err(format!("unknown option {other}")),
         }
@@ -174,7 +175,7 @@ fn parse_args() -> Result<Options, String> {
     if opts.write_thresholds && !opts.compare {
         return Err("--write-thresholds only makes sense with --compare".into());
     }
-    Ok(opts)
+    Ok(Some(opts))
 }
 
 fn selected(opts: &Options) -> Result<Vec<Scenario>, String> {
@@ -279,7 +280,7 @@ fn trace_one(name: &str, opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The per-pair regression gate shared by both `--compare` paths. With
+/// The per-pair regression gate of `--compare`. With
 /// `--write-thresholds`, (re)writes `<dir>/thresholds.json` from the deltas
 /// just computed; otherwise, when that file exists, checks every committed
 /// floor and returns `false` (exit 1) on any violation. No file, no gate —
@@ -308,7 +309,7 @@ fn threshold_gate(deltas: &[compare::PairDelta], opts: &Options) -> bool {
     let thresholds = match compare::load_thresholds(&path) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("cannot read {}: {e}", path.display());
+            eprintln!("cannot read thresholds: {e}");
             return false;
         }
     };
@@ -328,30 +329,46 @@ fn threshold_gate(deltas: &[compare::PairDelta], opts: &Options) -> bool {
     false
 }
 
-/// `--compare --no-run`: rebuild the delta table from the committed reports
-/// under `<dir>` without sweeping anything. Pairs missing either committed
-/// report are skipped (e.g. a twin added but not yet baselined); a present but
-/// malformed report is an error.
+/// The report of `scenario` under `<dir>`, `None` when there is no such file.
+/// Any other failure — unreadable, not JSON — is an error naming the file.
+fn load_if_present(opts: &Options, scenario: &Scenario) -> io::Result<Option<Json>> {
+    match report::load_report(opts.dir.join(format!("{}.json", scenario.name))) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        loaded => loaded.map(Some),
+    }
+}
+
+/// `--compare`: build the delta table from the reports under `<dir>` — after
+/// a sweep the ones it just wrote or verified, with `--no-run` whatever is
+/// there — persist it, and run the threshold gate. A pair missing either
+/// report is skipped (e.g. a twin added but not yet baselined, or a sweep of a
+/// few named cells into a fresh directory); a report that is present but does
+/// not load (the error names the file) or lacks a headline field (it names the
+/// scenario) fails the run.
 fn compare_committed(opts: &Options) -> ExitCode {
     let mut deltas = Vec::new();
     for (base, twin) in registry().pairs() {
-        let load = |s: &Scenario| report::load_report(opts.dir.join(format!("{}.json", s.name)));
-        let (base_doc, twin_doc) = match (load(base), load(twin)) {
-            (Ok(b), Ok(t)) => (b, t),
+        let (base_doc, twin_doc) = match (load_if_present(opts, base), load_if_present(opts, twin))
+        {
+            (Ok(Some(b)), Ok(Some(t))) => (b, t),
+            (Err(e), _) | (_, Err(e)) => {
+                eprintln!("--compare: {e}");
+                return ExitCode::FAILURE;
+            }
             _ => continue,
         };
-        let axis = twin.axis.map(|a| a.label().to_string()).unwrap_or_default();
-        match compare::PairDelta::from_committed(&base_doc, &twin_doc, &axis) {
+        let axis = twin.axis.map_or("", |a| a.label());
+        match compare::PairDelta::from_committed(&base_doc, &twin_doc, axis) {
             Ok(d) => deltas.push(d),
             Err(e) => {
-                eprintln!("--compare --no-run: {e}");
+                eprintln!("--compare: {e}");
                 return ExitCode::FAILURE;
             }
         }
     }
     if deltas.is_empty() {
         eprintln!(
-            "--compare --no-run: no (baseline, twin) pair has both reports under {}",
+            "--compare: no (baseline, twin) pair has both reports under {}",
             opts.dir.display()
         );
         return ExitCode::FAILURE;
@@ -418,7 +435,11 @@ fn run_scaling(opts: &Options) -> ExitCode {
 
 fn main() -> ExitCode {
     let opts = match parse_args() {
-        Ok(opts) => opts,
+        Ok(Some(opts)) => opts,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
@@ -446,7 +467,6 @@ fn main() -> ExitCode {
     };
 
     let mut regressions = 0usize;
-    let mut results: Vec<SweepReport> = Vec::with_capacity(scenarios.len());
     for mut scenario in scenarios {
         // Large-n scenarios selected by name go where `--full` puts them: the
         // untracked `full/` subdirectory, outside the `--check` contract.
@@ -465,15 +485,7 @@ fn main() -> ExitCode {
                 min_nodes: threshold,
             });
         }
-        let sweep = Sweep::over_seeds(scenario, opts.first_seed, opts.seeds);
-        // Full runs double as the parallelism measurement: the sequential
-        // baseline is timed too, the records are asserted identical, and the
-        // measured speedup lands in the meta sidecar and the summary line.
-        let result = if is_full {
-            sweep.run_compared()
-        } else {
-            sweep.run()
-        };
+        let result = Sweep::over_seeds(scenario, opts.first_seed, opts.seeds).run();
         println!("{}", result.summary());
         if opts.explain {
             // Failed seeds are cheap to replay one at a time: re-run each under a
@@ -535,40 +547,14 @@ fn main() -> ExitCode {
             eprintln!("  cannot write meta sidecar: {e}");
             return ExitCode::FAILURE;
         }
-        results.push(result);
-    }
-
-    if opts.compare {
-        let by_name = |name: &str| results.iter().find(|r| r.scenario.name == name);
-        let deltas: Vec<compare::PairDelta> = registry()
-            .pairs()
-            .filter_map(|(base, twin)| {
-                Some(compare::PairDelta::from_reports(
-                    by_name(&base.name)?,
-                    by_name(&twin.name)?,
-                ))
-            })
-            .collect();
-        if deltas.is_empty() {
-            eprintln!("--compare: no (baseline, twin) pair was fully swept in this run");
-        } else {
-            print!("{}", compare::render_table(&deltas));
-            match compare::write_compare_table(&deltas, opts.seeds, &opts.dir) {
-                Ok(path) => eprintln!("delta table persisted to {}", path.display()),
-                Err(e) => {
-                    eprintln!("cannot write delta table: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if !threshold_gate(&deltas, &opts) {
-                return ExitCode::FAILURE;
-            }
-        }
     }
 
     if regressions > 0 {
         eprintln!("{regressions} scenario(s) changed behavior");
         return ExitCode::FAILURE;
+    }
+    if opts.compare {
+        return compare_committed(&opts);
     }
     ExitCode::SUCCESS
 }

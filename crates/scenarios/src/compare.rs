@@ -3,19 +3,21 @@
 //! A twin scenario exists to answer *"what did the variant buy, and what did it
 //! cost?"* — but two 16-seed JSON reports side by side make the reader do the
 //! subtraction. This module does it mechanically: [`PairDelta`] condenses a
-//! `(baseline, twin)` sweep-report couple (see [`crate::Registry::pairs`]) into
-//! the four headline quantities — success rate, mean rounds, mean delivered
-//! messages, total retransmissions — and [`render_table`] lays any number of
-//! couples out as one markdown table, which `sweep_runner --compare` prints and
-//! persists next to the reports (and CI uploads as an artifact).
+//! `(baseline, twin)` couple of report documents (see
+//! [`crate::Registry::pairs`]) into the headline quantities — success rate,
+//! coverage, mean rounds, mean delivered messages, total retransmissions — and
+//! [`render_table`] lays any number of couples out as one markdown table, which
+//! `sweep_runner --compare` prints and persists next to the reports (and CI
+//! uploads as an artifact).
 //!
-//! The table is a pure function of the deterministic report bodies (wall-clock
-//! and worker counts never enter), so regenerating it on an unchanged tree is
-//! byte-identical.
+//! There is one comparator, [`PairDelta::from_committed`], and it reads report
+//! *documents*: the table after a sweep and the table of `--compare --no-run`
+//! are the same function over the same files. It is a pure function of the
+//! deterministic report bodies (wall-clock and worker counts never enter), so
+//! regenerating it on an unchanged tree is byte-identical.
 
 use crate::json::Json;
 use crate::report::load_report;
-use crate::sweep::SweepReport;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -59,39 +61,12 @@ pub struct TrafficDeltas {
 }
 
 impl PairDelta {
-    /// Condenses a baseline/twin report couple into its headline deltas.
-    pub fn from_reports(base: &SweepReport, twin: &SweepReport) -> PairDelta {
-        PairDelta {
-            baseline: base.scenario.name.clone(),
-            twin: twin.scenario.name.clone(),
-            axis: twin
-                .scenario
-                .axis
-                .map(|a| a.label().to_string())
-                .unwrap_or_default(),
-            success: (base.success_rate(), twin.success_rate()),
-            coverage: (base.mean_coverage(), twin.mean_coverage()),
-            rounds: (base.mean_rounds(), twin.mean_rounds()),
-            delivered: (base.mean_delivered(), twin.mean_delivered()),
-            retransmits: (base.total_retransmits(), twin.total_retransmits()),
-            traffic: (base.scenario.traffic.is_some() && twin.scenario.traffic.is_some()).then(
-                || TrafficDeltas {
-                    delivered_fraction: (
-                        base.mean_delivered_fraction(),
-                        twin.mean_delivered_fraction(),
-                    ),
-                    latency_p50: (base.mean_latency_p50(), twin.mean_latency_p50()),
-                    latency_p99: (base.mean_latency_p99(), twin.mean_latency_p99()),
-                },
-            ),
-        }
-    }
-
-    /// Condenses a couple of *committed* report documents (as parsed by
-    /// [`crate::report::load_report`]) into the same headline deltas — no
-    /// re-sweep needed, which is what makes `sweep_runner --compare --no-run`
-    /// free in CI. `axis` comes from the registry (the variant axis is not part
-    /// of the report body).
+    /// Condenses a couple of report documents — as parsed by
+    /// [`crate::report::load_report`], or straight from
+    /// [`crate::SweepReport::to_json`] — into their headline deltas. No
+    /// re-sweep is needed, which is what makes `sweep_runner --compare
+    /// --no-run` free in CI. `axis` comes from the registry (the variant axis
+    /// is not part of the report body).
     ///
     /// # Errors
     ///
@@ -413,99 +388,56 @@ mod tests {
     use crate::registry::registry;
     use crate::sweep::Sweep;
 
-    fn lossy_pair_delta(seeds: usize) -> PairDelta {
+    fn pair_delta(twin: &str, seeds: usize) -> PairDelta {
         let (base, twin) = registry()
             .pairs()
-            .find(|(_, t)| t.name == "lossy-ncc0-reliable")
+            .find(|(_, t)| t.name == twin)
             .expect("pair registered");
-        PairDelta::from_reports(
-            &Sweep::over_seeds(base.clone(), 0, seeds).run(),
-            &Sweep::over_seeds(twin.clone(), 0, seeds).run(),
-        )
+        let doc = |s: &crate::Scenario| Sweep::over_seeds(s.clone(), 0, seeds).run().to_json();
+        let axis = twin.axis.expect("twins declare an axis").label();
+        PairDelta::from_committed(&doc(base), &doc(twin), axis)
+            .expect("a report carries every headline field")
     }
 
     #[test]
     fn delta_condenses_the_pair_and_names_the_axis() {
-        let d = lossy_pair_delta(3);
+        let d = pair_delta("lossy-ncc0-reliable", 3);
         assert_eq!(d.baseline, "lossy-ncc0");
         assert_eq!(d.twin, "lossy-ncc0-reliable");
         assert_eq!(d.axis, "transport");
         assert!(d.success.1 >= d.success.0, "reliability lost seeds: {d:?}");
         assert_eq!(d.retransmits.0, 0, "bare baseline cannot retransmit");
+        assert!(
+            d.retransmits.1 > 0,
+            "0.2% loss must trigger retransmissions"
+        );
     }
 
     #[test]
     fn table_renders_one_row_per_pair_and_is_deterministic() {
-        let d = lossy_pair_delta(2);
+        let d = pair_delta("lossy-ncc0-reliable", 2);
         let table = render_table(std::slice::from_ref(&d));
         assert_eq!(table.lines().count(), 3, "header + divider + row:\n{table}");
         assert!(table.contains("| lossy-ncc0 | lossy-ncc0-reliable | transport |"));
         assert_eq!(
             table,
-            render_table(std::slice::from_ref(&lossy_pair_delta(2)))
+            render_table(std::slice::from_ref(&pair_delta("lossy-ncc0-reliable", 2)))
         );
     }
 
     #[test]
-    fn committed_reports_reproduce_the_live_delta() {
-        // --compare --no-run must agree with a fresh sweep, by construction:
-        // write both reports, reload them, and compare the two delta paths.
-        let (base, twin) = registry()
-            .pairs()
-            .find(|(_, t)| t.name == "lossy-ncc0-reliable")
-            .expect("pair registered");
-        let base_report = Sweep::over_seeds(base.clone(), 0, 2).run();
-        let twin_report = Sweep::over_seeds(twin.clone(), 0, 2).run();
-        let live = PairDelta::from_reports(&base_report, &twin_report);
-
-        let dir = std::env::temp_dir().join(format!("overlay-committed-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let base_path = crate::report::write_report(&base_report, &dir).unwrap();
-        let twin_path = crate::report::write_report(&twin_report, &dir).unwrap();
-        let committed = PairDelta::from_committed(
-            &crate::report::load_report(&base_path).unwrap(),
-            &crate::report::load_report(&twin_path).unwrap(),
-            &live.axis,
-        )
-        .expect("written reports carry every headline field");
-        assert_eq!(committed, live);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn traffic_columns_exist_only_for_traffic_pairs_and_survive_committing() {
-        // A classic construction pair has no traffic section, live or rendered.
-        let classic = lossy_pair_delta(2);
+    fn traffic_columns_exist_only_for_traffic_pairs() {
+        // A classic construction pair has no traffic section.
+        let classic = pair_delta("lossy-ncc0-reliable", 2);
         assert!(classic.traffic.is_none());
         assert!(!render_table(std::slice::from_ref(&classic)).contains("### Traffic"));
 
-        let (base, twin) = registry()
-            .pairs()
-            .find(|(_, t)| t.name == "traffic-uniform-tree")
-            .expect("traffic pair registered");
-        let base_report = Sweep::over_seeds(base.clone(), 0, 2).run();
-        let twin_report = Sweep::over_seeds(twin.clone(), 0, 2).run();
-        let live = PairDelta::from_reports(&base_report, &twin_report);
-        let t = live.traffic.expect("both sides route a workload");
+        let routed = pair_delta("traffic-uniform-tree", 2);
+        let t = routed.traffic.expect("both sides route a workload");
         assert!(t.delivered_fraction.0 > 0.0);
-        let table = render_table(std::slice::from_ref(&live));
+        let table = render_table(std::slice::from_ref(&routed));
         assert!(table.contains("### Traffic"), "{table}");
         assert!(table.contains("| traffic-uniform | traffic-uniform-tree |"));
-
-        // --compare --no-run reproduces the live traffic columns from the
-        // committed report headers.
-        let dir = std::env::temp_dir().join(format!("overlay-traffic-cmp-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let base_path = crate::report::write_report(&base_report, &dir).unwrap();
-        let twin_path = crate::report::write_report(&twin_report, &dir).unwrap();
-        let committed = PairDelta::from_committed(
-            &crate::report::load_report(&base_path).unwrap(),
-            &crate::report::load_report(&twin_path).unwrap(),
-            &live.axis,
-        )
-        .expect("committed traffic headers carry the aggregates");
-        assert_eq!(committed, live);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -519,7 +451,7 @@ mod tests {
     fn compare_table_persists_under_the_given_dir() {
         let dir = std::env::temp_dir().join(format!("overlay-compare-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let d = lossy_pair_delta(2);
+        let d = pair_delta("lossy-ncc0-reliable", 2);
         let path = write_compare_table(std::slice::from_ref(&d), 2, &dir).expect("write");
         assert_eq!(path.file_name().unwrap(), "compare.md");
         let body = std::fs::read_to_string(&path).unwrap();

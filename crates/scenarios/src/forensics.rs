@@ -178,7 +178,7 @@ pub fn post_mortem(scenario: &Scenario, run: &ForensicRun) -> PostMortem {
         missing: missing.into_values().collect(),
         dominant_drops,
         dead_peer_burn,
-        retransmits: run.record.retransmits,
+        retransmits: run.record.messages.retransmits,
         give_ups: run.report.phase_metrics.iter().map(|m| m.give_ups).sum(),
     }
 }

@@ -6,7 +6,10 @@
 //! concrete seeded [`overlay_netsim::FaultPlan`]). A [`Sweep`] executes a scenario
 //! across many seeds — in parallel via rayon — and aggregates the per-seed
 //! [`RunRecord`]s into a [`SweepReport`] with success rates, coverage, round counts
-//! and message-loss accounting, serializable to JSON.
+//! and message-loss accounting, serializable to JSON. A row carries the lower
+//! layers' results as they are — [`MessageStats`], [`ServeOutcome`],
+//! [`TrafficReport`] — rather than a copy of their fields, so a new counter is
+//! one struct field plus one JSON key in `sweep.rs`.
 //!
 //! # The registry
 //!
@@ -14,9 +17,10 @@
 //! [`Registry`]: validated at construction (unique kebab-case names, every
 //! [`Scenario::baseline`] pairing resolves, every derived twin differs from its
 //! baseline only along its declared [`VariantAxis`]), with indexed
-//! [`Registry::find`], tag/family/fault filtering, and a [`Registry::pairs`]
-//! iterator over `(baseline, twin)` couples. Sweep them all — or the ones named on
-//! the command line — with the `sweep_runner` binary, and discover the cells
+//! [`Registry::find`], tag filtering ([`Registry::filter_by_tag`] — family,
+//! fault and capacity labels are tags too), and a [`Registry::pairs`] iterator
+//! over `(baseline, twin)` couples. Sweep them all — or the ones named on the
+//! command line — with the `sweep_runner` binary, and discover the cells
 //! with `sweep_runner --list [--tag T]`.
 //!
 //! # Adding a matrix cell
@@ -48,7 +52,11 @@
 //! `reports/<scenario>.json`; [`report::diff_reports`] compares two such documents
 //! structurally for cross-commit regression checks (see the `sweep_runner` binary,
 //! which runs the whole registry, persists every report, and optionally `--check`s
-//! against the previous ones).
+//! against the previous ones). The baseline-vs-twin delta table
+//! (`sweep_runner --compare`) has one comparator, [`PairDelta::from_committed`],
+//! which reads those documents: after a sweep and with `--no-run` it is the same
+//! function over the same files. `--full` adds the large-`n` cells to a sweep and
+//! nothing else; serial-vs-chunked wall-clocks are `--scaling`'s job.
 //!
 //! # Determinism
 //!
@@ -75,7 +83,9 @@ pub use compare::{
 };
 pub use forensics::{post_mortem, MissingCause, MissingNode, PostMortem};
 pub use json::Json;
-pub use overlay_core::{PhaseId, PhaseMetrics, PhaseOverrides, RoundBudget, TransportChoice};
+pub use overlay_core::{
+    MessageStats, PhaseId, PhaseMetrics, PhaseOverrides, RoundBudget, ServeOutcome, TransportChoice,
+};
 pub use overlay_netsim::{ChurnSchedule, CrashBurst};
 pub use overlay_netsim::{MetricsMode, ParallelismConfig, TraceEvent, TransportConfig};
 pub use overlay_traffic::{RoutingPolicy, TrafficReport, Workload};

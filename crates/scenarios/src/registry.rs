@@ -1,5 +1,5 @@
 //! The first-class scenario registry: validated construction, indexed lookup,
-//! tag/family/fault filtering, and the baseline↔twin pairing iterator.
+//! tag filtering, and the baseline↔twin pairing iterator.
 //!
 //! The built-in matrix ([`registry`]) holds the hand-authored baselines plus
 //! every *derived* cell: the reliable-transport twins, the capacity and
@@ -187,23 +187,6 @@ impl Registry {
             .collect()
     }
 
-    /// Scenarios on the given graph family.
-    pub fn filter_by_family(&self, family: GraphFamily) -> Vec<&Scenario> {
-        self.scenarios
-            .iter()
-            .filter(|s| s.family == family)
-            .collect()
-    }
-
-    /// Scenarios whose fault load carries the given [`FaultSpec::label`]
-    /// (`"clean"`, `"lossy"`, `"crash-wave"`, ...).
-    pub fn filter_by_fault(&self, label: &str) -> Vec<&Scenario> {
-        self.scenarios
-            .iter()
-            .filter(|s| s.faults.label() == label)
-            .collect()
-    }
-
     /// Iterates the `(baseline, twin)` couples whose members are *both* in this
     /// registry, in twin registration order — the input to baseline-vs-twin
     /// delta tables (`sweep_runner --compare`).
@@ -234,145 +217,77 @@ fn is_kebab_case(name: &str) -> bool {
             .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
 }
 
-/// Checks that `twin` differs from `base` only along `axis`.
+type SameField = fn(&Scenario, &Scenario) -> bool;
+
+/// The fields that make two scenarios the same experiment, each with the name
+/// a [`RegistryError::AxisViolation`] reports it under. Name, description,
+/// tags and pairing metadata are labels; parallelism and metrics mode are
+/// result-invisible.
+const EXPERIMENT_FIELDS: [(&str, SameField); 9] = [
+    ("graph family", |a, b| a.family == b.family),
+    ("n", |a, b| a.n == b.n),
+    ("capacity profile", |a, b| a.capacity == b.capacity),
+    ("fault load", |a, b| a.faults == b.faults),
+    ("serve spec", |a, b| a.serve == b.serve),
+    ("traffic spec", |a, b| a.traffic == b.traffic),
+    ("transport", |a, b| a.transport == b.transport),
+    ("phase overrides", |a, b| a.phases == b.phases),
+    ("round budget", |a, b| a.round_budget == b.round_budget),
+];
+
+/// Checks that `twin` differs from `base` only along `axis`: the twin moved
+/// back along its axis — the axis's own field(s) reset to the baseline's —
+/// must be the same experiment as the baseline, and the twin must actually
+/// have moved.
 fn validate_axis(base: &Scenario, twin: &Scenario, axis: VariantAxis) -> Result<(), String> {
-    let mut problems = Vec::new();
-    let mut require = |ok: bool, what: &str| {
-        if !ok {
-            problems.push(what.to_string());
-        }
-    };
-    let same_family = twin.family == base.family;
-    let same_n = twin.n == base.n;
-    let same_capacity = twin.capacity == base.capacity;
-    let same_faults = twin.faults == base.faults;
-    let same_serve = twin.serve == base.serve;
-    let same_transport = twin.transport == base.transport;
-    let same_phases = twin.phases == base.phases;
-    let same_percent = twin.round_budget.as_percent() == base.round_budget.as_percent();
-    let same_budget = twin.round_budget == base.round_budget;
-    let same_traffic = twin.traffic == base.traffic;
-    match axis {
+    let mut rest = twin.clone();
+    let moved = match axis {
         VariantAxis::Transport => {
-            require(same_family, "transport twin changed the graph family");
-            require(same_n, "transport twin changed n");
-            require(same_capacity, "transport twin changed the capacity profile");
-            require(same_faults, "transport twin changed the fault load");
-            require(same_serve, "transport twin changed the serve spec");
-            require(same_traffic, "transport twin changed the traffic spec");
-            require(same_phases, "transport twin changed the phase overrides");
-            require(
-                same_percent,
-                "transport twin changed the budget multiplier (only flat slack is the axis's)",
-            );
-            require(
-                base.transport.is_none(),
-                "baseline of a transport twin already has a transport",
-            );
-            require(twin.transport.is_some(), "transport twin has no transport");
+            // The flat retry slack belongs to the axis; the percent multiplier
+            // does not.
+            rest.transport = base.transport;
+            rest.round_budget = twin.round_budget.with_slack(base.round_budget.slack());
+            base.transport.is_none() && twin.transport.is_some()
         }
         VariantAxis::Size => {
-            require(same_family, "size twin changed the graph family");
-            require(same_capacity, "size twin changed the capacity profile");
-            require(same_faults, "size twin changed the fault load");
-            require(same_serve, "size twin changed the serve spec");
-            require(same_traffic, "size twin changed the traffic spec");
-            require(same_transport, "size twin changed the transport");
-            require(same_phases, "size twin changed the phase overrides");
-            require(same_budget, "size twin changed the round budget");
-            require(!same_n, "size twin does not change n");
+            rest.n = base.n;
+            twin.n != base.n
         }
         VariantAxis::Capacity => {
-            require(same_family, "capacity twin changed the graph family");
-            require(same_n, "capacity twin changed n");
-            require(same_faults, "capacity twin changed the fault load");
-            require(same_serve, "capacity twin changed the serve spec");
-            require(same_traffic, "capacity twin changed the traffic spec");
-            require(same_transport, "capacity twin changed the transport");
-            require(same_phases, "capacity twin changed the phase overrides");
-            require(same_budget, "capacity twin changed the round budget");
-            require(
-                !same_capacity,
-                "capacity twin does not change the capacity profile",
-            );
+            rest.capacity = base.capacity;
+            twin.capacity != base.capacity
         }
         VariantAxis::Phases => {
-            require(same_family, "phase twin changed the graph family");
-            require(same_n, "phase twin changed n");
-            require(same_capacity, "phase twin changed the capacity profile");
-            require(same_faults, "phase twin changed the fault load");
-            require(same_serve, "phase twin changed the serve spec");
-            require(same_traffic, "phase twin changed the traffic spec");
-            require(
-                same_transport,
-                "phase twin changed the scenario-wide transport",
-            );
-            require(
-                same_budget,
-                "phase twin changed the scenario-wide round budget",
-            );
-            require(!twin.phases.is_empty(), "phase twin declares no overrides");
-            require(
-                !same_phases,
-                "phase twin does not change the phase overrides",
-            );
+            rest.phases = base.phases;
+            !twin.phases.is_empty() && twin.phases != base.phases
         }
-        VariantAxis::Maintenance => {
-            require(same_family, "maintenance twin changed the graph family");
-            require(same_n, "maintenance twin changed n");
-            require(
-                same_capacity,
-                "maintenance twin changed the capacity profile",
-            );
-            require(same_faults, "maintenance twin changed the fault load");
-            require(same_traffic, "maintenance twin changed the traffic spec");
-            require(same_transport, "maintenance twin changed the transport");
-            require(same_phases, "maintenance twin changed the phase overrides");
-            require(same_budget, "maintenance twin changed the round budget");
-            match (base.serve, twin.serve) {
-                (Some(b), Some(t)) => {
-                    require(
-                        !b.reinvite && t.reinvite,
-                        "maintenance twin must switch re-invitation from off to on",
-                    );
-                    require(
-                        ServeSpec {
-                            reinvite: false,
-                            ..t
-                        } == b,
-                        "maintenance twin changed the serve spec beyond re-invitation",
-                    );
-                }
-                _ => require(false, "maintenance twin needs serve specs on both sides"),
+        // Only the re-invitation switch is the axis's, and only off → on.
+        VariantAxis::Maintenance => match (base.serve, rest.serve.as_mut()) {
+            (Some(b), Some(t)) => {
+                let switched_on = !b.reinvite && t.reinvite;
+                t.reinvite = b.reinvite;
+                switched_on
             }
-        }
+            _ => false,
+        },
         VariantAxis::Traffic => {
-            require(same_family, "traffic twin changed the graph family");
-            require(same_n, "traffic twin changed n");
-            require(same_capacity, "traffic twin changed the capacity profile");
-            require(same_faults, "traffic twin changed the fault load");
-            require(same_serve, "traffic twin changed the serve spec");
-            require(same_transport, "traffic twin changed the transport");
-            require(same_phases, "traffic twin changed the phase overrides");
-            require(same_budget, "traffic twin changed the round budget");
-            require(
-                base.traffic.is_some() && twin.traffic.is_some(),
-                "traffic twin needs traffic specs on both sides",
-            );
-            require(
-                !same_traffic,
-                "traffic twin does not change the traffic spec",
-            );
+            rest.traffic = base.traffic;
+            base.traffic.is_some() && twin.traffic.is_some() && twin.traffic != base.traffic
         }
+    };
+    let label = axis.label();
+    let mut problems: Vec<String> = EXPERIMENT_FIELDS
+        .iter()
+        .filter(|(_, same)| !same(base, &rest))
+        .map(|(field, _)| format!("{label} twin changed the {field}"))
+        .collect();
+    if !moved {
+        problems.push(format!("{label} twin does not move along its axis"));
     }
     if problems.is_empty() {
         Ok(())
     } else {
-        Err(format!(
-            "axis {} violated: {}",
-            axis.label(),
-            problems.join("; ")
-        ))
+        Err(format!("axis {label} violated: {}", problems.join("; ")))
     }
 }
 
@@ -940,7 +855,7 @@ mod tests {
     }
 
     #[test]
-    fn filters_cover_tags_families_and_faults() {
+    fn tag_filter_covers_annotations_and_structural_facets() {
         let reg = registry();
         assert!(!reg.filter_by_tag("matrix").is_empty());
         let reliable = reg.filter_by_tag("reliable");
@@ -957,9 +872,9 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec!["lossy-ncc0-binarize-reliable"],
         );
-        assert!(!reg.filter_by_family(GraphFamily::BinaryTree).is_empty());
+        assert!(!reg.filter_by_tag("binary-tree").is_empty());
         assert_eq!(
-            reg.filter_by_fault("crash-then-loss")
+            reg.filter_by_tag("crash-then-loss")
                 .iter()
                 .map(|s| s.name.as_str())
                 .collect::<Vec<_>>(),
@@ -1071,7 +986,11 @@ mod tests {
         for s in registry() {
             let r = s.run(1);
             assert!(r.rounds > 0, "{} executed no rounds", s.name);
-            assert!(r.delivered > 0, "{} delivered nothing", s.name);
+            assert!(
+                r.messages.total_delivered > 0,
+                "{} delivered nothing",
+                s.name
+            );
         }
     }
 }

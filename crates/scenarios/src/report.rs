@@ -9,8 +9,8 @@
 //! * [`write_report`] renders a report to `<dir>/<scenario-name>.json` (pretty,
 //!   trailing newline), creating the directory if needed — the conventional
 //!   location is a `reports/` directory at the repository root;
-//! * [`diff_reports`] / [`diff_report_files`] compare two report documents
-//!   *structurally* and return one human-readable line per differing value, with
+//! * [`diff_reports`] compares two report documents *structurally* and returns
+//!   one human-readable line per differing value, with
 //!   its JSON path (e.g. ``runs[3].delivered: 128 -> 131``), so a regression diff
 //!   names exactly which seed and which counter moved rather than dumping raw text.
 //!
@@ -41,9 +41,7 @@ pub fn write_report(report: &SweepReport, dir: impl AsRef<Path>) -> io::Result<P
 /// Writes the run-environment sidecar `<dir>/<scenario-name>.meta.json` —
 /// wall-clock time and worker counts (configured and *observed*), the facts
 /// deliberately excluded from the deterministic body — and returns the written
-/// path. Reports produced by [`crate::Sweep::run_compared`] additionally record
-/// the sequential baseline's wall-clock (`serial_wall_ms`) and the measured
-/// `speedup`.
+/// path.
 ///
 /// The sidecar is derived, machine-specific output: it sits next to the
 /// committed report but stays untracked (gitignored), so the baselines remain
@@ -56,7 +54,7 @@ pub fn write_meta(report: &SweepReport, dir: impl AsRef<Path>) -> io::Result<Pat
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{}.meta.json", report.scenario.name));
-    let mut fields = vec![
+    let body = Json::obj(vec![
         ("scenario", Json::Str(report.scenario.name.clone())),
         ("seeds", Json::Int(report.records.len() as i64)),
         ("wall_ms", Json::UInt(report.wall.as_millis() as u64)),
@@ -65,14 +63,7 @@ pub fn write_meta(report: &SweepReport, dir: impl AsRef<Path>) -> io::Result<Pat
             "observed_workers",
             Json::Int(report.observed_workers as i64),
         ),
-    ];
-    if let Some(serial) = report.serial_wall {
-        fields.push(("serial_wall_ms", Json::UInt(serial.as_millis() as u64)));
-        if let Some(speedup) = report.speedup() {
-            fields.push(("speedup", Json::Num(speedup)));
-        }
-    }
-    let body = Json::obj(fields);
+    ]);
     let mut text = body.render_pretty();
     text.push('\n');
     std::fs::write(&path, text)?;
@@ -83,16 +74,14 @@ pub fn write_meta(report: &SweepReport, dir: impl AsRef<Path>) -> io::Result<Pat
 ///
 /// # Errors
 ///
-/// Returns the filesystem error, or [`io::ErrorKind::InvalidData`] if the file is
-/// not valid JSON.
+/// Returns the filesystem error (same [`io::ErrorKind`]), or
+/// [`io::ErrorKind::InvalidData`] if the file is not valid JSON; either way
+/// the message names the file.
 pub fn load_report(path: impl AsRef<Path>) -> io::Result<Json> {
-    let text = std::fs::read_to_string(path.as_ref())?;
-    Json::parse(&text).map_err(|e| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{}: {e}", path.as_ref().display()),
-        )
-    })
+    let path = path.as_ref();
+    let named = |kind, e: String| io::Error::new(kind, format!("{}: {e}", path.display()));
+    let text = std::fs::read_to_string(path).map_err(|e| named(e.kind(), e.to_string()))?;
+    Json::parse(&text).map_err(|e| named(io::ErrorKind::InvalidData, e.to_string()))
 }
 
 /// Structurally compares two report documents and returns one line per difference,
@@ -103,15 +92,6 @@ pub fn diff_reports(old: &Json, new: &Json) -> Vec<String> {
     let mut out = Vec::new();
     diff_value("", old, new, &mut out);
     out
-}
-
-/// [`diff_reports`] over two files on disk.
-///
-/// # Errors
-///
-/// Propagates read/parse errors from either side (see [`load_report`]).
-pub fn diff_report_files(old: impl AsRef<Path>, new: impl AsRef<Path>) -> io::Result<Vec<String>> {
-    Ok(diff_reports(&load_report(old)?, &load_report(new)?))
 }
 
 fn diff_value(path: &str, old: &Json, new: &Json, out: &mut Vec<String>) {
@@ -201,21 +181,8 @@ mod tests {
         assert!(rendered.contains("\"wall_ms\""));
         assert!(rendered.contains(&format!("\"workers\":{}", report.workers)));
         assert!(rendered.contains(&format!("\"observed_workers\":{}", report.observed_workers)));
-        // Plain runs carry no comparison data.
-        assert!(!rendered.contains("serial_wall_ms"));
         // The deterministic body must not mention the environment facts.
         assert!(!report.to_json_string().contains("wall_ms"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compared_meta_sidecar_records_the_serial_baseline() {
-        let dir = temp_dir("meta-compared");
-        let report = Sweep::over_seeds(find("clean-line").unwrap(), 0, 2).run_compared();
-        assert!(report.serial_wall.is_some());
-        let path = write_meta(&report, &dir).expect("write succeeds");
-        let rendered = load_report(&path).expect("sidecar parses").render();
-        assert!(rendered.contains("\"serial_wall_ms\""), "{rendered}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -253,14 +220,16 @@ mod tests {
     }
 
     #[test]
-    fn diff_of_reruns_is_empty_and_file_diff_works() {
+    fn diff_of_reruns_is_empty() {
         let dir = temp_dir("rerun");
         let sweep = Sweep::over_seeds(find("mid-build-crash-wave").unwrap(), 40, 3);
-        let a = sweep.run();
-        let path_a = write_report(&a, dir.join("a")).unwrap();
+        let path_a = write_report(&sweep.run(), dir.join("a")).unwrap();
         let path_b = write_report(&sweep.run(), dir.join("b")).unwrap();
         assert_eq!(
-            diff_report_files(&path_a, &path_b).expect("both parse"),
+            diff_reports(
+                &load_report(&path_a).expect("parses"),
+                &load_report(&path_b).expect("parses")
+            ),
             Vec::<String>::new()
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -17,6 +17,7 @@
 
 use crate::scenario::Scenario;
 use crate::VariantAxis;
+use overlay_netsim::caps::log2_ceil;
 use overlay_netsim::ParallelismConfig;
 use std::time::{Duration, Instant};
 
@@ -141,15 +142,11 @@ pub fn run_cell(scenario: &Scenario, seed: u64, min_nodes: usize) -> ScalingCell
         n: scenario.actual_n(),
         rounds: serial_record.rounds,
         success: serial_record.success,
-        delivered: serial_record.delivered,
+        delivered: serial_record.messages.total_delivered,
         serial_wall,
         parallel_wall,
         workers: rayon::current_num_threads(),
     }
-}
-
-fn log2_ceil(n: usize) -> usize {
-    (usize::BITS - n.max(1).saturating_sub(1).leading_zeros()) as usize
 }
 
 /// Renders the committed markdown scaling report: machine facts, the per-cell
@@ -315,13 +312,5 @@ mod tests {
         let multi_text = render_markdown(&multi, &[cell]);
         assert!(multi_text.contains("| speedup |"), "{multi_text}");
         assert!(!multi_text.contains("single core"), "{multi_text}");
-    }
-
-    #[test]
-    fn log2_ceil_matches_the_netsim_definition() {
-        assert_eq!(log2_ceil(1), 0);
-        assert_eq!(log2_ceil(2), 1);
-        assert_eq!(log2_ceil(3), 2);
-        assert_eq!(log2_ceil(65536), 16);
     }
 }

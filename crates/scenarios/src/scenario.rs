@@ -2,8 +2,8 @@
 
 use overlay_core::{
     BuildReport, ExecutedPhase, ExpanderNode, ExpanderParams, MaintenanceConfig, MaintenanceRunner,
-    OverlayBuilder, OverlayResult, Phase, PhaseExecSpec, PhaseExecutor, PhaseId, PhaseOverrides,
-    RoundBudget, SimExecutor, TransportChoice,
+    MessageStats, OverlayBuilder, OverlayResult, Phase, PhaseExecSpec, PhaseExecutor, PhaseId,
+    PhaseOverrides, RoundBudget, ServeOutcome, SimExecutor, TransportChoice,
 };
 use overlay_graph::{generators, DiGraph, NodeId, UGraph};
 use overlay_netsim::{
@@ -607,23 +607,10 @@ pub struct RunRecord {
     pub tree_height: usize,
     /// Tree degree (0 when no tree formed).
     pub tree_degree: usize,
-    /// Messages delivered across all phases.
-    pub delivered: u64,
-    /// Messages lost to injected faults (loss + partitions).
-    pub dropped_fault: u64,
-    /// Messages to crashed/dormant nodes.
-    pub dropped_offline: u64,
-    /// Messages dropped by the NCC0 receive cap.
-    pub dropped_receive: u64,
-    /// Messages that suffered injected delays.
-    pub delayed: u64,
-    /// Transport-layer retransmissions (zero for bare scenarios).
-    pub retransmits: u64,
-    /// Transport-layer acknowledgment messages (zero for bare scenarios).
-    pub acks: u64,
-    /// Duplicate payloads the transport layer suppressed (zero for bare
-    /// scenarios).
-    pub dupes_dropped: u64,
+    /// The pipeline's message statistics across all phases that ran
+    /// (delivered, drops by cause, delays, transport-layer traffic), as
+    /// [`BuildReport::messages`] reported them.
+    pub messages: MessageStats,
     /// Crash events executed.
     pub crashed: usize,
     /// Join events executed.
@@ -641,63 +628,18 @@ pub struct RunRecord {
     pub traffic: Option<TrafficRecord>,
 }
 
-/// The per-seed service-level outcome of a serve scenario's maintenance phase —
-/// a flattening of [`overlay_core::ServeOutcome`] into the sweep row. The
-/// default is the zeroed record of a serve cell whose construction failed:
-/// nothing was served, so service coverage is 0 — the honest reading of "the
-/// overlay was never available".
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+/// The per-seed outcome of a serve scenario's maintenance phase: the
+/// [`ServeOutcome`] of its epoch loop, and whether there was an overlay to
+/// serve at all. The default is the record of a serve cell whose construction
+/// failed: nothing was served, so service coverage is 0 — the honest reading
+/// of "the overlay was never available".
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServeRecord {
     /// Whether the maintenance loop ran at all (construction must produce an
-    /// overlay to serve; a failed build leaves everything below zeroed).
+    /// overlay to serve; a failed build leaves `outcome` zeroed).
     pub served: bool,
-    /// Steady-state coverage: mean over the final half of the epoch boundaries.
-    pub sustained_coverage: f64,
-    /// Mean coverage across all epoch boundaries.
-    pub coverage_mean: f64,
-    /// Minimum coverage observed at any boundary.
-    pub coverage_floor: f64,
-    /// Epoch boundaries whose tree failed well-formedness validation.
-    pub wf_violations: usize,
-    /// Re-invitations issued across the run.
-    pub reinvites_sent: usize,
-    /// Re-invitations that survived loss and admitted their straggler.
-    pub reinvites_delivered: usize,
-    /// Repair evolutions executed.
-    pub repairs: usize,
-    /// Members re-attached by repair across the run.
-    pub healed: usize,
-    /// Worst rounds-to-repair after a correlated crash burst (0 without bursts).
-    pub rounds_to_repair_max: usize,
-    /// Arrivals over the service horizon.
-    pub joined: usize,
-    /// Graceful departures over the service horizon.
-    pub left: usize,
-    /// Crash-stop failures over the service horizon.
-    pub crashed: usize,
-    /// Members alive when the horizon ended.
-    pub final_alive: usize,
-}
-
-impl ServeRecord {
-    fn from_outcome(outcome: &overlay_core::ServeOutcome) -> Self {
-        ServeRecord {
-            served: true,
-            sustained_coverage: outcome.sustained_coverage,
-            coverage_mean: outcome.coverage_mean,
-            coverage_floor: outcome.coverage_floor,
-            wf_violations: outcome.wf_violations,
-            reinvites_sent: outcome.reinvites_sent,
-            reinvites_delivered: outcome.reinvites_delivered,
-            repairs: outcome.repairs,
-            healed: outcome.healed,
-            rounds_to_repair_max: outcome.rounds_to_repair_max,
-            joined: outcome.joined,
-            left: outcome.left,
-            crashed: outcome.crashed,
-            final_alive: outcome.final_alive,
-        }
-    }
+    /// The service-level outcome across all epoch boundaries.
+    pub outcome: ServeOutcome,
 }
 
 /// The per-seed outcome of a traffic scenario's routing phase: the
@@ -1106,7 +1048,6 @@ impl Scenario {
             epoch_rounds: spec.epoch_rounds,
             epochs: spec.epochs,
             reinvite: spec.reinvite,
-            repair: true,
             invite_loss: self.invite_loss(),
             // The reliable transport retries invitations the way it retries
             // data; a bare cell gets one attempt per boundary.
@@ -1256,7 +1197,10 @@ impl Scenario {
             tally.absorb(&run.summaries, run.rounds);
         }
         (
-            runner.map(|runner| ServeRecord::from_outcome(&runner.into_outcome())),
+            runner.map(|runner| ServeRecord {
+                served: true,
+                outcome: runner.into_outcome(),
+            }),
             self.traffic.map(|_| TrafficRecord {
                 routed: true,
                 report: tally.report(),
@@ -1264,11 +1208,11 @@ impl Scenario {
         )
     }
 
-    /// Flattens a finished pipeline report (plus the maintenance phase of a
-    /// serving scenario) into the sweep's record row. For serve cells the
-    /// headline coverage is the *sustained* service coverage, success
-    /// additionally requires a violation-free tree at every epoch boundary,
-    /// and the service horizon counts toward the round total.
+    /// Assembles the sweep's record row from a finished pipeline report and
+    /// the post-build records. For serve cells the headline coverage is the
+    /// *sustained* service coverage and success additionally requires a
+    /// violation-free tree at every epoch boundary; the service horizon and
+    /// the routing rounds count toward the round total.
     fn record_from(
         &self,
         seed: u64,
@@ -1282,46 +1226,30 @@ impl Scenario {
             .as_ref()
             .map(|r| (r.tree.height(), r.tree.max_degree()))
             .unwrap_or((0, 0));
-        let mut record = RunRecord {
+        let service_rounds = match (&serve, self.serve) {
+            (Some(record), Some(spec)) if record.served => spec.horizon(),
+            _ => 0,
+        };
+        let routing_rounds = traffic.map_or(0, |t| t.report.rounds);
+        let outcome = serve.as_ref().map(|s| &s.outcome);
+        RunRecord {
             seed,
             round_budget_percent: self.round_budget.as_percent(),
             round_budget_slack: self.round_budget.slack(),
-            success: report.is_success(),
+            success: report.is_success() && outcome.is_none_or(|o| o.wf_violations == 0),
             completed: report.result.is_some(),
-            coverage: report.coverage(n),
-            rounds: report.rounds.total(),
+            coverage: outcome.map_or_else(|| report.coverage(n), |o| o.sustained_coverage),
+            rounds: report.rounds.total() + service_rounds + routing_rounds,
             core_size: report.survivor_ids.len(),
             tree_height,
             tree_degree,
-            delivered: report.messages.total_delivered,
-            dropped_fault: report.messages.dropped_fault,
-            dropped_offline: report.messages.dropped_offline,
-            dropped_receive: report.messages.dropped_receive,
-            delayed: report.messages.delayed,
-            retransmits: report.messages.retransmits,
-            acks: report.messages.acks,
-            dupes_dropped: report.messages.dupes_dropped,
+            messages: report.messages,
             crashed: report.crashed,
             joined: report.joined,
             stalled_phase: report.stalled_phase().unwrap_or(""),
-            serve: None,
-            traffic: None,
-        };
-        if let Some(serve) = serve {
-            record.coverage = serve.sustained_coverage;
-            record.success = record.success && serve.wf_violations == 0;
-            if serve.served {
-                record.rounds += self.serve.expect("serve record implies spec").horizon();
-            }
-            record.serve = Some(serve);
+            serve,
+            traffic,
         }
-        if let Some(traffic) = traffic {
-            // Routing rounds count toward the run's horizon the way service
-            // rounds do.
-            record.rounds += traffic.report.rounds;
-            record.traffic = Some(traffic);
-        }
-        record
     }
 
     /// Runs the scenario once under `seed`, deterministically.
@@ -1476,7 +1404,7 @@ mod tests {
         assert!(r.success && r.completed);
         assert!((r.coverage - 1.0).abs() < 1e-12);
         assert_eq!(r.core_size, 48);
-        assert_eq!(r.dropped_fault, 0);
+        assert_eq!(r.messages.dropped_fault, 0);
         assert_eq!(r.stalled_phase, "");
     }
 
@@ -1495,13 +1423,13 @@ mod tests {
         let reliable = bare.reliable(TransportConfig::default(), 12);
         let r_bare = bare.run(2);
         let r_rel = reliable.run(2);
-        assert_eq!(r_bare.retransmits, 0);
-        assert_eq!(r_bare.acks, 0);
+        assert_eq!(r_bare.messages.retransmits, 0);
+        assert_eq!(r_bare.messages.acks, 0);
         assert!(
-            r_rel.retransmits > 0,
+            r_rel.messages.retransmits > 0,
             "2% loss must trigger retransmissions"
         );
-        assert!(r_rel.acks > 0);
+        assert!(r_rel.messages.acks > 0);
         assert!(
             r_rel.coverage >= r_bare.coverage,
             "reliability must not reduce coverage ({} < {})",

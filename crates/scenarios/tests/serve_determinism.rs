@@ -87,6 +87,6 @@ fn clean_serve_run_is_well_formed_at_every_epoch_boundary() {
 
     let serve = run.record.serve.expect("serve cell records serve outcome");
     assert!(serve.served);
-    assert_eq!(serve.wf_violations, 0);
+    assert_eq!(serve.outcome.wf_violations, 0);
     assert!(run.record.success);
 }

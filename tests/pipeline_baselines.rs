@@ -8,7 +8,7 @@
 
 use overlay_networks::scenarios::{registry, report, Json, Sweep};
 use proptest::prelude::*;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Number of seeds in every committed baseline sweep.
 const BASELINE_SEEDS: usize = 16;
@@ -24,12 +24,15 @@ fn field<'a>(value: &'a Json, key: &str) -> &'a Json {
     }
 }
 
-fn committed_run(scenario_name: &str, seed: usize) -> Json {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+fn committed_path(scenario_name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("reports")
-        .join(format!("{scenario_name}.json"));
-    let report = report::load_report(&path)
-        .unwrap_or_else(|e| panic!("cannot load baseline {}: {e}", path.display()));
+        .join(format!("{scenario_name}.json"))
+}
+
+fn committed_run(scenario_name: &str, seed: usize) -> Json {
+    let path = committed_path(scenario_name);
+    let report = report::load_report(&path).unwrap_or_else(|e| panic!("cannot load baseline: {e}"));
     assert_eq!(
         field(&report, "seeds").render(),
         BASELINE_SEEDS.to_string(),
@@ -87,4 +90,34 @@ fn clean_line_seed_zero_matches_baseline_exactly() {
         other => panic!("runs must be an array, got {other:?}"),
     };
     assert_eq!(fresh_run.render(), committed_run("clean-line", 0).render());
+}
+
+/// The bytes, not just the structure: `sweep_runner --check` and the tests
+/// above compare parsed values, so a header key that moved or a float that
+/// renders differently is invisible to them. Three cells cover every header
+/// shape — the plain one, `tags` plus `phase_overrides`, and both optional
+/// sections (`serve` and `traffic`) — and their regenerated reports must equal
+/// the committed files exactly.
+#[test]
+fn regenerated_reports_equal_the_committed_files_byte_for_byte() {
+    for name in [
+        "clean-line",
+        "lossy-ncc0-binarize-reliable",
+        "traffic-serve-churn",
+    ] {
+        let scenario = registry().find(name).cloned().expect("registered");
+        let fresh = Sweep::over_seeds(scenario, 0, BASELINE_SEEDS)
+            .run()
+            .to_json_string()
+            + "\n";
+        let path = committed_path(name);
+        let committed = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        assert!(
+            fresh == committed,
+            "{name}: regenerated report differs from {} in bytes (key order or \
+             number formatting, if `sweep_runner --check {name}` still passes)",
+            path.display()
+        );
+    }
 }

@@ -230,11 +230,11 @@ fn loss_rate_zero_twin_matches_the_unwrapped_sweep() {
         assert_eq!(b.tree_height, t.tree_height, "seed {seed}");
         assert_eq!(b.tree_degree, t.tree_degree, "seed {seed}");
         // The transport's only trace is ack traffic and the per-phase ack drain.
-        assert_eq!(t.retransmits, 0, "seed {seed}");
-        assert_eq!(t.dupes_dropped, 0, "seed {seed}");
-        assert!(t.acks > 0, "seed {seed}");
-        assert_eq!(b.retransmits, 0);
-        assert_eq!(b.acks, 0);
+        assert_eq!(t.messages.retransmits, 0, "seed {seed}");
+        assert_eq!(t.messages.dupes_dropped, 0, "seed {seed}");
+        assert!(t.messages.acks > 0, "seed {seed}");
+        assert_eq!(b.messages.retransmits, 0);
+        assert_eq!(b.messages.acks, 0);
         assert!(
             t.rounds <= b.rounds + 3,
             "seed {seed}: drain cost {} -> {}",
