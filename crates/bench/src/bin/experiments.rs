@@ -1,4 +1,4 @@
-//! Regenerates the experiment tables of EXPERIMENTS.md.
+//! Regenerates the experiment tables E1–E14 of [`overlay_bench`].
 //!
 //! Usage:
 //!

@@ -1,4 +1,4 @@
-//! Experiment harness: one function per experiment of EXPERIMENTS.md (E1–E14).
+//! Experiment harness: one function per experiment (E1–E14).
 //!
 //! Every function prints a self-describing table to stdout and returns the rows so that
 //! tests can reuse them. Run all experiments with

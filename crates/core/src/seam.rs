@@ -19,11 +19,12 @@
 //!   the summaries the simulator hands the driver a [`SimDetail`] (full
 //!   metrics, done count, wall-clock) through
 //!   [`PhaseExecutor::execute_detailed`]; no other medium can.
-//! * The socket-backed runners in the `overlay-net` crate — one thread per
-//!   node over in-process channels, or multiple OS processes over TCP. They
-//!   replicate the simulator's delivery order, RNG seeding and stop rule, so
-//!   per seed the final overlay graph is *identical* to the simulator's; the
-//!   cross-backend equivalence tests in `overlay-net` pin that claim.
+//! * The socket-backed runners in the `overlay-net` crate — one stepping
+//!   loop per rank: a single rank owning every node, or multiple OS
+//!   processes over TCP. They replicate the simulator's delivery order, RNG
+//!   seeding and stop rule, so per seed the final overlay graph is
+//!   *identical* to the simulator's; the cross-backend equivalence tests in
+//!   `overlay-net` pin that claim.
 //!
 //! Summaries exist because a multi-process executor cannot hand back remote
 //! nodes' full protocol states. Each phase's hand-off needs only a small
@@ -231,7 +232,7 @@ pub type DetailedPhase<S> = (ExecutedPhase<S>, Option<SimDetail>);
 /// `r`'s sends are delivered at round `r + 1`, inboxes are ordered by sender
 /// id then send order, the per-sender global send cap applies, and execution
 /// stops when every node is done or the budget is exhausted — but are free to
-/// realize it over any medium (the lockstep simulator, threads and channels,
+/// realize it over any medium (the lockstep simulator, an in-process rank,
 /// TCP sockets). The phase carries the [`overlay_netsim::FaultPlan`] of its
 /// window: an executor either injects it (the simulator) or refuses a plan
 /// that is not clean (the socket runners) — never silently drops it.
@@ -242,8 +243,9 @@ pub trait PhaseExecutor {
 
     /// Executes `phase` under `spec`, returning every node's summary.
     ///
-    /// `P: Send` (and `P::Message: Send`) because threaded executors move each
-    /// node's state into its own worker thread; the simulator ignores it.
+    /// `P: Send` (and `P::Message: Send`) so an executor may step nodes on
+    /// worker threads (the simulator's chunks do) or be moved, nodes and all,
+    /// onto a thread of its own (each rank of an in-process TCP mesh is).
     fn execute<P: Summarize + Send>(
         &mut self,
         phase: Phase<P>,

@@ -12,8 +12,7 @@
 //! The spanning tree, the helper-graph component computation and the final grouping run
 //! through the hybrid pipelines of this crate; the label/aggregate computation
 //! (`l`, `nd`, `low`, `high`) is performed by the harness and charged `O(log n)` rounds,
-//! standing in for the Euler-tour/pointer-jumping primitives of \[19\] the paper invokes
-//! (see DESIGN.md).
+//! standing in for the Euler-tour/pointer-jumping primitives of \[19\] the paper invokes.
 
 use crate::components::{ComponentsConfig, HybridComponents};
 use crate::spanning_tree::{HybridSpanningTree, SpanningTreeResult};

@@ -9,7 +9,7 @@
 //! The adapted algorithm of Theorem 4.1 additionally stitches short walks into longer
 //! ones (Lemma 4.2) to shave the round complexity from `O(log m · ℓ)` to
 //! `O(log m + log log n)`; this reproduction runs the plain evolutions, so measured
-//! rounds scale as `O(log m)` with the constant `ℓ + 1` (see DESIGN.md).
+//! rounds scale as `O(log m)` with the constant `ℓ + 1`.
 
 use crate::sparsify::{sparsify, SparsifyResult};
 use overlay_core::{ExpanderParams, OverlayBuilder, OverlayError, WellFormedTree};

@@ -17,8 +17,7 @@
 //!   via shattering plus parallel Métivier executions on the shattered components.
 //!
 //! Each module documents which steps run as message-level protocols in the simulator
-//! and which steps are executed by the harness with explicit round accounting (see
-//! DESIGN.md for the substitution table).
+//! and which steps are executed by the harness with explicit round accounting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,7 +18,7 @@
 //! graph. The parallel
 //! Métivier executions and the winner selection are simulated by the harness per
 //! component (each execution is the exact random process, with its round count
-//! recorded); the charged rounds follow the paper's accounting (see DESIGN.md).
+//! recorded); the charged rounds follow the paper's accounting.
 
 use overlay_graph::{analysis, DiGraph, NodeId, UGraph};
 use overlay_netsim::caps::log2_ceil;

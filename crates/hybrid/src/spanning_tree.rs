@@ -16,7 +16,7 @@
 //!
 //! Steps 2–3 run the same random experiment as the distributed protocol; steps 4–5 are
 //! executed by the harness with the paper's round accounting (one round per unwinding
-//! level plus `O(log n)` for the loop erasure; see DESIGN.md).
+//! level plus `O(log n)` for the loop erasure).
 
 use crate::sparsify::{sparsify, SparsifyResult};
 use overlay_core::{benign, EvolutionEngine, ExpanderParams, OverlayError};

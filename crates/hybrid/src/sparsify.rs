@@ -10,7 +10,7 @@
 //! The spanner's broadcast phase (every node floods its exponential random value for
 //! `2·log m + 1` rounds over local edges) and the one-round delegation are standard
 //! CONGEST procedures; here they are computed by the harness with the same semantics
-//! and charged `2·⌈log₂ m⌉ + 3` rounds (see DESIGN.md, substitution table).
+//! and charged `2·⌈log₂ m⌉ + 3` rounds.
 
 use overlay_graph::{analysis, DiGraph, NodeId, UGraph};
 use overlay_netsim::caps::log2_ceil;

@@ -1,80 +1,62 @@
-//! The [`Backend`] seam: how frames move and rounds synchronize.
+//! The [`Backend`] seam: how a rank's frames leave it and how rounds
+//! synchronize.
 //!
-//! A backend owns a contiguous slice of the run's `n` nodes and provides three
-//! planes to the [`crate::NetRunner`]:
+//! A backend owns a contiguous block of the run's `n` nodes — one *rank* —
+//! and gives the [`crate::NetRunner`] stepping that block four things:
 //!
-//! * a **data plane** — a clonable [`FrameSender`] every node thread uses to
-//!   emit [`crate::FrameKind::Data`] frames, plus one [`mpsc::Receiver`] per
-//!   owned node that those frames arrive on;
-//! * a **synchronizer plane** — [`Backend::exchange_done`], the α-synchronizer
-//!   barrier: it returns only after every participating process has finished
-//!   the round (so all the round's data frames are enqueued at their
-//!   destinations), and reports whether *all* nodes everywhere are done;
-//! * a **gather plane** — [`Backend::exchange_summaries`], the phase-boundary
-//!   all-gather of per-node digests from which every process derives the next
-//!   phase's hand-off locally and identically.
+//! * [`Backend::send`] — the way out for a [`crate::FrameKind::Data`] frame
+//!   addressed to a node another rank owns (frames between owned nodes never
+//!   reach the backend: the runner files them itself);
+//! * [`Backend::exchange_done`] — the α-synchronizer barrier: it returns only
+//!   after every rank has finished the round, hands over every data frame the
+//!   other ranks sent this rank in that round, and reports whether *all*
+//!   nodes everywhere are done;
+//! * [`Backend::exchange_summaries`] — the phase-boundary all-gather of
+//!   per-node digests from which every rank derives the next phase's
+//!   hand-off locally and identically;
+//! * [`Backend::shutdown`] — the quiescence barrier.
 //!
-//! [`ChannelBackend`] is the single-process implementation over
-//! [`std::sync::mpsc`]: every node is owned, the synchronizer and gather
-//! planes are trivial, and the safety argument for the barrier is the channel
-//! itself — `mpsc` sends enqueue synchronously, so when a node thread reports
-//! its round complete, everything it sent that round is already in the
-//! destination queues. The TCP implementation lives in [`crate::tcp`].
+//! The trait is the seam a test substitutes a scripted fake at (see the
+//! runner's tests). [`ChannelBackend`] is the rank that owns everything: no
+//! frame ever leaves it and all three barriers are trivial. The TCP
+//! implementation lives in [`crate::tcp`].
 
 use crate::frame::Frame;
 use crate::NetError;
 use std::ops::Range;
-use std::sync::mpsc;
 
 /// `(node index, encoded summary)` pairs — the currency of the gather plane.
 pub type SummaryEntries = Vec<(u32, Vec<u8>)>;
 
-/// Clonable handle node threads send data frames through; the backend routes
-/// by [`Frame::to`] (a local queue or a peer process's socket).
-pub trait FrameSender: Clone + Send {
-    /// Routes one frame toward its destination node.
-    fn send(&self, frame: Frame) -> Result<(), NetError>;
-}
-
-/// The per-phase data plane a backend hands the runner.
-pub struct PhasePlane<S> {
-    /// One inbound frame queue per owned node, in owned-range order.
-    pub receivers: Vec<mpsc::Receiver<Frame>>,
-    /// The shared outbound handle (cloned into every node thread).
-    pub sender: S,
-}
-
-/// A medium that can run the synchronous protocol rounds; see the module docs
-/// for the three planes.
+/// A medium that can run the synchronous protocol rounds; see the module
+/// docs.
 pub trait Backend {
-    /// The data-plane sender type node threads clone.
-    type Sender: FrameSender + 'static;
-
     /// Total node count of the run.
     fn n(&self) -> usize;
 
-    /// The contiguous node range this process owns (the whole of `0..n` for
+    /// The contiguous node range this rank owns (the whole of `0..n` for
     /// single-process backends).
     fn owned(&self) -> Range<usize>;
 
-    /// Opens the data plane for one phase. Frames for this phase that arrived
-    /// before the call (a peer racing ahead through the summary barrier) must
-    /// be delivered, not lost.
-    fn open_phase(&mut self, phase: u8) -> Result<PhasePlane<Self::Sender>, NetError>;
+    /// Sends one data frame toward the rank that owns [`Frame::to`]. The
+    /// runner calls this only for destinations inside `0..n` and outside
+    /// [`Backend::owned`].
+    fn send(&mut self, frame: Frame) -> Result<(), NetError>;
 
-    /// The α-synchronizer barrier after `round`: blocks until every process
-    /// has finished it, then reports whether all nodes everywhere are done.
-    /// On return, every data frame sent in `round` (to this process) is
-    /// enqueued on its destination node's receiver.
+    /// The α-synchronizer barrier after `round`: blocks until every rank has
+    /// finished it, appends to `inbound` exactly the data frames other ranks
+    /// sent this rank in (`phase`, `round`), and reports whether all nodes
+    /// everywhere are done.
     fn exchange_done(
         &mut self,
         phase: u8,
         round: u32,
-        local_all_done: bool,
+        local_done: bool,
+        inbound: &mut Vec<Frame>,
     ) -> Result<bool, NetError>;
 
     /// All-gathers phase-end digests: `local` holds `(node index, encoded
-    /// summary)` for every owned node and `delivered` this process's
+    /// summary)` for every owned node and `delivered` this rank's
     /// delivered-message count; the result covers all `n` nodes and the
     /// run-wide delivered total.
     fn exchange_summaries(
@@ -84,7 +66,7 @@ pub trait Backend {
         delivered: u64,
     ) -> Result<(SummaryEntries, u64), NetError>;
 
-    /// Quiescence handshake: announces this process will send nothing further
+    /// Quiescence handshake: announces this rank will send nothing further
     /// and releases the medium's resources.
     fn shutdown(&mut self) -> Result<(), NetError>;
 }
@@ -106,8 +88,8 @@ pub fn rank_of(n: usize, procs: usize, node: usize) -> usize {
     rank
 }
 
-/// Single-process backend: every node a thread, every link an [`mpsc`]
-/// channel.
+/// Single-process backend: the one rank that owns all `n` nodes, so every
+/// frame stays inside the runner.
 pub struct ChannelBackend {
     n: usize,
 }
@@ -119,31 +101,7 @@ impl ChannelBackend {
     }
 }
 
-/// [`ChannelBackend`]'s data-plane handle: direct routing into per-node
-/// queues.
-#[derive(Clone)]
-pub struct ChannelSender {
-    txs: std::sync::Arc<Vec<mpsc::Sender<Frame>>>,
-}
-
-impl FrameSender for ChannelSender {
-    fn send(&self, frame: Frame) -> Result<(), NetError> {
-        let to = frame.to as usize;
-        let tx = self
-            .txs
-            .get(to)
-            .ok_or_else(|| NetError::Protocol(format!("frame addressed to unknown node {to}")))?;
-        // A closed receiver means the destination thread already finished the
-        // phase: the frame was sent in the final executed round, which the
-        // synchronous model discards anyway.
-        let _ = tx.send(frame);
-        Ok(())
-    }
-}
-
 impl Backend for ChannelBackend {
-    type Sender = ChannelSender;
-
     fn n(&self) -> usize {
         self.n
     }
@@ -152,26 +110,21 @@ impl Backend for ChannelBackend {
         0..self.n
     }
 
-    fn open_phase(&mut self, _phase: u8) -> Result<PhasePlane<ChannelSender>, NetError> {
-        let (txs, receivers): (Vec<_>, Vec<_>) = (0..self.n).map(|_| mpsc::channel()).unzip();
-        Ok(PhasePlane {
-            receivers,
-            sender: ChannelSender {
-                txs: std::sync::Arc::new(txs),
-            },
-        })
+    fn send(&mut self, frame: Frame) -> Result<(), NetError> {
+        Err(NetError::Protocol(format!(
+            "frame for node {} cannot leave the rank that owns every node",
+            frame.to
+        )))
     }
 
     fn exchange_done(
         &mut self,
         _phase: u8,
         _round: u32,
-        local_all_done: bool,
+        local_done: bool,
+        _inbound: &mut Vec<Frame>,
     ) -> Result<bool, NetError> {
-        // Single process: the local verdict is the global one, and the mpsc
-        // enqueue-on-send property already provides the data-before-barrier
-        // guarantee.
-        Ok(local_all_done)
+        Ok(local_done)
     }
 
     fn exchange_summaries(
@@ -204,24 +157,5 @@ mod tests {
             }
             assert!(covered.iter().all(|&c| c == 1), "n={n} procs={procs}");
         }
-    }
-
-    #[test]
-    fn channel_backend_routes_by_destination() {
-        let mut backend = ChannelBackend::new(3);
-        let plane = backend.open_phase(0).unwrap();
-        plane
-            .sender
-            .send(Frame::data(0, 0, 0, 2, 0, vec![7]))
-            .unwrap();
-        assert_eq!(plane.receivers[2].try_recv().unwrap().body, vec![7]);
-        assert!(plane.receivers[0].try_recv().is_err());
-        assert!(
-            plane
-                .sender
-                .send(Frame::data(0, 0, 0, 99, 0, Vec::new()))
-                .is_err(),
-            "frames to nodes outside the run are a protocol error"
-        );
     }
 }

@@ -1,12 +1,12 @@
 //! The length-prefixed frame format every backend moves bytes in.
 //!
-//! A frame is the unit of transmission on both the in-process channel backend
-//! and the TCP backend: protocol payloads, round-synchronizer markers and the
-//! phase-boundary summary exchange all travel as frames. On a socket each
-//! frame is preceded by a `u32` little-endian length prefix (the length of the
-//! encoded frame, prefix excluded); on channels frames travel as values but
-//! are still built from the *encoded* payload bytes, so the codec is exercised
-//! identically on every backend.
+//! A frame is the unit of transmission inside a rank and between ranks:
+//! protocol payloads, round-synchronizer markers and the phase-boundary
+//! summary exchange all travel as frames. On a socket each frame is preceded
+//! by a `u32` little-endian length prefix (the length of the encoded frame,
+//! prefix excluded); between two nodes of one rank frames travel as values
+//! but are still built from the *encoded* payload bytes, so the payload codec
+//! is exercised identically on every backend.
 //!
 //! Layout after the length prefix (all integers little-endian):
 //!

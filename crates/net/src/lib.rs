@@ -5,10 +5,11 @@
 //! protocol code — the identical [`overlay_core`] node state machines, driven
 //! unmodified over:
 //!
-//! * [`ChannelBackend`] — one OS thread per node inside one process, frames
-//!   over [`std::sync::mpsc`];
-//! * [`TcpBackend`] — multiple OS processes meshed over TCP with
-//!   length-prefixed binary frames (see [`frame`]).
+//! * [`ChannelBackend`] — one process owning every node: each message is
+//!   encoded into a [`Frame`] and decoded on delivery, but no frame leaves
+//!   the runner;
+//! * [`TcpBackend`] — multiple OS processes, each owning a block of nodes,
+//!   meshed over TCP with length-prefixed binary frames (see [`frame`]).
 //!
 //! The seam is [`overlay_core::PhaseExecutor`]: [`NetRunner`] implements it
 //! over any [`Backend`], and
@@ -18,9 +19,10 @@
 //! the same final overlay graph** — the simulator is this crate's CI-checked
 //! model, and `tests/backend_equivalence.rs` enforces the claim.
 //!
-//! No async runtime is involved: the α-synchronizer (per-round `DONE`
-//! markers, see [`backend`]) turns blocking threads and sockets into the
-//! synchronous round structure the protocols were written against.
+//! No async runtime is involved, and no thread per node: each rank is one
+//! loop stepping its nodes in index order, and the α-synchronizer (per-round
+//! `DONE` markers, see [`tcp`]) turns blocking sockets into the synchronous
+//! round structure the protocols were written against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,12 +32,14 @@ pub mod frame;
 pub mod runner;
 pub mod tcp;
 
-pub use backend::{
-    partition, rank_of, Backend, ChannelBackend, FrameSender, PhasePlane, SummaryEntries,
-};
+pub use backend::{partition, rank_of, Backend, ChannelBackend, SummaryEntries};
 pub use frame::{Frame, FrameKind, Roster, WIRE_VERSION};
 pub use runner::NetRunner;
 pub use tcp::{TcpBackend, TcpHost};
+
+// Pins `NetRunner<TcpBackend>: Send` at compile time: callers put each rank
+// of an in-process mesh on a thread of its own.
+const _: fn(NetRunner<TcpBackend>) -> Box<dyn Send> = |rank| Box::new(rank);
 
 use overlay_netsim::wire::WireError;
 
@@ -53,6 +57,10 @@ pub enum NetError {
         rank: usize,
         /// What was being waited for when the timeout fired.
         waiting_for: &'static str,
+        /// The phase tag of the barrier this rank was waiting at.
+        phase: u8,
+        /// The round of that barrier.
+        round: u32,
     },
     /// The frame stream violated the synchronizer or handshake protocol.
     Protocol(String),
@@ -70,9 +78,15 @@ impl std::fmt::Display for NetError {
         match self {
             NetError::Io(e) => write!(f, "socket error: {e}"),
             NetError::Codec(e) => write!(f, "undecodable frame: {e}"),
-            NetError::PeerTimeout { rank, waiting_for } => {
-                write!(f, "peer rank {rank} timed out (waiting for {waiting_for})")
-            }
+            NetError::PeerTimeout {
+                rank,
+                waiting_for,
+                phase,
+                round,
+            } => write!(
+                f,
+                "peer rank {rank} timed out (waiting for {waiting_for} of phase {phase}, round {round})"
+            ),
             NetError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
             NetError::FaultsUnsupported { phase } => write!(
                 f,

@@ -1,5 +1,5 @@
 //! [`NetRunner`]: the [`PhaseExecutor`] that drives protocol nodes over a
-//! [`Backend`], one thread per owned node.
+//! [`Backend`], one stepping loop per rank.
 //!
 //! The runner replicates the lockstep simulator's observable semantics
 //! exactly — that is the whole point of the seam, and the cross-backend
@@ -7,9 +7,9 @@
 //!
 //! * **Round structure.** Round 0 runs `on_start`; round `r ≥ 1` runs
 //!   `on_round` with the messages sent in round `r - 1`. Execution stops when
-//!   every node (on every process) is done or the budget is exhausted;
-//!   messages sent in the final executed round are discarded, as the
-//!   simulator discards them.
+//!   every node (on every rank) is done or the budget is exhausted; messages
+//!   sent in the final executed round are discarded, as the simulator
+//!   discards them.
 //! * **Delivery order.** Each inbox is sorted by `(sender id, send order)`,
 //!   matching the simulator's stable sender grouping.
 //! * **Send caps.** The per-sender NCC0 global cap admits the first `cap`
@@ -21,21 +21,23 @@
 //! * **Randomness.** Node `i` draws from `node_rng(seed, i)` — the simulator's
 //!   exact per-node stream — so random choices match decision for decision.
 //!
-//! The α-synchronizer lives in the coordinator loop: after every owned node
-//! reports round `r` complete, [`Backend::exchange_done`] barriers with the
-//! peer processes. Its contract (all round-`r` data is enqueued at the
-//! destinations before it returns) makes the per-round "go" signal safe.
+//! A rank steps its owned nodes in index order, the way the simulator steps a
+//! chunk. Every message becomes a [`Frame`] and is decoded on delivery, so
+//! there is one delivery path and the codec is exercised whether or not a
+//! socket is involved; frames for owned nodes are filed straight into next
+//! round's inboxes and only cross-rank frames go through [`Backend::send`].
+//! The α-synchronizer is the one [`Backend::exchange_done`] call that ends
+//! each round: when it returns, every frame other ranks sent this one in the
+//! round has been handed over.
 
-use crate::backend::{Backend, FrameSender, PhasePlane};
-use crate::frame::{Frame, FrameKind};
+use crate::backend::Backend;
+use crate::frame::Frame;
 use crate::NetError;
 use overlay_core::{ExecutedPhase, Phase, PhaseExecSpec, PhaseExecutor, Summarize};
 use overlay_graph::NodeId;
 use overlay_netsim::wire::Wire;
 use overlay_netsim::{node_rng, CapacityModel, Channel, Ctx, Envelope, Protocol};
 use overlay_transport::Reliable;
-use std::collections::BTreeMap;
-use std::sync::mpsc;
 
 /// Drives [`overlay_core::OverlayBuilder::build_over`] across a [`Backend`].
 pub struct NetRunner<B: Backend> {
@@ -106,35 +108,21 @@ where
     node.inner().summarize()
 }
 
-/// A node thread's end-of-round report to the coordinator.
-struct Report {
-    round: u32,
-    done: bool,
-}
-
-/// The coordinator's instruction to a node thread.
-enum Go {
-    /// Run message round `r` (deliver round `r - 1`'s frames).
-    Run(u32),
-    /// The phase is over; return the node state.
-    Finish,
-}
-
 /// Runs one phase of `Q` nodes over the backend; `summarize` digests each
 /// owned node's final state (reaching through the reliable wrapper when one
 /// is present).
 fn run_phase_net<B, Q, S>(
     backend: &mut B,
     phase: u8,
-    mut nodes: Vec<Q>,
+    nodes: Vec<Q>,
     spec: PhaseExecSpec,
     summarize: fn(&Q) -> S,
 ) -> Result<ExecutedPhase<S>, NetError>
 where
     B: Backend,
-    Q: Protocol + Send,
-    Q::Message: Wire + Send,
-    S: Wire + Clone + std::fmt::Debug + Send,
+    Q: Protocol,
+    Q::Message: Wire,
+    S: Wire + Clone,
 {
     let n = backend.n();
     if nodes.len() != n {
@@ -144,104 +132,108 @@ where
         )));
     }
     let owned = backend.owned();
+    let base = owned.start;
     let cap = CapacityModel::Ncc0 {
         per_round: spec.ncc0_cap,
     }
     .global_cap();
-    let PhasePlane { receivers, sender } = backend.open_phase(phase)?;
-    if receivers.len() != owned.len() {
-        return Err(NetError::Protocol(format!(
-            "backend produced {} receivers for {} owned nodes",
-            receivers.len(),
-            owned.len()
-        )));
-    }
     // Only the owned slice runs here; peers run theirs and the phase-end
     // summary exchange reassembles the full picture.
-    let owned_nodes: Vec<(usize, Q)> = nodes
-        .drain(..)
-        .enumerate()
-        .filter(|(i, _)| owned.contains(i))
-        .collect();
+    let mut nodes: Vec<Q> = nodes.into_iter().skip(base).take(owned.len()).collect();
+    let mut rngs: Vec<_> = owned.clone().map(|i| node_rng(spec.seed, i)).collect();
+    // Frames by owned destination: `due[k]` is what node `base + k` receives
+    // this round, `next[k]` what it will receive in the next one.
+    let mut due: Vec<Vec<Frame>> = vec![Vec::new(); nodes.len()];
+    let mut next = due.clone();
+    let mut inbox = Vec::new();
+    let mut outbox = Vec::new();
+    let mut inbound = Vec::new();
+    let mut delivered = 0u64;
 
-    let (report_tx, report_rx) = mpsc::channel::<Report>();
-    let mut go_txs: Vec<mpsc::Sender<Go>> = Vec::with_capacity(owned.len());
-
-    let (finished, rounds, all_done) = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(owned.len());
-        for ((i, node), rx) in owned_nodes.into_iter().zip(receivers) {
-            let (go_tx, go_rx) = mpsc::channel::<Go>();
-            go_txs.push(go_tx);
-            let sender = sender.clone();
-            let report_tx = report_tx.clone();
-            handles.push(scope.spawn(move || {
-                node_thread(
-                    node, i, n, phase, cap, spec.seed, sender, rx, go_rx, report_tx,
-                )
-            }));
-        }
-        drop(report_tx);
-
-        // The coordinator half of the α-synchronizer: collect every owned
-        // node's report for the round, barrier with the peer processes, and
-        // either advance everyone one round or stop. The stop rule is the
-        // simulator's: run round r + 1 iff not everyone was done after round
-        // r and the budget allows it.
-        let mut coordinate = || -> Result<(usize, bool), NetError> {
-            let wait_round = |r: u32| -> Result<bool, NetError> {
-                let mut done = true;
-                for _ in 0..go_txs.len() {
-                    let rep = report_rx
-                        .recv()
-                        .map_err(|_| NetError::Protocol("a node thread died".into()))?;
-                    debug_assert_eq!(rep.round, r);
-                    done &= rep.done;
-                }
-                Ok(done)
-            };
-            let local_done = wait_round(0)?;
-            let mut all_done = backend.exchange_done(phase, 0, local_done)?;
-            let mut executed = 0u32;
-            while (executed as usize) < spec.budget && !all_done {
-                let r = executed + 1;
-                for tx in &go_txs {
-                    let _ = tx.send(Go::Run(r));
-                }
-                let local_done = wait_round(r)?;
-                all_done = backend.exchange_done(phase, r, local_done)?;
-                executed += 1;
+    // The stop rule is the simulator's: run round r + 1 iff not everyone was
+    // done after round r and the budget allows it. What the final round sent
+    // sits in `next` and is dropped with it.
+    let mut round = 0u32;
+    let all_done = loop {
+        let mut local_done = true;
+        for (k, (node, rng)) in nodes.iter_mut().zip(&mut rngs).enumerate() {
+            let frames = &mut due[k];
+            frames.sort_unstable_by_key(|f| (f.from, f.seq));
+            for frame in frames.drain(..) {
+                let mut body = frame.body.as_slice();
+                inbox.push(Envelope {
+                    from: NodeId::from(frame.from as usize),
+                    channel: Channel::decode(&mut body)?,
+                    payload: Q::Message::decode(&mut body)?,
+                });
             }
-            Ok((executed as usize, all_done))
-        };
-        let verdict = coordinate();
-        for tx in &go_txs {
-            let _ = tx.send(Go::Finish);
-        }
-        let mut finished = Vec::with_capacity(handles.len());
-        let mut died = false;
-        for handle in handles {
-            match handle.join() {
-                Ok(result) => finished.push(result),
-                Err(_) => died = true,
+            delivered += inbox.len() as u64;
+            let me = NodeId::from(base + k);
+            let mut ctx = Ctx::external(me, round as usize, n, rng, &mut outbox);
+            if round == 0 {
+                node.on_start(&mut ctx);
+            } else {
+                node.on_round(&mut ctx, &inbox);
+            }
+            inbox.clear();
+            local_done &= node.is_done();
+
+            // The simulator's dispatch rules: invalid addresses are dropped
+            // without consuming cap budget; the per-sender global cap admits
+            // the first `cap` global sends in send order; local-channel sends
+            // pass (no local capacity model is configured in NCC0 runs,
+            // matching `SimConfig::ncc0_capped`).
+            let mut global_sent = 0usize;
+            let mut seq = 0u32;
+            for (to, channel, payload) in outbox.drain(..) {
+                if to.index() >= n {
+                    continue;
+                }
+                if channel == Channel::Global {
+                    if matches!(cap, Some(c) if global_sent >= c) {
+                        continue;
+                    }
+                    global_sent += 1;
+                }
+                let mut body = Vec::new();
+                channel.encode(&mut body);
+                payload.encode(&mut body);
+                let (from, to) = ((base + k) as u32, to.index() as u32);
+                let frame = Frame::data(phase, round, from, to, seq, body);
+                seq += 1;
+                match next.get_mut((to as usize).wrapping_sub(base)) {
+                    Some(slot) => slot.push(frame),
+                    None => backend.send(frame)?,
+                }
             }
         }
-        let (rounds, all_done) = verdict?;
-        if died {
-            return Err(NetError::Protocol("a node thread panicked".into()));
+        let all_done = backend.exchange_done(phase, round, local_done, &mut inbound)?;
+        for frame in inbound.drain(..) {
+            let to = frame.to;
+            next.get_mut((to as usize).wrapping_sub(base))
+                .ok_or_else(|| {
+                    NetError::Protocol(format!("frame for node {to} which this rank does not own"))
+                })?
+                .push(frame);
         }
-        Ok::<_, NetError>((finished, rounds, all_done))
-    })?;
+        if all_done || round as usize >= spec.budget {
+            break all_done;
+        }
+        std::mem::swap(&mut due, &mut next);
+        round += 1;
+    };
 
     // Phase-end all-gather: encode the owned digests, collect everyone's.
-    let mut local_delivered = 0u64;
-    let mut local = Vec::with_capacity(finished.len());
-    for (i, node, delivered) in &finished {
-        local_delivered += delivered;
-        let mut bytes = Vec::new();
-        summarize(node).encode(&mut bytes);
-        local.push((*i as u32, bytes));
-    }
-    let (gathered, delivered) = backend.exchange_summaries(phase, local, local_delivered)?;
+    let local = nodes
+        .iter()
+        .zip(owned)
+        .map(|(node, i)| {
+            let mut bytes = Vec::new();
+            summarize(node).encode(&mut bytes);
+            (i as u32, bytes)
+        })
+        .collect();
+    let (gathered, delivered) = backend.exchange_summaries(phase, local, delivered)?;
     let mut summaries: Vec<Option<S>> = vec![None; n];
     for (node, bytes) in gathered {
         let mut slice = bytes.as_slice();
@@ -264,142 +256,20 @@ where
     Ok(ExecutedPhase {
         summaries,
         alive: vec![true; n],
-        rounds,
+        rounds: round as usize,
         all_done,
         delivered,
     })
 }
 
-/// One node's whole phase: the per-round callback loop against the backend's
-/// data plane, gated by the coordinator's go signals.
-#[allow(clippy::too_many_arguments)]
-fn node_thread<Q, Snd>(
-    mut node: Q,
-    i: usize,
-    n: usize,
-    phase: u8,
-    cap: Option<usize>,
-    seed: u64,
-    sender: Snd,
-    rx: mpsc::Receiver<Frame>,
-    go_rx: mpsc::Receiver<Go>,
-    report_tx: mpsc::Sender<Report>,
-) -> (usize, Q, u64)
-where
-    Q: Protocol,
-    Q::Message: Wire,
-    Snd: FrameSender,
-{
-    let me = NodeId::from(i);
-    let mut rng = node_rng(seed, i);
-    let mut outbox: Vec<(NodeId, Channel, Q::Message)> = Vec::new();
-    // Frames buffered by the round they were *sent* in; round r's inbox is
-    // the (r - 1)-tagged buffer. The synchronizer guarantees completeness by
-    // the time Go::Run(r) arrives.
-    let mut pending: BTreeMap<u32, Vec<Frame>> = BTreeMap::new();
-    let mut delivered = 0u64;
-
-    {
-        let mut ctx = Ctx::external(me, 0, n, &mut rng, &mut outbox);
-        node.on_start(&mut ctx);
-    }
-    flush_outbox(&sender, phase, 0, i, n, cap, &mut outbox);
-    let _ = report_tx.send(Report {
-        round: 0,
-        done: node.is_done(),
-    });
-
-    while let Ok(Go::Run(r)) = go_rx.recv() {
-        while let Ok(frame) = rx.try_recv() {
-            pending.entry(frame.round).or_default().push(frame);
-        }
-        let mut frames = pending.remove(&(r - 1)).unwrap_or_default();
-        frames.sort_by_key(|f| (f.from, f.seq));
-        let mut inbox = Vec::with_capacity(frames.len());
-        for frame in &frames {
-            let mut slice = frame.body.as_slice();
-            let Ok(channel) = Channel::decode(&mut slice) else {
-                continue; // An undecodable frame is dropped, not fatal: the
-                          // codec tests make this unreachable for honest peers.
-            };
-            let Ok(payload) = Q::Message::decode(&mut slice) else {
-                continue;
-            };
-            inbox.push(Envelope {
-                from: NodeId::from(frame.from as usize),
-                channel,
-                payload,
-            });
-        }
-        delivered += inbox.len() as u64;
-        {
-            let mut ctx = Ctx::external(me, r as usize, n, &mut rng, &mut outbox);
-            node.on_round(&mut ctx, &inbox);
-        }
-        flush_outbox(&sender, phase, r, i, n, cap, &mut outbox);
-        let _ = report_tx.send(Report {
-            round: r,
-            done: node.is_done(),
-        });
-    }
-    (i, node, delivered)
-}
-
-/// Encodes and sends the round's outbox, mirroring the simulator's dispatch
-/// rules: invalid addresses are dropped without consuming cap budget; the
-/// per-sender global cap admits the first `cap` global sends in send order;
-/// local-channel sends pass (no local capacity model is configured in NCC0
-/// runs, matching `SimConfig::ncc0_capped`).
-fn flush_outbox<M: Wire, Snd: FrameSender>(
-    sender: &Snd,
-    phase: u8,
-    round: u32,
-    from: usize,
-    n: usize,
-    cap: Option<usize>,
-    outbox: &mut Vec<(NodeId, Channel, M)>,
-) {
-    let mut global_sent = 0usize;
-    let mut seq = 0u32;
-    for (to, channel, payload) in outbox.drain(..) {
-        if to.index() >= n {
-            continue;
-        }
-        if channel == Channel::Global {
-            if matches!(cap, Some(c) if global_sent >= c) {
-                continue;
-            }
-            global_sent += 1;
-        }
-        let mut body = Vec::new();
-        channel.encode(&mut body);
-        payload.encode(&mut body);
-        let frame = Frame {
-            kind: FrameKind::Data,
-            phase,
-            round,
-            from: from as u32,
-            to: to.index() as u32,
-            seq,
-            body,
-        };
-        seq += 1;
-        // A send failure here means the backend is torn (socket gone); the
-        // coordinator's next barrier will surface it as the phase error, so
-        // the node thread just stops emitting.
-        if sender.send(frame).is_err() {
-            break;
-        }
-    }
-    outbox.clear();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SummaryEntries;
     use crate::ChannelBackend;
     use overlay_core::{BfsSummary, SimExecutor};
     use overlay_netsim::FaultPlan;
+    use std::ops::Range;
 
     #[test]
     fn a_phase_with_a_fault_plan_is_refused_not_run_clean() {
@@ -436,5 +306,151 @@ mod tests {
         assert_eq!(subject.rounds, model.rounds);
         assert_eq!(subject.delivered, model.delivered);
         assert!(subject.all_done);
+    }
+
+    /// Rank `4..6` of a 12-node run whose peers are a script: round 0's
+    /// barrier hands over `inbound`, and the gather fills in an empty digest
+    /// for every node the rank does not own.
+    struct Scripted {
+        inbound: Vec<Frame>,
+        sent: Vec<Frame>,
+    }
+
+    impl Backend for Scripted {
+        fn n(&self) -> usize {
+            12
+        }
+
+        fn owned(&self) -> Range<usize> {
+            4..6
+        }
+
+        fn send(&mut self, frame: Frame) -> Result<(), NetError> {
+            self.sent.push(frame);
+            Ok(())
+        }
+
+        fn exchange_done(
+            &mut self,
+            _phase: u8,
+            _round: u32,
+            local_done: bool,
+            inbound: &mut Vec<Frame>,
+        ) -> Result<bool, NetError> {
+            inbound.append(&mut self.inbound);
+            Ok(local_done)
+        }
+
+        fn exchange_summaries(
+            &mut self,
+            _phase: u8,
+            mut local: SummaryEntries,
+            delivered: u64,
+        ) -> Result<(SummaryEntries, u64), NetError> {
+            let mut empty = Vec::new();
+            Vec::<u32>::new().encode(&mut empty);
+            local.extend(
+                (0..12)
+                    .filter(|i| !(4..6).contains(i))
+                    .map(|i| (i, empty.clone())),
+            );
+            Ok((local, delivered))
+        }
+
+        fn shutdown(&mut self) -> Result<(), NetError> {
+            Ok(())
+        }
+    }
+
+    /// Sends its own id to nodes 5 (owned) and 0 (not) at the start, records
+    /// the one inbox it sees as `[from, payload, from, payload, …]`.
+    #[derive(Default)]
+    struct Recorder {
+        seen: Option<Vec<u32>>,
+    }
+
+    impl Protocol for Recorder {
+        type Message = u32;
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            let me = ctx.me().index() as u32;
+            ctx.send_global(NodeId::from(5usize), me);
+            ctx.send_global(NodeId::from(0usize), me);
+        }
+
+        fn on_round(&mut self, _ctx: &mut Ctx<'_, u32>, inbox: &[Envelope<u32>]) {
+            let flat = inbox
+                .iter()
+                .flat_map(|e| [e.from.index() as u32, e.payload]);
+            self.seen = Some(flat.collect());
+        }
+
+        fn is_done(&self) -> bool {
+            self.seen.is_some()
+        }
+    }
+
+    fn body(payload: u32) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        Channel::Global.encode(&mut bytes);
+        payload.encode(&mut bytes);
+        bytes
+    }
+
+    /// One `Recorder` phase on the scripted rank; also returns what the rank
+    /// handed to [`Backend::send`].
+    fn run_scripted(
+        inbound: Vec<Frame>,
+    ) -> (Result<ExecutedPhase<Vec<u32>>, NetError>, Vec<Frame>) {
+        let mut backend = Scripted {
+            inbound,
+            sent: Vec::new(),
+        };
+        let nodes = (0..12).map(|_| Recorder::default()).collect();
+        let spec = PhaseExecSpec {
+            seed: 1,
+            ncc0_cap: 64,
+            budget: 4,
+            transport: None,
+        };
+        let summarize = |node: &Recorder| node.seen.clone().unwrap_or_default();
+        let run = run_phase_net(&mut backend, 3, nodes, spec, summarize);
+        (run, backend.sent)
+    }
+
+    #[test]
+    fn inbound_and_owned_frames_share_one_inbox_sorted_by_sender_then_send_order() {
+        let inbound = vec![
+            Frame::data(3, 0, 9, 5, 1, body(91)),
+            Frame::data(3, 0, 9, 5, 0, body(90)),
+            Frame::data(3, 0, 2, 5, 0, body(20)),
+        ];
+        let (run, sent) = run_scripted(inbound);
+        let run = run.expect("the scripted phase runs");
+        assert_eq!(run.summaries[5], [2, 20, 4, 4, 5, 5, 9, 90, 9, 91]);
+        assert_eq!(run.summaries[4], Vec::<u32>::new(), "nobody wrote to 4");
+        assert_eq!((run.rounds, run.all_done, run.delivered), (1, true, 5));
+        // Only the frames for node 0 left the rank, in stepping order.
+        let left: Vec<_> = sent.iter().map(|f| (f.from, f.to, f.seq)).collect();
+        assert_eq!(left, [(4, 0, 1), (5, 0, 1)]);
+    }
+
+    #[test]
+    fn an_undecodable_inbound_body_is_a_codec_error_not_a_skipped_message() {
+        let mut truncated = body(90);
+        truncated.pop();
+        let (run, _) = run_scripted(vec![Frame::data(3, 0, 9, 5, 0, truncated)]);
+        assert!(matches!(run, Err(NetError::Codec(_))), "{run:?}");
+    }
+
+    #[test]
+    fn an_inbound_frame_for_a_node_the_rank_does_not_own_is_a_protocol_error() {
+        let (run, _) = run_scripted(vec![Frame::data(3, 0, 9, 7, 0, body(90))]);
+        match run {
+            Err(NetError::Protocol(msg)) => {
+                assert_eq!(msg, "frame for node 7 which this rank does not own")
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 }

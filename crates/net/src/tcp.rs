@@ -14,67 +14,51 @@
 //!    *lower* non-zero rank (identifying itself with a `Hello`), while
 //!    accepting one connection from every *higher* rank — one stream per
 //!    process pair, no dial/accept deadlock.
-//! 3. **Rounds.** Node threads write data frames into shared buffered
-//!    writers. The coordinator's [`Backend::exchange_done`] flushes them,
-//!    appends the process's `DONE` marker and waits for every peer's — TCP's
-//!    per-stream FIFO then guarantees all of a peer's round-`r` data was
-//!    received (and routed by that stream's reader thread) before its
-//!    `DONE(r)` was, which is exactly the α-synchronizer barrier the runner
-//!    relies on.
+//! 3. **Rounds.** The rank's stepping loop writes cross-rank data frames into
+//!    the destination rank's buffered writer; [`Backend::exchange_done`] is
+//!    the α-synchronizer barrier (below).
 //! 4. **Failure detection.** Every barrier wait carries a deadline; a peer
 //!    that stays silent past it is reported as [`NetError::PeerTimeout`] with
-//!    its rank — the socket layer's failure-detector verdict.
+//!    its rank and the barrier waited at — the socket layer's
+//!    failure-detector verdict.
 //! 5. **Quiescence.** [`Backend::shutdown`] exchanges [`FrameKind::Bye`]
 //!    markers so no process closes a socket another is still writing to.
 //!
-//! Each stream has one reader thread that demultiplexes by frame kind: data
-//! frames are routed to the destination node's queue (or parked in a backlog
-//! when they belong to a phase this process has not opened yet — a peer can
-//! legitimately race one phase ahead through the summary barrier), control
-//! frames go to the coordinator.
+//! # The synchronizer
+//!
+//! Each link has one reader thread, and all of them push every frame they
+//! read, in stream order, into **one** queue. Only a barrier wait drains it:
+//! data frames go into a buffer keyed by `(phase, round)`, control frames are
+//! matched against the one being waited for or set aside. Reader threads
+//! never stop draining their sockets, so a rank blocked in a socket write
+//! cannot deadlock the peer it writes to. Four invariants make this the
+//! barrier [`crate::NetRunner`] relies on:
+//!
+//! 1. **Data before `DONE`.** A link's frames enter the queue in stream
+//!    order, so holding rank `k`'s `DONE(p, r)` means all of `k`'s `(p, r)`
+//!    data is already buffered.
+//! 2. **One barrier ahead.** A peer through barrier `r` may already be
+//!    sending `(p, r + 1)` or, past the summary barrier, `(p', 0)`:
+//!    `exchange_done` hands over exactly the frames tagged `(phase, round)`
+//!    and keeps the rest.
+//! 3. **Final-round purge.** The last executed round's frames are handed
+//!    over like any other's and the runner discards them. Whatever is still
+//!    tagged `p` when this rank is about to broadcast `SUMMARY(p)` belongs to
+//!    no round that will run, and is dropped there — before any peer can
+//!    reuse the tag (phase tags repeat when one mesh runs several builds).
+//! 4. **Flush before `DONE`.** Every writer is flushed as its `DONE` marker
+//!    is appended, so the round's data reaches the wire strictly before it.
 
-use crate::backend::{partition, rank_of, Backend, FrameSender, PhasePlane, SummaryEntries};
+use crate::backend::{partition, rank_of, Backend, SummaryEntries};
 use crate::frame::{Frame, FrameKind, Roster, SummaryBody};
 use crate::NetError;
 use overlay_netsim::wire::Wire;
+use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Sentinel for "no phase open yet" in the routing table.
-const NO_PHASE: u8 = u8::MAX;
-
-/// Where reader threads deliver data frames for the currently open phase.
-struct Routing {
-    phase: u8,
-    /// Smallest owned node index (the partition's start).
-    base: usize,
-    /// Per-owned-node senders, indexed by `node - base`.
-    txs: Vec<mpsc::Sender<Frame>>,
-    /// Data frames for phases not yet opened locally.
-    backlog: Vec<Frame>,
-}
-
-impl Routing {
-    /// Routes a current-phase data frame into its owned node's queue;
-    /// mis-addressed frames are dropped.
-    fn route(&self, frame: Frame) {
-        let slot = (frame.to as usize).wrapping_sub(self.base);
-        if let Some(tx) = self.txs.get(slot) {
-            let _ = tx.send(frame);
-        }
-    }
-}
-
-type SharedWriter = Arc<Mutex<BufWriter<TcpStream>>>;
-
-/// One mesh link to a peer process (the read half lives in a reader thread).
-struct Peer {
-    writer: SharedWriter,
-}
 
 /// The multi-process TCP implementation of [`Backend`].
 pub struct TcpBackend {
@@ -83,14 +67,17 @@ pub struct TcpBackend {
     n: usize,
     config: u64,
     timeout: Duration,
-    peers: Vec<Option<Peer>>,
-    ctrl_rx: mpsc::Receiver<Frame>,
-    /// Keeps the control channel open even when no reader threads exist
-    /// (single-process runs) and lets reader threads clone from one place.
-    _ctrl_tx: mpsc::Sender<Frame>,
+    /// The write half of each mesh link, by peer rank (`None` at our own).
+    writers: Vec<Option<BufWriter<TcpStream>>>,
+    /// The one queue every link's reader thread feeds.
+    rx: mpsc::Receiver<Frame>,
+    /// Cloned into each reader thread; held here so the queue stays open
+    /// when there are none (single-process runs).
+    tx: mpsc::Sender<Frame>,
+    /// Data frames received ahead of the barrier that hands them over.
+    data: BTreeMap<(u8, u32), Vec<Frame>>,
     /// Control frames received while waiting for a different one.
     pending_ctrl: Vec<Frame>,
-    routing: Arc<Mutex<Routing>>,
 }
 
 /// A bound-but-not-yet-meshed rank-0 endpoint, split from
@@ -248,29 +235,24 @@ impl TcpBackend {
     }
 
     fn empty(rank: usize, procs: usize, n: usize, config: u64, timeout: Duration) -> TcpBackend {
-        let (ctrl_tx, ctrl_rx) = mpsc::channel();
+        let (tx, rx) = mpsc::channel();
         TcpBackend {
             rank,
             procs,
             n,
             config,
             timeout,
-            peers: (0..procs).map(|_| None).collect(),
-            ctrl_rx,
-            _ctrl_tx: ctrl_tx,
+            writers: (0..procs).map(|_| None).collect(),
+            rx,
+            tx,
+            data: BTreeMap::new(),
             pending_ctrl: Vec::new(),
-            routing: Arc::new(Mutex::new(Routing {
-                phase: NO_PHASE,
-                base: partition(n, procs, rank).start,
-                txs: Vec::new(),
-                backlog: Vec::new(),
-            })),
         }
     }
 
     /// Registers the mesh stream for `rank`, spawning its reader thread.
     fn install_peer(&mut self, rank: usize, stream: TcpStream) -> Result<(), NetError> {
-        if self.peers[rank].is_some() {
+        if self.writers[rank].is_some() {
             return Err(NetError::Protocol(format!(
                 "duplicate mesh link to rank {rank}"
             )));
@@ -278,28 +260,26 @@ impl TcpBackend {
         // Handshake deadlines no longer apply; barrier waits carry their own.
         stream.set_read_timeout(None)?;
         let read_half = stream.try_clone()?;
-        let writer = Arc::new(Mutex::new(BufWriter::new(stream)));
-        let routing = Arc::clone(&self.routing);
-        let ctrl_tx = self._ctrl_tx.clone();
-        std::thread::spawn(move || reader_loop(read_half, routing, ctrl_tx));
-        self.peers[rank] = Some(Peer { writer });
+        let tx = self.tx.clone();
+        std::thread::spawn(move || reader_loop(read_half, tx));
+        self.writers[rank] = Some(BufWriter::new(stream));
         Ok(())
     }
 
     /// Writes `frame` to every peer and flushes, so everything previously
     /// buffered (the round's data) reaches the wire strictly before it.
-    fn broadcast_ctrl(&self, frame: &Frame) -> Result<(), NetError> {
-        for peer in self.peers.iter().flatten() {
-            let mut w = peer.writer.lock().expect("writer lock");
-            frame.write_to(&mut *w)?;
+    fn broadcast_ctrl(&mut self, frame: &Frame) -> Result<(), NetError> {
+        for w in self.writers.iter_mut().flatten() {
+            frame.write_to(w)?;
             w.flush()?;
         }
         Ok(())
     }
 
     /// Retrieves the control frame matching (`kind`, `phase`, `round`, `from
-    /// == rank`), consuming buffered candidates first and waiting on the
-    /// control channel (bounded by the configured timeout) otherwise.
+    /// == rank`), consuming buffered candidates first and draining the queue
+    /// (bounded by the configured timeout) otherwise; data frames met on the
+    /// way are buffered under their `(phase, round)`.
     fn wait_ctrl(
         &mut self,
         kind: FrameKind,
@@ -314,13 +294,23 @@ impl TcpBackend {
         if let Some(pos) = self.pending_ctrl.iter().position(matches) {
             return Ok(self.pending_ctrl.remove(pos));
         }
+        let timed_out = NetError::PeerTimeout {
+            rank,
+            waiting_for,
+            phase,
+            round,
+        };
         let deadline = Instant::now() + self.timeout;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
-                return Err(NetError::PeerTimeout { rank, waiting_for });
+                return Err(timed_out);
             }
-            match self.ctrl_rx.recv_timeout(remaining) {
+            match self.rx.recv_timeout(remaining) {
+                Ok(frame) if frame.kind == FrameKind::Data => {
+                    let tag = (frame.phase, frame.round);
+                    self.data.entry(tag).or_default().push(frame);
+                }
                 Ok(frame) if matches(&frame) => return Ok(frame),
                 Ok(frame)
                     if frame.kind == FrameKind::Bye
@@ -337,11 +327,9 @@ impl TcpBackend {
                     )));
                 }
                 Ok(frame) => self.pending_ctrl.push(frame),
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    return Err(NetError::PeerTimeout { rank, waiting_for });
-                }
+                Err(mpsc::RecvTimeoutError::Timeout) => return Err(timed_out),
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(NetError::Protocol("control plane closed".into()));
+                    return Err(NetError::Protocol("frame queue closed".into()));
                 }
             }
         }
@@ -349,8 +337,6 @@ impl TcpBackend {
 }
 
 impl Backend for TcpBackend {
-    type Sender = TcpSender;
-
     fn n(&self) -> usize {
         self.n
     }
@@ -359,56 +345,42 @@ impl Backend for TcpBackend {
         partition(self.n, self.procs, self.rank)
     }
 
-    fn open_phase(&mut self, phase: u8) -> Result<PhasePlane<TcpSender>, NetError> {
-        let owned = self.owned();
-        let (txs, receivers): (Vec<_>, Vec<_>) = owned.clone().map(|_| mpsc::channel()).unzip();
-        let mut routing = self.routing.lock().expect("routing lock");
-        routing.phase = phase;
-        routing.base = owned.start;
-        routing.txs = txs.clone();
-        // A peer that raced ahead through the previous summary barrier may
-        // already have sent this phase's round-0 data; release it now. Stale
-        // frames from closed phases are dropped with the swap.
-        let backlog = std::mem::take(&mut routing.backlog);
-        for frame in backlog {
-            if frame.phase == phase {
-                routing.route(frame);
-            }
+    fn send(&mut self, frame: Frame) -> Result<(), NetError> {
+        let to = frame.to as usize;
+        if to >= self.n {
+            return Err(NetError::Protocol(format!(
+                "frame addressed to unknown node {to}"
+            )));
         }
-        drop(routing);
-        let writers = self
-            .peers
-            .iter()
-            .map(|p| p.as_ref().map(|p| Arc::clone(&p.writer)))
-            .collect();
-        Ok(PhasePlane {
-            receivers,
-            sender: TcpSender {
-                n: self.n,
-                procs: self.procs,
-                rank: self.rank,
-                base: owned.start,
-                local: Arc::new(txs),
-                writers: Arc::new(writers),
-            },
-        })
+        let rank = rank_of(self.n, self.procs, to);
+        let w = self.writers[rank]
+            .as_mut()
+            .ok_or_else(|| NetError::Protocol(format!("no mesh link to rank {rank}")))?;
+        frame.write_to(w)?;
+        Ok(())
     }
 
     fn exchange_done(
         &mut self,
         phase: u8,
         round: u32,
-        local_all_done: bool,
+        local_done: bool,
+        inbound: &mut Vec<Frame>,
     ) -> Result<bool, NetError> {
         let mut done = Frame::control(FrameKind::Done, phase, round, self.rank as u32, 0);
-        done.body = vec![u8::from(local_all_done)];
+        done.body = vec![u8::from(local_done)];
         self.broadcast_ctrl(&done)?;
-        let mut all_done = local_all_done;
+        let mut all_done = local_done;
         let me = self.rank;
         for rank in (0..self.procs).filter(|&r| r != me) {
             let frame = self.wait_ctrl(FrameKind::Done, phase, round, rank, "DONE")?;
             let mut slice = frame.body.as_slice();
             all_done &= bool::decode(&mut slice).map_err(NetError::Codec)?;
+        }
+        // Invariants 1 and 2: with every `DONE(phase, round)` in hand the
+        // round's data is all buffered; anything else buffered is for later.
+        if let Some(mut frames) = self.data.remove(&(phase, round)) {
+            inbound.append(&mut frames);
         }
         Ok(all_done)
     }
@@ -425,6 +397,8 @@ impl Backend for TcpBackend {
         };
         let mut frame = Frame::control(FrameKind::Summary, phase, 0, self.rank as u32, 0);
         body.encode(&mut frame.body);
+        // Invariant 3: no peer can reuse the tag until it has this SUMMARY.
+        self.data.retain(|&(tag, _), _| tag != phase);
         self.broadcast_ctrl(&frame)?;
         let mut all = local;
         let mut total = delivered;
@@ -456,72 +430,21 @@ impl Backend for TcpBackend {
     }
 }
 
-/// [`TcpBackend`]'s data-plane handle: local queues for owned destinations,
-/// the peer's shared buffered writer otherwise.
-#[derive(Clone)]
-pub struct TcpSender {
-    n: usize,
-    procs: usize,
-    rank: usize,
-    base: usize,
-    local: Arc<Vec<mpsc::Sender<Frame>>>,
-    writers: Arc<Vec<Option<SharedWriter>>>,
-}
-
-impl FrameSender for TcpSender {
-    fn send(&self, frame: Frame) -> Result<(), NetError> {
-        let to = frame.to as usize;
-        if to >= self.n {
-            return Err(NetError::Protocol(format!(
-                "frame addressed to unknown node {to}"
-            )));
-        }
-        let rank = rank_of(self.n, self.procs, to);
-        if rank == self.rank {
-            // A closed receiver is a node thread that already finished — the
-            // frame belongs to the discarded final round.
-            let _ = self.local[to - self.base].send(frame);
-            return Ok(());
-        }
-        let writer = self.writers[rank]
-            .as_ref()
-            .ok_or_else(|| NetError::Protocol(format!("no mesh link to rank {rank}")))?;
-        let mut w = writer.lock().expect("writer lock");
-        frame.write_to(&mut *w)?;
-        Ok(())
-    }
-}
-
-/// One mesh stream's demultiplexer: data to the routing table, control to the
-/// coordinator. Exits on `Bye`, EOF or a torn stream (the coordinator's
-/// barrier deadline turns the latter into a [`NetError::PeerTimeout`]).
-fn reader_loop(stream: TcpStream, routing: Arc<Mutex<Routing>>, ctrl_tx: mpsc::Sender<Frame>) {
+/// One mesh link's read half: every frame, in stream order, into the rank's
+/// one queue. Exits after `Bye`, on EOF or a torn stream (the barrier
+/// deadline turns the latter into a [`NetError::PeerTimeout`]), or when the
+/// backend is gone.
+fn reader_loop(stream: TcpStream, tx: mpsc::Sender<Frame>) {
     let mut reader = BufReader::new(stream);
     while let Ok(Some(frame)) = Frame::read_from(&mut reader) {
-        match frame.kind {
-            FrameKind::Data => {
-                let mut routing = routing.lock().expect("routing lock");
-                if frame.phase == routing.phase {
-                    routing.route(frame);
-                } else {
-                    routing.backlog.push(frame);
-                }
-            }
-            FrameKind::Bye => {
-                let _ = ctrl_tx.send(frame);
-                break;
-            }
-            _ => {
-                if ctrl_tx.send(frame).is_err() {
-                    break;
-                }
-            }
+        let last = frame.kind == FrameKind::Bye;
+        if tx.send(frame).is_err() || last {
+            break;
         }
     }
 }
 
-/// Writes one frame during the handshake, before the shared buffered writer
-/// exists.
+/// Writes one frame during the handshake, before the buffered writer exists.
 fn write_handshake_frame(mut stream: &TcpStream, frame: &Frame) -> Result<(), NetError> {
     frame.write_to(&mut stream)?;
     stream.flush()?;

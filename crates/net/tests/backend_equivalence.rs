@@ -1,15 +1,20 @@
 //! The crate's central claim, enforced: per seed, every backend constructs
 //! the same final overlay graph.
 //!
-//! The lockstep simulator is the model; the channel backend (one thread per
-//! node, frames over mpsc) and the TCP backend (processes meshed over
-//! loopback sockets — realized as threads sharing nothing but their sockets
-//! here) must reproduce its expander edges, BFS parents, binarized tree,
-//! round counts and delivered-message totals exactly.
+//! The lockstep simulator is the model; the channel backend (one rank owning
+//! every node, each message through the frame codec) and the TCP backend
+//! (processes meshed over loopback sockets — realized as threads sharing
+//! nothing but their sockets here) must reproduce its expander edges, BFS
+//! parents, binarized tree, round counts and delivered-message totals exactly.
 
-use overlay_core::{ExpanderParams, OverlayBuilder, OverlayResult, SimExecutor};
+use overlay_core::{
+    ExecutedPhase, ExpanderParams, OverlayBuilder, OverlayResult, Phase, PhaseExecSpec,
+    PhaseExecutor, PhaseId, SimExecutor,
+};
 use overlay_graph::{generators, DiGraph, NodeId};
 use overlay_net::{ChannelBackend, NetRunner, TcpBackend, TcpHost};
+use overlay_netsim::FaultPlan;
+use overlay_traffic::{next_hops, Router, RouterConfig, RouterSummary, Workload};
 use std::time::Duration;
 
 fn builder(n: usize, seed: u64) -> OverlayBuilder {
@@ -97,6 +102,47 @@ fn channel_backend_matches_the_classic_build_entry_point() {
     assert_same_overlay("build() vs channel", &direct, &subject);
 }
 
+/// The `Router` traffic phase over `overlay`'s expander, pre-scheduled with a
+/// seeded workload: a constructor (every executor consumes its own copy of
+/// the nodes) and the run parameters.
+fn traffic_phase(
+    overlay: &OverlayResult,
+    n: usize,
+    seed: u64,
+) -> (impl Fn() -> Phase<Router>, PhaseExecSpec) {
+    // Alternate the workload shape with the seed so both the uniform and
+    // the congested hotspot traffic patterns cross the real channels.
+    let workload = match seed % 2 {
+        0 => Workload::Uniform,
+        _ => Workload::Hotspot,
+    };
+    let config = RouterConfig {
+        ttl: 16,
+        queue_cap: 32,
+        per_round_budget: 4,
+    };
+    let table = next_hops(&overlay.expander);
+    let schedule = workload.schedule(n, 4, 8, seed ^ 0x7AF1);
+    let routers = move || -> Vec<Router> {
+        table
+            .iter()
+            .zip(&schedule)
+            .enumerate()
+            .map(|(v, (row, reqs))| Router::new(v as u32, row.clone(), reqs.clone(), config))
+            .collect()
+    };
+    let budget = (8 + 16) * 2 + 16;
+    let spec = PhaseExecSpec {
+        seed: seed.wrapping_add(PhaseId::Traffic.index() as u64),
+        ncc0_cap: 4096, // over-provisioned: congestion stays in the router queues
+        budget,
+        transport: None,
+    };
+    let phase =
+        move || Phase::from_parts(PhaseId::Traffic, routers(), budget, FaultPlan::default());
+    (phase, spec)
+}
+
 /// The traffic half of the contract: the same `Router` nodes, pre-scheduled
 /// with the same workload over the simulator-built overlay, must produce
 /// identical delivery *sets* — the per-node summaries carry the exact delivery
@@ -104,47 +150,13 @@ fn channel_backend_matches_the_classic_build_entry_point() {
 /// is stronger than matching counts.
 #[test]
 fn router_traffic_over_channel_backend_matches_the_simulator_across_seeds() {
-    use overlay_core::{ExecutedPhase, Phase, PhaseExecSpec, PhaseExecutor, PhaseId};
-    use overlay_netsim::FaultPlan;
-    use overlay_traffic::{next_hops, Router, RouterConfig, RouterSummary, Workload};
-
     for seed in 0u64..16 {
         let n = 32 + (seed as usize % 4) * 16; // 32, 48, 64, 80
         let g = knowledge_graph(n, seed);
         let overlay = builder(n, seed)
             .build_over(&g, &mut SimExecutor::default())
             .unwrap_or_else(|e| panic!("seed {seed}: simulator build failed: {e}"));
-
-        // Alternate the workload shape with the seed so both the uniform and
-        // the congested hotspot traffic patterns cross the real channels.
-        let workload = if seed % 2 == 0 {
-            Workload::Uniform
-        } else {
-            Workload::Hotspot
-        };
-        let config = RouterConfig {
-            ttl: 16,
-            queue_cap: 32,
-            per_round_budget: 4,
-        };
-        let table = next_hops(&overlay.expander);
-        let schedule = workload.schedule(n, 4, 8, seed ^ 0x7AF1);
-        let routers = || -> Vec<Router> {
-            table
-                .iter()
-                .zip(&schedule)
-                .enumerate()
-                .map(|(v, (row, reqs))| Router::new(v as u32, row.clone(), reqs.clone(), config))
-                .collect()
-        };
-        let budget = (8 + 16) * 2 + 16;
-        let spec = PhaseExecSpec {
-            seed: seed.wrapping_add(PhaseId::Traffic.index() as u64),
-            ncc0_cap: 4096, // over-provisioned: congestion stays in the router queues
-            budget,
-            transport: None,
-        };
-        let phase = || Phase::from_parts(PhaseId::Traffic, routers(), budget, FaultPlan::default());
+        let (phase, spec) = traffic_phase(&overlay, n, seed);
         let model: ExecutedPhase<RouterSummary> = SimExecutor::default()
             .execute(phase(), spec)
             .expect("simulator traffic is infallible");
@@ -164,54 +176,66 @@ fn router_traffic_over_channel_backend_matches_the_simulator_across_seeds() {
     }
 }
 
+/// What one rank of the loopback mesh brings back: two consecutive builds
+/// and one traffic phase, all over the same sockets.
+type RankRun = (OverlayResult, OverlayResult, ExecutedPhase<RouterSummary>);
+
 #[test]
 fn tcp_loopback_matches_the_simulator() {
-    let n = 16;
-    let seed = 2;
-    let procs = 4;
-    let g = knowledge_graph(n, seed);
-    let b = builder(n, seed);
-    let model = b
-        .build_over(&g, &mut SimExecutor::default())
-        .expect("simulator build");
+    // An even partition, then an uneven one (17 nodes over 3 ranks: 5, 6, 6).
+    for (n, procs) in [(16, 4), (17, 3)] {
+        let seed = 2;
+        let g = knowledge_graph(n, seed);
+        let b = builder(n, seed);
+        let model = b
+            .build_over(&g, &mut SimExecutor::default())
+            .expect("simulator build");
+        let (phase, spec) = traffic_phase(&model, n, seed);
+        let traffic_model: ExecutedPhase<RouterSummary> = SimExecutor::default()
+            .execute(phase(), spec)
+            .expect("simulator traffic is infallible");
 
-    let host = TcpHost::bind("127.0.0.1:0").expect("bind");
-    let addr = host.local_addr().expect("local addr").to_string();
-    let timeout = Duration::from_secs(30);
-    let mut results = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        handles.push(scope.spawn({
-            let g = g.clone();
-            move || {
-                let backend = host.accept(procs, n, seed, timeout).expect("accept");
-                let mut runner = NetRunner::new(backend);
-                let result = b.build_over(&g, &mut runner).expect("rank 0 build");
-                runner.shutdown().expect("rank 0 shutdown");
-                result
+        let host = TcpHost::bind("127.0.0.1:0").expect("bind");
+        let addr = host.local_addr().expect("local addr").to_string();
+        let timeout = Duration::from_secs(30);
+        // Phase tags repeat across the two builds: the second must not see
+        // what the first one's final rounds left on the wire.
+        let on_rank = |backend: TcpBackend| -> RankRun {
+            let mut runner = NetRunner::new(backend);
+            let first = b.build_over(&g, &mut runner).expect("first build");
+            let second = b.build_over(&g, &mut runner).expect("second build");
+            let traffic = runner.execute(phase(), spec).expect("traffic phase");
+            runner.shutdown().expect("shutdown");
+            (first, second, traffic)
+        };
+        let mut results = std::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            handles.push(
+                scope.spawn(|| on_rank(host.accept(procs, n, seed, timeout).expect("accept"))),
+            );
+            for _ in 1..procs {
+                handles
+                    .push(scope.spawn(|| on_rank(TcpBackend::join(&addr, timeout).expect("join"))));
             }
-        }));
-        for _ in 1..procs {
-            handles.push(scope.spawn({
-                let g = g.clone();
-                let addr = addr.clone();
-                move || {
-                    let backend = TcpBackend::join(&addr, timeout).expect("join");
-                    let mut runner = NetRunner::new(backend);
-                    let result = b.build_over(&g, &mut runner).expect("joiner build");
-                    runner.shutdown().expect("joiner shutdown");
-                    result
-                }
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank thread"))
-            .collect::<Vec<_>>()
-    });
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("rank thread"))
+                .collect::<Vec<_>>()
+        });
 
-    // Every process derives the identical overlay from the all-gathered
-    // summaries, and it matches the simulator's.
-    for (rank, subject) in results.drain(..).enumerate() {
-        assert_same_overlay(&format!("tcp rank {rank}"), &model, &subject);
+        // Every process derives the identical overlay from the all-gathered
+        // summaries, and it matches the simulator's.
+        for (rank, (subject, second, traffic)) in results.drain(..).enumerate() {
+            assert_same_overlay(&format!("tcp rank {rank}"), &model, &subject);
+            let context = format!("n={n} procs={procs} rank {rank}");
+            assert_same_overlay(&format!("{context}, second build"), &model, &second);
+            assert_eq!(
+                traffic_model.summaries, traffic.summaries,
+                "{context}: delivery ledgers diverged"
+            );
+            assert_eq!(traffic_model.rounds, traffic.rounds, "{context}");
+            assert_eq!(traffic_model.all_done, traffic.all_done, "{context}");
+            assert_eq!(traffic_model.delivered, traffic.delivered, "{context}");
+        }
     }
 }
