@@ -126,14 +126,17 @@ impl UGraph {
         edges
     }
 
-    /// Returns the distinct (deduplicated) non-loop neighbor set of `v`.
+    /// Returns the distinct (deduplicated) non-loop neighbor set of `v`, in
+    /// ascending order.
     pub fn distinct_neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        let set: BTreeSet<NodeId> = self.adj[v.index()]
+        let mut distinct: Vec<NodeId> = self.adj[v.index()]
             .iter()
             .copied()
             .filter(|&w| w != v)
             .collect();
-        set.into_iter().collect()
+        distinct.sort_unstable();
+        distinct.dedup();
+        distinct
     }
 
     /// Builds an undirected graph from a list of edges.
@@ -228,6 +231,25 @@ mod tests {
             g.distinct_neighbors(0.into()),
             vec![NodeId::from(1usize), NodeId::from(2usize)]
         );
+    }
+
+    #[test]
+    fn distinct_neighbors_are_sorted_on_a_multigraph() {
+        // Slots of node 3, in insertion order: 5, 3 (loop), 1, 5, 0, 3 (loop), 1, 4.
+        let mut g = UGraph::new(6);
+        for w in [5usize, 3, 1, 5, 0, 3, 1, 4] {
+            g.add_edge(3.into(), w.into());
+        }
+        assert_eq!(g.degree(3.into()), 8);
+        let ids = |v: usize| -> Vec<usize> {
+            g.distinct_neighbors(v.into())
+                .into_iter()
+                .map(NodeId::index)
+                .collect()
+        };
+        assert_eq!(ids(3), vec![0, 1, 4, 5]);
+        assert_eq!(ids(5), vec![3]);
+        assert_eq!(ids(2), Vec::<usize>::new());
     }
 
     #[test]

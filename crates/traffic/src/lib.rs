@@ -17,9 +17,11 @@
 //!   backends of `overlay-net` (whose clean path mirrors the simulator only
 //!   while no RNG is consumed mid-round).
 //! * [`Router`] — one [`overlay_netsim::Protocol`] node per overlay member.
-//!   Each node holds a precomputed next-hop table ([`next_hops`]) over either
-//!   the expander edges ([`RoutingPolicy::Greedy`]) or the binarized tree
-//!   ([`RoutingPolicy::Tree`]), a FIFO forward queue with an NCC0-style
+//!   Each node holds its row of the next-hop table ([`next_hops`]: one
+//!   bit-parallel multi-source BFS, 64 destinations per machine word, whose
+//!   cost is proportional to the diameter the construction made small) over
+//!   either the expander edges ([`RoutingPolicy::Greedy`]) or the binarized
+//!   tree ([`RoutingPolicy::Tree`]), a FIFO forward queue with an NCC0-style
 //!   per-round forward budget, a queue capacity, and a TTL. Congestion is
 //!   enforced *at the application layer* (queue growth, overflow drops,
 //!   age-outs), never by the simulator's receive cap — so a congested cell

@@ -46,7 +46,9 @@ impl TrafficTally {
             self.max_node_forwards = self.max_node_forwards.max(s.forwards);
             for d in &s.deliveries {
                 self.hops.push(d.hops);
-                self.latencies.push(d.delivered - d.injected);
+                // Saturating: summaries cross sockets, and a delivery claiming
+                // to precede its injection must not underflow the tally.
+                self.latencies.push(d.delivered.saturating_sub(d.injected));
             }
         }
     }
@@ -204,6 +206,25 @@ mod tests {
         assert_eq!(r.max_node_forwards, 12);
         assert_eq!(r.rounds, 20);
         assert!((r.delivered_fraction() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_delivery_dated_before_its_injection_counts_as_zero_latency() {
+        // What a hostile rank's summary can claim; in the debug profile the
+        // plain subtraction panics on it.
+        let r = TrafficReport::from_summaries(
+            &[summary(
+                vec![Delivery {
+                    id: 0,
+                    hops: 1,
+                    injected: 9,
+                    delivered: 3,
+                }],
+                1,
+            )],
+            10,
+        );
+        assert_eq!((r.delivered, r.latency_max), (1, 0));
     }
 
     #[test]

@@ -46,50 +46,95 @@ impl RoutingPolicy {
 /// neighbor `src` forwards to for `dst` ([`UNROUTABLE`] when `dst` is `src`
 /// itself or unreachable).
 ///
-/// For each destination a BFS computes hop distances, and every source picks
-/// the neighbor strictly closer to the destination, ties broken by smallest
-/// node id — so the table (and every path routed over it) is a pure function
-/// of the graph. `O(n·(n+m))`, fine at the registry's committed sizes.
+/// The entry is the neighbor strictly closer to the destination, ties broken
+/// by smallest node id — so the table (and every path routed over it) is a
+/// pure function of the graph.
+///
+/// # Algorithm
+///
+/// A bit-parallel, level-synchronous multi-source BFS (MS-BFS, Then et al.,
+/// VLDB 2015) in the pull direction. The adjacency is flattened once into a
+/// CSR array (per node: sorted, deduplicated, loop-free). Destinations are
+/// taken 64 at a time; bit `b` of a node's word stands for destination
+/// `base + b`. `frontier[v]` holds the destinations whose search reached `v`
+/// in the previous level, `seen[v]` those that have reached it at all. In one
+/// level every node `u` that some destination has not reached yet scans its
+/// neighbors once in ascending order: the bits of `frontier[nb] & !seen[u]`
+/// are the destinations `nb` is exactly one hop closer to than `u`, and
+/// `table[u][base + b] = nb` is written on the spot — no distance array and no
+/// second pass over the sources.
+///
+/// A neighbor of `u` is never more than one hop closer than `u`, so "strictly
+/// closer" *is* "reached in the previous level", and since a bit leaves the
+/// wanted set the moment it is hit, the neighbor that writes an entry is the
+/// first one in ascending order that qualifies: the smallest-id tie-break.
+///
+/// # Cost
+///
+/// `⌈n/64⌉ · D · (n + m)` word operations for diameter `D` and `m` distinct
+/// edges, plus the `n²` entry writes, against `n · (n + m)` for one queue BFS
+/// per destination. The gain is therefore `64 / D`: an order of magnitude on
+/// the `O(log n)`-diameter overlays this crate routes over, and a *loss* once
+/// `D` passes 64 (a 1024-node path is 2–4× slower than per-destination BFS).
+/// The table itself is `n²` entries either way.
 pub fn next_hops(graph: &UGraph) -> Vec<Vec<u32>> {
     let n = graph.node_count();
-    let adj: Vec<Vec<u32>> = (0..n)
-        .map(|v| {
-            graph
-                .distinct_neighbors(NodeId::from(v))
-                .into_iter()
-                .map(|u| u.index() as u32)
-                .collect()
-        })
-        .collect();
+    // CSR adjacency: node `u`'s neighbors are `targets[offsets[u]..offsets[u + 1]]`.
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut targets: Vec<u32> = Vec::new();
+    offsets.push(0);
+    for v in graph.nodes() {
+        let distinct = graph.distinct_neighbors(v);
+        targets.extend(distinct.iter().map(|w| w.index() as u32));
+        offsets.push(targets.len());
+    }
+
     let mut table = vec![vec![UNROUTABLE; n]; n];
-    let mut dist = vec![u32::MAX; n];
-    let mut queue = VecDeque::new();
-    for dst in 0..n {
-        dist.iter_mut().for_each(|d| *d = u32::MAX);
-        dist[dst] = 0;
-        queue.clear();
-        queue.push_back(dst as u32);
-        while let Some(v) = queue.pop_front() {
-            for &u in &adj[v as usize] {
-                if dist[u as usize] == u32::MAX {
-                    dist[u as usize] = dist[v as usize] + 1;
-                    queue.push_back(u);
-                }
-            }
+    let mut seen = vec![0u64; n];
+    let mut frontier = vec![0u64; n];
+    let mut next = vec![0u64; n];
+    for base in (0..n).step_by(64) {
+        let width = (n - base).min(64);
+        let all = u64::MAX >> (64 - width);
+        seen.fill(0);
+        frontier.fill(0);
+        for bit in 0..width {
+            seen[base + bit] = 1 << bit;
+            frontier[base + bit] = 1 << bit;
         }
-        for src in 0..n {
-            if src == dst || dist[src] == u32::MAX {
-                continue;
-            }
-            // The strictly-closer neighbor with the smallest id; adjacency
-            // lists from `distinct_neighbors` are sorted, so the first hit
-            // wins.
-            for &nb in &adj[src] {
-                if dist[nb as usize] < dist[src] {
-                    table[src][dst] = nb;
-                    break;
+        loop {
+            let mut advanced = false;
+            for u in 0..n {
+                let mut wanted = all & !seen[u];
+                let mut found = 0;
+                if wanted != 0 {
+                    let hops = &mut table[u][base..base + width];
+                    for &nb in &targets[offsets[u]..offsets[u + 1]] {
+                        let mut hit = frontier[nb as usize] & wanted;
+                        if hit == 0 {
+                            continue;
+                        }
+                        wanted &= !hit;
+                        found |= hit;
+                        while hit != 0 {
+                            hops[hit.trailing_zeros() as usize] = nb;
+                            hit &= hit - 1;
+                        }
+                        if wanted == 0 {
+                            break;
+                        }
+                    }
                 }
+                // `seen[u]` is only ever read for `u` itself, so it can move
+                // mid-level; `frontier` is read across nodes and cannot.
+                seen[u] |= found;
+                next[u] = found;
+                advanced |= found != 0;
             }
+            if !advanced {
+                break;
+            }
+            std::mem::swap(&mut frontier, &mut next);
         }
     }
     table
@@ -273,7 +318,9 @@ impl Protocol for Router {
         let ttl = self.config.ttl;
         let expired = &mut self.expired;
         self.queue.retain(|m| {
-            if round - m.injected >= ttl {
+            // Saturating: an `injected` from the future (only a hostile peer
+            // sends one) ages from zero instead of underflowing.
+            if round.saturating_sub(m.injected) >= ttl {
                 expired.push(m.id);
                 false
             } else {
@@ -286,7 +333,13 @@ impl Protocol for Router {
             let Some(msg) = self.queue.pop_front() else {
                 break;
             };
-            let hop = self.next_hop[msg.dst as usize];
+            // A `dst` beyond the table came off a socket, not out of a
+            // schedule; it has no route like any other unroutable packet.
+            let hop = self
+                .next_hop
+                .get(msg.dst as usize)
+                .copied()
+                .unwrap_or(UNROUTABLE);
             if hop == UNROUTABLE {
                 self.dropped.push(msg.id);
                 continue;
@@ -294,7 +347,7 @@ impl Protocol for Router {
             ctx.send_global(
                 NodeId::from(hop as usize),
                 RouterMsg {
-                    hops: msg.hops + 1,
+                    hops: msg.hops.saturating_add(1),
                     ..msg
                 },
             );
@@ -373,6 +426,9 @@ impl Summarize for Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use overlay_core::{ExpanderParams, OverlayBuilder};
+    use overlay_graph::{analysis, generators};
+    use proptest::prelude::*;
 
     fn line_graph(n: usize) -> UGraph {
         let mut g = UGraph::new(n);
@@ -380,6 +436,86 @@ mod tests {
             g.add_edge(NodeId::from(v), NodeId::from(v + 1));
         }
         g
+    }
+
+    /// The executable specification [`next_hops`] is checked against: one
+    /// queue BFS per destination, then every source takes its first
+    /// (smallest-id) strictly closer neighbor.
+    fn reference_next_hops(graph: &UGraph) -> Vec<Vec<u32>> {
+        let n = graph.node_count();
+        let adj: Vec<Vec<u32>> = graph
+            .nodes()
+            .map(|v| {
+                graph
+                    .distinct_neighbors(v)
+                    .into_iter()
+                    .map(|u| u.index() as u32)
+                    .collect()
+            })
+            .collect();
+        let mut table = vec![vec![UNROUTABLE; n]; n];
+        let mut dist = vec![u32::MAX; n];
+        let mut queue = VecDeque::new();
+        for dst in 0..n {
+            dist.fill(u32::MAX);
+            dist[dst] = 0;
+            queue.push_back(dst as u32);
+            while let Some(v) = queue.pop_front() {
+                for &u in &adj[v as usize] {
+                    if dist[u as usize] == u32::MAX {
+                        dist[u as usize] = dist[v as usize] + 1;
+                        queue.push_back(u);
+                    }
+                }
+            }
+            for src in 0..n {
+                if src == dst || dist[src] == u32::MAX {
+                    continue;
+                }
+                if let Some(&nb) = adj[src].iter().find(|&&nb| dist[nb as usize] < dist[src]) {
+                    table[src][dst] = nb;
+                }
+            }
+        }
+        table
+    }
+
+    /// Checks `table` against the definition alone, with distances from
+    /// `overlay_graph::analysis` rather than from either implementation:
+    /// every routable entry is a neighbor exactly one hop closer, no
+    /// smaller-id neighbor is closer too, and exactly the pairs with no path
+    /// (or `src == dst`) are unroutable.
+    fn assert_greedy_smallest_id(graph: &UGraph, table: &[Vec<u32>]) {
+        let n = graph.node_count();
+        assert_eq!(table.len(), n);
+        let neighbors: Vec<Vec<usize>> = graph
+            .nodes()
+            .map(|v| {
+                let distinct = graph.distinct_neighbors(v);
+                distinct.into_iter().map(NodeId::index).collect()
+            })
+            .collect();
+        for dst in 0..n {
+            let dist = analysis::bfs_distances(graph, NodeId::from(dst));
+            for (src, (row, near)) in table.iter().zip(&neighbors).enumerate() {
+                let hop = row[dst] as usize;
+                let Some(d) = dist[src].filter(|&d| d > 0) else {
+                    assert_eq!(hop, UNROUTABLE as usize, "{src} -> {dst} has no route");
+                    continue;
+                };
+                assert!(
+                    near.contains(&hop),
+                    "{src} -> {dst}: {hop} is not a neighbor"
+                );
+                assert_eq!(dist[hop], Some(d - 1), "{src} -> {dst} via {hop}");
+                for &w in near {
+                    assert!(
+                        w >= hop || dist[w] >= Some(d),
+                        "{src} -> {dst}: {w} is as close as {hop} and smaller"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -402,6 +538,127 @@ mod tests {
         assert_eq!(table[0][1], 1);
         assert_eq!(table[0][2], UNROUTABLE);
         assert_eq!(table[3][1], UNROUTABLE);
+    }
+
+    /// A multigraph on `n` nodes from raw endpoint draws: self-loops and
+    /// parallel edges as they fall, and at most 320 edges, so the larger
+    /// sizes are usually in several components.
+    fn multigraph(n: usize, draws: &[(usize, usize)]) -> UGraph {
+        let mut g = UGraph::new(n);
+        if n > 0 {
+            for &(a, b) in draws {
+                g.add_edge(NodeId::from(a % n), NodeId::from(b % n));
+            }
+        }
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 96,
+            .. ProptestConfig::default()
+        })]
+
+        #[test]
+        fn next_hops_equal_the_per_destination_bfs_on_random_multigraphs(
+            size in 0usize..8,
+            draws in proptest::collection::vec((0usize..1000, 0usize..1000), 0..320),
+        ) {
+            // Around the 64-destination word boundary and past two words.
+            let n = [0, 1, 2, 63, 64, 65, 129, 200][size];
+            let g = multigraph(n, &draws);
+            prop_assert_eq!(next_hops(&g), reference_next_hops(&g));
+        }
+    }
+
+    #[test]
+    fn next_hops_on_a_path_with_more_levels_than_bits() {
+        let g = line_graph(300);
+        let table = next_hops(&g);
+        assert_eq!(table, reference_next_hops(&g));
+        assert_eq!(table[0][299], 1);
+        assert_eq!(table[299][0], 298);
+    }
+
+    #[test]
+    fn next_hops_on_a_built_overlay_match_the_reference_and_the_definition() {
+        let n = 256;
+        let overlay = OverlayBuilder::new(ExpanderParams::for_n(n).with_seed(7))
+            .build(&generators::line(n))
+            .expect("clean build");
+        for graph in [overlay.expander, overlay.tree.to_ugraph()] {
+            let table = next_hops(&graph);
+            assert_eq!(table, reference_next_hops(&graph));
+            assert_greedy_smallest_id(&graph, &table);
+        }
+    }
+
+    #[test]
+    fn next_hops_satisfy_the_definition_on_a_disconnected_multigraph() {
+        // Two components (a 70-cycle with chords and a loop at every node, a
+        // 30-path of doubled edges), 100 nodes: two destination words, the
+        // second partial.
+        let mut g = UGraph::new(100);
+        for v in 0..70usize {
+            g.add_edge(NodeId::from(v), NodeId::from((v + 1) % 70));
+            g.add_edge(NodeId::from(v), NodeId::from((v * 7 + 3) % 70));
+            g.add_self_loop(NodeId::from(v));
+        }
+        for v in 70..99usize {
+            g.add_edge(NodeId::from(v), NodeId::from(v + 1));
+            g.add_edge(NodeId::from(v), NodeId::from(v + 1));
+        }
+        assert_greedy_smallest_id(&g, &next_hops(&g));
+    }
+
+    fn envelope(payload: RouterMsg) -> Envelope<RouterMsg> {
+        Envelope {
+            from: NodeId::from(0usize),
+            channel: overlay_netsim::Channel::Global,
+            payload,
+        }
+    }
+
+    #[test]
+    fn hostile_envelopes_are_dropped_not_panicked_on() {
+        let config = RouterConfig {
+            ttl: 4,
+            queue_cap: 8,
+            per_round_budget: 8,
+        };
+        let table = next_hops(&line_graph(3));
+        let mut router = Router::new(1, table[1].clone(), Vec::new(), config);
+        let mut outbox = Vec::new();
+        let mut rng = overlay_netsim::node_rng(0, 1);
+        let inbox = [
+            // A destination no table row has.
+            envelope(RouterMsg {
+                id: 1,
+                dst: 3,
+                injected: 1,
+                hops: 1,
+            }),
+            envelope(RouterMsg {
+                id: 2,
+                dst: u32::MAX - 1,
+                injected: 1,
+                hops: 1,
+            }),
+            // Injected in the future, hop counter at its ceiling, real route.
+            envelope(RouterMsg {
+                id: 3,
+                dst: 2,
+                injected: u32::MAX,
+                hops: u32::MAX,
+            }),
+        ];
+        let mut ctx = Ctx::external(NodeId::from(1usize), 2, 3, &mut rng, &mut outbox);
+        router.on_round(&mut ctx, &inbox);
+        let summary = router.summarize();
+        assert_eq!(summary.dropped, vec![1, 2]);
+        assert!(summary.expired.is_empty());
+        assert_eq!(summary.forwards, 1);
+        assert_eq!(outbox.len(), 1);
     }
 
     #[test]
@@ -455,15 +712,13 @@ mod tests {
         let mut outbox = Vec::new();
         let mut rng = overlay_netsim::node_rng(0, 1);
         let inbox: Vec<Envelope<RouterMsg>> = (0..3)
-            .map(|k| Envelope {
-                from: NodeId::from(0usize),
-                channel: overlay_netsim::Channel::Global,
-                payload: RouterMsg {
+            .map(|k| {
+                envelope(RouterMsg {
                     id: k,
                     dst: 2,
                     injected: 1,
                     hops: 1,
-                },
+                })
             })
             .collect();
         let mut ctx = Ctx::external(NodeId::from(1usize), 1, 3, &mut rng, &mut outbox);
