@@ -88,7 +88,7 @@ pub struct PointerJumpingReport {
     pub rounds: usize,
     /// Whether every node ended up knowing every other node (diameter one).
     pub complete: bool,
-    /// Communication metrics of the run; `max_sent_in_any_round` is the interesting
+    /// Communication metrics of the run; `totals().max_sent` is the interesting
     /// quantity (it reaches `Θ(n²)` messages for the hub of a star and `Θ(n)` even on a
     /// line).
     pub metrics: RunMetrics,
@@ -136,9 +136,9 @@ mod tests {
         assert!(report.complete);
         // Some node sends Ω(n) messages in one round — far beyond the O(log n) budget.
         assert!(
-            report.metrics.max_sent_in_any_round() >= n,
+            report.metrics.totals().max_sent >= n,
             "expected at least {n} messages in a round, saw {}",
-            report.metrics.max_sent_in_any_round()
+            report.metrics.totals().max_sent
         );
     }
 

@@ -278,7 +278,6 @@ pub fn e6_components(component_sizes: &[usize]) -> Vec<Row> {
         let result = HybridComponents::new(ComponentsConfig {
             seed: 0xE6,
             walk_len: 12,
-            ..ComponentsConfig::default()
         })
         .run(&g)
         .expect("components succeed");
@@ -412,11 +411,7 @@ pub fn e9_mis(sizes: &[usize], degrees: &[usize]) -> Vec<Row> {
                 continue;
             }
             let g = generators::random_regular(n, d, 0xE9 + d as u64);
-            let hybrid = HybridMis {
-                seed: 0xE9,
-                ..HybridMis::default()
-            }
-            .run(&g);
+            let hybrid = HybridMis { seed: 0xE9 }.run(&g);
             let luby = run_luby_mis(&g, 0xE9, 400);
             let valid = overlay_graph::sequential::is_maximal_independent_set(
                 &g.to_undirected(),
@@ -460,7 +455,7 @@ pub fn e10_spanner(sizes: &[usize]) -> Vec<Row> {
             (format!("caveman/{n}"), generators::caveman(n / 16, 16)),
         ] {
             let before = g.to_undirected();
-            let result = sparsify(&g, 0xE10, 4);
+            let result = sparsify(&g, 0xE10);
             let truth = analysis::connected_components(&before);
             let after = analysis::connected_components(&result.reduced);
             let same = truth.component_count() == after.component_count()
@@ -505,7 +500,7 @@ pub fn e12_baselines(sizes: &[usize]) -> Vec<Row> {
             let jumping = run_pointer_jumping(&g, 2 * log2_ceil(n), 0xE12);
             (
                 jumping.rounds as f64,
-                jumping.metrics.max_sent_in_any_round() as f64,
+                jumping.metrics.totals().max_sent as f64,
             )
         } else {
             (-1.0, -1.0)

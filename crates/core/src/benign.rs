@@ -7,7 +7,7 @@
 //! checks the invariant, which experiment E4 tracks across evolutions.
 
 use crate::{ExpanderParams, OverlayError};
-use overlay_graph::{cuts, DiGraph, NodeId, UGraph};
+use overlay_graph::{cuts, DiGraph, UGraph};
 
 /// The result of checking the benign invariant on a graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,21 +91,6 @@ pub fn make_benign(g: &DiGraph, params: &ExpanderParams) -> Result<UGraph, Overl
     Ok(benign)
 }
 
-/// Returns, for every node, its slot list in the benign graph produced by
-/// [`make_benign`]; this is the initial local state of the distributed protocol (each
-/// node can compute it from its incident edges alone, so no global knowledge is
-/// assumed).
-pub fn benign_slots(
-    g: &DiGraph,
-    params: &ExpanderParams,
-) -> Result<Vec<Vec<NodeId>>, OverlayError> {
-    let benign = make_benign(g, params)?;
-    Ok(benign
-        .nodes()
-        .map(|v| benign.neighbors(v).to_vec())
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,20 +145,6 @@ mod tests {
             make_benign(&DiGraph::new(0), &params),
             Err(OverlayError::EmptyGraph)
         );
-    }
-
-    #[test]
-    fn benign_slots_match_graph() {
-        let params = small_params();
-        let g = generators::cycle(16);
-        let slots = benign_slots(&g, &params).unwrap();
-        assert_eq!(slots.len(), 16);
-        for (v, s) in slots.iter().enumerate() {
-            assert_eq!(s.len(), params.delta);
-            // Laziness: at least half the slots are self-loops.
-            let loops = s.iter().filter(|&&w| w.index() == v).count();
-            assert!(loops >= params.delta / 2);
-        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ use overlay_graph::{analysis, DiGraph, NodeId, UGraph};
 use overlay_netsim::faults::{CrashEvent, FaultPlan, Partition};
 use overlay_netsim::trace::SharedTraceSink;
 use overlay_netsim::wire::Wire;
-use overlay_netsim::{MetricsMode, ParallelismConfig, RunMetrics, TransportConfig};
+use overlay_netsim::{MetricsMode, ParallelismConfig, RoundMetrics, RunMetrics, TransportConfig};
 use std::collections::BTreeMap;
 
 /// Round counts of the three phases of the pipeline.
@@ -90,21 +90,21 @@ pub struct MessageStats {
 }
 
 impl MessageStats {
-    pub(crate) fn absorb(&mut self, metrics: &RunMetrics) {
+    pub(crate) fn absorb(&mut self, t: &RoundMetrics) {
         self.max_per_node_per_round = self
             .max_per_node_per_round
-            .max(metrics.max_sent_in_any_round())
-            .max(metrics.max_received_in_any_round());
+            .max(t.max_sent)
+            .max(t.max_received);
         // Per-node totals add up across phases; `Ledger` keeps those sums.
-        self.total_delivered += metrics.total_delivered();
-        self.dropped_receive += metrics.total_dropped_receive();
-        self.dropped_send += metrics.total_dropped_send();
-        self.dropped_fault += metrics.total_dropped_fault() + metrics.total_dropped_partition();
-        self.dropped_offline += metrics.total_dropped_offline();
-        self.delayed += metrics.total_delayed();
-        self.retransmits += metrics.total_retransmits();
-        self.acks += metrics.total_acks();
-        self.dupes_dropped += metrics.total_dupes_dropped();
+        self.total_delivered += t.delivered;
+        self.dropped_receive += t.dropped_receive;
+        self.dropped_send += t.dropped_send;
+        self.dropped_fault += t.dropped_fault + t.dropped_partition;
+        self.dropped_offline += t.dropped_offline;
+        self.delayed += t.delayed;
+        self.retransmits += t.transport.retransmits;
+        self.acks += t.transport.acks;
+        self.dupes_dropped += t.transport.dupes_dropped;
     }
 }
 
@@ -715,11 +715,12 @@ impl Ledger {
         let nodes_done = match detail {
             Some(detail) => {
                 self.absorb(&detail.metrics);
-                self.report.phase_metrics.push(PhaseMetrics::from_run(
-                    id.name(),
-                    &detail.metrics,
-                    detail.wall,
-                ));
+                self.report.phase_metrics.push(PhaseMetrics {
+                    phase: id.name(),
+                    rounds: detail.metrics.rounds,
+                    totals: *detail.metrics.totals(),
+                    wall: detail.wall,
+                });
                 detail.done_count
             }
             None => {
@@ -744,14 +745,15 @@ impl Ledger {
     /// already counted, so they are skipped, and per-node totals are mapped
     /// back to original ids.
     fn absorb(&mut self, metrics: &RunMetrics) {
-        self.report.messages.absorb(metrics);
+        let totals = metrics.totals();
+        self.report.messages.absorb(totals);
         let inherited = if self.core.is_some() {
             metrics.first_round_crashed()
         } else {
             0
         };
-        self.report.crashed += metrics.total_crashed() - inherited;
-        self.report.joined += metrics.total_joined();
+        self.report.crashed += totals.crashed - inherited;
+        self.report.joined += totals.joined;
         for (i, s) in metrics.total_sent_per_node.iter().enumerate() {
             let orig = self.core.as_ref().map_or(i, |ids| ids[i]);
             self.total_sent_per_node[orig] += s;
@@ -1666,14 +1668,15 @@ mod tests {
             report.rounds.construction + 1,
             "phase rounds include the start round"
         );
-        let delivered: u64 = report.phase_metrics.iter().map(|m| m.delivered).sum();
+        let totals: Vec<_> = report.phase_metrics.iter().map(|m| m.totals).collect();
+        let delivered: u64 = totals.iter().map(|t| t.delivered).sum();
         assert_eq!(delivered, report.messages.total_delivered);
-        let faults: u64 = report.phase_metrics.iter().map(|m| m.dropped_fault).sum();
+        let faults: u64 = totals.iter().map(|t| t.dropped_fault).sum();
         assert_eq!(faults, report.messages.dropped_fault);
         assert!(faults > 0, "the loss plan must actually bite");
         assert_eq!(
-            report.phase_metrics[0].dominant_drop().map(|(c, _)| c),
-            Some("fault")
+            totals[0].dominant_drop().map(|(c, _)| c),
+            Some(overlay_netsim::DropCause::Fault)
         );
     }
 

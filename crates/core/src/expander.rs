@@ -357,7 +357,7 @@ mod tests {
         let outcome = sim.run(ExpanderNode::total_rounds(&params) + 2);
         assert!(outcome.all_done, "expander protocol must terminate");
         assert_eq!(
-            sim.metrics().total_dropped_receive(),
+            sim.metrics().totals().dropped_receive,
             0,
             "no node should exceed its receive capacity"
         );
@@ -462,11 +462,11 @@ mod tests {
         };
         let mut sim = Simulator::new(nodes, config);
         sim.run(ExpanderNode::total_rounds(&params) + 2);
-        let m = sim.metrics();
-        assert!(m.max_sent_in_any_round() <= params.ncc0_cap);
-        assert!(m.max_received_in_any_round() <= params.ncc0_cap);
-        assert_eq!(m.total_dropped_receive(), 0);
-        assert_eq!(m.total_dropped_send(), 0);
+        let m = sim.metrics().totals();
+        assert!(m.max_sent <= params.ncc0_cap);
+        assert!(m.max_received <= params.ncc0_cap);
+        assert_eq!(m.dropped_receive, 0);
+        assert_eq!(m.dropped_send, 0);
     }
 
     #[test]

@@ -301,16 +301,6 @@ impl MaintenanceRunner {
         &self.graph
     }
 
-    /// Core-space alive mask: `true` for each core slot whose member is still
-    /// admitted (all of them between epochs — crashes are folded into the core
-    /// at the next epoch step, so this is the honest per-slot view mid-epoch).
-    pub fn core_alive(&self) -> Vec<bool> {
-        self.core
-            .iter()
-            .map(|&m| self.members[m].status == MemberStatus::Admitted)
-            .collect()
-    }
-
     fn emit(&self, event: TraceEvent) {
         if let Some(sink) = &self.trace {
             sink.borrow_mut().record(event);

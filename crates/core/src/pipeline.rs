@@ -21,7 +21,7 @@ use crate::wellformed::BinarizeNode;
 use crate::{ExpanderParams, RoundBudget};
 use overlay_graph::{DiGraph, NodeId, UGraph};
 use overlay_netsim::faults::FaultPlan;
-use overlay_netsim::{RunMetrics, TransportConfig};
+use overlay_netsim::{RoundMetrics, TransportConfig};
 use std::time::Duration;
 
 /// Identifies one of the three simulated phases of the paper's pipeline.
@@ -242,8 +242,9 @@ impl PhaseOverrides {
 }
 
 /// Metric rollup for one *simulated* phase, answering "which stage ate the
-/// budget": rounds executed, delivery and drop totals by cause, transport
-/// overhead, and host wall-clock time.
+/// budget": rounds executed, the phase's counter totals (delivery, drops by
+/// cause, transport overhead — the glossary in [`overlay_netsim::metrics`]),
+/// and host wall-clock time.
 ///
 /// One entry per phase the lockstep simulator executed is appended to
 /// [`crate::BuildReport::phase_metrics`], in pipeline order, including phases that
@@ -251,108 +252,24 @@ impl PhaseOverrides {
 /// steps (`survivor-connectivity`, `bfs-convergence`, `finalize`) simulate
 /// nothing and have no entry.
 ///
-/// Equality ignores [`PhaseMetrics::wall`] — it is host-machine noise, never part
-/// of the deterministic run identity — so traced and untraced runs of one seed
-/// compare equal. The counter taxonomy is the glossary in
-/// [`overlay_netsim::metrics`].
+/// `==` ignores [`PhaseMetrics::wall`], which is host noise and not part of the
+/// deterministic run identity, so traced and untraced runs of one seed compare
+/// equal.
 #[derive(Clone, Copy, Debug)]
 pub struct PhaseMetrics {
     /// The phase's report name (a [`PhaseId::name`]).
     pub phase: &'static str,
     /// Rounds the phase executed (including its start round).
     pub rounds: usize,
-    /// Messages delivered to inboxes.
-    pub delivered: u64,
-    /// Messages lost to injected random loss.
-    pub dropped_fault: u64,
-    /// Messages blocked by an active partition.
-    pub dropped_partition: u64,
-    /// Messages addressed to crashed or not-yet-joined nodes.
-    pub dropped_offline: u64,
-    /// Messages evicted by a receiver's per-round cap.
-    pub dropped_receive: u64,
-    /// Messages dropped at the sender (send cap, CONGEST edge discipline, or an
-    /// invalid recipient).
-    pub dropped_send: u64,
-    /// Messages that suffered an injected delivery delay.
-    pub delayed: u64,
-    /// Transport-layer retransmissions.
-    pub retransmits: u64,
-    /// Transport-layer acknowledgment messages.
-    pub acks: u64,
-    /// Duplicate payloads suppressed by the transport layer.
-    pub dupes_dropped: u64,
-    /// Payloads abandoned after the transport's retransmission budget ran out.
-    pub give_ups: u64,
+    /// The phase's [`overlay_netsim::RunMetrics::totals`].
+    pub totals: RoundMetrics,
     /// Host wall-clock time spent simulating the phase. Ignored by `==`.
     pub wall: Duration,
 }
 
-impl PhaseMetrics {
-    /// Rolls one phase's simulated [`RunMetrics`] up into a report entry.
-    pub fn from_run(phase: &'static str, metrics: &RunMetrics, wall: Duration) -> Self {
-        PhaseMetrics {
-            phase,
-            rounds: metrics.rounds,
-            delivered: metrics.total_delivered(),
-            dropped_fault: metrics.total_dropped_fault(),
-            dropped_partition: metrics.total_dropped_partition(),
-            dropped_offline: metrics.total_dropped_offline(),
-            dropped_receive: metrics.total_dropped_receive(),
-            dropped_send: metrics.total_dropped_send(),
-            delayed: metrics.total_delayed(),
-            retransmits: metrics.total_retransmits(),
-            acks: metrics.total_acks(),
-            dupes_dropped: metrics.total_dupes_dropped(),
-            give_ups: metrics.total_give_ups(),
-            wall,
-        }
-    }
-
-    /// Total drops across every cause.
-    pub fn total_dropped(&self) -> u64 {
-        self.dropped_fault
-            + self.dropped_partition
-            + self.dropped_offline
-            + self.dropped_receive
-            + self.dropped_send
-    }
-
-    /// The drop cause that lost the most messages this phase, as
-    /// `(label, count)` — `None` when the phase dropped nothing. Ties resolve to
-    /// the first cause in glossary order (fault, partition, offline, receive-cap,
-    /// send-cap).
-    pub fn dominant_drop(&self) -> Option<(&'static str, u64)> {
-        let causes = [
-            ("fault", self.dropped_fault),
-            ("partition", self.dropped_partition),
-            ("offline", self.dropped_offline),
-            ("receive-cap", self.dropped_receive),
-            ("send-cap", self.dropped_send),
-        ];
-        causes
-            .into_iter()
-            .filter(|&(_, count)| count > 0)
-            .max_by_key(|&(_, count)| count)
-    }
-}
-
 impl PartialEq for PhaseMetrics {
     fn eq(&self, other: &Self) -> bool {
-        // Everything but `wall`, which is host noise.
-        self.phase == other.phase
-            && self.rounds == other.rounds
-            && self.delivered == other.delivered
-            && self.dropped_fault == other.dropped_fault
-            && self.dropped_partition == other.dropped_partition
-            && self.dropped_offline == other.dropped_offline
-            && self.dropped_receive == other.dropped_receive
-            && self.dropped_send == other.dropped_send
-            && self.delayed == other.delayed
-            && self.retransmits == other.retransmits
-            && self.acks == other.acks
-            && self.dupes_dropped == other.dupes_dropped
-            && self.give_ups == other.give_ups
+        self.phase == other.phase && self.rounds == other.rounds && self.totals == other.totals
     }
 }
 

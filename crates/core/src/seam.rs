@@ -396,7 +396,7 @@ impl SimMedium {
                 .collect(),
             rounds: outcome.rounds,
             all_done: outcome.all_done,
-            delivered: metrics.total_delivered(),
+            delivered: metrics.totals().delivered,
         };
         (run, metrics, sim.done_count())
     }

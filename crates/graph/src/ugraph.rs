@@ -103,11 +103,6 @@ impl UGraph {
         self.adj.iter().map(Vec::len).max().unwrap_or(0)
     }
 
-    /// Minimum degree over all nodes.
-    pub fn min_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).min().unwrap_or(0)
-    }
-
     /// Returns `true` if every node has exactly degree `delta`.
     pub fn is_regular(&self, delta: usize) -> bool {
         self.adj.iter().all(|a| a.len() == delta)

@@ -154,7 +154,6 @@ impl DistributedBiconnectivity {
         let comp_config = ComponentsConfig {
             seed: self.seed ^ 0x00B1_C077,
             walk_len: 12,
-            ..ComponentsConfig::default()
         };
         let gpp_components = if gpp.node_count() > 0 {
             Some(HybridComponents::new(comp_config).run(&gpp)?)

@@ -21,8 +21,6 @@ use overlay_netsim::caps::log2_ceil;
 pub struct ComponentsConfig {
     /// Seed for all randomness.
     pub seed: u64,
-    /// The constant `c` of the spanner's low-degree rule.
-    pub degree_threshold_factor: usize,
     /// Random-walk length used by the per-component expander construction.
     pub walk_len: usize,
 }
@@ -31,7 +29,6 @@ impl Default for ComponentsConfig {
     fn default() -> Self {
         ComponentsConfig {
             seed: 0xC0C0_0001,
-            degree_threshold_factor: 4,
             walk_len: 16,
         }
     }
@@ -92,7 +89,7 @@ impl HybridComponents {
         if n == 0 {
             return Err(OverlayError::EmptyGraph);
         }
-        let sparsified = sparsify(g, self.config.seed, self.config.degree_threshold_factor);
+        let sparsified = sparsify(g, self.config.seed);
         let reduced = &sparsified.reduced;
         let comps = analysis::connected_components(reduced);
         let groups = comps.members();
@@ -122,7 +119,12 @@ impl HybridComponents {
                     }
                 }
                 local.dedup_edges();
-                let params = component_params(&local, self.config);
+                let degree = local.to_undirected().max_degree();
+                let params = ExpanderParams {
+                    bfs_rounds: 4 * log2_ceil(m).max(2) + 8,
+                    seed: self.config.seed ^ (m as u64).rotate_left(17),
+                    ..component_params(m, degree, self.config.walk_len)
+                };
                 let result = OverlayBuilder::new(params).build(&local)?;
                 max_component_rounds = max_component_rounds.max(result.rounds.total());
                 result.tree
@@ -146,25 +148,23 @@ impl HybridComponents {
     }
 }
 
-/// Chooses expander parameters for a component of the reduced graph: the component's
-/// maximum degree is `O(log n)`, so `Δ = Θ(d·log m)` is polylogarithmic, which the
-/// hybrid model's global capacity allows.
-fn component_params(local: &DiGraph, config: ComponentsConfig) -> ExpanderParams {
-    let m = local.node_count();
+/// Chooses expander parameters (Δ, Λ, evolutions, NCC0 cap) for an `m`-node
+/// component of the reduced graph with maximum degree `degree`: that degree is
+/// `O(log n)`, so `Δ = Θ(d·log m)` is polylogarithmic, which the hybrid model's
+/// global capacity allows. `seed` and `bfs_rounds` are the caller's to set.
+pub(crate) fn component_params(m: usize, degree: usize, walk_len: usize) -> ExpanderParams {
     let log_m = log2_ceil(m).max(2);
-    let degree = local.to_undirected().max_degree().max(1);
     let lambda = 2 * log_m;
     // Round Δ up to a multiple of 8 satisfying the laziness constraint 2·d·Λ ≤ Δ.
-    let delta = (2 * degree * lambda).max(16 * log_m).div_ceil(8) * 8;
-    let mut params = ExpanderParams::for_n(m);
-    params.delta = delta;
-    params.lambda = lambda;
-    params.walk_len = config.walk_len;
-    params.evolutions = log_m + 4;
-    params.ncc0_cap = 2 * delta;
-    params.bfs_rounds = 4 * log_m + 8;
-    params.seed = config.seed ^ (m as u64).rotate_left(17);
-    params
+    let delta = (2 * degree.max(1) * lambda).max(16 * log_m).div_ceil(8) * 8;
+    ExpanderParams {
+        delta,
+        lambda,
+        walk_len,
+        evolutions: log_m + 4,
+        ncc0_cap: 2 * delta,
+        ..ExpanderParams::for_n(m)
+    }
 }
 
 #[cfg(test)]
@@ -173,11 +173,7 @@ mod tests {
     use overlay_graph::generators;
 
     fn run(g: &DiGraph, seed: u64) -> ComponentsResult {
-        let config = ComponentsConfig {
-            seed,
-            walk_len: 12,
-            ..ComponentsConfig::default()
-        };
+        let config = ComponentsConfig { seed, walk_len: 12 };
         HybridComponents::new(config)
             .run(g)
             .expect("pipeline must succeed")

@@ -206,19 +206,11 @@ impl HybridMisResult {
 pub struct HybridMis {
     /// Seed for all randomness.
     pub seed: u64,
-    /// Multiplier `c` for the shattering budget `c·(⌈log₂ d⌉ + 1)`.
-    pub shattering_factor: usize,
-    /// Number of parallel Métivier executions per component (`Θ(log n)`).
-    pub executions: usize,
 }
 
 impl Default for HybridMis {
     fn default() -> Self {
-        HybridMis {
-            seed: 0x0415_0001,
-            shattering_factor: 8,
-            executions: 0, // 0 means "use ⌈log₂ n⌉ + 1"
-        }
+        HybridMis { seed: 0x0415_0001 }
     }
 }
 
@@ -239,7 +231,9 @@ impl HybridMis {
         let d = und.max_degree().max(1);
         let log_d = log2_ceil(d).max(1);
         let log_n = log2_ceil(n).max(1);
-        let budget = self.shattering_factor * (log_d + 1);
+        // The shattering budget `c·(⌈log₂ d⌉ + 1)`.
+        const SHATTERING_FACTOR: usize = 8;
+        let budget = SHATTERING_FACTOR * (log_d + 1);
 
         // Stage 1: Ghaffari shattering over local edges.
         let local_edges: Vec<Vec<NodeId>> =
@@ -286,11 +280,8 @@ impl HybridMis {
         let comps = analysis::connected_components(&sub);
         let mut finishing_rounds = 0usize;
         let mut largest = 0usize;
-        let executions = if self.executions == 0 {
-            log_n + 1
-        } else {
-            self.executions
-        };
+        // Parallel Métivier executions per component: `Θ(log n)`.
+        let executions = log_n + 1;
         for (label, members) in comps.members().into_iter().enumerate() {
             let members: Vec<usize> = members
                 .into_iter()
@@ -387,11 +378,7 @@ mod tests {
     use overlay_graph::{generators, sequential};
 
     fn check(g: &DiGraph, seed: u64) -> HybridMisResult {
-        let result = HybridMis {
-            seed,
-            ..HybridMis::default()
-        }
-        .run(g);
+        let result = HybridMis { seed }.run(g);
         assert!(
             sequential::is_maximal_independent_set(&g.to_undirected(), &result.mis),
             "output must be a maximal independent set"

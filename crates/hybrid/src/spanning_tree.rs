@@ -18,6 +18,7 @@
 //! executed by the harness with the paper's round accounting (one round per unwinding
 //! level plus `O(log n)` for the loop erasure).
 
+use crate::components::component_params;
 use crate::sparsify::{sparsify, SparsifyResult};
 use overlay_core::{benign, EvolutionEngine, ExpanderParams, OverlayError};
 use overlay_graph::{analysis, sequential, DiGraph, NodeId, UGraph};
@@ -139,17 +140,20 @@ impl HybridSpanningTree {
             return Ok(SpanningTreeResult {
                 parent: vec![NodeId::from(0usize)],
                 rounds: 0,
-                sparsified: sparsify(g, self.seed, 4),
+                sparsified: sparsify(g, self.seed),
             });
         }
 
         // Step 1: degree reduction.
-        let sparsified = sparsify(g, self.seed, 4);
+        let sparsified = sparsify(g, self.seed);
         let h = &sparsified.reduced;
 
         // Step 2: traced evolutions on the benign version of H.
         let h_digraph = DiGraph::from_edges(n, h.edges().into_iter().filter(|(a, b)| a != b));
-        let params = tree_params(h, self.seed, self.walk_len);
+        let params = ExpanderParams {
+            seed: self.seed,
+            ..component_params(n, h.max_degree(), self.walk_len)
+        };
         let benign_graph = benign::make_benign(&h_digraph, &params)?;
         let mut engine = TracedEvolution::from_benign(benign_graph, params);
         for _ in 0..params.evolutions {
@@ -226,22 +230,6 @@ impl HybridSpanningTree {
             sparsified,
         })
     }
-}
-
-fn tree_params(h: &UGraph, seed: u64, walk_len: usize) -> ExpanderParams {
-    let n = h.node_count();
-    let log_n = log2_ceil(n).max(2);
-    let degree = h.max_degree().max(1);
-    let lambda = 2 * log_n;
-    let delta = (2 * degree * lambda).max(16 * log_n).div_ceil(8) * 8;
-    let mut params = ExpanderParams::for_n(n);
-    params.delta = delta;
-    params.lambda = lambda;
-    params.walk_len = walk_len;
-    params.evolutions = log_n + 4;
-    params.ncc0_cap = 2 * delta;
-    params.seed = seed;
-    params
 }
 
 #[cfg(test)]
@@ -325,7 +313,10 @@ mod tests {
 
             let h = &result.sparsified.reduced;
             let h_digraph = DiGraph::from_edges(64, h.edges().into_iter().filter(|(a, b)| a != b));
-            let params = tree_params(h, seed, 12);
+            let params = ExpanderParams {
+                seed,
+                ..component_params(64, h.max_degree(), 12)
+            };
             let benign_graph = benign::make_benign(&h_digraph, &params).unwrap();
             let mut engine = TracedEvolution::from_benign(benign_graph, params);
             for _ in 0..params.evolutions {

@@ -45,16 +45,16 @@ impl SparsifyResult {
     }
 }
 
+/// The constant `c` of the paper's Step 1: nodes of degree below `c·⌈log₂ n⌉`
+/// simply keep all their edges.
+const DEGREE_THRESHOLD_FACTOR: usize = 4;
+
 /// Runs the two-step degree reduction on (the undirected version of) `g`.
-///
-/// `degree_threshold_factor` is the constant `c` of the paper's Step 1: nodes of degree
-/// below `c·⌈log₂ n⌉` simply keep all their edges. The default used by the experiments
-/// is 4.
-pub fn sparsify(g: &DiGraph, seed: u64, degree_threshold_factor: usize) -> SparsifyResult {
+pub fn sparsify(g: &DiGraph, seed: u64) -> SparsifyResult {
     let und = g.to_undirected();
     let n = und.node_count();
     let log_n = log2_ceil(n).max(1);
-    let threshold = degree_threshold_factor * log_n;
+    let threshold = DEGREE_THRESHOLD_FACTOR * log_n;
     let mut rng = StdRng::seed_from_u64(seed);
 
     // Component sizes determine the broadcast radius (the paper uses the known bound m).
@@ -227,7 +227,7 @@ mod tests {
     fn star_degree_collapses() {
         let n = 256;
         let g = generators::star(n);
-        let result = sparsify(&g, 1, 4);
+        let result = sparsify(&g, 1);
         check_components_preserved(&g, &result);
         let log_n = log2_ceil(n);
         assert!(
@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn low_degree_graphs_are_preserved() {
         let g = generators::cycle(64);
-        let result = sparsify(&g, 2, 4);
+        let result = sparsify(&g, 2);
         check_components_preserved(&g, &result);
         // Every node has degree 2 < threshold, so the spanner keeps all edges.
         assert_eq!(result.spanner.edge_count(), 2 * 64);
@@ -253,7 +253,7 @@ mod tests {
             generators::cycle(32),
             generators::line(20),
         ]);
-        let result = sparsify(&g, 3, 4);
+        let result = sparsify(&g, 3);
         check_components_preserved(&g, &result);
     }
 
@@ -262,7 +262,7 @@ mod tests {
         let n = 128;
         let g = generators::connected_random(n, 0.3, 5);
         assert!(g.to_undirected().max_degree() > 20);
-        let result = sparsify(&g, 7, 4);
+        let result = sparsify(&g, 7);
         check_components_preserved(&g, &result);
         let log_n = log2_ceil(n);
         assert!(
@@ -276,7 +276,7 @@ mod tests {
     fn spanner_is_subgraph_of_input() {
         let g = generators::connected_random(80, 0.2, 9);
         let und = g.to_undirected();
-        let result = sparsify(&g, 11, 4);
+        let result = sparsify(&g, 11);
         for (u, v) in result.spanner.edges() {
             assert!(
                 und.neighbors(u).contains(&v),
@@ -289,7 +289,7 @@ mod tests {
     fn delegation_centers_map_back_to_input_edges() {
         let g = generators::connected_random(100, 0.25, 13);
         let und = g.to_undirected();
-        let result = sparsify(&g, 17, 4);
+        let result = sparsify(&g, 17);
         for ((a, b), c) in &result.delegation_center {
             assert!(und.neighbors(*a).contains(c));
             assert!(und.neighbors(*b).contains(c));
@@ -300,7 +300,7 @@ mod tests {
 
     #[test]
     fn rounds_are_logarithmic() {
-        let result = sparsify(&generators::star(1024), 19, 4);
+        let result = sparsify(&generators::star(1024), 19);
         assert!(result.rounds <= 2 * log2_ceil(1024) + 3);
     }
 }

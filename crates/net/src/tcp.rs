@@ -188,6 +188,12 @@ impl TcpBackend {
                 "roster assigned invalid rank {rank}"
             )));
         }
+        if roster.addrs.len() != procs - 1 {
+            return Err(NetError::Protocol(format!(
+                "roster for {procs} processes lists {} mesh addresses",
+                roster.addrs.len()
+            )));
+        }
         let mut backend = TcpBackend::empty(rank, procs, n, roster.config, timeout);
         backend.install_peer(0, zero)?;
         // Dial every lower non-zero rank, identifying ourselves.

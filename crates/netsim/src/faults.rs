@@ -18,6 +18,7 @@
 
 use crate::metrics::RoundMetrics;
 use crate::protocol::Envelope;
+use crate::trace::DropCause;
 use overlay_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -307,17 +308,6 @@ impl FaultPlan {
     }
 }
 
-/// Why the router refused to deliver a message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DropReason {
-    /// Lost to the independent per-message loss probability.
-    Fault,
-    /// Blocked by an active partition between sender and recipient.
-    Partition,
-    /// The recipient was crashed or not yet joined at delivery time.
-    Offline,
-}
-
 /// The router's verdict for one message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Route {
@@ -325,8 +315,9 @@ pub enum Route {
     Deliver,
     /// Deliver at the returned (absolute) round instead.
     Delay(usize),
-    /// Do not deliver.
-    Drop(DropReason),
+    /// Do not deliver: [`DropCause::Partition`], [`DropCause::Fault`] or
+    /// [`DropCause::Offline`].
+    Drop(DropCause),
 }
 
 /// Executes a [`FaultPlan`] inside the simulator: decides the fate of every sent
@@ -346,7 +337,7 @@ pub struct FaultRouter<M> {
     delay: Option<DelayModel>,
     rng: StdRng,
     /// Messages in flight beyond the next round, keyed by (absolute) delivery round.
-    delayed: BTreeMap<usize, Vec<(NodeId, Envelope<M>)>>,
+    in_flight: BTreeMap<usize, Vec<(NodeId, Envelope<M>)>>,
     /// Emptied per-round buffers recycled by [`FaultRouter::buffer`], so steady-state
     /// delay traffic allocates no new `Vec`s (the same discipline as the simulator's
     /// envelope arena).
@@ -388,7 +379,7 @@ impl<M> FaultRouter<M> {
             loss_from: plan.loss_from,
             delay: plan.delay,
             rng: StdRng::seed_from_u64(seed.wrapping_add(0xFA17)),
-            delayed: BTreeMap::new(),
+            in_flight: BTreeMap::new(),
             spare: Vec::new(),
         }
     }
@@ -439,7 +430,7 @@ impl<M> FaultRouter<M> {
     /// delivery would be at `send_round + 1`).
     pub fn route(&mut self, from: NodeId, to: NodeId, send_round: usize) -> Route {
         if self.cut_by_partition(from, to, send_round) {
-            return Route::Drop(DropReason::Partition);
+            return Route::Drop(DropCause::Partition);
         }
         // The loss window is checked before the RNG roll, so rounds before
         // `loss_from` draw nothing: an unwindowed plan (`loss_from == 0`) keeps
@@ -448,7 +439,7 @@ impl<M> FaultRouter<M> {
         // the window.
         if self.drop_prob > 0.0 && send_round >= self.loss_from && self.rng.gen_bool(self.drop_prob)
         {
-            return Route::Drop(DropReason::Fault);
+            return Route::Drop(DropCause::Fault);
         }
         let mut deliver_round = send_round + 1;
         if let Some(delay) = self.delay {
@@ -460,7 +451,7 @@ impl<M> FaultRouter<M> {
         // landing exactly on the join round would never reach the protocol;
         // treat it as offline too, so it is dropped *and counted*.
         if !self.is_active(to.index(), deliver_round) || self.joins_at(to.index(), deliver_round) {
-            return Route::Drop(DropReason::Offline);
+            return Route::Drop(DropCause::Offline);
         }
         if deliver_round == send_round + 1 {
             Route::Deliver
@@ -471,7 +462,7 @@ impl<M> FaultRouter<M> {
 
     /// Buffers a delayed message for its delivery round.
     pub fn buffer(&mut self, deliver_round: usize, to: NodeId, env: Envelope<M>) {
-        self.delayed
+        self.in_flight
             .entry(deliver_round)
             .or_insert_with(|| self.spare.pop().unwrap_or_default())
             .push((to, env));
@@ -481,7 +472,7 @@ impl<M> FaultRouter<M> {
     /// recycles the emptied buffer, so rounds with active delay faults perform no
     /// per-round allocation once the pool is warm.
     pub fn drain_due(&mut self, round: usize, mut deliver: impl FnMut(NodeId, Envelope<M>)) {
-        if let Some(mut due) = self.delayed.remove(&round) {
+        if let Some(mut due) = self.in_flight.remove(&round) {
             for (to, env) in due.drain(..) {
                 deliver(to, env);
             }
@@ -491,7 +482,7 @@ impl<M> FaultRouter<M> {
 
     /// `true` if some delayed message is still in flight.
     pub fn has_in_flight(&self) -> bool {
-        !self.delayed.is_empty()
+        !self.in_flight.is_empty()
     }
 
     /// Records this round's lifecycle events into `metrics`.
@@ -597,11 +588,11 @@ mod tests {
         // Cross-cut during the window: dropped.
         assert_eq!(
             router.route(id(0), id(2), 3),
-            Route::Drop(DropReason::Partition)
+            Route::Drop(DropCause::Partition)
         );
         assert_eq!(
             router.route(id(2), id(1), 2),
-            Route::Drop(DropReason::Partition)
+            Route::Drop(DropCause::Partition)
         );
         // Same side during the window: delivered.
         assert_eq!(router.route(id(0), id(1), 3), Route::Deliver);
@@ -620,20 +611,20 @@ mod tests {
         // Delivery at round 1 < join round 4.
         assert_eq!(
             router.route(id(0), id(1), 0),
-            Route::Drop(DropReason::Offline)
+            Route::Drop(DropCause::Offline)
         );
         // Delivery at round 4 == join round: the joiner runs `on_start` that
         // round and would never see the inbox, so the message is dropped too.
         assert_eq!(
             router.route(id(0), id(1), 3),
-            Route::Drop(DropReason::Offline)
+            Route::Drop(DropCause::Offline)
         );
         // Delivery at round 5, its first `on_round`: fine.
         assert_eq!(router.route(id(0), id(1), 4), Route::Deliver);
         // Delivery at round 2 == crash round: lost.
         assert_eq!(
             router.route(id(0), id(2), 1),
-            Route::Drop(DropReason::Offline)
+            Route::Drop(DropCause::Offline)
         );
         assert_eq!(router.route(id(0), id(2), 0), Route::Deliver);
     }
@@ -644,7 +635,7 @@ mod tests {
             FaultRouter::new(&FaultPlan::default().with_drop_prob(1.0), 2, 1);
         let mut clean: FaultRouter<u8> = FaultRouter::new(&FaultPlan::default(), 2, 1);
         for r in 0..50 {
-            assert_eq!(lossy.route(id(0), id(1), r), Route::Drop(DropReason::Fault));
+            assert_eq!(lossy.route(id(0), id(1), r), Route::Drop(DropCause::Fault));
             assert_eq!(clean.route(id(0), id(1), r), Route::Deliver);
         }
     }
@@ -707,7 +698,7 @@ mod tests {
         assert!(recycled_cap >= 5);
         router.buffer(7, id(1), env(9));
         assert!(router.spare.is_empty());
-        assert!(router.delayed[&7].capacity() >= recycled_cap);
+        assert!(router.in_flight[&7].capacity() >= recycled_cap);
         // Draining a round with nothing due is a no-op.
         router.drain_due(4, |_, _| panic!("nothing is due at round 4"));
     }
@@ -720,10 +711,7 @@ mod tests {
             assert_eq!(router.route(id(0), id(1), r), Route::Deliver);
         }
         for r in 5..20 {
-            assert_eq!(
-                router.route(id(0), id(1), r),
-                Route::Drop(DropReason::Fault)
-            );
+            assert_eq!(router.route(id(0), id(1), r), Route::Drop(DropCause::Fault));
         }
     }
 

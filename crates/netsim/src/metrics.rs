@@ -2,27 +2,31 @@
 //!
 //! The experiments of this reproduction are about *model-level* costs: how many rounds
 //! an algorithm takes and how many messages each node sends and receives per round.
-//! The simulator records those quantities here.
+//! The simulator records those quantities here, in one counter set —
+//! [`RoundMetrics`] — that a round fills, a run sums ([`RunMetrics::totals`]) and
+//! every report above reads.
 //!
 //! # Drop-cause and counter glossary
 //!
 //! A message that is sent but never reaches its recipient's protocol callback is
-//! counted in exactly one of these buckets (the trace layer's
-//! [`crate::trace::DropCause`] uses the same taxonomy, with the send-side bucket
-//! split by cause):
+//! counted in exactly one of these buckets. This table is the one statement of
+//! which [`DropCause`] feeds which counter and under which label a trace or a
+//! post-mortem prints it ([`DropCause::label`]); "glossary order" elsewhere
+//! means the order of these rows:
 //!
-//! | Counter | Cause | Trace label |
-//! |---|---|---|
-//! | [`RoundMetrics::dropped_send`] | sender exceeded its per-round global send cap, a local message violated the CONGEST edge discipline, or the recipient id names no node | `send-cap`, `invalid-address` |
-//! | [`RoundMetrics::dropped_receive`] | receiver's per-round global receive cap evicted a random subset of its inbox | `receive-cap` |
-//! | [`RoundMetrics::dropped_fault`] | injected random loss ([`crate::FaultPlan::drop_prob`]) | `fault` |
-//! | [`RoundMetrics::dropped_partition`] | an active partition separates sender and receiver | `partition` |
-//! | [`RoundMetrics::dropped_offline`] | recipient is crashed or has not joined yet | `offline` |
+//! | Counter | [`DropCause`] | Label | Meaning |
+//! |---|---|---|---|
+//! | [`RoundMetrics::dropped_fault`] | `Fault` | `fault` | injected random loss ([`crate::FaultPlan::drop_prob`]) |
+//! | [`RoundMetrics::dropped_partition`] | `Partition` | `partition` | an active partition separates sender and receiver |
+//! | [`RoundMetrics::dropped_offline`] | `Offline` | `offline` | recipient is crashed or has not joined yet |
+//! | [`RoundMetrics::dropped_receive`] | `ReceiveCap` | `receive-cap` | receiver's per-round global receive cap evicted a random subset of its inbox |
+//! | [`RoundMetrics::dropped_send`] | `SendCap` | `send-cap` | sender exceeded its per-round global send cap, or a local message violated the CONGEST edge discipline |
+//! | [`RoundMetrics::dropped_send`] | `InvalidAddress` | `invalid-address` | the recipient id names no node |
 //!
 //! `delayed` is *not* a drop: a delayed message is re-counted as `delivered` in
 //! its actual delivery round (unless the run ends first).
 //!
-//! Transport-overhead counters (`retransmits`, `acks`, `dupes_dropped`,
+//! The [`TransportCounters`] (`retransmits`, `acks`, `dupes_dropped`,
 //! `give_ups`) are reported by reliable-delivery adapters via the
 //! [`crate::Ctx::note_retransmit`]-family hooks and are all zero for bare
 //! protocols. `dupes_dropped` payloads *do* appear in `delivered` — the network
@@ -32,26 +36,16 @@
 //!
 //! # Memory modes
 //!
-//! [`RunMetrics`] records one [`RoundMetrics`] per round via
-//! [`RunMetrics::record_round`]. How much of that history is *retained* is
-//! governed by [`MetricsMode`]:
-//!
-//! * [`MetricsMode::Full`] (the default) keeps every round in
-//!   [`RunMetrics::per_round`] — O(rounds) memory, full post-hoc analysis.
-//! * [`MetricsMode::Rollup`] keeps only streaming aggregates plus a ring of the
-//!   last `window` rounds — O(window) memory, for long-horizon runs at large
-//!   `n` (e.g. the scaling harness) where buffering every round is wasteful.
-//!
-//! Every total/peak accessor (`total_*`, `max_*_in_any_round`,
-//! [`RunMetrics::first_round_crashed`]) reads *streaming* aggregates that are
-//! maintained identically in both modes, so the reported numbers are
-//! mode-independent by construction (unit-tested in this module). Only the
-//! retained history ([`RunMetrics::per_round`] /
-//! [`RunMetrics::recent_rounds`]) differs.
+//! [`RunMetrics::record_round`] folds every round into [`RunMetrics::totals`];
+//! [`MetricsMode::Full`] (the default) additionally keeps each round in
+//! [`RunMetrics::per_round`] — O(rounds) memory — and [`MetricsMode::Rollup`]
+//! keeps nothing else, for long horizons at large `n`.
 
-use std::collections::VecDeque;
+use crate::trace::DropCause;
 
-/// Communication counters for a single round.
+/// The communication counters of one round — and, summed over its rounds
+/// ([`RunMetrics::totals`]), of a whole run or phase. Message counts are `u64`,
+/// per-node maxima and node counts `usize`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundMetrics {
     /// Maximum number of messages any single node sent this round (local + global).
@@ -63,69 +57,112 @@ pub struct RoundMetrics {
     /// Maximum number of *global* messages any single node received this round.
     pub max_global_received: usize,
     /// Total messages delivered this round.
-    pub delivered: usize,
+    pub delivered: u64,
     /// Messages dropped because a receiver exceeded its receive cap.
-    pub dropped_receive: usize,
+    pub dropped_receive: u64,
     /// Messages dropped because a sender exceeded its send cap (or the per-edge CONGEST
-    /// cap for local messages).
-    pub dropped_send: usize,
+    /// cap for local messages), or addressed a node that does not exist.
+    pub dropped_send: u64,
     /// Messages lost to injected random loss (see [`crate::FaultPlan::drop_prob`]).
-    pub dropped_fault: usize,
+    pub dropped_fault: u64,
     /// Messages blocked by an active partition.
-    pub dropped_partition: usize,
+    pub dropped_partition: u64,
     /// Messages addressed to a crashed or not-yet-joined node.
-    pub dropped_offline: usize,
+    pub dropped_offline: u64,
     /// Messages held back by an injected delivery delay this round (counted at send
     /// time; they appear in `delivered` in their actual delivery round — unless the
     /// run stops first, in which case this is the only counter that saw them).
-    pub delayed: usize,
+    pub delayed: u64,
     /// Nodes that crashed at the start of this round.
     pub crashed: usize,
     /// Nodes that joined at the start of this round.
     pub joined: usize,
-    /// Transport-layer retransmissions performed this round (reported by reliable
-    /// protocol adapters via [`crate::Ctx::note_retransmit`]; zero for bare
-    /// protocols).
-    pub retransmits: usize,
-    /// Transport-layer acknowledgment messages sent this round (via
-    /// [`crate::Ctx::note_ack`]).
-    pub acks: usize,
-    /// Duplicate payloads suppressed by a transport layer this round (via
-    /// [`crate::Ctx::note_dupe_dropped`]). These messages appear in `delivered`
-    /// (the network did carry them) but never reached the wrapped protocol.
-    pub dupes_dropped: usize,
-    /// Payloads abandoned by a transport layer this round after exhausting their
-    /// retransmission budget (via [`crate::Ctx::note_give_up`]).
-    pub give_ups: usize,
+    /// Transport-layer overhead reported by reliable protocol adapters this
+    /// round (all zero for bare protocols).
+    pub transport: TransportCounters,
 }
 
 impl RoundMetrics {
-    /// Folds one node's per-round transport counters into this round's totals.
-    pub(crate) fn absorb_transport(&mut self, t: &TransportCounters) {
-        self.retransmits += t.retransmits;
-        self.acks += t.acks;
-        self.dupes_dropped += t.dupes_dropped;
-        self.give_ups += t.give_ups;
+    /// Adds another round's (or run's) counters to these: counts add, the four
+    /// per-node maxima take the larger value.
+    pub(crate) fn absorb(&mut self, r: &RoundMetrics) {
+        self.max_sent = self.max_sent.max(r.max_sent);
+        self.max_received = self.max_received.max(r.max_received);
+        self.max_global_sent = self.max_global_sent.max(r.max_global_sent);
+        self.max_global_received = self.max_global_received.max(r.max_global_received);
+        self.delivered += r.delivered;
+        self.dropped_receive += r.dropped_receive;
+        self.dropped_send += r.dropped_send;
+        self.dropped_fault += r.dropped_fault;
+        self.dropped_partition += r.dropped_partition;
+        self.dropped_offline += r.dropped_offline;
+        self.delayed += r.delayed;
+        self.crashed += r.crashed;
+        self.joined += r.joined;
+        self.transport.absorb(&r.transport);
+    }
+
+    /// Counts one dropped message under `cause` (the glossary's cause → counter
+    /// column).
+    pub(crate) fn count_drop(&mut self, cause: DropCause) {
+        *match cause {
+            DropCause::Fault => &mut self.dropped_fault,
+            DropCause::Partition => &mut self.dropped_partition,
+            DropCause::Offline => &mut self.dropped_offline,
+            DropCause::ReceiveCap => &mut self.dropped_receive,
+            DropCause::SendCap | DropCause::InvalidAddress => &mut self.dropped_send,
+        } += 1;
+    }
+
+    /// The five drop counters in glossary order, each under the cause that
+    /// labels it.
+    fn drops(&self) -> [(DropCause, u64); 5] {
+        [
+            (DropCause::Fault, self.dropped_fault),
+            (DropCause::Partition, self.dropped_partition),
+            (DropCause::Offline, self.dropped_offline),
+            (DropCause::ReceiveCap, self.dropped_receive),
+            (DropCause::SendCap, self.dropped_send),
+        ]
+    }
+
+    /// Messages dropped, all causes combined.
+    pub fn dropped(&self) -> u64 {
+        self.drops().iter().map(|&(_, count)| count).sum()
+    }
+
+    /// The drop cause that lost the most messages, with its count — `None`
+    /// when nothing was dropped. Ties resolve to the first cause in glossary
+    /// order; `dropped_send` answers as [`DropCause::SendCap`].
+    pub fn dominant_drop(&self) -> Option<(DropCause, u64)> {
+        let mut dominant = None;
+        for (cause, count) in self.drops() {
+            if count > dominant.map_or(0, |(_, most)| most) {
+                dominant = Some((cause, count));
+            }
+        }
+        dominant
     }
 }
 
-/// Per-callback transport-overhead counters, accumulated on [`crate::Ctx`] by
-/// reliable-delivery adapters (see the `overlay-transport` crate) and folded into
-/// [`RoundMetrics`] by the simulator after each callback.
+/// Transport-overhead counters, accumulated per callback on [`crate::Ctx`] by
+/// reliable-delivery adapters (see the `overlay-transport` crate) and summed
+/// into [`RoundMetrics::transport`] by the simulator after each callback.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportCounters {
     /// Data messages re-sent because no acknowledgment arrived in time.
-    pub retransmits: usize,
+    pub retransmits: u64,
     /// Acknowledgment messages sent.
-    pub acks: usize,
-    /// Duplicate payloads suppressed before reaching the wrapped protocol.
-    pub dupes_dropped: usize,
+    pub acks: u64,
+    /// Duplicate payloads suppressed before reaching the wrapped protocol. These
+    /// messages appear in `delivered` (the network did carry them).
+    pub dupes_dropped: u64,
     /// Payloads abandoned after their retransmission budget ran out.
-    pub give_ups: usize,
+    pub give_ups: u64,
 }
 
 impl TransportCounters {
-    /// Adds another callback's counters to these.
+    /// Adds another callback's (or round's) counters to these.
     pub(crate) fn absorb(&mut self, t: &TransportCounters) {
         self.retransmits += t.retransmits;
         self.acks += t.acks;
@@ -134,67 +171,15 @@ impl TransportCounters {
     }
 }
 
-/// How a [`RunMetrics`] retains per-round history. Aggregate accessors are
-/// mode-independent (see the module docs); only the retained history differs.
+/// Whether a [`RunMetrics`] retains per-round history next to its totals
+/// (which are mode-independent; see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MetricsMode {
     /// Keep every round's [`RoundMetrics`] in [`RunMetrics::per_round`].
     #[default]
     Full,
-    /// Keep streaming aggregate totals plus a ring of the most recent rounds.
-    Rollup {
-        /// Number of most-recent rounds retained (`0` keeps aggregates only).
-        window: usize,
-    },
-}
-
-/// Streaming aggregates maintained by [`RunMetrics::record_round`] in both
-/// metrics modes; the source of truth for every total/peak accessor.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct RunningTotals {
-    max_sent: usize,
-    max_received: usize,
-    max_global: usize,
-    delivered: u64,
-    dropped_receive: u64,
-    dropped_send: u64,
-    dropped_fault: u64,
-    dropped_partition: u64,
-    dropped_offline: u64,
-    delayed: u64,
-    crashed: usize,
-    joined: usize,
-    retransmits: u64,
-    acks: u64,
-    dupes_dropped: u64,
-    give_ups: u64,
-    first_round_crashed: usize,
-}
-
-impl RunningTotals {
-    fn absorb(&mut self, r: &RoundMetrics, is_first_round: bool) {
-        if is_first_round {
-            self.first_round_crashed = r.crashed;
-        }
-        self.max_sent = self.max_sent.max(r.max_sent);
-        self.max_received = self.max_received.max(r.max_received);
-        self.max_global = self
-            .max_global
-            .max(r.max_global_sent.max(r.max_global_received));
-        self.delivered += r.delivered as u64;
-        self.dropped_receive += r.dropped_receive as u64;
-        self.dropped_send += r.dropped_send as u64;
-        self.dropped_fault += r.dropped_fault as u64;
-        self.dropped_partition += r.dropped_partition as u64;
-        self.dropped_offline += r.dropped_offline as u64;
-        self.delayed += r.delayed as u64;
-        self.crashed += r.crashed;
-        self.joined += r.joined;
-        self.retransmits += r.retransmits as u64;
-        self.acks += r.acks as u64;
-        self.dupes_dropped += r.dupes_dropped as u64;
-        self.give_ups += r.give_ups as u64;
-    }
+    /// Keep the run totals only.
+    Rollup,
 }
 
 /// Aggregated communication counters for a whole run.
@@ -206,15 +191,15 @@ pub struct RunMetrics {
     /// first message round (round budget 0) still reports its recorded round.
     pub rounds: usize,
     /// Per-round metrics, in order — every round in [`MetricsMode::Full`],
-    /// empty in [`MetricsMode::Rollup`] (use [`RunMetrics::recent_rounds`]).
+    /// empty in [`MetricsMode::Rollup`].
     pub per_round: Vec<RoundMetrics>,
     /// Total messages sent per node over the whole run.
     pub total_sent_per_node: Vec<u64>,
     /// Total *global* messages sent per node over the whole run.
     pub total_global_sent_per_node: Vec<u64>,
     mode: MetricsMode,
-    totals: RunningTotals,
-    recent: VecDeque<RoundMetrics>,
+    totals: RoundMetrics,
+    first_round_crashed: usize,
 }
 
 impl RunMetrics {
@@ -226,13 +211,10 @@ impl RunMetrics {
     /// Creates empty metrics for `n` nodes with the given retention mode.
     pub fn with_mode(n: usize, mode: MetricsMode) -> Self {
         RunMetrics {
-            rounds: 0,
-            per_round: Vec::new(),
             total_sent_per_node: vec![0; n],
             total_global_sent_per_node: vec![0; n],
             mode,
-            totals: RunningTotals::default(),
-            recent: VecDeque::new(),
+            ..RunMetrics::default()
         }
     }
 
@@ -241,87 +223,24 @@ impl RunMetrics {
         self.mode
     }
 
-    /// Records one finished round: folds it into the streaming aggregates (both
-    /// modes) and retains it according to the [`MetricsMode`].
+    /// Records one finished round: folds it into the totals (both modes) and
+    /// retains it according to the [`MetricsMode`].
     pub fn record_round(&mut self, round: RoundMetrics) {
-        self.totals.absorb(&round, self.rounds == 0);
+        if self.rounds == 0 {
+            self.first_round_crashed = round.crashed;
+        }
+        self.totals.absorb(&round);
         self.rounds += 1;
-        match self.mode {
-            MetricsMode::Full => self.per_round.push(round),
-            MetricsMode::Rollup { window } => {
-                if window == 0 {
-                    return;
-                }
-                if self.recent.len() == window {
-                    self.recent.pop_front();
-                }
-                self.recent.push_back(round);
-            }
+        if self.mode == MetricsMode::Full {
+            self.per_round.push(round);
         }
     }
 
-    /// The retained per-round history, oldest first: every round in
-    /// [`MetricsMode::Full`], the last `window` rounds in
-    /// [`MetricsMode::Rollup`].
-    pub fn recent_rounds(&self) -> impl Iterator<Item = &RoundMetrics> {
-        self.per_round.iter().chain(self.recent.iter())
-    }
-
-    /// The largest per-node, per-round send count observed in any round.
-    pub fn max_sent_in_any_round(&self) -> usize {
-        self.totals.max_sent
-    }
-
-    /// The largest per-node, per-round receive count observed in any round.
-    pub fn max_received_in_any_round(&self) -> usize {
-        self.totals.max_received
-    }
-
-    /// The largest per-node, per-round *global* message count (max of send and receive)
-    /// observed in any round. This is the "global capacity" the hybrid theorems bound.
-    pub fn max_global_in_any_round(&self) -> usize {
-        self.totals.max_global
-    }
-
-    /// Total messages delivered over the whole run.
-    pub fn total_delivered(&self) -> u64 {
-        self.totals.delivered
-    }
-
-    /// Total messages dropped at receivers over the whole run (should be zero for
-    /// protocols that respect the w.h.p. bounds of the paper).
-    pub fn total_dropped_receive(&self) -> u64 {
-        self.totals.dropped_receive
-    }
-
-    /// Total messages dropped at senders over the whole run.
-    pub fn total_dropped_send(&self) -> u64 {
-        self.totals.dropped_send
-    }
-
-    /// Total messages lost to injected random loss over the whole run.
-    pub fn total_dropped_fault(&self) -> u64 {
-        self.totals.dropped_fault
-    }
-
-    /// Total messages blocked by partitions over the whole run.
-    pub fn total_dropped_partition(&self) -> u64 {
-        self.totals.dropped_partition
-    }
-
-    /// Total messages addressed to offline (crashed / not yet joined) nodes.
-    pub fn total_dropped_offline(&self) -> u64 {
-        self.totals.dropped_offline
-    }
-
-    /// Total messages that suffered an injected delivery delay.
-    pub fn total_delayed(&self) -> u64 {
-        self.totals.delayed
-    }
-
-    /// Total number of crash events executed over the whole run.
-    pub fn total_crashed(&self) -> usize {
-        self.totals.crashed
+    /// The whole run's counters: every count summed over the recorded rounds,
+    /// every per-node maximum the largest any round saw. Maintained identically
+    /// in both metrics modes.
+    pub fn totals(&self) -> &RoundMetrics {
+        &self.totals
     }
 
     /// Number of crash events executed in the *first recorded round* (round 0).
@@ -329,39 +248,41 @@ impl RunMetrics {
     /// phase (pinned at round 0 by [`crate::FaultPlan::shifted`]) apart from
     /// fresh ones; tracked streamingly so it is available in both metrics modes.
     pub fn first_round_crashed(&self) -> usize {
-        self.totals.first_round_crashed
+        self.first_round_crashed
     }
 
-    /// Total number of join events executed over the whole run.
-    pub fn total_joined(&self) -> usize {
-        self.totals.joined
+    // The six forwards below are the ones the frozen `benchmark/` package
+    // calls; everything else reads `totals()`.
+
+    /// Total messages delivered over the whole run.
+    pub fn total_delivered(&self) -> u64 {
+        self.totals.delivered
+    }
+
+    /// Total messages lost to injected random loss over the whole run.
+    pub fn total_dropped_fault(&self) -> u64 {
+        self.totals.dropped_fault
     }
 
     /// Total transport-layer retransmissions over the whole run (zero unless the
     /// protocols run behind a reliable-delivery adapter).
     pub fn total_retransmits(&self) -> u64 {
-        self.totals.retransmits
+        self.totals.transport.retransmits
     }
 
     /// Total transport-layer acknowledgment messages over the whole run.
     pub fn total_acks(&self) -> u64 {
-        self.totals.acks
+        self.totals.transport.acks
     }
 
     /// Total duplicate payloads suppressed by a transport layer over the whole run.
     pub fn total_dupes_dropped(&self) -> u64 {
-        self.totals.dupes_dropped
+        self.totals.transport.dupes_dropped
     }
 
     /// Total payloads abandoned by a transport layer over the whole run.
     pub fn total_give_ups(&self) -> u64 {
-        self.totals.give_ups
-    }
-
-    /// The maximum total number of messages any single node sent over the whole run
-    /// (the paper bounds this by `O(log² n)` for the main algorithm).
-    pub fn max_total_sent_per_node(&self) -> u64 {
-        self.total_sent_per_node.iter().copied().max().unwrap_or(0)
+        self.totals.transport.give_ups
     }
 }
 
@@ -373,9 +294,8 @@ mod tests {
     fn empty_metrics() {
         let m = RunMetrics::new(3);
         assert_eq!(m.rounds, 0);
-        assert_eq!(m.max_sent_in_any_round(), 0);
-        assert_eq!(m.total_delivered(), 0);
-        assert_eq!(m.max_total_sent_per_node(), 0);
+        assert_eq!(*m.totals(), RoundMetrics::default());
+        assert_eq!(m.total_sent_per_node, vec![0; 3]);
         assert_eq!(m.first_round_crashed(), 0);
         assert_eq!(m.mode(), MetricsMode::Full);
     }
@@ -396,10 +316,12 @@ mod tests {
                 delayed: 3,
                 crashed: 1,
                 joined: 0,
-                retransmits: 2,
-                acks: 4,
-                dupes_dropped: 1,
-                give_ups: 1,
+                transport: TransportCounters {
+                    retransmits: 2,
+                    acks: 4,
+                    dupes_dropped: 1,
+                    give_ups: 1,
+                },
             },
             RoundMetrics {
                 max_sent: 1,
@@ -415,10 +337,12 @@ mod tests {
                 delayed: 0,
                 crashed: 0,
                 joined: 2,
-                retransmits: 1,
-                acks: 3,
-                dupes_dropped: 0,
-                give_ups: 2,
+                transport: TransportCounters {
+                    retransmits: 1,
+                    acks: 3,
+                    dupes_dropped: 0,
+                    give_ups: 2,
+                },
             },
         ]
     }
@@ -429,23 +353,35 @@ mod tests {
         for r in two_rounds() {
             m.record_round(r);
         }
-        m.total_sent_per_node = vec![7, 2];
         assert_eq!(m.rounds, 2);
         assert_eq!(m.per_round.len(), 2);
-        assert_eq!(m.max_sent_in_any_round(), 3);
-        assert_eq!(m.max_received_in_any_round(), 4);
-        assert_eq!(m.max_global_in_any_round(), 4);
-        assert_eq!(m.total_delivered(), 9);
-        assert_eq!(m.total_dropped_receive(), 1);
-        assert_eq!(m.total_dropped_send(), 2);
-        assert_eq!(m.total_dropped_fault(), 2);
-        assert_eq!(m.total_dropped_partition(), 3);
-        assert_eq!(m.total_dropped_offline(), 4);
-        assert_eq!(m.total_delayed(), 3);
-        assert_eq!(m.total_crashed(), 1);
         assert_eq!(m.first_round_crashed(), 1);
-        assert_eq!(m.total_joined(), 2);
-        assert_eq!(m.max_total_sent_per_node(), 7);
+        let expected = RoundMetrics {
+            max_sent: 3,
+            max_received: 4,
+            max_global_sent: 3,
+            max_global_received: 4,
+            delivered: 9,
+            dropped_receive: 1,
+            dropped_send: 2,
+            dropped_fault: 2,
+            dropped_partition: 3,
+            dropped_offline: 4,
+            delayed: 3,
+            crashed: 1,
+            joined: 2,
+            transport: TransportCounters {
+                retransmits: 3,
+                acks: 7,
+                dupes_dropped: 1,
+                give_ups: 3,
+            },
+        };
+        assert_eq!(*m.totals(), expected);
+        assert_eq!(m.totals().dropped(), 12);
+        // The forwards `benchmark/` compiles against read the same books.
+        assert_eq!(m.total_delivered(), 9);
+        assert_eq!(m.total_dropped_fault(), 2);
         assert_eq!(m.total_retransmits(), 3);
         assert_eq!(m.total_acks(), 7);
         assert_eq!(m.total_dupes_dropped(), 1);
@@ -454,97 +390,111 @@ mod tests {
 
     #[test]
     fn transport_counters_fold_into_round_metrics() {
-        let mut r = RoundMetrics::default();
-        r.absorb_transport(&TransportCounters {
+        let reported = TransportCounters {
             retransmits: 2,
             acks: 1,
             dupes_dropped: 3,
             give_ups: 4,
-        });
-        r.absorb_transport(&TransportCounters::default());
-        assert_eq!(
-            (r.retransmits, r.acks, r.dupes_dropped, r.give_ups),
-            (2, 1, 3, 4)
-        );
+        };
+        let mut r = RoundMetrics::default();
+        r.transport.absorb(&reported);
+        r.transport.absorb(&TransportCounters::default());
+        assert_eq!(r.transport, reported);
+    }
+
+    #[test]
+    fn every_cause_lands_in_its_glossary_counter() {
+        let mut r = RoundMetrics::default();
+        for cause in [
+            DropCause::Fault,
+            DropCause::Partition,
+            DropCause::Partition,
+            DropCause::Offline,
+            DropCause::ReceiveCap,
+            DropCause::SendCap,
+            DropCause::InvalidAddress,
+        ] {
+            r.count_drop(cause);
+        }
+        let expected = RoundMetrics {
+            dropped_fault: 1,
+            dropped_partition: 2,
+            dropped_offline: 1,
+            dropped_receive: 1,
+            dropped_send: 2,
+            ..RoundMetrics::default()
+        };
+        assert_eq!(r, expected);
+        assert_eq!(r.dropped(), 7);
+    }
+
+    #[test]
+    fn dominant_drop_is_the_first_largest_cause_in_glossary_order() {
+        let mut r = RoundMetrics::default();
+        assert_eq!(r.dominant_drop(), None);
+        r.dropped_receive = 2;
+        r.dropped_partition = 5;
+        assert_eq!(r.dominant_drop(), Some((DropCause::Partition, 5)));
+        // A three-way tie names the earliest row of the glossary, not the last.
+        let tied = RoundMetrics {
+            dropped_fault: 3,
+            dropped_offline: 3,
+            dropped_send: 3,
+            dropped_receive: 1,
+            ..RoundMetrics::default()
+        };
+        assert_eq!(tied.dominant_drop(), Some((DropCause::Fault, 3)));
+        let tied_late = RoundMetrics {
+            dropped_offline: 3,
+            dropped_send: 3,
+            ..RoundMetrics::default()
+        };
+        assert_eq!(tied_late.dominant_drop(), Some((DropCause::Offline, 3)));
     }
 
     /// A pseudo-random but deterministic stream of round metrics (no RNG crate
     /// needed): every counter cycles at a different small modulus.
     fn synthetic_round(i: usize) -> RoundMetrics {
+        let m = |modulus: usize| (i % modulus) as u64;
         RoundMetrics {
             max_sent: i % 7,
             max_received: (i * 3) % 11,
             max_global_sent: (i * 5) % 13,
             max_global_received: (i * 2) % 9,
-            delivered: i % 17,
-            dropped_receive: i % 3,
-            dropped_send: i % 4,
-            dropped_fault: i % 5,
-            dropped_partition: i % 2,
-            dropped_offline: (i * 7) % 6,
-            delayed: i % 8,
+            delivered: m(17),
+            dropped_receive: m(3),
+            dropped_send: m(4),
+            dropped_fault: m(5),
+            dropped_partition: m(2),
+            dropped_offline: ((i * 7) % 6) as u64,
+            delayed: m(8),
             crashed: usize::from(i % 19 == 4),
             joined: usize::from(i % 23 == 6),
-            retransmits: i % 6,
-            acks: i % 10,
-            dupes_dropped: i % 12,
-            give_ups: usize::from(i % 29 == 1),
+            transport: TransportCounters {
+                retransmits: m(6),
+                acks: m(10),
+                dupes_dropped: m(12),
+                give_ups: u64::from(i % 29 == 1),
+            },
         }
     }
 
     #[test]
     fn rollup_accessors_match_full_mode_exactly() {
-        for window in [0usize, 1, 4, 64, 1000] {
-            let mut full = RunMetrics::new(2);
-            let mut rollup = RunMetrics::with_mode(2, MetricsMode::Rollup { window });
-            for i in 0..500 {
-                full.record_round(synthetic_round(i));
-                rollup.record_round(synthetic_round(i));
-            }
-            // Every total/peak accessor is mode-independent.
-            assert_eq!(full.rounds, rollup.rounds);
-            assert_eq!(full.max_sent_in_any_round(), rollup.max_sent_in_any_round());
-            assert_eq!(
-                full.max_received_in_any_round(),
-                rollup.max_received_in_any_round()
-            );
-            assert_eq!(
-                full.max_global_in_any_round(),
-                rollup.max_global_in_any_round()
-            );
-            assert_eq!(full.total_delivered(), rollup.total_delivered());
-            assert_eq!(full.total_dropped_receive(), rollup.total_dropped_receive());
-            assert_eq!(full.total_dropped_send(), rollup.total_dropped_send());
-            assert_eq!(full.total_dropped_fault(), rollup.total_dropped_fault());
-            assert_eq!(
-                full.total_dropped_partition(),
-                rollup.total_dropped_partition()
-            );
-            assert_eq!(full.total_dropped_offline(), rollup.total_dropped_offline());
-            assert_eq!(full.total_delayed(), rollup.total_delayed());
-            assert_eq!(full.total_crashed(), rollup.total_crashed());
-            assert_eq!(full.first_round_crashed(), rollup.first_round_crashed());
-            assert_eq!(full.total_joined(), rollup.total_joined());
-            assert_eq!(full.total_retransmits(), rollup.total_retransmits());
-            assert_eq!(full.total_acks(), rollup.total_acks());
-            assert_eq!(full.total_dupes_dropped(), rollup.total_dupes_dropped());
-            assert_eq!(full.total_give_ups(), rollup.total_give_ups());
-            // Retention differs exactly as documented.
-            assert_eq!(full.per_round.len(), 500);
-            assert!(rollup.per_round.is_empty());
-            assert_eq!(rollup.recent_rounds().count(), window.min(500));
+        let mut full = RunMetrics::new(2);
+        let mut rollup = RunMetrics::with_mode(2, MetricsMode::Rollup);
+        for i in 0..500 {
+            full.record_round(synthetic_round(i));
+            rollup.record_round(synthetic_round(i));
         }
-    }
-
-    #[test]
-    fn rollup_ring_keeps_the_most_recent_rounds_in_order() {
-        let mut m = RunMetrics::with_mode(1, MetricsMode::Rollup { window: 3 });
-        for i in 0..10 {
-            m.record_round(synthetic_round(i));
-        }
-        let kept: Vec<RoundMetrics> = m.recent_rounds().copied().collect();
-        let expected: Vec<RoundMetrics> = (7..10).map(synthetic_round).collect();
-        assert_eq!(kept, expected);
+        // The totals are mode-independent.
+        assert_eq!(full.rounds, rollup.rounds);
+        assert_eq!(full.totals(), rollup.totals());
+        assert_ne!(*full.totals(), RoundMetrics::default());
+        assert_eq!(full.first_round_crashed(), rollup.first_round_crashed());
+        // Retention differs exactly as documented.
+        assert_eq!(full.per_round.len(), 500);
+        assert!(rollup.per_round.is_empty());
     }
 
     #[test]
@@ -559,6 +509,6 @@ mod tests {
             ..RoundMetrics::default()
         });
         assert_eq!(m.first_round_crashed(), 2);
-        assert_eq!(m.total_crashed(), 7);
+        assert_eq!(m.totals().crashed, 7);
     }
 }

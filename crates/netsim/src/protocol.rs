@@ -110,13 +110,6 @@ impl<'a, M> Ctx<'a, M> {
         }
     }
 
-    /// The transport-overhead counters reported by adapters during this
-    /// callback (external runners fold these into their own metrics; the
-    /// simulator reads the field directly).
-    pub fn transport_counters(&self) -> TransportCounters {
-        self.transport
-    }
-
     /// The identifier of the executing node.
     pub fn me(&self) -> NodeId {
         self.me
@@ -192,25 +185,25 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// Records one transport-layer retransmission (for reliable-delivery adapters;
-    /// folded into [`crate::RoundMetrics::retransmits`]).
+    /// folded into [`TransportCounters::retransmits`]).
     pub fn note_retransmit(&mut self) {
         self.transport.retransmits += 1;
     }
 
     /// Records one transport-layer acknowledgment message sent (folded into
-    /// [`crate::RoundMetrics::acks`]).
+    /// [`TransportCounters::acks`]).
     pub fn note_ack(&mut self) {
         self.transport.acks += 1;
     }
 
     /// Records one duplicate payload suppressed before it reached the wrapped
-    /// protocol (folded into [`crate::RoundMetrics::dupes_dropped`]).
+    /// protocol (folded into [`TransportCounters::dupes_dropped`]).
     pub fn note_dupe_dropped(&mut self) {
         self.transport.dupes_dropped += 1;
     }
 
     /// Records one payload abandoned after its retransmission budget ran out
-    /// (folded into [`crate::RoundMetrics::give_ups`]).
+    /// (folded into [`TransportCounters::give_ups`]).
     pub fn note_give_up(&mut self) {
         self.transport.give_ups += 1;
     }

@@ -1,7 +1,7 @@
 //! The synchronous round simulator.
 
 use crate::caps::CapacityModel;
-use crate::faults::{DropReason, FaultPlan, FaultRouter, Route};
+use crate::faults::{FaultPlan, FaultRouter, Route};
 use crate::metrics::{MetricsMode, RoundMetrics, RunMetrics, TransportCounters};
 use crate::protocol::{Channel, Ctx, Envelope, Protocol};
 use crate::trace::{DropCause, SharedTraceSink, TraceEvent};
@@ -551,12 +551,30 @@ impl<P: Protocol> Simulator<P> {
         sink.borrow_mut().record(TraceEvent::RoundEnd {
             round,
             delivered: round_metrics.delivered,
-            dropped: round_metrics.dropped_receive
-                + round_metrics.dropped_send
-                + round_metrics.dropped_fault
-                + round_metrics.dropped_partition
-                + round_metrics.dropped_offline,
+            dropped: round_metrics.dropped(),
         });
+    }
+
+    /// Books one dropped message: counts it under `cause` and, with a sink
+    /// installed, traces it. Every drop of the simulator goes through here.
+    fn drop_message(
+        &self,
+        round_metrics: &mut RoundMetrics,
+        from: NodeId,
+        to: NodeId,
+        channel: Channel,
+        cause: DropCause,
+    ) {
+        round_metrics.count_drop(cause);
+        if let Some(sink) = &self.sink {
+            sink.borrow_mut().record(TraceEvent::Drop {
+                round: self.round,
+                from,
+                to,
+                channel,
+                cause,
+            });
+        }
     }
 
     /// Number of nodes.
@@ -667,6 +685,8 @@ impl<P: Protocol> Simulator<P> {
         // recipient at this round was already checked when they were routed.
         let (router, arena) = (&mut self.router, &mut self.arena);
         router.drain_due(round, |to, env| arena.push(to, env));
+        #[cfg(debug_assertions)]
+        let due = self.arena.buf.len();
         self.arena.group();
 
         let mut round_metrics = RoundMetrics::default();
@@ -680,13 +700,45 @@ impl<P: Protocol> Simulator<P> {
                 .filter(|e| e.channel == Channel::Global)
                 .count();
             round_metrics.max_global_received = round_metrics.max_global_received.max(globals);
-            round_metrics.delivered += inbox.len();
+            round_metrics.delivered += inbox.len() as u64;
         }
 
         self.run_callbacks(round, &mut round_metrics);
+        #[cfg(debug_assertions)]
+        let queued = self.outbox.len();
         self.dispatch(&mut round_metrics);
+        #[cfg(debug_assertions)]
+        self.check_contracts(due, queued, &round_metrics);
         self.emit_round_end(round, &round_metrics);
         self.metrics.record_round(round_metrics);
+    }
+
+    /// Message conservation for one round, stated on its [`RoundMetrics`]:
+    /// `due` messages were staged or drained for delivery this round and the
+    /// callbacks `queued` new ones.
+    #[cfg(debug_assertions)]
+    fn check_contracts(&self, due: usize, queued: usize, m: &RoundMetrics) {
+        assert_eq!(
+            m.delivered + m.dropped_receive,
+            due as u64,
+            "round {}: a message due now was neither delivered nor evicted by the receive cap",
+            self.round
+        );
+        let staged = self.arena.buf.len() as u64;
+        assert_eq!(
+            staged + m.delayed + m.dropped() - m.dropped_receive,
+            queued as u64,
+            "round {}: a queued message was not staged, delayed or dropped under one send-side cause",
+            self.round
+        );
+        if let Some(cap) = self.caps.global_cap() {
+            assert!(
+                m.max_global_received <= cap,
+                "round {}: an inbox holds {} global messages, the cap is {cap}",
+                self.round,
+                m.max_global_received
+            );
+        }
     }
 
     /// Emits one node's per-round transport trace events (`Retransmits`, then
@@ -760,7 +812,7 @@ impl<P: Protocol> Simulator<P> {
         // Callbacks cannot reach the sink, so emitting after all of them have
         // run is the order a node-by-node loop would produce.
         for out in &self.chunk_outs {
-            round_metrics.absorb_transport(&out.transport);
+            round_metrics.transport.absorb(&out.transport);
             for (i, transport) in &out.noted {
                 self.emit_transport_events(round, *i, transport);
             }
@@ -807,23 +859,18 @@ impl<P: Protocol> Simulator<P> {
             }
             self.drop_mark.clear();
             self.drop_mark.resize(len, false);
-            for &k in &self.cap_scratch[cap..] {
-                self.drop_mark[k] = true;
-            }
-            round_metrics.dropped_receive += global_count - cap;
             // The dropped senders are still readable here; `retain_range` below
             // compacts them out of the inbox.
-            if let Some(sink) = &self.sink {
-                let mut sink = sink.borrow_mut();
-                for &k in &self.cap_scratch[cap..] {
-                    sink.record(TraceEvent::Drop {
-                        round: self.round,
-                        from: self.arena.buf[start + k].from,
-                        to: NodeId::from(i),
-                        channel: Channel::Global,
-                        cause: DropCause::ReceiveCap,
-                    });
-                }
+            for &k in &self.cap_scratch[cap..] {
+                self.drop_mark[k] = true;
+                let (from, to) = (self.arena.buf[start + k].from, NodeId::from(i));
+                self.drop_message(
+                    round_metrics,
+                    from,
+                    to,
+                    Channel::Global,
+                    DropCause::ReceiveCap,
+                );
             }
             self.arena.retain_range(i, &self.drop_mark);
         }
@@ -852,16 +899,13 @@ impl<P: Protocol> Simulator<P> {
             self.edge_epoch += 1;
             for (to, channel, payload) in messages.by_ref().take(self.out_lens[i]) {
                 if to.index() >= n {
-                    round_metrics.dropped_send += 1;
-                    if let Some(sink) = &self.sink {
-                        sink.borrow_mut().record(TraceEvent::Drop {
-                            round: self.round,
-                            from: sender,
-                            to,
-                            channel,
-                            cause: DropCause::InvalidAddress,
-                        });
-                    }
+                    self.drop_message(
+                        round_metrics,
+                        sender,
+                        to,
+                        channel,
+                        DropCause::InvalidAddress,
+                    );
                     continue;
                 }
                 let allowed = match channel {
@@ -888,16 +932,7 @@ impl<P: Protocol> Simulator<P> {
                     }
                 };
                 if !allowed {
-                    round_metrics.dropped_send += 1;
-                    if let Some(sink) = &self.sink {
-                        sink.borrow_mut().record(TraceEvent::Drop {
-                            round: self.round,
-                            from: sender,
-                            to,
-                            channel,
-                            cause: DropCause::SendCap,
-                        });
-                    }
+                    self.drop_message(round_metrics, sender, to, channel, DropCause::SendCap);
                     continue;
                 }
                 if channel == Channel::Local {
@@ -927,21 +962,8 @@ impl<P: Protocol> Simulator<P> {
                         round_metrics.delayed += 1;
                         self.router.buffer(deliver_round, to, env);
                     }
-                    Route::Drop(reason) => {
-                        match reason {
-                            DropReason::Fault => round_metrics.dropped_fault += 1,
-                            DropReason::Partition => round_metrics.dropped_partition += 1,
-                            DropReason::Offline => round_metrics.dropped_offline += 1,
-                        }
-                        if let Some(sink) = &self.sink {
-                            sink.borrow_mut().record(TraceEvent::Drop {
-                                round: self.round,
-                                from: sender,
-                                to,
-                                channel,
-                                cause: reason.into(),
-                            });
-                        }
+                    Route::Drop(cause) => {
+                        self.drop_message(round_metrics, sender, to, channel, cause)
                     }
                 }
             }
@@ -1012,8 +1034,8 @@ mod tests {
         // 8 nodes * 2 messages * 3 send opportunities (start + rounds 1 and 2); the
         // sends of the final round are never made because the nodes finish first.
         assert_eq!(sim.node(NodeId::from(0usize)).received, 8 * 2 * 3);
-        assert_eq!(sim.metrics().total_dropped_receive(), 0);
-        assert_eq!(sim.metrics().total_dropped_send(), 0);
+        assert_eq!(sim.metrics().totals().dropped_receive, 0);
+        assert_eq!(sim.metrics().totals().dropped_send, 0);
     }
 
     #[test]
@@ -1026,8 +1048,8 @@ mod tests {
         let mut sim = Simulator::new(flooders(16, 1, 2), config);
         sim.run(10);
         // Node 0 can receive at most 4 messages per round.
-        assert!(sim.metrics().max_received_in_any_round() <= 4);
-        assert!(sim.metrics().total_dropped_receive() > 0);
+        assert!(sim.metrics().totals().max_received <= 4);
+        assert!(sim.metrics().totals().dropped_receive > 0);
         assert!(sim.node(NodeId::from(0usize)).received <= 4 * 3);
     }
 
@@ -1041,8 +1063,8 @@ mod tests {
         // A single node trying to send 10 messages per round to itself.
         let mut sim = Simulator::new(flooders(1, 10, 1), config);
         sim.run(5);
-        assert!(sim.metrics().max_sent_in_any_round() <= 3);
-        assert!(sim.metrics().total_dropped_send() > 0);
+        assert!(sim.metrics().totals().max_sent <= 3);
+        assert!(sim.metrics().totals().dropped_send > 0);
     }
 
     #[test]
@@ -1123,7 +1145,7 @@ mod tests {
         // Node 2 -> 0 is not a local edge either.
         assert_eq!(sim.node(NodeId::from(0usize)).received, 0);
         // Copies over capacity: 4 from node 0, 2 from node 1, 1 from node 2.
-        assert!(sim.metrics().total_dropped_send() >= 7);
+        assert!(sim.metrics().totals().dropped_send >= 7);
     }
 
     #[test]
@@ -1190,8 +1212,8 @@ mod tests {
         assert!(outcome.all_done);
         // Node 0 received mail in rounds 1 (it was alive); everything addressed to it
         // from round 2 on was dropped as offline.
-        assert!(sim.metrics().total_dropped_offline() > 0);
-        assert_eq!(sim.metrics().total_crashed(), 1);
+        assert!(sim.metrics().totals().dropped_offline > 0);
+        assert_eq!(sim.metrics().totals().crashed, 1);
         // Its own state stopped advancing: it never flagged done itself.
         assert!(!sim.node(NodeId::from(0usize)).done);
     }
@@ -1205,7 +1227,7 @@ mod tests {
         let mut sim = Simulator::new(flooders(4, 1, 6), config);
         let outcome = sim.run(12);
         assert!(outcome.all_done);
-        assert_eq!(sim.metrics().total_joined(), 1);
+        assert_eq!(sim.metrics().totals().joined, 1);
         // The dormant node sent nothing in rounds 0..3.
         let sent_by_joiner = sim.metrics().total_sent_per_node[1];
         let sent_by_resident = sim.metrics().total_sent_per_node[2];
@@ -1242,10 +1264,10 @@ mod tests {
             sim.metrics().clone()
         };
         let a = run(11);
-        assert!(a.total_dropped_fault() > 0);
-        assert!(a.total_delivered() > 0);
+        assert!(a.totals().dropped_fault > 0);
+        assert!(a.totals().delivered > 0);
         assert_eq!(a, run(11), "same seed must give byte-identical metrics");
-        assert_ne!(a.total_dropped_fault(), run(12).total_dropped_fault());
+        assert_ne!(a.totals().dropped_fault, run(12).totals().dropped_fault);
     }
 
     #[test]
@@ -1253,7 +1275,7 @@ mod tests {
         let clean = {
             let mut sim = Simulator::new(flooders(6, 1, 3), SimConfig::default());
             sim.run(20);
-            sim.metrics().total_delivered()
+            sim.metrics().totals().delivered
         };
         let config = SimConfig::default().with_faults(FaultPlan::default().with_delays(1.0, 3));
         let mut sim = Simulator::new(flooders(6, 1, 3), config);
@@ -1263,9 +1285,9 @@ mod tests {
             sim.step();
         }
         assert!(sim.all_done());
-        assert!(sim.metrics().total_delayed() > 0);
+        assert!(sim.metrics().totals().delayed > 0);
         // Everything still arrives, just later.
-        assert_eq!(sim.metrics().total_delivered(), clean);
+        assert_eq!(sim.metrics().totals().delivered, clean);
     }
 
     #[test]
@@ -1277,10 +1299,10 @@ mod tests {
             SimConfig::default().with_faults(FaultPlan::default().with_partition(side_a, 1, 3));
         let mut sim = Simulator::new(flooders(4, 1, 6), config);
         sim.run(10);
-        assert!(sim.metrics().total_dropped_partition() > 0);
+        assert!(sim.metrics().totals().dropped_partition > 0);
         // After healing, cross traffic flows again: node 0 hears from everyone in the
         // final rounds, so total deliveries exceed the partition-long minimum.
-        let lost = sim.metrics().total_dropped_partition();
+        let lost = sim.metrics().totals().dropped_partition;
         // Two cut senders, two send rounds inside the window.
         assert_eq!(lost, 4);
     }
@@ -1297,8 +1319,8 @@ mod tests {
         };
         let mut sim = Simulator::new(flooders(12, 1, 3), config);
         sim.run(12);
-        assert!(sim.metrics().max_received_in_any_round() <= 3);
-        assert!(sim.metrics().total_dropped_receive() > 0);
+        assert!(sim.metrics().totals().max_received <= 3);
+        assert!(sim.metrics().totals().dropped_receive > 0);
     }
 
     #[test]
@@ -1482,6 +1504,34 @@ mod tests {
     }
 
     #[test]
+    fn a_message_to_no_node_is_a_send_drop_traced_as_invalid_address() {
+        let lost = LocalSpammer {
+            target: NodeId::from(5usize),
+            copies: 2,
+            received: 0,
+        };
+        let mut sim = Simulator::new(vec![lost], SimConfig::default());
+        let buf = crate::trace::TraceBuffer::shared();
+        sim.set_trace_sink(buf.clone());
+        sim.run(1);
+        let expected = RoundMetrics {
+            dropped_send: 2,
+            ..RoundMetrics::default()
+        };
+        assert_eq!(*sim.metrics().totals(), expected);
+        let causes: Vec<DropCause> = buf
+            .borrow()
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Drop { cause, .. } => Some(*cause),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(causes, vec![DropCause::InvalidAddress; 2]);
+    }
+
+    #[test]
     fn parallelism_threshold_keeps_small_runs_serial() {
         let auto = ParallelismConfig::default();
         assert_eq!(
@@ -1521,16 +1571,16 @@ mod tests {
                 .filter(|e| matches!(e, TraceEvent::Drop { cause: c, .. } if *c == cause))
                 .count() as u64
         };
-        let m = sim.metrics();
-        assert_eq!(drops_by(DropCause::Fault), m.total_dropped_fault());
-        assert_eq!(drops_by(DropCause::Offline), m.total_dropped_offline());
-        assert_eq!(drops_by(DropCause::ReceiveCap), m.total_dropped_receive());
+        let m = sim.metrics().totals();
+        assert_eq!(drops_by(DropCause::Fault), m.dropped_fault);
+        assert_eq!(drops_by(DropCause::Offline), m.dropped_offline);
+        assert_eq!(drops_by(DropCause::ReceiveCap), m.dropped_receive);
         assert_eq!(
             drops_by(DropCause::SendCap) + drops_by(DropCause::InvalidAddress),
-            m.total_dropped_send()
+            m.dropped_send
         );
-        assert!(m.total_dropped_fault() > 0, "the storm must actually drop");
-        assert!(m.total_dropped_receive() > 0);
+        assert!(m.dropped_fault > 0, "the storm must actually drop");
+        assert!(m.dropped_receive > 0);
 
         // Every round is bracketed by a RoundStart / RoundEnd pair, and the
         // RoundEnd rollups re-add to the run totals.
@@ -1548,8 +1598,10 @@ mod tests {
             })
             .collect();
         assert_eq!(starts, ends.len());
-        assert_eq!(starts, m.rounds);
-        let traced_delivered: u64 = ends.iter().map(|(d, _)| *d as u64).sum();
-        assert_eq!(traced_delivered, m.total_delivered());
+        assert_eq!(starts, sim.metrics().rounds);
+        let traced: (u64, u64) = ends
+            .iter()
+            .fold((0, 0), |sum, end| (sum.0 + end.0, sum.1 + end.1));
+        assert_eq!(traced, (m.delivered, m.dropped()));
     }
 }

@@ -24,35 +24,29 @@
 //! one buffer can observe several consecutive simulations — e.g. the three
 //! phases of the overlay pipeline — without ownership gymnastics.
 
-use crate::faults::DropReason;
 use crate::protocol::Channel;
 use overlay_graph::NodeId;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Why a message never reached its recipient.
-///
-/// The first three variants mirror [`DropReason`] (the fault router's verdicts);
-/// the rest are capacity-model and addressing drops decided by the simulator
-/// itself. See the glossary in [`crate::metrics`] for how each cause maps onto
-/// the [`crate::RoundMetrics`] counters.
+/// Why a message never reached its recipient: the fault router's three
+/// verdicts, then the capacity-model and addressing drops the simulator decides
+/// itself. The glossary in [`crate::metrics`] is the one table of what each
+/// cause means, which [`crate::RoundMetrics`] counter it feeds and how it is
+/// labelled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DropCause {
-    /// Injected random loss ([`crate::RoundMetrics::dropped_fault`]).
+    /// See the [`crate::metrics`] glossary, row `fault`.
     Fault,
-    /// Blocked by an active partition ([`crate::RoundMetrics::dropped_partition`]).
+    /// See the [`crate::metrics`] glossary, row `partition`.
     Partition,
-    /// Addressed to a crashed or not-yet-joined node
-    /// ([`crate::RoundMetrics::dropped_offline`]).
+    /// See the [`crate::metrics`] glossary, row `offline`.
     Offline,
-    /// The sender exceeded its per-round send cap, or a local message violated
-    /// the CONGEST edge discipline ([`crate::RoundMetrics::dropped_send`]).
+    /// See the [`crate::metrics`] glossary, row `send-cap`.
     SendCap,
-    /// The receiver's per-round global receive cap evicted the message
-    /// ([`crate::RoundMetrics::dropped_receive`]).
+    /// See the [`crate::metrics`] glossary, row `receive-cap`.
     ReceiveCap,
-    /// The recipient identifier does not name a node
-    /// (counted under [`crate::RoundMetrics::dropped_send`]).
+    /// See the [`crate::metrics`] glossary, row `invalid-address`.
     InvalidAddress,
 }
 
@@ -66,16 +60,6 @@ impl DropCause {
             DropCause::SendCap => "send-cap",
             DropCause::ReceiveCap => "receive-cap",
             DropCause::InvalidAddress => "invalid-address",
-        }
-    }
-}
-
-impl From<DropReason> for DropCause {
-    fn from(reason: DropReason) -> Self {
-        match reason {
-            DropReason::Fault => DropCause::Fault,
-            DropReason::Partition => DropCause::Partition,
-            DropReason::Offline => DropCause::Offline,
         }
     }
 }
@@ -100,9 +84,9 @@ pub enum TraceEvent {
         /// The round number.
         round: usize,
         /// Messages delivered to inboxes this round.
-        delivered: usize,
+        delivered: u64,
         /// Messages dropped this round, all causes combined.
-        dropped: usize,
+        dropped: u64,
     },
     /// A pipeline phase began (emitted by phase harnesses, not the simulator).
     PhaseStart {
@@ -154,7 +138,7 @@ pub enum TraceEvent {
         /// The retransmitting node.
         node: NodeId,
         /// Number of data messages re-sent.
-        count: usize,
+        count: u64,
     },
     /// A node's reliable-transport layer gave up on unacknowledged payloads
     /// this round (the peer exhausted its retransmission budget and is
@@ -165,7 +149,7 @@ pub enum TraceEvent {
         /// The abandoning node.
         node: NodeId,
         /// Number of payloads abandoned.
-        count: usize,
+        count: u64,
     },
     /// A maintenance epoch boundary was processed (emitted by the maintenance
     /// runner, not the simulator). `round` is the service round the boundary
@@ -326,8 +310,5 @@ mod tests {
                 "invalid-address"
             ]
         );
-        assert_eq!(DropCause::from(DropReason::Fault), DropCause::Fault);
-        assert_eq!(DropCause::from(DropReason::Partition), DropCause::Partition);
-        assert_eq!(DropCause::from(DropReason::Offline), DropCause::Offline);
     }
 }

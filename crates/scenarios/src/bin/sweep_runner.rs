@@ -64,9 +64,9 @@
 //! they take minutes and exist to spot-check large-n behavior on demand, so they
 //! are written to an untracked `full/` subdirectory and skipped by `--check`.
 //!
-//! Environment facts (wall-clock, worker count) never enter a report body; each
-//! sweep instead writes them to an untracked `<dir>/<name>.meta.json` sidecar.
-//! Traces are likewise derived output under the untracked `<dir>/traces/`.
+//! Environment facts (wall-clock, worker count) never enter a report body; the
+//! summary line printed per sweep is where they go. Traces are derived output
+//! under the untracked `<dir>/traces/`.
 
 use overlay_scenarios::{
     compare, full_registry, post_mortem, registry, report, scaling, trace, Json, ParallelismConfig,
@@ -542,9 +542,6 @@ fn main() -> ExitCode {
             regressions += 1;
         } else if let Err(e) = report::write_report(&result, &dir) {
             eprintln!("  cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        } else if let Err(e) = report::write_meta(&result, &dir) {
-            eprintln!("  cannot write meta sidecar: {e}");
             return ExitCode::FAILURE;
         }
     }

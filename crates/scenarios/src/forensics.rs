@@ -156,8 +156,8 @@ pub fn post_mortem(scenario: &Scenario, run: &ForensicRun) -> PostMortem {
         .phase_metrics
         .iter()
         .filter_map(|m| {
-            m.dominant_drop()
-                .map(|(cause, count)| (m.phase, cause, count))
+            let (cause, count) = m.totals.dominant_drop()?;
+            Some((m.phase, cause.label(), count))
         })
         .collect();
 
@@ -179,7 +179,11 @@ pub fn post_mortem(scenario: &Scenario, run: &ForensicRun) -> PostMortem {
         dominant_drops,
         dead_peer_burn,
         retransmits: run.record.messages.retransmits,
-        give_ups: run.report.phase_metrics.iter().map(|m| m.give_ups).sum(),
+        give_ups: report
+            .phase_metrics
+            .iter()
+            .map(|m| m.totals.transport.give_ups)
+            .sum(),
     }
 }
 

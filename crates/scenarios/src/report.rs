@@ -38,38 +38,6 @@ pub fn write_report(report: &SweepReport, dir: impl AsRef<Path>) -> io::Result<P
     Ok(path)
 }
 
-/// Writes the run-environment sidecar `<dir>/<scenario-name>.meta.json` —
-/// wall-clock time and worker counts (configured and *observed*), the facts
-/// deliberately excluded from the deterministic body — and returns the written
-/// path.
-///
-/// The sidecar is derived, machine-specific output: it sits next to the
-/// committed report but stays untracked (gitignored), so the baselines remain
-/// byte-identical across machines while the timing data survives the sweep.
-///
-/// # Errors
-///
-/// Propagates any filesystem error (directory creation or file write).
-pub fn write_meta(report: &SweepReport, dir: impl AsRef<Path>) -> io::Result<PathBuf> {
-    let dir = dir.as_ref();
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{}.meta.json", report.scenario.name));
-    let body = Json::obj(vec![
-        ("scenario", Json::Str(report.scenario.name.clone())),
-        ("seeds", Json::Int(report.records.len() as i64)),
-        ("wall_ms", Json::UInt(report.wall.as_millis() as u64)),
-        ("workers", Json::Int(report.workers as i64)),
-        (
-            "observed_workers",
-            Json::Int(report.observed_workers as i64),
-        ),
-    ]);
-    let mut text = body.render_pretty();
-    text.push('\n');
-    std::fs::write(&path, text)?;
-    Ok(path)
-}
-
 /// Reads and parses a report file previously written by [`write_report`].
 ///
 /// # Errors
@@ -166,23 +134,6 @@ mod tests {
         // Reparsing classifies integral floats as ints, so compare rendered form.
         assert_eq!(loaded.render(), report.to_json().render());
         assert!(diff_reports(&loaded, &report.to_json()).is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn meta_sidecar_persists_wall_clock_and_workers() {
-        let dir = temp_dir("meta");
-        let report = Sweep::over_seeds(find("clean-line").unwrap(), 0, 2).run();
-        let path = write_meta(&report, &dir).expect("write succeeds");
-        assert_eq!(path.file_name().unwrap(), "clean-line.meta.json");
-        let doc = load_report(&path).expect("sidecar parses");
-        let rendered = doc.render();
-        assert!(rendered.contains("\"scenario\":\"clean-line\""));
-        assert!(rendered.contains("\"wall_ms\""));
-        assert!(rendered.contains(&format!("\"workers\":{}", report.workers)));
-        assert!(rendered.contains(&format!("\"observed_workers\":{}", report.observed_workers)));
-        // The deterministic body must not mention the environment facts.
-        assert!(!report.to_json_string().contains("wall_ms"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -794,6 +794,27 @@ impl Scenario {
 
     // ---- Variant axis constructors ------------------------------------
 
+    /// What every axis constructor below does: the twin is this scenario under
+    /// a new name and description, paired back to it along `axis`, with
+    /// `change` applied — the one field (or two) the axis is allowed to move.
+    fn derive(
+        &self,
+        axis: VariantAxis,
+        name: String,
+        description: String,
+        change: impl FnOnce(&mut Scenario),
+    ) -> Scenario {
+        let mut twin = Scenario {
+            name,
+            description,
+            baseline: Some(self.name.clone()),
+            axis: Some(axis),
+            ..self.clone()
+        };
+        change(&mut twin);
+        twin
+    }
+
     /// Derives the reliable-transport twin: same experiment, plus the
     /// `overlay-transport` reliability layer and `slack` flat extra rounds per
     /// phase for its retry round-trips (a retry chain costs a *constant* number
@@ -801,14 +822,15 @@ impl Scenario {
     ///
     /// Name: `<base>-reliable`. Axis: [`VariantAxis::Transport`].
     pub fn reliable(&self, transport: TransportConfig, slack: u32) -> Scenario {
-        let mut twin = self.clone();
-        twin.name = format!("{}-reliable", self.name);
-        twin.description = format!("Twin of {} over the reliable transport", self.name);
-        twin.round_budget = self.round_budget.with_slack(slack);
-        twin.transport = Some(transport);
-        twin.baseline = Some(self.name.clone());
-        twin.axis = Some(VariantAxis::Transport);
-        twin
+        self.derive(
+            VariantAxis::Transport,
+            format!("{}-reliable", self.name),
+            format!("Twin of {} over the reliable transport", self.name),
+            |twin| {
+                twin.round_budget = twin.round_budget.with_slack(slack);
+                twin.transport = Some(transport);
+            },
+        )
     }
 
     /// Derives the on-demand large-`n` rerun of this scenario.
@@ -820,18 +842,18 @@ impl Scenario {
     /// never be mislabeled. Axis: [`VariantAxis::Size`].
     ///
     /// Large-`n` twins switch to [`MetricsMode::Rollup`] so a long horizon keeps
-    /// aggregate totals plus a bounded ring of recent rounds instead of one
-    /// [`overlay_netsim::RoundMetrics`] per round; every reported figure is
-    /// mode-independent.
+    /// the run totals instead of one [`overlay_netsim::RoundMetrics`] per
+    /// round; every reported figure is mode-independent.
     pub fn at_n(&self, n: usize) -> Scenario {
-        let mut twin = self.clone();
-        twin.name = format!("full-{}-{n}", self.name);
-        twin.description = format!("Large-n twin of {} at n = {n}", self.name);
-        twin.n = n;
-        twin.baseline = Some(self.name.clone());
-        twin.axis = Some(VariantAxis::Size);
-        twin.metrics_mode = MetricsMode::Rollup { window: 64 };
-        twin
+        self.derive(
+            VariantAxis::Size,
+            format!("full-{}-{n}", self.name),
+            format!("Large-n twin of {} at n = {n}", self.name),
+            |twin| {
+                twin.n = n;
+                twin.metrics_mode = MetricsMode::Rollup;
+            },
+        )
     }
 
     /// Derives the capacity-profile twin: same experiment under a different
@@ -840,17 +862,13 @@ impl Scenario {
     ///
     /// Name: `<base>-<profile>`. Axis: [`VariantAxis::Capacity`].
     pub fn with_capacity(&self, capacity: CapacityProfile) -> Scenario {
-        let mut twin = self.clone();
-        twin.name = format!("{}-{}", self.name, capacity.label());
-        twin.description = format!(
-            "Twin of {} with {} NCC0 capacity",
-            self.name,
-            capacity.label()
-        );
-        twin.capacity = capacity;
-        twin.baseline = Some(self.name.clone());
-        twin.axis = Some(VariantAxis::Capacity);
-        twin
+        let (base, label) = (&self.name, capacity.label());
+        self.derive(
+            VariantAxis::Capacity,
+            format!("{base}-{label}"),
+            format!("Twin of {base} with {label} NCC0 capacity"),
+            |twin| twin.capacity = capacity,
+        )
     }
 
     /// Derives the phase-scoped twin: same experiment, with budget and/or
@@ -872,16 +890,15 @@ impl Scenario {
             !overrides.is_empty(),
             "a phase-override twin needs at least one override"
         );
-        let mut twin = self.clone();
-        twin.name = format!("{}{}", self.name, phase_suffix(&overrides));
-        twin.description = format!(
-            "Twin of {} with overrides scoped to single phases",
-            self.name
-        );
-        twin.phases = overrides;
-        twin.baseline = Some(self.name.clone());
-        twin.axis = Some(VariantAxis::Phases);
-        twin
+        self.derive(
+            VariantAxis::Phases,
+            format!("{}{}", self.name, phase_suffix(&overrides)),
+            format!(
+                "Twin of {} with overrides scoped to single phases",
+                self.name
+            ),
+            |twin| twin.phases = overrides,
+        )
     }
 
     /// Derives the re-invitation twin of a serving baseline: the identical
@@ -905,19 +922,19 @@ impl Scenario {
             !spec.reinvite,
             "baseline already re-invites; the twin would duplicate it"
         );
-        let mut twin = self.clone();
-        twin.name = format!("{}-reinvite", self.name);
-        twin.description = format!(
-            "Twin of {} with epoch-boundary re-invitation switched on",
-            self.name
-        );
-        twin.serve = Some(ServeSpec {
+        let reinviting = ServeSpec {
             reinvite: true,
             ..spec
-        });
-        twin.baseline = Some(self.name.clone());
-        twin.axis = Some(VariantAxis::Maintenance);
-        twin
+        };
+        self.derive(
+            VariantAxis::Maintenance,
+            format!("{}-reinvite", self.name),
+            format!(
+                "Twin of {} with epoch-boundary re-invitation switched on",
+                self.name
+            ),
+            |twin| twin.serve = Some(reinviting),
+        )
     }
 
     /// Derives a traffic-axis twin of a traffic-carrying baseline: the
@@ -941,13 +958,12 @@ impl Scenario {
             base != spec,
             "baseline already runs this traffic spec; the twin would duplicate it"
         );
-        let mut twin = self.clone();
-        twin.name = format!("{}-{suffix}", self.name);
-        twin.description = format!("Twin of {} with the {suffix} traffic spec", self.name);
-        twin.traffic = Some(spec);
-        twin.baseline = Some(self.name.clone());
-        twin.axis = Some(VariantAxis::Traffic);
-        twin
+        self.derive(
+            VariantAxis::Traffic,
+            format!("{}-{suffix}", self.name),
+            format!("Twin of {} with the {suffix} traffic spec", self.name),
+            |twin| twin.traffic = Some(spec),
+        )
     }
 
     /// `true` when any part of the run uses the reliable transport — the

@@ -65,8 +65,8 @@ pub fn event_json(event: &TraceEvent) -> Json {
         } => Json::obj(vec![
             ("event", Json::Str("round-end".into())),
             ("round", uint(round)),
-            ("delivered", uint(delivered)),
-            ("dropped", uint(dropped)),
+            ("delivered", Json::UInt(delivered)),
+            ("dropped", Json::UInt(dropped)),
         ]),
         TraceEvent::PhaseStart { phase } => Json::obj(vec![
             ("event", Json::Str("phase-start".into())),
@@ -110,13 +110,13 @@ pub fn event_json(event: &TraceEvent) -> Json {
             ("event", Json::Str("retransmits".into())),
             ("round", uint(round)),
             ("node", uint(node.index())),
-            ("count", uint(count)),
+            ("count", Json::UInt(count)),
         ]),
         TraceEvent::GiveUps { round, node, count } => Json::obj(vec![
             ("event", Json::Str("give-ups".into())),
             ("round", uint(round)),
             ("node", uint(node.index())),
-            ("count", uint(count)),
+            ("count", Json::UInt(count)),
         ]),
         TraceEvent::Epoch {
             epoch,

@@ -411,11 +411,6 @@ impl<P: Protocol> Reliable<P> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped protocol state.
-    pub fn inner_mut(&mut self) -> &mut P {
-        &mut self.inner
-    }
-
     /// Unwraps the adapter, returning the inner protocol state.
     pub fn into_inner(self) -> P {
         self.inner
@@ -1113,11 +1108,12 @@ mod tests {
         let m = sim.metrics();
         h.feed(m.rounds as u64);
         for r in &m.per_round {
+            let t = r.transport;
             for v in [
-                r.max_sent,
-                r.max_received,
-                r.max_global_sent,
-                r.max_global_received,
+                r.max_sent as u64,
+                r.max_received as u64,
+                r.max_global_sent as u64,
+                r.max_global_received as u64,
                 r.delivered,
                 r.dropped_receive,
                 r.dropped_send,
@@ -1125,14 +1121,14 @@ mod tests {
                 r.dropped_partition,
                 r.dropped_offline,
                 r.delayed,
-                r.crashed,
-                r.joined,
-                r.retransmits,
-                r.acks,
-                r.dupes_dropped,
-                r.give_ups,
+                r.crashed as u64,
+                r.joined as u64,
+                t.retransmits,
+                t.acks,
+                t.dupes_dropped,
+                t.give_ups,
             ] {
-                h.feed(v as u64);
+                h.feed(v);
             }
         }
         for &v in m

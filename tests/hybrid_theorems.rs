@@ -89,11 +89,7 @@ fn theorem_1_5_mis_is_valid_and_fast() {
         (3, generators::grid(12, 12)),
         (4, generators::connected_random(180, 0.04, 37)),
     ] {
-        let result = HybridMis {
-            seed,
-            ..HybridMis::default()
-        }
-        .run(&g);
+        let result = HybridMis { seed }.run(&g);
         assert!(
             sequential::is_maximal_independent_set(&g.to_undirected(), &result.mis),
             "seed {seed}: MIS invalid"

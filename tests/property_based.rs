@@ -63,7 +63,7 @@ proptest! {
             .map(|(i, &s)| generators::connected_random(s, 0.1, seed + i as u64))
             .collect();
         let g = generators::disjoint_union(&parts);
-        let result = HybridComponents::new(ComponentsConfig { seed, walk_len: 12, ..ComponentsConfig::default() })
+        let result = HybridComponents::new(ComponentsConfig { seed, walk_len: 12 })
             .run(&g)
             .expect("components succeed");
         let truth = analysis::connected_components(&g.to_undirected());
@@ -93,7 +93,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let g = generators::connected_random(n, p, seed);
-        let result = HybridMis { seed, ..HybridMis::default() }.run(&g);
+        let result = HybridMis { seed }.run(&g);
         prop_assert!(sequential::is_maximal_independent_set(&g.to_undirected(), &result.mis));
     }
 
