@@ -77,17 +77,13 @@ pub fn make_benign(g: &DiGraph, params: &ExpanderParams) -> Result<UGraph, Overl
             supported: params.max_initial_degree(),
         });
     }
-    let mut benign = UGraph::new(g.node_count());
+    let mut benign = UGraph::with_slot_capacity(g.node_count(), delta);
     for (u, v) in undirected.edges() {
         for _ in 0..lambda {
             benign.add_edge(u, v);
         }
     }
-    for v in benign.nodes().collect::<Vec<_>>() {
-        while benign.degree(v) < delta {
-            benign.add_self_loop(v);
-        }
-    }
+    benign.pad_self_loops(delta);
     Ok(benign)
 }
 
@@ -153,11 +149,7 @@ mod tests {
         // Regular and lazy but cut of size 1: two dense blobs joined by one edge.
         let mut g = UGraph::new(2);
         g.add_edge(0.into(), 1.into());
-        for v in g.nodes().collect::<Vec<_>>() {
-            while g.degree(v) < params.delta {
-                g.add_self_loop(v);
-            }
-        }
+        g.pad_self_loops(params.delta);
         let report = check_benign(&g, &params, true);
         assert!(report.regular);
         assert!(report.lazy);

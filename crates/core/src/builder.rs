@@ -561,7 +561,7 @@ impl OverlayBuilder {
         let survivors: Vec<usize> = (0..n).filter(|&i| alive1[i]).collect();
         let slots = SlotEdges::collect(&construction.summaries, &alive1);
         let full = slots.survivor_graph();
-        let comps = analysis::connected_components(&full.simplify());
+        let comps = analysis::connected_components(&full);
         let mut sizes: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
         for &v in &survivors {
             *sizes.entry(comps.label(NodeId::from(v))).or_insert(0) += 1;

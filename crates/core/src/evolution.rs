@@ -65,6 +65,11 @@ impl EvolutionEngine {
         &self.graph
     }
 
+    /// Consumes the engine, returning its current communication graph.
+    pub fn into_graph(self) -> UGraph {
+        self.graph
+    }
+
     /// Number of evolutions executed so far.
     pub fn evolutions_done(&self) -> usize {
         self.evolutions_done
@@ -103,6 +108,11 @@ impl EvolutionEngine {
     /// edges `{at, origin}` are established. The observers see the experiment;
     /// they cannot steer it: the rewiring and the RNG stream are the same for
     /// every `T` (a unit payload is [`EvolutionEngine::evolve_quiet`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node of the current graph has no edge slot at all: a walk
+    /// cannot leave it (every node of a benign graph has Δ).
     pub fn evolve_with<T: Default>(
         &mut self,
         mut hop: impl FnMut(&mut T, NodeId, NodeId),
@@ -112,9 +122,18 @@ impl EvolutionEngine {
         let delta = self.params.delta;
         let tokens_per_node = self.params.tokens_per_node();
         let walk_len = self.params.walk_len;
+        let max_accepts = self.params.max_accepts();
+        for v in self.graph.nodes() {
+            assert!(
+                self.graph.degree(v) > 0,
+                "node {v} has no edge slots: a token cannot take a step from it"
+            );
+        }
 
-        // Run every token's walk; group the tokens by the node they finish at.
-        let mut arrived: Vec<Vec<(NodeId, T)>> = (0..n).map(|_| Vec::new()).collect();
+        // Run every token's walk. Token `t` was launched by node
+        // `t / tokens_per_node`, finished at `ends[t]` and carries `payloads[t]`.
+        let mut ends: Vec<usize> = Vec::with_capacity(n * tokens_per_node);
+        let mut payloads: Vec<T> = Vec::with_capacity(n * tokens_per_node);
         for v in 0..n {
             for _ in 0..tokens_per_node {
                 let mut pos = NodeId::from(v);
@@ -125,28 +144,82 @@ impl EvolutionEngine {
                     hop(&mut payload, pos, next);
                     pos = next;
                 }
-                arrived[pos.index()].push((NodeId::from(v), payload));
+                ends.push(pos.index());
+                payloads.push(payload);
             }
         }
 
+        // Group the tokens by the node they finished at with a stable counting
+        // sort, so every node's run of `arrived` is in launch order:
+        // `bucket_end[w]` walks from the start of `w`'s run to its end.
+        let mut bucket_end = vec![0usize; n];
+        for &w in &ends {
+            bucket_end[w] += 1;
+        }
+        let mut total = 0;
+        for slot in &mut bucket_end {
+            let count = *slot;
+            *slot = total;
+            total += count;
+        }
+        let mut arrived = vec![0usize; ends.len()];
+        for (t, &w) in ends.iter().enumerate() {
+            arrived[bucket_end[w]] = t;
+            bucket_end[w] += 1;
+        }
+
         // Every node accepts up to 3Δ/8 arrived tokens and establishes bidirected edges.
-        let mut next = UGraph::new(n);
-        for (w, accepted) in arrived.iter_mut().enumerate() {
+        let mut next = UGraph::with_slot_capacity(n, delta);
+        let mut run_start = 0;
+        for (w, &run_end) in bucket_end.iter().enumerate() {
             let w = NodeId::from(w);
-            accepted.shuffle(&mut self.rng);
-            accepted.truncate(self.params.max_accepts());
-            for (origin, payload) in accepted.drain(..) {
+            let here = &mut arrived[run_start..run_end];
+            run_start = run_end;
+            here.shuffle(&mut self.rng);
+            for &t in here.iter().take(max_accepts) {
+                let origin = NodeId::from(t / tokens_per_node);
                 next.add_edge(w, origin);
-                accept(w, origin, payload);
+                accept(w, origin, std::mem::take(&mut payloads[t]));
             }
         }
-        for v in next.nodes().collect::<Vec<_>>() {
-            while next.degree(v) < delta {
-                next.add_self_loop(v);
-            }
-        }
+        next.pad_self_loops(delta);
         self.graph = next;
         self.evolutions_done += 1;
+        #[cfg(debug_assertions)]
+        self.check_contracts();
+    }
+
+    /// The graph-level half of the benign invariant after an evolution,
+    /// whatever graph went in: a node holds at most Δ/8 edges from its own
+    /// accepted tokens and 3Δ/8 from those it accepted, so padding leaves it
+    /// at degree Δ with at least Δ/2 self-loops; and every edge was added at
+    /// both ends.
+    #[cfg(debug_assertions)]
+    fn check_contracts(&self) {
+        let (g, delta) = (&self.graph, self.params.delta);
+        let (mut up, mut down) = (Vec::new(), Vec::new());
+        for v in g.nodes() {
+            assert_eq!(g.degree(v), delta, "node {v} is not of degree Δ");
+            assert!(
+                g.self_loops(v) >= delta / 2,
+                "node {v} holds {} self-loops, fewer than Δ/2 = {}",
+                g.self_loops(v),
+                delta / 2
+            );
+            for &u in g.neighbors(v) {
+                match v.cmp(&u) {
+                    std::cmp::Ordering::Less => up.push((v, u)),
+                    std::cmp::Ordering::Greater => down.push((u, v)),
+                    std::cmp::Ordering::Equal => {}
+                }
+            }
+        }
+        up.sort_unstable();
+        down.sort_unstable();
+        assert!(
+            up == down,
+            "some node is in a neighbour's slots more often than that neighbour is in its own"
+        );
     }
 
     /// Executes `count` evolutions, returning the per-evolution statistics.
@@ -272,6 +345,136 @@ mod tests {
             }
             assert_eq!(digest, expected, "seed {seed}");
         }
+    }
+
+    impl EvolutionEngine {
+        /// The step as it was before the flat token buffers: one `Vec` of
+        /// arrived tokens per node, `add_edge` into unsized lists, a padding
+        /// loop per node. The specification `evolve_with` is checked against.
+        fn reference_evolve_with<T: Default>(
+            &mut self,
+            mut hop: impl FnMut(&mut T, NodeId, NodeId),
+            mut accept: impl FnMut(NodeId, NodeId, T),
+        ) {
+            let n = self.graph.node_count();
+            let delta = self.params.delta;
+            let tokens_per_node = self.params.tokens_per_node();
+            let walk_len = self.params.walk_len;
+
+            let mut arrived: Vec<Vec<(NodeId, T)>> = (0..n).map(|_| Vec::new()).collect();
+            for v in 0..n {
+                for _ in 0..tokens_per_node {
+                    let mut pos = NodeId::from(v);
+                    let mut payload = T::default();
+                    for _ in 0..walk_len {
+                        let slots = self.graph.neighbors(pos);
+                        let next = slots[self.rng.gen_range(0..slots.len())];
+                        hop(&mut payload, pos, next);
+                        pos = next;
+                    }
+                    arrived[pos.index()].push((NodeId::from(v), payload));
+                }
+            }
+
+            let mut next = UGraph::new(n);
+            for (w, accepted) in arrived.iter_mut().enumerate() {
+                let w = NodeId::from(w);
+                accepted.shuffle(&mut self.rng);
+                accepted.truncate(self.params.max_accepts());
+                for (origin, payload) in accepted.drain(..) {
+                    next.add_edge(w, origin);
+                    accept(w, origin, payload);
+                }
+            }
+            for v in next.nodes().collect::<Vec<_>>() {
+                while next.degree(v) < delta {
+                    next.add_self_loop(v);
+                }
+            }
+            self.graph = next;
+            self.evolutions_done += 1;
+        }
+    }
+
+    type Walk = Vec<(NodeId, NodeId)>;
+
+    /// One step of `engine` — the reference if `reference`, else the step
+    /// under test — with every token carrying its walk: the `hop` calls and
+    /// the `accept` calls (payload included), in call order.
+    fn observed_step(
+        engine: &mut EvolutionEngine,
+        reference: bool,
+    ) -> (Walk, Vec<(NodeId, NodeId, Walk)>) {
+        let (mut hops, mut accepts) = (Vec::new(), Vec::new());
+        let hop = |walk: &mut Walk, from, to| {
+            walk.push((from, to));
+            hops.push((from, to));
+        };
+        let accept = |at, origin, walk: Walk| accepts.push((at, origin, walk));
+        if reference {
+            engine.reference_evolve_with(hop, accept);
+        } else {
+            engine.evolve_with(hop, accept);
+        }
+        (hops, accepts)
+    }
+
+    /// Runs `evolutions` steps on `graph` with the step under test and with
+    /// the reference and compares everything an observer or a later caller
+    /// can see.
+    fn assert_step_matches_reference(graph: &UGraph, p: ExpanderParams, evolutions: usize) {
+        let mut new = EvolutionEngine::from_benign(graph.clone(), p);
+        let mut old = EvolutionEngine::from_benign(graph.clone(), p);
+        for evolution in 0..evolutions {
+            assert!(
+                observed_step(&mut new, false) == observed_step(&mut old, true),
+                "hop or accept sequence, evolution {evolution}"
+            );
+            assert!(new.graph == old.graph, "graph, evolution {evolution}");
+        }
+        assert_eq!(new.rng.gen::<u64>(), old.rng.gen::<u64>(), "RNG stream");
+        assert_eq!(new.evolutions_done(), old.evolutions_done());
+    }
+
+    #[test]
+    fn flat_buffer_step_equals_the_per_node_vec_reference() {
+        for seed in [1u64, 2, 3] {
+            let p = params(64, seed);
+            for g in [
+                generators::line(64),
+                generators::cycle(64),
+                generators::random_regular(64, 4, seed),
+            ] {
+                let benign = benign::make_benign(&g, &p).unwrap();
+                assert_step_matches_reference(&benign, p, 3);
+            }
+        }
+    }
+
+    #[test]
+    fn step_equals_the_reference_on_irregular_and_single_node_inputs() {
+        let p = params(8, 5);
+        // Node 0 holds 3Δ slots, node 3 a single self-loop: what the
+        // maintenance loop's over-full contact lists look like, exaggerated.
+        // The postcondition (debug profile) must hold on the way out anyway.
+        let mut g = UGraph::new(4);
+        for i in 0..3 * p.delta {
+            g.add_edge(0.into(), (1 + i % 2).into());
+        }
+        g.add_self_loop(3.into());
+        assert_step_matches_reference(&g, p, 3);
+
+        let mut single = UGraph::new(1);
+        single.pad_self_loops(p.delta);
+        assert_step_matches_reference(&single, p, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "node n2 has no edge slots")]
+    fn a_node_without_slots_is_refused_by_name() {
+        let mut g = UGraph::new(3);
+        g.add_edge(0.into(), 1.into());
+        EvolutionEngine::from_benign(g, params(8, 1)).evolve_quiet();
     }
 
     #[test]

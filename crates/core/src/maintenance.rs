@@ -184,6 +184,13 @@ enum MemberStatus {
     Crashed,
 }
 
+impl MemberStatus {
+    /// Admitted or still awaiting admission.
+    fn is_alive(self) -> bool {
+        matches!(self, MemberStatus::Admitted | MemberStatus::Pending)
+    }
+}
+
 #[derive(Clone, Debug)]
 struct Member {
     status: MemberStatus,
@@ -307,14 +314,14 @@ impl MaintenanceRunner {
         }
     }
 
+    /// Number of members whose status satisfies `pred`.
+    fn count(&self, pred: impl Fn(MemberStatus) -> bool) -> usize {
+        self.members.iter().filter(|m| pred(m.status)).count()
+    }
+
     fn alive_ids(&self) -> Vec<usize> {
         (0..self.members.len())
-            .filter(|&m| {
-                matches!(
-                    self.members[m].status,
-                    MemberStatus::Admitted | MemberStatus::Pending
-                )
-            })
+            .filter(|&m| self.members[m].status.is_alive())
             .collect()
     }
 
@@ -423,18 +430,31 @@ impl MaintenanceRunner {
     /// edges are kept, freshly admitted members attach to their contact, dead
     /// slots disappear, and every node is padded with self-loops to degree Δ
     /// so evolution walks stay defined.
+    ///
+    /// Slot order is part of the result — the next evolution draws
+    /// `slots[rng]` — and is the one [`UGraph::edges`] fixes: surviving edges
+    /// are re-added by ascending lower endpoint `u`, in `u`'s own slot order,
+    /// each once (from its lower end; self-loops are dropped here and return
+    /// as padding), then the contact edges by ascending joiner, then loops.
     fn rebuild_core_graph(&mut self) {
         let next_core = self.admitted_alive();
         let mut slot = vec![usize::MAX; self.members.len()];
         for (i, &m) in next_core.iter().enumerate() {
             slot[m] = i;
         }
-        let mut next = UGraph::new(next_core.len());
+        let mut next = UGraph::with_slot_capacity(next_core.len(), self.params.delta);
         // Surviving edges of the old core graph, translated to the new slots.
-        for (u, v) in self.graph.edges() {
-            let (mu, mv) = (self.core[u.index()], self.core[v.index()]);
-            if slot[mu] != usize::MAX && slot[mv] != usize::MAX && mu != mv {
-                next.add_edge(NodeId::from(slot[mu]), NodeId::from(slot[mv]));
+        for (u, &mu) in self.core.iter().enumerate() {
+            if slot[mu] == usize::MAX {
+                continue;
+            }
+            for &v in self.graph.neighbors(NodeId::from(u)) {
+                if v.index() > u {
+                    let to = slot[self.core[v.index()]];
+                    if to != usize::MAX {
+                        next.add_edge(NodeId::from(slot[mu]), NodeId::from(to));
+                    }
+                }
             }
         }
         // Freshly admitted members: one real edge to the contact.
@@ -445,12 +465,7 @@ impl MaintenanceRunner {
                 }
             }
         }
-        for i in 0..next_core.len() {
-            let v = NodeId::from(i);
-            while next.degree(v) < self.params.delta {
-                next.add_self_loop(v);
-            }
-        }
+        next.pad_self_loops(self.params.delta);
         self.core = next_core;
         self.graph = next;
     }
@@ -463,35 +478,26 @@ impl MaintenanceRunner {
         }
         let mix = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(self.epoch as u64 + 1);
         let params = self.params.with_seed(self.config.seed ^ mix);
-        let mut engine = EvolutionEngine::from_benign(self.graph.clone(), params);
+        let mut engine = EvolutionEngine::from_benign(std::mem::take(&mut self.graph), params);
         engine.evolve_quiet();
-        self.graph = engine.graph().clone();
+        self.graph = engine.into_graph();
         self.repairs += 1;
     }
 
     /// Rebuilds the well-formed tree from the current core graph: BFS from the
     /// smallest member id, re-attach anything the mix stranded, binarize.
     /// Returns the number of re-attached (healed) members.
+    ///
+    /// The BFS order is part of the result twice over: a node's parent is the
+    /// first node in it that lists the node, and the anchors of stranded nodes
+    /// are drawn as `order[rng]` ([`bfs_over_slots`] states the order).
     fn rebuild_tree(&mut self) -> usize {
         let n = self.core.len();
         if n == 0 {
             self.tree = None;
             return 0;
         }
-        let simple = self.graph.simplify();
-        let mut parent: Vec<Option<usize>> = vec![None; n];
-        parent[0] = Some(0);
-        let mut queue = std::collections::VecDeque::from([0usize]);
-        let mut order = vec![0usize];
-        while let Some(v) = queue.pop_front() {
-            for &w in simple.neighbors(NodeId::from(v)) {
-                if parent[w.index()].is_none() {
-                    parent[w.index()] = Some(v);
-                    queue.push_back(w.index());
-                    order.push(w.index());
-                }
-            }
-        }
+        let (mut parent, mut order) = bfs_over_slots(&self.graph);
         // Crash holes / stranded mixes: attach each unreached node to a random
         // reached one (a repair introduction), deterministically seeded.
         let mut healed = 0;
@@ -514,15 +520,10 @@ impl MaintenanceRunner {
         healed
     }
 
-    /// Alive members covered by the current tree: admitted members whose
-    /// parent chain reaches the root.
-    fn covered_count(&self) -> usize {
+    /// Alive members covered by the current tree: admitted members (`alive`,
+    /// in core space) whose parent chain reaches the root.
+    fn covered_count(&self, alive: &[bool]) -> usize {
         let Some(tree) = &self.tree else { return 0 };
-        let alive: Vec<bool> = self
-            .core
-            .iter()
-            .map(|&m| self.members[m].status == MemberStatus::Admitted)
-            .collect();
         let n = self.core.len();
         let root = tree.root();
         if !alive[root.index()] {
@@ -547,15 +548,11 @@ impl MaintenanceRunner {
             .count()
     }
 
-    /// Whether the current tree is well-formed over the admitted-alive members.
-    fn tree_is_valid(&self) -> bool {
+    /// Whether the current tree is well-formed over the admitted-alive members
+    /// (`alive`, in core space).
+    fn tree_is_valid(&self, alive: &[bool]) -> bool {
         let Some(tree) = &self.tree else { return false };
-        let alive: Vec<bool> = self
-            .core
-            .iter()
-            .map(|&m| self.members[m].status == MemberStatus::Admitted)
-            .collect();
-        tree.is_valid_over(&alive) && tree.max_degree() <= 4
+        tree.is_valid_over(alive) && tree.max_degree() <= 4
     }
 
     /// Runs one epoch: churn, re-invitation, repair, validation, sample.
@@ -569,16 +566,21 @@ impl MaintenanceRunner {
         self.rebuild_core_graph();
         self.repair_evolution();
         let healed = self.rebuild_tree();
-        let tree_valid = self.tree_is_valid();
+        let admitted_mask: Vec<bool> = self
+            .core
+            .iter()
+            .map(|&m| self.members[m].status == MemberStatus::Admitted)
+            .collect();
+        let tree_valid = self.tree_is_valid(&admitted_mask);
         self.emit(TraceEvent::Repair {
             epoch: self.epoch,
             healed,
             tree_valid,
         });
 
-        let alive = self.alive_ids().len();
-        let pending = self.pending_ids().len();
-        let covered = self.covered_count();
+        let alive = self.count(MemberStatus::is_alive);
+        let pending = self.count(|status| status == MemberStatus::Pending);
+        let covered = self.covered_count(&admitted_mask);
         let coverage = if alive == 0 {
             1.0
         } else {
@@ -588,7 +590,7 @@ impl MaintenanceRunner {
         // A burst counts as repaired once every admitted member is covered by
         // a valid tree again.
         if let Some(burst_round) = self.open_burst {
-            if tree_valid && covered == self.admitted_alive().len() {
+            if tree_valid && covered == self.count(|status| status == MemberStatus::Admitted) {
                 self.rounds_to_repair_max = self.rounds_to_repair_max.max(round - burst_round);
                 self.open_burst = None;
             }
@@ -659,10 +661,38 @@ impl MaintenanceRunner {
             joined: self.joined,
             left: self.left,
             crashed: self.crashed,
-            final_alive: self.alive_ids().len(),
+            final_alive: self.count(MemberStatus::is_alive),
             samples: self.samples,
         }
     }
+}
+
+/// BFS from node 0 straight over the slot lists of the multigraph `g`
+/// (`g` non-empty): the parent of every reached node (the root is its own)
+/// and the discovery order, which doubles as the queue.
+///
+/// The nodes a node discovers are appended in ascending id order — its
+/// unvisited slot targets, sorted; self-loops and repeated slots fall out at
+/// the visited test — which is the order a BFS over the sorted, deduplicated
+/// lists of [`UGraph::simplify`] discovers them in, without building them.
+fn bfs_over_slots(g: &UGraph) -> (Vec<Option<usize>>, Vec<usize>) {
+    let mut parent: Vec<Option<usize>> = vec![None; g.node_count()];
+    parent[0] = Some(0);
+    let mut order = vec![0usize];
+    let mut head = 0;
+    while head < order.len() {
+        let v = order[head];
+        head += 1;
+        let discovered = order.len();
+        for &w in g.neighbors(NodeId::from(v)) {
+            if parent[w.index()].is_none() {
+                parent[w.index()] = Some(v);
+                order.push(w.index());
+            }
+        }
+        order[discovered..].sort_unstable();
+    }
+    (parent, order)
 }
 
 /// The one-round binarization of [`crate::wellformed::BinarizeNode`] as a pure
@@ -834,6 +864,151 @@ mod tests {
             reliable.reinvites_delivered as f64 / reliable.reinvites_sent as f64 > 0.9,
             "retries push delivery above 90%"
         );
+    }
+
+    /// FNV-1a over little-endian `u64` words.
+    fn fnv(digest: &mut u64, word: u64) {
+        for byte in word.to_le_bytes() {
+            *digest = (*digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    #[test]
+    fn epoch_digests_match_the_edge_list_and_ordered_set_runner() {
+        // One FNV-1a digest per epoch over the sample, the core, the core
+        // graph's edge list and the tree's parent vector, computed on the
+        // commit before `rebuild_tree` / `rebuild_core_graph` read the slot
+        // lists directly and the evolution moved to flat buffers. Joins,
+        // leaves, crashes, a burst every 240 rounds, lossy invitations with
+        // two retries; 17 to 91 members healed at every boundary, so the
+        // anchor draws over the BFS order are pinned too.
+        const EXPECTED: [u64; 40] = [
+            0x8f56_5c1c_780c_7afc,
+            0xe1f5_9ce5_5655_a5f2,
+            0x8a1e_95a0_9bee_a643,
+            0xe0aa_87f3_9b60_f1d6,
+            0x6eec_7d0a_af91_e405,
+            0x6d47_18b3_2bb3_b7d0,
+            0x848a_0744_0a52_20dc,
+            0xe51c_d409_46d7_7657,
+            0x1ae1_33f1_5e2b_1439,
+            0xfe77_7982_2827_5809,
+            0xf20e_f0e8_fb9b_0e68,
+            0x7d52_b766_7323_93b3,
+            0xc7dd_74cb_a95b_0971,
+            0x14a3_1a6b_0658_3a7a,
+            0x6e67_6f87_edc9_6c8d,
+            0xc960_4cff_d061_a9f2,
+            0xae96_f1e6_f2f2_3477,
+            0x764c_0d9f_6afa_2f4e,
+            0x93d1_1be2_9409_fa23,
+            0xe000_a4f1_dd0b_3c3a,
+            0x587c_2a83_ce7d_f821,
+            0x2023_37ff_8c8d_f97a,
+            0xb7a3_a3ea_bdbd_d2d6,
+            0x8329_8a8c_e5d2_1af1,
+            0x1539_3937_8dec_7ba5,
+            0xf2e2_116b_af2e_3852,
+            0xce6a_e7de_178b_2398,
+            0x8880_b0bb_1ed7_a7d6,
+            0xe168_6223_b871_ba23,
+            0x58b2_7e16_4dcf_ac29,
+            0x7c86_a59b_3d21_e5fd,
+            0x013b_89d9_d8b3_f7b7,
+            0x54fc_6511_acc0_f01e,
+            0x973c_64b9_ebc4_3983,
+            0x5a54_1358_86c9_08a1,
+            0x0b9f_dd89_0aeb_92d7,
+            0x499e_3462_7d26_8280,
+            0xaea4_bf42_f2cb_c39e,
+            0xd528_cde0_a924_b573,
+            0xd8fa_ef5c_189d_7132,
+        ];
+        let (g, params) = initial_overlay(64);
+        let mut config = MaintenanceConfig::new(40);
+        config.invite_loss = 0.3;
+        config.invite_retries = 2;
+        config.seed = 19;
+        let schedule = ChurnSchedule {
+            seed: 23,
+            join_rate: 0.3,
+            leave_rate: 0.06,
+            crash_rate: 0.1,
+            burst: Some(CrashBurst {
+                every_rounds: 240,
+                fraction: 0.25,
+            }),
+        };
+        let mut runner = MaintenanceRunner::new(g, params, config, schedule);
+        for (epoch, expected) in EXPECTED.into_iter().enumerate() {
+            let s = runner.step_epoch();
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            let counts = [
+                s.epoch,
+                s.round,
+                s.alive,
+                s.pending,
+                s.covered,
+                usize::from(s.tree_valid),
+                s.reinvites,
+                s.admitted,
+                s.healed,
+                s.joins,
+                s.leaves,
+                s.crashes,
+            ];
+            for word in counts {
+                fnv(&mut digest, word as u64);
+            }
+            fnv(&mut digest, s.coverage.to_bits());
+            for &m in runner.core() {
+                fnv(&mut digest, m as u64);
+            }
+            for (a, b) in runner.core_graph().edges() {
+                fnv(&mut digest, a.index() as u64);
+                fnv(&mut digest, b.index() as u64);
+            }
+            let tree = runner.tree().expect("a non-empty core has a tree");
+            for v in 0..tree.node_count() {
+                fnv(&mut digest, tree.parent(NodeId::from(v)).index() as u64);
+            }
+            assert_eq!(digest, expected, "epoch {epoch}");
+        }
+    }
+
+    #[test]
+    fn bfs_over_slots_discovers_in_ascending_neighbour_order() {
+        // Every list is built descending, with a loop and a doubled slot at
+        // the root: 0: [5, 5, 3, 0, 1], 1: [0, 6, 4, 3], 3: [0, 1, 2],
+        // 5: [0, 0, 2]. In slot order the root would discover 5, 3, 1 and
+        // node 2 would hang under 5.
+        let mut g = UGraph::new(7);
+        for (u, v) in [
+            (0usize, 5usize),
+            (0, 5),
+            (0, 3),
+            (0, 0),
+            (0, 1),
+            (1, 6),
+            (1, 4),
+            (1, 3),
+            (3, 2),
+            (5, 2),
+        ] {
+            g.add_edge(u.into(), v.into());
+        }
+        let (parent, order) = bfs_over_slots(&g);
+        assert_eq!(order, [0, 1, 3, 5, 4, 6, 2]);
+        let parent: Vec<usize> = parent.into_iter().map(Option::unwrap).collect();
+        assert_eq!(parent, [0, 0, 3, 0, 1, 0, 1]);
+
+        // An unreached node stays unparented and out of the order.
+        let mut split = UGraph::new(3);
+        split.add_edge(0.into(), 2.into());
+        split.add_self_loop(1.into());
+        let (parent, order) = bfs_over_slots(&split);
+        assert_eq!(order, [0, 2]);
+        assert_eq!(parent, [Some(0), None, Some(0)]);
     }
 
     #[test]

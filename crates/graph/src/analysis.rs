@@ -266,6 +266,29 @@ mod tests {
     }
 
     #[test]
+    fn components_ignore_loops_multiplicity_and_slot_order() {
+        // Three components {0, 3, 5}, {1, 4}, {2}, with loops, parallel edges
+        // and slots listed against id order: the labels depend on the
+        // partition and the ascending scan over start nodes only.
+        let mut g = UGraph::new(6);
+        for (u, v) in [
+            (5, 3),
+            (5, 0),
+            (3, 5),
+            (4, 1),
+            (4, 1),
+            (2, 2),
+            (0, 0),
+            (4, 4),
+        ] {
+            g.add_edge(NodeId::from(u as usize), NodeId::from(v as usize));
+        }
+        let comps = connected_components(&g);
+        assert_eq!(comps, connected_components(&g.simplify()));
+        assert_eq!(comps.labels(), [0, 1, 2, 0, 1, 0]);
+    }
+
+    #[test]
     fn degree_stats_of_star() {
         let g = generators::star(11).to_undirected();
         let s = degree_stats(&g);

@@ -37,6 +37,15 @@ impl UGraph {
         }
     }
 
+    /// Creates an undirected multigraph with `n` nodes and no edges whose slot
+    /// lists each have room for `degree` slots, so that building a graph of
+    /// that degree never reallocates a list.
+    pub fn with_slot_capacity(n: usize, degree: usize) -> Self {
+        UGraph {
+            adj: (0..n).map(|_| Vec::with_capacity(degree)).collect(),
+        }
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.adj.len()
@@ -81,6 +90,16 @@ impl UGraph {
     /// Adds a self-loop at `v`.
     pub fn add_self_loop(&mut self, v: NodeId) {
         self.add_edge(v, v);
+    }
+
+    /// Appends self-loops at every node of degree below `degree` until it has
+    /// exactly that degree; nodes already at or above it are left alone.
+    pub fn pad_self_loops(&mut self, degree: usize) {
+        for (v, slots) in self.adj.iter_mut().enumerate() {
+            if slots.len() < degree {
+                slots.resize(degree, NodeId::from(v));
+            }
+        }
     }
 
     /// Degree of `v`: its number of incident edge slots (self-loops count once).
@@ -143,26 +162,14 @@ impl UGraph {
         g
     }
 
-    /// Returns the simple-graph version: parallel edges merged, self-loops removed.
+    /// Returns the simple-graph version: parallel edges merged, self-loops
+    /// removed. Every list of the result is [`UGraph::distinct_neighbors`] of
+    /// its node, so it is ascending; the lists describe one graph because
+    /// slots are symmetric (every mutator adds a non-loop edge at both ends).
     pub fn simplify(&self) -> UGraph {
-        let mut seen = BTreeSet::new();
-        for (u, a) in self.adj.iter().enumerate() {
-            for &v in a {
-                if v.index() != u {
-                    let key = if u < v.index() {
-                        (u, v.index())
-                    } else {
-                        (v.index(), u)
-                    };
-                    seen.insert(key);
-                }
-            }
+        UGraph {
+            adj: self.nodes().map(|v| self.distinct_neighbors(v)).collect(),
         }
-        let mut g = UGraph::new(self.adj.len());
-        for (a, b) in seen {
-            g.add_edge(NodeId::from(a), NodeId::from(b));
-        }
-        g
     }
 
     /// Number of edge slots at nodes of `set` whose other endpoint lies outside `set`
@@ -267,6 +274,67 @@ mod tests {
         let s = g.simplify();
         assert_eq!(s.edge_count(), 1);
         assert_eq!(s.degree(2.into()), 0);
+    }
+
+    /// `simplify` as it was before it was stated per node: every non-loop
+    /// slot pair through one ordered set, the set back through `add_edge`.
+    fn reference_simplify(g: &UGraph) -> UGraph {
+        let mut seen = BTreeSet::new();
+        for (u, a) in g.adj.iter().enumerate() {
+            for &v in a {
+                if v.index() != u {
+                    let key = if u < v.index() {
+                        (u, v.index())
+                    } else {
+                        (v.index(), u)
+                    };
+                    seen.insert(key);
+                }
+            }
+        }
+        let mut simple = UGraph::new(g.adj.len());
+        for (a, b) in seen {
+            simple.add_edge(NodeId::from(a), NodeId::from(b));
+        }
+        simple
+    }
+
+    #[test]
+    fn simplify_equals_the_ordered_set_reference_on_random_multigraphs() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for seed in 0..32u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..24usize);
+            let mut g = UGraph::new(n);
+            // Few nodes, many edges: loops and parallel edges are the common case.
+            for _ in 0..rng.gen_range(0..6 * n) {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                g.add_edge(u.into(), v.into());
+            }
+            g.pad_self_loops(rng.gen_range(0..8usize));
+            // Adjacency order included: `UGraph`'s `PartialEq` is derived.
+            assert_eq!(g.simplify(), reference_simplify(&g), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn padding_fills_short_lists_with_loops_and_leaves_full_ones() {
+        let mut g = UGraph::with_slot_capacity(3, 4);
+        assert_eq!(g, UGraph::new(3), "capacity is not content");
+        for _ in 0..5 {
+            g.add_edge(0.into(), 1.into());
+        }
+        g.pad_self_loops(4);
+        // What the hand-written `while degree < 4 { add_self_loop }` left:
+        // the two over-full lists alone, four loops at node 2.
+        let mut by_hand = UGraph::new(3);
+        for _ in 0..5 {
+            by_hand.add_edge(0.into(), 1.into());
+        }
+        for _ in 0..4 {
+            by_hand.add_self_loop(2.into());
+        }
+        assert_eq!(g, by_hand);
     }
 
     #[test]
