@@ -90,16 +90,18 @@ pub struct ExpanderNode {
     slots: Vec<NodeId>,
     /// Edge endpoints collected for the *next* evolution graph.
     next_slots: Vec<NodeId>,
-    /// Tokens to forward in the next forwarding round.
+    /// Tokens with hops left that arrived in a round that forwards nothing (a launch
+    /// or accept round: delays, retransmissions), held for the next forwarding
+    /// round. Never allocated on a clean run.
     forward_buffer: Vec<BufferedToken>,
     /// Tokens that completed their walk here and await the accept round.
     arrived: Vec<NodeId>,
     /// Tokens "sent to ourselves" over self-loop slots, delivered next round locally.
     self_delivery: Vec<BufferedToken>,
-    /// Pooled scratch the per-round drains of `self_delivery` and `forward_buffer`
-    /// swap through, so the hot path stops reallocating those vectors every round
-    /// (the same discipline as the simulator's envelope arena). Empty between
-    /// rounds; only its capacity persists.
+    /// Pooled scratch the per-round drain of `self_delivery` swaps through, so the
+    /// hot path stops reallocating that vector every round (the same discipline as
+    /// the simulator's envelope arena). Empty between rounds; only its capacity
+    /// persists.
     scratch: Vec<BufferedToken>,
     /// Set once the final graph has been assembled.
     done: bool,
@@ -188,14 +190,9 @@ impl ExpanderNode {
             self.slots[ctx.rng().gen_range(0..self.slots.len())]
         };
         if target == self.id {
-            // Lazy step: the token stays here for one round.
-            if steps_left == 0 {
-                // It will be considered "arrived" at the next round, mirroring the
-                // delivery delay of a real message.
-                self.self_delivery.push((origin, 0));
-            } else {
-                self.self_delivery.push((origin, steps_left));
-            }
+            // Lazy step: the token stays here for one round and is taken in at the
+            // next, mirroring the delivery delay of a real message.
+            self.self_delivery.push((origin, steps_left));
         } else {
             ctx.send_global(target, ExpanderMsg::Token { origin, steps_left });
         }
@@ -207,24 +204,6 @@ impl ExpanderNode {
         for _ in 0..tokens {
             self.hop_token(ctx, self.id, steps_left);
         }
-    }
-
-    fn forward_round(&mut self, ctx: &mut Ctx<'_, ExpanderMsg>) {
-        // Swap the buffer out through the pooled scratch (rather than `take`, which
-        // would drop its capacity every round) — `hop_token` only ever appends to
-        // `self_delivery`, never to `forward_buffer`, so draining a detached buffer
-        // is equivalent.
-        debug_assert!(self.scratch.is_empty(), "scratch is empty between uses");
-        let mut buffered =
-            std::mem::replace(&mut self.forward_buffer, std::mem::take(&mut self.scratch));
-        for (origin, steps_left) in buffered.drain(..) {
-            debug_assert!(
-                steps_left > 0,
-                "tokens with no hops left never enter the buffer"
-            );
-            self.hop_token(ctx, origin, steps_left - 1);
-        }
-        self.scratch = buffered;
     }
 
     fn accept_round(&mut self, ctx: &mut Ctx<'_, ExpanderMsg>) {
@@ -244,31 +223,60 @@ impl ExpanderNode {
         self.arrived.clear();
     }
 
-    fn ingest(&mut self, inbox: &[Envelope<ExpanderMsg>]) {
+    /// Takes in one token that reached this node: a finished walk awaits the accept
+    /// round; one with hops left takes its next hop at once in a forwarding round
+    /// and waits for the next one otherwise.
+    fn take_token(
+        &mut self,
+        ctx: &mut Ctx<'_, ExpanderMsg>,
+        forwarding: bool,
+        (origin, steps_left): BufferedToken,
+    ) {
+        if steps_left == 0 {
+            self.arrived.push(origin);
+        } else if forwarding {
+            self.hop_token(ctx, origin, steps_left - 1);
+        } else {
+            self.forward_buffer.push((origin, steps_left));
+        }
+    }
+
+    /// Takes in everything that reached this node since its last callback. The order
+    /// tokens are taken in is the order they hop in a forwarding round, and so the
+    /// order of the node's RNG draws: tokens held over from rounds that forwarded
+    /// nothing, then the inbox in inbox order, then last round's lazy steps.
+    fn ingest(
+        &mut self,
+        ctx: &mut Ctx<'_, ExpanderMsg>,
+        inbox: &[Envelope<ExpanderMsg>],
+        forwarding: bool,
+    ) {
+        // Detached before anything hops: a lazy step appends to `self_delivery` and
+        // belongs to the next round. Swapped out through the pooled scratch (rather
+        // than `take`, which would drop the vector's capacity every round).
+        debug_assert!(self.scratch.is_empty(), "scratch is empty between uses");
+        let mut held =
+            std::mem::replace(&mut self.self_delivery, std::mem::take(&mut self.scratch));
+        if forwarding && !self.forward_buffer.is_empty() {
+            // `take_token` does not file into `forward_buffer` while forwarding, so
+            // draining a detached buffer is equivalent.
+            let mut waiting = std::mem::take(&mut self.forward_buffer);
+            for token in waiting.drain(..) {
+                self.take_token(ctx, true, token);
+            }
+            self.forward_buffer = waiting;
+        }
         for env in inbox {
             match env.payload {
                 ExpanderMsg::Intro => self.intro_neighbors.push(env.from),
                 ExpanderMsg::Token { origin, steps_left } => {
-                    if steps_left == 0 {
-                        self.arrived.push(origin);
-                    } else {
-                        self.forward_buffer.push((origin, steps_left));
-                    }
+                    self.take_token(ctx, forwarding, (origin, steps_left))
                 }
                 ExpanderMsg::Accept => self.next_slots.push(env.from),
             }
         }
-        // Tokens that travelled over a self-loop slot last round, drained through
-        // the pooled scratch so the vector's capacity is reused round over round.
-        debug_assert!(self.scratch.is_empty(), "scratch is empty between uses");
-        let mut held =
-            std::mem::replace(&mut self.self_delivery, std::mem::take(&mut self.scratch));
-        for (origin, steps_left) in held.drain(..) {
-            if steps_left == 0 {
-                self.arrived.push(origin);
-            } else {
-                self.forward_buffer.push((origin, steps_left));
-            }
+        for token in held.drain(..) {
+            self.take_token(ctx, forwarding, token);
         }
         self.scratch = held;
     }
@@ -295,13 +303,15 @@ impl Protocol for ExpanderNode {
         if self.done {
             return;
         }
-        self.ingest(inbox);
-
         let walk_len = self.params.walk_len;
         let phase_len = walk_len + 1;
         let k = ctx.round() - 1;
         let evolution = k / phase_len;
         let step = k % phase_len;
+        // Rounds 1..walk_len of an evolution move every token one hop; they hop as
+        // they are taken in, straight from the inbox.
+        let forwarding = evolution < self.params.evolutions && (1..walk_len).contains(&step);
+        self.ingest(ctx, inbox, forwarding);
 
         if evolution >= self.params.evolutions {
             // Final round: incorporate the last acceptances and stop.
@@ -318,9 +328,7 @@ impl Protocol for ExpanderNode {
             }
             self.arrived.clear();
             self.launch_own_tokens(ctx);
-        } else if step < walk_len {
-            self.forward_round(ctx);
-        } else {
+        } else if step == walk_len {
             self.accept_round(ctx);
         }
     }
@@ -361,7 +369,12 @@ mod tests {
             0,
             "no node should exceed its receive capacity"
         );
-        sim.into_nodes()
+        let nodes = sim.into_nodes();
+        assert!(
+            nodes.iter().all(|v| v.forward_buffer.capacity() == 0),
+            "on a clean run every token hops straight from the inbox"
+        );
+        nodes
     }
 
     fn slots_to_graph(nodes: &[ExpanderNode]) -> UGraph {
@@ -384,6 +397,209 @@ mod tests {
         p.walk_len = 12;
         p.seed = 99;
         p
+    }
+
+    impl ExpanderNode {
+        /// `on_round` as it was before tokens hopped straight from the inbox: file
+        /// everything that arrived (`ingest`), then, in a forwarding round, drain the
+        /// whole `forward_buffer` through `hop_token` (`forward_round`). The executable
+        /// specification of the hop order, and with it of the node's RNG stream.
+        fn reference_on_round(
+            &mut self,
+            ctx: &mut Ctx<'_, ExpanderMsg>,
+            inbox: &[Envelope<ExpanderMsg>],
+        ) {
+            if self.done {
+                return;
+            }
+            // ingest
+            for env in inbox {
+                match env.payload {
+                    ExpanderMsg::Intro => self.intro_neighbors.push(env.from),
+                    ExpanderMsg::Token { origin, steps_left } => {
+                        if steps_left == 0 {
+                            self.arrived.push(origin);
+                        } else {
+                            self.forward_buffer.push((origin, steps_left));
+                        }
+                    }
+                    ExpanderMsg::Accept => self.next_slots.push(env.from),
+                }
+            }
+            for (origin, steps_left) in std::mem::take(&mut self.self_delivery) {
+                if steps_left == 0 {
+                    self.arrived.push(origin);
+                } else {
+                    self.forward_buffer.push((origin, steps_left));
+                }
+            }
+
+            let walk_len = self.params.walk_len;
+            let phase_len = walk_len + 1;
+            let k = ctx.round() - 1;
+            let evolution = k / phase_len;
+            let step = k % phase_len;
+
+            if evolution >= self.params.evolutions {
+                self.adopt_next_graph();
+                self.done = true;
+                return;
+            }
+
+            if step == 0 {
+                if evolution == 0 {
+                    self.build_benign_slots();
+                } else {
+                    self.adopt_next_graph();
+                }
+                self.arrived.clear();
+                self.launch_own_tokens(ctx);
+            } else if step < walk_len {
+                // forward_round
+                for (origin, steps_left) in std::mem::take(&mut self.forward_buffer) {
+                    debug_assert!(
+                        steps_left > 0,
+                        "tokens with no hops left never enter the buffer"
+                    );
+                    self.hop_token(ctx, origin, steps_left - 1);
+                }
+            } else {
+                self.accept_round(ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn hopping_from_the_inbox_matches_file_then_drain_round_by_round() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let id = NodeId::from;
+        let token = |from: usize, origin: usize, steps_left: u32| {
+            let origin = id(origin);
+            (from, ExpanderMsg::Token { origin, steps_left })
+        };
+        // ℓ = 4: round 1 launches, 2–4 forward, 5 accepts; 6 launches again, 7–9
+        // forward, 10 accepts; 11 is the final round, 12 finds the node done.
+        let params = ExpanderParams {
+            delta: 16,
+            lambda: 2,
+            walk_len: 4,
+            evolutions: 2,
+            ncc0_cap: 32,
+            bfs_rounds: 0,
+            seed: 0,
+        };
+        // Origins 100.. name the tokens that arrive with hops left in a round that
+        // forwards nothing; everything else a clean run could also deliver.
+        let script: Vec<Vec<(usize, ExpanderMsg)>> = vec![
+            // 1, launch: hops left on a launch round; a finished walk the launch discards.
+            vec![
+                (4, ExpanderMsg::Intro),
+                token(6, 100, 2),
+                token(6, 101, 3),
+                token(4, 102, 1),
+                token(4, 20, 0),
+                token(6, 103, 2),
+                token(6, 104, 2),
+                token(4, 105, 3),
+            ],
+            // 2, forward: the six held tokens hop first (12 of 16 slots are self-loops,
+            // so some of them step lazily in the round they are drained); a finished
+            // walk, an `Accept` and a late `Intro` sit between tokens with hops left.
+            vec![
+                token(6, 21, 3),
+                token(4, 22, 0),
+                (9, ExpanderMsg::Accept),
+                token(6, 23, 1),
+                (7, ExpanderMsg::Intro),
+                token(4, 24, 2),
+            ],
+            // 3, forward: nothing but last round's lazy steps.
+            vec![],
+            // 4, forward.
+            vec![token(4, 25, 1), token(6, 26, 0), token(6, 27, 1)],
+            // 5, accept: hops left on an accept round.
+            vec![
+                token(4, 28, 0),
+                token(6, 106, 2),
+                token(4, 29, 0),
+                token(4, 107, 1),
+                token(6, 5, 0),
+            ],
+            // 6, launch: one more held token behind the two of round 5.
+            vec![
+                (8, ExpanderMsg::Accept),
+                token(6, 108, 3),
+                (9, ExpanderMsg::Accept),
+            ],
+            // 7, forward: held tokens of two rounds, then the inbox.
+            vec![token(8, 30, 2), token(9, 31, 0)],
+            // 8 and 9, forward.
+            vec![token(8, 32, 1)],
+            vec![token(9, 33, 0), token(8, 34, 1)],
+            // 10, accept.
+            vec![token(8, 35, 0)],
+            // 11, final: a token with hops left is held for good.
+            vec![(8, ExpanderMsg::Accept), token(9, 109, 2)],
+            // 12: done, nothing is read.
+            vec![token(9, 110, 2)],
+        ];
+
+        let node = || ExpanderNode::new(id(5), vec![id(6)], params);
+        let (mut new, mut old) = (node(), node());
+        let (mut new_rng, mut old_rng) = (StdRng::seed_from_u64(77), StdRng::seed_from_u64(77));
+        let mut held_token_stepped_lazily = false;
+        for (r, mail) in script.iter().enumerate() {
+            let round = r + 1;
+            let inbox: Vec<Envelope<ExpanderMsg>> = mail
+                .iter()
+                .map(|&(from, payload)| Envelope {
+                    from: id(from),
+                    channel: overlay_netsim::Channel::Global,
+                    payload,
+                })
+                .collect();
+            let held_before: Vec<NodeId> = new.forward_buffer.iter().map(|t| t.0).collect();
+            let (mut new_out, mut old_out) = (Vec::new(), Vec::new());
+            new.on_round(
+                &mut Ctx::external(id(5), round, 200, &mut new_rng, &mut new_out),
+                &inbox,
+            );
+            old.reference_on_round(
+                &mut Ctx::external(id(5), round, 200, &mut old_rng, &mut old_out),
+                &inbox,
+            );
+            assert_eq!(new_out, old_out, "round {round}: outbox");
+            assert_eq!(new.arrived, old.arrived, "round {round}: arrived");
+            assert_eq!(
+                new.self_delivery, old.self_delivery,
+                "round {round}: self_delivery"
+            );
+            assert_eq!(
+                new.forward_buffer, old.forward_buffer,
+                "round {round}: forward_buffer"
+            );
+            assert_eq!(new.next_slots, old.next_slots, "round {round}: next_slots");
+            assert_eq!(new.slots, old.slots, "round {round}: slots");
+            assert_eq!(new.done, old.done, "round {round}: done");
+            assert_eq!(
+                new_rng.clone().gen::<u64>(),
+                old_rng.clone().gen::<u64>(),
+                "round {round}: the node's RNG stream moved"
+            );
+            let forwarding = matches!(round, 2..=4 | 7..=9);
+            if forwarding {
+                assert!(new.forward_buffer.is_empty(), "round {round} forwards all");
+                held_token_stepped_lazily |=
+                    new.self_delivery.iter().any(|t| held_before.contains(&t.0));
+            }
+        }
+        assert!(old.done && old.forward_buffer == vec![(id(109), 2)]);
+        assert!(
+            held_token_stepped_lazily,
+            "the script must make a held token take a lazy hop in the round it is drained"
+        );
     }
 
     #[test]

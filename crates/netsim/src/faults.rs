@@ -105,9 +105,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// `true` if the plan injects nothing; the simulator behaves identically to a
-    /// fault-free run either way (the router is exact, not approximate), so this is
-    /// purely informational.
+    /// `true` if the plan injects nothing. The router is exact either way; for a
+    /// clean plan it answers [`Route::Deliver`] without looking anything up.
     pub fn is_clean(&self) -> bool {
         self.drop_prob == 0.0
             && self.delay.is_none()
@@ -335,6 +334,9 @@ pub struct FaultRouter<M> {
     drop_prob: f64,
     loss_from: usize,
     delay: Option<DelayModel>,
+    /// [`FaultPlan::is_clean`], evaluated once: every message is delivered next
+    /// round and [`FaultRouter::route`] says so before any per-node lookup.
+    clean: bool,
     rng: StdRng,
     /// Messages in flight beyond the next round, keyed by (absolute) delivery round.
     in_flight: BTreeMap<usize, Vec<(NodeId, Envelope<M>)>>,
@@ -378,6 +380,7 @@ impl<M> FaultRouter<M> {
             drop_prob: plan.drop_prob,
             loss_from: plan.loss_from,
             delay: plan.delay,
+            clean: plan.is_clean(),
             rng: StdRng::seed_from_u64(seed.wrapping_add(0xFA17)),
             in_flight: BTreeMap::new(),
             spare: Vec::new(),
@@ -428,7 +431,11 @@ impl<M> FaultRouter<M> {
 
     /// Decides the fate of a message sent by `from` to `to` in `send_round` (normal
     /// delivery would be at `send_round + 1`).
+    #[inline]
     pub fn route(&mut self, from: NodeId, to: NodeId, send_round: usize) -> Route {
+        if self.clean {
+            return Route::Deliver;
+        }
         if self.cut_by_partition(from, to, send_round) {
             return Route::Drop(DropCause::Partition);
         }

@@ -171,111 +171,138 @@ pub struct RunOutcome {
     pub all_done: bool,
 }
 
-/// A flat, reusable arena holding one round's envelopes, grouped per recipient.
+/// One round's envelopes in two flat, reusable buffers: the *staging* buffer the
+/// routing phases append to, and the *inbox* buffer the callbacks read.
 ///
-/// The arena is the simulator's message plumbing: during dispatch it is the *staging*
-/// area (envelopes appended in routing order, tagged with their recipient), and at the
-/// start of the next round `EnvelopeArena::group` counting-sorts it in place so each
-/// node's inbox becomes one contiguous `(offset, len)` slice of a single buffer. The
-/// buffers are **cleared, never reallocated**, between rounds, so a steady-state round
-/// performs no per-inbox allocations at all — unlike the `Vec`-of-`Vec`s layout this
-/// replaced, which allocated `n` fresh inbox vectors every round.
+/// During dispatch (and when the router releases delayed messages) envelopes are
+/// appended to the staging buffer in routing order, tagged with their recipient, and
+/// counted per recipient as they are pushed — all of them, and the global ones.
+/// At the start of the next round `EnvelopeArena::group` turns the counts into
+/// offsets with one prefix sum over the nodes and moves every staged envelope to its
+/// place in the inbox buffer with one stable out-of-place scatter, so each node's inbox
+/// is one contiguous slice. Each envelope is written once when staged and once when
+/// scattered; nothing else of a round reads it before its recipient's callback, because
+/// the receive caps and the delivery tally read the counts.
 ///
-/// Grouping is *stable*: two messages to the same recipient keep their staging order,
-/// which is exactly the delivery order the old nested-`Vec` layout produced. That
-/// stability is what keeps faulty runs byte-identical per seed across the refactor.
+/// The scatter is *stable*: two messages to the same recipient keep their staging
+/// order (delayed messages, released after the routed ones were staged, come last),
+/// which is the delivery order every committed report was produced with.
+///
+/// Both buffers keep their allocation from round to round. The inbox buffer stays at
+/// its high-water length and is assigned into, never truncated: the envelopes past the
+/// valid prefix — and the evicted tail of a capped inbox — are stale values awaiting
+/// overwrite, outside every range `EnvelopeArena::inbox` hands out and never observed.
 #[derive(Debug)]
 pub struct EnvelopeArena<M> {
-    /// All envelopes of the current round; grouped by recipient after [`Self::group`].
-    buf: Vec<Envelope<M>>,
-    /// Recipient of `buf[i]`, parallel to `buf` (used only while staging/grouping).
-    to: Vec<usize>,
-    /// Per-node `(offset, len)` into `buf`, valid after [`Self::group`].
-    ranges: Vec<(usize, usize)>,
-    /// Scratch: per-node write cursors during the counting sort.
+    /// Envelopes staged for the next delivery, in routing order; emptied by
+    /// [`Self::group`].
+    staged: Vec<Envelope<M>>,
+    /// Recipient of `staged[i]`.
+    to: Vec<u32>,
+    /// The current round's inboxes back to back, filled by [`Self::group`].
+    inboxes: Vec<Envelope<M>>,
+    /// Per node: where its inbox starts in `inboxes`, valid after [`Self::group`].
+    starts: Vec<usize>,
+    /// Per node: the envelopes staged for it since the last [`Self::clear`], kept at
+    /// [`Self::push`] — after [`Self::group`], the length of its inbox.
+    lens: Vec<usize>,
+    /// Per node: how many of those travel on [`Channel::Global`].
+    globals: Vec<usize>,
+    /// Scratch: per-node write cursors of the scatter.
     cursors: Vec<usize>,
-    /// Scratch: target position of each staged envelope during the in-place permute.
-    pos: Vec<usize>,
 }
 
-impl<M> EnvelopeArena<M> {
+impl<M: Clone> EnvelopeArena<M> {
     /// An empty arena for `n` nodes.
     fn new(n: usize) -> Self {
         EnvelopeArena {
-            buf: Vec::new(),
+            staged: Vec::new(),
             to: Vec::new(),
-            ranges: vec![(0, 0); n],
+            inboxes: Vec::new(),
+            starts: vec![0; n],
+            lens: vec![0; n],
+            globals: vec![0; n],
             cursors: vec![0; n],
-            pos: Vec::new(),
         }
     }
 
-    /// Stages an envelope for recipient `to` (delivery happens after [`Self::group`]).
+    /// Stages an envelope for recipient `to` (delivery happens after [`Self::group`])
+    /// and counts it.
+    #[inline]
     fn push(&mut self, to: NodeId, env: Envelope<M>) {
-        self.to.push(to.index());
-        self.buf.push(env);
+        let t = to.index();
+        self.lens[t] += 1;
+        self.globals[t] += usize::from(env.channel == Channel::Global);
+        // `Simulator::new` checked that every node index fits.
+        self.to.push(t as u32);
+        self.staged.push(env);
     }
 
-    /// Clears the staged envelopes, retaining every buffer's capacity.
+    /// Forgets the delivered round: empties every inbox and zeroes the counts, so the
+    /// arena can stage the next one. Every buffer keeps its capacity.
     fn clear(&mut self) {
-        self.buf.clear();
+        self.staged.clear();
         self.to.clear();
+        self.lens.fill(0);
+        self.globals.fill(0);
     }
 
-    /// Groups the staged envelopes by recipient with a stable in-place counting sort
-    /// and records each node's `(offset, len)` range.
+    /// Turns the staged envelopes into per-node inboxes: a prefix sum over the counts
+    /// kept at [`Self::push`], then one stable scatter into the inbox buffer.
     fn group(&mut self) {
-        let total = self.buf.len();
-        self.cursors.iter_mut().for_each(|c| *c = 0);
-        for &t in &self.to {
-            self.cursors[t] += 1;
+        let mut total = 0usize;
+        for ((start, cursor), &len) in self
+            .starts
+            .iter_mut()
+            .zip(self.cursors.iter_mut())
+            .zip(&self.lens)
+        {
+            *start = total;
+            *cursor = total;
+            total += len;
         }
-        let mut acc = 0usize;
-        for (range, cursor) in self.ranges.iter_mut().zip(self.cursors.iter_mut()) {
-            let count = *cursor;
-            *range = (acc, count);
-            *cursor = acc;
-            acc += count;
+        assert_eq!(
+            total,
+            self.staged.len(),
+            "every staged envelope was counted"
+        );
+        if self.inboxes.len() < total {
+            // Safe code can only grow the buffer with initialised values; any staged
+            // envelope will do, every slot below `total` is assigned right after.
+            let filler = self.staged[0].clone();
+            self.inboxes.resize(total, filler);
         }
-        self.pos.clear();
-        for &t in &self.to {
-            let cursor = &mut self.cursors[t];
-            self.pos.push(*cursor);
+        for (env, &t) in self.staged.drain(..).zip(&self.to) {
+            let cursor = &mut self.cursors[t as usize];
+            self.inboxes[*cursor] = env;
             *cursor += 1;
         }
-        // Apply the permutation in place by chasing cycles; each element is swapped
-        // into its final position at most once, so this is O(total) swaps.
-        for i in 0..total {
-            while self.pos[i] != i {
-                let j = self.pos[i];
-                self.buf.swap(i, j);
-                self.to.swap(i, j);
-                self.pos.swap(i, j);
-            }
-        }
+        self.to.clear();
     }
 
     /// Node `i`'s inbox for the current round (valid after [`Self::group`]).
     fn inbox(&self, i: usize) -> &[Envelope<M>] {
-        let (start, len) = self.ranges[i];
-        &self.buf[start..start + len]
+        let start = self.starts[i];
+        &self.inboxes[start..start + self.lens[i]]
     }
 
-    /// Shrinks node `i`'s range to the envelopes whose range-relative index is *not*
-    /// marked in `drop`, preserving their relative order. Dropped envelopes linger in
-    /// the (now out-of-range) tail until the next [`Self::clear`]; they are never
-    /// observed.
+    /// Shrinks node `i`'s inbox to the envelopes whose inbox-relative index is *not*
+    /// marked in `drop`, preserving their relative order and keeping the counts true.
+    /// Dropped envelopes linger behind the shortened inbox until the next
+    /// [`Self::group`] overwrites them; they are never observed.
     fn retain_range(&mut self, i: usize, drop: &[bool]) {
-        let (start, len) = self.ranges[i];
+        let (start, len) = (self.starts[i], self.lens[i]);
         debug_assert_eq!(drop.len(), len, "one mark per envelope in the range");
         let mut w = start;
         for (k, &dropped) in drop.iter().enumerate() {
-            if !dropped {
-                self.buf.swap(w, start + k);
+            if dropped {
+                self.globals[i] -= usize::from(self.inboxes[start + k].channel == Channel::Global);
+            } else {
+                self.inboxes.swap(w, start + k);
                 w += 1;
             }
         }
-        self.ranges[i].1 = w - start;
+        self.lens[i] = w - start;
     }
 }
 
@@ -405,15 +432,20 @@ pub fn node_rng(seed: u64, i: usize) -> StdRng {
 ///
 /// # Hot-path layout
 ///
-/// All per-round message traffic flows through two flat, reusable buffers: the
-/// [`EnvelopeArena`] (inboxes, grouped per recipient by a stable counting sort) and a
-/// single shared outbox `Vec` that every node appends to behind its own base offset.
-/// Both are cleared — not reallocated — each round, so steady-state rounds are
-/// allocation-free regardless of `n` or message volume. The remaining per-node
-/// lookups are flat arrays too: local adjacency is CSR (offsets plus a sorted,
-/// deduplicated neighbor array with binary-search membership),
-/// per-edge CONGEST counters are an epoch-stamped array instead of a `HashMap`,
-/// and done-flags are cached per node so `all_done` never virtual-dispatches.
+/// A message is written three times between the `send_*` that queues it and the
+/// `on_round` that consumes it, each time into a flat buffer that is reused — not
+/// reallocated — round after round: the shared outbox every node appends to behind
+/// its own base offset, the [`EnvelopeArena`]'s staging buffer (dispatch: send caps,
+/// then the fault router), and the arena's inbox buffer (one stable scatter at the
+/// start of the next round). No stage reads more of a message than it needs: dispatch
+/// adds a sender's totals once per sender, a clean fault plan routes without touching
+/// the liveness tables, and the receive caps and the delivery tally are O(n) reads of
+/// the per-recipient counts the arena keeps while staging — an inbox is scanned only
+/// when it is over the cap. The remaining per-node lookups are flat arrays too: local
+/// adjacency is CSR (offsets plus a sorted, deduplicated neighbor array with
+/// binary-search membership), per-edge CONGEST counters are an epoch-stamped array
+/// instead of a `HashMap`, and done-flags are cached per node so `all_done` never
+/// virtual-dispatches.
 ///
 /// # Within-round parallelism
 ///
@@ -426,7 +458,7 @@ pub fn node_rng(seed: u64, i: usize) -> StdRng {
 pub struct Simulator<P: Protocol> {
     nodes: Vec<P>,
     rngs: Vec<StdRng>,
-    /// Next round's inboxes: staged during dispatch, grouped at the start of the round.
+    /// Next round's inboxes: staged during dispatch, scattered at the start of the round.
     arena: EnvelopeArena<P::Message>,
     /// The whole round's outgoing messages, all nodes back to back.
     outbox: Vec<(NodeId, Channel, P::Message)>,
@@ -435,7 +467,7 @@ pub struct Simulator<P: Protocol> {
     caps: CapacityModel,
     local_neighbors: Option<LocalAdjacency>,
     drop_rng: StdRng,
-    /// Scratch for `apply_receive_caps`: range-relative indices of global messages.
+    /// Scratch for `apply_receive_caps`: inbox-relative indices of global messages.
     cap_scratch: Vec<usize>,
     /// Scratch for `apply_receive_caps`: per-envelope drop marks for one inbox.
     drop_mark: Vec<bool>,
@@ -470,9 +502,14 @@ impl<P: Protocol> Simulator<P> {
     /// # Panics
     ///
     /// Panics if `config.local_edges` is present but its length differs from the number
-    /// of nodes, or if `config.faults` references nodes that do not exist.
+    /// of nodes, if `config.faults` references nodes that do not exist, or if there
+    /// are more than `u32::MAX` nodes.
     pub fn new(nodes: Vec<P>, config: SimConfig) -> Self {
         let n = nodes.len();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "the envelope arena indexes recipients with 32 bits"
+        );
         if let Some(edges) = &config.local_edges {
             assert_eq!(
                 edges.len(),
@@ -642,14 +679,16 @@ impl<P: Protocol> Simulator<P> {
     /// [`Simulator::step`] past `all_done` to flush them).
     pub fn run(&mut self, max_rounds: usize) -> RunOutcome {
         self.start();
+        let mut all_done = self.all_done();
         let mut executed = 0usize;
-        while executed < max_rounds && !self.all_done() {
+        while executed < max_rounds && !all_done {
             self.step();
             executed += 1;
+            all_done = self.all_done();
         }
         RunOutcome {
             rounds: self.round,
-            all_done: self.all_done(),
+            all_done,
         }
     }
 
@@ -674,7 +713,6 @@ impl<P: Protocol> Simulator<P> {
     /// from round 0 do not start then — a joiner's start callback runs at its
     /// join round instead.
     fn run_round(&mut self, round: usize) {
-        let n = self.nodes.len();
         self.round = round;
         if let Some(sink) = &self.sink {
             sink.borrow_mut().record(TraceEvent::RoundStart { round });
@@ -686,22 +724,19 @@ impl<P: Protocol> Simulator<P> {
         let (router, arena) = (&mut self.router, &mut self.arena);
         router.drain_due(round, |to, env| arena.push(to, env));
         #[cfg(debug_assertions)]
-        let due = self.arena.buf.len();
+        let due = self.arena.staged.len();
         self.arena.group();
 
         let mut round_metrics = RoundMetrics::default();
         self.router.record_lifecycle(round, &mut round_metrics);
         self.apply_receive_caps(&mut round_metrics);
-        for i in 0..n {
-            let inbox = self.arena.inbox(i);
-            round_metrics.max_received = round_metrics.max_received.max(inbox.len());
-            let globals = inbox
-                .iter()
-                .filter(|e| e.channel == Channel::Global)
-                .count();
+        for (&len, &globals) in self.arena.lens.iter().zip(&self.arena.globals) {
+            round_metrics.max_received = round_metrics.max_received.max(len);
             round_metrics.max_global_received = round_metrics.max_global_received.max(globals);
-            round_metrics.delivered += inbox.len() as u64;
+            round_metrics.delivered += len as u64;
         }
+        #[cfg(debug_assertions)]
+        self.check_inbox_contracts();
 
         self.run_callbacks(round, &mut round_metrics);
         #[cfg(debug_assertions)]
@@ -713,18 +748,56 @@ impl<P: Protocol> Simulator<P> {
         self.metrics.record_round(round_metrics);
     }
 
+    /// The arena's books for the round being delivered, checked where they are
+    /// read (after the receive caps, before the callbacks): every node's global
+    /// count is a recount of its inbox, and no inbox is over the cap. That the
+    /// counts add up to the envelopes staged is `group`'s own assertion.
+    #[cfg(debug_assertions)]
+    fn check_inbox_contracts(&self) {
+        let cap = self.caps.global_cap();
+        for i in 0..self.nodes.len() {
+            let inbox = self.arena.inbox(i);
+            let globals = inbox
+                .iter()
+                .filter(|e| e.channel == Channel::Global)
+                .count();
+            assert_eq!(
+                self.arena.globals[i], globals,
+                "round {}: node {i}'s global count is not a recount of its inbox",
+                self.round
+            );
+            assert!(
+                cap.is_none_or(|cap| globals <= cap),
+                "round {}: node {i}'s inbox holds {globals} global messages over the cap",
+                self.round
+            );
+        }
+    }
+
     /// Message conservation for one round, stated on its [`RoundMetrics`]:
     /// `due` messages were staged or drained for delivery this round and the
-    /// callbacks `queued` new ones.
+    /// callbacks `queued` new ones. The arena, staging again by now, must have
+    /// counted exactly what it holds.
     #[cfg(debug_assertions)]
     fn check_contracts(&self, due: usize, queued: usize, m: &RoundMetrics) {
+        let mut recount = vec![(0usize, 0usize); self.nodes.len()];
+        for (env, &t) in self.arena.staged.iter().zip(&self.arena.to) {
+            recount[t as usize].0 += 1;
+            recount[t as usize].1 += usize::from(env.channel == Channel::Global);
+        }
+        let counts = self.arena.lens.iter().zip(&self.arena.globals);
+        assert!(
+            counts.map(|(&len, &globals)| (len, globals)).eq(recount),
+            "round {}: the counts kept at staging are not a recount of the staged envelopes",
+            self.round
+        );
         assert_eq!(
             m.delivered + m.dropped_receive,
             due as u64,
             "round {}: a message due now was neither delivered nor evicted by the receive cap",
             self.round
         );
-        let staged = self.arena.buf.len() as u64;
+        let staged = self.arena.staged.len() as u64;
         assert_eq!(
             staged + m.delayed + m.dropped() - m.dropped_receive,
             queued as u64,
@@ -831,22 +904,26 @@ impl<P: Protocol> Simulator<P> {
     /// stays identical to a full `SliceRandom::shuffle` — which keeps every seeded
     /// run byte-identical to the pre-arena implementation. No per-inbox `Vec` or
     /// `HashSet` is allocated; the two scratch buffers are reused across rounds.
+    ///
+    /// Which inboxes are over the cap is read off the arena's per-recipient global
+    /// counts; only those are scanned, and only they ever drew from `drop_rng`.
     fn apply_receive_caps(&mut self, round_metrics: &mut RoundMetrics) {
         let Some(cap) = self.caps.global_cap() else {
             return;
         };
         for i in 0..self.nodes.len() {
+            let global_count = self.arena.globals[i];
+            if global_count <= cap {
+                continue;
+            }
             self.cap_scratch.clear();
-            let (start, len) = self.arena.ranges[i];
-            for (k, env) in self.arena.buf[start..start + len].iter().enumerate() {
+            let (start, len) = (self.arena.starts[i], self.arena.lens[i]);
+            for (k, env) in self.arena.inboxes[start..start + len].iter().enumerate() {
                 if env.channel == Channel::Global {
                     self.cap_scratch.push(k);
                 }
             }
-            let global_count = self.cap_scratch.len();
-            if global_count <= cap {
-                continue;
-            }
+            debug_assert_eq!(self.cap_scratch.len(), global_count);
             // Partial Fisher–Yates: after the first `global_count - cap` steps the
             // tail (positions `cap..`) is final; the later steps only permute the
             // kept prefix, so their swaps are skipped but their draws are kept to
@@ -863,7 +940,7 @@ impl<P: Protocol> Simulator<P> {
             // compacts them out of the inbox.
             for &k in &self.cap_scratch[cap..] {
                 self.drop_mark[k] = true;
-                let (from, to) = (self.arena.buf[start + k].from, NodeId::from(i));
+                let (from, to) = (self.arena.inboxes[start + k].from, NodeId::from(i));
                 self.drop_message(
                     round_metrics,
                     from,
@@ -945,10 +1022,8 @@ impl<P: Protocol> Simulator<P> {
                 }
                 if channel == Channel::Global {
                     global_sent += 1;
-                    self.metrics.total_global_sent_per_node[i] += 1;
                 }
                 total_sent += 1;
-                self.metrics.total_sent_per_node[i] += 1;
                 // The message was sent (and paid for); the fault router now decides
                 // whether the network actually carries it.
                 let env = Envelope {
@@ -967,6 +1042,8 @@ impl<P: Protocol> Simulator<P> {
                     }
                 }
             }
+            self.metrics.total_sent_per_node[i] += total_sent as u64;
+            self.metrics.total_global_sent_per_node[i] += global_sent as u64;
             round_metrics.max_sent = round_metrics.max_sent.max(total_sent);
             round_metrics.max_global_sent = round_metrics.max_global_sent.max(global_sent);
         }
@@ -1176,6 +1253,229 @@ mod tests {
         arena.clear();
         arena.group();
         assert!((0..3).all(|i| arena.inbox(i).is_empty()));
+    }
+
+    /// The layout `EnvelopeArena` had before it kept counts at `push`, with the
+    /// bodies of its `group` and of `apply_receive_caps` as they were then: the
+    /// executable specification of the delivery order, the evicted sets and the
+    /// `drop_rng` stream the current bodies must reproduce.
+    struct ReferenceArena {
+        buf: Vec<Envelope<u32>>,
+        to: Vec<usize>,
+        ranges: Vec<(usize, usize)>,
+    }
+
+    impl ReferenceArena {
+        fn inbox(&self, i: usize) -> &[Envelope<u32>] {
+            let (start, len) = self.ranges[i];
+            &self.buf[start..start + len]
+        }
+
+        /// A stable in-place counting sort: a count pass and a position pass over
+        /// `to`, then the permutation applied by chasing cycles.
+        fn reference_group(&mut self) {
+            let total = self.buf.len();
+            let mut cursors = vec![0usize; self.ranges.len()];
+            for &t in &self.to {
+                cursors[t] += 1;
+            }
+            let mut acc = 0usize;
+            for (range, cursor) in self.ranges.iter_mut().zip(cursors.iter_mut()) {
+                let count = *cursor;
+                *range = (acc, count);
+                *cursor = acc;
+                acc += count;
+            }
+            let mut pos = Vec::with_capacity(total);
+            for &t in &self.to {
+                let cursor = &mut cursors[t];
+                pos.push(*cursor);
+                *cursor += 1;
+            }
+            for i in 0..total {
+                while pos[i] != i {
+                    let j = pos[i];
+                    self.buf.swap(i, j);
+                    self.to.swap(i, j);
+                    pos.swap(i, j);
+                }
+            }
+        }
+
+        /// Scans every envelope of every inbox for its global messages, then evicts
+        /// from the inboxes over `cap` by the partial Fisher–Yates. Returns the
+        /// evicted `(from, to)` pairs in eviction order.
+        fn reference_receive_caps(
+            &mut self,
+            cap: usize,
+            drop_rng: &mut StdRng,
+        ) -> Vec<(NodeId, NodeId)> {
+            let mut evicted = Vec::new();
+            let mut cap_scratch = Vec::new();
+            for i in 0..self.ranges.len() {
+                cap_scratch.clear();
+                let (start, len) = self.ranges[i];
+                for (k, env) in self.buf[start..start + len].iter().enumerate() {
+                    if env.channel == Channel::Global {
+                        cap_scratch.push(k);
+                    }
+                }
+                let global_count = cap_scratch.len();
+                if global_count <= cap {
+                    continue;
+                }
+                for k in (1..global_count).rev() {
+                    let j = drop_rng.gen_range(0..k + 1);
+                    if k >= cap {
+                        cap_scratch.swap(k, j);
+                    }
+                }
+                let mut drop_mark = vec![false; len];
+                for &k in &cap_scratch[cap..] {
+                    drop_mark[k] = true;
+                    evicted.push((self.buf[start + k].from, NodeId::from(i)));
+                }
+                let mut w = start;
+                for (k, &dropped) in drop_mark.iter().enumerate() {
+                    if !dropped {
+                        self.buf.swap(w, start + k);
+                        w += 1;
+                    }
+                }
+                self.ranges[i].1 = w - start;
+            }
+            evicted
+        }
+    }
+
+    /// A protocol that does nothing: the arena tests stage envelopes by hand.
+    #[derive(Debug)]
+    struct Idle;
+
+    impl Protocol for Idle {
+        type Message = u32;
+        fn on_start(&mut self, _ctx: &mut Ctx<'_, u32>) {}
+        fn on_round(&mut self, _ctx: &mut Ctx<'_, u32>, _inbox: &[Envelope<u32>]) {}
+    }
+
+    #[test]
+    fn scatter_and_counted_caps_match_the_in_place_sort_and_the_full_scan() {
+        let mut covered = (0, 0);
+        for case in 0..300u64 {
+            let mut gen = StdRng::seed_from_u64(case);
+            let n = gen.gen_range(1..13usize);
+            let cap = gen.gen_range(1..6usize);
+            let config = SimConfig {
+                caps: CapacityModel::Ncc0 { per_round: cap },
+                seed: case,
+                ..SimConfig::default()
+            };
+            let mut sim = Simulator::new((0..n).map(|_| Idle).collect(), config);
+            let trace = crate::trace::TraceBuffer::shared();
+            sim.set_trace_sink(trace.clone());
+            let mut reference_rng = StdRng::seed_from_u64(case.wrapping_add(1));
+            // Several rounds through one arena: a small round after a large one reads
+            // inboxes in front of the large round's stale envelopes.
+            for round in 0..4 {
+                // One recipient in most rounds is hot enough to be over the cap; some
+                // recipients get nothing; a round may stage nothing at all.
+                let hot = gen.gen_range(0..n);
+                let hot_share = if gen.gen_bool(0.7) { 0.5 } else { 0.0 };
+                let routed = gen.gen_range(0..60usize) * gen.gen_range(0..3usize);
+                let delayed = gen.gen_range(0..10usize) * gen.gen_range(0..2usize);
+                let mut reference = ReferenceArena {
+                    buf: Vec::new(),
+                    to: Vec::new(),
+                    ranges: vec![(0, 0); n],
+                };
+                // `dispatch` stages the routed envelopes at the end of a round and
+                // clears the arena first; `drain_due` adds the delayed ones at the
+                // start of the next. Each envelope is named by a unique sender.
+                sim.arena.clear();
+                for k in 0..routed + delayed {
+                    let to = if gen.gen_bool(hot_share) {
+                        hot
+                    } else {
+                        gen.gen_range(0..n)
+                    };
+                    let env = Envelope {
+                        from: NodeId::from(k),
+                        channel: if gen.gen_bool(0.8) {
+                            Channel::Global
+                        } else {
+                            Channel::Local
+                        },
+                        payload: (round * 1000 + k) as u32,
+                    };
+                    reference.buf.push(env.clone());
+                    reference.to.push(to);
+                    sim.arena.push(NodeId::from(to), env);
+                }
+                // Counts kept at push are a recount of what was staged.
+                let mut recount = vec![(0usize, 0usize); n];
+                for (env, &to) in reference.buf.iter().zip(&reference.to) {
+                    recount[to].0 += 1;
+                    recount[to].1 += usize::from(env.channel == Channel::Global);
+                }
+                let counts: Vec<(usize, usize)> = (0..n)
+                    .map(|i| (sim.arena.lens[i], sim.arena.globals[i]))
+                    .collect();
+                assert_eq!(counts, recount, "case {case} round {round}: counts at push");
+
+                let over = sim.arena.globals.iter().filter(|&&g| g > cap).count();
+                covered = (covered.0 + over, covered.1 + n - over);
+                sim.arena.group();
+                reference.reference_group();
+                for i in 0..n {
+                    assert_eq!(
+                        sim.arena.inbox(i),
+                        reference.inbox(i),
+                        "case {case} round {round}: node {i}'s inbox after grouping"
+                    );
+                }
+
+                trace.borrow_mut().events.clear();
+                let mut round_metrics = RoundMetrics::default();
+                sim.apply_receive_caps(&mut round_metrics);
+                let expected = reference.reference_receive_caps(cap, &mut reference_rng);
+                let evicted: Vec<(NodeId, NodeId)> = trace
+                    .borrow()
+                    .events
+                    .iter()
+                    .map(|e| match e {
+                        TraceEvent::Drop {
+                            from,
+                            to,
+                            channel: Channel::Global,
+                            cause: DropCause::ReceiveCap,
+                            ..
+                        } => (*from, *to),
+                        other => panic!("the receive caps only evict, got {other:?}"),
+                    })
+                    .collect();
+                assert_eq!(evicted, expected, "case {case} round {round}: evictions");
+                assert_eq!(round_metrics.dropped_receive, expected.len() as u64);
+                for i in 0..n {
+                    assert_eq!(
+                        sim.arena.inbox(i),
+                        reference.inbox(i),
+                        "case {case} round {round}: node {i}'s inbox after the caps"
+                    );
+                }
+                // Debug profile: the counts are still a recount, no inbox over the cap.
+                #[cfg(debug_assertions)]
+                sim.check_inbox_contracts();
+            }
+            assert_eq!(
+                sim.drop_rng.gen::<u64>(),
+                reference_rng.gen::<u64>(),
+                "case {case}: the eviction stream moved"
+            );
+        }
+        assert!(
+            covered.0 > 100 && covered.1 > 100,
+            "the generator must mix inboxes over and under the cap, got {covered:?}"
+        );
     }
 
     #[test]
