@@ -6,7 +6,7 @@
 //! construction buys compared to staying on the initial topology.
 
 use overlay_graph::{DiGraph, NodeId};
-use overlay_netsim::{Ctx, Envelope, Protocol, SimConfig, Simulator};
+use overlay_netsim::{CapacityModel, Ctx, Envelope, Protocol, SimConfig, Simulator};
 
 /// Per-node state of the leader-election-by-flooding baseline.
 #[derive(Debug)]
@@ -88,23 +88,25 @@ pub fn rounds_until_all_know_minimum(g: &DiGraph, seed: u64, max_rounds: usize) 
         .map(|v| FloodingNode::new(v, und.distinct_neighbors(v)))
         .collect();
     let config = SimConfig {
+        caps: CapacityModel::hybrid_for(und.node_count(), 1),
         seed,
         local_edges: Some(local_edges),
         ..SimConfig::default()
     };
     let mut sim = Simulator::new(nodes, config);
     let minimum = NodeId::from(0usize);
-    for round in 0..max_rounds {
-        if sim.nodes().iter().all(|n| n.best() == minimum) {
-            return Some(round);
-        }
+    let all_know = |sim: &Simulator<FloodingNode>| sim.nodes().iter().all(|n| n.best() == minimum);
+    let mut rounds = 0;
+    while rounds < max_rounds && !all_know(&sim) {
         sim.step();
+        rounds += 1;
     }
-    if sim.nodes().iter().all(|n| n.best() == minimum) {
-        Some(max_rounds)
-    } else {
-        None
-    }
+    assert_eq!(
+        sim.metrics().totals().dropped(),
+        0,
+        "flooding sends one local message per edge per round"
+    );
+    all_know(&sim).then_some(rounds)
 }
 
 #[cfg(test)]
@@ -127,6 +129,21 @@ mod tests {
     fn flooding_on_star_takes_constant_rounds() {
         let rounds = rounds_until_all_know_minimum(&generators::star(50), 1, 20).unwrap();
         assert!(rounds <= 3);
+    }
+
+    #[test]
+    fn congest_cap_drops_nothing_at_a_high_degree_node() {
+        // `rounds_until_all_know_minimum` asserts that the CONGEST cap (one
+        // message per local edge per direction per round) evicted nothing.
+        for seed in 0..8u64 {
+            let caveman = generators::caveman(6, 12);
+            let rounds = rounds_until_all_know_minimum(&caveman, seed, 40).unwrap();
+            assert!((3..=8).contains(&rounds), "took {rounds}");
+            // Budget exhausted mid-flood: the assertion sits after the loop
+            // and still runs.
+            assert_eq!(rounds_until_all_know_minimum(&caveman, seed, 2), None);
+            assert!(rounds_until_all_know_minimum(&generators::star(96), seed, 20).is_some());
+        }
     }
 
     #[test]

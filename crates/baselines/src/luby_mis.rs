@@ -7,7 +7,7 @@
 //! al.), so the algorithm finishes in `O(log n)` rounds w.h.p.
 
 use overlay_graph::{DiGraph, NodeId};
-use overlay_netsim::{Ctx, Envelope, Protocol, SimConfig, Simulator};
+use overlay_netsim::{CapacityModel, Ctx, Envelope, Protocol, SimConfig, Simulator};
 use rand::Rng;
 use std::collections::BTreeSet;
 
@@ -160,12 +160,18 @@ pub fn run_luby_mis(g: &DiGraph, seed: u64, max_rounds: usize) -> LubyMisReport 
         .map(|v| LubyMisNode::new(v, und.distinct_neighbors(v)))
         .collect();
     let config = SimConfig {
+        caps: CapacityModel::hybrid_for(und.node_count(), 1),
         seed,
         local_edges: Some(local_edges),
         ..SimConfig::default()
     };
     let mut sim = Simulator::new(nodes, config);
     let outcome = sim.run(max_rounds);
+    assert_eq!(
+        sim.metrics().totals().dropped(),
+        0,
+        "Luby MIS sends one local message per edge per round"
+    );
     let mis = sim
         .nodes()
         .iter()
@@ -207,6 +213,17 @@ mod tests {
         check(&generators::star(40), 3);
         check(&generators::grid(8, 8), 4);
         check(&generators::connected_random(100, 0.05, 5), 5);
+    }
+
+    #[test]
+    fn congest_cap_drops_nothing_at_a_high_degree_node() {
+        // `run_luby_mis` asserts that the CONGEST cap (one message per local
+        // edge per direction per round) evicted nothing; a hub and dense
+        // cliques are where a second message on an edge would show.
+        for seed in 0..8u64 {
+            check(&generators::star(96), seed);
+            check(&generators::caveman(6, 12), seed);
+        }
     }
 
     #[test]

@@ -96,18 +96,8 @@ pub fn e1_rounds_vs_n(sizes: &[usize]) -> Vec<Row> {
 /// E2 — Lemma 3.1/3.3: conductance growth per evolution for several walk lengths.
 pub fn e2_conductance_growth(n: usize, walk_lens: &[usize]) -> Vec<Row> {
     let mut rows = Vec::new();
-    // A constant-degree low-conductance companion to the line: two cycles of n/2 nodes
-    // joined by a single bridge edge (conductance Θ(1/n), degree ≤ 3).
-    let two_cycles = {
-        let half = n / 2;
-        let mut g = DiGraph::new(2 * half);
-        for i in 0..half {
-            g.add_edge(i.into(), ((i + 1) % half).into());
-            g.add_edge((half + i).into(), (half + (i + 1) % half).into());
-        }
-        g.add_edge(0.into(), half.into());
-        g
-    };
+    // A constant-degree low-conductance companion to the line.
+    let two_cycles = generators::two_cycles_bridged(n);
     for &walk in walk_lens {
         for (label, g) in [
             (format!("line/{n}/l={walk}"), generators::line(n)),

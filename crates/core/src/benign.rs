@@ -67,24 +67,32 @@ pub fn make_benign(g: &DiGraph, params: &ExpanderParams) -> Result<UGraph, Overl
         return Err(OverlayError::EmptyGraph);
     }
     let undirected = g.to_undirected();
-    let delta = params.delta;
-    let lambda = params.lambda;
+    check_degree(&undirected, params)?;
+    let mut benign = UGraph::with_slot_capacity(g.node_count(), params.delta);
+    for (u, v) in undirected.edges() {
+        for _ in 0..params.lambda {
+            benign.add_edge(u, v);
+        }
+    }
+    benign.pad_self_loops(params.delta);
+    Ok(benign)
+}
+
+/// The degree precondition of [`make_benign`] on the bidirected knowledge
+/// graph: the Λ copies of a node's `d` edges must leave room for Δ/2
+/// self-loops (laziness), `2·d·Λ ≤ Δ`.
+pub(crate) fn check_degree(
+    undirected: &UGraph,
+    params: &ExpanderParams,
+) -> Result<(), OverlayError> {
     let max_degree = undirected.max_degree();
-    // The copied edges must leave room for Δ/2 self-loops (laziness).
-    if 2 * max_degree * lambda > delta {
+    if 2 * max_degree * params.lambda > params.delta {
         return Err(OverlayError::DegreeTooLarge {
             degree: max_degree,
             supported: params.max_initial_degree(),
         });
     }
-    let mut benign = UGraph::with_slot_capacity(g.node_count(), delta);
-    for (u, v) in undirected.edges() {
-        for _ in 0..lambda {
-            benign.add_edge(u, v);
-        }
-    }
-    benign.pad_self_loops(delta);
-    Ok(benign)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -40,8 +40,7 @@ use overlay_graph::{analysis, DiGraph, NodeId, UGraph};
 use overlay_netsim::faults::{CrashEvent, FaultPlan, Partition};
 use overlay_netsim::trace::SharedTraceSink;
 use overlay_netsim::wire::Wire;
-use overlay_netsim::{MetricsMode, ParallelismConfig, RoundMetrics, RunMetrics, TransportConfig};
-use std::collections::BTreeMap;
+use overlay_netsim::{ParallelismConfig, RoundMetrics, RunMetrics, TransportConfig};
 
 /// Round counts of the three phases of the pipeline.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -248,7 +247,6 @@ pub struct OverlayBuilder {
     transport: Option<TransportConfig>,
     phases: PhaseOverrides,
     parallelism: ParallelismConfig,
-    metrics_mode: MetricsMode,
 }
 
 impl OverlayBuilder {
@@ -260,7 +258,6 @@ impl OverlayBuilder {
             transport: None,
             phases: PhaseOverrides::none(),
             parallelism: ParallelismConfig::default(),
-            metrics_mode: MetricsMode::Full,
         }
     }
 
@@ -271,25 +268,6 @@ impl OverlayBuilder {
     pub fn with_parallelism(mut self, parallelism: ParallelismConfig) -> Self {
         self.parallelism = parallelism;
         self
-    }
-
-    /// The builder's within-round parallelism policy.
-    pub fn parallelism(&self) -> ParallelismConfig {
-        self.parallelism
-    }
-
-    /// Returns the builder with the given metrics-retention mode for every
-    /// phase's simulator. [`MetricsMode::Rollup`] bounds memory on long,
-    /// large-`n` runs; every total and peak the pipeline reports is
-    /// mode-independent.
-    pub fn with_metrics_mode(mut self, mode: MetricsMode) -> Self {
-        self.metrics_mode = mode;
-        self
-    }
-
-    /// The builder's metrics-retention mode.
-    pub fn metrics_mode(&self) -> MetricsMode {
-        self.metrics_mode
     }
 
     /// Returns the builder with every phase's protocol running behind the
@@ -308,11 +286,6 @@ impl OverlayBuilder {
     pub fn with_reliable_transport(mut self, config: TransportConfig) -> Self {
         self.transport = Some(config);
         self
-    }
-
-    /// The reliable-transport configuration, if the builder uses one.
-    pub fn transport(&self) -> Option<TransportConfig> {
-        self.transport
     }
 
     /// Returns the builder with every phase's round budget scaled by `budget`.
@@ -351,16 +324,6 @@ impl OverlayBuilder {
     pub fn with_phase_transport(mut self, phase: PhaseId, choice: TransportChoice) -> Self {
         self.phases = self.phases.with_transport(phase, choice);
         self
-    }
-
-    /// The builder's per-phase overrides.
-    pub fn phase_overrides(&self) -> PhaseOverrides {
-        self.phases
-    }
-
-    /// The builder's parameters.
-    pub fn params(&self) -> &ExpanderParams {
-        &self.params
     }
 
     /// Runs the full pipeline on the knowledge graph `g` in a clean network.
@@ -470,12 +433,12 @@ impl OverlayBuilder {
         strict_result(self.drive(g, &FaultPlan::default(), exec)?, g.node_count())
     }
 
-    /// The in-crate simulator executor under this builder's parallelism and
-    /// metrics policy.
+    /// The in-crate simulator executor under this builder's parallelism
+    /// policy.
     fn simulator(&self, sink: Option<SharedTraceSink>) -> SimMedium {
         let sim = SimExecutor {
             parallelism: self.parallelism,
-            metrics_mode: self.metrics_mode,
+            ..SimExecutor::default()
         };
         SimMedium::new(sim, sink)
     }
@@ -537,13 +500,12 @@ impl OverlayBuilder {
         if n == 0 {
             return Err(OverlayError::EmptyGraph);
         }
-        if !analysis::is_connected(&g.to_undirected()) {
+        let undirected = g.to_undirected();
+        if !analysis::is_connected(&undirected) {
             return Err(OverlayError::Disconnected);
         }
         faults.validate(n).map_err(OverlayError::InvalidParams)?;
-        // Validates the degree precondition; the protocol nodes recompute their slots
-        // locally during the run.
-        benign::make_benign(g, &params)?;
+        benign::check_degree(&undirected, &params)?;
 
         let mut ledger = Ledger::new(n);
 
@@ -559,8 +521,7 @@ impl OverlayBuilder {
         // nodes dangle and are pruned. If the survivors fragment, continue on the
         // largest component — the "core" — and report the fragmentation.
         let survivors: Vec<usize> = (0..n).filter(|&i| alive1[i]).collect();
-        let slots = SlotEdges::collect(&construction.summaries, &alive1);
-        let full = slots.survivor_graph();
+        let full = survivor_graph(&construction.summaries, &alive1);
         let comps = analysis::connected_components(&full);
         let mut sizes: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
         for &v in &survivors {
@@ -586,7 +547,7 @@ impl OverlayBuilder {
             old_to_new[old] = Some(new);
         }
         let m = core_old_ids.len();
-        let expander = slots.remapped(&core_old_ids, &old_to_new);
+        let expander = core_graph(full, &core_old_ids, &old_to_new, params.delta);
         ledger.adopt_core(core_old_ids);
 
         // Phase 2: BFS on the core expander, under the remainder of the fault plan.
@@ -865,100 +826,88 @@ fn fragmentation_error(report: &BuildReport) -> OverlayError {
         .expect("a partial core is always preceded by a fragmentation event")
 }
 
-/// `(smaller id, larger id) -> (multiplicity at smaller, multiplicity at larger)`.
-type EdgeCounts = BTreeMap<(usize, usize), (usize, usize)>;
-
-/// The alive-to-alive slot edges of the final evolution graph, collected in a single
-/// pass over the per-node slot digests and reused for both views the pipeline needs:
-/// the survivor-connectivity graph (original ids) and the remapped core graph (see
-/// [`SlotEdges::survivor_graph`] and [`SlotEdges::remapped`] for why deriving both
-/// from one collection equals collecting once per view).
-struct SlotEdges {
-    /// Undirected edge multiplicities between alive nodes, keyed by ordered id pair.
-    pairs: EdgeCounts,
-    /// Per-node self-loop counts (alive nodes only; dead nodes stay at zero).
-    self_loops: Vec<usize>,
+/// The survivor-induced final evolution graph, read off the per-node slot
+/// digests and indexed by *original* ids: dead nodes stay as isolated vertices,
+/// edges into them are pruned, and every list comes out neighbours ascending,
+/// self-loops last.
+///
+/// Under message loss an Accept can be dropped, leaving an edge in only one
+/// endpoint's slots; such half-acknowledged edges are *included* (one-sided
+/// knowledge suffices to re-establish contact in the NCC0 model), with the
+/// multiplicity the better-informed side holds — `max(k_vw, k_wv)` — so the
+/// reconstruction depends on protocol state only, never on id order. Clean runs
+/// hold every edge symmetrically, and `max(k, k) == k` reproduces the exact
+/// fault-free graph.
+fn survivor_graph(nodes: &[ExpanderSummary], alive: &[bool]) -> UGraph {
+    let n = alive.len();
+    // Per alive node: its alive non-self slot targets, ascending.
+    let mut targets: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut self_loops = vec![0usize; n];
+    for node in nodes {
+        let v = node.id.index();
+        if !alive[v] {
+            continue;
+        }
+        for w in node.slots.iter().map(|w| w.index()) {
+            if w == v {
+                self_loops[v] += 1;
+            } else if alive[w] {
+                targets[v].push(w);
+            }
+        }
+        targets[v].sort_unstable();
+    }
+    // Repair: wherever `v` lists `w` more often than `w` lists `v`, `w` is
+    // owed the difference.
+    let mut owed: Vec<(usize, usize)> = Vec::new();
+    for (v, list) in targets.iter().enumerate() {
+        for run in list.chunk_by(|a, b| a == b) {
+            let w = run[0];
+            let back = &targets[w];
+            let held = back.partition_point(|&x| x <= v) - back.partition_point(|&x| x < v);
+            owed.extend((held..run.len()).map(|_| (w, v)));
+        }
+    }
+    for (w, v) in owed {
+        let at = targets[w].partition_point(|&x| x < v);
+        targets[w].insert(at, v);
+    }
+    // Every edge once, from its lower end, in ascending `(v, w)` order.
+    let mut g = UGraph::new(n);
+    for (v, list) in targets.iter().enumerate() {
+        for &w in list.iter().filter(|&&w| w > v) {
+            g.add_edge(NodeId::from(v), NodeId::from(w));
+        }
+    }
+    for (v, &loops) in self_loops.iter().enumerate() {
+        for _ in 0..loops {
+            g.add_self_loop(NodeId::from(v));
+        }
+    }
+    g
 }
 
-impl SlotEdges {
-    /// Collects the slot edges among `alive` nodes, plus per-node self-loop counts.
-    ///
-    /// Under message loss an Accept can be dropped, leaving an edge in only one
-    /// endpoint's slots; such half-acknowledged edges are *included* (one-sided
-    /// knowledge suffices to re-establish contact in the NCC0 model), with the
-    /// multiplicity the better-informed side holds — so the reconstruction depends on
-    /// protocol state only, never on id order. Clean runs hold every edge
-    /// symmetrically, and `max(k, k) == k` reproduces the exact fault-free graph.
-    fn collect(nodes: &[ExpanderSummary], alive: &[bool]) -> SlotEdges {
-        let mut pairs: EdgeCounts = BTreeMap::new();
-        let mut self_loops = vec![0usize; alive.len()];
-        for node in nodes {
-            let v = node.id.index();
-            if !alive[v] {
-                continue;
-            }
-            for &w in &node.slots {
-                let w = w.index();
-                if w == v {
-                    self_loops[v] += 1;
-                } else if alive[w] {
-                    let (key, side) = if v < w { ((v, w), 0) } else { ((w, v), 1) };
-                    let entry = pairs.entry(key).or_insert((0, 0));
-                    if side == 0 {
-                        entry.0 += 1;
-                    } else {
-                        entry.1 += 1;
-                    }
-                }
-            }
-        }
-        SlotEdges { pairs, self_loops }
+/// The core of the survivor graph `full`, reindexed to `0..core.len()` (slot
+/// lists pre-sized to `capacity`). A core of all nodes is `full` itself. A
+/// smaller one is its induced subgraph plus each core node's self-loops, which
+/// is everything a core node's slots hold: its edges to other survivors stay
+/// inside the core, a connected component of this very graph.
+fn core_graph(
+    full: UGraph,
+    core: &[usize],
+    old_to_new: &[Option<usize>],
+    capacity: usize,
+) -> UGraph {
+    if core.len() == full.node_count() {
+        return full;
     }
-
-    /// The survivor-induced final evolution graph indexed by *original* ids; dead
-    /// nodes stay as isolated vertices and edges into them are pruned.
-    fn survivor_graph(&self) -> UGraph {
-        let mut g = UGraph::new(self.self_loops.len());
-        for (&(a, b), &(from_a, from_b)) in &self.pairs {
-            for _ in 0..from_a.max(from_b) {
-                g.add_edge(NodeId::from(a), NodeId::from(b));
-            }
+    let mut g = full.induced(old_to_new, core.len(), capacity);
+    for (new, &old) in core.iter().enumerate() {
+        for _ in 0..full.self_loops(NodeId::from(old)) {
+            g.add_self_loop(NodeId::from(new));
         }
-        for (v, &loops) in self.self_loops.iter().enumerate() {
-            for _ in 0..loops {
-                g.add_self_loop(NodeId::from(v));
-            }
-        }
-        g
     }
-
-    /// The core subgraph reindexed to `0..core.len()`, with the same half-edge
-    /// semantics as [`SlotEdges::survivor_graph`].
-    ///
-    /// Restricting the one collected edge set to the core is exactly the edge set a
-    /// second collection pass over the core would produce: a core node's slot entries
-    /// to non-core survivors form cross-component pairs — impossible, since the core
-    /// is a connected component of the graph these very pairs induce — so for
-    /// core-to-core pairs both multiplicities are untouched by the restriction, and
-    /// self-loops only depend on the node itself being alive.
-    fn remapped(&self, core: &[usize], old_to_new: &[Option<usize>]) -> UGraph {
-        let mut g = UGraph::new(core.len());
-        for (&(a, b), &(from_a, from_b)) in &self.pairs {
-            let (Some(na), Some(nb)) = (old_to_new[a], old_to_new[b]) else {
-                continue;
-            };
-            for _ in 0..from_a.max(from_b) {
-                g.add_edge(NodeId::from(na), NodeId::from(nb));
-            }
-        }
-        for &old in core {
-            let v = old_to_new[old].expect("core nodes are mapped");
-            for _ in 0..self.self_loops[old] {
-                g.add_self_loop(NodeId::from(v));
-            }
-        }
-        g
-    }
+    g
 }
 
 /// Restricts a (already time-shifted) fault plan to the remapped core: events for
@@ -1004,6 +953,186 @@ mod tests {
     use crate::expander::ExpanderNode;
     use overlay_graph::generators;
     use overlay_netsim::caps::log2_ceil;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    /// Hand-off 1 as it was before `survivor_graph` read the slot digests
+    /// directly: the alive-to-alive slot edges collected into one ordered map,
+    /// from which both the survivor graph (original ids) and the remapped core
+    /// graph were built, edge by edge. Kept as the specification.
+    struct SlotEdges {
+        /// Undirected edge multiplicities between alive nodes: `(smaller id,
+        /// larger id) -> (multiplicity at smaller, multiplicity at larger)`.
+        pairs: BTreeMap<(usize, usize), (usize, usize)>,
+        /// Per-node self-loop counts (alive nodes only; dead nodes stay at zero).
+        self_loops: Vec<usize>,
+    }
+
+    impl SlotEdges {
+        /// Collects the slot edges among `alive` nodes, plus per-node self-loop counts.
+        ///
+        /// Under message loss an Accept can be dropped, leaving an edge in only one
+        /// endpoint's slots; such half-acknowledged edges are *included* (one-sided
+        /// knowledge suffices to re-establish contact in the NCC0 model), with the
+        /// multiplicity the better-informed side holds — so the reconstruction depends on
+        /// protocol state only, never on id order. Clean runs hold every edge
+        /// symmetrically, and `max(k, k) == k` reproduces the exact fault-free graph.
+        fn collect(nodes: &[ExpanderSummary], alive: &[bool]) -> SlotEdges {
+            let mut pairs = BTreeMap::new();
+            let mut self_loops = vec![0usize; alive.len()];
+            for node in nodes {
+                let v = node.id.index();
+                if !alive[v] {
+                    continue;
+                }
+                for &w in &node.slots {
+                    let w = w.index();
+                    if w == v {
+                        self_loops[v] += 1;
+                    } else if alive[w] {
+                        let (key, side) = if v < w { ((v, w), 0) } else { ((w, v), 1) };
+                        let entry = pairs.entry(key).or_insert((0, 0));
+                        if side == 0 {
+                            entry.0 += 1;
+                        } else {
+                            entry.1 += 1;
+                        }
+                    }
+                }
+            }
+            SlotEdges { pairs, self_loops }
+        }
+
+        /// The survivor-induced final evolution graph indexed by *original* ids; dead
+        /// nodes stay as isolated vertices and edges into them are pruned.
+        fn survivor_graph(&self) -> UGraph {
+            let mut g = UGraph::new(self.self_loops.len());
+            for (&(a, b), &(from_a, from_b)) in &self.pairs {
+                for _ in 0..from_a.max(from_b) {
+                    g.add_edge(NodeId::from(a), NodeId::from(b));
+                }
+            }
+            for (v, &loops) in self.self_loops.iter().enumerate() {
+                for _ in 0..loops {
+                    g.add_self_loop(NodeId::from(v));
+                }
+            }
+            g
+        }
+
+        /// The core subgraph reindexed to `0..core.len()`, with the same half-edge
+        /// semantics as [`SlotEdges::survivor_graph`].
+        ///
+        /// Restricting the one collected edge set to the core is exactly the edge set a
+        /// second collection pass over the core would produce: a core node's slot entries
+        /// to non-core survivors form cross-component pairs — impossible, since the core
+        /// is a connected component of the graph these very pairs induce — so for
+        /// core-to-core pairs both multiplicities are untouched by the restriction, and
+        /// self-loops only depend on the node itself being alive.
+        fn remapped(&self, core: &[usize], old_to_new: &[Option<usize>]) -> UGraph {
+            let mut g = UGraph::new(core.len());
+            for (&(a, b), &(from_a, from_b)) in &self.pairs {
+                let (Some(na), Some(nb)) = (old_to_new[a], old_to_new[b]) else {
+                    continue;
+                };
+                for _ in 0..from_a.max(from_b) {
+                    g.add_edge(NodeId::from(na), NodeId::from(nb));
+                }
+            }
+            for &old in core {
+                let v = old_to_new[old].expect("core nodes are mapped");
+                for _ in 0..self.self_loops[old] {
+                    g.add_self_loop(NodeId::from(v));
+                }
+            }
+            g
+        }
+    }
+
+    /// Random slot digests the protocol could never leave behind but the
+    /// hand-off must still read the same way: dead nodes, slots into dead
+    /// nodes, edges listed at one end only or more often at one end than the
+    /// other (in both id directions), and few enough edges that the survivors
+    /// fragment.
+    fn random_digests(rng: &mut StdRng) -> (Vec<ExpanderSummary>, Vec<bool>) {
+        let n = rng.gen_range(1..24usize);
+        let alive: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.75)).collect();
+        let mut slots: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        for _ in 0..rng.gen_range(0..3 * n) {
+            let (v, w) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            // Up to three copies at each end, independently: (k, 0) and (0, k)
+            // are half-acknowledged edges, (2, 3) a multiplicity disagreement.
+            for _ in 0..rng.gen_range(0..4usize) {
+                slots[v].push(NodeId::from(w));
+            }
+            for _ in 0..rng.gen_range(0..4usize) {
+                slots[w].push(NodeId::from(v));
+            }
+        }
+        let nodes = slots.into_iter().enumerate().map(|(v, mut slots)| {
+            slots.shuffle(rng);
+            ExpanderSummary {
+                id: NodeId::from(v),
+                slots,
+            }
+        });
+        (nodes.collect(), alive)
+    }
+
+    #[test]
+    fn survivor_and_core_graphs_match_the_edge_map_reference() {
+        let (mut fragmented, mut repaired, mut whole) = (0, 0, 0);
+        for seed in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (nodes, alive) = random_digests(&mut rng);
+            let n = alive.len();
+            let reference = SlotEdges::collect(&nodes, &alive);
+            repaired += usize::from(reference.pairs.values().any(|&(a, b)| a != b));
+            let full = survivor_graph(&nodes, &alive);
+            // Slot order included: `UGraph`'s `PartialEq` is derived.
+            assert_eq!(full, reference.survivor_graph(), "seed {seed}");
+
+            // Every component of the survivors as the core, not only the
+            // largest, and once the whole survivor set (all n when nobody died).
+            let comps = analysis::connected_components(&full);
+            let label = |v: usize| comps.label(NodeId::from(v));
+            let survivors: Vec<usize> = (0..n).filter(|&v| alive[v]).collect();
+            let mut cores: Vec<Vec<usize>> = survivors
+                .iter()
+                .map(|&v| label(v))
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .map(|c| {
+                    survivors
+                        .iter()
+                        .copied()
+                        .filter(|&v| label(v) == c)
+                        .collect()
+                })
+                .collect();
+            fragmented += usize::from(cores.len() > 1);
+            whole += usize::from(survivors.len() == n);
+            cores.push(survivors);
+            for core in cores {
+                let mut old_to_new = vec![None; n];
+                for (new, &old) in core.iter().enumerate() {
+                    old_to_new[old] = Some(new);
+                }
+                assert_eq!(
+                    core_graph(full.clone(), &core, &old_to_new, 8),
+                    reference.remapped(&core, &old_to_new),
+                    "seed {seed}, core {core:?}"
+                );
+            }
+        }
+        // The generator reaches all three cases the hand-off distinguishes.
+        assert!(
+            fragmented > 100 && repaired > 100 && whole > 10,
+            "{fragmented} {repaired} {whole}"
+        );
+    }
 
     fn build(g: &DiGraph, seed: u64) -> OverlayResult {
         let params = ExpanderParams::for_n(g.node_count())

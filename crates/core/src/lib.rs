@@ -57,7 +57,7 @@ pub use error::OverlayError;
 pub use evolution::{EvolutionEngine, EvolutionStats};
 pub use expander::{ExpanderMsg, ExpanderNode};
 pub use maintenance::{EpochSample, MaintenanceConfig, MaintenanceRunner, ServeOutcome};
-pub use overlay_netsim::{MetricsMode, ParallelismConfig, TransportConfig};
+pub use overlay_netsim::{ParallelismConfig, TransportConfig};
 pub use params::{ExpanderParams, RoundBudget};
 pub use pipeline::{Phase, PhaseId, PhaseMetrics, PhaseOverrides, TransportChoice};
 pub use seam::{

@@ -432,37 +432,24 @@ impl MaintenanceRunner {
     /// so evolution walks stay defined.
     ///
     /// Slot order is part of the result — the next evolution draws
-    /// `slots[rng]` — and is the one [`UGraph::edges`] fixes: surviving edges
-    /// are re-added by ascending lower endpoint `u`, in `u`'s own slot order,
-    /// each once (from its lower end; self-loops are dropped here and return
-    /// as padding), then the contact edges by ascending joiner, then loops.
+    /// `slots[rng]` — and is the one [`UGraph::induced`] fixes for the
+    /// surviving edges (self-loops are dropped there and return as padding),
+    /// then the contact edges by ascending joiner, then loops.
     fn rebuild_core_graph(&mut self) {
         let next_core = self.admitted_alive();
-        let mut slot = vec![usize::MAX; self.members.len()];
+        let mut slot = vec![None; self.members.len()];
         for (i, &m) in next_core.iter().enumerate() {
-            slot[m] = i;
+            slot[m] = Some(i);
         }
-        let mut next = UGraph::with_slot_capacity(next_core.len(), self.params.delta);
         // Surviving edges of the old core graph, translated to the new slots.
-        for (u, &mu) in self.core.iter().enumerate() {
-            if slot[mu] == usize::MAX {
-                continue;
-            }
-            for &v in self.graph.neighbors(NodeId::from(u)) {
-                if v.index() > u {
-                    let to = slot[self.core[v.index()]];
-                    if to != usize::MAX {
-                        next.add_edge(NodeId::from(slot[mu]), NodeId::from(to));
-                    }
-                }
-            }
-        }
+        let survives: Vec<Option<usize>> = self.core.iter().map(|&m| slot[m]).collect();
+        let mut next = self
+            .graph
+            .induced(&survives, next_core.len(), self.params.delta);
         // Freshly admitted members: one real edge to the contact.
-        for &m in &next_core {
-            if let Some(c) = self.members[m].contact.take() {
-                if slot[c] != usize::MAX {
-                    next.add_edge(NodeId::from(slot[m]), NodeId::from(slot[c]));
-                }
+        for (i, &m) in next_core.iter().enumerate() {
+            if let Some(c) = self.members[m].contact.take().and_then(|c| slot[c]) {
+                next.add_edge(NodeId::from(i), NodeId::from(c));
             }
         }
         next.pad_self_loops(self.params.delta);
@@ -515,44 +502,9 @@ impl MaintenanceRunner {
             .collect();
         let binarized = binarize_parents(&bfs);
         let parents: Vec<NodeId> = binarized.into_iter().map(NodeId::from).collect();
-        self.tree = WellFormedTree::from_parents_over(parents, &vec![true; n]);
+        self.tree = WellFormedTree::try_from_parents(parents);
         self.healed_total += healed;
         healed
-    }
-
-    /// Alive members covered by the current tree: admitted members (`alive`,
-    /// in core space) whose parent chain reaches the root.
-    fn covered_count(&self, alive: &[bool]) -> usize {
-        let Some(tree) = &self.tree else { return 0 };
-        let n = self.core.len();
-        let root = tree.root();
-        if !alive[root.index()] {
-            return 0;
-        }
-        (0..n)
-            .filter(|&v| {
-                if !alive[v] {
-                    return false;
-                }
-                let mut cur = NodeId::from(v);
-                let mut steps = 0;
-                while cur != root {
-                    if !alive[cur.index()] || steps > n {
-                        return false;
-                    }
-                    cur = tree.parent(cur);
-                    steps += 1;
-                }
-                true
-            })
-            .count()
-    }
-
-    /// Whether the current tree is well-formed over the admitted-alive members
-    /// (`alive`, in core space).
-    fn tree_is_valid(&self, alive: &[bool]) -> bool {
-        let Some(tree) = &self.tree else { return false };
-        tree.is_valid_over(alive) && tree.max_degree() <= 4
     }
 
     /// Runs one epoch: churn, re-invitation, repair, validation, sample.
@@ -566,12 +518,14 @@ impl MaintenanceRunner {
         self.rebuild_core_graph();
         self.repair_evolution();
         let healed = self.rebuild_tree();
-        let admitted_mask: Vec<bool> = self
-            .core
-            .iter()
-            .map(|&m| self.members[m].status == MemberStatus::Admitted)
-            .collect();
-        let tree_valid = self.tree_is_valid(&admitted_mask);
+        // The core is exactly the admitted members (`rebuild_core_graph`), so
+        // every node of the tree is alive: the tree is well-formed iff it
+        // covers the whole core within the degree bound.
+        let everyone = vec![true; self.core.len()];
+        let tree = self.tree.as_ref();
+        let covered = tree.map_or(0, |tree| tree.covered(&everyone));
+        let tree_valid =
+            tree.is_some_and(|tree| covered == everyone.len() && tree.max_degree() <= 4);
         self.emit(TraceEvent::Repair {
             epoch: self.epoch,
             healed,
@@ -580,7 +534,6 @@ impl MaintenanceRunner {
 
         let alive = self.count(MemberStatus::is_alive);
         let pending = self.count(|status| status == MemberStatus::Pending);
-        let covered = self.covered_count(&admitted_mask);
         let coverage = if alive == 0 {
             1.0
         } else {
@@ -590,7 +543,7 @@ impl MaintenanceRunner {
         // A burst counts as repaired once every admitted member is covered by
         // a valid tree again.
         if let Some(burst_round) = self.open_burst {
-            if tree_valid && covered == self.count(|status| status == MemberStatus::Admitted) {
+            if tree_valid {
                 self.rounds_to_repair_max = self.rounds_to_repair_max.max(round - burst_round);
                 self.open_burst = None;
             }

@@ -280,7 +280,8 @@ pub trait PhaseExecutor {
 pub struct SimExecutor {
     /// Within-round parallelism policy (bitwise identical at any worker count).
     pub parallelism: ParallelismConfig,
-    /// Metrics-retention mode for each phase's simulator.
+    /// Frozen for `benchmark/`, which writes this field: inert, every run
+    /// keeps its per-round metrics.
     pub metrics_mode: MetricsMode,
 }
 
@@ -343,8 +344,7 @@ impl SimMedium {
     {
         let (id, nodes, _, faults) = phase.into_parts();
         let config = SimConfig::ncc0_capped(spec.ncc0_cap, spec.seed, faults)
-            .with_parallelism(self.sim.parallelism)
-            .with_metrics_mode(self.sim.metrics_mode);
+            .with_parallelism(self.sim.parallelism);
         self.mark(TraceEvent::PhaseStart { phase: id.name() });
         let started = Instant::now();
         let (run, metrics, done_count) = match spec.transport {

@@ -32,9 +32,13 @@ impl WellFormedTree {
     ///
     /// Panics if there is not exactly one root.
     pub fn from_parents(parent: Vec<NodeId>) -> Self {
-        let all_alive = vec![true; parent.len()];
-        Self::from_parents_over(parent, &all_alive)
-            .expect("a well-formed tree has exactly one root")
+        Self::try_from_parents(parent).expect("a well-formed tree has exactly one root")
+    }
+
+    /// [`WellFormedTree::from_parents`], fallible: `None` unless exactly one
+    /// node is its own parent.
+    pub(crate) fn try_from_parents(parent: Vec<NodeId>) -> Option<Self> {
+        Self::rooted(parent, |_| true)
     }
 
     /// Like [`WellFormedTree::from_parents`], but fallible, and only `alive` nodes may claim
@@ -46,8 +50,7 @@ impl WellFormedTree {
     ///
     /// Panics if `alive.len()` differs from `parent.len()`.
     pub fn from_parents_over(mut parent: Vec<NodeId>, alive: &[bool]) -> Option<Self> {
-        let n = parent.len();
-        assert_eq!(alive.len(), n, "one liveness flag per node");
+        assert_eq!(alive.len(), parent.len(), "one liveness flag per node");
         // Detach dead nodes entirely (self-parent, no edges) so height() and
         // max_degree() measure the alive tree, not dangling dead subtrees.
         for (v, p) in parent.iter_mut().enumerate() {
@@ -55,13 +58,18 @@ impl WellFormedTree {
                 *p = NodeId::from(v);
             }
         }
-        let roots: Vec<usize> = (0..n)
-            .filter(|&v| parent[v].index() == v && alive[v])
-            .collect();
-        if roots.len() != 1 {
+        Self::rooted(parent, |v| alive[v])
+    }
+
+    /// The tree over `parent` whose root is the one self-parent that `may_root`
+    /// admits; `None` unless there is exactly one.
+    fn rooted(parent: Vec<NodeId>, may_root: impl Fn(usize) -> bool) -> Option<Self> {
+        let n = parent.len();
+        let mut roots = (0..n).filter(|&v| parent[v].index() == v && may_root(v));
+        let root = NodeId::from(roots.next()?);
+        if roots.next().is_some() {
             return None;
         }
-        let root = NodeId::from(roots[0]);
         let mut children = vec![Vec::new(); n];
         for (v, &p) in parent.iter().enumerate() {
             if p.index() != v {
@@ -142,6 +150,30 @@ impl WellFormedTree {
         reachable == n && edges == n - 1
     }
 
+    /// The number of `alive` nodes the tree covers: those that reach the root
+    /// through a parent chain of alive nodes only (the root included), counted
+    /// top-down from the root in one pass — a node on or below a parent cycle
+    /// is never reached, as in [`WellFormedTree::depths`]. Zero when the root
+    /// is dead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alive.len()` differs from the node count.
+    pub fn covered(&self, alive: &[bool]) -> usize {
+        assert_eq!(alive.len(), self.parent.len(), "one liveness flag per node");
+        if !alive[self.root.index()] {
+            return 0;
+        }
+        let mut covered = 0;
+        let mut stack = vec![self.root];
+        while let Some(v) = stack.pop() {
+            covered += 1;
+            let children = self.children[v.index()].iter();
+            stack.extend(children.filter(|c| alive[c.index()]));
+        }
+        covered
+    }
+
     /// Checks validity restricted to the `alive` nodes: the root is alive, and every
     /// alive node reaches the root through a parent chain of alive nodes only. Used by
     /// fault-injected pipelines, where crashed nodes are allowed to dangle but the
@@ -151,27 +183,7 @@ impl WellFormedTree {
     ///
     /// Panics if `alive.len()` differs from the node count.
     pub fn is_valid_over(&self, alive: &[bool]) -> bool {
-        let n = self.parent.len();
-        assert_eq!(alive.len(), n, "one liveness flag per node");
-        if !alive[self.root.index()] {
-            return false;
-        }
-        for v in 0..n {
-            if !alive[v] {
-                continue;
-            }
-            // Walk to the root; bounded by n steps so cycles terminate.
-            let mut cur = NodeId::from(v);
-            let mut steps = 0;
-            while cur != self.root {
-                if !alive[cur.index()] || steps > n {
-                    return false;
-                }
-                cur = self.parent[cur.index()];
-                steps += 1;
-            }
-        }
-        true
+        alive[self.root.index()] && self.covered(alive) == alive.iter().filter(|a| **a).count()
     }
 
     /// The tree as an undirected graph (useful for diameter measurements).
@@ -403,6 +415,74 @@ mod tests {
         assert!(t.is_valid());
         assert_eq!(t.height(), n - 1);
         assert_eq!(t.max_degree(), 2);
+    }
+
+    /// `covered` as the maintenance runner and `is_valid_over` used to count
+    /// it: every alive node walks its own parent chain to the root, through
+    /// alive nodes only, `n` steps at most so a cycle terminates.
+    fn chain_walk_covered(t: &WellFormedTree, alive: &[bool]) -> usize {
+        let n = t.node_count();
+        let reaches_root = |v: usize| {
+            let mut cur = NodeId::from(v);
+            let mut steps = 0;
+            while cur != t.root() {
+                if !alive[cur.index()] || steps > n {
+                    return false;
+                }
+                cur = t.parent(cur);
+                steps += 1;
+            }
+            true
+        };
+        if !alive[t.root().index()] {
+            return 0;
+        }
+        (0..n).filter(|&v| alive[v] && reaches_root(v)).count()
+    }
+
+    #[test]
+    fn covered_counts_what_the_parent_chain_walk_counted() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let (mut cyclic, mut dead_root, mut cut_off) = (0, 0, 0);
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..40usize);
+            let root = rng.gen_range(0..n);
+            // Any parent but oneself: mostly trees with a few cycles hanging
+            // off nothing, since a random parent need not lead to the root.
+            let parents: Vec<NodeId> = (0..n)
+                .map(|v| {
+                    if v == root {
+                        v
+                    } else {
+                        (v + rng.gen_range(1..n)) % n
+                    }
+                })
+                .map(NodeId::from)
+                .collect();
+            let t = WellFormedTree::try_from_parents(parents).expect("one self-parent");
+            let all = vec![true; n];
+            let alive: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.85)).collect();
+            for mask in [&all, &alive] {
+                let covered = t.covered(mask);
+                assert_eq!(covered, chain_walk_covered(&t, mask), "seed {seed}");
+                let live = mask.iter().filter(|a| **a).count();
+                assert_eq!(
+                    t.is_valid_over(mask),
+                    mask[root] && covered == live,
+                    "seed {seed}"
+                );
+            }
+            cyclic += usize::from(t.covered(&all) < n);
+            dead_root += usize::from(!alive[root]);
+            // A dead interior node strands alive nodes below it.
+            let live = alive.iter().filter(|a| **a).count();
+            cut_off += usize::from(alive[root] && t.covered(&all) == n && t.covered(&alive) < live);
+        }
+        assert!(
+            cyclic > 30 && dead_root > 10 && cut_off > 10,
+            "{cyclic} {dead_root} {cut_off}"
+        );
     }
 
     #[test]

@@ -308,6 +308,20 @@ pub fn chained_cycles(blocks: usize, block_len: usize) -> DiGraph {
     g
 }
 
+/// Two cycles of `n / 2` nodes (at least one each) joined by the single bridge edge
+/// `0 → n/2`: conductance `Θ(1/n)` across one cut edge at degree ≤ 3, the nastiest
+/// constant-degree input for partitions. An odd `n` rounds down to `2·(n / 2)` nodes.
+pub fn two_cycles_bridged(n: usize) -> DiGraph {
+    let half = (n / 2).max(1);
+    let mut g = DiGraph::new(2 * half);
+    for i in 0..half {
+        g.add_edge(i.into(), ((i + 1) % half).into());
+        g.add_edge((half + i).into(), (half + (i + 1) % half).into());
+    }
+    g.add_edge(0.into(), half.into());
+    g
+}
+
 /// Randomly relabels the nodes of a graph (edge structure preserved up to isomorphism).
 ///
 /// Useful to rule out accidental dependence on identifier order in the algorithms.
@@ -452,6 +466,18 @@ mod tests {
         assert_eq!(g.node_count(), 15);
         let comps = analysis::connected_components(&g.to_undirected());
         assert_eq!(comps.component_count(), 3);
+    }
+
+    #[test]
+    fn two_cycles_bridged_has_one_cut_edge() {
+        let g = two_cycles_bridged(17);
+        assert_eq!(g.node_count(), 16);
+        let u = g.to_undirected();
+        assert!(analysis::is_connected(&u));
+        assert_eq!(u.edge_count(), 17);
+        assert_eq!(u.max_degree(), 3);
+        assert_eq!(u.degree(0.into()), 3);
+        assert_eq!(u.degree(8.into()), 3);
     }
 
     #[test]

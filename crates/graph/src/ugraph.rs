@@ -162,6 +162,33 @@ impl UGraph {
         g
     }
 
+    /// The subgraph induced by the nodes `new_id` keeps, relabelled: node `u`
+    /// becomes `new_id[u]` in a graph of `n_new` nodes (slot lists pre-sized
+    /// to `capacity`), and every non-loop edge whose two ends are kept is
+    /// re-added once, in [`UGraph::edges`] order — by ascending lower endpoint
+    /// `u`, in `u`'s own slot order. Slot order is part of the result. Nodes
+    /// of the new graph that no old node maps to start isolated; self-loops
+    /// are dropped and left to the caller.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `new_id` has fewer entries than the graph has nodes, or maps
+    /// a node to `n_new` or beyond.
+    pub fn induced(&self, new_id: &[Option<usize>], n_new: usize, capacity: usize) -> UGraph {
+        let mut sub = UGraph::with_slot_capacity(n_new, capacity);
+        for (u, slots) in self.adj.iter().enumerate() {
+            let Some(nu) = new_id[u] else { continue };
+            for &v in slots {
+                if v.index() > u {
+                    if let Some(nv) = new_id[v.index()] {
+                        sub.add_edge(NodeId::from(nu), NodeId::from(nv));
+                    }
+                }
+            }
+        }
+        sub
+    }
+
     /// Returns the simple-graph version: parallel edges merged, self-loops
     /// removed. Every list of the result is [`UGraph::distinct_neighbors`] of
     /// its node, so it is ascending; the lists describe one graph because
@@ -335,6 +362,43 @@ mod tests {
             by_hand.add_self_loop(2.into());
         }
         assert_eq!(g, by_hand);
+    }
+
+    #[test]
+    fn induced_keeps_edges_order_drops_loops_and_relabels() {
+        // An unsorted multigraph: node 0's slots are [4, 0, 2, 4, 1], so
+        // `edges()` lists its edges as (0,4) (0,0) (0,2) (0,4) (0,1).
+        let mut g = UGraph::new(5);
+        for (u, v) in [(0usize, 4usize), (0, 0), (0, 2), (0, 4), (0, 1)] {
+            g.add_edge(u.into(), v.into());
+        }
+        for (u, v) in [(3usize, 4usize), (2, 1), (3, 3), (4, 2), (1, 3)] {
+            g.add_edge(u.into(), v.into());
+        }
+        // Node 1 is dropped; the survivors are relabelled out of order, into
+        // a graph with one extra node (4) nothing maps to.
+        let new_id = [Some(2), None, Some(0), Some(3), Some(1)];
+        let sub = g.induced(&new_id, 5, 8);
+        // The specification: the surviving non-loop edges of `edges()`, in
+        // that order, one `add_edge` each.
+        let kept = g.edges().into_iter().filter_map(|(u, v)| {
+            let (nu, nv) = (new_id[u.index()]?, new_id[v.index()]?);
+            (u != v).then_some((NodeId::from(nu), NodeId::from(nv)))
+        });
+        assert_eq!(sub, UGraph::from_edges(5, kept));
+        let ids = |v: usize| -> Vec<usize> {
+            let slots = sub.neighbors(v.into()).iter();
+            slots.map(|w| w.index()).collect()
+        };
+        // Old node 0 (now 2) keeps its slot order 4, 2, 4 -> 1, 0, 1.
+        assert_eq!(ids(2), vec![1, 0, 1]);
+        // A per-node filter of old node 4's slots [0, 0, 3, 2] would give
+        // [2, 2, 3, 0]; `edges()` order files (2,4) before (3,4).
+        assert_eq!(ids(1), vec![2, 2, 0, 3]);
+        assert_eq!(ids(0), vec![2, 1]);
+        assert_eq!(ids(3), vec![1]);
+        assert_eq!(ids(4), Vec::<usize>::new());
+        assert_eq!(sub.edge_count(), 5);
     }
 
     #[test]

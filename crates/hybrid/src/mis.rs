@@ -15,14 +15,17 @@
 //! the hybrid model's CONGEST discipline needs [`SimConfig::local_edges`] (local
 //! messages may only travel over initial-graph edges, one per edge per round), and a
 //! `PhaseExecSpec` carries an NCC0 cap, a seed, a budget and a transport — no local
-//! graph. The parallel
+//! graph. The stage runs under [`CapacityModel::Hybrid`]
+//! ([`CapacityModel::hybrid_for`]: one message per local edge per direction per
+//! round), and [`HybridMis::run`] asserts that the cap dropped nothing: a node either
+//! announces or retires in a round, never both. The parallel
 //! Métivier executions and the winner selection are simulated by the harness per
 //! component (each execution is the exact random process, with its round count
 //! recorded); the charged rounds follow the paper's accounting.
 
 use overlay_graph::{analysis, DiGraph, NodeId, UGraph};
 use overlay_netsim::caps::log2_ceil;
-use overlay_netsim::{Ctx, Envelope, Protocol, SimConfig, Simulator};
+use overlay_netsim::{CapacityModel, Ctx, Envelope, Protocol, SimConfig, Simulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -243,12 +246,18 @@ impl HybridMis {
             .map(|v| GhaffariNode::new(v, und.distinct_neighbors(v), budget))
             .collect();
         let config = SimConfig {
+            caps: CapacityModel::hybrid_for(n, 1),
             seed: self.seed,
             local_edges: Some(local_edges),
             ..SimConfig::default()
         };
         let mut sim = Simulator::new(nodes, config);
         sim.run(budget + 2);
+        assert_eq!(
+            sim.metrics().totals().dropped(),
+            0,
+            "the shattering stage sends one local message per edge per round"
+        );
         let shattering_rounds = sim.round().min(budget + 2);
         let decisions: Vec<MisDecision> = sim.nodes().iter().map(GhaffariNode::decision).collect();
         let mut mis: Vec<NodeId> = (0..n)
@@ -392,6 +401,17 @@ mod tests {
         check(&generators::cycle(65), 2);
         check(&generators::star(64), 3);
         check(&generators::grid(8, 8), 4);
+    }
+
+    #[test]
+    fn shattering_drops_nothing_at_a_high_degree_node() {
+        // `run` asserts that the CONGEST cap (one message per local edge per
+        // direction per round) evicted nothing; a hub and dense cliques are
+        // where a second message on an edge would show.
+        for seed in 0..8u64 {
+            check(&generators::star(96), seed);
+            check(&generators::caveman(6, 12), seed);
+        }
     }
 
     #[test]

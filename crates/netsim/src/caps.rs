@@ -32,13 +32,6 @@ pub enum CapacityModel {
 }
 
 impl CapacityModel {
-    /// The standard NCC0 capacity for a graph of `n` nodes: `factor · ⌈log₂ n⌉`.
-    pub fn ncc0_for(n: usize, factor: usize) -> Self {
-        CapacityModel::Ncc0 {
-            per_round: factor * log2_ceil(n).max(1),
-        }
-    }
-
     /// The standard hybrid capacity for a graph of `n` nodes: CONGEST local edges and
     /// `factor · ⌈log₂ n⌉³` global messages per round.
     pub fn hybrid_for(n: usize, factor: usize) -> Self {
@@ -95,8 +88,8 @@ mod tests {
     }
 
     #[test]
-    fn ncc0_cap_scales_with_log_n() {
-        let c = CapacityModel::ncc0_for(1024, 4);
+    fn ncc0_caps_global_traffic_only() {
+        let c = CapacityModel::Ncc0 { per_round: 40 };
         assert_eq!(c.global_cap(), Some(40));
         assert_eq!(c.local_edge_cap(), None);
     }
@@ -116,6 +109,6 @@ mod tests {
 
     #[test]
     fn tiny_graphs_get_positive_caps() {
-        assert_eq!(CapacityModel::ncc0_for(1, 3).global_cap(), Some(3));
+        assert_eq!(CapacityModel::hybrid_for(1, 3).global_cap(), Some(3));
     }
 }

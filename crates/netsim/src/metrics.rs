@@ -33,13 +33,6 @@
 //! carried them, the transport suppressed them. `give_ups` counts payloads
 //! abandoned after the adapter's retransmission budget was exhausted (the peer
 //! is presumed dead).
-//!
-//! # Memory modes
-//!
-//! [`RunMetrics::record_round`] folds every round into [`RunMetrics::totals`];
-//! [`MetricsMode::Full`] (the default) additionally keeps each round in
-//! [`RunMetrics::per_round`] — O(rounds) memory — and [`MetricsMode::Rollup`]
-//! keeps nothing else, for long horizons at large `n`.
 
 use crate::trace::DropCause;
 
@@ -171,15 +164,14 @@ impl TransportCounters {
     }
 }
 
-/// Whether a [`RunMetrics`] retains per-round history next to its totals
-/// (which are mode-independent; see the module docs).
+/// Frozen for `benchmark/`, which names `MetricsMode::Full`: a [`RunMetrics`]
+/// always keeps every round next to its totals, so the one variant selects
+/// nothing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MetricsMode {
     /// Keep every round's [`RoundMetrics`] in [`RunMetrics::per_round`].
     #[default]
     Full,
-    /// Keep the run totals only.
-    Rollup,
 }
 
 /// Aggregated communication counters for a whole run.
@@ -190,55 +182,39 @@ pub struct RunMetrics {
     /// callback as well as each message round — so a run that ends before its
     /// first message round (round budget 0) still reports its recorded round.
     pub rounds: usize,
-    /// Per-round metrics, in order — every round in [`MetricsMode::Full`],
-    /// empty in [`MetricsMode::Rollup`].
+    /// Per-round metrics, in order.
     pub per_round: Vec<RoundMetrics>,
     /// Total messages sent per node over the whole run.
     pub total_sent_per_node: Vec<u64>,
     /// Total *global* messages sent per node over the whole run.
     pub total_global_sent_per_node: Vec<u64>,
-    mode: MetricsMode,
     totals: RoundMetrics,
     first_round_crashed: usize,
 }
 
 impl RunMetrics {
-    /// Creates empty metrics for `n` nodes in [`MetricsMode::Full`].
+    /// Creates empty metrics for `n` nodes.
     pub fn new(n: usize) -> Self {
-        RunMetrics::with_mode(n, MetricsMode::Full)
-    }
-
-    /// Creates empty metrics for `n` nodes with the given retention mode.
-    pub fn with_mode(n: usize, mode: MetricsMode) -> Self {
         RunMetrics {
             total_sent_per_node: vec![0; n],
             total_global_sent_per_node: vec![0; n],
-            mode,
             ..RunMetrics::default()
         }
     }
 
-    /// The retention mode these metrics were created with.
-    pub fn mode(&self) -> MetricsMode {
-        self.mode
-    }
-
-    /// Records one finished round: folds it into the totals (both modes) and
-    /// retains it according to the [`MetricsMode`].
+    /// Records one finished round: folds it into the totals and keeps it in
+    /// [`RunMetrics::per_round`].
     pub fn record_round(&mut self, round: RoundMetrics) {
         if self.rounds == 0 {
             self.first_round_crashed = round.crashed;
         }
         self.totals.absorb(&round);
         self.rounds += 1;
-        if self.mode == MetricsMode::Full {
-            self.per_round.push(round);
-        }
+        self.per_round.push(round);
     }
 
     /// The whole run's counters: every count summed over the recorded rounds,
-    /// every per-node maximum the largest any round saw. Maintained identically
-    /// in both metrics modes.
+    /// every per-node maximum the largest any round saw.
     pub fn totals(&self) -> &RoundMetrics {
         &self.totals
     }
@@ -246,7 +222,7 @@ impl RunMetrics {
     /// Number of crash events executed in the *first recorded round* (round 0).
     /// Pipeline harnesses use this to tell crashes inherited from a previous
     /// phase (pinned at round 0 by [`crate::FaultPlan::shifted`]) apart from
-    /// fresh ones; tracked streamingly so it is available in both metrics modes.
+    /// fresh ones.
     pub fn first_round_crashed(&self) -> usize {
         self.first_round_crashed
     }
@@ -297,7 +273,6 @@ mod tests {
         assert_eq!(*m.totals(), RoundMetrics::default());
         assert_eq!(m.total_sent_per_node, vec![0; 3]);
         assert_eq!(m.first_round_crashed(), 0);
-        assert_eq!(m.mode(), MetricsMode::Full);
     }
 
     fn two_rounds() -> [RoundMetrics; 2] {
@@ -450,51 +425,6 @@ mod tests {
             ..RoundMetrics::default()
         };
         assert_eq!(tied_late.dominant_drop(), Some((DropCause::Offline, 3)));
-    }
-
-    /// A pseudo-random but deterministic stream of round metrics (no RNG crate
-    /// needed): every counter cycles at a different small modulus.
-    fn synthetic_round(i: usize) -> RoundMetrics {
-        let m = |modulus: usize| (i % modulus) as u64;
-        RoundMetrics {
-            max_sent: i % 7,
-            max_received: (i * 3) % 11,
-            max_global_sent: (i * 5) % 13,
-            max_global_received: (i * 2) % 9,
-            delivered: m(17),
-            dropped_receive: m(3),
-            dropped_send: m(4),
-            dropped_fault: m(5),
-            dropped_partition: m(2),
-            dropped_offline: ((i * 7) % 6) as u64,
-            delayed: m(8),
-            crashed: usize::from(i % 19 == 4),
-            joined: usize::from(i % 23 == 6),
-            transport: TransportCounters {
-                retransmits: m(6),
-                acks: m(10),
-                dupes_dropped: m(12),
-                give_ups: u64::from(i % 29 == 1),
-            },
-        }
-    }
-
-    #[test]
-    fn rollup_accessors_match_full_mode_exactly() {
-        let mut full = RunMetrics::new(2);
-        let mut rollup = RunMetrics::with_mode(2, MetricsMode::Rollup);
-        for i in 0..500 {
-            full.record_round(synthetic_round(i));
-            rollup.record_round(synthetic_round(i));
-        }
-        // The totals are mode-independent.
-        assert_eq!(full.rounds, rollup.rounds);
-        assert_eq!(full.totals(), rollup.totals());
-        assert_ne!(*full.totals(), RoundMetrics::default());
-        assert_eq!(full.first_round_crashed(), rollup.first_round_crashed());
-        // Retention differs exactly as documented.
-        assert_eq!(full.per_round.len(), 500);
-        assert!(rollup.per_round.is_empty());
     }
 
     #[test]

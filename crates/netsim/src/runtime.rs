@@ -2,7 +2,7 @@
 
 use crate::caps::CapacityModel;
 use crate::faults::{FaultPlan, FaultRouter, Route};
-use crate::metrics::{MetricsMode, RoundMetrics, RunMetrics, TransportCounters};
+use crate::metrics::{RoundMetrics, RunMetrics, TransportCounters};
 use crate::protocol::{Channel, Ctx, Envelope, Protocol};
 use crate::trace::{DropCause, SharedTraceSink, TraceEvent};
 use overlay_graph::NodeId;
@@ -91,8 +91,6 @@ pub struct SimConfig {
     pub faults: FaultPlan,
     /// Within-round parallelism policy (bitwise identical at any worker count).
     pub parallelism: ParallelismConfig,
-    /// How per-round metrics history is retained (aggregates are mode-independent).
-    pub metrics_mode: MetricsMode,
 }
 
 impl Default for SimConfig {
@@ -103,42 +101,21 @@ impl Default for SimConfig {
             local_edges: None,
             faults: FaultPlan::default(),
             parallelism: ParallelismConfig::default(),
-            metrics_mode: MetricsMode::Full,
         }
     }
 }
 
 impl SimConfig {
-    /// A convenience constructor for the NCC0 model on `n` nodes.
-    pub fn ncc0(n: usize, cap_factor: usize, seed: u64) -> Self {
-        SimConfig {
-            caps: CapacityModel::ncc0_for(n, cap_factor),
-            seed,
-            ..SimConfig::default()
-        }
-    }
-
     /// The NCC0 model with an explicit per-node, per-round message cap — the
     /// configuration recipe of one overlay-construction pipeline phase: the cap and
     /// seed come from the phase's parameter schedule and the fault plan is the
-    /// (shifted, remapped) remainder of the run's plan. Unlike [`SimConfig::ncc0`],
-    /// nothing is derived from `n`; the caller owns the exact cap.
+    /// (shifted, remapped) remainder of the run's plan. Nothing is derived from `n`;
+    /// the caller owns the exact cap.
     pub fn ncc0_capped(per_round: usize, seed: u64, faults: FaultPlan) -> Self {
         SimConfig {
             caps: CapacityModel::Ncc0 { per_round },
             seed,
             faults,
-            ..SimConfig::default()
-        }
-    }
-
-    /// A convenience constructor for the hybrid model with the given local adjacency.
-    pub fn hybrid(local_edges: Vec<Vec<NodeId>>, cap_factor: usize, seed: u64) -> Self {
-        let n = local_edges.len();
-        SimConfig {
-            caps: CapacityModel::hybrid_for(n, cap_factor),
-            seed,
-            local_edges: Some(local_edges),
             ..SimConfig::default()
         }
     }
@@ -152,12 +129,6 @@ impl SimConfig {
     /// Returns the config with the given within-round parallelism policy.
     pub fn with_parallelism(mut self, parallelism: ParallelismConfig) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Returns the config with the given metrics-retention mode.
-    pub fn with_metrics_mode(mut self, mode: MetricsMode) -> Self {
-        self.metrics_mode = mode;
         self
     }
 }
@@ -544,7 +515,7 @@ impl<P: Protocol> Simulator<P> {
             chunk_len,
             chunk_outs: chunk_outs.collect(),
             router: FaultRouter::new(&config.faults, n, config.seed),
-            metrics: RunMetrics::with_mode(n, config.metrics_mode),
+            metrics: RunMetrics::new(n),
             round: 0,
             sink: None,
         }

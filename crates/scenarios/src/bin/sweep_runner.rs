@@ -203,7 +203,7 @@ fn selected(opts: &Options) -> Result<Vec<Scenario>, String> {
     // `--tag` narrows the *default* selection; scenarios the user named
     // explicitly always run (naming a cell is already the narrowest filter).
     if let (Some(tag), true) = (&opts.tag, opts.names.is_empty()) {
-        scenarios.retain(|s| s.effective_tags().iter().any(|t| t == tag));
+        scenarios.retain(|s| s.has_tag(tag));
         if scenarios.is_empty() {
             return Err(format!("no registered scenario carries tag {tag:?}"));
         }
@@ -228,7 +228,7 @@ fn print_listing(opts: &Options) {
         scenarios.extend(full_registry().iter());
     }
     if let Some(tag) = &opts.tag {
-        scenarios.retain(|s| s.effective_tags().iter().any(|t| t == tag));
+        scenarios.retain(|s| s.has_tag(tag));
     }
     println!(
         "{:<30} {:<24} {:<16} {:<44} baseline",

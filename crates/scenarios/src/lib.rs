@@ -87,7 +87,7 @@ pub use overlay_core::{
     MessageStats, PhaseId, PhaseMetrics, PhaseOverrides, RoundBudget, ServeOutcome, TransportChoice,
 };
 pub use overlay_netsim::{ChurnSchedule, CrashBurst};
-pub use overlay_netsim::{MetricsMode, ParallelismConfig, TraceEvent, TransportConfig};
+pub use overlay_netsim::{ParallelismConfig, TraceEvent, TransportConfig};
 pub use overlay_traffic::{RoutingPolicy, TrafficReport, Workload};
 pub use registry::{find, full_registry, registry, Registry, RegistryError};
 pub use scenario::{

@@ -181,10 +181,7 @@ impl Registry {
     /// annotations and derived facets (family/fault/capacity labels,
     /// `reliable`/`bare`, `axis:<label>`, `derived`) all match.
     pub fn filter_by_tag(&self, tag: &str) -> Vec<&Scenario> {
-        self.scenarios
-            .iter()
-            .filter(|s| s.effective_tags().iter().any(|t| t == tag))
-            .collect()
+        self.scenarios.iter().filter(|s| s.has_tag(tag)).collect()
     }
 
     /// Iterates the `(baseline, twin)` couples whose members are *both* in this

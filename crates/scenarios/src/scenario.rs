@@ -7,8 +7,8 @@ use overlay_core::{
 };
 use overlay_graph::{generators, DiGraph, NodeId, UGraph};
 use overlay_netsim::{
-    ChurnSchedule, CrashBurst, FaultPlan, MetricsMode, ParallelismConfig, SharedTraceSink,
-    TraceBuffer, TraceEvent, TransportConfig,
+    ChurnSchedule, CrashBurst, FaultPlan, ParallelismConfig, SharedTraceSink, TraceBuffer,
+    TraceEvent, TransportConfig,
 };
 use overlay_traffic::{
     next_hops, Router, RouterConfig, RouterSummary, RoutingPolicy, TrafficReport, TrafficTally,
@@ -46,16 +46,7 @@ impl GraphFamily {
             GraphFamily::Cycle => generators::cycle(n),
             GraphFamily::BinaryTree => generators::binary_tree(n),
             GraphFamily::RandomRegular { degree } => generators::random_regular(n, *degree, seed),
-            GraphFamily::TwoCyclesBridged => {
-                let half = (n / 2).max(1);
-                let mut g = DiGraph::new(2 * half);
-                for i in 0..half {
-                    g.add_edge(NodeId::from(i), NodeId::from((i + 1) % half));
-                    g.add_edge(NodeId::from(half + i), NodeId::from(half + (i + 1) % half));
-                }
-                g.add_edge(NodeId::from(0usize), NodeId::from(half));
-                g
-            }
+            GraphFamily::TwoCyclesBridged => generators::two_cycles_bridged(n),
         }
     }
 
@@ -575,11 +566,6 @@ pub struct Scenario {
     /// this is not an axis, carries no tag, and is not serialized into reports —
     /// it only decides how many threads step nodes (see [`ParallelismConfig`]).
     pub parallelism: ParallelismConfig,
-    /// Metrics-retention mode for every phase's simulator. Large-`n` twins run
-    /// with [`MetricsMode::Rollup`] so long horizons don't buffer a
-    /// [`overlay_netsim::RoundMetrics`] per round; every figure a [`RunRecord`]
-    /// reports is mode-independent, so this too is not an axis.
-    pub metrics_mode: MetricsMode,
 }
 
 /// The outcome of one `(scenario, seed)` run.
@@ -704,7 +690,6 @@ impl Scenario {
             baseline: None,
             axis: None,
             parallelism: ParallelismConfig::default(),
-            metrics_mode: MetricsMode::Full,
         }
     }
 
@@ -735,13 +720,6 @@ impl Scenario {
     /// wall-clock knob — see [`Scenario::parallelism`].
     pub fn with_parallelism(mut self, parallelism: ParallelismConfig) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the metrics-retention mode (builder-style) — see
-    /// [`Scenario::metrics_mode`].
-    pub fn with_metrics_mode(mut self, mode: MetricsMode) -> Self {
-        self.metrics_mode = mode;
         self
     }
 
@@ -840,19 +818,12 @@ impl Scenario {
     /// untracked `full/` subdirectory, outside the `--check` contract), and the
     /// size suffix is derived from the argument, so a third or fourth size can
     /// never be mislabeled. Axis: [`VariantAxis::Size`].
-    ///
-    /// Large-`n` twins switch to [`MetricsMode::Rollup`] so a long horizon keeps
-    /// the run totals instead of one [`overlay_netsim::RoundMetrics`] per
-    /// round; every reported figure is mode-independent.
     pub fn at_n(&self, n: usize) -> Scenario {
         self.derive(
             VariantAxis::Size,
             format!("full-{}-{n}", self.name),
             format!("Large-n twin of {} at n = {n}", self.name),
-            |twin| {
-                twin.n = n;
-                twin.metrics_mode = MetricsMode::Rollup;
-            },
+            |twin| twin.n = n,
         )
     }
 
@@ -1019,6 +990,12 @@ impl Scenario {
         tags
     }
 
+    /// Whether [`Scenario::effective_tags`] contains `tag` — what `--tag` and
+    /// [`crate::Registry::filter_by_tag`] select by.
+    pub fn has_tag(&self, tag: &str) -> bool {
+        self.effective_tags().iter().any(|t| t == tag)
+    }
+
     /// The effective node count after family rounding.
     pub fn actual_n(&self) -> usize {
         self.family.actual_n(self.n)
@@ -1035,8 +1012,7 @@ impl Scenario {
         let mut builder = OverlayBuilder::new(params)
             .with_round_budget(self.round_budget)
             .with_phase_overrides(self.phases)
-            .with_parallelism(self.parallelism)
-            .with_metrics_mode(self.metrics_mode);
+            .with_parallelism(self.parallelism);
         if let Some(transport) = self.transport {
             builder = builder.with_reliable_transport(transport);
         }
@@ -1174,7 +1150,7 @@ impl Scenario {
         }
         let mut exec = SimExecutor {
             parallelism: self.parallelism,
-            metrics_mode: self.metrics_mode,
+            ..SimExecutor::default()
         };
         let mut tally = TrafficTally::new();
         let waves = match self.serve {
