@@ -14,7 +14,7 @@ use overlay_core::{
 use overlay_graph::{generators, DiGraph, NodeId};
 use overlay_net::{ChannelBackend, NetRunner, TcpBackend, TcpHost};
 use overlay_netsim::FaultPlan;
-use overlay_traffic::{next_hops, Router, RouterConfig, RouterSummary, Workload};
+use overlay_traffic::{hop_rows, Router, RouterConfig, RouterSummary, Workload};
 use std::time::Duration;
 
 fn builder(n: usize, seed: u64) -> OverlayBuilder {
@@ -121,11 +121,10 @@ fn traffic_phase(
         queue_cap: 32,
         per_round_budget: 4,
     };
-    let table = next_hops(&overlay.expander);
+    let rows = hop_rows(&overlay.expander);
     let schedule = workload.schedule(n, 4, 8, seed ^ 0x7AF1);
     let routers = move || -> Vec<Router> {
-        table
-            .iter()
+        rows.iter()
             .zip(&schedule)
             .enumerate()
             .map(|(v, (row, reqs))| Router::new(v as u32, row.clone(), reqs.clone(), config))

@@ -11,7 +11,7 @@ use overlay_netsim::{
     TraceEvent, TransportConfig,
 };
 use overlay_traffic::{
-    next_hops, Router, RouterConfig, RouterSummary, RoutingPolicy, TrafficReport, TrafficTally,
+    hop_rows, Router, RouterConfig, RouterSummary, RoutingPolicy, TrafficReport, TrafficTally,
     Workload,
 };
 use rand::rngs::StdRng;
@@ -1080,7 +1080,8 @@ impl Scenario {
                 delivered: 0,
             });
         }
-        let table = next_hops(graph);
+        let rows = hop_rows(graph);
+        let max_degree = rows.iter().map(|r| r.neighbors.len()).max().unwrap_or(0);
         let schedule = spec.workload.schedule(
             n,
             spec.requests_per_node,
@@ -1088,7 +1089,7 @@ impl Scenario {
             traffic_workload_seed(seed, salt),
         );
         let config = spec.router_config();
-        let nodes: Vec<Router> = table
+        let nodes: Vec<Router> = rows
             .into_iter()
             .zip(schedule)
             .enumerate()
@@ -1099,10 +1100,6 @@ impl Scenario {
         } else {
             FaultPlan::default()
         };
-        let max_degree = (0..n)
-            .map(|v| graph.distinct_neighbors(NodeId::from(v)).len())
-            .max()
-            .unwrap_or(0);
         let exec_spec = PhaseExecSpec {
             seed: seed
                 .wrapping_add(PhaseId::Traffic.index() as u64)

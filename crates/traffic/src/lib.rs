@@ -17,11 +17,14 @@
 //!   backends of `overlay-net` (whose clean path mirrors the simulator only
 //!   while no RNG is consumed mid-round).
 //! * [`Router`] — one [`overlay_netsim::Protocol`] node per overlay member.
-//!   Each node holds its row of the next-hop table ([`next_hops`]: one
+//!   Each node holds its row of the next-hop table ([`hop_rows`]: one
 //!   bit-parallel multi-source BFS, 64 destinations per machine word, whose
 //!   cost is proportional to the diameter the construction made small) over
 //!   either the expander edges ([`RoutingPolicy::Greedy`]) or the binarized
-//!   tree ([`RoutingPolicy::Tree`]), a FIFO forward queue with an NCC0-style
+//!   tree ([`RoutingPolicy::Tree`]) — a [`HopRow`]: its sorted neighbor list
+//!   and two bytes per destination, the neighbor's position in that list
+//!   ([`next_hops`] is the same table with the neighbors spelled out) — one
+//!   load counter per neighbor, a FIFO forward queue with an NCC0-style
 //!   per-round forward budget, a queue capacity, and a TTL. Congestion is
 //!   enforced *at the application layer* (queue growth, overflow drops,
 //!   age-outs), never by the simulator's receive cap — so a congested cell
@@ -43,6 +46,6 @@ mod router;
 mod workload;
 
 pub use report::{percentile, TrafficReport, TrafficTally};
-pub use router::{next_hops, Delivery, Router, RouterConfig, RouterMsg, RouterSummary};
-pub use router::{RoutingPolicy, UNROUTABLE};
+pub use router::{hop_rows, next_hops, HopRow, RoutingPolicy, NO_HOP, UNROUTABLE};
+pub use router::{Delivery, Router, RouterConfig, RouterMsg, RouterSummary};
 pub use workload::{Request, Workload};

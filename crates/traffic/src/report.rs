@@ -53,12 +53,13 @@ impl TrafficTally {
         }
     }
 
-    /// Renders the accumulated ledgers as a report.
-    pub fn report(&self) -> TrafficReport {
-        let mut hops = self.hops.clone();
-        let mut latencies = self.latencies.clone();
-        hops.sort_unstable();
-        latencies.sort_unstable();
+    /// Renders the accumulated ledgers as a report, sorting them in place.
+    /// (A sort, not a histogram: summaries cross sockets, and a `hops` of
+    /// `u32::MAX` must not size an allocation.)
+    pub fn report(mut self) -> TrafficReport {
+        self.hops.sort_unstable();
+        self.latencies.sort_unstable();
+        let (hops, latencies) = (&self.hops, &self.latencies);
         let delivered = hops.len() as u64;
         TrafficReport {
             injected: self.injected,
@@ -68,11 +69,11 @@ impl TrafficTally {
             lost: self
                 .injected
                 .saturating_sub(delivered + self.dropped + self.expired),
-            hops_p50: percentile(&hops, 50),
-            hops_p99: percentile(&hops, 99),
+            hops_p50: percentile(hops, 50),
+            hops_p99: percentile(hops, 99),
             hops_max: hops.last().copied().unwrap_or(0),
-            latency_p50: percentile(&latencies, 50),
-            latency_p99: percentile(&latencies, 99),
+            latency_p50: percentile(latencies, 50),
+            latency_p99: percentile(latencies, 99),
             latency_max: latencies.last().copied().unwrap_or(0),
             max_edge_load: self.max_edge_load,
             max_node_forwards: self.max_node_forwards,

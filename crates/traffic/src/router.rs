@@ -2,18 +2,28 @@
 //! requests along precomputed next-hop tables.
 //!
 //! Routing is table-driven and the tables are built harness-side from the
-//! *finished* overlay ([`next_hops`]): greedy shortest-path next hops over the
+//! *finished* overlay ([`hop_rows`]): greedy shortest-path next hops over the
 //! expander edges, or the same construction over the binarized tree's edges
 //! for the tree policy. Per round, a node absorbs arrivals, injects its
 //! scheduled requests, ages out packets past their TTL, forwards up to its
 //! per-round budget (FIFO), and sheds queue overflow — all without drawing
 //! from its RNG, so the run is bitwise identical across the simulator and the
 //! thread-backed runners.
+//!
+//! What a router holds is sized for the forward, the one hot body of a
+//! traffic wave: its [`HopRow`] (its sorted neighbor list and, per
+//! destination, a two-byte *position* in that list), one load counter per
+//! neighbor in the same order, and a lower bound on the oldest queued
+//! injection round. A forward is `k = hop[dst]; to = neighbors[k];
+//! edge_load[k] += 1` — a read into a 2-byte-per-entry row, a read into a
+//! list of a few dozen entries, and a counter at the same position — and the
+//! TTL sweep over the queue runs only in a round in which the bound says
+//! something can have expired.
 
 use overlay_graph::{NodeId, UGraph};
 use overlay_netsim::wire::{Wire, WireError};
 use overlay_netsim::{Ctx, Envelope, Protocol};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::workload::Request;
 use overlay_core::Summarize;
@@ -42,9 +52,57 @@ impl RoutingPolicy {
     }
 }
 
-/// Builds the full next-hop table of `graph`: `table[src][dst]` is the
-/// neighbor `src` forwards to for `dst` ([`UNROUTABLE`] when `dst` is `src`
-/// itself or unreachable).
+/// Sentinel [`HopRow::hop`] entry: no route from this node to that
+/// destination.
+pub const NO_HOP: u16 = u16::MAX;
+
+/// One node's row of the next-hop table, in the form a [`Router`] holds it.
+///
+/// The next hop toward `dst` is `neighbors[hop[dst]]`: two bytes per
+/// destination instead of four, and the position doubles as the index of the
+/// per-neighbor load counter.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HopRow {
+    /// The node's distinct neighbors, ascending, without itself
+    /// ([`UGraph::distinct_neighbors`]). Fewer than [`NO_HOP`] of them.
+    pub neighbors: Vec<u32>,
+    /// Per destination, the position in `neighbors` of the neighbor to
+    /// forward to; [`NO_HOP`] when the destination is the node itself or
+    /// unreachable.
+    pub hop: Vec<u16>,
+}
+
+impl HopRow {
+    /// The position in `neighbors` and the node to forward to for `dst`;
+    /// `None` when there is no route — [`NO_HOP`], a `dst` beyond the row, or
+    /// (only in a hand-built row) a position beyond `neighbors`.
+    fn route(&self, dst: u32) -> Option<(usize, u32)> {
+        let k = *self.hop.get(dst as usize)? as usize;
+        Some((k, *self.neighbors.get(k)?))
+    }
+
+    /// The row as [`next_hops`] spells it: the neighbor itself per
+    /// destination, [`UNROUTABLE`] for no route.
+    fn expand(&self) -> Vec<u32> {
+        let to = |&k: &u16| self.neighbors.get(k as usize).map_or(UNROUTABLE, |&nb| nb);
+        self.hop.iter().map(to).collect()
+    }
+}
+
+/// A position must fit a `u16` with [`NO_HOP`] to spare, or a real neighbor
+/// would read as "no route". (An `n²` table with such a node is past 8 GB.)
+fn assert_positions_fit(neighbors: usize) {
+    assert!(
+        neighbors < NO_HOP as usize,
+        "a next-hop row indexes at most {} distinct neighbors, not {neighbors}",
+        NO_HOP - 1
+    );
+}
+
+/// Builds the next-hop table of `graph`, one [`HopRow`] per node:
+/// `rows[src].hop[dst]` is the position in `rows[src].neighbors` of the
+/// neighbor `src` forwards to for `dst` ([`NO_HOP`] when `dst` is `src` itself
+/// or unreachable).
 ///
 /// The entry is the neighbor strictly closer to the destination, ties broken
 /// by smallest node id — so the table (and every path routed over it) is a
@@ -61,8 +119,8 @@ impl RoutingPolicy {
 /// level every node `u` that some destination has not reached yet scans its
 /// neighbors once in ascending order: the bits of `frontier[nb] & !seen[u]`
 /// are the destinations `nb` is exactly one hop closer to than `u`, and
-/// `table[u][base + b] = nb` is written on the spot — no distance array and no
-/// second pass over the sources.
+/// `hop[u][base + b] = k`, the scan's position at `nb`, is written on the
+/// spot — no distance array and no second pass over the sources.
 ///
 /// A neighbor of `u` is never more than one hop closer than `u`, so "strictly
 /// closer" *is* "reached in the previous level", and since a bit leaves the
@@ -76,8 +134,14 @@ impl RoutingPolicy {
 /// per destination. The gain is therefore `64 / D`: an order of magnitude on
 /// the `O(log n)`-diameter overlays this crate routes over, and a *loss* once
 /// `D` passes 64 (a 1024-node path is 2–4× slower than per-destination BFS).
-/// The table itself is `n²` entries either way.
-pub fn next_hops(graph: &UGraph) -> Vec<Vec<u32>> {
+/// On those overlays the entry writes are what is left: 256 destinations per
+/// pass instead of 64 bought nothing (8.6–9.0 against 8.9–9.1 ms at
+/// `n = 1024`). The table is `n²` two-byte entries — 2 MB at `n = 1024`.
+///
+/// # Panics
+///
+/// Panics if a node has [`NO_HOP`] or more distinct neighbors.
+pub fn hop_rows(graph: &UGraph) -> Vec<HopRow> {
     let n = graph.node_count();
     // CSR adjacency: node `u`'s neighbors are `targets[offsets[u]..offsets[u + 1]]`.
     let mut offsets = Vec::with_capacity(n + 1);
@@ -85,11 +149,12 @@ pub fn next_hops(graph: &UGraph) -> Vec<Vec<u32>> {
     offsets.push(0);
     for v in graph.nodes() {
         let distinct = graph.distinct_neighbors(v);
+        assert_positions_fit(distinct.len());
         targets.extend(distinct.iter().map(|w| w.index() as u32));
         offsets.push(targets.len());
     }
 
-    let mut table = vec![vec![UNROUTABLE; n]; n];
+    let mut table = vec![vec![NO_HOP; n]; n];
     let mut seen = vec![0u64; n];
     let mut frontier = vec![0u64; n];
     let mut next = vec![0u64; n];
@@ -109,7 +174,7 @@ pub fn next_hops(graph: &UGraph) -> Vec<Vec<u32>> {
                 let mut found = 0;
                 if wanted != 0 {
                     let hops = &mut table[u][base..base + width];
-                    for &nb in &targets[offsets[u]..offsets[u + 1]] {
+                    for (k, &nb) in targets[offsets[u]..offsets[u + 1]].iter().enumerate() {
                         let mut hit = frontier[nb as usize] & wanted;
                         if hit == 0 {
                             continue;
@@ -117,7 +182,7 @@ pub fn next_hops(graph: &UGraph) -> Vec<Vec<u32>> {
                         wanted &= !hit;
                         found |= hit;
                         while hit != 0 {
-                            hops[hit.trailing_zeros() as usize] = nb;
+                            hops[hit.trailing_zeros() as usize] = k as u16;
                             hit &= hit - 1;
                         }
                         if wanted == 0 {
@@ -138,6 +203,22 @@ pub fn next_hops(graph: &UGraph) -> Vec<Vec<u32>> {
         }
     }
     table
+        .into_iter()
+        .zip(offsets.windows(2))
+        .map(|(hop, span)| HopRow {
+            neighbors: targets[span[0]..span[1]].to_vec(),
+            hop,
+        })
+        .collect()
+}
+
+/// The full next-hop table of `graph` with the neighbor spelled out:
+/// `table[src][dst]` is the node `src` forwards to for `dst` ([`UNROUTABLE`]
+/// when `dst` is `src` itself or unreachable) — [`hop_rows`] expanded, four
+/// bytes per entry. Routers hold the compact rows; this is the form to read
+/// or compare a table in.
+pub fn next_hops(graph: &UGraph) -> Vec<Vec<u32>> {
+    hop_rows(graph).iter().map(HopRow::expand).collect()
 }
 
 /// One routed message: the request id, where it is going, when it was
@@ -222,7 +303,7 @@ pub struct RouterConfig {
 #[derive(Debug)]
 pub struct Router {
     me: u32,
-    next_hop: Vec<u32>,
+    row: HopRow,
     schedule: Vec<Request>,
     next_inject: usize,
     config: RouterConfig,
@@ -233,18 +314,29 @@ pub struct Router {
     dropped: Vec<u64>,
     expired: Vec<u64>,
     forwards: u64,
-    edge_load: BTreeMap<u32, u32>,
+    /// Messages sent to `row.neighbors[k]`, per `k`.
+    edge_load: Vec<u32>,
+    /// A lower bound on `injected` over the queue (`u32::MAX` when nothing
+    /// was queued since the last sweep): every push lowers it, pops leave it
+    /// stale-low, the sweep makes it exact.
+    oldest: u32,
     quiet: bool,
 }
 
 impl Router {
-    /// A router for node `me` with its next-hop row (`next_hop[dst]`,
-    /// [`UNROUTABLE`] for no route) and its injection schedule (round-sorted,
-    /// as [`crate::Workload::schedule`] produces).
-    pub fn new(me: u32, next_hop: Vec<u32>, schedule: Vec<Request>, config: RouterConfig) -> Self {
+    /// A router for node `me` with its next-hop row (as [`hop_rows`] builds
+    /// it) and its injection schedule (round-sorted, as
+    /// [`crate::Workload::schedule`] produces).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row lists [`NO_HOP`] or more neighbors.
+    pub fn new(me: u32, row: HopRow, schedule: Vec<Request>, config: RouterConfig) -> Self {
+        assert_positions_fit(row.neighbors.len());
         Router {
             me,
-            next_hop,
+            edge_load: vec![0; row.neighbors.len()],
+            row,
             schedule,
             next_inject: 0,
             config,
@@ -255,16 +347,47 @@ impl Router {
             dropped: Vec::new(),
             expired: Vec::new(),
             forwards: 0,
-            edge_load: BTreeMap::new(),
+            oldest: u32::MAX,
             quiet: false,
         }
     }
 
     fn enqueue_or_shed(&mut self, msg: RouterMsg) {
         if (self.queue.len() as u32) < self.config.queue_cap {
+            self.oldest = self.oldest.min(msg.injected);
             self.queue.push_back(msg);
         } else {
             self.dropped.push(msg.id);
+        }
+    }
+
+    /// What the flat counters, the queue cap and the skipped sweep rest on,
+    /// checked at the end of every round in the debug profile: every forward
+    /// is counted on exactly one edge; the queue is within its cap; nothing
+    /// queued is at or past its TTL (the sweep was not skipped in a round it
+    /// had work in); `oldest` is a lower bound on every queued `injected`.
+    #[cfg(debug_assertions)]
+    fn check_contracts(&self, round: u32) {
+        let counted: u64 = self.edge_load.iter().map(|&c| u64::from(c)).sum();
+        assert_eq!(counted, self.forwards, "a forward not on any edge's books");
+        assert!(
+            self.queue.len() <= self.config.queue_cap as usize,
+            "{} queued over a cap of {}",
+            self.queue.len(),
+            self.config.queue_cap
+        );
+        for m in &self.queue {
+            assert!(
+                round.saturating_sub(m.injected) < self.config.ttl,
+                "request {} outlived its TTL in round {round}",
+                m.id
+            );
+            assert!(
+                self.oldest <= m.injected,
+                "`oldest` {} is above a queued injection round {}",
+                self.oldest,
+                m.injected
+            );
         }
     }
 }
@@ -314,19 +437,25 @@ impl Protocol for Router {
                 hops: 0,
             });
         }
-        // Age out packets past their TTL.
+        // Age out packets past their TTL. If any queued packet is, so is the
+        // bound, so the walk is skipped only in rounds it would remove
+        // nothing in. Saturating: an `injected` from the future (only a
+        // hostile peer sends one) ages from zero instead of underflowing.
         let ttl = self.config.ttl;
-        let expired = &mut self.expired;
-        self.queue.retain(|m| {
-            // Saturating: an `injected` from the future (only a hostile peer
-            // sends one) ages from zero instead of underflowing.
-            if round.saturating_sub(m.injected) >= ttl {
-                expired.push(m.id);
-                false
-            } else {
-                true
-            }
-        });
+        if round.saturating_sub(self.oldest) >= ttl {
+            let expired = &mut self.expired;
+            let mut oldest = u32::MAX;
+            self.queue.retain(|m| {
+                if round.saturating_sub(m.injected) >= ttl {
+                    expired.push(m.id);
+                    false
+                } else {
+                    oldest = oldest.min(m.injected);
+                    true
+                }
+            });
+            self.oldest = oldest;
+        }
         // Forward FIFO up to the per-round budget.
         let mut sent = 0;
         while sent < self.config.per_round_budget {
@@ -335,28 +464,25 @@ impl Protocol for Router {
             };
             // A `dst` beyond the table came off a socket, not out of a
             // schedule; it has no route like any other unroutable packet.
-            let hop = self
-                .next_hop
-                .get(msg.dst as usize)
-                .copied()
-                .unwrap_or(UNROUTABLE);
-            if hop == UNROUTABLE {
+            let Some((k, to)) = self.row.route(msg.dst) else {
                 self.dropped.push(msg.id);
                 continue;
-            }
+            };
             ctx.send_global(
-                NodeId::from(hop as usize),
+                NodeId::from(to as usize),
                 RouterMsg {
                     hops: msg.hops.saturating_add(1),
                     ..msg
                 },
             );
-            *self.edge_load.entry(hop).or_insert(0) += 1;
+            self.edge_load[k] += 1;
             self.forwards += 1;
             sent += 1;
         }
         active |= sent > 0;
         self.quiet = !active;
+        #[cfg(debug_assertions)]
+        self.check_contracts(round);
     }
 
     fn is_done(&self) -> bool {
@@ -418,7 +544,7 @@ impl Summarize for Router {
             dropped: self.dropped.clone(),
             expired: self.expired.clone(),
             forwards: self.forwards,
-            max_edge_load: self.edge_load.values().copied().max().unwrap_or(0),
+            max_edge_load: self.edge_load.iter().copied().max().unwrap_or(0),
         }
     }
 }
@@ -429,6 +555,9 @@ mod tests {
     use overlay_core::{ExpanderParams, OverlayBuilder};
     use overlay_graph::{analysis, generators};
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn line_graph(n: usize) -> UGraph {
         let mut g = UGraph::new(n);
@@ -518,6 +647,31 @@ mod tests {
         }
     }
 
+    /// The compact rows against the specification: expanded they are
+    /// [`reference_next_hops`] (and what [`next_hops`] returns), `neighbors`
+    /// is the node's `distinct_neighbors`, and exactly the self and
+    /// unreachable entries are [`NO_HOP`]. Returns the expanded table.
+    fn assert_rows_expand_to_the_reference(graph: &UGraph) -> Vec<Vec<u32>> {
+        let rows = hop_rows(graph);
+        let reference = reference_next_hops(graph);
+        assert_eq!(rows.len(), reference.len());
+        for ((v, row), want) in graph.nodes().zip(&rows).zip(&reference) {
+            let distinct = graph.distinct_neighbors(v);
+            let distinct: Vec<u32> = distinct.iter().map(|w| w.index() as u32).collect();
+            assert_eq!(row.neighbors, distinct, "{v:?}'s neighbor list");
+            assert_eq!(&row.expand(), want, "{v:?}'s row");
+            for (&k, &to) in row.hop.iter().zip(want) {
+                assert_eq!(
+                    k == NO_HOP,
+                    to == UNROUTABLE,
+                    "{v:?}: position {k}, hop {to}"
+                );
+            }
+        }
+        assert_eq!(next_hops(graph), reference);
+        reference
+    }
+
     #[test]
     fn next_hops_route_along_shortest_paths() {
         let table = next_hops(&line_graph(5));
@@ -566,16 +720,13 @@ mod tests {
         ) {
             // Around the 64-destination word boundary and past two words.
             let n = [0, 1, 2, 63, 64, 65, 129, 200][size];
-            let g = multigraph(n, &draws);
-            prop_assert_eq!(next_hops(&g), reference_next_hops(&g));
+            assert_rows_expand_to_the_reference(&multigraph(n, &draws));
         }
     }
 
     #[test]
     fn next_hops_on_a_path_with_more_levels_than_bits() {
-        let g = line_graph(300);
-        let table = next_hops(&g);
-        assert_eq!(table, reference_next_hops(&g));
+        let table = assert_rows_expand_to_the_reference(&line_graph(300));
         assert_eq!(table[0][299], 1);
         assert_eq!(table[299][0], 298);
     }
@@ -587,8 +738,7 @@ mod tests {
             .build(&generators::line(n))
             .expect("clean build");
         for graph in [overlay.expander, overlay.tree.to_ugraph()] {
-            let table = next_hops(&graph);
-            assert_eq!(table, reference_next_hops(&graph));
+            let table = assert_rows_expand_to_the_reference(&graph);
             assert_greedy_smallest_id(&graph, &table);
         }
     }
@@ -626,8 +776,8 @@ mod tests {
             queue_cap: 8,
             per_round_budget: 8,
         };
-        let table = next_hops(&line_graph(3));
-        let mut router = Router::new(1, table[1].clone(), Vec::new(), config);
+        let row = hop_rows(&line_graph(3)).swap_remove(1);
+        let mut router = Router::new(1, row, Vec::new(), config);
         let mut outbox = Vec::new();
         let mut rng = overlay_netsim::node_rng(0, 1);
         let inbox = [
@@ -659,6 +809,274 @@ mod tests {
         assert!(summary.expired.is_empty());
         assert_eq!(summary.forwards, 1);
         assert_eq!(outbox.len(), 1);
+    }
+
+    /// The router as it stood before the compact row: a four-byte next-hop
+    /// row, an ordered map of edge loads, and a TTL walk over the whole queue
+    /// every round. The executable specification [`Router`] is checked
+    /// against.
+    struct ReferenceRouter {
+        me: u32,
+        next_hop: Vec<u32>,
+        schedule: Vec<Request>,
+        next_inject: usize,
+        config: RouterConfig,
+        queue: VecDeque<RouterMsg>,
+        seq: u32,
+        injected: u32,
+        deliveries: Vec<Delivery>,
+        dropped: Vec<u64>,
+        expired: Vec<u64>,
+        forwards: u64,
+        edge_load: BTreeMap<u32, u32>,
+        quiet: bool,
+    }
+
+    impl ReferenceRouter {
+        fn new(me: u32, next_hop: Vec<u32>, schedule: Vec<Request>, config: RouterConfig) -> Self {
+            ReferenceRouter {
+                me,
+                next_hop,
+                schedule,
+                next_inject: 0,
+                config,
+                queue: VecDeque::new(),
+                seq: 0,
+                injected: 0,
+                deliveries: Vec::new(),
+                dropped: Vec::new(),
+                expired: Vec::new(),
+                forwards: 0,
+                edge_load: BTreeMap::new(),
+                quiet: false,
+            }
+        }
+
+        fn enqueue_or_shed(&mut self, msg: RouterMsg) {
+            if (self.queue.len() as u32) < self.config.queue_cap {
+                self.queue.push_back(msg);
+            } else {
+                self.dropped.push(msg.id);
+            }
+        }
+
+        fn on_round(&mut self, ctx: &mut Ctx<'_, RouterMsg>, inbox: &[Envelope<RouterMsg>]) {
+            let round = ctx.round() as u32;
+            let mut active = !inbox.is_empty();
+            for env in inbox {
+                let msg = env.payload;
+                if msg.dst == self.me {
+                    self.deliveries.push(Delivery {
+                        id: msg.id,
+                        hops: msg.hops,
+                        injected: msg.injected,
+                        delivered: round,
+                    });
+                } else {
+                    self.enqueue_or_shed(msg);
+                }
+            }
+            while self
+                .schedule
+                .get(self.next_inject)
+                .is_some_and(|r| r.round <= round)
+            {
+                let req = self.schedule[self.next_inject];
+                self.next_inject += 1;
+                let id = ((self.me as u64) << 32) | self.seq as u64;
+                self.seq += 1;
+                self.injected += 1;
+                active = true;
+                self.enqueue_or_shed(RouterMsg {
+                    id,
+                    dst: req.dst,
+                    injected: round,
+                    hops: 0,
+                });
+            }
+            let ttl = self.config.ttl;
+            let expired = &mut self.expired;
+            self.queue.retain(|m| {
+                if round.saturating_sub(m.injected) >= ttl {
+                    expired.push(m.id);
+                    false
+                } else {
+                    true
+                }
+            });
+            let mut sent = 0;
+            while sent < self.config.per_round_budget {
+                let Some(msg) = self.queue.pop_front() else {
+                    break;
+                };
+                let hop = self
+                    .next_hop
+                    .get(msg.dst as usize)
+                    .copied()
+                    .unwrap_or(UNROUTABLE);
+                if hop == UNROUTABLE {
+                    self.dropped.push(msg.id);
+                    continue;
+                }
+                ctx.send_global(
+                    NodeId::from(hop as usize),
+                    RouterMsg {
+                        hops: msg.hops.saturating_add(1),
+                        ..msg
+                    },
+                );
+                *self.edge_load.entry(hop).or_insert(0) += 1;
+                self.forwards += 1;
+                sent += 1;
+            }
+            active |= sent > 0;
+            self.quiet = !active;
+        }
+
+        fn is_done(&self) -> bool {
+            self.next_inject == self.schedule.len() && self.queue.is_empty() && self.quiet
+        }
+
+        fn summarize(&self) -> RouterSummary {
+            RouterSummary {
+                injected: self.injected,
+                deliveries: self.deliveries.clone(),
+                dropped: self.dropped.clone(),
+                expired: self.expired.clone(),
+                forwards: self.forwards,
+                max_edge_load: self.edge_load.values().copied().max().unwrap_or(0),
+            }
+        }
+    }
+
+    /// Both routers through the same scripted rounds, for every combination
+    /// of a TTL, a queue cap and a forward budget that reaches each branch
+    /// (sweep every round / most rounds / rarely; always shedding / never;
+    /// no forwards / backlog / drained): equal sends, ledgers and doneness
+    /// after every round.
+    #[test]
+    fn the_router_matches_the_four_byte_row_ordered_map_router_round_by_round() {
+        let mut script = StdRng::seed_from_u64(0x23);
+        let mut case = 0u64;
+        for ttl in [0, 1, 2, 5] {
+            for queue_cap in [1, 3, 64] {
+                for per_round_budget in [0, 1, 4] {
+                    let config = RouterConfig {
+                        ttl,
+                        queue_cap,
+                        per_round_budget,
+                    };
+                    for _ in 0..3 {
+                        case += 1;
+                        assert_same_trajectory(config, &mut script, case);
+                    }
+                }
+            }
+        }
+    }
+
+    fn assert_same_trajectory(config: RouterConfig, script: &mut StdRng, case: u64) {
+        // Sparse enough that some destinations are out of reach.
+        let n = script.gen_range(2..24usize);
+        let draws: Vec<(usize, usize)> = (0..script.gen_range(0..2 * n))
+            .map(|_| (script.gen_range(0..n), script.gen_range(0..n)))
+            .collect();
+        let graph = multigraph(n, &draws);
+        let me = script.gen_range(0..n);
+        let mut schedule: Vec<Request> = (0..script.gen_range(0..12u32))
+            .map(|_| Request {
+                round: script.gen_range(1..30u32),
+                dst: script.gen_range(0..n as u32),
+            })
+            .collect();
+        schedule.sort_by_key(|r| (r.round, r.dst));
+        let row = hop_rows(&graph).swap_remove(me);
+        let mut router = Router::new(me as u32, row.clone(), schedule.clone(), config);
+        let mut reference = ReferenceRouter::new(me as u32, row.expand(), schedule, config);
+
+        let (mut sent, mut reference_sent) = (Vec::new(), Vec::new());
+        let mut rng = overlay_netsim::node_rng(case, me);
+        let mut next_id = 1u64 << 40;
+        for round in 1..48usize {
+            // Rounds 12..24 are quiet: longer than every TTL, so whatever is
+            // still queued ages out with no arrival to reset the bound.
+            let arrivals = match round {
+                12..=23 => 0,
+                _ => script.gen_range(0..6u32),
+            };
+            let inbox: Vec<Envelope<RouterMsg>> = (0..arrivals)
+                .map(|_| {
+                    next_id += 1;
+                    let honest = RouterMsg {
+                        id: next_id,
+                        dst: script.gen_range(0..n as u32),
+                        injected: (round as u32).saturating_sub(script.gen_range(0..7u32)),
+                        hops: script.gen_range(0..9u32),
+                    };
+                    envelope(match script.gen_range(0..10u32) {
+                        0 => RouterMsg {
+                            dst: n as u32 + script.gen_range(0..3u32) * (u32::MAX / 4),
+                            ..honest
+                        },
+                        1 => RouterMsg {
+                            injected: u32::MAX - script.gen_range(0..2u32),
+                            ..honest
+                        },
+                        2 => RouterMsg {
+                            hops: u32::MAX,
+                            ..honest
+                        },
+                        _ => honest,
+                    })
+                })
+                .collect();
+            let me_id = NodeId::from(me);
+            let mut ctx = Ctx::external(me_id, round, n, &mut rng, &mut sent);
+            router.on_round(&mut ctx, &inbox);
+            let mut ctx = Ctx::external(me_id, round, n, &mut rng, &mut reference_sent);
+            reference.on_round(&mut ctx, &inbox);
+            let at = format!("case {case} ({config:?}, n = {n}), round {round}");
+            assert_eq!(sent, reference_sent, "{at}: sends");
+            assert_eq!(router.summarize(), reference.summarize(), "{at}: ledgers");
+            assert_eq!(router.is_done(), reference.is_done(), "{at}: doneness");
+        }
+        assert_eq!(
+            rng,
+            overlay_netsim::node_rng(case, me),
+            "a router drew randomness"
+        );
+    }
+
+    #[test]
+    fn a_hand_built_row_pointing_past_its_neighbors_has_no_route() {
+        let config = RouterConfig {
+            ttl: 4,
+            queue_cap: 8,
+            per_round_budget: 8,
+        };
+        let row = HopRow {
+            neighbors: vec![2],
+            hop: vec![0, 7, NO_HOP],
+        };
+        assert_eq!(row.expand(), vec![2, UNROUTABLE, UNROUTABLE]);
+        let mut router = Router::new(3, row, Vec::new(), config);
+        let mut outbox = Vec::new();
+        let mut rng = overlay_netsim::node_rng(0, 3);
+        let inbox: Vec<Envelope<RouterMsg>> = (0..3)
+            .map(|dst| {
+                envelope(RouterMsg {
+                    id: u64::from(dst),
+                    dst,
+                    injected: 1,
+                    hops: 1,
+                })
+            })
+            .collect();
+        let mut ctx = Ctx::external(NodeId::from(3usize), 1, 4, &mut rng, &mut outbox);
+        router.on_round(&mut ctx, &inbox);
+        let summary = router.summarize();
+        assert_eq!(summary.dropped, vec![1, 2]);
+        assert_eq!((summary.forwards, summary.max_edge_load), (1, 1));
     }
 
     #[test]
@@ -707,8 +1125,8 @@ mod tests {
         };
         // Node 1 on a 3-line, zero forward budget: everything it receives
         // queues, overflows, then expires.
-        let table = next_hops(&line_graph(3));
-        let mut router = Router::new(1, table[1].clone(), Vec::new(), config);
+        let row = hop_rows(&line_graph(3)).swap_remove(1);
+        let mut router = Router::new(1, row, Vec::new(), config);
         let mut outbox = Vec::new();
         let mut rng = overlay_netsim::node_rng(0, 1);
         let inbox: Vec<Envelope<RouterMsg>> = (0..3)

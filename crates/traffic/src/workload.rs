@@ -87,7 +87,7 @@ impl Workload {
         };
         let mut out = Vec::with_capacity(n);
         for src in 0..n as u32 {
-            let mut reqs: Vec<Request> = Vec::new();
+            let mut reqs: Vec<Request> = Vec::with_capacity(requests_per_node as usize);
             for _ in 0..requests_per_node {
                 let round = rng.gen_range(1..horizon + 1);
                 let dst = match self {
