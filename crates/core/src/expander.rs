@@ -20,6 +20,11 @@
 //!
 //! Token forwarding over a self-loop slot stays at the node and consumes no message,
 //! exactly as a lazy random-walk step.
+//!
+//! The self-loop padding is implicit while the node runs: it stores the edges and
+//! the slot count `max(edges, Δ)`, and a draw past the edges is a self-loop. The
+//! padding is written out once, when the list leaves the node — in the final round,
+//! and in the summary of a node that stopped before it.
 
 use crate::ExpanderParams;
 use overlay_graph::NodeId;
@@ -86,8 +91,13 @@ pub struct ExpanderNode {
     out_neighbors: Vec<NodeId>,
     /// Distinct nodes that introduced themselves in round 0.
     intro_neighbors: Vec<NodeId>,
-    /// Current benign slot list (neighbors with multiplicity; self-loops as own id).
+    /// Current benign slot list's edges (neighbors with multiplicity; a walk that
+    /// returned home as own id). The self-loop padding is not stored until the final
+    /// round writes it out.
     slots: Vec<NodeId>,
+    /// The slot count: `max(slots.len(), Δ)` once a slot list exists, 0 before. Slots
+    /// past `slots.len()` are self-loops.
+    degree: usize,
     /// Edge endpoints collected for the *next* evolution graph.
     next_slots: Vec<NodeId>,
     /// Tokens with hops left that arrived in a round that forwards nothing (a launch
@@ -117,6 +127,7 @@ impl ExpanderNode {
             out_neighbors,
             intro_neighbors: Vec::new(),
             slots: Vec::new(),
+            degree: 0,
             next_slots: Vec::new(),
             forward_buffer: Vec::new(),
             arrived: Vec::new(),
@@ -131,9 +142,19 @@ impl ExpanderNode {
         self.id
     }
 
-    /// The node's current slot list (after termination: its adjacency in `G_L`).
+    /// The node's slot list. After termination it is the node's adjacency in `G_L`,
+    /// self-loops included; before, the self-loop padding is implicit and only the
+    /// edges are listed (the summary writes it out).
     pub fn slots(&self) -> &[NodeId] {
         &self.slots
+    }
+
+    /// The slot list with its self-loop padding written out: [`Self::slots`] of a
+    /// finished node, and the list a node that stopped early was walking on.
+    pub(crate) fn padded_slots(&self) -> Vec<NodeId> {
+        let mut slots = self.slots.clone();
+        slots.resize(self.degree, self.id);
+        slots
     }
 
     /// Number of message rounds the protocol needs after the start (intro) round:
@@ -163,10 +184,10 @@ impl ExpanderNode {
         self.pad_with_self_loops();
     }
 
+    /// Pads the slot list to degree Δ with (implicit) self-loops; an over-full list
+    /// stays over-full.
     fn pad_with_self_loops(&mut self) {
-        while self.slots.len() < self.params.delta {
-            self.slots.push(self.id);
-        }
+        self.degree = self.slots.len().max(self.params.delta);
     }
 
     /// Replaces the current slot list with the edges collected during the last
@@ -182,19 +203,21 @@ impl ExpanderNode {
     /// local and cost no message.
     fn hop_token(&mut self, ctx: &mut Ctx<'_, ExpanderMsg>, origin: NodeId, steps_left: u32) {
         // A node that joined mid-evolution has no slots until its first step-0 round;
-        // it holds the token like an all-self-loop slot list would (a lazy step).
-        // Unreachable in clean runs: slot lists are always padded to Δ there.
-        let target = if self.slots.is_empty() {
-            self.id
+        // it draws nothing and holds the token like an all-self-loop slot list would
+        // (a lazy step). Unreachable in clean runs: every node has a list there.
+        // A slot past the edges is a self-loop of the padding: nothing to load.
+        let slot = if self.degree == 0 {
+            None
         } else {
-            self.slots[ctx.rng().gen_range(0..self.slots.len())]
+            self.slots.get(ctx.rng().gen_range(0..self.degree))
         };
-        if target == self.id {
+        match slot {
+            Some(&target) if target != self.id => {
+                ctx.send_global(target, ExpanderMsg::Token { origin, steps_left })
+            }
             // Lazy step: the token stays here for one round and is taken in at the
             // next, mirroring the delivery delay of a real message.
-            self.self_delivery.push((origin, steps_left));
-        } else {
-            ctx.send_global(target, ExpanderMsg::Token { origin, steps_left });
+            _ => self.self_delivery.push((origin, steps_left)),
         }
     }
 
@@ -314,13 +337,12 @@ impl Protocol for ExpanderNode {
         self.ingest(ctx, inbox, forwarding);
 
         if evolution >= self.params.evolutions {
-            // Final round: incorporate the last acceptances and stop.
+            // Final round: incorporate the last acceptances, write the padding out
+            // (the list leaves the node through `slots()`) and stop.
             self.adopt_next_graph();
+            self.slots.resize(self.degree, self.id);
             self.done = true;
-            return;
-        }
-
-        if step == 0 {
+        } else if step == 0 {
             if evolution == 0 {
                 self.build_benign_slots();
             } else {
@@ -331,6 +353,11 @@ impl Protocol for ExpanderNode {
         } else if step == walk_len {
             self.accept_round(ctx);
         }
+        debug_assert!(
+            self.degree == 0 || self.degree == self.slots.len().max(self.params.delta),
+            "round {}: the slot count is the edges padded to Δ",
+            ctx.round()
+        );
     }
 
     fn is_done(&self) -> bool {
@@ -341,8 +368,11 @@ impl Protocol for ExpanderNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Summarize;
     use overlay_graph::{analysis, generators, DiGraph, UGraph};
-    use overlay_netsim::{CapacityModel, SimConfig, Simulator};
+    use overlay_netsim::{CapacityModel, Channel, SimConfig, Simulator};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn run_expander(g: &DiGraph, params: ExpanderParams) -> Vec<ExpanderNode> {
         let nodes: Vec<ExpanderNode> = g
@@ -400,10 +430,66 @@ mod tests {
     }
 
     impl ExpanderNode {
-        /// `on_round` as it was before tokens hopped straight from the inbox: file
-        /// everything that arrived (`ingest`), then, in a forwarding round, drain the
-        /// whole `forward_buffer` through `hop_token` (`forward_round`). The executable
-        /// specification of the hop order, and with it of the node's RNG stream.
+        /// `build_benign_slots` as it was while the padding was stored: the
+        /// neighbours × Λ, then own id pushed until the list holds Δ slots.
+        fn reference_build_benign_slots(&mut self) {
+            let mut neighbors: Vec<NodeId> = self
+                .out_neighbors
+                .iter()
+                .chain(self.intro_neighbors.iter())
+                .copied()
+                .filter(|&v| v != self.id)
+                .collect();
+            neighbors.sort_unstable();
+            neighbors.dedup();
+            self.slots.clear();
+            for v in neighbors {
+                for _ in 0..self.params.lambda {
+                    self.slots.push(v);
+                }
+            }
+            self.reference_pad_with_self_loops();
+        }
+
+        fn reference_pad_with_self_loops(&mut self) {
+            while self.slots.len() < self.params.delta {
+                self.slots.push(self.id);
+            }
+        }
+
+        fn reference_adopt_next_graph(&mut self) {
+            std::mem::swap(&mut self.slots, &mut self.next_slots);
+            self.next_slots.clear();
+            self.reference_pad_with_self_loops();
+        }
+
+        /// `hop_token` over the stored, padded list: draw a slot, load it, and step
+        /// lazily if it holds own id.
+        fn reference_hop_token(
+            &mut self,
+            ctx: &mut Ctx<'_, ExpanderMsg>,
+            origin: NodeId,
+            steps_left: u32,
+        ) {
+            let target = if self.slots.is_empty() {
+                self.id
+            } else {
+                self.slots[ctx.rng().gen_range(0..self.slots.len())]
+            };
+            if target == self.id {
+                self.self_delivery.push((origin, steps_left));
+            } else {
+                ctx.send_global(target, ExpanderMsg::Token { origin, steps_left });
+            }
+        }
+
+        /// `on_round` as it was before tokens hopped straight from the inbox, over the
+        /// slot list as it was before its padding became implicit: file everything
+        /// that arrived (`ingest`), then, in a forwarding round, drain the whole
+        /// `forward_buffer` through `reference_hop_token` (`forward_round`). The
+        /// executable specification of the hop order, of the node's RNG stream and of
+        /// the padded slot list (`slots` here always holds the padding; `degree` is
+        /// never set).
         fn reference_on_round(
             &mut self,
             ctx: &mut Ctx<'_, ExpanderMsg>,
@@ -441,19 +527,23 @@ mod tests {
             let step = k % phase_len;
 
             if evolution >= self.params.evolutions {
-                self.adopt_next_graph();
+                self.reference_adopt_next_graph();
                 self.done = true;
                 return;
             }
 
             if step == 0 {
                 if evolution == 0 {
-                    self.build_benign_slots();
+                    self.reference_build_benign_slots();
                 } else {
-                    self.adopt_next_graph();
+                    self.reference_adopt_next_graph();
                 }
                 self.arrived.clear();
-                self.launch_own_tokens(ctx);
+                // launch_own_tokens
+                let steps_left = self.params.walk_len as u32 - 1;
+                for _ in 0..self.params.tokens_per_node() {
+                    self.reference_hop_token(ctx, self.id, steps_left);
+                }
             } else if step < walk_len {
                 // forward_round
                 for (origin, steps_left) in std::mem::take(&mut self.forward_buffer) {
@@ -461,7 +551,7 @@ mod tests {
                         steps_left > 0,
                         "tokens with no hops left never enter the buffer"
                     );
-                    self.hop_token(ctx, origin, steps_left - 1);
+                    self.reference_hop_token(ctx, origin, steps_left - 1);
                 }
             } else {
                 self.accept_round(ctx);
@@ -469,11 +559,101 @@ mod tests {
         }
     }
 
+    type Sends = Vec<(NodeId, Channel, ExpanderMsg)>;
+
+    /// A node and its reference (`reference_on_round`), driven through the same
+    /// inboxes from equal RNGs.
+    struct Lockstep {
+        new: ExpanderNode,
+        old: ExpanderNode,
+        new_rng: StdRng,
+        old_rng: StdRng,
+    }
+
+    impl Lockstep {
+        fn new(id: usize, out_neighbors: &[usize], params: ExpanderParams) -> Self {
+            let out: Vec<NodeId> = out_neighbors.iter().map(|&v| NodeId::from(v)).collect();
+            let node = || ExpanderNode::new(NodeId::from(id), out.clone(), params);
+            Lockstep {
+                new: node(),
+                old: node(),
+                new_rng: StdRng::seed_from_u64(77),
+                old_rng: StdRng::seed_from_u64(77),
+            }
+        }
+
+        /// Runs the start callback on both (a node joining at `round`).
+        fn start(&mut self, round: usize) -> Sends {
+            let me = self.new.id;
+            let (mut new_out, mut old_out) = (Vec::new(), Vec::new());
+            self.new.on_start(&mut Ctx::external(
+                me,
+                round,
+                200,
+                &mut self.new_rng,
+                &mut new_out,
+            ));
+            self.old.on_start(&mut Ctx::external(
+                me,
+                round,
+                200,
+                &mut self.old_rng,
+                &mut old_out,
+            ));
+            assert_eq!(new_out, old_out, "round {round}: start outbox");
+            new_out
+        }
+
+        /// Runs one round on both, asserts that they agree on everything a round can
+        /// change — the summary against the reference's stored, padded list — and
+        /// returns the sends.
+        fn round(&mut self, round: usize, mail: &[(usize, ExpanderMsg)]) -> Sends {
+            let me = self.new.id;
+            let inbox: Vec<Envelope<ExpanderMsg>> = mail
+                .iter()
+                .map(|&(from, payload)| Envelope {
+                    from: NodeId::from(from),
+                    channel: Channel::Global,
+                    payload,
+                })
+                .collect();
+            let (mut new_out, mut old_out) = (Vec::new(), Vec::new());
+            let (new, old) = (&mut self.new, &mut self.old);
+            new.on_round(
+                &mut Ctx::external(me, round, 200, &mut self.new_rng, &mut new_out),
+                &inbox,
+            );
+            old.reference_on_round(
+                &mut Ctx::external(me, round, 200, &mut self.old_rng, &mut old_out),
+                &inbox,
+            );
+            assert_eq!(new_out, old_out, "round {round}: outbox");
+            assert_eq!(new.arrived, old.arrived, "round {round}: arrived");
+            assert_eq!(
+                new.self_delivery, old.self_delivery,
+                "round {round}: self_delivery"
+            );
+            assert_eq!(
+                new.forward_buffer, old.forward_buffer,
+                "round {round}: forward_buffer"
+            );
+            assert_eq!(new.next_slots, old.next_slots, "round {round}: next_slots");
+            assert_eq!(new.summarize().slots, old.slots, "round {round}: summary");
+            assert_eq!(new.done, old.done, "round {round}: done");
+            if new.done {
+                assert_eq!(new.slots(), old.slots(), "round {round}: finished slots");
+            }
+            assert_eq!(
+                self.new_rng.clone().gen::<u64>(),
+                self.old_rng.clone().gen::<u64>(),
+                "round {round}: the node's RNG stream moved"
+            );
+            new_out
+        }
+    }
+
     #[test]
     fn hopping_from_the_inbox_matches_file_then_drain_round_by_round() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
         let id = NodeId::from;
         let token = |from: usize, origin: usize, steps_left: u32| {
             let origin = id(origin);
@@ -546,60 +726,135 @@ mod tests {
             vec![token(9, 110, 2)],
         ];
 
-        let node = || ExpanderNode::new(id(5), vec![id(6)], params);
-        let (mut new, mut old) = (node(), node());
-        let (mut new_rng, mut old_rng) = (StdRng::seed_from_u64(77), StdRng::seed_from_u64(77));
+        let mut pair = Lockstep::new(5, &[6], params);
         let mut held_token_stepped_lazily = false;
         for (r, mail) in script.iter().enumerate() {
             let round = r + 1;
-            let inbox: Vec<Envelope<ExpanderMsg>> = mail
-                .iter()
-                .map(|&(from, payload)| Envelope {
-                    from: id(from),
-                    channel: overlay_netsim::Channel::Global,
-                    payload,
-                })
-                .collect();
-            let held_before: Vec<NodeId> = new.forward_buffer.iter().map(|t| t.0).collect();
-            let (mut new_out, mut old_out) = (Vec::new(), Vec::new());
-            new.on_round(
-                &mut Ctx::external(id(5), round, 200, &mut new_rng, &mut new_out),
-                &inbox,
-            );
-            old.reference_on_round(
-                &mut Ctx::external(id(5), round, 200, &mut old_rng, &mut old_out),
-                &inbox,
-            );
-            assert_eq!(new_out, old_out, "round {round}: outbox");
-            assert_eq!(new.arrived, old.arrived, "round {round}: arrived");
-            assert_eq!(
-                new.self_delivery, old.self_delivery,
-                "round {round}: self_delivery"
-            );
-            assert_eq!(
-                new.forward_buffer, old.forward_buffer,
-                "round {round}: forward_buffer"
-            );
-            assert_eq!(new.next_slots, old.next_slots, "round {round}: next_slots");
-            assert_eq!(new.slots, old.slots, "round {round}: slots");
-            assert_eq!(new.done, old.done, "round {round}: done");
-            assert_eq!(
-                new_rng.clone().gen::<u64>(),
-                old_rng.clone().gen::<u64>(),
-                "round {round}: the node's RNG stream moved"
-            );
+            let held_before: Vec<NodeId> = pair.new.forward_buffer.iter().map(|t| t.0).collect();
+            pair.round(round, mail);
             let forwarding = matches!(round, 2..=4 | 7..=9);
             if forwarding {
-                assert!(new.forward_buffer.is_empty(), "round {round} forwards all");
-                held_token_stepped_lazily |=
-                    new.self_delivery.iter().any(|t| held_before.contains(&t.0));
+                assert!(
+                    pair.new.forward_buffer.is_empty(),
+                    "round {round} forwards all"
+                );
+                held_token_stepped_lazily |= pair
+                    .new
+                    .self_delivery
+                    .iter()
+                    .any(|t| held_before.contains(&t.0));
             }
         }
-        assert!(old.done && old.forward_buffer == vec![(id(109), 2)]);
+        assert!(pair.old.done && pair.old.forward_buffer == vec![(id(109), 2)]);
         assert!(
             held_token_stepped_lazily,
             "the script must make a held token take a lazy hop in the round it is drained"
         );
+    }
+
+    #[test]
+    fn implicit_padding_matches_the_stored_padding_round_by_round() {
+        let token = |from: usize, origin: usize, steps_left: u32| {
+            let origin = NodeId::from(origin);
+            (from, ExpanderMsg::Token { origin, steps_left })
+        };
+        let accepts = |from: std::ops::Range<usize>| -> Vec<(usize, ExpanderMsg)> {
+            from.map(|v| (v, ExpanderMsg::Accept)).collect()
+        };
+        let hops = |sends: &Sends| {
+            sends
+                .iter()
+                .any(|(_, _, m)| matches!(m, ExpanderMsg::Token { .. }))
+        };
+        // ℓ = 4, L = 3: evolution e launches in round 1 + 5e, forwards in the next
+        // three, accepts in the fifth; round 16 is the final round. Δ = 16, 2 tokens
+        // per node, at most 6 accepts.
+        let params = ExpanderParams {
+            delta: 16,
+            lambda: 2,
+            walk_len: 4,
+            evolutions: 3,
+            ncc0_cap: 64,
+            bfs_rounds: 0,
+            seed: 0,
+        };
+
+        // Node 5: six benign edges; then 20 accepts and four walks that returned home
+        // make evolution 1's list over-full with own id inside it; evolution 2 is
+        // ordinary; 20 more accepts make the finished list over-full.
+        let mut a = Lockstep::new(5, &[6], params);
+        let mut script: Vec<Vec<(usize, ExpanderMsg)>> = vec![Vec::new(); 17];
+        script[1] = vec![(4, ExpanderMsg::Intro), (7, ExpanderMsg::Intro)];
+        script[2] = vec![token(6, 40, 2), token(4, 41, 1)];
+        script[3] = accepts(20..40);
+        script[4] = vec![
+            token(6, 5, 0),
+            token(6, 5, 0),
+            token(4, 5, 0),
+            token(4, 5, 0),
+        ];
+        script[4].push(token(4, 42, 1));
+        script[5] = vec![token(7, 43, 0)];
+        script[7] = (50..54).map(|o| token(4, o, 2)).collect();
+        script[8] = (55..59).map(|o| token(6, o, 1)).collect();
+        script[10] = vec![
+            (8, ExpanderMsg::Accept),
+            token(6, 60, 0),
+            (4, ExpanderMsg::Accept),
+        ];
+        script[12] = accepts(60..80);
+        script[13] = vec![token(4, 61, 1), token(6, 62, 1)];
+        script[16] = accepts(80..82);
+        let mut lazy_without_padding = false;
+        for (round, mail) in script.iter().enumerate().skip(1) {
+            let edges = a.new.next_slots.len() + mail.len();
+            a.round(round, mail);
+            if (6..=10).contains(&round) {
+                assert!(a.new.slots.len() > 16 && a.new.degree == a.new.slots.len());
+                assert!(a.new.slots.contains(&a.new.id), "own id inside the edges");
+                lazy_without_padding |= !a.new.self_delivery.is_empty();
+            }
+            if round == 16 {
+                assert!(edges > 16 && a.new.done);
+                assert_eq!(
+                    a.new.slots().len(),
+                    edges.max(16),
+                    "an over-full list stays"
+                );
+            }
+        }
+        assert!(
+            lazy_without_padding,
+            "a draw of own id inside an unpadded list must step lazily"
+        );
+
+        // Node 9 joins in round 3: in round 4 it holds two tokens without a draw, in
+        // evolution 1 it walks on zero edges (every hop lazy), and it finishes padded.
+        let mut b = Lockstep::new(9, &[5], params);
+        let mut script: Vec<Vec<(usize, ExpanderMsg)>> = vec![Vec::new(); 17];
+        script[4] = vec![token(5, 70, 3), token(5, 71, 2)];
+        script[7] = vec![token(5, 72, 2)];
+        script[10] = vec![(5, ExpanderMsg::Accept)];
+        script[12] = vec![token(5, 73, 1)];
+        b.start(3);
+        for (round, mail) in script.iter().enumerate().skip(4) {
+            let word = b.new_rng.clone().gen::<u64>();
+            let edges = b.new.next_slots.len() + mail.len();
+            let sends = b.round(round, mail);
+            if round == 4 {
+                assert_eq!(b.new.degree, 0, "no slot list before the first launch");
+                assert_eq!(b.new_rng.clone().gen::<u64>(), word, "nothing drawn");
+                assert_eq!(b.new.self_delivery.len(), 2, "both tokens held");
+            }
+            if (6..=9).contains(&round) {
+                assert!(b.new.slots.is_empty() && b.new.degree == 16);
+                assert!(!hops(&sends), "round {round}: zero edges, every hop lazy");
+            }
+            if round == 16 {
+                assert!(edges < 16 && b.new.done);
+                assert_eq!(b.new.slots().len(), 16, "the finished list is padded");
+            }
+        }
     }
 
     #[test]

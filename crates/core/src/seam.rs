@@ -91,7 +91,7 @@ impl Summarize for ExpanderNode {
     fn summarize(&self) -> ExpanderSummary {
         ExpanderSummary {
             id: self.id(),
-            slots: self.slots().to_vec(),
+            slots: self.padded_slots(),
         }
     }
 }

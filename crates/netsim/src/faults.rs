@@ -497,6 +497,12 @@ impl<M> FaultRouter<M> {
         metrics.crashed = self.crashes_at(round);
         metrics.joined = self.join_count_at(round);
     }
+
+    /// The next word of the router's RNG, without drawing it.
+    #[cfg(test)]
+    pub(crate) fn peek_rng(&self) -> u64 {
+        self.rng.clone().gen()
+    }
 }
 
 #[cfg(test)]

@@ -142,30 +142,41 @@ pub struct RunOutcome {
     pub all_done: bool,
 }
 
-/// One round's envelopes in two flat, reusable buffers: the *staging* buffer the
-/// routing phases append to, and the *inbox* buffer the callbacks read.
+/// The recipient half of an outbox entry's route pair when the entry is not delivered
+/// next round (dropped, or delayed and handed to the fault router). No node has this
+/// index: `Simulator::new` admits at most `u32::MAX` nodes.
+const NOT_ROUTED: u32 = u32::MAX;
+
+/// One round's deliveries: a routing verdict per outbox entry, a staging buffer for
+/// the delayed envelopes the fault router releases, and the *inbox* buffer the
+/// callbacks read.
 ///
-/// During dispatch (and when the router releases delayed messages) envelopes are
-/// appended to the staging buffer in routing order, tagged with their recipient, and
-/// counted per recipient as they are pushed — all of them, and the global ones.
-/// At the start of the next round `EnvelopeArena::group` turns the counts into
-/// offsets with one prefix sum over the nodes and moves every staged envelope to its
-/// place in the inbox buffer with one stable out-of-place scatter, so each node's inbox
-/// is one contiguous slice. Each envelope is written once when staged and once when
-/// scattered; nothing else of a round reads it before its recipient's callback, because
-/// the receive caps and the delivery tally read the counts.
+/// Dispatch reads the round's outbox in place and records one `(recipient, sender)`
+/// pair per entry — `NOT_ROUTED` for anything not delivered next round — counting
+/// what it routes per recipient, all of it and the global part. When the router
+/// releases delayed envelopes at the start of the next round they are staged and
+/// counted the same way. `EnvelopeArena::group` then turns the counts into offsets
+/// with one prefix sum over the nodes and moves every envelope to its place in the
+/// inbox buffer with one stable out-of-place scatter — draining the outbox by the
+/// recorded pairs, then the staged envelopes — so each node's inbox is one contiguous
+/// slice. A routed envelope is written once, by the scatter; nothing else of a round
+/// reads it before its recipient's callback, because the receive caps and the
+/// delivery tally read the counts.
 ///
-/// The scatter is *stable*: two messages to the same recipient keep their staging
-/// order (delayed messages, released after the routed ones were staged, come last),
-/// which is the delivery order every committed report was produced with.
+/// The scatter is *stable*: two messages to the same recipient keep their routing
+/// order (routed ones in sender-then-send order, then the delayed ones in release
+/// order), which is the delivery order every committed report was produced with.
 ///
-/// Both buffers keep their allocation from round to round. The inbox buffer stays at
+/// Every buffer keeps its allocation from round to round. The inbox buffer stays at
 /// its high-water length and is assigned into, never truncated: the envelopes past the
 /// valid prefix — and the evicted tail of a capped inbox — are stale values awaiting
 /// overwrite, outside every range `EnvelopeArena::inbox` hands out and never observed.
 #[derive(Debug)]
 pub struct EnvelopeArena<M> {
-    /// Envelopes staged for the next delivery, in routing order; emptied by
+    /// Per entry of the outbox being dispatched: `(recipient, sender)`, or
+    /// [`NOT_ROUTED`] in the recipient half; emptied by [`Self::group`].
+    routes: Vec<(u32, u32)>,
+    /// Delayed envelopes due at the next delivery, in release order; emptied by
     /// [`Self::group`].
     staged: Vec<Envelope<M>>,
     /// Recipient of `staged[i]`.
@@ -174,8 +185,9 @@ pub struct EnvelopeArena<M> {
     inboxes: Vec<Envelope<M>>,
     /// Per node: where its inbox starts in `inboxes`, valid after [`Self::group`].
     starts: Vec<usize>,
-    /// Per node: the envelopes staged for it since the last [`Self::clear`], kept at
-    /// [`Self::push`] — after [`Self::group`], the length of its inbox.
+    /// Per node: the envelopes routed or staged for it since the last [`Self::clear`],
+    /// kept at [`Self::route`] and [`Self::push`] — after [`Self::group`], the length
+    /// of its inbox.
     lens: Vec<usize>,
     /// Per node: how many of those travel on [`Channel::Global`].
     globals: Vec<usize>,
@@ -187,6 +199,7 @@ impl<M: Clone> EnvelopeArena<M> {
     /// An empty arena for `n` nodes.
     fn new(n: usize) -> Self {
         EnvelopeArena {
+            routes: Vec::new(),
             staged: Vec::new(),
             to: Vec::new(),
             inboxes: Vec::new(),
@@ -197,30 +210,53 @@ impl<M: Clone> EnvelopeArena<M> {
         }
     }
 
-    /// Stages an envelope for recipient `to` (delivery happens after [`Self::group`])
-    /// and counts it.
+    /// Counts one envelope for node `t`.
+    #[inline]
+    fn count(&mut self, t: usize, channel: Channel) {
+        self.lens[t] += 1;
+        self.globals[t] += usize::from(channel == Channel::Global);
+    }
+
+    /// Routes the next outbox entry, sent by node `from` to node `to`, for delivery
+    /// after [`Self::group`], and counts it.
+    #[inline]
+    fn route(&mut self, from: usize, to: usize, channel: Channel) {
+        self.count(to, channel);
+        // `Simulator::new` checked that every node index fits.
+        self.routes.push((to as u32, from as u32));
+    }
+
+    /// Records that the next outbox entry is not delivered next round.
+    #[inline]
+    fn skip(&mut self) {
+        self.routes.push((NOT_ROUTED, NOT_ROUTED));
+    }
+
+    /// Stages a delayed envelope for recipient `to` (delivery happens after
+    /// [`Self::group`]) and counts it.
     #[inline]
     fn push(&mut self, to: NodeId, env: Envelope<M>) {
         let t = to.index();
-        self.lens[t] += 1;
-        self.globals[t] += usize::from(env.channel == Channel::Global);
-        // `Simulator::new` checked that every node index fits.
+        self.count(t, env.channel);
         self.to.push(t as u32);
         self.staged.push(env);
     }
 
     /// Forgets the delivered round: empties every inbox and zeroes the counts, so the
-    /// arena can stage the next one. Every buffer keeps its capacity.
+    /// arena can route the next one. Every buffer keeps its capacity.
     fn clear(&mut self) {
+        self.routes.clear();
         self.staged.clear();
         self.to.clear();
         self.lens.fill(0);
         self.globals.fill(0);
     }
 
-    /// Turns the staged envelopes into per-node inboxes: a prefix sum over the counts
-    /// kept at [`Self::push`], then one stable scatter into the inbox buffer.
-    fn group(&mut self) {
+    /// Turns the routed outbox entries and the staged envelopes into per-node inboxes:
+    /// a prefix sum over the counts kept at [`Self::route`] and [`Self::push`], then
+    /// one stable scatter into the inbox buffer that drains `outbox` (the entries the
+    /// recorded routes belong to), then the staging buffer.
+    fn group(&mut self, outbox: &mut Vec<(NodeId, Channel, M)>) {
         let mut total = 0usize;
         for ((start, cursor), &len) in self
             .starts
@@ -233,22 +269,53 @@ impl<M: Clone> EnvelopeArena<M> {
             total += len;
         }
         assert_eq!(
-            total,
-            self.staged.len(),
-            "every staged envelope was counted"
+            outbox.len(),
+            self.routes.len(),
+            "one route per outbox entry"
         );
         if self.inboxes.len() < total {
-            // Safe code can only grow the buffer with initialised values; any staged
-            // envelope will do, every slot below `total` is assigned right after.
-            let filler = self.staged[0].clone();
+            // Safe code can only grow the buffer with initialised values; any envelope
+            // of the round will do, every slot below `total` is assigned right after.
+            let filler = outbox
+                .iter()
+                .zip(&self.routes)
+                .find(|(_, &(t, _))| t != NOT_ROUTED)
+                .map(|((_, channel, payload), &(_, from))| Envelope {
+                    from: NodeId::from(from as usize),
+                    channel: *channel,
+                    payload: payload.clone(),
+                })
+                .or_else(|| self.staged.first().cloned())
+                .expect("a positive total counted an envelope");
             self.inboxes.resize(total, filler);
         }
-        for (env, &t) in self.staged.drain(..).zip(&self.to) {
-            let cursor = &mut self.cursors[t as usize];
-            self.inboxes[*cursor] = env;
+        let mut scattered = 0usize;
+        let (cursors, inboxes) = (&mut self.cursors, &mut self.inboxes);
+        let mut place = |t: u32, env: Envelope<M>| {
+            let cursor = &mut cursors[t as usize];
+            inboxes[*cursor] = env;
             *cursor += 1;
+            scattered += 1;
+        };
+        for ((_, channel, payload), &(t, from)) in outbox.drain(..).zip(&self.routes) {
+            if t != NOT_ROUTED {
+                let from = NodeId::from(from as usize);
+                place(
+                    t,
+                    Envelope {
+                        from,
+                        channel,
+                        payload,
+                    },
+                );
+            }
         }
+        for (env, &t) in self.staged.drain(..).zip(&self.to) {
+            place(t, env);
+        }
+        self.routes.clear();
         self.to.clear();
+        assert_eq!(scattered, total, "what was scattered is what was counted");
     }
 
     /// Node `i`'s inbox for the current round (valid after [`Self::group`]).
@@ -346,7 +413,7 @@ fn step_chunk<P: Protocol>(
     router: &FaultRouter<P::Message>,
     out: &mut ChunkOut<P::Message>,
 ) {
-    debug_assert!(out.outbox.is_empty(), "last round's sends were dispatched");
+    debug_assert!(out.outbox.is_empty(), "last round's sends were grouped");
     out.transport = TransportCounters::default();
     out.noted.clear();
     for (k, node) in chunk.nodes.iter_mut().enumerate() {
@@ -403,20 +470,22 @@ pub fn node_rng(seed: u64, i: usize) -> StdRng {
 ///
 /// # Hot-path layout
 ///
-/// A message is written three times between the `send_*` that queues it and the
+/// A message is written twice between the `send_*` that queues it and the
 /// `on_round` that consumes it, each time into a flat buffer that is reused — not
-/// reallocated — round after round: the shared outbox every node appends to behind
-/// its own base offset, the [`EnvelopeArena`]'s staging buffer (dispatch: send caps,
-/// then the fault router), and the arena's inbox buffer (one stable scatter at the
-/// start of the next round). No stage reads more of a message than it needs: dispatch
-/// adds a sender's totals once per sender, a clean fault plan routes without touching
-/// the liveness tables, and the receive caps and the delivery tally are O(n) reads of
-/// the per-recipient counts the arena keeps while staging — an inbox is scanned only
-/// when it is over the cap. The remaining per-node lookups are flat arrays too: local
-/// adjacency is CSR (offsets plus a sorted, deduplicated neighbor array with
-/// binary-search membership), per-edge CONGEST counters are an epoch-stamped array
-/// instead of a `HashMap`, and done-flags are cached per node so `all_done` never
-/// virtual-dispatches.
+/// reallocated — round after round: into the shared outbox every node appends to
+/// behind its own base offset, and into the [`EnvelopeArena`]'s inbox buffer by one
+/// stable scatter at the start of the next round that drains the outbox. In between,
+/// dispatch reads it in place (send caps, then the fault router) and records its
+/// recipient and sender; only a delayed message is copied besides, into the fault
+/// router's buffer, and staged in the arena when it is due. No stage reads more of a
+/// message than it needs: dispatch adds a sender's totals once per sender, a clean
+/// fault plan routes without touching the liveness tables, and the receive caps and
+/// the delivery tally are O(n) reads of the per-recipient counts the arena keeps
+/// while routing — an inbox is scanned only when it is over the cap. The remaining
+/// per-node lookups are flat arrays too: local adjacency is CSR (offsets plus a
+/// sorted, deduplicated neighbor array with binary-search membership), per-edge
+/// CONGEST counters are an epoch-stamped array instead of a `HashMap`, and
+/// done-flags are cached per node so `all_done` never virtual-dispatches.
 ///
 /// # Within-round parallelism
 ///
@@ -429,9 +498,10 @@ pub fn node_rng(seed: u64, i: usize) -> StdRng {
 pub struct Simulator<P: Protocol> {
     nodes: Vec<P>,
     rngs: Vec<StdRng>,
-    /// Next round's inboxes: staged during dispatch, scattered at the start of the round.
+    /// Next round's inboxes: routed during dispatch, scattered at the start of the round.
     arena: EnvelopeArena<P::Message>,
-    /// The whole round's outgoing messages, all nodes back to back.
+    /// The whole round's outgoing messages, all nodes back to back; they stay here
+    /// until the next round's scatter moves the routed ones into the arena.
     outbox: Vec<(NodeId, Channel, P::Message)>,
     /// Per-node message count within `outbox` for the current round.
     out_lens: Vec<usize>,
@@ -695,8 +765,8 @@ impl<P: Protocol> Simulator<P> {
         let (router, arena) = (&mut self.router, &mut self.arena);
         router.drain_due(round, |to, env| arena.push(to, env));
         #[cfg(debug_assertions)]
-        let due = self.arena.staged.len();
-        self.arena.group();
+        let due: usize = self.arena.lens.iter().sum();
+        self.arena.group(&mut self.outbox);
 
         let mut round_metrics = RoundMetrics::default();
         self.router.record_lifecycle(round, &mut round_metrics);
@@ -710,21 +780,25 @@ impl<P: Protocol> Simulator<P> {
         self.check_inbox_contracts();
 
         self.run_callbacks(round, &mut round_metrics);
-        #[cfg(debug_assertions)]
-        let queued = self.outbox.len();
         self.dispatch(&mut round_metrics);
         #[cfg(debug_assertions)]
-        self.check_contracts(due, queued, &round_metrics);
+        self.check_contracts(due, &round_metrics);
         self.emit_round_end(round, &round_metrics);
         self.metrics.record_round(round_metrics);
     }
 
     /// The arena's books for the round being delivered, checked where they are
-    /// read (after the receive caps, before the callbacks): every node's global
-    /// count is a recount of its inbox, and no inbox is over the cap. That the
-    /// counts add up to the envelopes staged is `group`'s own assertion.
+    /// read (after the receive caps, before the callbacks): the scatter drained the
+    /// outbox and the staging buffer, every node's global count is a recount of its
+    /// inbox, and no inbox is over the cap. That the counts add up to the envelopes
+    /// scattered is `group`'s own assertion.
     #[cfg(debug_assertions)]
     fn check_inbox_contracts(&self) {
+        assert!(
+            self.outbox.is_empty() && self.arena.routes.is_empty() && self.arena.staged.is_empty(),
+            "round {}: the scatter left an envelope behind",
+            self.round
+        );
         let cap = self.caps.global_cap();
         for i in 0..self.nodes.len() {
             let inbox = self.arena.inbox(i);
@@ -746,12 +820,37 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Message conservation for one round, stated on its [`RoundMetrics`]:
-    /// `due` messages were staged or drained for delivery this round and the
-    /// callbacks `queued` new ones. The arena, staging again by now, must have
-    /// counted exactly what it holds.
+    /// `due` messages were routed or released for delivery this round, and the
+    /// callbacks queued the outbox. The arena, routing again by now, must hold one
+    /// route per queued message naming its sender and recipient, and its counts must
+    /// be a recount of the routed pairs plus the staged delayed envelopes.
     #[cfg(debug_assertions)]
-    fn check_contracts(&self, due: usize, queued: usize, m: &RoundMetrics) {
+    fn check_contracts(&self, due: usize, m: &RoundMetrics) {
+        let queued = self.outbox.len();
+        assert_eq!(
+            self.arena.routes.len(),
+            queued,
+            "round {}: one route per queued message",
+            self.round
+        );
+        let senders = (self.out_lens.iter().enumerate())
+            .flat_map(|(i, &len)| std::iter::repeat_n(i as u32, len));
+        let mut routed = 0u64;
         let mut recount = vec![(0usize, 0usize); self.nodes.len()];
+        let entries = self.outbox.iter().zip(&self.arena.routes).zip(senders);
+        for (((to, channel, _), &(t, from)), sender) in entries {
+            if t == NOT_ROUTED {
+                continue;
+            }
+            assert!(
+                (t as usize, from) == (to.index(), sender),
+                "round {}: a route names the wrong recipient or sender",
+                self.round
+            );
+            routed += 1;
+            recount[t as usize].0 += 1;
+            recount[t as usize].1 += usize::from(*channel == Channel::Global);
+        }
         for (env, &t) in self.arena.staged.iter().zip(&self.arena.to) {
             recount[t as usize].0 += 1;
             recount[t as usize].1 += usize::from(env.channel == Channel::Global);
@@ -759,7 +858,7 @@ impl<P: Protocol> Simulator<P> {
         let counts = self.arena.lens.iter().zip(&self.arena.globals);
         assert!(
             counts.map(|(&len, &globals)| (len, globals)).eq(recount),
-            "round {}: the counts kept at staging are not a recount of the staged envelopes",
+            "round {}: the counts kept at routing are not a recount of the routed and staged envelopes",
             self.round
         );
         assert_eq!(
@@ -768,11 +867,10 @@ impl<P: Protocol> Simulator<P> {
             "round {}: a message due now was neither delivered nor evicted by the receive cap",
             self.round
         );
-        let staged = self.arena.staged.len() as u64;
         assert_eq!(
-            staged + m.delayed + m.dropped() - m.dropped_receive,
+            routed + m.delayed + m.dropped() - m.dropped_receive,
             queued as u64,
-            "round {}: a queued message was not staged, delayed or dropped under one send-side cause",
+            "round {}: a queued message was not routed, delayed or dropped under one send-side cause",
             self.round
         );
         if let Some(cap) = self.caps.global_cap() {
@@ -836,7 +934,7 @@ impl<P: Protocol> Simulator<P> {
             return; // no nodes
         };
         // Chunk 0 writes straight into the round's outbox (lent to its slot for
-        // the callbacks; dispatch left it drained, capacity retained).
+        // the callbacks; the scatter left it drained, capacity retained).
         first_out.outbox = std::mem::take(&mut self.outbox);
         if outs.is_empty() {
             step(first, first_out);
@@ -924,19 +1022,19 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Applies send-side caps and routes every surviving message through the fault
-    /// router, which enqueues it for the next round (staged in the arena), delays
-    /// it, or drops it.
+    /// Applies send-side caps to the outbox in place and routes every surviving
+    /// message through the fault router, which enqueues it for the next round (a
+    /// route in the arena; the message stays in the outbox until the scatter), delays
+    /// it (a copy in the router's buffer), or drops it.
     fn dispatch(&mut self, round_metrics: &mut RoundMetrics) {
         let n = self.nodes.len();
         let global_send_cap = self.caps.global_cap();
         let local_edge_cap = self.caps.local_edge_cap();
 
         // The arena's current contents were consumed by the protocol callbacks;
-        // recycle it as the staging area for the next round's deliveries.
+        // recycle it to route the next round's deliveries.
         self.arena.clear();
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut messages = outbox.drain(..);
+        let mut messages = self.outbox.iter();
         for i in 0..n {
             let sender = NodeId::from(i);
             let mut global_sent = 0usize;
@@ -945,8 +1043,9 @@ impl<P: Protocol> Simulator<P> {
             // that doesn't match `edge_epoch` reads as zero (the SoA replacement
             // for clearing a per-sender HashMap each iteration).
             self.edge_epoch += 1;
-            for (to, channel, payload) in messages.by_ref().take(self.out_lens[i]) {
+            for &(to, channel, ref payload) in messages.by_ref().take(self.out_lens[i]) {
                 if to.index() >= n {
+                    self.arena.skip();
                     self.drop_message(
                         round_metrics,
                         sender,
@@ -980,6 +1079,7 @@ impl<P: Protocol> Simulator<P> {
                     }
                 };
                 if !allowed {
+                    self.arena.skip();
                     self.drop_message(round_metrics, sender, to, channel, DropCause::SendCap);
                     continue;
                 }
@@ -997,18 +1097,21 @@ impl<P: Protocol> Simulator<P> {
                 total_sent += 1;
                 // The message was sent (and paid for); the fault router now decides
                 // whether the network actually carries it.
-                let env = Envelope {
-                    from: sender,
-                    channel,
-                    payload,
-                };
                 match self.router.route(sender, to, self.round) {
-                    Route::Deliver => self.arena.push(to, env),
+                    Route::Deliver => self.arena.route(i, to.index(), channel),
                     Route::Delay(deliver_round) => {
+                        self.arena.skip();
                         round_metrics.delayed += 1;
+                        let payload = payload.clone();
+                        let env = Envelope {
+                            from: sender,
+                            channel,
+                            payload,
+                        };
                         self.router.buffer(deliver_round, to, env);
                     }
                     Route::Drop(cause) => {
+                        self.arena.skip();
                         self.drop_message(round_metrics, sender, to, channel, cause)
                     }
                 }
@@ -1018,9 +1121,6 @@ impl<P: Protocol> Simulator<P> {
             round_metrics.max_sent = round_metrics.max_sent.max(total_sent);
             round_metrics.max_global_sent = round_metrics.max_global_sent.max(global_sent);
         }
-        drop(messages);
-        // Hand the (drained, capacity-retaining) buffer back for the next round.
-        self.outbox = outbox;
         // Receive caps are applied at delivery time (see `apply_receive_caps`).
     }
 }
@@ -1204,17 +1304,32 @@ mod tests {
             payload,
         };
         let mut arena: EnvelopeArena<u32> = EnvelopeArena::new(3);
-        // Interleaved staging order, as dispatch produces it.
-        arena.push(NodeId::from(2usize), env(0, 10));
-        arena.push(NodeId::from(0usize), env(1, 11));
-        arena.push(NodeId::from(2usize), env(1, 12));
-        arena.push(NodeId::from(0usize), env(2, 13));
-        arena.push(NodeId::from(2usize), env(2, 14));
-        arena.group();
+        // Interleaved routing order, as dispatch produces it, with one entry not
+        // routed; then a delayed envelope released for node 0.
+        let mut outbox = Vec::new();
+        for (from, to, payload, routed) in [
+            (0, 2, 10, true),
+            (1, 0, 11, true),
+            (1, 1, 15, false),
+            (1, 2, 12, true),
+            (2, 0, 13, true),
+            (2, 2, 14, true),
+        ] {
+            outbox.push((NodeId::from(to), Channel::Global, payload));
+            if routed {
+                arena.route(from, to, Channel::Global);
+            } else {
+                arena.skip();
+            }
+        }
+        arena.push(NodeId::from(0usize), env(1, 9));
+        arena.group(&mut outbox);
+        assert!(outbox.is_empty(), "the scatter drains the outbox");
         fn payloads(arena: &EnvelopeArena<u32>, i: usize) -> Vec<u32> {
             arena.inbox(i).iter().map(|e| e.payload).collect()
         }
-        assert_eq!(payloads(&arena, 0), vec![11, 13]);
+        assert_eq!(payloads(&arena, 0), vec![11, 13, 9]);
+        assert_eq!(arena.inbox(0)[1].from, NodeId::from(2usize));
         assert_eq!(payloads(&arena, 1), Vec::<u32>::new());
         assert_eq!(payloads(&arena, 2), vec![10, 12, 14]);
         // Dropping the middle of an inbox preserves the order of the rest.
@@ -1222,7 +1337,7 @@ mod tests {
         assert_eq!(payloads(&arena, 2), vec![10, 14]);
         // Clearing retains nothing but keeps the arena usable.
         arena.clear();
-        arena.group();
+        arena.group(&mut outbox);
         assert!((0..3).all(|i| arena.inbox(i).is_empty()));
     }
 
@@ -1359,10 +1474,11 @@ mod tests {
                     to: Vec::new(),
                     ranges: vec![(0, 0); n],
                 };
-                // `dispatch` stages the routed envelopes at the end of a round and
-                // clears the arena first; `drain_due` adds the delayed ones at the
-                // start of the next. Each envelope is named by a unique sender.
+                // `dispatch` clears the arena and routes the outbox at the end of a
+                // round, some entries not at all; `drain_due` stages the delayed ones
+                // at the start of the next. Each envelope is named by a unique sender.
                 sim.arena.clear();
+                let mut outbox = Vec::new();
                 for k in 0..routed + delayed {
                     let to = if gen.gen_bool(hot_share) {
                         hot
@@ -1378,9 +1494,19 @@ mod tests {
                         },
                         payload: (round * 1000 + k) as u32,
                     };
+                    if k < routed && gen.gen_bool(0.2) {
+                        outbox.push((NodeId::from(to), env.channel, env.payload));
+                        sim.arena.skip();
+                        continue;
+                    }
                     reference.buf.push(env.clone());
                     reference.to.push(to);
-                    sim.arena.push(NodeId::from(to), env);
+                    if k < routed {
+                        outbox.push((NodeId::from(to), env.channel, env.payload));
+                        sim.arena.route(k, to, env.channel);
+                    } else {
+                        sim.arena.push(NodeId::from(to), env);
+                    }
                 }
                 // Counts kept at push are a recount of what was staged.
                 let mut recount = vec![(0usize, 0usize); n];
@@ -1395,7 +1521,7 @@ mod tests {
 
                 let over = sim.arena.globals.iter().filter(|&&g| g > cap).count();
                 covered = (covered.0 + over, covered.1 + n - over);
-                sim.arena.group();
+                sim.arena.group(&mut outbox);
                 reference.reference_group();
                 for i in 0..n {
                     assert_eq!(
@@ -1447,6 +1573,375 @@ mod tests {
             covered.0 > 100 && covered.1 > 100,
             "the generator must mix inboxes over and under the cap, got {covered:?}"
         );
+    }
+
+    impl<M: Clone> EnvelopeArena<M> {
+        /// `group` as it was while every delivery was staged: a prefix sum over the
+        /// counts kept at `push`, then one stable scatter of the staging buffer.
+        fn reference_group(&mut self) {
+            let mut total = 0usize;
+            for ((start, cursor), &len) in self
+                .starts
+                .iter_mut()
+                .zip(self.cursors.iter_mut())
+                .zip(&self.lens)
+            {
+                *start = total;
+                *cursor = total;
+                total += len;
+            }
+            assert_eq!(
+                total,
+                self.staged.len(),
+                "every staged envelope was counted"
+            );
+            if self.inboxes.len() < total {
+                let filler = self.staged[0].clone();
+                self.inboxes.resize(total, filler);
+            }
+            for (env, &t) in self.staged.drain(..).zip(&self.to) {
+                let cursor = &mut self.cursors[t as usize];
+                self.inboxes[*cursor] = env;
+                *cursor += 1;
+            }
+            self.to.clear();
+        }
+    }
+
+    impl<P: Protocol> Simulator<P> {
+        /// `dispatch` as it was while routed messages were staged: it drains the
+        /// outbox, and every message the router delivers next round is moved into an
+        /// envelope and staged with `push`. The executable specification of every
+        /// verdict, its order, and what the router, the trace and the metrics see.
+        fn reference_dispatch(&mut self, round_metrics: &mut RoundMetrics) {
+            let n = self.nodes.len();
+            let global_send_cap = self.caps.global_cap();
+            let local_edge_cap = self.caps.local_edge_cap();
+            self.arena.clear();
+            let mut outbox = std::mem::take(&mut self.outbox);
+            let mut messages = outbox.drain(..);
+            for i in 0..n {
+                let sender = NodeId::from(i);
+                let mut global_sent = 0usize;
+                let mut total_sent = 0usize;
+                self.edge_epoch += 1;
+                for (to, channel, payload) in messages.by_ref().take(self.out_lens[i]) {
+                    if to.index() >= n {
+                        self.drop_message(
+                            round_metrics,
+                            sender,
+                            to,
+                            channel,
+                            DropCause::InvalidAddress,
+                        );
+                        continue;
+                    }
+                    let allowed = match channel {
+                        Channel::Global => {
+                            !matches!(global_send_cap, Some(cap) if global_sent >= cap)
+                        }
+                        Channel::Local => {
+                            let is_edge = match &self.local_neighbors {
+                                Some(adj) => adj.contains(i, to),
+                                None => true,
+                            };
+                            let under_edge_cap = match local_edge_cap {
+                                Some(cap) => {
+                                    let count =
+                                        if self.per_edge_stamp[to.index()] == self.edge_epoch {
+                                            self.per_edge_count[to.index()]
+                                        } else {
+                                            0
+                                        };
+                                    count < cap
+                                }
+                                None => true,
+                            };
+                            is_edge && under_edge_cap
+                        }
+                    };
+                    if !allowed {
+                        self.drop_message(round_metrics, sender, to, channel, DropCause::SendCap);
+                        continue;
+                    }
+                    if channel == Channel::Local {
+                        if self.per_edge_stamp[to.index()] == self.edge_epoch {
+                            self.per_edge_count[to.index()] += 1;
+                        } else {
+                            self.per_edge_stamp[to.index()] = self.edge_epoch;
+                            self.per_edge_count[to.index()] = 1;
+                        }
+                    }
+                    if channel == Channel::Global {
+                        global_sent += 1;
+                    }
+                    total_sent += 1;
+                    let env = Envelope {
+                        from: sender,
+                        channel,
+                        payload,
+                    };
+                    match self.router.route(sender, to, self.round) {
+                        Route::Deliver => self.arena.push(to, env),
+                        Route::Delay(deliver_round) => {
+                            round_metrics.delayed += 1;
+                            self.router.buffer(deliver_round, to, env);
+                        }
+                        Route::Drop(cause) => {
+                            self.drop_message(round_metrics, sender, to, channel, cause)
+                        }
+                    }
+                }
+                self.metrics.total_sent_per_node[i] += total_sent as u64;
+                self.metrics.total_global_sent_per_node[i] += global_sent as u64;
+                round_metrics.max_sent = round_metrics.max_sent.max(total_sent);
+                round_metrics.max_global_sent = round_metrics.max_global_sent.max(global_sent);
+            }
+            drop(messages);
+            self.outbox = outbox;
+        }
+
+        /// `run_round` over the reference bodies. Its debug contracts state the
+        /// current books, so they are left out.
+        fn reference_run_round(&mut self, round: usize) {
+            self.round = round;
+            if let Some(sink) = &self.sink {
+                sink.borrow_mut().record(TraceEvent::RoundStart { round });
+            }
+            self.emit_lifecycle(round);
+            let (router, arena) = (&mut self.router, &mut self.arena);
+            router.drain_due(round, |to, env| arena.push(to, env));
+            self.arena.reference_group();
+            let mut round_metrics = RoundMetrics::default();
+            self.router.record_lifecycle(round, &mut round_metrics);
+            self.apply_receive_caps(&mut round_metrics);
+            for (&len, &globals) in self.arena.lens.iter().zip(&self.arena.globals) {
+                round_metrics.max_received = round_metrics.max_received.max(len);
+                round_metrics.max_global_received = round_metrics.max_global_received.max(globals);
+                round_metrics.delivered += len as u64;
+            }
+            self.run_callbacks(round, &mut round_metrics);
+            self.reference_dispatch(&mut round_metrics);
+            self.emit_round_end(round, &round_metrics);
+            self.metrics.record_round(round_metrics);
+        }
+    }
+
+    /// Sends a scripted list of messages per round — from `on_start` too, so a
+    /// joiner sends in its join round — and logs every inbox it reads.
+    #[derive(Debug)]
+    struct Scripted {
+        sends: Vec<Vec<(NodeId, Channel, u32)>>,
+        seen: Vec<(usize, Vec<Envelope<u32>>)>,
+    }
+
+    impl Scripted {
+        fn send_scripted(&self, ctx: &mut Ctx<'_, u32>) {
+            for &(to, channel, payload) in self.sends.get(ctx.round()).into_iter().flatten() {
+                ctx.send(to, channel, payload);
+            }
+        }
+    }
+
+    impl Protocol for Scripted {
+        type Message = u32;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            self.send_scripted(ctx);
+        }
+        fn on_round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: &[Envelope<u32>]) {
+            self.seen.push((ctx.round(), inbox.to_vec()));
+            self.send_scripted(ctx);
+        }
+    }
+
+    #[test]
+    fn routing_in_place_matches_staging_round_by_round() {
+        // What the cases reached, summed over all of them: drops by cause (a local
+        // send-cap drop split into non-edge and per-edge cap), delays, and inboxes
+        // where a delayed envelope lands behind a routed one.
+        let (mut invalid, mut global_cap, mut non_edge, mut edge_cap) = (0, 0, 0, 0);
+        let (mut fault, mut partition, mut offline, mut receive_cap) = (0, 0, 0, 0);
+        let (mut delayed, mut delayed_behind_routed) = (0, 0);
+        for case in 0..160u64 {
+            let mut gen = StdRng::seed_from_u64(case);
+            let n = gen.gen_range(3..10usize);
+            let local: Vec<Vec<NodeId>> = (0..n)
+                .map(|_| {
+                    (0..n)
+                        .filter(|_| gen.gen_bool(0.4))
+                        .map(NodeId::from)
+                        .collect()
+                })
+                .collect();
+            let (caps, local_edges) = match case % 4 {
+                0 => (CapacityModel::Unbounded, None),
+                1 => (
+                    CapacityModel::Ncc0 {
+                        per_round: gen.gen_range(2..6),
+                    },
+                    None,
+                ),
+                _ => (
+                    CapacityModel::Hybrid {
+                        local_per_edge: gen.gen_range(1..3),
+                        global_per_round: gen.gen_range(2..6),
+                    },
+                    Some(local.clone()),
+                ),
+            };
+            let mut faults = FaultPlan::default();
+            if gen.gen_bool(0.6) {
+                faults = faults.with_drop_prob(gen.gen_range(0.05..0.3));
+            }
+            if gen.gen_bool(0.7) {
+                faults = faults.with_delays(gen.gen_range(0.1..0.5), gen.gen_range(1..4));
+            }
+            if gen.gen_bool(0.5) {
+                faults = faults.with_crash(NodeId::from(0usize), gen.gen_range(1..6));
+            }
+            if gen.gen_bool(0.5) {
+                faults = faults.with_join(NodeId::from(1usize), gen.gen_range(1..5));
+            }
+            if gen.gen_bool(0.4) {
+                let side: Vec<NodeId> = (0..n)
+                    .filter(|_| gen.gen_bool(0.5))
+                    .map(NodeId::from)
+                    .collect();
+                let from = gen.gen_range(0..4usize);
+                faults = faults.with_partition(side, from, from + gen.gen_range(1..4usize));
+            }
+            // Six rounds of sends, then quiet rounds that flush every delay. A send
+            // names its round, sender and position in its payload.
+            let (send_rounds, rounds) = (6, 11);
+            let hot = gen.gen_range(0..n);
+            let mut new_nodes = Vec::new();
+            for i in 0..n {
+                let sends = (0..send_rounds)
+                    .map(|r| {
+                        (0..gen.gen_range(0..9usize))
+                            .map(|k| {
+                                let to = match gen.gen_range(0..10usize) {
+                                    0 => n + gen.gen_range(0..3usize),
+                                    1..=3 => hot,
+                                    _ => gen.gen_range(0..n),
+                                };
+                                let channel = if gen.gen_bool(0.3) {
+                                    Channel::Local
+                                } else {
+                                    Channel::Global
+                                };
+                                let payload = ((r << 16) | (i << 8) | k) as u32;
+                                (NodeId::from(to), channel, payload)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                new_nodes.push(Scripted {
+                    sends,
+                    seen: Vec::new(),
+                });
+            }
+            let old_nodes = new_nodes
+                .iter()
+                .map(|s| Scripted {
+                    sends: s.sends.clone(),
+                    seen: Vec::new(),
+                })
+                .collect();
+            let config = SimConfig {
+                caps,
+                seed: case,
+                local_edges,
+                faults,
+                ..SimConfig::default()
+            };
+            let (mut new, mut old) = (
+                Simulator::new(new_nodes, config.clone()),
+                Simulator::new(old_nodes, config),
+            );
+            let (new_trace, old_trace) = (
+                crate::trace::TraceBuffer::shared(),
+                crate::trace::TraceBuffer::shared(),
+            );
+            new.set_trace_sink(new_trace.clone());
+            old.set_trace_sink(old_trace.clone());
+            for round in 0..rounds {
+                new.run_round(round);
+                old.reference_run_round(round);
+                for (i, (a, b)) in new.nodes().iter().zip(old.nodes()).enumerate() {
+                    assert_eq!(
+                        a.seen, b.seen,
+                        "case {case} round {round}: node {i}'s inboxes"
+                    );
+                }
+                assert_eq!(
+                    new.metrics(),
+                    old.metrics(),
+                    "case {case} round {round}: metrics"
+                );
+                assert_eq!(
+                    new_trace.borrow().events,
+                    old_trace.borrow().events,
+                    "case {case} round {round}: trace"
+                );
+                assert_eq!(
+                    new.drop_rng.clone().gen::<u64>(),
+                    old.drop_rng.clone().gen::<u64>(),
+                    "case {case} round {round}: the eviction stream moved"
+                );
+                assert_eq!(
+                    new.router.peek_rng(),
+                    old.router.peek_rng(),
+                    "case {case} round {round}: the fault stream moved"
+                );
+            }
+            for event in &new_trace.borrow().events {
+                let TraceEvent::Drop {
+                    from,
+                    to,
+                    channel,
+                    cause,
+                    ..
+                } = event
+                else {
+                    continue;
+                };
+                match cause {
+                    DropCause::InvalidAddress => invalid += 1,
+                    DropCause::SendCap if *channel == Channel::Global => global_cap += 1,
+                    DropCause::SendCap if local[from.index()].contains(to) => edge_cap += 1,
+                    DropCause::SendCap => non_edge += 1,
+                    DropCause::Fault => fault += 1,
+                    DropCause::Partition => partition += 1,
+                    DropCause::Offline => offline += 1,
+                    DropCause::ReceiveCap => receive_cap += 1,
+                }
+            }
+            delayed += new.metrics().totals().delayed;
+            for node in new.nodes() {
+                for (round, inbox) in &node.seen {
+                    let sent_in = |e: &Envelope<u32>| (e.payload >> 16) as usize;
+                    let routed = inbox.iter().any(|e| sent_in(e) + 1 == *round);
+                    let late = inbox.iter().any(|e| sent_in(e) + 1 < *round);
+                    delayed_behind_routed += usize::from(routed && late);
+                }
+            }
+        }
+        let covered = [
+            ("invalid address", invalid),
+            ("global send cap", global_cap),
+            ("local non-edge", non_edge),
+            ("per-edge cap", edge_cap),
+            ("fault loss", fault),
+            ("partition", partition),
+            ("offline", offline),
+            ("receive cap", receive_cap),
+            ("delayed", delayed as usize),
+            ("delayed behind routed", delayed_behind_routed),
+        ];
+        for (what, count) in covered {
+            assert!(count >= 20, "the cases must reach {what}: {count} times");
+        }
     }
 
     #[test]
