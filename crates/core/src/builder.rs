@@ -21,7 +21,7 @@
 //! the pluggable-medium [`OverlayBuilder::build_over`] — is the *same* private
 //! driver, `OverlayBuilder::drive`, over a [`PhaseExecutor`]: it validates the
 //! input once, resolves each [`Phase`]'s seed/budget/transport once (see
-//! [`PhaseOverrides`] and the [`OverlayBuilder::with_phase_overrides`] family), hands
+//! [`PhaseOverrides`] and [`OverlayBuilder::with_phase_overrides`]), hands
 //! the phase and its window of the fault plan to the executor, and computes the
 //! three typed hand-offs (survivor-core extraction, BFS convergence, tree
 //! validation) from the executor's per-node digests. The simulator entry points
@@ -299,30 +299,11 @@ impl OverlayBuilder {
         self
     }
 
-    /// The builder's round-budget multiplier.
-    pub fn round_budget(&self) -> RoundBudget {
-        self.round_budget
-    }
-
     /// Returns the builder with the given per-phase overrides installed. Unset
     /// entries inherit the builder-wide budget/transport, so
     /// [`PhaseOverrides::none`] reproduces builder-global behavior exactly.
     pub fn with_phase_overrides(mut self, overrides: PhaseOverrides) -> Self {
         self.phases = overrides;
-        self
-    }
-
-    /// Returns the builder with `phase`'s round budget overridden (all other
-    /// phases keep the builder-wide budget).
-    pub fn with_phase_budget(mut self, phase: PhaseId, budget: RoundBudget) -> Self {
-        self.phases = self.phases.with_budget(phase, budget);
-        self
-    }
-
-    /// Returns the builder with `phase`'s transport overridden: forced bare, or
-    /// forced behind the reliable layer, regardless of the builder-wide setting.
-    pub fn with_phase_transport(mut self, phase: PhaseId, choice: TransportChoice) -> Self {
-        self.phases = self.phases.with_transport(phase, choice);
         self
     }
 
@@ -1290,8 +1271,11 @@ mod tests {
         let builder = OverlayBuilder::new(params)
             .with_round_budget(RoundBudget::percent(150))
             .with_reliable_transport(TransportConfig::default())
-            .with_phase_budget(PhaseId::Bfs, RoundBudget::percent(300))
-            .with_phase_transport(PhaseId::Binarize, TransportChoice::Bare);
+            .with_phase_overrides(
+                PhaseOverrides::none()
+                    .with_budget(PhaseId::Bfs, RoundBudget::percent(300))
+                    .with_transport(PhaseId::Binarize, TransportChoice::Bare),
+            );
         // Overridden phases use their own values...
         assert_eq!(builder.exec_spec(PhaseId::Bfs, 10).budget, 30);
         assert_eq!(builder.exec_spec(PhaseId::Binarize, 10).transport, None);
@@ -1684,11 +1668,14 @@ mod tests {
             bare.phases
         );
         let scoped = OverlayBuilder::new(params)
-            .with_phase_transport(
-                PhaseId::Binarize,
-                TransportChoice::Reliable(TransportConfig::default()),
+            .with_phase_overrides(
+                PhaseOverrides::none()
+                    .with_transport(
+                        PhaseId::Binarize,
+                        TransportChoice::Reliable(TransportConfig::default()),
+                    )
+                    .with_budget(PhaseId::Binarize, RoundBudget::STANDARD.with_slack(12)),
             )
-            .with_phase_budget(PhaseId::Binarize, RoundBudget::STANDARD.with_slack(12))
             .build_under_faults(&g, &plan)
             .expect("valid input");
         assert!(
@@ -1721,12 +1708,17 @@ mod tests {
         let base = ExpanderNode::total_rounds(&params) + 2;
         let plan = FaultPlan::default().with_join(NodeId::from(3usize), base);
         let wrong_phase = OverlayBuilder::new(params)
-            .with_phase_budget(PhaseId::Binarize, RoundBudget::percent(300))
+            .with_phase_overrides(
+                PhaseOverrides::none().with_budget(PhaseId::Binarize, RoundBudget::percent(300)),
+            )
             .build_under_faults(&g, &plan)
             .expect("valid input");
         assert_eq!(wrong_phase.stalled_phase(), Some("create-expander"));
         let right_phase = OverlayBuilder::new(params)
-            .with_phase_budget(PhaseId::CreateExpander, RoundBudget::percent(150))
+            .with_phase_overrides(
+                PhaseOverrides::none()
+                    .with_budget(PhaseId::CreateExpander, RoundBudget::percent(150)),
+            )
             .build_under_faults(&g, &plan)
             .expect("valid input");
         assert!(

@@ -70,11 +70,6 @@ impl EvolutionEngine {
         self.graph
     }
 
-    /// Number of evolutions executed so far.
-    pub fn evolutions_done(&self) -> usize {
-        self.evolutions_done
-    }
-
     /// Executes one evolution without computing any statistics — no
     /// conductance estimate, no benign re-check. The maintenance loop's fast
     /// path: the rewiring (and its RNG stream) is exactly that of
@@ -248,7 +243,7 @@ mod tests {
                 "evolution must stay regular and lazy"
             );
         }
-        assert_eq!(engine.evolutions_done(), 4);
+        assert_eq!(engine.evolutions_done, 4);
     }
 
     #[test]
@@ -317,7 +312,7 @@ mod tests {
             b.evolve_quiet();
         }
         assert_eq!(a.graph().edges(), b.graph().edges());
-        assert_eq!(a.evolutions_done(), b.evolutions_done());
+        assert_eq!(a.evolutions_done, b.evolutions_done);
     }
 
     #[test]
@@ -433,7 +428,7 @@ mod tests {
             assert!(new.graph == old.graph, "graph, evolution {evolution}");
         }
         assert_eq!(new.rng.gen::<u64>(), old.rng.gen::<u64>(), "RNG stream");
-        assert_eq!(new.evolutions_done(), old.evolutions_done());
+        assert_eq!(new.evolutions_done, old.evolutions_done);
     }
 
     #[test]

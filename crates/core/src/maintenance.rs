@@ -285,21 +285,9 @@ impl MaintenanceRunner {
         self.trace = Some(sink);
     }
 
-    /// Epoch samples recorded so far.
-    pub fn samples(&self) -> &[EpochSample] {
-        &self.samples
-    }
-
     /// The current well-formed tree in core space, if one exists.
     pub fn tree(&self) -> Option<&WellFormedTree> {
         self.tree.as_ref()
-    }
-
-    /// Member ids currently admitted to the overlay, ascending. The core graph
-    /// ([`MaintenanceRunner::core_graph`]) indexes into this list ("core
-    /// space": core-space node `i` is member `core()[i]`).
-    pub fn core(&self) -> &[usize] {
-        &self.core
     }
 
     /// The current communication graph over the admitted core, in core space.
@@ -914,7 +902,7 @@ mod tests {
                 fnv(&mut digest, word as u64);
             }
             fnv(&mut digest, s.coverage.to_bits());
-            for &m in runner.core() {
+            for &m in &runner.core {
                 fnv(&mut digest, m as u64);
             }
             for (a, b) in runner.core_graph().edges() {

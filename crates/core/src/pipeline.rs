@@ -113,11 +113,6 @@ impl<P> Phase<P> {
         self.clean_rounds
     }
 
-    /// The protocol nodes the stage will simulate.
-    pub fn nodes(&self) -> &[P] {
-        &self.nodes
-    }
-
     /// Decomposes the phase into its raw parts (the inverse of
     /// [`Phase::from_parts`]): id, nodes, clean round count, fault plan.
     /// External executors (the `overlay-net` crate) consume phases this way.
@@ -323,6 +318,6 @@ mod tests {
         let p = Phase::create_expander(&g, &params, FaultPlan::default());
         assert_eq!(p.id(), PhaseId::CreateExpander);
         assert_eq!(p.clean_rounds(), ExpanderNode::total_rounds(&params) + 2);
-        assert_eq!(p.nodes().len(), 32);
+        assert_eq!(p.nodes.len(), 32);
     }
 }

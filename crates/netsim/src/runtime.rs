@@ -325,12 +325,12 @@ impl<M: Clone> EnvelopeArena<M> {
     }
 
     /// Shrinks node `i`'s inbox to the envelopes whose inbox-relative index is *not*
-    /// marked in `drop`, preserving their relative order and keeping the counts true.
+    /// marked in `drop` (one mark per envelope of the inbox), preserving their
+    /// relative order and keeping the counts true.
     /// Dropped envelopes linger behind the shortened inbox until the next
     /// [`Self::group`] overwrites them; they are never observed.
     fn retain_range(&mut self, i: usize, drop: &[bool]) {
-        let (start, len) = (self.starts[i], self.lens[i]);
-        debug_assert_eq!(drop.len(), len, "one mark per envelope in the range");
+        let start = self.starts[i];
         let mut w = start;
         for (k, &dropped) in drop.iter().enumerate() {
             if dropped {
@@ -788,17 +788,11 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// The arena's books for the round being delivered, checked where they are
-    /// read (after the receive caps, before the callbacks): the scatter drained the
-    /// outbox and the staging buffer, every node's global count is a recount of its
-    /// inbox, and no inbox is over the cap. That the counts add up to the envelopes
-    /// scattered is `group`'s own assertion.
+    /// read (after the receive caps, before the callbacks): every node's global
+    /// count is a recount of its inbox, and no inbox is over the cap. That the
+    /// counts add up to the envelopes scattered is `group`'s own assertion.
     #[cfg(debug_assertions)]
     fn check_inbox_contracts(&self) {
-        assert!(
-            self.outbox.is_empty() && self.arena.routes.is_empty() && self.arena.staged.is_empty(),
-            "round {}: the scatter left an envelope behind",
-            self.round
-        );
         let cap = self.caps.global_cap();
         for i in 0..self.nodes.len() {
             let inbox = self.arena.inbox(i);
@@ -821,18 +815,13 @@ impl<P: Protocol> Simulator<P> {
 
     /// Message conservation for one round, stated on its [`RoundMetrics`]:
     /// `due` messages were routed or released for delivery this round, and the
-    /// callbacks queued the outbox. The arena, routing again by now, must hold one
-    /// route per queued message naming its sender and recipient, and its counts must
-    /// be a recount of the routed pairs plus the staged delayed envelopes.
+    /// callbacks queued the outbox. The arena is routing again by now: every route
+    /// it holds names its queued message's sender and recipient, and its counts
+    /// must be a recount of the routed pairs plus the staged delayed envelopes.
+    /// That there is one route per queued message is `group`'s own assertion.
     #[cfg(debug_assertions)]
     fn check_contracts(&self, due: usize, m: &RoundMetrics) {
         let queued = self.outbox.len();
-        assert_eq!(
-            self.arena.routes.len(),
-            queued,
-            "round {}: one route per queued message",
-            self.round
-        );
         let senders = (self.out_lens.iter().enumerate())
             .flat_map(|(i, &len)| std::iter::repeat_n(i as u32, len));
         let mut routed = 0u64;
@@ -873,14 +862,6 @@ impl<P: Protocol> Simulator<P> {
             "round {}: a queued message was not routed, delayed or dropped under one send-side cause",
             self.round
         );
-        if let Some(cap) = self.caps.global_cap() {
-            assert!(
-                m.max_global_received <= cap,
-                "round {}: an inbox holds {} global messages, the cap is {cap}",
-                self.round,
-                m.max_global_received
-            );
-        }
     }
 
     /// Emits one node's per-round transport trace events (`Retransmits`, then
@@ -992,7 +973,6 @@ impl<P: Protocol> Simulator<P> {
                     self.cap_scratch.push(k);
                 }
             }
-            debug_assert_eq!(self.cap_scratch.len(), global_count);
             // Partial Fisher–Yates: after the first `global_count - cap` steps the
             // tail (positions `cap..`) is final; the later steps only permute the
             // kept prefix, so their swaps are skipped but their draws are kept to
@@ -1128,6 +1108,7 @@ impl<P: Protocol> Simulator<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::seq::SliceRandom;
 
     /// Every node sends `fan_out` messages to node 0 each round, for `rounds` rounds.
     #[derive(Debug)]
@@ -1341,240 +1322,6 @@ mod tests {
         assert!((0..3).all(|i| arena.inbox(i).is_empty()));
     }
 
-    /// The layout `EnvelopeArena` had before it kept counts at `push`, with the
-    /// bodies of its `group` and of `apply_receive_caps` as they were then: the
-    /// executable specification of the delivery order, the evicted sets and the
-    /// `drop_rng` stream the current bodies must reproduce.
-    struct ReferenceArena {
-        buf: Vec<Envelope<u32>>,
-        to: Vec<usize>,
-        ranges: Vec<(usize, usize)>,
-    }
-
-    impl ReferenceArena {
-        fn inbox(&self, i: usize) -> &[Envelope<u32>] {
-            let (start, len) = self.ranges[i];
-            &self.buf[start..start + len]
-        }
-
-        /// A stable in-place counting sort: a count pass and a position pass over
-        /// `to`, then the permutation applied by chasing cycles.
-        fn reference_group(&mut self) {
-            let total = self.buf.len();
-            let mut cursors = vec![0usize; self.ranges.len()];
-            for &t in &self.to {
-                cursors[t] += 1;
-            }
-            let mut acc = 0usize;
-            for (range, cursor) in self.ranges.iter_mut().zip(cursors.iter_mut()) {
-                let count = *cursor;
-                *range = (acc, count);
-                *cursor = acc;
-                acc += count;
-            }
-            let mut pos = Vec::with_capacity(total);
-            for &t in &self.to {
-                let cursor = &mut cursors[t];
-                pos.push(*cursor);
-                *cursor += 1;
-            }
-            for i in 0..total {
-                while pos[i] != i {
-                    let j = pos[i];
-                    self.buf.swap(i, j);
-                    self.to.swap(i, j);
-                    pos.swap(i, j);
-                }
-            }
-        }
-
-        /// Scans every envelope of every inbox for its global messages, then evicts
-        /// from the inboxes over `cap` by the partial Fisher–Yates. Returns the
-        /// evicted `(from, to)` pairs in eviction order.
-        fn reference_receive_caps(
-            &mut self,
-            cap: usize,
-            drop_rng: &mut StdRng,
-        ) -> Vec<(NodeId, NodeId)> {
-            let mut evicted = Vec::new();
-            let mut cap_scratch = Vec::new();
-            for i in 0..self.ranges.len() {
-                cap_scratch.clear();
-                let (start, len) = self.ranges[i];
-                for (k, env) in self.buf[start..start + len].iter().enumerate() {
-                    if env.channel == Channel::Global {
-                        cap_scratch.push(k);
-                    }
-                }
-                let global_count = cap_scratch.len();
-                if global_count <= cap {
-                    continue;
-                }
-                for k in (1..global_count).rev() {
-                    let j = drop_rng.gen_range(0..k + 1);
-                    if k >= cap {
-                        cap_scratch.swap(k, j);
-                    }
-                }
-                let mut drop_mark = vec![false; len];
-                for &k in &cap_scratch[cap..] {
-                    drop_mark[k] = true;
-                    evicted.push((self.buf[start + k].from, NodeId::from(i)));
-                }
-                let mut w = start;
-                for (k, &dropped) in drop_mark.iter().enumerate() {
-                    if !dropped {
-                        self.buf.swap(w, start + k);
-                        w += 1;
-                    }
-                }
-                self.ranges[i].1 = w - start;
-            }
-            evicted
-        }
-    }
-
-    /// A protocol that does nothing: the arena tests stage envelopes by hand.
-    #[derive(Debug)]
-    struct Idle;
-
-    impl Protocol for Idle {
-        type Message = u32;
-        fn on_start(&mut self, _ctx: &mut Ctx<'_, u32>) {}
-        fn on_round(&mut self, _ctx: &mut Ctx<'_, u32>, _inbox: &[Envelope<u32>]) {}
-    }
-
-    #[test]
-    fn scatter_and_counted_caps_match_the_in_place_sort_and_the_full_scan() {
-        let mut covered = (0, 0);
-        for case in 0..300u64 {
-            let mut gen = StdRng::seed_from_u64(case);
-            let n = gen.gen_range(1..13usize);
-            let cap = gen.gen_range(1..6usize);
-            let config = SimConfig {
-                caps: CapacityModel::Ncc0 { per_round: cap },
-                seed: case,
-                ..SimConfig::default()
-            };
-            let mut sim = Simulator::new((0..n).map(|_| Idle).collect(), config);
-            let trace = crate::trace::TraceBuffer::shared();
-            sim.set_trace_sink(trace.clone());
-            let mut reference_rng = StdRng::seed_from_u64(case.wrapping_add(1));
-            // Several rounds through one arena: a small round after a large one reads
-            // inboxes in front of the large round's stale envelopes.
-            for round in 0..4 {
-                // One recipient in most rounds is hot enough to be over the cap; some
-                // recipients get nothing; a round may stage nothing at all.
-                let hot = gen.gen_range(0..n);
-                let hot_share = if gen.gen_bool(0.7) { 0.5 } else { 0.0 };
-                let routed = gen.gen_range(0..60usize) * gen.gen_range(0..3usize);
-                let delayed = gen.gen_range(0..10usize) * gen.gen_range(0..2usize);
-                let mut reference = ReferenceArena {
-                    buf: Vec::new(),
-                    to: Vec::new(),
-                    ranges: vec![(0, 0); n],
-                };
-                // `dispatch` clears the arena and routes the outbox at the end of a
-                // round, some entries not at all; `drain_due` stages the delayed ones
-                // at the start of the next. Each envelope is named by a unique sender.
-                sim.arena.clear();
-                let mut outbox = Vec::new();
-                for k in 0..routed + delayed {
-                    let to = if gen.gen_bool(hot_share) {
-                        hot
-                    } else {
-                        gen.gen_range(0..n)
-                    };
-                    let env = Envelope {
-                        from: NodeId::from(k),
-                        channel: if gen.gen_bool(0.8) {
-                            Channel::Global
-                        } else {
-                            Channel::Local
-                        },
-                        payload: (round * 1000 + k) as u32,
-                    };
-                    if k < routed && gen.gen_bool(0.2) {
-                        outbox.push((NodeId::from(to), env.channel, env.payload));
-                        sim.arena.skip();
-                        continue;
-                    }
-                    reference.buf.push(env.clone());
-                    reference.to.push(to);
-                    if k < routed {
-                        outbox.push((NodeId::from(to), env.channel, env.payload));
-                        sim.arena.route(k, to, env.channel);
-                    } else {
-                        sim.arena.push(NodeId::from(to), env);
-                    }
-                }
-                // Counts kept at push are a recount of what was staged.
-                let mut recount = vec![(0usize, 0usize); n];
-                for (env, &to) in reference.buf.iter().zip(&reference.to) {
-                    recount[to].0 += 1;
-                    recount[to].1 += usize::from(env.channel == Channel::Global);
-                }
-                let counts: Vec<(usize, usize)> = (0..n)
-                    .map(|i| (sim.arena.lens[i], sim.arena.globals[i]))
-                    .collect();
-                assert_eq!(counts, recount, "case {case} round {round}: counts at push");
-
-                let over = sim.arena.globals.iter().filter(|&&g| g > cap).count();
-                covered = (covered.0 + over, covered.1 + n - over);
-                sim.arena.group(&mut outbox);
-                reference.reference_group();
-                for i in 0..n {
-                    assert_eq!(
-                        sim.arena.inbox(i),
-                        reference.inbox(i),
-                        "case {case} round {round}: node {i}'s inbox after grouping"
-                    );
-                }
-
-                trace.borrow_mut().events.clear();
-                let mut round_metrics = RoundMetrics::default();
-                sim.apply_receive_caps(&mut round_metrics);
-                let expected = reference.reference_receive_caps(cap, &mut reference_rng);
-                let evicted: Vec<(NodeId, NodeId)> = trace
-                    .borrow()
-                    .events
-                    .iter()
-                    .map(|e| match e {
-                        TraceEvent::Drop {
-                            from,
-                            to,
-                            channel: Channel::Global,
-                            cause: DropCause::ReceiveCap,
-                            ..
-                        } => (*from, *to),
-                        other => panic!("the receive caps only evict, got {other:?}"),
-                    })
-                    .collect();
-                assert_eq!(evicted, expected, "case {case} round {round}: evictions");
-                assert_eq!(round_metrics.dropped_receive, expected.len() as u64);
-                for i in 0..n {
-                    assert_eq!(
-                        sim.arena.inbox(i),
-                        reference.inbox(i),
-                        "case {case} round {round}: node {i}'s inbox after the caps"
-                    );
-                }
-                // Debug profile: the counts are still a recount, no inbox over the cap.
-                #[cfg(debug_assertions)]
-                sim.check_inbox_contracts();
-            }
-            assert_eq!(
-                sim.drop_rng.gen::<u64>(),
-                reference_rng.gen::<u64>(),
-                "case {case}: the eviction stream moved"
-            );
-        }
-        assert!(
-            covered.0 > 100 && covered.1 > 100,
-            "the generator must mix inboxes over and under the cap, got {covered:?}"
-        );
-    }
-
     impl<M: Clone> EnvelopeArena<M> {
         /// `group` as it was while every delivery was staged: a prefix sum over the
         /// counts kept at `push`, then one stable scatter of the staging buffer.
@@ -1701,6 +1448,43 @@ mod tests {
             self.outbox = outbox;
         }
 
+        /// The receive caps as the model states them: scan every inbox for its
+        /// global messages; where there are more than the cap, shuffle them with
+        /// `drop_rng` and evict every one past the first `cap`, in that order. The
+        /// kept envelopes stay in inbox order, and the counts are set from the
+        /// scan, under every capacity model.
+        fn reference_receive_caps(&mut self, round_metrics: &mut RoundMetrics) {
+            let cap = self.caps.global_cap().unwrap_or(usize::MAX);
+            for i in 0..self.nodes.len() {
+                let start = self.arena.starts[i];
+                let inbox = self.arena.inboxes[start..start + self.arena.lens[i]].to_vec();
+                let mut globals: Vec<usize> = (0..inbox.len())
+                    .filter(|&k| inbox[k].channel == Channel::Global)
+                    .collect();
+                self.arena.globals[i] = globals.len().min(cap);
+                if globals.len() <= cap {
+                    continue;
+                }
+                globals.shuffle(&mut self.drop_rng);
+                let evicted = &globals[cap..];
+                for &k in evicted {
+                    self.drop_message(
+                        round_metrics,
+                        inbox[k].from,
+                        NodeId::from(i),
+                        Channel::Global,
+                        DropCause::ReceiveCap,
+                    );
+                }
+                let kept: Vec<_> = (inbox.iter().enumerate())
+                    .filter(|(k, _)| !evicted.contains(k))
+                    .map(|(_, env)| env.clone())
+                    .collect();
+                self.arena.lens[i] = kept.len();
+                self.arena.inboxes[start..start + kept.len()].clone_from_slice(&kept);
+            }
+        }
+
         /// `run_round` over the reference bodies. Its debug contracts state the
         /// current books, so they are left out.
         fn reference_run_round(&mut self, round: usize) {
@@ -1714,7 +1498,7 @@ mod tests {
             self.arena.reference_group();
             let mut round_metrics = RoundMetrics::default();
             self.router.record_lifecycle(round, &mut round_metrics);
-            self.apply_receive_caps(&mut round_metrics);
+            self.reference_receive_caps(&mut round_metrics);
             for (&len, &globals) in self.arena.lens.iter().zip(&self.arena.globals) {
                 round_metrics.max_received = round_metrics.max_received.max(len);
                 round_metrics.max_global_received = round_metrics.max_global_received.max(globals);
@@ -1757,11 +1541,14 @@ mod tests {
     #[test]
     fn routing_in_place_matches_staging_round_by_round() {
         // What the cases reached, summed over all of them: drops by cause (a local
-        // send-cap drop split into non-edge and per-edge cap), delays, and inboxes
-        // where a delayed envelope lands behind a routed one.
+        // send-cap drop split into non-edge and per-edge cap), delays, inboxes
+        // where a delayed envelope lands behind a routed one, capped inboxes over
+        // and (non-empty) under the cap, and rounds that deliver fewer envelopes
+        // than an earlier round, so callbacks read in front of stale envelopes.
         let (mut invalid, mut global_cap, mut non_edge, mut edge_cap) = (0, 0, 0, 0);
         let (mut fault, mut partition, mut offline, mut receive_cap) = (0, 0, 0, 0);
         let (mut delayed, mut delayed_behind_routed) = (0, 0);
+        let (mut over_cap, mut under_cap, mut shrunk) = (0, 0, 0);
         for case in 0..160u64 {
             let mut gen = StdRng::seed_from_u64(case);
             let n = gen.gen_range(3..10usize);
@@ -1895,13 +1682,14 @@ mod tests {
                     "case {case} round {round}: the fault stream moved"
                 );
             }
+            let mut evicted_from = std::collections::BTreeSet::new();
             for event in &new_trace.borrow().events {
                 let TraceEvent::Drop {
+                    round,
                     from,
                     to,
                     channel,
                     cause,
-                    ..
                 } = event
                 else {
                     continue;
@@ -1914,17 +1702,32 @@ mod tests {
                     DropCause::Fault => fault += 1,
                     DropCause::Partition => partition += 1,
                     DropCause::Offline => offline += 1,
-                    DropCause::ReceiveCap => receive_cap += 1,
+                    DropCause::ReceiveCap => {
+                        receive_cap += 1;
+                        evicted_from.insert((*round, to.index()));
+                    }
                 }
             }
+            over_cap += evicted_from.len();
             delayed += new.metrics().totals().delayed;
-            for node in new.nodes() {
+            for (i, node) in new.nodes().iter().enumerate() {
                 for (round, inbox) in &node.seen {
                     let sent_in = |e: &Envelope<u32>| (e.payload >> 16) as usize;
                     let routed = inbox.iter().any(|e| sent_in(e) + 1 == *round);
                     let late = inbox.iter().any(|e| sent_in(e) + 1 < *round);
                     delayed_behind_routed += usize::from(routed && late);
+                    under_cap += usize::from(
+                        caps.global_cap().is_some()
+                            && !inbox.is_empty()
+                            && !evicted_from.contains(&(*round, i)),
+                    );
                 }
+            }
+            let mut high_water = 0;
+            for m in &new.metrics().per_round {
+                let total = m.delivered + m.dropped_receive;
+                shrunk += usize::from(total < high_water);
+                high_water = high_water.max(total);
             }
         }
         let covered = [
@@ -1938,10 +1741,15 @@ mod tests {
             ("receive cap", receive_cap),
             ("delayed", delayed as usize),
             ("delayed behind routed", delayed_behind_routed),
+            ("a round shorter than an earlier one", shrunk),
         ];
         for (what, count) in covered {
             assert!(count >= 20, "the cases must reach {what}: {count} times");
         }
+        assert!(
+            over_cap >= 100 && under_cap >= 100,
+            "the cases must mix inboxes over and (non-empty) under the cap: {over_cap} over, {under_cap} under"
+        );
     }
 
     #[test]

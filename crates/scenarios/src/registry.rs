@@ -218,8 +218,7 @@ type SameField = fn(&Scenario, &Scenario) -> bool;
 
 /// The fields that make two scenarios the same experiment, each with the name
 /// a [`RegistryError::AxisViolation`] reports it under. Name, description,
-/// tags and pairing metadata are labels; parallelism and metrics mode are
-/// result-invisible.
+/// tags and pairing metadata are labels; parallelism is result-invisible.
 const EXPERIMENT_FIELDS: [(&str, SameField); 9] = [
     ("graph family", |a, b| a.family == b.family),
     ("n", |a, b| a.n == b.n),
