@@ -66,7 +66,7 @@ impl LubyMisNode {
     }
 
     fn draw_and_send(&mut self, ctx: &mut Ctx<'_, LubyMsg>) {
-        self.my_value = ctx.rng().gen::<u64>() ^ (self.id.raw() << 1);
+        self.my_value = ctx.rng().gen::<u64>() ^ (u64::from(self.id.raw()) << 1);
         for &v in &self.active_neighbors {
             ctx.send_local(v, LubyMsg::Value(self.my_value));
         }

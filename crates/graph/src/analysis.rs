@@ -281,7 +281,7 @@ mod tests {
             (0, 0),
             (4, 4),
         ] {
-            g.add_edge(NodeId::from(u as usize), NodeId::from(v as usize));
+            g.add_edge(NodeId::new(u), NodeId::new(v));
         }
         let comps = connected_components(&g);
         assert_eq!(comps, connected_components(&g.simplify()));

@@ -2,13 +2,14 @@
 
 use std::fmt;
 
-/// An opaque node identifier.
+/// An opaque node identifier, 32 bits wide.
 ///
-/// The paper models identifiers as bit strings of length `O(log n)`; a `u64` comfortably
-/// holds such identifiers for any graph we can simulate. In this workspace nodes of a
-/// graph with `n` nodes are identified by `0..n`, which also serves as their index into
-/// the simulator's node table, but nothing in the public API relies on identifiers being
-/// dense.
+/// The paper gives every node an `O(log n)`-bit identifier, and every medium here caps
+/// `n` at 2³²: the simulator admits at most `u32::MAX` nodes and socket frames carry
+/// node ids in four bytes. So the width is decided here, once, and no caller narrows by
+/// hand. On the wire an id is eight bytes (`Wire for NodeId`), the width the codec pins.
+/// Nodes of an `n`-node graph are `0..n`, which is also their index into the simulator's
+/// node table, but nothing in the public API relies on identifiers being dense.
 ///
 /// # Example
 ///
@@ -19,39 +20,32 @@ use std::fmt;
 /// assert_eq!(format!("{v}"), "n7");
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct NodeId(u64);
+pub struct NodeId(u32);
 
 impl NodeId {
     /// Creates an identifier from its raw value.
-    pub const fn new(raw: u64) -> Self {
+    pub const fn new(raw: u32) -> Self {
         NodeId(raw)
     }
 
     /// Returns the raw value of the identifier.
-    pub const fn raw(self) -> u64 {
+    pub const fn raw(self) -> u32 {
         self.0
     }
 
-    /// Returns the identifier as a `usize` index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the raw value does not fit into `usize` (cannot happen on 64-bit
-    /// targets).
+    /// Returns the identifier as a `usize` index (a widening: every target this
+    /// workspace builds for has at least 32-bit pointers).
     pub fn index(self) -> usize {
-        usize::try_from(self.0).expect("node id does not fit into usize")
+        self.0 as usize
     }
 }
 
 impl From<usize> for NodeId {
+    /// # Panics
+    ///
+    /// Panics above `u32::MAX` instead of truncating to another node's id.
     fn from(value: usize) -> Self {
-        NodeId(value as u64)
-    }
-}
-
-impl From<NodeId> for usize {
-    fn from(value: NodeId) -> Self {
-        value.index()
+        NodeId(u32::try_from(value).expect("NodeId::from: node index exceeds u32::MAX"))
     }
 }
 
@@ -74,11 +68,16 @@ mod tests {
 
     #[test]
     fn roundtrip_usize() {
-        for i in [0usize, 1, 17, 4096] {
+        for i in [0usize, 1, 17, 4096, u32::MAX as usize] {
             let id = NodeId::from(i);
             assert_eq!(id.index(), i);
-            assert_eq!(usize::from(id), i);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "NodeId::from: node index exceeds u32::MAX")]
+    fn an_index_past_32_bits_panics_instead_of_truncating() {
+        let _ = NodeId::from(u32::MAX as usize + 1);
     }
 
     #[test]

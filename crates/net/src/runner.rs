@@ -162,7 +162,7 @@ where
             for frame in frames.drain(..) {
                 let mut body = frame.body.as_slice();
                 inbox.push(Envelope {
-                    from: NodeId::from(frame.from as usize),
+                    from: NodeId::new(frame.from),
                     channel: Channel::decode(&mut body)?,
                     payload: Q::Message::decode(&mut body)?,
                 });
@@ -198,10 +198,9 @@ where
                 let mut body = Vec::new();
                 channel.encode(&mut body);
                 payload.encode(&mut body);
-                let (from, to) = ((base + k) as u32, to.index() as u32);
-                let frame = Frame::data(phase, round, from, to, seq, body);
+                let frame = Frame::data(phase, round, me.raw(), to.raw(), seq, body);
                 seq += 1;
-                match next.get_mut((to as usize).wrapping_sub(base)) {
+                match next.get_mut(to.index().wrapping_sub(base)) {
                     Some(slot) => slot.push(frame),
                     None => backend.send(frame)?,
                 }
@@ -230,7 +229,7 @@ where
         .map(|(node, i)| {
             let mut bytes = Vec::new();
             summarize(node).encode(&mut bytes);
-            (i as u32, bytes)
+            (NodeId::from(i).raw(), bytes)
         })
         .collect();
     let (gathered, delivered) = backend.exchange_summaries(phase, local, delivered)?;
@@ -373,15 +372,13 @@ mod tests {
         type Message = u32;
 
         fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-            let me = ctx.me().index() as u32;
+            let me = ctx.me().raw();
             ctx.send_global(NodeId::from(5usize), me);
             ctx.send_global(NodeId::from(0usize), me);
         }
 
         fn on_round(&mut self, _ctx: &mut Ctx<'_, u32>, inbox: &[Envelope<u32>]) {
-            let flat = inbox
-                .iter()
-                .flat_map(|e| [e.from.index() as u32, e.payload]);
+            let flat = inbox.iter().flat_map(|e| [e.from.raw(), e.payload]);
             self.seen = Some(flat.collect());
         }
 

@@ -127,7 +127,7 @@ fn traffic_phase(
         rows.iter()
             .zip(&schedule)
             .enumerate()
-            .map(|(v, (row, reqs))| Router::new(v as u32, row.clone(), reqs.clone(), config))
+            .map(|(v, (row, reqs))| Router::new(NodeId::from(v), row.clone(), reqs.clone(), config))
             .collect()
     };
     let budget = (8 + 16) * 2 + 16;

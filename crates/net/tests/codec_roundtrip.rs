@@ -40,7 +40,7 @@ fn assert_round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: &T) {
 }
 
 fn node(raw: u64) -> NodeId {
-    NodeId::new(raw)
+    NodeId::new(u32::try_from(raw).expect("drawn from ID"))
 }
 
 fn nodes(raws: Vec<u64>) -> Vec<NodeId> {
@@ -51,7 +51,8 @@ fn option_node(pick: (u8, u64)) -> Option<NodeId> {
     (pick.0 == 1).then(|| node(pick.1))
 }
 
-const ID: std::ops::Range<u64> = 0..1 << 48;
+/// `0..=u32::MAX`: every value a [`NodeId`] holds (it travels in eight bytes).
+const ID: std::ops::Range<u64> = 0..1 << 32;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -205,6 +206,36 @@ fn unknown_tags_are_rejected_not_misread() {
         FrameKind::decode(&mut buf),
         Err(WireError::BadTag(6))
     ));
+}
+
+#[test]
+fn ids_past_32_bits_are_a_typed_error_not_a_panic_or_a_truncation() {
+    for raw in [1u64 << 32, u64::MAX] {
+        let mut token = vec![1];
+        raw.encode(&mut token);
+        7u32.encode(&mut token);
+        let mut buf = token.as_slice();
+        assert_eq!(
+            ExpanderMsg::decode(&mut buf),
+            Err(WireError::IdOutOfRange(raw))
+        );
+
+        let mut summary = Vec::new();
+        raw.encode(&mut summary);
+        Vec::<NodeId>::new().encode(&mut summary);
+        let mut buf = summary.as_slice();
+        assert_eq!(
+            ExpanderSummary::decode(&mut buf),
+            Err(WireError::IdOutOfRange(raw))
+        );
+    }
+    // The largest value that fits still decodes, to itself.
+    let mut bytes = Vec::new();
+    u64::from(u32::MAX).encode(&mut bytes);
+    assert_eq!(
+        NodeId::decode(&mut bytes.as_slice()),
+        Ok(NodeId::new(u32::MAX))
+    );
 }
 
 #[test]

@@ -144,8 +144,8 @@ pub struct RunOutcome {
 
 /// The recipient half of an outbox entry's route pair when the entry is not delivered
 /// next round (dropped, or delayed and handed to the fault router). No node has this
-/// index: `Simulator::new` admits at most `u32::MAX` nodes.
-const NOT_ROUTED: u32 = u32::MAX;
+/// id: `Simulator::new` admits at most `u32::MAX` nodes, so ids stop below it.
+const NOT_ROUTED: NodeId = NodeId::new(u32::MAX);
 
 /// One round's deliveries: a routing verdict per outbox entry, a staging buffer for
 /// the delayed envelopes the fault router releases, and the *inbox* buffer the
@@ -175,12 +175,12 @@ const NOT_ROUTED: u32 = u32::MAX;
 pub struct EnvelopeArena<M> {
     /// Per entry of the outbox being dispatched: `(recipient, sender)`, or
     /// [`NOT_ROUTED`] in the recipient half; emptied by [`Self::group`].
-    routes: Vec<(u32, u32)>,
+    routes: Vec<(NodeId, NodeId)>,
     /// Delayed envelopes due at the next delivery, in release order; emptied by
     /// [`Self::group`].
     staged: Vec<Envelope<M>>,
     /// Recipient of `staged[i]`.
-    to: Vec<u32>,
+    to: Vec<NodeId>,
     /// The current round's inboxes back to back, filled by [`Self::group`].
     inboxes: Vec<Envelope<M>>,
     /// Per node: where its inbox starts in `inboxes`, valid after [`Self::group`].
@@ -220,10 +220,9 @@ impl<M: Clone> EnvelopeArena<M> {
     /// Routes the next outbox entry, sent by node `from` to node `to`, for delivery
     /// after [`Self::group`], and counts it.
     #[inline]
-    fn route(&mut self, from: usize, to: usize, channel: Channel) {
-        self.count(to, channel);
-        // `Simulator::new` checked that every node index fits.
-        self.routes.push((to as u32, from as u32));
+    fn route(&mut self, from: NodeId, to: NodeId, channel: Channel) {
+        self.count(to.index(), channel);
+        self.routes.push((to, from));
     }
 
     /// Records that the next outbox entry is not delivered next round.
@@ -236,9 +235,8 @@ impl<M: Clone> EnvelopeArena<M> {
     /// [`Self::group`]) and counts it.
     #[inline]
     fn push(&mut self, to: NodeId, env: Envelope<M>) {
-        let t = to.index();
-        self.count(t, env.channel);
-        self.to.push(t as u32);
+        self.count(to.index(), env.channel);
+        self.to.push(to);
         self.staged.push(env);
     }
 
@@ -281,7 +279,7 @@ impl<M: Clone> EnvelopeArena<M> {
                 .zip(&self.routes)
                 .find(|(_, &(t, _))| t != NOT_ROUTED)
                 .map(|((_, channel, payload), &(_, from))| Envelope {
-                    from: NodeId::from(from as usize),
+                    from,
                     channel: *channel,
                     payload: payload.clone(),
                 })
@@ -291,15 +289,14 @@ impl<M: Clone> EnvelopeArena<M> {
         }
         let mut scattered = 0usize;
         let (cursors, inboxes) = (&mut self.cursors, &mut self.inboxes);
-        let mut place = |t: u32, env: Envelope<M>| {
-            let cursor = &mut cursors[t as usize];
+        let mut place = |t: NodeId, env: Envelope<M>| {
+            let cursor = &mut cursors[t.index()];
             inboxes[*cursor] = env;
             *cursor += 1;
             scattered += 1;
         };
         for ((_, channel, payload), &(t, from)) in outbox.drain(..).zip(&self.routes) {
             if t != NOT_ROUTED {
-                let from = NodeId::from(from as usize);
                 place(
                     t,
                     Envelope {
@@ -544,12 +541,12 @@ impl<P: Protocol> Simulator<P> {
     ///
     /// Panics if `config.local_edges` is present but its length differs from the number
     /// of nodes, if `config.faults` references nodes that do not exist, or if there
-    /// are more than `u32::MAX` nodes.
+    /// are more than `u32::MAX` nodes (ids are 32 bits; `u32::MAX` marks "not routed").
     pub fn new(nodes: Vec<P>, config: SimConfig) -> Self {
         let n = nodes.len();
         assert!(
             u32::try_from(n).is_ok(),
-            "the envelope arena indexes recipients with 32 bits"
+            "more than u32::MAX nodes: node ids are 32 bits and u32::MAX is reserved"
         );
         if let Some(edges) = &config.local_edges {
             assert_eq!(
@@ -823,7 +820,7 @@ impl<P: Protocol> Simulator<P> {
     fn check_contracts(&self, due: usize, m: &RoundMetrics) {
         let queued = self.outbox.len();
         let senders = (self.out_lens.iter().enumerate())
-            .flat_map(|(i, &len)| std::iter::repeat_n(i as u32, len));
+            .flat_map(|(i, &len)| std::iter::repeat_n(NodeId::from(i), len));
         let mut routed = 0u64;
         let mut recount = vec![(0usize, 0usize); self.nodes.len()];
         let entries = self.outbox.iter().zip(&self.arena.routes).zip(senders);
@@ -832,17 +829,17 @@ impl<P: Protocol> Simulator<P> {
                 continue;
             }
             assert!(
-                (t as usize, from) == (to.index(), sender),
+                (t, from) == (*to, sender),
                 "round {}: a route names the wrong recipient or sender",
                 self.round
             );
             routed += 1;
-            recount[t as usize].0 += 1;
-            recount[t as usize].1 += usize::from(*channel == Channel::Global);
+            recount[t.index()].0 += 1;
+            recount[t.index()].1 += usize::from(*channel == Channel::Global);
         }
         for (env, &t) in self.arena.staged.iter().zip(&self.arena.to) {
-            recount[t as usize].0 += 1;
-            recount[t as usize].1 += usize::from(env.channel == Channel::Global);
+            recount[t.index()].0 += 1;
+            recount[t.index()].1 += usize::from(env.channel == Channel::Global);
         }
         let counts = self.arena.lens.iter().zip(&self.arena.globals);
         assert!(
@@ -1078,7 +1075,7 @@ impl<P: Protocol> Simulator<P> {
                 // The message was sent (and paid for); the fault router now decides
                 // whether the network actually carries it.
                 match self.router.route(sender, to, self.round) {
-                    Route::Deliver => self.arena.route(i, to.index(), channel),
+                    Route::Deliver => self.arena.route(sender, to, channel),
                     Route::Delay(deliver_round) => {
                         self.arena.skip();
                         round_metrics.delayed += 1;
@@ -1298,7 +1295,7 @@ mod tests {
         ] {
             outbox.push((NodeId::from(to), Channel::Global, payload));
             if routed {
-                arena.route(from, to, Channel::Global);
+                arena.route(NodeId::from(from), NodeId::from(to), Channel::Global);
             } else {
                 arena.skip();
             }
@@ -1347,7 +1344,7 @@ mod tests {
                 self.inboxes.resize(total, filler);
             }
             for (env, &t) in self.staged.drain(..).zip(&self.to) {
-                let cursor = &mut self.cursors[t as usize];
+                let cursor = &mut self.cursors[t.index()];
                 self.inboxes[*cursor] = env;
                 *cursor += 1;
             }

@@ -33,6 +33,8 @@ pub enum WireError {
     BadTag(u8),
     /// A frame header declared an unsupported codec version.
     BadVersion(u8),
+    /// An eight-byte node identifier held a value a 32-bit [`NodeId`] cannot.
+    IdOutOfRange(u64),
 }
 
 impl std::fmt::Display for WireError {
@@ -41,6 +43,7 @@ impl std::fmt::Display for WireError {
             WireError::Truncated => write!(f, "truncated input"),
             WireError::BadTag(t) => write!(f, "unknown enum tag {t}"),
             WireError::BadVersion(v) => write!(f, "unsupported wire version {v}"),
+            WireError::IdOutOfRange(raw) => write!(f, "node id {raw} exceeds u32::MAX"),
         }
     }
 }
@@ -118,13 +121,17 @@ impl Wire for bool {
     }
 }
 
+/// Eight bytes, though a [`NodeId`] is 32 bits wide: every encoding carrying an id pins it.
 impl Wire for NodeId {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.raw().encode(out);
+        u64::from(self.raw()).encode(out);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(NodeId::new(u64::decode(buf)?))
+        let raw = u64::decode(buf)?;
+        u32::try_from(raw)
+            .map(NodeId::new)
+            .map_err(|_| WireError::IdOutOfRange(raw))
     }
 }
 

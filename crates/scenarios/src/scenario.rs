@@ -413,7 +413,7 @@ fn emit_traffic_trace(
                 sink.record(TraceEvent::RequestInjected {
                     round: r.round as usize,
                     src: NodeId::from(src),
-                    dst: NodeId::from(r.dst as usize),
+                    dst: r.dst,
                 });
             }
         }
@@ -1093,7 +1093,7 @@ impl Scenario {
             .into_iter()
             .zip(schedule)
             .enumerate()
-            .map(|(v, (row, reqs))| Router::new(v as u32, row, reqs, config))
+            .map(|(v, (row, reqs))| Router::new(NodeId::from(v), row, reqs, config))
             .collect();
         let faults = if spec.loss > 0.0 {
             FaultPlan::default().with_drop_prob(spec.loss)

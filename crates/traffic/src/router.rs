@@ -29,7 +29,7 @@ use crate::workload::Request;
 use overlay_core::Summarize;
 
 /// Sentinel next-hop entry: no route from this node to that destination.
-pub const UNROUTABLE: u32 = u32::MAX;
+pub const UNROUTABLE: NodeId = NodeId::new(u32::MAX);
 
 /// Which edge set requests ride over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,7 +65,7 @@ pub const NO_HOP: u16 = u16::MAX;
 pub struct HopRow {
     /// The node's distinct neighbors, ascending, without itself
     /// ([`UGraph::distinct_neighbors`]). Fewer than [`NO_HOP`] of them.
-    pub neighbors: Vec<u32>,
+    pub neighbors: Vec<NodeId>,
     /// Per destination, the position in `neighbors` of the neighbor to
     /// forward to; [`NO_HOP`] when the destination is the node itself or
     /// unreachable.
@@ -76,14 +76,14 @@ impl HopRow {
     /// The position in `neighbors` and the node to forward to for `dst`;
     /// `None` when there is no route — [`NO_HOP`], a `dst` beyond the row, or
     /// (only in a hand-built row) a position beyond `neighbors`.
-    fn route(&self, dst: u32) -> Option<(usize, u32)> {
-        let k = *self.hop.get(dst as usize)? as usize;
+    fn route(&self, dst: NodeId) -> Option<(usize, NodeId)> {
+        let k = *self.hop.get(dst.index())? as usize;
         Some((k, *self.neighbors.get(k)?))
     }
 
     /// The row as [`next_hops`] spells it: the neighbor itself per
     /// destination, [`UNROUTABLE`] for no route.
-    fn expand(&self) -> Vec<u32> {
+    fn expand(&self) -> Vec<NodeId> {
         let to = |&k: &u16| self.neighbors.get(k as usize).map_or(UNROUTABLE, |&nb| nb);
         self.hop.iter().map(to).collect()
     }
@@ -145,12 +145,12 @@ pub fn hop_rows(graph: &UGraph) -> Vec<HopRow> {
     let n = graph.node_count();
     // CSR adjacency: node `u`'s neighbors are `targets[offsets[u]..offsets[u + 1]]`.
     let mut offsets = Vec::with_capacity(n + 1);
-    let mut targets: Vec<u32> = Vec::new();
+    let mut targets: Vec<NodeId> = Vec::new();
     offsets.push(0);
     for v in graph.nodes() {
         let distinct = graph.distinct_neighbors(v);
         assert_positions_fit(distinct.len());
-        targets.extend(distinct.iter().map(|w| w.index() as u32));
+        targets.extend(distinct);
         offsets.push(targets.len());
     }
 
@@ -175,7 +175,7 @@ pub fn hop_rows(graph: &UGraph) -> Vec<HopRow> {
                 if wanted != 0 {
                     let hops = &mut table[u][base..base + width];
                     for (k, &nb) in targets[offsets[u]..offsets[u + 1]].iter().enumerate() {
-                        let mut hit = frontier[nb as usize] & wanted;
+                        let mut hit = frontier[nb.index()] & wanted;
                         if hit == 0 {
                             continue;
                         }
@@ -217,7 +217,7 @@ pub fn hop_rows(graph: &UGraph) -> Vec<HopRow> {
 /// when `dst` is `src` itself or unreachable) — [`hop_rows`] expanded, four
 /// bytes per entry. Routers hold the compact rows; this is the form to read
 /// or compare a table in.
-pub fn next_hops(graph: &UGraph) -> Vec<Vec<u32>> {
+pub fn next_hops(graph: &UGraph) -> Vec<Vec<NodeId>> {
     hop_rows(graph).iter().map(HopRow::expand).collect()
 }
 
@@ -227,8 +227,8 @@ pub fn next_hops(graph: &UGraph) -> Vec<Vec<u32>> {
 pub struct RouterMsg {
     /// Globally unique request id: `(source << 32) | per-source sequence`.
     pub id: u64,
-    /// Destination node index.
-    pub dst: u32,
+    /// Destination node (four bytes on the wire).
+    pub dst: NodeId,
     /// Round the source injected the request in.
     pub injected: u32,
     /// Edges crossed so far (1 on first arrival at a neighbor).
@@ -238,7 +238,7 @@ pub struct RouterMsg {
 impl Wire for RouterMsg {
     fn encode(&self, out: &mut Vec<u8>) {
         self.id.encode(out);
-        self.dst.encode(out);
+        self.dst.raw().encode(out);
         self.injected.encode(out);
         self.hops.encode(out);
     }
@@ -246,7 +246,7 @@ impl Wire for RouterMsg {
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(RouterMsg {
             id: u64::decode(buf)?,
-            dst: u32::decode(buf)?,
+            dst: NodeId::new(u32::decode(buf)?),
             injected: u32::decode(buf)?,
             hops: u32::decode(buf)?,
         })
@@ -302,7 +302,7 @@ pub struct RouterConfig {
 /// the delivery/drop ledgers the [`RouterSummary`] digests.
 #[derive(Debug)]
 pub struct Router {
-    me: u32,
+    me: NodeId,
     row: HopRow,
     schedule: Vec<Request>,
     next_inject: usize,
@@ -331,7 +331,7 @@ impl Router {
     /// # Panics
     ///
     /// Panics if the row lists [`NO_HOP`] or more neighbors.
-    pub fn new(me: u32, row: HopRow, schedule: Vec<Request>, config: RouterConfig) -> Self {
+    pub fn new(me: NodeId, row: HopRow, schedule: Vec<Request>, config: RouterConfig) -> Self {
         assert_positions_fit(row.neighbors.len());
         Router {
             me,
@@ -426,7 +426,7 @@ impl Protocol for Router {
         {
             let req = self.schedule[self.next_inject];
             self.next_inject += 1;
-            let id = ((self.me as u64) << 32) | self.seq as u64;
+            let id = (u64::from(self.me.raw()) << 32) | u64::from(self.seq);
             self.seq += 1;
             self.injected += 1;
             active = true;
@@ -469,7 +469,7 @@ impl Protocol for Router {
                 continue;
             };
             ctx.send_global(
-                NodeId::from(to as usize),
+                to,
                 RouterMsg {
                     hops: msg.hops.saturating_add(1),
                     ..msg
@@ -570,29 +570,20 @@ mod tests {
     /// The executable specification [`next_hops`] is checked against: one
     /// queue BFS per destination, then every source takes its first
     /// (smallest-id) strictly closer neighbor.
-    fn reference_next_hops(graph: &UGraph) -> Vec<Vec<u32>> {
+    fn reference_next_hops(graph: &UGraph) -> Vec<Vec<NodeId>> {
         let n = graph.node_count();
-        let adj: Vec<Vec<u32>> = graph
-            .nodes()
-            .map(|v| {
-                graph
-                    .distinct_neighbors(v)
-                    .into_iter()
-                    .map(|u| u.index() as u32)
-                    .collect()
-            })
-            .collect();
+        let adj: Vec<Vec<NodeId>> = graph.nodes().map(|v| graph.distinct_neighbors(v)).collect();
         let mut table = vec![vec![UNROUTABLE; n]; n];
         let mut dist = vec![u32::MAX; n];
         let mut queue = VecDeque::new();
         for dst in 0..n {
             dist.fill(u32::MAX);
             dist[dst] = 0;
-            queue.push_back(dst as u32);
+            queue.push_back(NodeId::from(dst));
             while let Some(v) = queue.pop_front() {
-                for &u in &adj[v as usize] {
-                    if dist[u as usize] == u32::MAX {
-                        dist[u as usize] = dist[v as usize] + 1;
+                for &u in &adj[v.index()] {
+                    if dist[u.index()] == u32::MAX {
+                        dist[u.index()] = dist[v.index()] + 1;
                         queue.push_back(u);
                     }
                 }
@@ -601,7 +592,7 @@ mod tests {
                 if src == dst || dist[src] == u32::MAX {
                     continue;
                 }
-                if let Some(&nb) = adj[src].iter().find(|&&nb| dist[nb as usize] < dist[src]) {
+                if let Some(&nb) = adj[src].iter().find(|nb| dist[nb.index()] < dist[src]) {
                     table[src][dst] = nb;
                 }
             }
@@ -614,7 +605,7 @@ mod tests {
     /// every routable entry is a neighbor exactly one hop closer, no
     /// smaller-id neighbor is closer too, and exactly the pairs with no path
     /// (or `src == dst`) are unroutable.
-    fn assert_greedy_smallest_id(graph: &UGraph, table: &[Vec<u32>]) {
+    fn assert_greedy_smallest_id(graph: &UGraph, table: &[Vec<NodeId>]) {
         let n = graph.node_count();
         assert_eq!(table.len(), n);
         let neighbors: Vec<Vec<usize>> = graph
@@ -627,11 +618,11 @@ mod tests {
         for dst in 0..n {
             let dist = analysis::bfs_distances(graph, NodeId::from(dst));
             for (src, (row, near)) in table.iter().zip(&neighbors).enumerate() {
-                let hop = row[dst] as usize;
                 let Some(d) = dist[src].filter(|&d| d > 0) else {
-                    assert_eq!(hop, UNROUTABLE as usize, "{src} -> {dst} has no route");
+                    assert_eq!(row[dst], UNROUTABLE, "{src} -> {dst} has no route");
                     continue;
                 };
+                let hop = row[dst].index();
                 assert!(
                     near.contains(&hop),
                     "{src} -> {dst}: {hop} is not a neighbor"
@@ -651,13 +642,12 @@ mod tests {
     /// [`reference_next_hops`] (and what [`next_hops`] returns), `neighbors`
     /// is the node's `distinct_neighbors`, and exactly the self and
     /// unreachable entries are [`NO_HOP`]. Returns the expanded table.
-    fn assert_rows_expand_to_the_reference(graph: &UGraph) -> Vec<Vec<u32>> {
+    fn assert_rows_expand_to_the_reference(graph: &UGraph) -> Vec<Vec<NodeId>> {
         let rows = hop_rows(graph);
         let reference = reference_next_hops(graph);
         assert_eq!(rows.len(), reference.len());
         for ((v, row), want) in graph.nodes().zip(&rows).zip(&reference) {
             let distinct = graph.distinct_neighbors(v);
-            let distinct: Vec<u32> = distinct.iter().map(|w| w.index() as u32).collect();
             assert_eq!(row.neighbors, distinct, "{v:?}'s neighbor list");
             assert_eq!(&row.expand(), want, "{v:?}'s row");
             for (&k, &to) in row.hop.iter().zip(want) {
@@ -676,9 +666,9 @@ mod tests {
     fn next_hops_route_along_shortest_paths() {
         let table = next_hops(&line_graph(5));
         // From 0 toward 4, every hop steps right.
-        assert_eq!(table[0][4], 1);
-        assert_eq!(table[1][4], 2);
-        assert_eq!(table[3][4], 4);
+        assert_eq!(table[0][4], NodeId::new(1));
+        assert_eq!(table[1][4], NodeId::new(2));
+        assert_eq!(table[3][4], NodeId::new(4));
         // Self-routes are unroutable by construction.
         assert_eq!(table[2][2], UNROUTABLE);
     }
@@ -689,7 +679,7 @@ mod tests {
         g.add_edge(NodeId::from(0usize), NodeId::from(1usize));
         g.add_edge(NodeId::from(2usize), NodeId::from(3usize));
         let table = next_hops(&g);
-        assert_eq!(table[0][1], 1);
+        assert_eq!(table[0][1], NodeId::new(1));
         assert_eq!(table[0][2], UNROUTABLE);
         assert_eq!(table[3][1], UNROUTABLE);
     }
@@ -727,8 +717,8 @@ mod tests {
     #[test]
     fn next_hops_on_a_path_with_more_levels_than_bits() {
         let table = assert_rows_expand_to_the_reference(&line_graph(300));
-        assert_eq!(table[0][299], 1);
-        assert_eq!(table[299][0], 298);
+        assert_eq!(table[0][299], NodeId::new(1));
+        assert_eq!(table[299][0], NodeId::new(298));
     }
 
     #[test]
@@ -777,27 +767,27 @@ mod tests {
             per_round_budget: 8,
         };
         let row = hop_rows(&line_graph(3)).swap_remove(1);
-        let mut router = Router::new(1, row, Vec::new(), config);
+        let mut router = Router::new(NodeId::new(1), row, Vec::new(), config);
         let mut outbox = Vec::new();
         let mut rng = overlay_netsim::node_rng(0, 1);
         let inbox = [
             // A destination no table row has.
             envelope(RouterMsg {
                 id: 1,
-                dst: 3,
+                dst: NodeId::new(3),
                 injected: 1,
                 hops: 1,
             }),
             envelope(RouterMsg {
                 id: 2,
-                dst: u32::MAX - 1,
+                dst: NodeId::new(u32::MAX - 1),
                 injected: 1,
                 hops: 1,
             }),
             // Injected in the future, hop counter at its ceiling, real route.
             envelope(RouterMsg {
                 id: 3,
-                dst: 2,
+                dst: NodeId::new(2),
                 injected: u32::MAX,
                 hops: u32::MAX,
             }),
@@ -816,8 +806,8 @@ mod tests {
     /// every round. The executable specification [`Router`] is checked
     /// against.
     struct ReferenceRouter {
-        me: u32,
-        next_hop: Vec<u32>,
+        me: NodeId,
+        next_hop: Vec<NodeId>,
         schedule: Vec<Request>,
         next_inject: usize,
         config: RouterConfig,
@@ -828,12 +818,17 @@ mod tests {
         dropped: Vec<u64>,
         expired: Vec<u64>,
         forwards: u64,
-        edge_load: BTreeMap<u32, u32>,
+        edge_load: BTreeMap<NodeId, u32>,
         quiet: bool,
     }
 
     impl ReferenceRouter {
-        fn new(me: u32, next_hop: Vec<u32>, schedule: Vec<Request>, config: RouterConfig) -> Self {
+        fn new(
+            me: NodeId,
+            next_hop: Vec<NodeId>,
+            schedule: Vec<Request>,
+            config: RouterConfig,
+        ) -> Self {
             ReferenceRouter {
                 me,
                 next_hop,
@@ -883,7 +878,7 @@ mod tests {
             {
                 let req = self.schedule[self.next_inject];
                 self.next_inject += 1;
-                let id = ((self.me as u64) << 32) | self.seq as u64;
+                let id = (u64::from(self.me.raw()) << 32) | u64::from(self.seq);
                 self.seq += 1;
                 self.injected += 1;
                 active = true;
@@ -911,7 +906,7 @@ mod tests {
                 };
                 let hop = self
                     .next_hop
-                    .get(msg.dst as usize)
+                    .get(msg.dst.index())
                     .copied()
                     .unwrap_or(UNROUTABLE);
                 if hop == UNROUTABLE {
@@ -919,7 +914,7 @@ mod tests {
                     continue;
                 }
                 ctx.send_global(
-                    NodeId::from(hop as usize),
+                    hop,
                     RouterMsg {
                         hops: msg.hops.saturating_add(1),
                         ..msg
@@ -986,13 +981,14 @@ mod tests {
         let mut schedule: Vec<Request> = (0..script.gen_range(0..12u32))
             .map(|_| Request {
                 round: script.gen_range(1..30u32),
-                dst: script.gen_range(0..n as u32),
+                dst: NodeId::new(script.gen_range(0..n as u32)),
             })
             .collect();
         schedule.sort_by_key(|r| (r.round, r.dst));
         let row = hop_rows(&graph).swap_remove(me);
-        let mut router = Router::new(me as u32, row.clone(), schedule.clone(), config);
-        let mut reference = ReferenceRouter::new(me as u32, row.expand(), schedule, config);
+        let me_id = NodeId::from(me);
+        let mut router = Router::new(me_id, row.clone(), schedule.clone(), config);
+        let mut reference = ReferenceRouter::new(me_id, row.expand(), schedule, config);
 
         let (mut sent, mut reference_sent) = (Vec::new(), Vec::new());
         let mut rng = overlay_netsim::node_rng(case, me);
@@ -1009,13 +1005,13 @@ mod tests {
                     next_id += 1;
                     let honest = RouterMsg {
                         id: next_id,
-                        dst: script.gen_range(0..n as u32),
+                        dst: NodeId::new(script.gen_range(0..n as u32)),
                         injected: (round as u32).saturating_sub(script.gen_range(0..7u32)),
                         hops: script.gen_range(0..9u32),
                     };
                     envelope(match script.gen_range(0..10u32) {
                         0 => RouterMsg {
-                            dst: n as u32 + script.gen_range(0..3u32) * (u32::MAX / 4),
+                            dst: NodeId::new(n as u32 + script.gen_range(0..3u32) * (u32::MAX / 4)),
                             ..honest
                         },
                         1 => RouterMsg {
@@ -1030,7 +1026,6 @@ mod tests {
                     })
                 })
                 .collect();
-            let me_id = NodeId::from(me);
             let mut ctx = Ctx::external(me_id, round, n, &mut rng, &mut sent);
             router.on_round(&mut ctx, &inbox);
             let mut ctx = Ctx::external(me_id, round, n, &mut rng, &mut reference_sent);
@@ -1055,18 +1050,18 @@ mod tests {
             per_round_budget: 8,
         };
         let row = HopRow {
-            neighbors: vec![2],
+            neighbors: vec![NodeId::new(2)],
             hop: vec![0, 7, NO_HOP],
         };
-        assert_eq!(row.expand(), vec![2, UNROUTABLE, UNROUTABLE]);
-        let mut router = Router::new(3, row, Vec::new(), config);
+        assert_eq!(row.expand(), vec![NodeId::new(2), UNROUTABLE, UNROUTABLE]);
+        let mut router = Router::new(NodeId::new(3), row, Vec::new(), config);
         let mut outbox = Vec::new();
         let mut rng = overlay_netsim::node_rng(0, 3);
         let inbox: Vec<Envelope<RouterMsg>> = (0..3)
             .map(|dst| {
                 envelope(RouterMsg {
                     id: u64::from(dst),
-                    dst,
+                    dst: NodeId::new(dst),
                     injected: 1,
                     hops: 1,
                 })
@@ -1083,7 +1078,7 @@ mod tests {
     fn wire_round_trips() {
         let msg = RouterMsg {
             id: (7u64 << 32) | 3,
-            dst: 9,
+            dst: NodeId::new(9),
             injected: 4,
             hops: 2,
         };
@@ -1116,6 +1111,20 @@ mod tests {
         assert!(RouterSummary::decode(&mut short).is_err());
     }
 
+    /// The bytes a node id costs per message in the round loop: widening
+    /// `NodeId` again fails here instead of silently costing 8–12 bytes per
+    /// outbox entry, inbox slot and routed request.
+    #[test]
+    fn message_layouts_carry_a_four_byte_id() {
+        use overlay_core::expander::ExpanderMsg;
+        use overlay_netsim::Channel;
+        use std::mem::size_of;
+        assert_eq!(size_of::<NodeId>(), 4);
+        assert_eq!(size_of::<Envelope<ExpanderMsg>>(), 20);
+        assert_eq!(size_of::<(NodeId, Channel, ExpanderMsg)>(), 20);
+        assert_eq!(size_of::<Envelope<RouterMsg>>(), 32);
+    }
+
     #[test]
     fn queue_overflow_sheds_and_ttl_expires() {
         let config = RouterConfig {
@@ -1126,14 +1135,14 @@ mod tests {
         // Node 1 on a 3-line, zero forward budget: everything it receives
         // queues, overflows, then expires.
         let row = hop_rows(&line_graph(3)).swap_remove(1);
-        let mut router = Router::new(1, row, Vec::new(), config);
+        let mut router = Router::new(NodeId::new(1), row, Vec::new(), config);
         let mut outbox = Vec::new();
         let mut rng = overlay_netsim::node_rng(0, 1);
         let inbox: Vec<Envelope<RouterMsg>> = (0..3)
             .map(|k| {
                 envelope(RouterMsg {
                     id: k,
-                    dst: 2,
+                    dst: NodeId::new(2),
                     injected: 1,
                     hops: 1,
                 })

@@ -6,6 +6,7 @@
 //! schedule — and therefore the whole traffic run — is a pure function of its
 //! arguments, and the router protocol itself never touches its per-node RNG.
 
+use overlay_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -15,8 +16,8 @@ use rand::{Rng, SeedableRng};
 pub struct Request {
     /// Protocol round (≥ 1) at which the source injects the request.
     pub round: u32,
-    /// Destination node index.
-    pub dst: u32,
+    /// Destination node.
+    pub dst: NodeId,
 }
 
 /// The shape of a request workload — who talks to whom, and when.
@@ -79,21 +80,20 @@ impl Workload {
         assert!(n > 0, "workloads need at least one node");
         assert!(horizon > 0, "injection horizon must be at least one round");
         let mut rng = StdRng::seed_from_u64(seed);
-        // Seed-chosen focal node for the single-destination workloads.
-        let focus = (rng.gen_range(0..n as u64)) as u32;
+        // Draws are `u64`, the stream every committed schedule was made with.
+        let uniform = |rng: &mut StdRng| NodeId::from(rng.gen_range(0..n as u64) as usize);
+        let focus = uniform(&mut rng); // the single-destination workloads' target
         let zipf_cdf = match self {
             Workload::Zipf { exponent } => Some(zipf_cdf(n, *exponent)),
             _ => None,
         };
         let mut out = Vec::with_capacity(n);
-        for src in 0..n as u32 {
+        for src in (0..n).map(NodeId::from) {
             let mut reqs: Vec<Request> = Vec::with_capacity(requests_per_node as usize);
             for _ in 0..requests_per_node {
                 let round = rng.gen_range(1..horizon + 1);
                 let dst = match self {
-                    Workload::Uniform | Workload::FlashCrowd { .. } => {
-                        rng.gen_range(0..n as u64) as u32
-                    }
+                    Workload::Uniform | Workload::FlashCrowd { .. } => uniform(&mut rng),
                     Workload::Zipf { .. } => {
                         let u: f64 = rng.gen();
                         sample_cdf(zipf_cdf.as_deref().expect("cdf built"), u)
@@ -135,9 +135,9 @@ impl Workload {
 }
 
 /// Remaps a self-addressed destination to the next node.
-fn remap_self(src: u32, dst: u32, n: usize) -> u32 {
+fn remap_self(src: NodeId, dst: NodeId, n: usize) -> NodeId {
     if dst == src {
-        (dst + 1) % n as u32
+        NodeId::from((dst.index() + 1) % n)
     } else {
         dst
     }
@@ -161,7 +161,7 @@ fn zipf_cdf(n: usize, exponent: f64) -> Vec<f64> {
 
 /// Inverse-CDF sampling by binary search: the first index whose cumulative
 /// weight exceeds `u`.
-fn sample_cdf(cdf: &[f64], u: f64) -> u32 {
+fn sample_cdf(cdf: &[f64], u: f64) -> NodeId {
     let mut lo = 0usize;
     let mut hi = cdf.len() - 1;
     while lo < hi {
@@ -172,7 +172,7 @@ fn sample_cdf(cdf: &[f64], u: f64) -> u32 {
             hi = mid;
         }
     }
-    lo as u32
+    NodeId::from(lo)
 }
 
 #[cfg(test)]
@@ -220,8 +220,8 @@ mod tests {
                 }
                 for r in reqs {
                     assert!(r.round >= 1, "round-0 injections are not allowed");
-                    assert!((r.dst as usize) < n, "destination out of range");
-                    assert_ne!(r.dst as usize, src, "self-traffic must be remapped");
+                    assert!(r.dst.index() < n, "destination out of range");
+                    assert_ne!(r.dst.index(), src, "self-traffic must be remapped");
                 }
             }
             assert_eq!(total, workload.total_requests(n, 3));
@@ -231,7 +231,7 @@ mod tests {
     #[test]
     fn hotspot_targets_one_node_and_flash_crowd_bursts() {
         let sched = Workload::Hotspot.schedule(16, 2, 8, 5);
-        let mut dsts: Vec<u32> = sched.iter().flatten().map(|r| r.dst).collect();
+        let mut dsts: Vec<NodeId> = sched.iter().flatten().map(|r| r.dst).collect();
         dsts.sort_unstable();
         dsts.dedup();
         // The focal node plus at most its remap neighbor (when the focus
@@ -251,6 +251,13 @@ mod tests {
         }
     }
 
+    fn request(round: u32, dst: u32) -> Request {
+        Request {
+            round,
+            dst: NodeId::new(dst),
+        }
+    }
+
     /// Pins the exact RNG streams of the skewed samplers: any change to the
     /// draw order, the CDF construction, or the self-remap rule shows up here
     /// before it silently invalidates every committed traffic baseline.
@@ -259,26 +266,18 @@ mod tests {
         let zipf = Workload::Zipf { exponent: 1.1 }.schedule(8, 3, 6, 1);
         assert_eq!(
             zipf[0],
-            vec![
-                Request { round: 4, dst: 7 },
-                Request { round: 5, dst: 1 },
-                Request { round: 5, dst: 1 },
-            ],
+            vec![request(4, 7), request(5, 1), request(5, 1)],
             "Zipf sampler stream moved"
         );
         assert_eq!(
             zipf[7],
-            vec![
-                Request { round: 2, dst: 0 },
-                Request { round: 4, dst: 2 },
-                Request { round: 5, dst: 1 },
-            ],
+            vec![request(2, 0), request(4, 2), request(5, 1)],
             "Zipf sampler stream moved"
         );
         let hot = Workload::Hotspot.schedule(8, 2, 6, 1);
         assert_eq!(
             hot[0],
-            vec![Request { round: 1, dst: 6 }, Request { round: 5, dst: 6 }],
+            vec![request(1, 6), request(5, 6)],
             "hotspot sampler stream moved"
         );
     }
@@ -286,7 +285,7 @@ mod tests {
     #[test]
     fn zipf_skews_toward_low_ranks() {
         let sched = Workload::Zipf { exponent: 1.5 }.schedule(64, 16, 32, 3);
-        let hits_low = sched.iter().flatten().filter(|r| r.dst < 8).count() as f64;
+        let hits_low = sched.iter().flatten().filter(|r| r.dst.index() < 8).count() as f64;
         let total = sched.iter().map(Vec::len).sum::<usize>() as f64;
         assert!(
             hits_low / total > 0.4,

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 /// round for `rounds` rounds and records everything it receives.
 #[derive(Debug)]
 struct Tagger {
-    me: usize,
+    me: NodeId,
     n: usize,
     burst: usize,
     rounds: usize,
@@ -28,7 +28,7 @@ impl Tagger {
     fn fleet(n: usize, burst: usize, rounds: usize) -> Vec<Tagger> {
         (0..n)
             .map(|me| Tagger {
-                me,
+                me: NodeId::from(me),
                 n,
                 burst,
                 rounds,
@@ -40,8 +40,8 @@ impl Tagger {
 
     fn fire(&self, ctx: &mut Ctx<'_, u64>, round: usize) {
         for k in 0..self.burst {
-            let to = NodeId::from((self.me + k + 1) % self.n);
-            let tag = (self.me as u64) << 40 | (round as u64) << 20 | k as u64;
+            let to = NodeId::from((self.me.index() + k + 1) % self.n);
+            let tag = u64::from(self.me.raw()) << 40 | (round as u64) << 20 | k as u64;
             ctx.send_global(to, tag);
         }
     }
@@ -74,10 +74,10 @@ impl Protocol for Tagger {
 /// Every tag the fleet ever fires, sorted (the exactly-once reference multiset).
 fn every_tag(n: usize, burst: usize, rounds: usize) -> Vec<u64> {
     let mut tags = Vec::new();
-    for me in 0..n {
+    for me in 0..n as u64 {
         for round in 0..rounds {
             for k in 0..burst {
-                tags.push((me as u64) << 40 | (round as u64) << 20 | k as u64);
+                tags.push(me << 40 | (round as u64) << 20 | k as u64);
             }
         }
     }
