@@ -232,13 +232,6 @@ pub fn render_markdown(machine: &MachineInfo, cells: &[ScalingCell]) -> String {
              `sweep_runner --scaling` on a multi-core machine for a real\n\
              speedup measurement.\n",
         );
-    } else {
-        out.push_str(&format!(
-            "With {} cores available, cells at or above the parallelism threshold\n\
-             should show speedups approaching the worker count as `n` grows and\n\
-             per-round work dominates the serial merge/dispatch phases.\n",
-            machine.available_parallelism
-        ));
     }
     out
 }
