@@ -24,21 +24,21 @@
 //! [`PhaseOverrides`] and [`OverlayBuilder::with_phase_overrides`]), hands
 //! the phase and its window of the fault plan to the executor, and computes the
 //! three typed hand-offs (survivor-core extraction, BFS convergence, tree
-//! validation) from the executor's per-node digests. The simulator entry points
-//! differ from `build_over` only in which executor they pass; `build` and
-//! `build_over` differ from `build_under_faults` only in mapping the report through
-//! one shared strict contract.
+//! validation) from the executor's per-node digests. With a trace sink it also
+//! brackets each phase with the phase markers, on any executor. The simulator
+//! entry points run on a [`SimExecutor`] (and the traced one passes its sink);
+//! `build` and `build_over` differ from `build_under_faults` only in mapping the
+//! report through one shared strict contract.
 
 use crate::pipeline::{Phase, PhaseId, PhaseMetrics, PhaseOverrides, TransportChoice};
 use crate::seam::{
-    ExecutedPhase, ExpanderSummary, PhaseExecSpec, PhaseExecutor, SimDetail, SimExecutor,
-    SimMedium, Summarize,
+    ExecutedPhase, ExpanderSummary, PhaseExecSpec, PhaseExecutor, SimDetail, SimExecutor, Summarize,
 };
 use crate::wellformed::WellFormedTree;
 use crate::{benign, ExpanderParams, OverlayError, RoundBudget};
 use overlay_graph::{analysis, DiGraph, NodeId, UGraph};
 use overlay_netsim::faults::{CrashEvent, FaultPlan, Partition};
-use overlay_netsim::trace::SharedTraceSink;
+use overlay_netsim::trace::{SharedTraceSink, TraceEvent};
 use overlay_netsim::wire::Wire;
 use overlay_netsim::{ParallelismConfig, RoundMetrics, RunMetrics, TransportConfig};
 
@@ -353,7 +353,7 @@ impl OverlayBuilder {
         g: &DiGraph,
         faults: &FaultPlan,
     ) -> Result<BuildReport, OverlayError> {
-        self.drive(g, faults, &mut self.simulator(None))
+        self.drive(g, faults, &mut self.simulator(), None)
     }
 
     /// [`OverlayBuilder::build_under_faults`] with a trace sink observing the run:
@@ -371,7 +371,7 @@ impl OverlayBuilder {
         faults: &FaultPlan,
         sink: SharedTraceSink,
     ) -> Result<BuildReport, OverlayError> {
-        self.drive(g, faults, &mut self.simulator(Some(sink)))
+        self.drive(g, faults, &mut self.simulator(), Some(&sink))
     }
 
     /// Runs the clean-path pipeline over a pluggable [`PhaseExecutor`]: the
@@ -411,17 +411,18 @@ impl OverlayBuilder {
         g: &DiGraph,
         exec: &mut E,
     ) -> Result<OverlayResult, OverlayError> {
-        strict_result(self.drive(g, &FaultPlan::default(), exec)?, g.node_count())
+        strict_result(
+            self.drive(g, &FaultPlan::default(), exec, None)?,
+            g.node_count(),
+        )
     }
 
-    /// The in-crate simulator executor under this builder's parallelism
-    /// policy.
-    fn simulator(&self, sink: Option<SharedTraceSink>) -> SimMedium {
-        let sim = SimExecutor {
+    /// The simulator executor under this builder's parallelism policy.
+    fn simulator(&self) -> SimExecutor {
+        SimExecutor {
             parallelism: self.parallelism,
             ..SimExecutor::default()
-        };
-        SimMedium::new(sim, sink)
+        }
     }
 
     /// The run parameters of phase `id`: the phase-offset seed (each phase runs
@@ -447,20 +448,37 @@ impl OverlayBuilder {
     /// Executes one phase on `exec` and books it into `ledger`. `Ok(None)` means
     /// the phase stalled (already recorded; the pipeline must exit with the
     /// ledger's report).
+    ///
+    /// With a `sink`, the call is bracketed by [`TraceEvent::PhaseStart`] and
+    /// [`TraceEvent::PhaseEnd`] here, whatever the executor, and the executor
+    /// is handed the sink for the events inside the phase. Tracing never
+    /// changes the run itself.
     fn run_phase<E: PhaseExecutor, P: Summarize + Send>(
         &self,
         exec: &mut E,
         ledger: &mut Ledger,
         phase: Phase<P>,
+        sink: Option<&SharedTraceSink>,
     ) -> Result<Option<ExecutedPhase<P::Summary>>, OverlayError>
     where
         P::Message: Wire + Send,
     {
+        let mark = |event| {
+            if let Some(sink) = sink {
+                sink.borrow_mut().record(event);
+            }
+        };
         let id = phase.id();
         let spec = self.exec_spec(id, phase.clean_rounds());
+        mark(TraceEvent::PhaseStart { phase: id.name() });
         let (run, detail) = exec
-            .execute_detailed(phase, spec)
+            .execute_detailed(phase, spec, sink)
             .map_err(|e| OverlayError::Backend(e.to_string()))?;
+        mark(TraceEvent::PhaseEnd {
+            phase: id.name(),
+            rounds: run.rounds,
+            completed: run.all_done,
+        });
         Ok(ledger.book(id, spec.budget, &run, detail).then_some(run))
     }
 
@@ -468,12 +486,13 @@ impl OverlayBuilder {
     /// `exec`, with the three graph-level hand-offs computed from the per-node
     /// digests. `faults` spans the whole pipeline; each phase is handed its
     /// window of it (shifted past the rounds already run, restricted to the
-    /// core).
+    /// core). `sink`, when given, receives every phase's events.
     fn drive<E: PhaseExecutor>(
         &self,
         g: &DiGraph,
         faults: &FaultPlan,
         exec: &mut E,
+        sink: Option<&SharedTraceSink>,
     ) -> Result<BuildReport, OverlayError> {
         let params = self.params;
         params.validate().map_err(OverlayError::InvalidParams)?;
@@ -493,7 +512,7 @@ impl OverlayBuilder {
         // Phase 1: CreateExpander over all n nodes (joiners included; the fault
         // router keeps them dormant until their join round).
         let phase = Phase::create_expander(g, &params, faults.clone());
-        let Some(construction) = self.run_phase(exec, &mut ledger, phase)? else {
+        let Some(construction) = self.run_phase(exec, &mut ledger, phase, sink)? else {
             return Ok(ledger.into_report());
         };
         let alive1 = construction.alive;
@@ -535,7 +554,7 @@ impl OverlayBuilder {
         let offset1 = construction.rounds;
         let bfs_faults = remap_plan(&faults.shifted(offset1), &old_to_new);
         let phase = Phase::bfs(&expander, &params, bfs_faults);
-        let Some(bfs_run) = self.run_phase(exec, &mut ledger, phase)? else {
+        let Some(bfs_run) = self.run_phase(exec, &mut ledger, phase, sink)? else {
             return Ok(ledger.into_report());
         };
         let alive2 = bfs_run.alive;
@@ -569,7 +588,7 @@ impl OverlayBuilder {
         let offset2 = offset1 + bfs_run.rounds;
         let bin_faults = remap_plan(&faults.shifted(offset2), &old_to_new);
         let phase = Phase::binarize(&bfs, bin_faults);
-        let Some(bin_run) = self.run_phase(exec, &mut ledger, phase)? else {
+        let Some(bin_run) = self.run_phase(exec, &mut ledger, phase, sink)? else {
             return Ok(ledger.into_report());
         };
         let alive3 = bin_run.alive;
@@ -1228,7 +1247,7 @@ mod tests {
         ] {
             let internal = builder.build_under_faults(&g, &plan).expect("valid input");
             let public = builder
-                .drive(&g, &plan, &mut SimExecutor::default())
+                .drive(&g, &plan, &mut SimExecutor::default(), None)
                 .expect("valid input");
             assert_eq!(public.phases, internal.phases, "plan: {plan:?}");
             assert_eq!(public.survivor_ids, internal.survivor_ids);
@@ -1255,7 +1274,7 @@ mod tests {
             .build_under_faults(&g, &total_loss)
             .expect("valid input");
         let public = builder
-            .drive(&g, &total_loss, &mut SimExecutor::default())
+            .drive(&g, &total_loss, &mut SimExecutor::default(), None)
             .expect("valid input");
         let expected = OverlayError::Fragmented {
             components: n,

@@ -10,15 +10,15 @@
 //!
 //! Two families of executors exist:
 //!
-//! * The lockstep simulator (here). `build`, `build_under_faults` and
-//!   `build_under_faults_traced` drive the crate-private `SimMedium` — the
-//!   one place that configures a [`Simulator`], owns the trace sink and the
-//!   phase markers, and wraps nodes in the reliable transport — and the
-//!   public [`SimExecutor`] delegates to it, so
-//!   `build_over(&g, &mut SimExecutor::default())` *is* `build(&g)`. Besides
-//!   the summaries the simulator hands the driver a [`SimDetail`] (full
-//!   metrics, done count, wall-clock) through
-//!   [`PhaseExecutor::execute_detailed`]; no other medium can.
+//! * The lockstep simulator (here): [`SimExecutor`], the one place that
+//!   configures a [`Simulator`] and wraps nodes in the reliable transport.
+//!   `build`, `build_under_faults` and `build_under_faults_traced` run on it
+//!   too, so `build_over(&g, &mut SimExecutor::default())` *is* `build(&g)`.
+//!   Through [`PhaseExecutor::execute_detailed`] the driver hands it the
+//!   trace sink, and it hands the driver a [`SimDetail`] (full metrics, done
+//!   count, wall-clock) besides the summaries; no other medium can do either.
+//!   The phase markers around each call are the driver's, whatever the
+//!   executor.
 //! * The socket-backed runners in the `overlay-net` crate — one stepping
 //!   loop per rank: a single rank owning every node, or multiple OS
 //!   processes over TCP. They replicate the simulator's delivery order, RNG
@@ -39,10 +39,11 @@ use crate::expander::ExpanderNode;
 use crate::pipeline::Phase;
 use crate::wellformed::BinarizeNode;
 use overlay_graph::NodeId;
-use overlay_netsim::trace::{SharedTraceSink, TraceEvent};
+use overlay_netsim::trace::SharedTraceSink;
 use overlay_netsim::wire::{Wire, WireError};
 use overlay_netsim::{
-    MetricsMode, ParallelismConfig, Protocol, RunMetrics, SimConfig, Simulator, TransportConfig,
+    FaultPlan, MetricsMode, ParallelismConfig, Protocol, RunMetrics, SimConfig, Simulator,
+    TransportConfig,
 };
 use overlay_transport::Reliable;
 use std::time::{Duration, Instant};
@@ -165,6 +166,19 @@ impl Wire for BinarizeSummary {
     }
 }
 
+/// A node behind the reliable transport digests to what the node it wraps
+/// digests to: the transport's own state never crosses a phase boundary.
+impl<P: Summarize> Summarize for Reliable<P>
+where
+    P::Message: Wire,
+{
+    type Summary = P::Summary;
+
+    fn summarize(&self) -> P::Summary {
+        self.inner().summarize()
+    }
+}
+
 impl Summarize for BinarizeNode {
     type Summary = BinarizeSummary;
 
@@ -255,13 +269,15 @@ pub trait PhaseExecutor {
         P::Message: Wire + Send;
 
     /// [`PhaseExecutor::execute`] plus the simulator-only [`SimDetail`] of the
-    /// phase. This is what the pipeline driver calls; the provided
-    /// implementation answers `None`, which is right for every medium but the
-    /// simulator.
+    /// phase. This is what the pipeline driver calls, handing over its trace
+    /// sink (the driver itself brackets the call with the phase markers). The
+    /// provided implementation ignores the sink and answers `None`, which is
+    /// right for every medium but the simulator.
     fn execute_detailed<P: Summarize + Send>(
         &mut self,
         phase: Phase<P>,
         spec: PhaseExecSpec,
+        _sink: Option<&SharedTraceSink>,
     ) -> Result<DetailedPhase<P::Summary>, Self::Error>
     where
         P::Message: Wire + Send,
@@ -270,11 +286,14 @@ pub trait PhaseExecutor {
     }
 }
 
-/// The lockstep simulator behind the [`PhaseExecutor`] seam.
+/// The lockstep simulator behind the [`PhaseExecutor`] seam: the one type in
+/// this crate that configures and runs a [`Simulator`].
 ///
 /// [`crate::OverlayBuilder::build_over`] with this executor is
-/// [`crate::OverlayBuilder::build`]; it exists so the simulator is *a* backend
-/// on equal footing with the socket-backed ones, and serves as the model the
+/// [`crate::OverlayBuilder::build`]; the simulator entry points pass one too,
+/// plus their trace sink (the phase markers around each run are the
+/// driver's). It exists so the simulator is *a* backend on equal
+/// footing with the socket-backed ones, and serves as the model the
 /// `overlay-net` equivalence tests compare against.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimExecutor {
@@ -283,6 +302,50 @@ pub struct SimExecutor {
     /// Frozen for `benchmark/`, which writes this field: inert, every run
     /// keeps its per-round metrics.
     pub metrics_mode: MetricsMode,
+}
+
+impl SimExecutor {
+    /// Simulates one phase's `nodes` (bare, or already wrapped in the
+    /// reliable transport) under the phase's fault plan, with `sink`, when
+    /// given, receiving the simulator's events. Behind the transport,
+    /// `is_done` (and therefore the done count and the phase's wall-rounds)
+    /// includes the transport's own drain condition: a node holding
+    /// unacknowledged data keeps the phase alive so retransmissions can land.
+    fn simulate<Q: Summarize>(
+        &self,
+        nodes: Vec<Q>,
+        faults: FaultPlan,
+        spec: PhaseExecSpec,
+        sink: Option<&SharedTraceSink>,
+    ) -> DetailedPhase<Q::Summary>
+    where
+        Q::Message: Wire,
+    {
+        let started = Instant::now();
+        let config = SimConfig::ncc0_capped(spec.ncc0_cap, spec.seed, faults)
+            .with_parallelism(self.parallelism);
+        let mut sim = Simulator::new(nodes, config);
+        if let Some(sink) = sink {
+            sim.set_trace_sink(sink.clone());
+        }
+        let outcome = sim.run(spec.budget);
+        let metrics = sim.metrics().clone();
+        let run = ExecutedPhase {
+            summaries: sim.nodes().iter().map(Q::summarize).collect(),
+            alive: (0..sim.node_count())
+                .map(|i| sim.is_active(NodeId::from(i)))
+                .collect(),
+            rounds: outcome.rounds,
+            all_done: outcome.all_done,
+            delivered: metrics.totals().delivered,
+        };
+        let detail = SimDetail {
+            metrics,
+            done_count: sim.done_count(),
+            wall: started.elapsed(),
+        };
+        (run, Some(detail))
+    }
 }
 
 impl PhaseExecutor for SimExecutor {
@@ -296,136 +359,26 @@ impl PhaseExecutor for SimExecutor {
     where
         P::Message: Wire + Send,
     {
-        SimMedium::new(*self, None).execute(phase, spec)
+        Ok(self.execute_detailed(phase, spec, None)?.0)
     }
 
     fn execute_detailed<P: Summarize + Send>(
         &mut self,
         phase: Phase<P>,
         spec: PhaseExecSpec,
+        sink: Option<&SharedTraceSink>,
     ) -> Result<DetailedPhase<P::Summary>, Self::Error>
     where
         P::Message: Wire + Send,
     {
-        SimMedium::new(*self, None).execute_detailed(phase, spec)
-    }
-}
-
-/// [`SimExecutor`] plus an optional trace sink: the one place in this crate
-/// that configures and runs a [`Simulator`]. [`crate::OverlayBuilder`]'s
-/// simulator entry points drive it directly; the public [`SimExecutor`]
-/// delegates to it untraced.
-pub(crate) struct SimMedium {
-    sim: SimExecutor,
-    /// Receives every phase's simulator events, bracketed by
-    /// [`TraceEvent::PhaseStart`] / [`TraceEvent::PhaseEnd`]; `None` keeps
-    /// runs completely untraced. Tracing never changes the run itself.
-    sink: Option<SharedTraceSink>,
-}
-
-impl SimMedium {
-    pub(crate) fn new(sim: SimExecutor, sink: Option<SharedTraceSink>) -> Self {
-        SimMedium { sim, sink }
-    }
-
-    /// Simulates one phase under its own fault plan — behind the reliable
-    /// transport layer when `spec` configures one, bare otherwise. With a
-    /// transport, `is_done` (and therefore the done count and the phase's
-    /// wall-rounds) includes the transport's own drain condition: a node
-    /// holding unacknowledged data keeps the phase alive so retransmissions
-    /// can land.
-    fn run<P: Summarize>(
-        &self,
-        phase: Phase<P>,
-        spec: PhaseExecSpec,
-    ) -> (ExecutedPhase<P::Summary>, SimDetail)
-    where
-        P::Message: Wire,
-    {
-        let (id, nodes, _, faults) = phase.into_parts();
-        let config = SimConfig::ncc0_capped(spec.ncc0_cap, spec.seed, faults)
-            .with_parallelism(self.sim.parallelism);
-        self.mark(TraceEvent::PhaseStart { phase: id.name() });
-        let started = Instant::now();
-        let (run, metrics, done_count) = match spec.transport {
-            Some(cfg) => self.simulate(
-                nodes.into_iter().map(|p| Reliable::new(p, cfg)).collect(),
-                config,
-                spec.budget,
-                |q: &Reliable<P>| q.inner().summarize(),
-            ),
-            None => self.simulate(nodes, config, spec.budget, P::summarize),
-        };
-        let wall = started.elapsed();
-        self.mark(TraceEvent::PhaseEnd {
-            phase: id.name(),
-            rounds: run.rounds,
-            completed: run.all_done,
-        });
-        let detail = SimDetail {
-            metrics,
-            done_count,
-            wall,
-        };
-        (run, detail)
-    }
-
-    fn mark(&self, event: TraceEvent) {
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut().record(event);
-        }
-    }
-
-    fn simulate<Q: Protocol, S>(
-        &self,
-        nodes: Vec<Q>,
-        config: SimConfig,
-        budget: usize,
-        summarize: impl Fn(&Q) -> S,
-    ) -> (ExecutedPhase<S>, RunMetrics, usize) {
-        let mut sim = Simulator::new(nodes, config);
-        if let Some(sink) = &self.sink {
-            sim.set_trace_sink(sink.clone());
-        }
-        let outcome = sim.run(budget);
-        let metrics = sim.metrics().clone();
-        let run = ExecutedPhase {
-            summaries: sim.nodes().iter().map(summarize).collect(),
-            alive: (0..sim.node_count())
-                .map(|i| sim.is_active(NodeId::from(i)))
-                .collect(),
-            rounds: outcome.rounds,
-            all_done: outcome.all_done,
-            delivered: metrics.totals().delivered,
-        };
-        (run, metrics, sim.done_count())
-    }
-}
-
-impl PhaseExecutor for SimMedium {
-    type Error = std::convert::Infallible;
-
-    fn execute<P: Summarize + Send>(
-        &mut self,
-        phase: Phase<P>,
-        spec: PhaseExecSpec,
-    ) -> Result<ExecutedPhase<P::Summary>, Self::Error>
-    where
-        P::Message: Wire + Send,
-    {
-        Ok(self.run(phase, spec).0)
-    }
-
-    fn execute_detailed<P: Summarize + Send>(
-        &mut self,
-        phase: Phase<P>,
-        spec: PhaseExecSpec,
-    ) -> Result<DetailedPhase<P::Summary>, Self::Error>
-    where
-        P::Message: Wire + Send,
-    {
-        let (run, detail) = self.run(phase, spec);
-        Ok((run, Some(detail)))
+        let (_, nodes, _, faults) = phase.into_parts();
+        Ok(match spec.transport {
+            None => self.simulate(nodes, faults, spec, sink),
+            Some(cfg) => {
+                let wrapped = nodes.into_iter().map(|p| Reliable::new(p, cfg)).collect();
+                self.simulate(wrapped, faults, spec, sink)
+            }
+        })
     }
 }
 

@@ -1,5 +1,5 @@
-//! Centralized graph analysis: BFS, diameter, connected components and degree
-//! statistics.
+//! Centralized graph analysis: BFS, diameter, connected components and
+//! spanning-tree checks.
 //!
 //! These routines run on the *global* view of a graph and are used by the experiment
 //! harness to verify the outputs of the distributed algorithms (which themselves only
@@ -57,14 +57,6 @@ pub fn diameter(g: &UGraph) -> Option<usize> {
         best = best.max(eccentricity(g, v));
     }
     Some(best)
-}
-
-/// A cheaper upper bound for the diameter: twice the eccentricity of node 0.
-pub fn diameter_upper_bound(g: &UGraph) -> usize {
-    if g.node_count() == 0 {
-        return 0;
-    }
-    2 * eccentricity(g, NodeId::from(0usize))
 }
 
 /// Returns `true` if the graph is connected (ignoring edge directions); the empty graph
@@ -147,31 +139,6 @@ pub fn connected_components(g: &UGraph) -> Components {
     Components { labels, count }
 }
 
-/// Degree statistics of a graph.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct DegreeStats {
-    /// Minimum degree.
-    pub min: usize,
-    /// Maximum degree.
-    pub max: usize,
-    /// Mean degree.
-    pub mean: f64,
-}
-
-/// Computes minimum, maximum and mean degree.
-pub fn degree_stats(g: &UGraph) -> DegreeStats {
-    let n = g.node_count();
-    if n == 0 {
-        return DegreeStats::default();
-    }
-    let degs: Vec<usize> = g.nodes().map(|v| g.degree(v)).collect();
-    DegreeStats {
-        min: *degs.iter().min().expect("non-empty"),
-        max: *degs.iter().max().expect("non-empty"),
-        mean: degs.iter().sum::<usize>() as f64 / n as f64,
-    }
-}
-
 /// Checks whether `parent` encodes a spanning tree of the (undirected) graph `g`:
 /// exactly one root (its own parent), every non-root's parent edge exists in `g`, and
 /// following parents from every node reaches the root (no cycles).
@@ -243,18 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn diameter_upper_bound_holds() {
-        for g in [
-            generators::line(33),
-            generators::cycle(20),
-            generators::grid(5, 7),
-        ] {
-            let u = g.to_undirected();
-            assert!(diameter_upper_bound(&u) >= diameter(&u).unwrap());
-        }
-    }
-
-    #[test]
     fn components_of_forest() {
         let g = generators::disjoint_union(&[generators::line(4), generators::cycle(3)]);
         let comps = connected_components(&g.to_undirected());
@@ -286,15 +241,6 @@ mod tests {
         let comps = connected_components(&g);
         assert_eq!(comps, connected_components(&g.simplify()));
         assert_eq!(comps.labels(), [0, 1, 2, 0, 1, 0]);
-    }
-
-    #[test]
-    fn degree_stats_of_star() {
-        let g = generators::star(11).to_undirected();
-        let s = degree_stats(&g);
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 10);
-        assert!((s.mean - 20.0 / 11.0).abs() < 1e-9);
     }
 
     #[test]

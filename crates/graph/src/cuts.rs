@@ -76,7 +76,7 @@ pub fn exact_conductance(g: &UGraph) -> f64 {
 /// * sweep cuts over an approximate second eigenvector of the lazy random walk
 ///   (the standard spectral partitioning heuristic, see [`spectral`]),
 /// * sweep cuts over the identifier order (which captures the worst cuts of lines,
-///   lollipops and other "ordered" topologies),
+///   barbells and other "ordered" topologies),
 /// * all singleton cuts.
 ///
 /// The returned value is the conductance of an actual cut, so it is always an upper

@@ -120,32 +120,6 @@ pub fn hypercube(d: u32) -> DiGraph {
     g
 }
 
-/// A lollipop-like graph: a clique of `clique` nodes attached to a path of `tail` nodes.
-///
-/// The bottleneck edge between the clique and the tail gives the graph a very small
-/// conductance, which makes it a good stress test for conductance-growth experiments.
-///
-/// # Panics
-///
-/// Panics if `clique < 2` or `tail == 0`.
-pub fn lollipop(clique: usize, tail: usize) -> DiGraph {
-    assert!(clique >= 2, "clique part needs at least two nodes");
-    assert!(tail > 0, "tail must be non-empty");
-    let n = clique + tail;
-    let mut g = DiGraph::new(n);
-    for i in 0..clique {
-        for j in i + 1..clique {
-            g.add_edge(i.into(), j.into());
-        }
-    }
-    // Attach the tail to clique node 0.
-    g.add_edge(0.into(), clique.into());
-    for i in clique..n - 1 {
-        g.add_edge(i.into(), (i + 1).into());
-    }
-    g
-}
-
 /// A barbell graph: two cliques of size `clique` connected by a path of `bridge` nodes.
 ///
 /// # Panics
@@ -322,21 +296,6 @@ pub fn two_cycles_bridged(n: usize) -> DiGraph {
     g
 }
 
-/// Randomly relabels the nodes of a graph (edge structure preserved up to isomorphism).
-///
-/// Useful to rule out accidental dependence on identifier order in the algorithms.
-pub fn shuffle_labels(g: &DiGraph, seed: u64) -> DiGraph {
-    let n = g.node_count();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut perm: Vec<usize> = (0..n).collect();
-    perm.shuffle(&mut rng);
-    let mut out = DiGraph::new(n);
-    for (u, v) in g.edges() {
-        out.add_edge(perm[u.index()].into(), perm[v.index()].into());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,13 +360,6 @@ mod tests {
         let u = g.to_undirected();
         assert!(u.nodes().all(|v| u.degree(v) == 4));
         assert_eq!(analysis::diameter(&u), Some(4));
-    }
-
-    #[test]
-    fn lollipop_connected() {
-        let g = lollipop(8, 8);
-        assert_eq!(g.node_count(), 16);
-        assert!(analysis::is_connected(&g.to_undirected()));
     }
 
     #[test]
@@ -485,18 +437,6 @@ mod tests {
         let g = chained_cycles(3, 4);
         assert_eq!(g.node_count(), 3 * 3 + 1);
         assert!(analysis::is_connected(&g.to_undirected()));
-    }
-
-    #[test]
-    fn shuffle_preserves_counts() {
-        let g = grid(3, 3);
-        let s = shuffle_labels(&g, 5);
-        assert_eq!(g.node_count(), s.node_count());
-        assert_eq!(g.edge_count(), s.edge_count());
-        assert_eq!(
-            analysis::diameter(&g.to_undirected()),
-            analysis::diameter(&s.to_undirected())
-        );
     }
 
     #[test]

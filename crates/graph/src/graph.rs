@@ -59,12 +59,6 @@ impl DiGraph {
         self.out[u.index()].push(v);
     }
 
-    /// Adds both `(u, v)` and `(v, u)`.
-    pub fn add_bidirected_edge(&mut self, u: NodeId, v: NodeId) {
-        self.add_edge(u, v);
-        self.add_edge(v, u);
-    }
-
     /// Returns `true` if at least one edge `(u, v)` exists.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.out[u.index()].contains(&v)
@@ -218,14 +212,6 @@ mod tests {
         let edges = g.edges();
         let g2 = DiGraph::from_edges(5, edges);
         assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn bidirected_edge() {
-        let mut g = DiGraph::new(2);
-        g.add_bidirected_edge(0.into(), 1.into());
-        assert!(g.has_edge(0.into(), 1.into()));
-        assert!(g.has_edge(1.into(), 0.into()));
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! * [`UGraph`] — an undirected multigraph with explicit self-loops, used for the
 //!   *benign* communication graphs maintained by `CreateExpander`,
 //! * [`generators`] — workload generators (lines, cycles, trees, random regular graphs,
-//!   Erdős–Rényi graphs, grids, lollipops, …) used as the initial topologies of every
+//!   Erdős–Rényi graphs, grids, barbells, …) used as the initial topologies of every
 //!   experiment,
-//! * [`analysis`] — BFS, diameter, connected components, degree statistics,
+//! * [`analysis`] — BFS, diameter, connected components, spanning-tree checks,
 //! * [`cuts`] — conductance (exact for small graphs, sweep/spectral estimates otherwise)
 //!   and global minimum cuts (Stoer–Wagner),
-//! * [`spectral`] — power-iteration estimation of the lazy random-walk spectral gap,
+//! * [`spectral`] — the lazy random walk and a power-iteration Fiedler embedding,
 //! * [`sequential`] — centralized reference algorithms (union-find components, Tarjan
 //!   biconnectivity, Kruskal spanning trees, greedy MIS and validity checkers) that the
 //!   distributed implementations are verified against.

@@ -1,11 +1,9 @@
 //! Spectral estimates for the lazy random walk.
 //!
 //! The paper's analysis works with the lazy random-walk matrix of a Δ-regular benign
-//! graph. For the experiment harness we estimate its spectral gap `1 - λ₂` by power
-//! iteration (with deflation of the all-ones stationary vector) and expose the
-//! corresponding approximate Fiedler embedding, which [`crate::cuts::conductance_estimate`]
-//! uses for sweep cuts. Cheeger's inequality `Φ²/2 ≤ 1 - λ₂ ≤ 2Φ` then brackets the
-//! conductance.
+//! graph. For the experiment harness we approximate its second eigenvector (the
+//! Fiedler embedding) by power iteration, with deflation of the all-ones stationary
+//! vector; [`crate::cuts::conductance_estimate`] uses it for sweep cuts.
 
 use crate::{NodeId, UGraph};
 use rand::rngs::StdRng;
@@ -52,32 +50,6 @@ pub fn fiedler_embedding(g: &UGraph, iterations: usize, seed: u64) -> Vec<f64> {
     }
     deflate_and_normalize(&mut x);
     x
-}
-
-/// Estimates the spectral gap `1 - λ₂` of the lazy random-walk matrix by power
-/// iteration. Larger gaps mean better expansion; by Cheeger's inequality
-/// `gap/2 ≤ Φ ≤ sqrt(2·gap)`.
-pub fn spectral_gap(g: &UGraph, iterations: usize, seed: u64) -> f64 {
-    let n = g.node_count();
-    if n <= 1 {
-        return 1.0;
-    }
-    let mut x = fiedler_embedding(g, iterations, seed);
-    deflate_and_normalize(&mut x);
-    let y = lazy_walk_step(g, &x);
-    // Rayleigh quotient approximates λ₂.
-    let num: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
-    let den: f64 = x.iter().map(|a| a * a).sum();
-    if den == 0.0 {
-        return 1.0;
-    }
-    let lambda2 = (num / den).clamp(-1.0, 1.0);
-    1.0 - lambda2
-}
-
-/// Conductance lower bound from Cheeger's inequality: `Φ ≥ gap / 2`.
-pub fn cheeger_lower_bound(g: &UGraph, iterations: usize, seed: u64) -> f64 {
-    spectral_gap(g, iterations, seed) / 2.0
 }
 
 fn deflate_and_normalize(x: &mut [f64]) {
@@ -128,26 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn gap_of_expander_exceeds_gap_of_line() {
-        let line = to_ug(&generators::line(64));
-        let cube = to_ug(&generators::hypercube(6));
-        let gap_line = spectral_gap(&line, 300, 1);
-        let gap_cube = spectral_gap(&cube, 300, 1);
-        assert!(
-            gap_cube > 4.0 * gap_line,
-            "expected expander gap {gap_cube} to dominate line gap {gap_line}"
-        );
-    }
-
-    #[test]
-    fn cheeger_bound_is_consistent_with_exact_conductance() {
-        let g = to_ug(&generators::cycle(12));
-        let exact = crate::cuts::exact_conductance(&g);
-        let lower = cheeger_lower_bound(&g, 400, 2);
-        assert!(lower <= exact + 0.05, "lower {lower} vs exact {exact}");
-    }
-
-    #[test]
     fn fiedler_embedding_separates_line_halves() {
         let g = to_ug(&generators::line(32));
         let emb = fiedler_embedding(&g, 400, 3);
@@ -160,6 +112,5 @@ mod tests {
     fn empty_graph_edge_cases() {
         let g = UGraph::new(0);
         assert!(fiedler_embedding(&g, 10, 0).is_empty());
-        assert_eq!(spectral_gap(&g, 10, 0), 1.0);
     }
 }

@@ -36,7 +36,7 @@ use crate::NetError;
 use overlay_core::{ExecutedPhase, Phase, PhaseExecSpec, PhaseExecutor, Summarize};
 use overlay_graph::NodeId;
 use overlay_netsim::wire::Wire;
-use overlay_netsim::{node_rng, CapacityModel, Channel, Ctx, Envelope, Protocol};
+use overlay_netsim::{node_rng, CapacityModel, Channel, Ctx, Envelope};
 use overlay_transport::Reliable;
 
 /// Drives [`overlay_core::OverlayBuilder::build_over`] across a [`Backend`].
@@ -80,49 +80,27 @@ impl<B: Backend> PhaseExecutor for NetRunner<B> {
         }
         let tag = id.index() as u8;
         match spec.transport {
-            None => run_phase_net(&mut self.backend, tag, nodes, spec, bare_summary::<P>),
+            None => run_phase_net(&mut self.backend, tag, nodes, spec),
             Some(cfg) => {
-                // `Reliable<P>` cannot itself implement `Summarize` without a
-                // blanket impl that would collide with the per-protocol ones,
-                // so the summarizer travels as a plain function pointer that
-                // reaches through to the inner protocol.
-                let wrapped: Vec<Reliable<P>> =
-                    nodes.into_iter().map(|p| Reliable::new(p, cfg)).collect();
-                run_phase_net(&mut self.backend, tag, wrapped, spec, reliable_summary::<P>)
+                let wrapped = nodes.into_iter().map(|p| Reliable::new(p, cfg)).collect();
+                run_phase_net(&mut self.backend, tag, wrapped, spec)
             }
         }
     }
 }
 
-fn bare_summary<P: Summarize>(node: &P) -> P::Summary
-where
-    P::Message: Wire,
-{
-    node.summarize()
-}
-
-fn reliable_summary<P: Summarize>(node: &Reliable<P>) -> P::Summary
-where
-    P::Message: Wire,
-{
-    node.inner().summarize()
-}
-
-/// Runs one phase of `Q` nodes over the backend; `summarize` digests each
-/// owned node's final state (reaching through the reliable wrapper when one
-/// is present).
-fn run_phase_net<B, Q, S>(
+/// Runs one phase of `Q` nodes (bare, or behind the reliable transport) over
+/// the backend and gathers every node's summary.
+fn run_phase_net<B, Q>(
     backend: &mut B,
     phase: u8,
     nodes: Vec<Q>,
     spec: PhaseExecSpec,
-    summarize: fn(&Q) -> S,
-) -> Result<ExecutedPhase<S>, NetError>
+) -> Result<ExecutedPhase<Q::Summary>, NetError>
 where
     B: Backend,
-    Q: Protocol,
+    Q: Summarize,
     Q::Message: Wire,
-    S: Wire + Clone,
 {
     let n = backend.n();
     if nodes.len() != n {
@@ -228,15 +206,15 @@ where
         .zip(owned)
         .map(|(node, i)| {
             let mut bytes = Vec::new();
-            summarize(node).encode(&mut bytes);
+            node.summarize().encode(&mut bytes);
             (NodeId::from(i).raw(), bytes)
         })
         .collect();
     let (gathered, delivered) = backend.exchange_summaries(phase, local, delivered)?;
-    let mut summaries: Vec<Option<S>> = vec![None; n];
+    let mut summaries: Vec<Option<Q::Summary>> = vec![None; n];
     for (node, bytes) in gathered {
         let mut slice = bytes.as_slice();
-        let summary = S::decode(&mut slice).map_err(NetError::Codec)?;
+        let summary = Q::Summary::decode(&mut slice).map_err(NetError::Codec)?;
         let slot = summaries
             .get_mut(node as usize)
             .ok_or_else(|| NetError::Protocol(format!("summary for unknown node {node}")))?;
@@ -246,7 +224,7 @@ where
             )));
         }
     }
-    let summaries: Vec<S> = summaries
+    let summaries: Vec<Q::Summary> = summaries
         .into_iter()
         .enumerate()
         .map(|(i, s)| s.ok_or_else(|| NetError::Protocol(format!("no summary for node {i}"))))
@@ -267,7 +245,7 @@ mod tests {
     use crate::backend::SummaryEntries;
     use crate::ChannelBackend;
     use overlay_core::{BfsSummary, SimExecutor};
-    use overlay_netsim::FaultPlan;
+    use overlay_netsim::{FaultPlan, Protocol};
     use std::ops::Range;
 
     #[test]
@@ -387,6 +365,14 @@ mod tests {
         }
     }
 
+    impl Summarize for Recorder {
+        type Summary = Vec<u32>;
+
+        fn summarize(&self) -> Vec<u32> {
+            self.seen.clone().unwrap_or_default()
+        }
+    }
+
     fn body(payload: u32) -> Vec<u8> {
         let mut bytes = Vec::new();
         Channel::Global.encode(&mut bytes);
@@ -410,8 +396,7 @@ mod tests {
             budget: 4,
             transport: None,
         };
-        let summarize = |node: &Recorder| node.seen.clone().unwrap_or_default();
-        let run = run_phase_net(&mut backend, 3, nodes, spec, summarize);
+        let run = run_phase_net(&mut backend, 3, nodes, spec);
         (run, backend.sent)
     }
 

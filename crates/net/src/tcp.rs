@@ -80,9 +80,9 @@ pub struct TcpBackend {
     pending_ctrl: Vec<Frame>,
 }
 
-/// A bound-but-not-yet-meshed rank-0 endpoint, split from
-/// [`TcpBackend::listen`] so callers binding an ephemeral port (`:0`) can
-/// learn the actual address before the joiners dial in.
+/// A bound-but-not-yet-meshed rank-0 endpoint: [`TcpHost::bind`], then
+/// [`TcpHost::accept`], so callers binding an ephemeral port (`:0`) can learn
+/// the actual address before the joiners dial in.
 pub struct TcpHost {
     listener: TcpListener,
 }
@@ -151,18 +151,6 @@ impl TcpHost {
 }
 
 impl TcpBackend {
-    /// Rank 0 in one call: bind `bind_addr` and complete the mesh (see
-    /// [`TcpHost`] for the two-step form).
-    pub fn listen(
-        bind_addr: &str,
-        procs: usize,
-        n: usize,
-        config: u64,
-        timeout: Duration,
-    ) -> Result<TcpBackend, NetError> {
-        TcpHost::bind(bind_addr)?.accept(procs, n, config, timeout)
-    }
-
     /// A joiner: connect to rank 0 at `listener_addr`, receive a rank and the
     /// roster, and complete the mesh. `n`, the process count and the config
     /// word all come from the roster.
@@ -224,18 +212,13 @@ impl TcpBackend {
         Ok(backend)
     }
 
-    /// Total processes in the mesh.
-    pub fn procs(&self) -> usize {
-        self.procs
-    }
-
     /// This process's rank.
     pub fn rank(&self) -> usize {
         self.rank
     }
 
     /// The application config word from the roster (rank 0: the value it
-    /// passed to [`TcpBackend::listen`]).
+    /// passed to [`TcpHost::accept`]).
     pub fn config(&self) -> u64 {
         self.config
     }

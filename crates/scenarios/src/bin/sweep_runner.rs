@@ -374,7 +374,7 @@ fn compare_committed(opts: &Options) -> ExitCode {
         return ExitCode::FAILURE;
     }
     print!("{}", compare::render_table(&deltas));
-    match compare::write_compare_table(&deltas, opts.seeds, &opts.dir) {
+    match compare::write_compare_table(&deltas, &opts.dir) {
         Ok(path) => eprintln!("delta table persisted to {}", path.display()),
         Err(e) => {
             eprintln!("cannot write delta table: {e}");

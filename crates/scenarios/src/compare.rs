@@ -30,6 +30,8 @@ pub struct PairDelta {
     pub twin: String,
     /// The twin's declared variant axis label (empty when undeclared).
     pub axis: String,
+    /// Seeds per report, as both reports' `seeds` headers state it.
+    pub seeds: usize,
     /// Success rate, baseline then twin (fractions in `[0, 1]`).
     pub success: (f64, f64),
     /// Mean coverage, baseline then twin (for serve cells this is the
@@ -70,8 +72,9 @@ impl PairDelta {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first missing or mistyped header field; a
-    /// document written by [`crate::report::write_report`] always has them all.
+    /// Returns a description of the first missing or mistyped header field (a
+    /// document written by [`crate::report::write_report`] always has them
+    /// all), or names both reports when their seed counts differ.
     pub fn from_committed(base: &Json, twin: &Json, axis: &str) -> Result<PairDelta, String> {
         let scenario = |doc: &Json, side: &str| -> Result<String, String> {
             str_field(doc, "scenario").ok_or_else(|| format!("{side}: missing \"scenario\""))
@@ -94,6 +97,20 @@ impl PairDelta {
         };
         let b = headline(base)?;
         let t = headline(twin)?;
+        let seeds = |doc: &Json| -> Result<(String, u64), String> {
+            let name = scenario(doc, "report")?;
+            let seeds = uint_field(doc, "seeds")
+                .ok_or_else(|| format!("{name}: missing or non-numeric \"seeds\""))?;
+            Ok((name, seeds))
+        };
+        let (base_name, base_seeds) = seeds(base)?;
+        let (twin_name, twin_seeds) = seeds(twin)?;
+        if base_seeds != twin_seeds {
+            return Err(format!(
+                "{base_name} has {base_seeds} seeds but {twin_name} has {twin_seeds}; \
+                 a pair compares equal seed sets"
+            ));
+        }
         // The traffic columns exist only when both committed headers carry the
         // (conditional) traffic object; a written traffic header always has
         // all three aggregates, so a missing one is a malformed document.
@@ -121,9 +138,10 @@ impl PairDelta {
             _ => None,
         };
         Ok(PairDelta {
-            baseline: scenario(base, "baseline")?,
-            twin: scenario(twin, "twin")?,
+            baseline: base_name,
+            twin: twin_name,
             axis: axis.to_string(),
+            seeds: base_seeds as usize,
             success: (b.0, t.0),
             coverage: (b.1, t.1),
             rounds: (b.2, t.2),
@@ -228,25 +246,28 @@ pub fn render_table(deltas: &[PairDelta]) -> String {
     out
 }
 
-/// Writes the rendered table (with a short provenance header) to
-/// `<dir>/compare.md` and returns the written path. The file sits next to the
-/// committed reports but stays untracked — it is derived output, regenerated by
-/// every `--compare` run.
+/// Writes the rendered table (with a short provenance header stating the
+/// reports' own seed counts) to `<dir>/compare.md` and returns the written
+/// path. The file sits next to the committed reports but stays untracked — it
+/// is derived output, regenerated by every `--compare` run.
 ///
 /// # Errors
 ///
 /// Propagates any filesystem error (directory creation or file write).
-pub fn write_compare_table(
-    deltas: &[PairDelta],
-    seeds: usize,
-    dir: impl AsRef<Path>,
-) -> io::Result<PathBuf> {
+pub fn write_compare_table(deltas: &[PairDelta], dir: impl AsRef<Path>) -> io::Result<PathBuf> {
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
     let path = dir.join("compare.md");
+    let fewest = deltas.iter().map(|d| d.seeds).min().unwrap_or(0);
+    let most = deltas.iter().map(|d| d.seeds).max().unwrap_or(0);
+    let seeds = if fewest == most {
+        format!("{most} seeds each")
+    } else {
+        format!("{fewest} to {most} seeds each")
+    };
     let body = format!(
         "# Baseline vs twin deltas\n\n\
-         One row per registered (baseline, twin) pair, {seeds} seeds each; see\n\
+         One row per registered (baseline, twin) pair, {seeds}; see\n\
          `Registry::pairs` and `sweep_runner --compare`.\n\n{}",
         render_table(deltas)
     );
@@ -448,14 +469,35 @@ mod tests {
     }
 
     #[test]
+    fn from_committed_refuses_a_pair_of_unequal_seed_counts() {
+        let doc = |name: &str, seeds: u64| {
+            Json::obj(vec![
+                ("scenario", Json::Str(name.into())),
+                ("seeds", Json::UInt(seeds)),
+                ("success_rate", Json::Num(1.0)),
+                ("mean_coverage", Json::Num(1.0)),
+                ("mean_rounds", Json::Num(40.0)),
+                ("mean_delivered", Json::Num(900.0)),
+                ("total_retransmits", Json::UInt(0)),
+            ])
+        };
+        let (base, twin) = (doc("x", 16), doc("x-reliable", 4));
+        let err = PairDelta::from_committed(&base, &twin, "").unwrap_err();
+        assert!(err.contains("x has 16 seeds but x-reliable has 4"), "{err}");
+        let d = PairDelta::from_committed(&base, &doc("x-reliable", 16), "").unwrap();
+        assert_eq!(d.seeds, 16);
+    }
+
+    #[test]
     fn compare_table_persists_under_the_given_dir() {
         let dir = std::env::temp_dir().join(format!("overlay-compare-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let d = pair_delta("lossy-ncc0-reliable", 2);
-        let path = write_compare_table(std::slice::from_ref(&d), 2, &dir).expect("write");
+        let path = write_compare_table(std::slice::from_ref(&d), &dir).expect("write");
         assert_eq!(path.file_name().unwrap(), "compare.md");
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.starts_with("# Baseline vs twin deltas"));
+        assert!(body.contains("pair, 2 seeds each; see"));
         assert!(body.contains("lossy-ncc0-reliable"));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -49,10 +49,14 @@ pub struct PostMortem {
     /// `true` when the run did not produce a valid tree over the final
     /// survivors.
     pub failed: bool,
-    /// The phase that sank the run: the first stalled phase, or `finalize` when
-    /// every phase completed but the tree failed validation. `None` for
-    /// successful runs.
+    /// The phase that sank the run: the first stalled phase; `finalize` when
+    /// every construction phase completed but the tree failed validation;
+    /// `serve` when construction succeeded and a maintenance epoch's tree
+    /// did not. `None` for successful runs.
     pub failing_phase: Option<&'static str>,
+    /// For a `serve` failure, the first maintenance epoch whose repaired
+    /// tree failed validation (its `Repair` event in the trace).
+    pub failing_epoch: Option<usize>,
     /// Every node absent from the final overlay, ordered by id.
     pub missing: Vec<MissingNode>,
     /// Per simulated phase, the dominant drop cause as `(phase, cause, count)`
@@ -93,6 +97,7 @@ pub fn post_mortem(scenario: &Scenario, run: &ForensicRun) -> PostMortem {
     let mut construction_end = 0usize;
     let mut crashed: BTreeMap<usize, usize> = BTreeMap::new(); // id -> first silent round
     let mut offline_drops_to: BTreeMap<usize, u64> = BTreeMap::new();
+    let mut first_invalid_repair = None;
     for event in &run.events {
         match event {
             TraceEvent::PhaseStart { phase: name } => phase = name,
@@ -115,6 +120,13 @@ pub fn post_mortem(scenario: &Scenario, run: &ForensicRun) -> PostMortem {
                 *offline_drops_to
                     .entry(to_original(phase, to.index()))
                     .or_insert(0) += 1;
+            }
+            TraceEvent::Repair {
+                epoch,
+                tree_valid: false,
+                ..
+            } => {
+                first_invalid_repair.get_or_insert(*epoch);
             }
             _ => {}
         }
@@ -161,13 +173,16 @@ pub fn post_mortem(scenario: &Scenario, run: &ForensicRun) -> PostMortem {
         })
         .collect();
 
+    // A run whose construction succeeded can only have failed while serving.
     let failed = !run.record.success;
-    let failing_phase = if !failed {
-        None
+    let (failing_phase, failing_epoch) = if !failed {
+        (None, None)
     } else if !run.record.stalled_phase.is_empty() {
-        Some(run.record.stalled_phase)
+        (Some(run.record.stalled_phase), None)
+    } else if report.is_success() {
+        (Some("serve"), first_invalid_repair)
     } else {
-        Some("finalize")
+        (Some("finalize"), None)
     };
 
     PostMortem {
@@ -175,6 +190,7 @@ pub fn post_mortem(scenario: &Scenario, run: &ForensicRun) -> PostMortem {
         seed: run.record.seed,
         failed,
         failing_phase,
+        failing_epoch,
         missing: missing.into_values().collect(),
         dominant_drops,
         dead_peer_burn,
@@ -196,8 +212,12 @@ impl PostMortem {
             "post-mortem {} seed {}: {}\n",
             self.scenario, self.seed, verdict
         ));
-        if let Some(phase) = self.failing_phase {
-            out.push_str(&format!("  failing phase: {phase}\n"));
+        match (self.failing_phase, self.failing_epoch) {
+            (Some(phase), Some(epoch)) => {
+                out.push_str(&format!("  failing phase: {phase} (epoch {epoch})\n"))
+            }
+            (Some(phase), None) => out.push_str(&format!("  failing phase: {phase}\n")),
+            (None, _) => {}
         }
         if self.missing.is_empty() {
             out.push_str("  missing nodes: none\n");
@@ -268,6 +288,29 @@ mod tests {
         assert!(rendered.contains("failing phase"));
         assert!(rendered.contains("missing nodes"));
         assert!(rendered.contains("dominant drop"));
+    }
+
+    #[test]
+    fn a_serve_only_failure_names_serve_and_its_first_invalid_epoch() {
+        let scenario = find("serve-churn-reinvite").expect("registered scenario");
+        let mut run = scenario.run_traced(0);
+        assert!(run.record.success && run.report.is_success());
+        // Construction succeeded; two maintenance epochs' trees fail.
+        run.record.success = false;
+        for event in &mut run.events {
+            if let TraceEvent::Repair {
+                epoch: 5 | 9,
+                tree_valid,
+                ..
+            } = event
+            {
+                *tree_valid = false;
+            }
+        }
+        let pm = post_mortem(&scenario, &run);
+        assert_eq!(pm.failing_phase, Some("serve"));
+        assert_eq!(pm.failing_epoch, Some(5));
+        assert!(pm.render().contains("failing phase: serve (epoch 5)\n"));
     }
 
     #[test]

@@ -27,9 +27,10 @@ fn help_prints_usage_to_stdout_and_succeeds() {
 
 /// One pair swept into a fresh directory: the table `--compare` renders after
 /// the sweep and the one `--compare --no-run` renders from the files are the
-/// same bytes, every other pair (no report on either side) is skipped — and a
-/// report that is *present but truncated* is an error naming the file, not one
-/// more skipped pair.
+/// same bytes — whatever `--seeds` the second call states, since the seed
+/// count comes from the reports — every other pair (no report on either side)
+/// is skipped, and a report that is *present but truncated* is an error
+/// naming the file, not one more skipped pair.
 #[test]
 fn compare_reads_the_written_reports_and_refuses_a_malformed_one() {
     let dir = temp_dir("compare");
@@ -45,6 +46,11 @@ fn compare_reads_the_written_reports_and_refuses_a_malformed_one() {
     let offline = sweep_runner(&[&common[..], &["--no-run"]].concat());
     assert!(offline.status.success(), "{offline:?}");
     assert!(table.ends_with(&*String::from_utf8_lossy(&offline.stdout)));
+    assert_eq!(std::fs::read(dir.join("compare.md")).unwrap(), after_sweep);
+    assert!(String::from_utf8_lossy(&after_sweep).contains("pair, 2 seeds each; see"));
+
+    let restated = sweep_runner(&["--dir", dir_arg, "--seeds", "16", "--compare", "--no-run"]);
+    assert!(restated.status.success(), "{restated:?}");
     assert_eq!(std::fs::read(dir.join("compare.md")).unwrap(), after_sweep);
 
     let twin = dir.join("lossy-ncc0-reliable.json");

@@ -411,16 +411,6 @@ impl<P: Protocol> Reliable<P> {
         &self.inner
     }
 
-    /// Unwraps the adapter, returning the inner protocol state.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
-
-    /// The adapter's configuration.
-    pub fn config(&self) -> TransportConfig {
-        self.config
-    }
-
     /// Lifetime transport totals of this node.
     pub fn stats(&self) -> ReliableStats {
         self.stats
