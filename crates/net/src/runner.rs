@@ -186,6 +186,12 @@ where
         }
         let all_done = backend.exchange_done(phase, round, local_done, &mut inbound)?;
         for frame in inbound.drain(..) {
+            if frame.from as usize >= n {
+                return Err(NetError::Protocol(format!(
+                    "frame from node {} outside the {n}-node network",
+                    frame.from
+                )));
+            }
             let to = frame.to;
             next.get_mut((to as usize).wrapping_sub(base))
                 .ok_or_else(|| {
@@ -431,6 +437,17 @@ mod tests {
         match run {
             Err(NetError::Protocol(msg)) => {
                 assert_eq!(msg, "frame for node 7 which this rank does not own")
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_inbound_frame_from_outside_the_network_is_a_protocol_error() {
+        let (run, _) = run_scripted(vec![Frame::data(3, 0, 12, 5, 0, body(90))]);
+        match run {
+            Err(NetError::Protocol(msg)) => {
+                assert_eq!(msg, "frame from node 12 outside the 12-node network")
             }
             other => panic!("expected a protocol error, got {other:?}"),
         }

@@ -58,11 +58,8 @@ impl TransportConfig {
     /// Panics if `rounds < 2`: an acknowledgment takes two rounds to return, so a
     /// smaller timeout would retransmit every message every round.
     pub fn with_retransmit_after(mut self, rounds: usize) -> Self {
-        assert!(
-            rounds >= 2,
-            "retransmit timeout below the 2-round ack round-trip: {rounds}"
-        );
         self.retransmit_after = rounds;
+        self.assert_valid();
         self
     }
 
@@ -83,13 +80,30 @@ impl TransportConfig {
     /// until the horizon catches up — a wider window silently degrades instead
     /// of helping.
     pub fn with_window(mut self, window: usize) -> Self {
-        assert!(window >= 1, "a zero window can never send");
-        assert!(
-            window <= 64,
-            "window {window} exceeds the 64-sequence selective-ack bitmap"
-        );
         self.window = window;
+        self.assert_valid();
         self
+    }
+
+    /// The builders' checks in one place, for a config written as a struct
+    /// literal (the fields are public) as much as for a built one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `retransmit_after < 2` or `window` is outside `1..=64`; see
+    /// [`Self::with_retransmit_after`] and [`Self::with_window`] for why.
+    pub fn assert_valid(&self) {
+        assert!(
+            self.retransmit_after >= 2,
+            "retransmit timeout below the 2-round ack round-trip: {}",
+            self.retransmit_after
+        );
+        assert!(self.window >= 1, "a zero window can never send");
+        assert!(
+            self.window <= 64,
+            "window {} exceeds the 64-sequence selective-ack bitmap",
+            self.window
+        );
     }
 
     /// Returns the config with per-peer failure detection switched on or off.

@@ -48,29 +48,36 @@
 //! node has *ever* spoken to does not appear: on `line(256)` a node knows 57
 //! peers on average and has about 6 open streams.
 //!
-//! * Per-peer state lives in a slab, found through a sorted `(peer, slot)`
-//!   index: `O(log peers)` per message, `O(peers)` only on a peer's first
-//!   contact.
+//! * Per-peer state lives in a slab, found through a hash map from peer id to
+//!   slot with a one-multiply hash: `O(1)` per message. An inbox arrives
+//!   grouped by sender unless the network delayed envelopes, so the unwrap
+//!   loop looks a sender up once per run of its envelopes.
 //! * Outgoing payloads of all peers share one pool per node; a peer's queue is
 //!   a linked list through it. A peer with nothing outstanding owns no heap
 //!   memory, and each round reuses the entries the previous one released.
-//! * The send passes (fresh data, retransmissions) walk a worklist of the open
-//!   streams only; acks walk a list filled as data arrives.
+//! * One send pass walks a worklist of the open streams only, and each of
+//!   their queues once: retransmission timers along the sent prefix, fresh
+//!   data behind it while the window has room. Acks walk a list filled as data
+//!   arrives.
 //! * An in-order data message on a stream with nothing buffered — every
 //!   message of a loss-free run — is two comparisons and a store. Out-of-order
-//!   arrivals go to a sorted `Vec` that stays empty, and unallocated, otherwise.
+//!   arrivals go to a sorted `Vec`, boxed on first use, so a loss-free stream
+//!   never allocates one.
 //!
-//! **Memory** is `O(peers ever contacted)` per node (48 bytes of state and a
-//! 16-byte index entry each) plus `O(peak open payloads)` for the pool.
+//! **Memory** is `O(peers ever contacted)` per node (32 bytes of state and an
+//! 8-byte map entry each, plus the map's control bytes and spare capacity)
+//! plus `O(peak open payloads)` for the pool.
 //!
 //! **Why the worklists are sorted.** Every send of one callback happens in a
-//! fixed order: fresh data, then retransmissions, then acks, each pass in
+//! fixed order: fresh data, then retransmissions, then acks, each in
 //! ascending peer identifier. The simulator decides loss, caps and delivery
 //! order per message in send order, so this order is part of the adapter's
 //! observable behaviour: it is what makes a seeded run reproducible and what
-//! keeps the simulator, channel and TCP backends equal. Keeping the open-stream
-//! list sorted (and sorting the round's ack list once) preserves the order a
-//! walk over an ordered map of all peers would give, at the cost of the open
+//! keeps the simulator, channel and TCP backends equal. The open-stream list
+//! stays sorted (streams opened in a callback are appended and the list is
+//! sorted once), the round's ack list is sorted once, and the send pass holds
+//! each retransmission back until every fresh send is out — the order a walk
+//! over an ordered map of all peers would give, at the cost of the open
 //! streams alone.
 //!
 //! Sequence numbers are `u32` and never wrap: a stream that has assigned

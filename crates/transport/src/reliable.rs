@@ -1,6 +1,9 @@
 //! The [`Reliable`] protocol adapter: sequence numbers, acks, retransmission and
 //! duplicate suppression around an arbitrary inner [`Protocol`].
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use overlay_graph::NodeId;
 use overlay_netsim::wire::{Wire, WireError};
 use overlay_netsim::{Channel, Ctx, Envelope, Protocol, TransportConfig};
@@ -78,6 +81,32 @@ impl<M: Wire> Wire for TransportMsg<M> {
 /// "No entry": ends a peer's outgoing queue and the pool's free list.
 const NIL: u32 = u32::MAX;
 
+/// Hashes a [`NodeId`] with one multiply. Ids are dense integers below `n`
+/// (the simulator's by construction, the socket runner's because it refuses
+/// a frame from outside the network), so Fibonacci hashing spreads them over
+/// the table at a fraction of SipHash's cost, and no peer can pick keys from
+/// beyond that range.
+#[derive(Clone, Copy, Debug, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a NodeId hashes as one u32");
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        // The product's well-mixed bits are its high ones; the table indexes
+        // by the low ones, so the bytes are swapped.
+        self.0 = u64::from(id)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .swap_bytes();
+    }
+}
+
 /// One queued-or-in-flight outgoing payload.
 #[derive(Clone, Debug)]
 struct OutEntry<M> {
@@ -147,7 +176,7 @@ impl<M> OutPool<M> {
 }
 
 /// Per-peer transport state: the outgoing stream (sender role) and the incoming
-/// dedup horizon (receiver role).
+/// dedup horizon (receiver role). 32 bytes, whatever the peer's traffic.
 #[derive(Clone, Debug)]
 struct PeerState {
     /// Sequence number the next enqueued payload will get. It stops at
@@ -155,8 +184,8 @@ struct PeerState {
     /// every further payload to this peer is abandoned at the door.
     next_seq: u32,
     /// The outgoing queue, as a list through the node's [`OutPool`]: entries
-    /// in sequence order, sent entries forming a prefix. Both are [`NIL`]
-    /// when the queue is empty.
+    /// in ascending sequence order below `next_seq`, sent entries forming a
+    /// prefix, the head open. Both are [`NIL`] when the queue is empty.
     head: u32,
     tail: u32,
     /// Number of sent, unacknowledged, unabandoned entries (window occupancy).
@@ -164,8 +193,10 @@ struct PeerState {
     /// Every incoming sequence `<= cum_recv` has been delivered.
     cum_recv: u32,
     /// Incoming sequences received out of order: ascending, all `> cum_recv + 1`.
-    /// Empty on a loss-free stream, so it never allocates there.
-    above: Vec<u32>,
+    /// Boxed on first use, so a loss-free stream never allocates it and every
+    /// peer pays 8 bytes for it, not a 24-byte `Vec` header.
+    #[allow(clippy::box_collection)]
+    above: Option<Box<Vec<u32>>>,
     /// An ack to this peer is owed at the end of the current round (the peer is
     /// on [`Reliable::ack_due`]).
     ack_pending: bool,
@@ -186,7 +217,7 @@ impl Default for PeerState {
             tail: NIL,
             in_flight: 0,
             cum_recv: 0,
-            above: Vec::new(),
+            above: None,
             ack_pending: false,
             listed: false,
             dead: false,
@@ -195,6 +226,11 @@ impl Default for PeerState {
 }
 
 impl PeerState {
+    /// The incoming sequences buffered out of order.
+    fn above(&self) -> &[u32] {
+        self.above.as_deref().map_or(&[], Vec::as_slice)
+    }
+
     /// Records an incoming data sequence; returns `true` if it is fresh (first
     /// delivery) and `false` for a duplicate.
     fn receive_data(&mut self, seq: u32) -> bool {
@@ -204,15 +240,14 @@ impl PeerState {
         if seq - self.cum_recv == 1 {
             // In order: the whole of a loss-free stream takes this branch.
             self.cum_recv = seq;
-            if !self.above.is_empty() {
-                self.absorb_run();
-            }
+            self.absorb_run();
             return true;
         }
-        match self.above.binary_search(&seq) {
+        let above = self.above.get_or_insert_with(Box::default);
+        match above.binary_search(&seq) {
             Ok(_) => false,
             Err(at) => {
-                self.above.insert(at, seq);
+                above.insert(at, seq);
                 true
             }
         }
@@ -227,9 +262,9 @@ impl PeerState {
             return;
         }
         self.cum_recv = floor - 1;
-        if !self.above.is_empty() {
-            let closed = self.above.partition_point(|&seq| seq <= self.cum_recv);
-            self.above.drain(..closed);
+        if let Some(above) = self.above.as_mut() {
+            let closed = above.partition_point(|&seq| seq <= self.cum_recv);
+            above.drain(..closed);
             // The gap may have been the only thing holding back a received run.
             self.absorb_run();
         }
@@ -237,16 +272,15 @@ impl PeerState {
 
     /// Moves the horizon over the buffered run that directly continues it.
     fn absorb_run(&mut self) {
+        let Some(above) = self.above.as_mut() else {
+            return;
+        };
         let mut run = 0;
-        while self
-            .above
-            .get(run)
-            .is_some_and(|&seq| seq - self.cum_recv == 1)
-        {
+        while above.get(run).is_some_and(|&seq| seq - self.cum_recv == 1) {
             self.cum_recv += 1;
             run += 1;
         }
-        self.above.drain(..run);
+        above.drain(..run);
     }
 
     /// Appends `entry` to the outgoing queue.
@@ -282,6 +316,23 @@ impl PeerState {
         self.pop_closed(pool);
     }
 
+    /// The failure detector's verdict: every open entry of the stream is
+    /// abandoned, and every later payload to this peer is dropped at the door.
+    fn fail<M>(&mut self, pool: &mut OutPool<M>, stats: &mut ReliableStats) {
+        self.dead = true;
+        stats.peers_failed += 1;
+        let mut at = self.head;
+        while let Some(entry) = pool.step(&mut at) {
+            if !entry.closed {
+                entry.closed = true;
+                if entry.sends > 0 {
+                    self.in_flight -= 1;
+                }
+                stats.abandoned += 1;
+            }
+        }
+    }
+
     /// Releases the closed prefix of the outgoing queue.
     fn pop_closed<M>(&mut self, pool: &mut OutPool<M>) {
         while self.head != NIL && pool.entries[self.head as usize].closed {
@@ -295,9 +346,10 @@ impl PeerState {
     }
 
     /// The sender-side stream floor: the lowest sequence still open (nothing
-    /// below it will ever be re-sent). The outgoing queue's front is never
-    /// closed (`pop_closed` maintains that invariant), so its sequence — or
-    /// `next_seq` when the queue is drained — is exactly that bound.
+    /// below it will ever be re-sent). The outgoing queue's head is never
+    /// closed when this is read (`pop_closed` runs after every closing), so its
+    /// sequence — or `next_seq` when the queue is drained — is exactly that
+    /// bound.
     fn floor<M>(&self, pool: &OutPool<M>) -> u32 {
         match self.head {
             NIL => self.next_seq,
@@ -308,7 +360,7 @@ impl PeerState {
     /// The `(cum, sel)` of the ack summarizing everything received so far.
     fn ack(&self) -> (u32, u64) {
         let mut sel = 0u64;
-        for &seq in &self.above {
+        for &seq in self.above() {
             let off = seq - self.cum_recv - 1;
             if off >= 64 {
                 break;
@@ -365,15 +417,18 @@ pub struct Reliable<P: Protocol> {
     peers: Vec<PeerState>,
     /// Every peer's outgoing entries.
     pool: OutPool<P::Message>,
-    /// `(peer, slot)` for every slab entry, ascending by peer.
-    index: Vec<(NodeId, u32)>,
+    /// The slab slot of every peer ever contacted.
+    index: HashMap<NodeId, u32, BuildHasherDefault<IdHasher>>,
     /// The peers with a non-empty outgoing queue, ascending by peer: the only
-    /// ones the per-round send passes visit. Exact between callbacks; within
-    /// one, a queue drained by an ack stays listed until `retransmit_due`.
+    /// ones the send pass visits. Exact between callbacks; within one, a queue
+    /// drained by an ack stays listed until the send pass.
     sending: Vec<(NodeId, u32)>,
     /// The peers that delivered data this round, in arrival order; sorted and
     /// drained by `send_acks`.
     ack_due: Vec<(NodeId, u32)>,
+    /// The send pass's retransmissions, held back until every fresh send of
+    /// the callback is out.
+    resends: Vec<(NodeId, Channel, TransportMsg<P::Message>)>,
     /// Reusable buffer the inner protocol's sends are collected in each round.
     inner_outbox: Vec<(NodeId, Channel, P::Message)>,
     /// Reusable buffer of fresh payloads handed to the inner protocol.
@@ -390,15 +445,22 @@ pub struct Reliable<P: Protocol> {
 
 impl<P: Protocol> Reliable<P> {
     /// Wraps `inner` with the given transport configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` fails [`TransportConfig::assert_valid`] (its fields
+    /// are public, so a struct literal can skip the builders' checks).
     pub fn new(inner: P, config: TransportConfig) -> Self {
+        config.assert_valid();
         Reliable {
             inner,
             config,
             peers: Vec::new(),
             pool: OutPool::new(),
-            index: Vec::new(),
+            index: HashMap::default(),
             sending: Vec::new(),
             ack_due: Vec::new(),
+            resends: Vec::new(),
             inner_outbox: Vec::new(),
             inner_inbox: Vec::new(),
             tick: 0,
@@ -432,21 +494,19 @@ impl<P: Protocol> Reliable<P> {
 
     /// The slab slot of `peer`, allocated on first contact.
     fn slot_of(&mut self, peer: NodeId) -> u32 {
-        match self.index.binary_search_by_key(&peer, |&(id, _)| id) {
-            Ok(at) => self.index[at].1,
-            Err(at) => {
-                let slot = u32::try_from(self.peers.len()).expect("more than 2^32 peers");
-                self.peers.push(PeerState::default());
-                self.index.insert(at, (peer, slot));
-                slot
-            }
-        }
+        let peers = &mut self.peers;
+        *self.index.entry(peer).or_insert_with(|| {
+            let slot = u32::try_from(peers.len()).expect("more than 2^32 peers");
+            peers.push(PeerState::default());
+            slot
+        })
     }
 
     /// Moves the inner protocol's sends of this callback into the per-peer
     /// outgoing queues (assigning sequence numbers in send order).
     fn collect_inner_sends(&mut self, ctx: &mut Ctx<'_, TransportMsg<P::Message>>) {
         let mut out = std::mem::take(&mut self.inner_outbox);
+        let listed = self.sending.len();
         for (to, channel, payload) in out.drain(..) {
             let slot = self.slot_of(to);
             let peer = &mut self.peers[slot as usize];
@@ -482,76 +542,70 @@ impl<P: Protocol> Reliable<P> {
             );
             if !peer.listed {
                 peer.listed = true;
-                let at = self.sending.partition_point(|&(id, _)| id < to);
-                self.sending.insert(at, (to, slot));
+                self.sending.push((to, slot));
             }
+        }
+        if self.sending.len() > listed {
+            // Streams opened this callback join the list once, in order.
+            self.sending.sort_unstable();
         }
         self.inner_outbox = out;
     }
 
-    /// Sends queued entries while each peer's window has room (in sequence order,
-    /// so per-peer FIFO is preserved — on a clean network this is exactly the
-    /// inner protocol's send order).
-    fn open_windows(&mut self, ctx: &mut Ctx<'_, TransportMsg<P::Message>>) {
-        let tick = self.tick;
-        // `with_window` caps the window at the 64-bit selective-ack bitmap.
-        let window = u32::try_from(self.config.window).unwrap_or(u32::MAX);
-        for &(to, slot) in &self.sending {
-            let peer = &mut self.peers[slot as usize];
-            if peer.in_flight >= window {
-                continue;
-            }
-            let floor = peer.floor(&self.pool);
-            let mut budget = window - peer.in_flight;
-            let mut at = peer.head;
-            while let Some(entry) = self.pool.step(&mut at) {
-                if budget == 0 {
-                    break;
-                }
-                if entry.sends > 0 || entry.closed {
-                    continue;
-                }
-                entry.sent_at = tick;
-                entry.sends = 1;
-                peer.in_flight += 1;
-                budget -= 1;
-                ctx.send(
-                    to,
-                    entry.channel,
-                    TransportMsg::Data {
-                        seq: entry.seq,
-                        floor,
-                        payload: entry.payload.clone(),
-                    },
-                );
-            }
-        }
-    }
-
-    /// Re-sends every in-flight entry whose retransmission timer expired;
-    /// abandons entries that exhausted their retransmission budget; takes
-    /// peers whose queue has drained off the `sending` list.
-    fn retransmit_due(&mut self, ctx: &mut Ctx<'_, TransportMsg<P::Message>>) {
+    /// The round's data sends: one pass over the open streams by ascending
+    /// peer, one walk along each queue. Along the sent prefix, an entry whose
+    /// retransmission timer expired is re-sent, or abandoned once it exhausted
+    /// its budget; behind it, queued entries go out while the window has the
+    /// room it had before the pass (in sequence order, so per-peer FIFO is
+    /// preserved — on a clean network this is exactly the inner protocol's
+    /// send order). A failure-detector verdict closes the stream after those
+    /// fresh sends, and a drained queue leaves the list. Fresh sends go
+    /// straight to `ctx`; retransmissions are held back until all of them are
+    /// out, so the wire order is fresh data by ascending peer, then
+    /// retransmissions by ascending peer.
+    fn send_data(&mut self, ctx: &mut Ctx<'_, TransportMsg<P::Message>>) {
         let tick = self.tick;
         let config = self.config;
+        let window = u32::try_from(config.window).expect("`assert_valid` caps the window at 64");
         let peers = &mut self.peers;
         let pool = &mut self.pool;
         let stats = &mut self.stats;
+        let resends = &mut self.resends;
         self.sending.retain(|&(to, slot)| {
             let peer = &mut peers[slot as usize];
-            // Computed before any abandonment below: the floor only ever rises,
-            // so a conservatively low value is always safe to advertise.
+            // Read before anything closes: the floor only ever rises, so a
+            // conservatively low value is always safe to advertise.
             let floor = peer.floor(pool);
+            // The window's room before this pass: an entry abandoned below
+            // frees its place for the next callback, not this one.
+            let mut room = window.saturating_sub(peer.in_flight);
+            let mut failed = false;
             let mut at = peer.head;
             while let Some(entry) = pool.step(&mut at) {
+                if entry.closed {
+                    continue;
+                }
                 if entry.sends == 0 {
-                    // Sent entries form a prefix: no timer runs beyond it.
-                    break;
+                    // Past the sent prefix: fresh data while the window has room.
+                    if room == 0 {
+                        break;
+                    }
+                    room -= 1;
+                    entry.sent_at = tick;
+                    entry.sends = 1;
+                    peer.in_flight += 1;
+                    let data = TransportMsg::Data {
+                        seq: entry.seq,
+                        floor,
+                        payload: entry.payload.clone(),
+                    };
+                    ctx.send(to, entry.channel, data);
+                    continue;
                 }
                 // An open entry is re-sent or closed as soon as its age reaches
                 // `retransmit_after`, so the wrapping difference is its true age.
                 let age = tick.wrapping_sub(entry.sent_at) as usize;
-                if entry.closed || age < config.retransmit_after {
+                if failed || age < config.retransmit_after {
                     continue;
                 }
                 if entry.sends as usize > config.max_retransmits {
@@ -560,45 +614,33 @@ impl<P: Protocol> Reliable<P> {
                     peer.in_flight -= 1;
                     stats.abandoned += 1;
                     ctx.note_give_up();
-                    if config.failure_detector {
-                        // Share the verdict across the whole stream: every
-                        // other pending payload to this peer is abandoned now,
-                        // and the single give-up above covers them all — a
-                        // dead peer costs one give-up, not one per message.
-                        peer.dead = true;
-                        stats.peers_failed += 1;
-                        let mut rest = peer.head;
-                        while let Some(other) = pool.step(&mut rest) {
-                            if !other.closed {
-                                other.closed = true;
-                                if other.sends > 0 {
-                                    peer.in_flight -= 1;
-                                }
-                                stats.abandoned += 1;
-                            }
-                        }
-                        break;
-                    }
+                    // With the detector on, the verdict covers the whole
+                    // stream once this peer's fresh sends are out, and this
+                    // one give-up covers every payload it abandons.
+                    failed = config.failure_detector;
                     continue;
                 }
                 entry.sent_at = tick;
                 entry.sends = entry.sends.saturating_add(1);
                 stats.retransmits += 1;
                 ctx.note_retransmit();
-                ctx.send(
-                    to,
-                    entry.channel,
-                    TransportMsg::Data {
-                        seq: entry.seq,
-                        floor,
-                        payload: entry.payload.clone(),
-                    },
-                );
+                let data = TransportMsg::Data {
+                    seq: entry.seq,
+                    floor,
+                    payload: entry.payload.clone(),
+                };
+                resends.push((to, entry.channel, data));
+            }
+            if failed {
+                peer.fail(pool, stats);
             }
             peer.pop_closed(pool);
             peer.listed = peer.head != NIL;
             peer.listed
         });
+        for (to, channel, data) in self.resends.drain(..) {
+            ctx.send(to, channel, data);
+        }
     }
 
     /// Sends one cumulative/selective ack to every peer that delivered data this
@@ -627,12 +669,29 @@ impl<P: Protocol> Reliable<P> {
     /// The layout's invariants, as they must hold between callbacks.
     #[cfg(debug_assertions)]
     fn check_contracts(&self) {
+        assert_eq!(self.index.len(), self.peers.len());
         let mut queued = 0;
-        for (rank, &(id, slot)) in self.index.iter().enumerate() {
+        for (&id, &slot) in &self.index {
             let peer = &self.peers[slot as usize];
-            let (mut open, mut at) = (0, peer.head);
+            let (mut open, mut unsent, mut seq, mut at) = (0, false, 0, peer.head);
             while at != NIL {
                 let entry = &self.pool.entries[at as usize];
+                assert!(
+                    at != peer.head || !entry.closed,
+                    "the head of {id}'s queue is closed: `floor` would advertise it"
+                );
+                assert!(
+                    seq < entry.seq && entry.seq < peer.next_seq,
+                    "sequence {} after {seq} in {id}'s queue (next {})",
+                    entry.seq,
+                    peer.next_seq
+                );
+                assert!(
+                    !(unsent && entry.sends > 0),
+                    "sent entries of {id}'s queue do not form a prefix"
+                );
+                unsent |= entry.sends == 0;
+                seq = entry.seq;
                 open += u32::from(entry.sends > 0 && !entry.closed);
                 queued += 1;
                 at = entry.next;
@@ -649,12 +708,7 @@ impl<P: Protocol> Reliable<P> {
                 "`sending` and the listed flag of {id} disagree"
             );
             assert!(!peer.ack_pending, "an ack to {id} was left unsent");
-            assert!(
-                rank == 0 || self.index[rank - 1].0 < id,
-                "`index` must be strictly ascending"
-            );
         }
-        assert_eq!(self.index.len(), self.peers.len());
         let mut released = 0;
         let mut at = self.pool.free;
         while at != NIL {
@@ -685,16 +739,27 @@ impl<P: Protocol> Protocol for Reliable<P> {
             self.inner.on_start(&mut inner_ctx);
         }
         self.collect_inner_sends(ctx);
-        self.open_windows(ctx);
+        self.send_data(ctx);
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Message>, inbox: &[Envelope<Self::Message>]) {
         self.tick = self.tick.wrapping_add(1);
         // 1. Unwrap the round's arrivals: acks update the outgoing streams, fresh
         //    data is queued for the inner protocol, duplicates are suppressed.
+        //    An inbox arrives grouped by sender unless envelopes were delayed,
+        //    so the last sender's slot is looked up once per run of its
+        //    envelopes.
         self.inner_inbox.clear();
+        let mut last: Option<(NodeId, u32)> = None;
         for env in inbox {
-            let slot = self.slot_of(env.from);
+            let slot = match last {
+                Some((from, slot)) if from == env.from => slot,
+                _ => {
+                    let slot = self.slot_of(env.from);
+                    last = Some((env.from, slot));
+                    slot
+                }
+            };
             let peer = &mut self.peers[slot as usize];
             match &env.payload {
                 TransportMsg::Data {
@@ -735,8 +800,7 @@ impl<P: Protocol> Protocol for Reliable<P> {
             self.inner.on_round(&mut inner_ctx, &self.inner_inbox);
         }
         self.collect_inner_sends(ctx);
-        self.open_windows(ctx);
-        self.retransmit_due(ctx);
+        self.send_data(ctx);
         self.send_acks(ctx);
         #[cfg(debug_assertions)]
         self.check_contracts();
@@ -756,11 +820,15 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
-    /// Each node sends `burst` uniquely-numbered messages to node 0 per round for
-    /// `rounds` rounds and records every payload it receives, in order.
+    /// Each node sends `burst` uniquely-numbered messages to each of its peers
+    /// per round for `rounds` rounds and records every payload it receives, in
+    /// order.
     #[derive(Clone, Debug)]
     struct Beacon {
         me: usize,
+        /// The nodes this one streams to: node 0 from every other node of a
+        /// `fleet`, `me + offset (mod n)` for each offset of a `mesh`.
+        peers: Vec<NodeId>,
         burst: usize,
         rounds: usize,
         received: Vec<(usize, u32)>,
@@ -769,9 +837,31 @@ mod tests {
 
     impl Beacon {
         fn fleet(n: usize, burst: usize, rounds: usize) -> Vec<Beacon> {
+            let hub = NodeId::from(0usize);
+            Beacon::streams(
+                n,
+                burst,
+                rounds,
+                |me| if me == 0 { vec![] } else { vec![hub] },
+            )
+        }
+
+        fn mesh(n: usize, burst: usize, rounds: usize, offsets: &[usize]) -> Vec<Beacon> {
+            Beacon::streams(n, burst, rounds, |me| {
+                offsets.iter().map(|o| NodeId::from((me + o) % n)).collect()
+            })
+        }
+
+        fn streams(
+            n: usize,
+            burst: usize,
+            rounds: usize,
+            peers: impl Fn(usize) -> Vec<NodeId>,
+        ) -> Vec<Beacon> {
             (0..n)
                 .map(|me| Beacon {
                     me,
+                    peers: peers(me),
                     burst,
                     rounds,
                     received: Vec::new(),
@@ -783,7 +873,9 @@ mod tests {
         fn fire(&self, ctx: &mut Ctx<'_, u32>, round: usize) {
             for k in 0..self.burst {
                 let tag = (self.me * 1_000_000 + round * 1_000 + k) as u32;
-                ctx.send_global(NodeId::from(0usize), tag);
+                for &peer in &self.peers {
+                    ctx.send_global(peer, tag);
+                }
             }
         }
     }
@@ -792,9 +884,7 @@ mod tests {
         type Message = u32;
 
         fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-            if self.me != 0 {
-                self.fire(ctx, 0);
-            }
+            self.fire(ctx, 0);
         }
 
         fn on_round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: &[Envelope<u32>]) {
@@ -802,9 +892,7 @@ mod tests {
                 self.received.push((env.from.index(), env.payload));
             }
             if ctx.round() < self.rounds {
-                if self.me != 0 {
-                    self.fire(ctx, ctx.round());
-                }
+                self.fire(ctx, ctx.round());
             } else {
                 self.done = true;
             }
@@ -1149,13 +1237,18 @@ mod tests {
         h.0
     }
 
-    /// The digests below were computed on the `BTreeMap`/`BTreeSet` layout this
-    /// one replaced (commit b85b8c3). `seeded_runs_are_byte_identical` proves a
-    /// run equals itself; this proves it still equals *that*: same sends in
-    /// the same order, hence the same fault decisions, metrics and deliveries.
-    /// Every fleet runs twice — as one chunk and cut into three — and the second
-    /// run must reproduce the digest and the trace (`Retransmits` / `GiveUps`
-    /// events in node order) of the first.
+    /// The digests below were computed on the `BTreeMap`/`BTreeSet` layout the
+    /// slab replaced (commit b85b8c3), the mesh's on the sorted peer index and
+    /// two send passes the hashed index and one pass replaced (commit 5a43b37).
+    /// `seeded_runs_are_byte_identical` proves a run equals itself; this proves
+    /// it still equals *that*: same sends in the same order, hence the same
+    /// fault decisions, metrics and deliveries. The fleets stream to node 0
+    /// only, so each sender has one data peer; in the mesh each has three,
+    /// under loss, delays and a send cap, so the order *across* peers (all
+    /// fresh data before any retransmission) shows too. Every case runs twice
+    /// — as one chunk and cut into three — and the second run must reproduce
+    /// the digest and the trace (`Retransmits` / `GiveUps` events in node
+    /// order) of the first.
     #[test]
     fn golden_wire_digests() {
         const SEEDS: [u64; 3] = [3, 11, 21];
@@ -1171,7 +1264,7 @@ mod tests {
         };
         let lossy = |seed, loss, par| lossy(seed, loss).with_parallelism(par);
         type Case<'a> = (&'a str, &'a dyn Fn(u64, ParallelismConfig) -> Run, [u64; 3]);
-        let cases: [Case<'_>; 6] = [
+        let cases: [Case<'_>; 7] = [
             (
                 "loss 0",
                 &|seed, par| run(wrap(Beacon::fleet(6, 2, 3), cfg), lossy(seed, 0.0, par), 20),
@@ -1251,6 +1344,22 @@ mod tests {
                 },
                 [0x989b_3146_66ce_8c48; 3],
             ),
+            (
+                "mesh + loss + delays + NCC0 cap",
+                &|seed, par| {
+                    let config = SimConfig {
+                        caps: CapacityModel::Ncc0 { per_round: 8 },
+                        faults: FaultPlan::default().with_drop_prob(0.1).with_delays(0.2, 2),
+                        ..lossy(seed, 0.0, par)
+                    };
+                    run(wrap(Beacon::mesh(10, 2, 6, &[1, 3, 7]), cfg), config, 300)
+                },
+                [
+                    0x22bd_4af9_e03c_1e65,
+                    0x6b18_f1ca_51b2_2853,
+                    0x08ee_8484_36ef_9d81,
+                ],
+            ),
         ];
         let mut seen = [false; 2];
         for (name, run, golden) in cases {
@@ -1270,6 +1379,38 @@ mod tests {
         assert_eq!(seen, [true; 2], "the fleets retransmit and give up");
     }
 
+    /// A node wrapped with `config`, which a struct literal built.
+    fn wrap_one(config: TransportConfig) -> Reliable<Beacon> {
+        Reliable::new(Beacon::fleet(1, 1, 1).remove(0), config)
+    }
+
+    #[test]
+    #[should_panic(expected = "zero window")]
+    fn new_rejects_a_zero_window() {
+        wrap_one(TransportConfig {
+            window: 0,
+            ..TransportConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "selective-ack bitmap")]
+    fn new_rejects_a_window_beyond_the_ack_bitmap() {
+        wrap_one(TransportConfig {
+            window: 65,
+            ..TransportConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "ack round-trip")]
+    fn new_rejects_a_sub_roundtrip_timeout() {
+        wrap_one(TransportConfig {
+            retransmit_after: 1,
+            ..TransportConfig::default()
+        });
+    }
+
     #[test]
     fn hostile_floor_jumps_instead_of_walking() {
         // `floor` is decoded off the wire on the socket backends: the largest
@@ -1280,7 +1421,7 @@ mod tests {
         p.advance_floor(u32::MAX);
         assert_eq!(p.cum_recv, u32::MAX - 1);
         assert!(
-            p.above.is_empty(),
+            p.above().is_empty(),
             "everything buffered lay below the floor"
         );
         assert!(p.receive_data(u32::MAX), "the floor itself is still open");
@@ -1383,8 +1524,8 @@ mod tests {
                 }
                 prop_assert_eq!(real.cum_recv, model.cum);
                 prop_assert_eq!(real.ack(), model.ack());
-                prop_assert!(real.above.windows(2).all(|w| w[0] < w[1]));
-                prop_assert!(real.above.iter().all(|&seq| seq - real.cum_recv > 1));
+                prop_assert!(real.above().windows(2).all(|w| w[0] < w[1]));
+                prop_assert!(real.above().iter().all(|&seq| seq - real.cum_recv > 1));
             }
         }
     }
@@ -1400,8 +1541,8 @@ mod tests {
         assert_eq!(p.ack(), (1, 0b10), "seq 3 is cum+2, bit 1");
         assert!(p.receive_data(2), "gap fill advances cum");
         assert_eq!(p.cum_recv, 3);
-        assert!(p.above.is_empty());
+        assert!(p.above().is_empty());
         // The crate docs' memory bound: a known peer costs this, open or idle.
-        assert_eq!(std::mem::size_of::<PeerState>(), 48);
+        assert_eq!(std::mem::size_of::<PeerState>(), 32);
     }
 }
