@@ -11,7 +11,19 @@ use crate::{benign, ExpanderParams, OverlayError};
 use overlay_graph::{cuts, DiGraph, NodeId, UGraph};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
+
+/// Tokens walked abreast. One walk is a chain of dependent loads — the next
+/// draw's list is the slot just loaded — so the block advances all of its
+/// tokens one hop per step and their loads overlap.
+const BLOCK: usize = 32;
+
+/// The slot a raw word picks from a list of `len`: the multiply-shift of the
+/// vendored `gen_range(0..len)`, so one word per hop is the stream one
+/// `gen_range` per hop draws.
+fn slot_index(word: u64, len: usize) -> usize {
+    ((u128::from(word) * len as u128) >> 64) as usize
+}
 
 /// Summary of one evolution step, as recorded by [`EvolutionEngine::evolve`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -125,21 +137,42 @@ impl EvolutionEngine {
             );
         }
 
-        // Run every token's walk. Token `t` was launched by node
-        // `t / tokens_per_node`, finished at `ends[t]` and carries `payloads[t]`.
-        let mut ends: Vec<usize> = Vec::with_capacity(n * tokens_per_node);
-        let mut payloads: Vec<T> = Vec::with_capacity(n * tokens_per_node);
-        for v in 0..n {
-            for _ in 0..tokens_per_node {
-                let mut pos = NodeId::from(v);
-                let mut payload = T::default();
-                for _ in 0..walk_len {
-                    let slots = self.graph.neighbors(pos);
-                    let next = slots[self.rng.gen_range(0..slots.len())];
-                    hop(&mut payload, pos, next);
-                    pos = next;
+        // Run every token's walk, `BLOCK` tokens at a time. Token `t` was
+        // launched by node `t / tokens_per_node`, finished at `ends[t]` and
+        // carries `payloads[t]`. Within a block, `words[i * walk_len + s]` is
+        // token `i`'s draw for hop `s` — token-major, the order of one walk
+        // after another — and `path[i * walk_len + s]` where that hop landed.
+        let tokens = n * tokens_per_node;
+        let mut ends: Vec<usize> = Vec::with_capacity(tokens);
+        let mut payloads: Vec<T> = Vec::with_capacity(tokens);
+        let mut words = vec![0u64; BLOCK * walk_len];
+        let mut path = vec![NodeId::default(); BLOCK * walk_len];
+        let mut pos = [NodeId::default(); BLOCK];
+        for first in (0..tokens).step_by(BLOCK) {
+            let block = BLOCK.min(tokens - first);
+            let origin = |i: usize| NodeId::from((first + i) / tokens_per_node);
+            for word in &mut words[..block * walk_len] {
+                *word = self.rng.next_u64();
+            }
+            for (i, p) in pos[..block].iter_mut().enumerate() {
+                *p = origin(i);
+            }
+            for s in 0..walk_len {
+                for (i, p) in pos[..block].iter_mut().enumerate() {
+                    let slots = self.graph.neighbors(*p);
+                    *p = slots[slot_index(words[i * walk_len + s], slots.len())];
+                    path[i * walk_len + s] = *p;
                 }
-                ends.push(pos.index());
+            }
+            // Replay each walk to the observer, in walk order.
+            for (i, &end) in pos[..block].iter().enumerate() {
+                let mut from = origin(i);
+                let mut payload = T::default();
+                for &to in &path[i * walk_len..(i + 1) * walk_len] {
+                    hop(&mut payload, from, to);
+                    from = to;
+                }
+                ends.push(end.index());
                 payloads.push(payload);
             }
         }
@@ -163,8 +196,11 @@ impl EvolutionEngine {
             bucket_end[w] += 1;
         }
 
-        // Every node accepts up to 3Δ/8 arrived tokens and establishes bidirected edges.
-        let mut next = UGraph::with_slot_capacity(n, delta);
+        // Every node accepts up to 3Δ/8 arrived tokens and establishes
+        // bidirected edges. The walks are over, so the next graph is built
+        // into the current one's emptied lists.
+        let next = &mut self.graph;
+        next.reset(n, delta);
         let mut run_start = 0;
         for (w, &run_end) in bucket_end.iter().enumerate() {
             let w = NodeId::from(w);
@@ -178,7 +214,6 @@ impl EvolutionEngine {
             }
         }
         next.pad_self_loops(delta);
-        self.graph = next;
         self.evolutions_done += 1;
         #[cfg(debug_assertions)]
         self.check_contracts();
@@ -227,6 +262,7 @@ impl EvolutionEngine {
 mod tests {
     use super::*;
     use overlay_graph::{analysis, generators};
+    use rand::Rng;
 
     fn params(n: usize, seed: u64) -> ExpanderParams {
         ExpanderParams::for_n(n).with_seed(seed).with_walk_len(12)
@@ -462,6 +498,21 @@ mod tests {
         let mut single = UGraph::new(1);
         single.pad_self_loops(p.delta);
         assert_step_matches_reference(&single, p, 2);
+    }
+
+    #[test]
+    fn step_equals_the_reference_across_block_edges_and_short_walks() {
+        // 37 · 12 = 444 tokens: thirteen full blocks and a tail of 28. The
+        // reference draws through `gen_range`, so this also pins one word
+        // per hop, token-major, mapped by the same multiply-shift.
+        let p = params(37, 6);
+        assert_eq!((37 * p.tokens_per_node()) % BLOCK, 28);
+        for g in [generators::line(37), generators::random_regular(37, 4, 6)] {
+            let benign = benign::make_benign(&g, &p).unwrap();
+            for walk_len in [12, 1, 2] {
+                assert_step_matches_reference(&benign, p.with_walk_len(walk_len), 3);
+            }
+        }
     }
 
     #[test]

@@ -209,6 +209,9 @@ pub struct MaintenanceRunner {
     /// `tree` index into this list ("core space").
     core: Vec<usize>,
     graph: UGraph,
+    /// The core graph before the last rebuild, kept only for its slot lists:
+    /// the next rebuild writes into it and swaps it in.
+    spare: UGraph,
     tree: Option<WellFormedTree>,
     rng: StdRng,
     trace: Option<SharedTraceSink>,
@@ -257,6 +260,7 @@ impl MaintenanceRunner {
             members,
             core: (0..n).collect(),
             graph,
+            spare: UGraph::default(),
             tree: None,
             rng: StdRng::seed_from_u64(config.seed),
             trace: None,
@@ -422,7 +426,8 @@ impl MaintenanceRunner {
     /// Slot order is part of the result — the next evolution draws
     /// `slots[rng]` — and is the one [`UGraph::induced`] fixes for the
     /// surviving edges (self-loops are dropped there and return as padding),
-    /// then the contact edges by ascending joiner, then loops.
+    /// then the contact edges by ascending joiner, then loops. The new graph
+    /// is written into `spare`, which then trades places with the old one.
     fn rebuild_core_graph(&mut self) {
         let next_core = self.admitted_alive();
         let mut slot = vec![None; self.members.len()];
@@ -431,9 +436,9 @@ impl MaintenanceRunner {
         }
         // Surviving edges of the old core graph, translated to the new slots.
         let survives: Vec<Option<usize>> = self.core.iter().map(|&m| slot[m]).collect();
-        let mut next = self
-            .graph
-            .induced(&survives, next_core.len(), self.params.delta);
+        let next = &mut self.spare;
+        self.graph
+            .induced_into(&survives, next_core.len(), self.params.delta, next);
         // Freshly admitted members: one real edge to the contact.
         for (i, &m) in next_core.iter().enumerate() {
             if let Some(c) = self.members[m].contact.take().and_then(|c| slot[c]) {
@@ -442,7 +447,7 @@ impl MaintenanceRunner {
         }
         next.pad_self_loops(self.params.delta);
         self.core = next_core;
-        self.graph = next;
+        std::mem::swap(&mut self.graph, &mut self.spare);
     }
 
     /// One repair evolution: the paper's evolution step re-mixes the core

@@ -41,8 +41,20 @@ impl UGraph {
     /// lists each have room for `degree` slots, so that building a graph of
     /// that degree never reallocates a list.
     pub fn with_slot_capacity(n: usize, degree: usize) -> Self {
-        UGraph {
-            adj: (0..n).map(|_| Vec::with_capacity(degree)).collect(),
+        let mut g = UGraph::default();
+        g.reset(n, degree);
+        g
+    }
+
+    /// Empties the graph into `n` isolated nodes whose slot lists each have
+    /// room for `capacity` slots, keeping the lists it already holds: a graph
+    /// rebuilt in place this way allocates a list only for a node it did not
+    /// have, or one whose list is too short.
+    pub fn reset(&mut self, n: usize, capacity: usize) {
+        self.adj.resize_with(n, || Vec::with_capacity(capacity));
+        for slots in &mut self.adj {
+            slots.clear();
+            slots.reserve(capacity);
         }
     }
 
@@ -175,7 +187,26 @@ impl UGraph {
     /// Panics if `new_id` has fewer entries than the graph has nodes, or maps
     /// a node to `n_new` or beyond.
     pub fn induced(&self, new_id: &[Option<usize>], n_new: usize, capacity: usize) -> UGraph {
-        let mut sub = UGraph::with_slot_capacity(n_new, capacity);
+        let mut sub = UGraph::default();
+        self.induced_into(new_id, n_new, capacity, &mut sub);
+        sub
+    }
+
+    /// [`UGraph::induced`], written into `sub` through [`UGraph::reset`]:
+    /// whatever `sub` held is discarded, its slot lists are reused, and the
+    /// result is equal to `induced`'s, slot order included.
+    ///
+    /// # Panics
+    ///
+    /// As [`UGraph::induced`].
+    pub fn induced_into(
+        &self,
+        new_id: &[Option<usize>],
+        n_new: usize,
+        capacity: usize,
+        sub: &mut UGraph,
+    ) {
+        sub.reset(n_new, capacity);
         for (u, slots) in self.adj.iter().enumerate() {
             let Some(nu) = new_id[u] else { continue };
             for &v in slots {
@@ -186,7 +217,6 @@ impl UGraph {
                 }
             }
         }
-        sub
     }
 
     /// Returns the simple-graph version: parallel edges merged, self-loops
@@ -399,6 +429,48 @@ mod tests {
         assert_eq!(ids(3), vec![1]);
         assert_eq!(ids(4), Vec::<usize>::new());
         assert_eq!(sub.edge_count(), 5);
+    }
+
+    #[test]
+    fn induced_into_a_used_graph_equals_a_fresh_induced() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for seed in 0..32u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..24usize);
+            let mut g = UGraph::new(n);
+            for _ in 0..rng.gen_range(0..6 * n) {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                g.add_edge(u.into(), v.into());
+            }
+            // Keep a random subset, relabelled in reverse, into a graph with
+            // one node nothing maps to.
+            let mut kept = 0;
+            let mut new_id: Vec<Option<usize>> = (0..n)
+                .map(|_| {
+                    rng.gen_bool(0.7).then(|| {
+                        kept += 1;
+                        kept - 1
+                    })
+                })
+                .collect();
+            for id in new_id.iter_mut().flatten() {
+                *id = kept - 1 - *id;
+            }
+            let n_new = kept + 1;
+            let fresh = g.induced(&new_id, n_new, 4);
+            // Targets holding more nodes than the result, fewer, and none;
+            // every list full of stale slots.
+            for n_old in [n_new + 5, n_new / 2, 0] {
+                let mut sub = UGraph::new(n_old);
+                sub.pad_self_loops(7);
+                for v in 1..n_old {
+                    sub.add_edge(0.into(), v.into());
+                }
+                g.induced_into(&new_id, n_new, 4, &mut sub);
+                // Slot order included: `UGraph`'s `PartialEq` is derived.
+                assert_eq!(sub, fresh, "seed {seed}, {n_old} stale nodes");
+            }
+        }
     }
 
     #[test]
