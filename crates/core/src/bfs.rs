@@ -101,6 +101,11 @@ impl BfsNode {
         &self.children
     }
 
+    /// [`Self::children`], moving the list out of the node.
+    pub(crate) fn into_children(self) -> Vec<NodeId> {
+        self.children
+    }
+
     /// The node's BFS depth.
     pub fn depth(&self) -> u32 {
         self.dist

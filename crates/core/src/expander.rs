@@ -157,6 +157,12 @@ impl ExpanderNode {
         slots
     }
 
+    /// [`Self::padded_slots`], moving the list out of the node.
+    pub(crate) fn into_padded_slots(mut self) -> Vec<NodeId> {
+        self.slots.resize(self.degree, self.id);
+        self.slots
+    }
+
     /// Number of message rounds the protocol needs after the start (intro) round:
     /// `L` evolutions of `ℓ + 1` rounds each plus one final round that incorporates the
     /// last acceptances.

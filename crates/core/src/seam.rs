@@ -50,6 +50,13 @@ use std::time::{Duration, Instant};
 
 /// A protocol whose per-node end state can be digested into a small,
 /// wire-encodable summary sufficient for the pipeline's phase hand-offs.
+///
+/// [`SimExecutor`], done with the finished nodes, hands each one over with
+/// [`Summarize::into_summary`]; a socket rank, which only encodes each digest
+/// for the wire, digests by reference with [`Summarize::summarize`]. The two
+/// must be equal. A node whose summary carries ledgers (a router's
+/// deliveries, a construction node's slot list) overrides `into_summary` to
+/// move its `Vec`s instead of copying them; the provided body copies.
 pub trait Summarize: Protocol
 where
     Self::Message: Wire,
@@ -59,6 +66,15 @@ where
 
     /// Digests this node's final state.
     fn summarize(&self) -> Self::Summary;
+
+    /// Digests this node's final state, consuming the node: equal to
+    /// [`Summarize::summarize`], which is what the provided body calls.
+    fn into_summary(self) -> Self::Summary
+    where
+        Self: Sized,
+    {
+        self.summarize()
+    }
 }
 
 /// What the `CreateExpander` hand-off needs from each node: its identifier and
@@ -93,6 +109,13 @@ impl Summarize for ExpanderNode {
         ExpanderSummary {
             id: self.id(),
             slots: self.padded_slots(),
+        }
+    }
+
+    fn into_summary(self) -> ExpanderSummary {
+        ExpanderSummary {
+            id: self.id(),
+            slots: self.into_padded_slots(),
         }
     }
 }
@@ -140,6 +163,15 @@ impl Summarize for BfsNode {
             children: self.children().to_vec(),
         }
     }
+
+    fn into_summary(self) -> BfsSummary {
+        BfsSummary {
+            id: self.id(),
+            root: self.root(),
+            parent: self.parent(),
+            children: self.into_children(),
+        }
+    }
 }
 
 /// What the finalize hand-off needs from each node: its parent in the
@@ -176,6 +208,10 @@ where
 
     fn summarize(&self) -> P::Summary {
         self.inner().summarize()
+    }
+
+    fn into_summary(self) -> P::Summary {
+        self.into_inner().into_summary()
     }
 }
 
@@ -330,18 +366,22 @@ impl SimExecutor {
         }
         let outcome = sim.run(spec.budget);
         let metrics = sim.metrics().clone();
+        let alive = (0..sim.node_count())
+            .map(|i| sim.is_active(NodeId::from(i)))
+            .collect();
+        let done_count = sim.done_count();
+        // The simulator is done with the nodes: their ledgers move into the
+        // summaries instead of being copied.
         let run = ExecutedPhase {
-            summaries: sim.nodes().iter().map(Q::summarize).collect(),
-            alive: (0..sim.node_count())
-                .map(|i| sim.is_active(NodeId::from(i)))
-                .collect(),
+            summaries: sim.into_nodes().into_iter().map(Q::into_summary).collect(),
+            alive,
             rounds: outcome.rounds,
             all_done: outcome.all_done,
             delivered: metrics.totals().delivered,
         };
         let detail = SimDetail {
             metrics,
-            done_count: sim.done_count(),
+            done_count,
             wall: started.elapsed(),
         };
         (run, Some(detail))
@@ -385,6 +425,7 @@ impl PhaseExecutor for SimExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExpanderParams;
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
         let mut bytes = Vec::new();
@@ -410,6 +451,76 @@ mod tests {
             id: NodeId::new(4),
             new_parent: NodeId::new(1),
         });
+    }
+
+    /// Runs `nodes` for at most `rounds` rounds, then checks that every node
+    /// hands over what it digests. Returns the summaries and whether the run
+    /// finished.
+    fn hand_over<P: Summarize>(
+        nodes: Vec<P>,
+        config: SimConfig,
+        rounds: usize,
+    ) -> (Vec<P::Summary>, bool)
+    where
+        P::Message: Wire,
+        P::Summary: PartialEq,
+    {
+        let mut sim = Simulator::new(nodes, config);
+        let finished = sim.run(rounds).all_done;
+        let summaries = (sim.into_nodes().into_iter())
+            .map(|node| {
+                let digest = node.summarize();
+                let handed = node.into_summary();
+                assert_eq!(handed, digest);
+                handed
+            })
+            .collect();
+        (summaries, finished)
+    }
+
+    #[test]
+    fn construction_nodes_hand_over_what_they_digest() {
+        let n = 48;
+        let params = ExpanderParams::for_n(n).with_seed(5);
+        let g = overlay_graph::generators::line(n);
+        let config = SimConfig::ncc0_capped(params.ncc0_cap, params.seed, FaultPlan::default());
+        let expander_nodes = || -> Vec<ExpanderNode> {
+            let out = |v| g.out_neighbors(v).to_vec();
+            g.nodes()
+                .map(|v| ExpanderNode::new(v, out(v), params))
+                .collect()
+        };
+        // Finished: the padding is written out. Stopped mid-evolution: it is
+        // implicit, and both digests must write it out.
+        let total = ExpanderNode::total_rounds(&params);
+        let (finished, done) = hand_over(expander_nodes(), config.clone(), total + 2);
+        assert!(done);
+        let (stopped, done) = hand_over(expander_nodes(), config, total / 2);
+        assert!(!done);
+        assert_ne!(stopped, finished);
+
+        let u = g.to_undirected();
+        let bfs_nodes = (u.nodes())
+            .map(|v| BfsNode::new(v, u.distinct_neighbors(v), 60))
+            .collect();
+        let (summaries, done) = hand_over(bfs_nodes, SimConfig::default(), 64);
+        assert!(done);
+        assert!(summaries
+            .iter()
+            .any(|s: &BfsSummary| !s.children.is_empty()));
+
+        let star = (0..9u32)
+            .map(|v| match v {
+                0 => BinarizeNode::new(
+                    NodeId::new(0),
+                    NodeId::new(0),
+                    (1..9).map(NodeId::new).collect(),
+                ),
+                _ => BinarizeNode::new(NodeId::new(v), NodeId::new(0), Vec::new()),
+            })
+            .collect();
+        let (_, done) = hand_over(star, SimConfig::default(), BinarizeNode::total_rounds() + 1);
+        assert!(done);
     }
 
     #[test]

@@ -330,6 +330,10 @@ pub struct FaultRouter<M> {
     crash_round: Vec<Option<usize>>,
     /// Per node: the round it becomes active (0 = present from the start).
     join_round: Vec<usize>,
+    /// Per round: how many nodes crash at it (`crash_round` counted once).
+    crashes_per_round: BTreeMap<usize, usize>,
+    /// Per round after 0: how many nodes join at it (`join_round` counted once).
+    joins_per_round: BTreeMap<usize, usize>,
     partitions: Vec<(usize, usize, HashSet<NodeId>)>,
     drop_prob: f64,
     loss_from: usize,
@@ -363,9 +367,19 @@ impl<M> FaultRouter<M> {
         for j in &plan.joins {
             join_round[j.node.index()] = join_round[j.node.index()].max(j.round);
         }
+        let mut crashes_per_round = BTreeMap::new();
+        for &r in crash_round.iter().flatten() {
+            *crashes_per_round.entry(r).or_insert(0) += 1;
+        }
+        let mut joins_per_round = BTreeMap::new();
+        for &r in join_round.iter().filter(|&&r| r > 0) {
+            *joins_per_round.entry(r).or_insert(0) += 1;
+        }
         FaultRouter {
             crash_round,
             join_round,
+            crashes_per_round,
+            joins_per_round,
             partitions: plan
                 .partitions
                 .iter()
@@ -409,18 +423,13 @@ impl<M> FaultRouter<M> {
 
     /// Number of nodes that crash at exactly `round` (for metrics).
     pub fn crashes_at(&self, round: usize) -> usize {
-        self.crash_round
-            .iter()
-            .filter(|c| **c == Some(round))
-            .count()
+        self.crashes_per_round.get(&round).copied().unwrap_or(0)
     }
 
-    /// Number of nodes that join at exactly `round` (for metrics).
+    /// Number of nodes that join at exactly `round` (for metrics; 0 for round
+    /// 0, where nobody joins: the nodes present from the start just start).
     pub fn join_count_at(&self, round: usize) -> usize {
-        if round == 0 {
-            return 0;
-        }
-        self.join_round.iter().filter(|&&j| j == round).count()
+        self.joins_per_round.get(&round).copied().unwrap_or(0)
     }
 
     fn cut_by_partition(&self, from: NodeId, to: NodeId, send_round: usize) -> bool {
@@ -492,7 +501,8 @@ impl<M> FaultRouter<M> {
         !self.in_flight.is_empty()
     }
 
-    /// Records this round's lifecycle events into `metrics`.
+    /// Records this round's lifecycle events into `metrics`: two lookups in
+    /// the per-round counts, however many nodes there are.
     pub fn record_lifecycle(&self, round: usize, metrics: &mut RoundMetrics) {
         metrics.crashed = self.crashes_at(round);
         metrics.joined = self.join_count_at(round);
@@ -808,5 +818,49 @@ mod tests {
         assert!(!router.is_active(1, 0));
         assert!(!router.is_active(1, 50));
         assert!(router.is_active(0, 0));
+    }
+
+    proptest::proptest! {
+        /// The per-round counts made at construction against a recount of the
+        /// plan: a node counts once, at its earliest crash and at its latest
+        /// join, and a join at round 0 is no join. Plans repeat crashes and
+        /// joins of one node and include round-0 joins; a crash at or before
+        /// one of the node's joins is dropped, as `validate` demands.
+        #[test]
+        fn lifecycle_counts_are_a_recount_of_the_plan(
+            n in 1usize..7,
+            crashes in proptest::collection::vec((0usize..7, 0usize..12), 0..10),
+            joins in proptest::collection::vec((0usize..7, 0usize..12), 0..10),
+        ) {
+            let joins: Vec<JoinEvent> = (joins.iter())
+                .map(|&(v, round)| JoinEvent { round, node: id(v % n) })
+                .collect();
+            let last_join = |v: usize| {
+                joins.iter().filter(|j| j.node == id(v)).map(|j| j.round).max()
+            };
+            let crashes: Vec<CrashEvent> = (crashes.iter())
+                .filter(|&&(v, round)| last_join(v % n).is_none_or(|j| j < round))
+                .map(|&(v, round)| CrashEvent { round, node: id(v % n) })
+                .collect();
+            let crash_of = |v: usize| {
+                crashes.iter().filter(|c| c.node == id(v)).map(|c| c.round).min()
+            };
+            let last = (crashes.iter().map(|c| c.round))
+                .chain(joins.iter().map(|j| j.round))
+                .max()
+                .unwrap_or(0);
+            let plan = FaultPlan {
+                crashes: crashes.clone(),
+                joins: joins.clone(),
+                ..FaultPlan::default()
+            };
+            let router: FaultRouter<u8> = FaultRouter::new(&plan, n, 0);
+            for r in 0..=last + 1 {
+                let crashed = (0..n).filter(|&v| crash_of(v) == Some(r)).count();
+                let joined = (0..n).filter(|&v| r > 0 && last_join(v) == Some(r)).count();
+                proptest::prop_assert_eq!(router.crashes_at(r), crashed, "crashes at {}", r);
+                proptest::prop_assert_eq!(router.join_count_at(r), joined, "joins at {}", r);
+            }
+        }
     }
 }

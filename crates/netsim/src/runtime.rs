@@ -1013,6 +1013,10 @@ impl<P: Protocol> Simulator<P> {
         self.arena.clear();
         let mut messages = self.outbox.iter();
         for i in 0..n {
+            // A node that sent nothing has nothing to count or route.
+            if self.out_lens[i] == 0 {
+                continue;
+            }
             let sender = NodeId::from(i);
             let mut global_sent = 0usize;
             let mut total_sent = 0usize;

@@ -424,7 +424,10 @@ fn emit_traffic_trace(
                 round: d.delivered as usize,
                 dst: NodeId::from(node),
                 hops: d.hops as usize,
-                latency: (d.delivered - d.injected) as usize,
+                // Saturating, as in `TrafficTally::absorb`: summaries cross
+                // sockets, and a delivery dated before its injection must not
+                // underflow the trace.
+                latency: d.delivered.saturating_sub(d.injected) as usize,
             });
         }
         if !s.dropped.is_empty() || !s.expired.is_empty() {
@@ -1089,11 +1092,18 @@ impl Scenario {
             traffic_workload_seed(seed, salt),
         );
         let config = spec.router_config();
+        let mut addressed = vec![0usize; n];
+        for r in schedule.iter().flatten() {
+            addressed[r.dst.index()] += 1;
+        }
         let nodes: Vec<Router> = rows
             .into_iter()
             .zip(schedule)
+            .zip(addressed)
             .enumerate()
-            .map(|(v, (row, reqs))| Router::new(NodeId::from(v), row, reqs, config))
+            .map(|(v, ((row, reqs), count))| {
+                Router::new(NodeId::from(v), row, reqs, config).with_expected_deliveries(count)
+            })
             .collect();
         let faults = if spec.loss > 0.0 {
             FaultPlan::default().with_drop_prob(spec.loss)
@@ -1286,6 +1296,42 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_delivery_dated_before_its_injection_traces_zero_latency() {
+        // What a hostile rank's summary can claim; an unchecked subtraction
+        // panics on it in the debug profile.
+        let summary = RouterSummary {
+            injected: 0,
+            deliveries: vec![overlay_traffic::Delivery {
+                id: 7,
+                hops: 2,
+                injected: 9,
+                delivered: 3,
+            }],
+            dropped: Vec::new(),
+            expired: Vec::new(),
+            forwards: 0,
+            max_edge_load: 0,
+        };
+        let run = ExecutedPhase {
+            summaries: vec![summary],
+            alive: vec![true],
+            rounds: 10,
+            all_done: true,
+            delivered: 1,
+        };
+        let buffer = TraceBuffer::shared();
+        let sink: SharedTraceSink = buffer.clone();
+        emit_traffic_trace(&sink, &TrafficSpec::new(Workload::Uniform), 1, 0, &run);
+        let latencies: Vec<usize> = (buffer.borrow().events.iter())
+            .filter_map(|e| match e {
+                TraceEvent::RequestDelivered { latency, .. } => Some(*latency),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(latencies, vec![0]);
+    }
 
     #[test]
     fn graph_families_build_connected_graphs() {

@@ -38,6 +38,9 @@ impl TrafficTally {
     /// `rounds` the message rounds that phase ran.
     pub fn absorb(&mut self, summaries: &[RouterSummary], rounds: usize) {
         self.rounds += rounds;
+        let delivered = summaries.iter().map(|s| s.deliveries.len()).sum();
+        self.hops.reserve(delivered);
+        self.latencies.reserve(delivered);
         for s in summaries {
             self.injected += s.injected as u64;
             self.dropped += s.dropped.len() as u64;

@@ -116,16 +116,20 @@ fn assert_positions_fit(neighbors: usize) {
 /// taken 64 at a time; bit `b` of a node's word stands for destination
 /// `base + b`. `frontier[v]` holds the destinations whose search reached `v`
 /// in the previous level, `seen[v]` those that have reached it at all. In one
-/// level every node `u` that some destination has not reached yet scans its
-/// neighbors once in ascending order: the bits of `frontier[nb] & !seen[u]`
-/// are the destinations `nb` is exactly one hop closer to than `u`, and
-/// `hop[u][base + b] = k`, the scan's position at `nb`, is written on the
-/// spot — no distance array and no second pass over the sources.
+/// level every node `u` that some destination has not reached yet ORs its
+/// neighbors' frontier words: the bits of that word not in `seen[u]` are the
+/// destinations that reach `u` in this level (`found`), and a node with none
+/// skips the level. Otherwise it scans its neighbors in ascending order: the bits
+/// of `frontier[nb]` still left in `found` are the destinations `nb` is
+/// exactly one hop closer to than `u`, and `k`, the scan's position at `nb`,
+/// is written for them into a 65-slot row for the level, first two bits
+/// without a branch. The found bits are then copied from that row into
+/// `hop[u][base..]` — no distance array and no second pass over the sources.
 ///
 /// A neighbor of `u` is never more than one hop closer than `u`, so "strictly
 /// closer" *is* "reached in the previous level", and since a bit leaves the
-/// wanted set the moment it is hit, the neighbor that writes an entry is the
-/// first one in ascending order that qualifies: the smallest-id tie-break.
+/// set the moment it is hit, the neighbor that writes an entry is the first
+/// one in ascending order that qualifies: the smallest-id tie-break.
 ///
 /// # Cost
 ///
@@ -136,7 +140,15 @@ fn assert_positions_fit(neighbors: usize) {
 /// `D` passes 64 (a 1024-node path is 2–4× slower than per-destination BFS).
 /// On those overlays the entry writes are what is left: 256 destinations per
 /// pass instead of 64 bought nothing (8.6–9.0 against 8.9–9.1 ms at
-/// `n = 1024`). The table is `n²` two-byte entries — 2 MB at `n = 1024`.
+/// `n = 1024`). Writing each hit word's first two bits unconditionally took
+/// the per-bit branch out of the middle levels, where a neighbor's hit word
+/// holds zero, one or two bits at random (an `n = 1024` overlay on a 2-vCPU
+/// Xeon: 13.2 → 11.9 ms, medians of 40 calls alternating with the branchy
+/// kernel).
+/// The OR pass in front of the scan is what keeps a long path, where almost
+/// every hit word is empty, from paying for those writes: without it
+/// `line(1024)` was 9–28 % slower than the branchy kernel, with it not
+/// slower. The table is `n²` two-byte entries — 2 MB at `n = 1024`.
 ///
 /// # Panics
 ///
@@ -158,6 +170,10 @@ pub fn hop_rows(graph: &UGraph) -> Vec<HopRow> {
     let mut seen = vec![0u64; n];
     let mut frontier = vec![0u64; n];
     let mut next = vec![0u64; n];
+    // One node's positions found in one level, by destination bit; slot 64
+    // takes the writes for the bits an empty word does not have. Only the
+    // bits the level found are read back, so stale slots are never seen.
+    let mut level_hops = [NO_HOP; 65];
     for base in (0..n).step_by(64) {
         let width = (n - base).min(64);
         let all = u64::MAX >> (64 - width);
@@ -170,24 +186,46 @@ pub fn hop_rows(graph: &UGraph) -> Vec<HopRow> {
         loop {
             let mut advanced = false;
             for u in 0..n {
-                let mut wanted = all & !seen[u];
+                let wanted = all & !seen[u];
+                let neighbors = || &targets[offsets[u]..offsets[u + 1]];
+                // What `u` reaches this level, from one OR over its
+                // neighbors' frontier words: a node that reaches nothing (on a
+                // long path, nearly every node at nearly every level) skips
+                // the scan on one predictable branch.
                 let mut found = 0;
                 if wanted != 0 {
-                    let hops = &mut table[u][base..base + width];
-                    for (k, &nb) in targets[offsets[u]..offsets[u + 1]].iter().enumerate() {
-                        let mut hit = frontier[nb.index()] & wanted;
-                        if hit == 0 {
-                            continue;
+                    let reached = neighbors()
+                        .iter()
+                        .fold(0, |acc, nb| acc | frontier[nb.index()]);
+                    found = wanted & reached;
+                }
+                if found != 0 {
+                    let mut left = found;
+                    for (k, &nb) in neighbors().iter().enumerate() {
+                        let hit = frontier[nb.index()] & left;
+                        left &= !hit;
+                        // The hit word's first two bits are written whether or
+                        // not they exist (an absent one lands in slot 64); only
+                        // a third bit takes the loop.
+                        let k = k as u16;
+                        level_hops[hit.trailing_zeros() as usize] = k;
+                        let rest = hit & hit.wrapping_sub(1);
+                        level_hops[rest.trailing_zeros() as usize] = k;
+                        let mut rest = rest & rest.wrapping_sub(1);
+                        while rest != 0 {
+                            level_hops[rest.trailing_zeros() as usize] = k;
+                            rest &= rest - 1;
                         }
-                        wanted &= !hit;
-                        found |= hit;
-                        while hit != 0 {
-                            hops[hit.trailing_zeros() as usize] = k as u16;
-                            hit &= hit - 1;
-                        }
-                        if wanted == 0 {
+                        if left == 0 {
                             break;
                         }
+                    }
+                    let hops = &mut table[u][base..base + width];
+                    let mut bits = found;
+                    while bits != 0 {
+                        let b = bits.trailing_zeros() as usize;
+                        hops[b] = level_hops[b];
+                        bits &= bits - 1;
                     }
                 }
                 // `seen[u]` is only ever read for `u` itself, so it can move
@@ -350,6 +388,16 @@ impl Router {
             oldest: u32::MAX,
             quiet: false,
         }
+    }
+
+    /// Sizes the delivery ledger for `count` arrivals up front: the requests
+    /// addressed to this node, which the harness knows from the schedules
+    /// before the run. A ledger grown one push at a time reallocates and
+    /// copies itself about `log₂ count` times, which costs a wave more than
+    /// handing the ledger over saves. Only the capacity changes.
+    pub fn with_expected_deliveries(mut self, count: usize) -> Self {
+        self.deliveries.reserve_exact(count);
+        self
     }
 
     fn enqueue_or_shed(&mut self, msg: RouterMsg) {
@@ -547,6 +595,17 @@ impl Summarize for Router {
             max_edge_load: self.edge_load.iter().copied().max().unwrap_or(0),
         }
     }
+
+    fn into_summary(self) -> RouterSummary {
+        RouterSummary {
+            injected: self.injected,
+            deliveries: self.deliveries,
+            dropped: self.dropped,
+            expired: self.expired,
+            forwards: self.forwards,
+            max_edge_load: self.edge_load.iter().copied().max().unwrap_or(0),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -719,6 +778,39 @@ mod tests {
         let table = assert_rows_expand_to_the_reference(&line_graph(300));
         assert_eq!(table[0][299], NodeId::new(1));
         assert_eq!(table[299][0], NodeId::new(298));
+    }
+
+    /// The level row at its edges, against the per-destination BFS and the
+    /// definition: a 200-node path (more levels than bits, and a last batch
+    /// 8 wide); K₇₀ (every destination found in the first level, one bit per
+    /// neighbor); and a hub joined to nodes 0–63 whose frontier word in the
+    /// second level holds all 64 destinations of the first batch, read by
+    /// nodes 65–69 at position 1 behind a neighbor that hit bit 0 (so the
+    /// first two written bits and bit 63 come from one word), beside a
+    /// 10-node path the hub's side cannot reach.
+    #[test]
+    fn hop_rows_match_the_reference_at_the_level_rows_edges() {
+        let mut complete = UGraph::new(70);
+        for a in 0..70usize {
+            for b in a + 1..70 {
+                complete.add_edge(NodeId::from(a), NodeId::from(b));
+            }
+        }
+        let mut hub = UGraph::new(80);
+        for v in 0..64usize {
+            hub.add_edge(NodeId::from(v), NodeId::new(64));
+        }
+        for v in 65..70usize {
+            hub.add_edge(NodeId::from(v), NodeId::new(64));
+            hub.add_edge(NodeId::from(v), NodeId::from(v - 65));
+        }
+        for v in 70..79usize {
+            hub.add_edge(NodeId::from(v), NodeId::from(v + 1));
+        }
+        for graph in [line_graph(200), complete, hub] {
+            let table = assert_rows_expand_to_the_reference(&graph);
+            assert_greedy_smallest_id(&graph, &table);
+        }
     }
 
     #[test]
@@ -1123,6 +1215,76 @@ mod tests {
         assert_eq!(size_of::<Envelope<ExpanderMsg>>(), 20);
         assert_eq!(size_of::<(NodeId, Channel, ExpanderMsg)>(), 20);
         assert_eq!(size_of::<Envelope<RouterMsg>>(), 32);
+    }
+
+    /// Routers whose run fills every ledger somewhere: on a 12-node path with
+    /// a queue of 3, one forward a round and a TTL of 6, both ends inject 8
+    /// requests for the other end in round 1 (5 shed at once; the rest cannot
+    /// cross 11 hops within the TTL) and every node sends 2 to its right
+    /// neighbor in round 2 (delivered).
+    fn routers_that_shed_expire_and_deliver() -> Vec<Router> {
+        let n = 12;
+        let config = RouterConfig {
+            ttl: 6,
+            queue_cap: 3,
+            per_round_budget: 1,
+        };
+        let request = |round, dst: usize| Request {
+            round,
+            dst: NodeId::from(dst),
+        };
+        hop_rows(&line_graph(n))
+            .into_iter()
+            .enumerate()
+            .map(|(v, row)| {
+                let mut schedule = match v {
+                    0 => vec![request(1, n - 1); 8],
+                    v if v == n - 1 => vec![request(1, 0); 8],
+                    _ => Vec::new(),
+                };
+                if v + 1 < n {
+                    schedule.extend([request(2, v + 1), request(2, v + 1)]);
+                }
+                Router::new(NodeId::from(v), row, schedule, config)
+            })
+            .collect()
+    }
+
+    /// Runs `nodes` to the end, then checks that each hands over what it
+    /// digests and that the run left deliveries, drops and expiries.
+    fn assert_finished_nodes_hand_over_what_they_digest<P>(nodes: Vec<P>)
+    where
+        P: Summarize<Summary = RouterSummary>,
+        P::Message: Wire,
+    {
+        let mut sim = overlay_netsim::Simulator::new(nodes, overlay_netsim::SimConfig::default());
+        assert!(sim.run(64).all_done);
+        let summaries: Vec<RouterSummary> = (sim.into_nodes().into_iter())
+            .map(|node| {
+                let digest = node.summarize();
+                let handed = node.into_summary();
+                assert_eq!(handed, digest);
+                handed
+            })
+            .collect();
+        assert!(summaries.iter().any(|s| !s.deliveries.is_empty()));
+        assert!(summaries.iter().any(|s| !s.dropped.is_empty()));
+        assert!(summaries.iter().any(|s| !s.expired.is_empty()));
+    }
+
+    #[test]
+    fn a_finished_router_hands_over_what_it_digests() {
+        assert_finished_nodes_hand_over_what_they_digest(routers_that_shed_expire_and_deliver());
+    }
+
+    #[test]
+    fn a_finished_reliable_router_hands_over_what_it_digests() {
+        let config = overlay_netsim::TransportConfig::default();
+        assert_finished_nodes_hand_over_what_they_digest(
+            (routers_that_shed_expire_and_deliver().into_iter())
+                .map(|router| overlay_transport::Reliable::new(router, config))
+                .collect(),
+        );
     }
 
     #[test]

@@ -473,6 +473,11 @@ impl<P: Protocol> Reliable<P> {
         &self.inner
     }
 
+    /// Unwraps the node, dropping the transport's own state.
+    pub fn into_inner(self) -> P {
+        self.inner
+    }
+
     /// Lifetime transport totals of this node.
     pub fn stats(&self) -> ReliableStats {
         self.stats
