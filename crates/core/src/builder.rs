@@ -375,8 +375,8 @@ impl OverlayBuilder {
     }
 
     /// Runs the clean-path pipeline over a pluggable [`PhaseExecutor`]: the
-    /// lockstep simulator ([`crate::seam::SimExecutor`]), threads over
-    /// in-process channels, or TCP sockets across OS processes (the
+    /// lockstep simulator ([`crate::seam::SimExecutor`]), one in-process rank
+    /// owning every node, or TCP sockets across OS processes (the
     /// `overlay-net` crate).
     ///
     /// This is [`OverlayBuilder::build`] with the medium swapped and nothing
@@ -390,12 +390,13 @@ impl OverlayBuilder {
     ///
     /// This entry point is clean-path only (every phase carries a clean
     /// [`FaultPlan`]): socket backends experience *real* asynchrony and
-    /// failures rather than injected ones. Per seed, an executor that
-    /// replicates the simulator's delivery order and RNG seeding produces the
-    /// same [`OverlayResult`] as [`OverlayBuilder::build`], except that off the
-    /// simulator [`OverlayResult::messages`] carries only the executor-counted
-    /// [`MessageStats::total_delivered`] (everything else is simulator
-    /// bookkeeping no socket backend can observe — see
+    /// failures rather than injected ones. Per seed, an executor that runs
+    /// the simulator's round on its nodes
+    /// ([`crate::seam::SimExecutor::execute_block`], as the socket runners
+    /// do) produces the same [`OverlayResult`] as [`OverlayBuilder::build`],
+    /// except that off the simulator [`OverlayResult::messages`] carries only
+    /// the executor-counted [`MessageStats::total_delivered`] (everything else
+    /// is simulator bookkeeping no socket backend can observe — see
     /// [`crate::seam::SimDetail`]).
     ///
     /// # Errors

@@ -21,10 +21,11 @@
 //!   executor.
 //! * The socket-backed runners in the `overlay-net` crate — one stepping
 //!   loop per rank: a single rank owning every node, or multiple OS
-//!   processes over TCP. They replicate the simulator's delivery order, RNG
-//!   seeding and stop rule, so per seed the final overlay graph is
-//!   *identical* to the simulator's; the cross-backend equivalence tests in
-//!   `overlay-net` pin that claim.
+//!   processes over TCP. Each rank runs the simulator's round on the block
+//!   of nodes it owns ([`SimExecutor::execute_block`] over a medium of
+//!   frames), so per seed the final overlay graph is *identical* to the
+//!   simulator's; the cross-backend equivalence tests in `overlay-net` pin
+//!   the medium.
 //!
 //! Summaries exist because a multi-process executor cannot hand back remote
 //! nodes' full protocol states. Each phase's hand-off needs only a small
@@ -42,10 +43,11 @@ use overlay_graph::NodeId;
 use overlay_netsim::trace::SharedTraceSink;
 use overlay_netsim::wire::{Wire, WireError};
 use overlay_netsim::{
-    FaultPlan, MetricsMode, ParallelismConfig, Protocol, RunMetrics, SimConfig, Simulator,
-    TransportConfig,
+    FaultPlan, Medium, MetricsMode, ParallelismConfig, Protocol, RunMetrics, SimConfig, Simulator,
+    TransportConfig, WholeRun,
 };
-use overlay_transport::Reliable;
+use overlay_transport::{Reliable, TransportMsg};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// A protocol whose per-node end state can be digested into a small,
@@ -283,9 +285,12 @@ pub type DetailedPhase<S> = (ExecutedPhase<S>, Option<SimDetail>);
 /// id then send order, the per-sender global send cap applies, and execution
 /// stops when every node is done or the budget is exhausted — but are free to
 /// realize it over any medium (the lockstep simulator, an in-process rank,
-/// TCP sockets). The phase carries the [`overlay_netsim::FaultPlan`] of its
-/// window: an executor either injects it (the simulator) or refuses a plan
-/// that is not clean (the socket runners) — never silently drops it.
+/// TCP sockets). The executors here do it by running the simulator's round,
+/// [`SimExecutor::execute_block`], over their medium. The phase carries the
+/// [`overlay_netsim::FaultPlan`] of its window: an executor either injects it
+/// (the simulator, and a socket rank that owns every node) or refuses a plan
+/// that is not clean (a socket rank that owns less) — never silently drops
+/// it.
 pub trait PhaseExecutor {
     /// How this executor fails below the protocol layer (connection loss,
     /// undecodable frames). The simulator cannot fail.
@@ -341,51 +346,82 @@ pub struct SimExecutor {
 }
 
 impl SimExecutor {
-    /// Simulates one phase's `nodes` (bare, or already wrapped in the
-    /// reliable transport) under the phase's fault plan, with `sink`, when
-    /// given, receiving the simulator's events. Behind the transport,
-    /// `is_done` (and therefore the done count and the phase's wall-rounds)
-    /// includes the transport's own drain condition: a node holding
-    /// unacknowledged data keeps the phase alive so retransmissions can land.
-    fn simulate<Q: Summarize>(
+    /// Runs `block` of one phase — the phase's `nodes` and fault plan under
+    /// `spec`, bare or behind the reliable transport — with every round ending
+    /// at `medium`'s barrier: the one round loop of every executor.
+    /// [`SimExecutor`] runs the block that owns every node over [`WholeRun`];
+    /// a socket rank runs the block it owns over a medium of frames. The
+    /// [`ExecutedPhase`]'s per-node vectors and `delivered` cover the block.
+    ///
+    /// # Panics
+    ///
+    /// As [`Simulator::for_block`]: a block that leaves nodes out runs clean.
+    pub fn execute_block<P: Summarize, Md, E>(
         &self,
-        nodes: Vec<Q>,
+        nodes: Vec<P>,
         faults: FaultPlan,
         spec: PhaseExecSpec,
+        block: Range<usize>,
+        medium: &mut Md,
         sink: Option<&SharedTraceSink>,
-    ) -> DetailedPhase<Q::Summary>
+    ) -> Result<DetailedPhase<P::Summary>, E>
     where
-        Q::Message: Wire,
+        P::Message: Wire,
+        Md: Medium<P::Message, Error = E> + Medium<TransportMsg<P::Message>, Error = E>,
     {
-        let started = Instant::now();
         let config = SimConfig::ncc0_capped(spec.ncc0_cap, spec.seed, faults)
             .with_parallelism(self.parallelism);
-        let mut sim = Simulator::new(nodes, config);
-        if let Some(sink) = sink {
-            sim.set_trace_sink(sink.clone());
+        match spec.transport {
+            None => simulate(nodes, config, block, spec.budget, medium, sink),
+            Some(cfg) => {
+                let wrapped = nodes.into_iter().map(|p| Reliable::new(p, cfg)).collect();
+                simulate(wrapped, config, block, spec.budget, medium, sink)
+            }
         }
-        let outcome = sim.run(spec.budget);
-        let metrics = sim.metrics().clone();
-        let alive = (0..sim.node_count())
-            .map(|i| sim.is_active(NodeId::from(i)))
-            .collect();
-        let done_count = sim.done_count();
-        // The simulator is done with the nodes: their ledgers move into the
-        // summaries instead of being copied.
-        let run = ExecutedPhase {
-            summaries: sim.into_nodes().into_iter().map(Q::into_summary).collect(),
-            alive,
-            rounds: outcome.rounds,
-            all_done: outcome.all_done,
-            delivered: metrics.totals().delivered,
-        };
-        let detail = SimDetail {
-            metrics,
-            done_count,
-            wall: started.elapsed(),
-        };
-        (run, Some(detail))
     }
+}
+
+/// Simulates `block` of one phase's `nodes` (bare, or already wrapped in the
+/// reliable transport) for at most `budget` rounds over `medium`, with `sink`,
+/// when given, receiving the simulator's events. Behind the transport,
+/// `is_done` (and therefore the done count and the phase's wall-rounds)
+/// includes the transport's own drain condition: a node holding
+/// unacknowledged data keeps the phase alive so retransmissions can land.
+fn simulate<Q: Summarize, Md: Medium<Q::Message>>(
+    nodes: Vec<Q>,
+    config: SimConfig,
+    block: Range<usize>,
+    budget: usize,
+    medium: &mut Md,
+    sink: Option<&SharedTraceSink>,
+) -> Result<DetailedPhase<Q::Summary>, Md::Error>
+where
+    Q::Message: Wire,
+{
+    let started = Instant::now();
+    let mut sim = Simulator::for_block(nodes, block.clone(), config);
+    if let Some(sink) = sink {
+        sim.set_trace_sink(sink.clone());
+    }
+    let outcome = sim.run_over(budget, medium)?;
+    let metrics = sim.metrics().clone();
+    let alive = block.map(|i| sim.is_active(NodeId::from(i))).collect();
+    let done_count = sim.done_count();
+    // The simulator is done with the nodes: their ledgers move into the
+    // summaries instead of being copied.
+    let run = ExecutedPhase {
+        summaries: sim.into_nodes().into_iter().map(Q::into_summary).collect(),
+        alive,
+        rounds: outcome.rounds,
+        all_done: outcome.all_done,
+        delivered: metrics.totals().delivered,
+    };
+    let detail = SimDetail {
+        metrics,
+        done_count,
+        wall: started.elapsed(),
+    };
+    Ok((run, Some(detail)))
 }
 
 impl PhaseExecutor for SimExecutor {
@@ -412,13 +448,8 @@ impl PhaseExecutor for SimExecutor {
         P::Message: Wire + Send,
     {
         let (_, nodes, _, faults) = phase.into_parts();
-        Ok(match spec.transport {
-            None => self.simulate(nodes, faults, spec, sink),
-            Some(cfg) => {
-                let wrapped = nodes.into_iter().map(|p| Reliable::new(p, cfg)).collect();
-                self.simulate(wrapped, faults, spec, sink)
-            }
-        })
+        let n = nodes.len();
+        self.execute_block(nodes, faults, spec, 0..n, &mut WholeRun, sink)
     }
 }
 

@@ -5,12 +5,12 @@
 //! and gives the [`crate::NetRunner`] stepping that block four things:
 //!
 //! * [`Backend::send`] — the way out for a [`crate::FrameKind::Data`] frame
-//!   addressed to a node another rank owns (frames between owned nodes never
-//!   reach the backend: the runner files them itself);
-//! * [`Backend::exchange_done`] — the α-synchronizer barrier: it returns only
-//!   after every rank has finished the round, hands over every data frame the
-//!   other ranks sent this rank in that round, and reports whether *all*
-//!   nodes everywhere are done;
+//!   addressed to a node another rank owns (messages between owned nodes
+//!   never become frames: the simulator the runner steps routes them);
+//! * [`Backend::exchange_done`] — the α-synchronizer barrier, and the body of
+//!   the runner's `Medium`: it returns only after every rank has finished the
+//!   round, hands over every data frame the other ranks sent this rank in
+//!   that round, and reports whether *all* nodes everywhere are done;
 //! * [`Backend::exchange_summaries`] — the phase-boundary all-gather of
 //!   per-node digests from which every rank derives the next phase's
 //!   hand-off locally and identically;
@@ -18,8 +18,9 @@
 //!
 //! The trait is the seam a test substitutes a scripted fake at (see the
 //! runner's tests). [`ChannelBackend`] is the rank that owns everything: no
-//! frame ever leaves it and all three barriers are trivial. The TCP
-//! implementation lives in [`crate::tcp`].
+//! message becomes a frame, all three barriers are trivial, and it is the one
+//! rank that can run a fault plan. The TCP implementation lives in
+//! [`crate::tcp`].
 
 use crate::frame::Frame;
 use crate::NetError;
@@ -88,8 +89,8 @@ pub fn rank_of(n: usize, procs: usize, node: usize) -> usize {
     rank
 }
 
-/// Single-process backend: the one rank that owns all `n` nodes, so every
-/// frame stays inside the runner.
+/// Single-process backend: the one rank that owns all `n` nodes, so no
+/// message ever becomes a frame.
 pub struct ChannelBackend {
     n: usize,
 }

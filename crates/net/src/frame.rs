@@ -1,12 +1,12 @@
 //! The length-prefixed frame format every backend moves bytes in.
 //!
-//! A frame is the unit of transmission inside a rank and between ranks:
-//! protocol payloads, round-synchronizer markers and the phase-boundary
-//! summary exchange all travel as frames. On a socket each frame is preceded
-//! by a `u32` little-endian length prefix (the length of the encoded frame,
-//! prefix excluded); between two nodes of one rank frames travel as values
-//! but are still built from the *encoded* payload bytes, so the payload codec
-//! is exercised identically on every backend.
+//! A frame is the unit of transmission between ranks: protocol payloads,
+//! round-synchronizer markers and the phase-boundary summary exchange all
+//! travel as frames. On a socket each frame is preceded by a `u32`
+//! little-endian length prefix (the length of the encoded frame, prefix
+//! excluded). A message between two nodes of one rank never becomes a frame;
+//! the payload codec is exercised by the cross-rank messages of the TCP
+//! tests, and by this crate's codec properties.
 //!
 //! Layout after the length prefix (all integers little-endian):
 //!
@@ -15,9 +15,11 @@
 //! ```
 //!
 //! `from`/`to` are node indices for [`FrameKind::Data`] and process ranks for
-//! the control-plane kinds. `seq` is the sender's per-round send ordinal for
-//! data frames (receivers sort inboxes by `(from, seq)` to reproduce the
-//! simulator's delivery order) and spare space elsewhere. Frames whose
+//! the control-plane kinds. `seq` is the sender's ordinal among the sends it
+//! had admitted that round, local and remote alike, for data frames
+//! (receivers file frames by `(from, seq)` around the messages routed inside
+//! the rank to reproduce the simulator's delivery order) and spare space
+//! elsewhere. Frames whose
 //! `version` is not [`WIRE_VERSION`] are rejected with
 //! [`WireError::BadVersion`] before any field is interpreted.
 

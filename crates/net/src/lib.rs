@@ -5,19 +5,20 @@
 //! protocol code — the identical [`overlay_core`] node state machines, driven
 //! unmodified over:
 //!
-//! * [`ChannelBackend`] — one process owning every node: each message is
-//!   encoded into a [`Frame`] and decoded on delivery, but no frame leaves
-//!   the runner;
+//! * [`ChannelBackend`] — one process owning every node: the simulator's
+//!   whole run behind the seam, fault plans included, with no message
+//!   encoded;
 //! * [`TcpBackend`] — multiple OS processes, each owning a block of nodes,
 //!   meshed over TCP with length-prefixed binary frames (see [`frame`]).
 //!
 //! The seam is [`overlay_core::PhaseExecutor`]: [`NetRunner`] implements it
 //! over any [`Backend`], and
 //! [`overlay_core::OverlayBuilder::build_over`] drives the paper's pipeline
-//! through it. The runner reproduces the simulator's delivery order, RNG
-//! seeding, send caps and stop rule, so **per seed, every backend constructs
-//! the same final overlay graph** — the simulator is this crate's CI-checked
-//! model, and `tests/backend_equivalence.rs` enforces the claim.
+//! through it. Each rank runs the simulator's own round on the nodes it owns
+//! and only the medium between ranks is this crate's (see [`runner`]), so
+//! **per seed, every backend constructs the same final overlay graph** — the
+//! simulator is this crate's CI-checked model, and
+//! `tests/backend_equivalence.rs` enforces the claim.
 //!
 //! No async runtime is involved, and no thread per node: each rank is one
 //! loop stepping its nodes in index order, and the α-synchronizer (per-round
@@ -64,9 +65,10 @@ pub enum NetError {
     },
     /// The frame stream violated the synchronizer or handshake protocol.
     Protocol(String),
-    /// The phase carried a fault plan that is not clean. Fault injection
-    /// lives in the simulator only; running the phase without its plan would
-    /// report a clean run as the faulty one.
+    /// The phase carried a fault plan that is not clean, and the rank owns
+    /// only part of the run. Fault decisions are drawn in the whole run's send
+    /// order, which only a rank that owns every node sees; running the phase
+    /// without its plan would report a clean run as the faulty one.
     FaultsUnsupported {
         /// The refused phase's report name.
         phase: &'static str,
@@ -90,7 +92,7 @@ impl std::fmt::Display for NetError {
             NetError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
             NetError::FaultsUnsupported { phase } => write!(
                 f,
-                "phase {phase} carries a fault plan, which only the simulator can inject"
+                "phase {phase} carries a fault plan, which only a rank that owns every node can inject"
             ),
         }
     }

@@ -1,43 +1,40 @@
 //! [`NetRunner`]: the [`PhaseExecutor`] that drives protocol nodes over a
 //! [`Backend`], one stepping loop per rank.
 //!
-//! The runner replicates the lockstep simulator's observable semantics
-//! exactly — that is the whole point of the seam, and the cross-backend
-//! equivalence tests pin it:
+//! A rank runs the simulator's own round on the block of nodes its backend
+//! owns: [`SimExecutor::execute_block`], the function [`SimExecutor`] runs
+//! every phase with, over a [`Medium`] of frames. So the stop rule, the
+//! inbox order, the send and receive caps, invalid-address drops and the
+//! per-node random streams are the simulator's by construction, not by
+//! restatement; the cross-backend equivalence tests pin the medium.
 //!
-//! * **Round structure.** Round 0 runs `on_start`; round `r ≥ 1` runs
-//!   `on_round` with the messages sent in round `r - 1`. Execution stops when
-//!   every node (on every rank) is done or the budget is exhausted; messages
-//!   sent in the final executed round are discarded, as the simulator
-//!   discards them.
-//! * **Delivery order.** Each inbox is sorted by `(sender id, send order)`,
-//!   matching the simulator's stable sender grouping.
-//! * **Send caps.** The per-sender NCC0 global cap admits the first `cap`
-//!   global sends of a round in send order; messages to addresses outside
-//!   `0..n` are dropped without consuming cap budget. (Receive caps are not
-//!   mirrored: on clean runs they never bind, and the net runner is
-//!   clean-path only — a phase whose fault plan is not clean is refused
-//!   with [`NetError::FaultsUnsupported`].)
-//! * **Randomness.** Node `i` draws from `node_rng(seed, i)` — the simulator's
-//!   exact per-node stream — so random choices match decision for decision.
+//! The medium is the round's barrier. Each message dispatch admitted for a
+//! node another rank owns becomes a data [`Frame`] carrying the sender's send
+//! ordinal, leaves through [`Backend::send`], and the one
+//! [`Backend::exchange_done`] call that ends the round (the α-synchronizer)
+//! returns when every rank has finished it, with every frame the other ranks
+//! sent this one. Those are validated and decoded exactly, then filed in
+//! `(sender, seq)` order: frames from ranks below this one ahead of the
+//! messages routed inside the rank, frames from ranks above behind them —
+//! which is the order the whole-run simulator delivers in. Messages between
+//! nodes of one rank never become frames, so a rank that owns every node
+//! ([`crate::ChannelBackend`]) encodes no message at all.
 //!
-//! A rank steps its owned nodes in index order, the way the simulator steps a
-//! chunk. Every message becomes a [`Frame`] and is decoded on delivery, so
-//! there is one delivery path and the codec is exercised whether or not a
-//! socket is involved; frames for owned nodes are filed straight into next
-//! round's inboxes and only cross-rank frames go through [`Backend::send`].
-//! The α-synchronizer is the one [`Backend::exchange_done`] call that ends
-//! each round: when it returns, every frame other ranks sent this one in the
-//! round has been handed over.
+//! A rank applies the model's receive caps to its own inboxes, drawing the
+//! evictions from its own stream: it matches the simulator whenever no inbox
+//! goes over the cap. A fault plan runs on a rank that owns every node; a
+//! rank that owns less refuses a plan that is not clean with
+//! [`NetError::FaultsUnsupported`], since fault decisions are drawn in the
+//! whole run's send order.
 
 use crate::backend::Backend;
 use crate::frame::Frame;
 use crate::NetError;
-use overlay_core::{ExecutedPhase, Phase, PhaseExecSpec, PhaseExecutor, Summarize};
+use overlay_core::{ExecutedPhase, Phase, PhaseExecSpec, PhaseExecutor, SimExecutor, Summarize};
 use overlay_graph::NodeId;
 use overlay_netsim::wire::Wire;
-use overlay_netsim::{node_rng, CapacityModel, Channel, Ctx, Envelope};
-use overlay_transport::Reliable;
+use overlay_netsim::{Channel, Crossing, Envelope, Medium, ParallelismConfig};
+use std::ops::Range;
 
 /// Drives [`overlay_core::OverlayBuilder::build_over`] across a [`Backend`].
 pub struct NetRunner<B: Backend> {
@@ -73,230 +70,158 @@ impl<B: Backend> PhaseExecutor for NetRunner<B> {
         P::Message: Wire + Send,
     {
         let (id, nodes, _clean_rounds, faults) = phase.into_parts();
+        let (n, owned) = (self.backend.n(), self.backend.owned());
+        if nodes.len() != n {
+            return Err(NetError::Protocol(format!(
+                "phase has {} nodes but the backend was set up for {n}",
+                nodes.len()
+            )));
+        }
         // Refused before any frame moves, so every rank of a multi-process
         // run — each handed the same phase — fails the same way.
-        if !faults.is_clean() {
+        if owned.len() != n && !faults.is_clean() {
             return Err(NetError::FaultsUnsupported { phase: id.name() });
         }
         let tag = id.index() as u8;
-        match spec.transport {
-            None => run_phase_net(&mut self.backend, tag, nodes, spec),
-            Some(cfg) => {
-                let wrapped = nodes.into_iter().map(|p| Reliable::new(p, cfg)).collect();
-                run_phase_net(&mut self.backend, tag, wrapped, spec)
+        let mut medium = Frames {
+            backend: &mut self.backend,
+            phase: tag,
+            owned: owned.clone(),
+        };
+        let serial = SimExecutor {
+            parallelism: ParallelismConfig::serial(),
+            ..SimExecutor::default()
+        };
+        let (run, _) =
+            serial.execute_block(nodes, faults, spec, owned.clone(), &mut medium, None)?;
+
+        // Phase-end all-gather: encode the owned digests, collect everyone's.
+        let local = (run.summaries.iter().zip(owned.clone()))
+            .map(|(summary, i)| {
+                let mut bytes = Vec::new();
+                summary.encode(&mut bytes);
+                (NodeId::from(i).raw(), bytes)
+            })
+            .collect();
+        let (gathered, delivered) = self.backend.exchange_summaries(tag, local, run.delivered)?;
+        let mut summaries: Vec<Option<P::Summary>> = vec![None; n];
+        for (node, bytes) in gathered {
+            let summary = decode_exact(&bytes, || format!("the summary for node {node}"))?;
+            let slot = summaries
+                .get_mut(node as usize)
+                .ok_or_else(|| NetError::Protocol(format!("summary for unknown node {node}")))?;
+            if slot.replace(summary).is_some() {
+                return Err(NetError::Protocol(format!(
+                    "duplicate summary for node {node}"
+                )));
             }
         }
+        let summaries: Vec<P::Summary> = summaries
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| s.ok_or_else(|| NetError::Protocol(format!("no summary for node {i}"))))
+            .collect::<Result<_, _>>()?;
+        // Only a rank that owns every node can run a fault plan, so the nodes
+        // it does not own are alive.
+        let mut alive = vec![true; n];
+        alive[owned].copy_from_slice(&run.alive);
+
+        Ok(ExecutedPhase {
+            summaries,
+            alive,
+            rounds: run.rounds,
+            all_done: run.all_done,
+            delivered,
+        })
     }
 }
 
-/// Runs one phase of `Q` nodes (bare, or behind the reliable transport) over
-/// the backend and gathers every node's summary.
-fn run_phase_net<B, Q>(
-    backend: &mut B,
+/// The [`Medium`] a rank's block runs over: messages for other ranks' nodes
+/// leave as data frames, and the frames other ranks sent arrive at the
+/// α-synchronizer barrier.
+struct Frames<'a, B> {
+    backend: &'a mut B,
     phase: u8,
-    nodes: Vec<Q>,
-    spec: PhaseExecSpec,
-) -> Result<ExecutedPhase<Q::Summary>, NetError>
-where
-    B: Backend,
-    Q: Summarize,
-    Q::Message: Wire,
-{
-    let n = backend.n();
-    if nodes.len() != n {
-        return Err(NetError::Protocol(format!(
-            "phase has {} nodes but the backend was set up for {n}",
-            nodes.len()
-        )));
-    }
-    let owned = backend.owned();
-    let base = owned.start;
-    let cap = CapacityModel::Ncc0 {
-        per_round: spec.ncc0_cap,
-    }
-    .global_cap();
-    // Only the owned slice runs here; peers run theirs and the phase-end
-    // summary exchange reassembles the full picture.
-    let mut nodes: Vec<Q> = nodes.into_iter().skip(base).take(owned.len()).collect();
-    let mut rngs: Vec<_> = owned.clone().map(|i| node_rng(spec.seed, i)).collect();
-    // Frames by owned destination: `due[k]` is what node `base + k` receives
-    // this round, `next[k]` what it will receive in the next one.
-    let mut due: Vec<Vec<Frame>> = vec![Vec::new(); nodes.len()];
-    let mut next = due.clone();
-    let mut inbox = Vec::new();
-    let mut outbox = Vec::new();
-    let mut inbound = Vec::new();
-    let mut delivered = 0u64;
+    owned: Range<usize>,
+}
 
-    // The stop rule is the simulator's: run round r + 1 iff not everyone was
-    // done after round r and the budget allows it. What the final round sent
-    // sits in `next` and is dropped with it.
-    let mut round = 0u32;
-    let all_done = loop {
-        let mut local_done = true;
-        for (k, (node, rng)) in nodes.iter_mut().zip(&mut rngs).enumerate() {
-            let frames = &mut due[k];
-            frames.sort_unstable_by_key(|f| (f.from, f.seq));
-            for frame in frames.drain(..) {
-                let mut body = frame.body.as_slice();
-                inbox.push(Envelope {
-                    from: NodeId::new(frame.from),
-                    channel: Channel::decode(&mut body)?,
-                    payload: Q::Message::decode(&mut body)?,
-                });
-            }
-            delivered += inbox.len() as u64;
-            let me = NodeId::from(base + k);
-            let mut ctx = Ctx::external(me, round as usize, n, rng, &mut outbox);
-            if round == 0 {
-                node.on_start(&mut ctx);
+impl<B: Backend, M: Wire> Medium<M> for Frames<'_, B> {
+    type Error = NetError;
+
+    fn barrier(
+        &mut self,
+        round: usize,
+        block_done: bool,
+        crossing: &mut Vec<Crossing<M>>,
+    ) -> Result<bool, NetError> {
+        let round = u32::try_from(round).expect("round numbers fit in u32");
+        for (to, seq, env) in crossing.drain(..) {
+            let mut body = Vec::new();
+            env.channel.encode(&mut body);
+            env.payload.encode(&mut body);
+            let frame = Frame::data(self.phase, round, env.from.raw(), to.raw(), seq, body);
+            self.backend.send(frame)?;
+        }
+        let mut inbound = Vec::new();
+        let all_done = self
+            .backend
+            .exchange_done(self.phase, round, block_done, &mut inbound)?;
+        let n = self.backend.n();
+        for frame in inbound {
+            let (from, to) = (frame.from as usize, frame.to as usize);
+            let misaddressed = if from >= n {
+                Some(format!(
+                    "frame from node {from} outside the {n}-node network"
+                ))
+            } else if self.owned.contains(&from) {
+                Some(format!("frame from node {from} which this rank owns"))
+            } else if !self.owned.contains(&to) {
+                Some(format!("frame for node {to} which this rank does not own"))
             } else {
-                node.on_round(&mut ctx, &inbox);
+                None
+            };
+            if let Some(msg) = misaddressed {
+                return Err(NetError::Protocol(msg));
             }
-            inbox.clear();
-            local_done &= node.is_done();
-
-            // The simulator's dispatch rules: invalid addresses are dropped
-            // without consuming cap budget; the per-sender global cap admits
-            // the first `cap` global sends in send order; local-channel sends
-            // pass (no local capacity model is configured in NCC0 runs,
-            // matching `SimConfig::ncc0_capped`).
-            let mut global_sent = 0usize;
-            let mut seq = 0u32;
-            for (to, channel, payload) in outbox.drain(..) {
-                if to.index() >= n {
-                    continue;
-                }
-                if channel == Channel::Global {
-                    if matches!(cap, Some(c) if global_sent >= c) {
-                        continue;
-                    }
-                    global_sent += 1;
-                }
-                let mut body = Vec::new();
-                channel.encode(&mut body);
-                payload.encode(&mut body);
-                let frame = Frame::data(phase, round, me.raw(), to.raw(), seq, body);
-                seq += 1;
-                match next.get_mut(to.index().wrapping_sub(base)) {
-                    Some(slot) => slot.push(frame),
-                    None => backend.send(frame)?,
-                }
-            }
+            let mut body = frame.body.as_slice();
+            let channel = Channel::decode(&mut body)?;
+            let payload = decode_exact(body, || format!("the message from node {from}"))?;
+            let env = Envelope {
+                from: NodeId::new(frame.from),
+                channel,
+                payload,
+            };
+            crossing.push((NodeId::new(frame.to), frame.seq, env));
         }
-        let all_done = backend.exchange_done(phase, round, local_done, &mut inbound)?;
-        for frame in inbound.drain(..) {
-            if frame.from as usize >= n {
-                return Err(NetError::Protocol(format!(
-                    "frame from node {} outside the {n}-node network",
-                    frame.from
-                )));
-            }
-            let to = frame.to;
-            next.get_mut((to as usize).wrapping_sub(base))
-                .ok_or_else(|| {
-                    NetError::Protocol(format!("frame for node {to} which this rank does not own"))
-                })?
-                .push(frame);
-        }
-        if all_done || round as usize >= spec.budget {
-            break all_done;
-        }
-        std::mem::swap(&mut due, &mut next);
-        round += 1;
-    };
-
-    // Phase-end all-gather: encode the owned digests, collect everyone's.
-    let local = nodes
-        .iter()
-        .zip(owned)
-        .map(|(node, i)| {
-            let mut bytes = Vec::new();
-            node.summarize().encode(&mut bytes);
-            (NodeId::from(i).raw(), bytes)
-        })
-        .collect();
-    let (gathered, delivered) = backend.exchange_summaries(phase, local, delivered)?;
-    let mut summaries: Vec<Option<Q::Summary>> = vec![None; n];
-    for (node, bytes) in gathered {
-        let mut slice = bytes.as_slice();
-        let summary = Q::Summary::decode(&mut slice).map_err(NetError::Codec)?;
-        let slot = summaries
-            .get_mut(node as usize)
-            .ok_or_else(|| NetError::Protocol(format!("summary for unknown node {node}")))?;
-        if slot.replace(summary).is_some() {
-            return Err(NetError::Protocol(format!(
-                "duplicate summary for node {node}"
-            )));
-        }
+        Ok(all_done)
     }
-    let summaries: Vec<Q::Summary> = summaries
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| s.ok_or_else(|| NetError::Protocol(format!("no summary for node {i}"))))
-        .collect::<Result<_, _>>()?;
+}
 
-    Ok(ExecutedPhase {
-        summaries,
-        alive: vec![true; n],
-        rounds: round as usize,
-        all_done,
-        delivered,
-    })
+/// Decodes one `T` from exactly `bytes`: bytes left over are a protocol
+/// violation, reported after `what` names the value.
+fn decode_exact<T: Wire>(mut bytes: &[u8], what: impl FnOnce() -> String) -> Result<T, NetError> {
+    let value = T::decode(&mut bytes)?;
+    if bytes.is_empty() {
+        return Ok(value);
+    }
+    let msg = format!("{} trailing bytes after {}", bytes.len(), what());
+    Err(NetError::Protocol(msg))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::SummaryEntries;
-    use crate::ChannelBackend;
-    use overlay_core::{BfsSummary, SimExecutor};
-    use overlay_netsim::{FaultPlan, Protocol};
-    use std::ops::Range;
-
-    #[test]
-    fn a_phase_with_a_fault_plan_is_refused_not_run_clean() {
-        // A path rooted at node 0, ready for binarization.
-        let n = 12;
-        let bfs: Vec<BfsSummary> = (0..n)
-            .map(|i| BfsSummary {
-                id: NodeId::from(i),
-                root: NodeId::from(0usize),
-                parent: NodeId::from(i.saturating_sub(1)),
-                children: (i + 1..n).take(1).map(NodeId::from).collect(),
-            })
-            .collect();
-        let spec = PhaseExecSpec {
-            seed: 5,
-            ncc0_cap: 64,
-            budget: 4,
-            transport: None,
-        };
-        let mut runner = NetRunner::new(ChannelBackend::new(n));
-        let lossy = FaultPlan::default().with_drop_prob(0.05);
-        assert!(matches!(
-            runner.execute(Phase::binarize(&bfs, lossy), spec),
-            Err(NetError::FaultsUnsupported { phase: "binarize" })
-        ));
-        // The refusal touched no frame: the same runner still reproduces the
-        // simulator on the clean phase.
-        let clean = || Phase::binarize(&bfs, FaultPlan::default());
-        let model = SimExecutor::default()
-            .execute(clean(), spec)
-            .expect("the simulator cannot fail");
-        let subject = runner.execute(clean(), spec).expect("the clean phase runs");
-        assert_eq!(subject.summaries, model.summaries);
-        assert_eq!(subject.rounds, model.rounds);
-        assert_eq!(subject.delivered, model.delivered);
-        assert!(subject.all_done);
-    }
+    use overlay_core::PhaseId;
+    use overlay_netsim::{Ctx, FaultPlan, Protocol};
 
     /// Rank `4..6` of a 12-node run whose peers are a script: round 0's
-    /// barrier hands over `inbound`, and the gather fills in an empty digest
-    /// for every node the rank does not own.
+    /// barrier hands over `inbound`, and the gather fills in an empty digest,
+    /// followed by `digest_tail`, for every node the rank does not own.
     struct Scripted {
         inbound: Vec<Frame>,
         sent: Vec<Frame>,
+        digest_tail: Vec<u8>,
     }
 
     impl Backend for Scripted {
@@ -332,6 +257,7 @@ mod tests {
         ) -> Result<(SummaryEntries, u64), NetError> {
             let mut empty = Vec::new();
             Vec::<u32>::new().encode(&mut empty);
+            empty.extend_from_slice(&self.digest_tail);
             local.extend(
                 (0..12)
                     .filter(|i| !(4..6).contains(i))
@@ -386,24 +312,44 @@ mod tests {
         bytes
     }
 
-    /// One `Recorder` phase on the scripted rank; also returns what the rank
-    /// handed to [`Backend::send`].
-    fn run_scripted(
+    /// One `Recorder` phase under `faults` on the scripted rank, its remote
+    /// digests followed by `digest_tail`; also returns what the rank handed to
+    /// [`Backend::send`].
+    fn run_scripted_with(
         inbound: Vec<Frame>,
+        digest_tail: Vec<u8>,
+        faults: FaultPlan,
     ) -> (Result<ExecutedPhase<Vec<u32>>, NetError>, Vec<Frame>) {
-        let mut backend = Scripted {
+        let mut runner = NetRunner::new(Scripted {
             inbound,
             sent: Vec::new(),
-        };
+            digest_tail,
+        });
         let nodes = (0..12).map(|_| Recorder::default()).collect();
+        let phase = Phase::from_parts(PhaseId::Traffic, nodes, 4, faults);
         let spec = PhaseExecSpec {
             seed: 1,
             ncc0_cap: 64,
             budget: 4,
             transport: None,
         };
-        let run = run_phase_net(&mut backend, 3, nodes, spec);
-        (run, backend.sent)
+        let run = runner.execute(phase, spec);
+        (run, runner.backend.sent)
+    }
+
+    /// [`run_scripted_with`] on a clean plan, with exact digests.
+    fn run_scripted(
+        inbound: Vec<Frame>,
+    ) -> (Result<ExecutedPhase<Vec<u32>>, NetError>, Vec<Frame>) {
+        run_scripted_with(inbound, Vec::new(), FaultPlan::default())
+    }
+
+    /// The error message of a run that must fail with a protocol violation.
+    fn protocol_error(run: Result<ExecutedPhase<Vec<u32>>, NetError>) -> String {
+        match run {
+            Err(NetError::Protocol(msg)) => msg,
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -434,22 +380,59 @@ mod tests {
     #[test]
     fn an_inbound_frame_for_a_node_the_rank_does_not_own_is_a_protocol_error() {
         let (run, _) = run_scripted(vec![Frame::data(3, 0, 9, 7, 0, body(90))]);
-        match run {
-            Err(NetError::Protocol(msg)) => {
-                assert_eq!(msg, "frame for node 7 which this rank does not own")
-            }
-            other => panic!("expected a protocol error, got {other:?}"),
-        }
+        assert_eq!(
+            protocol_error(run),
+            "frame for node 7 which this rank does not own"
+        );
     }
 
     #[test]
     fn an_inbound_frame_from_outside_the_network_is_a_protocol_error() {
         let (run, _) = run_scripted(vec![Frame::data(3, 0, 12, 5, 0, body(90))]);
-        match run {
-            Err(NetError::Protocol(msg)) => {
-                assert_eq!(msg, "frame from node 12 outside the 12-node network")
-            }
-            other => panic!("expected a protocol error, got {other:?}"),
-        }
+        assert_eq!(
+            protocol_error(run),
+            "frame from node 12 outside the 12-node network"
+        );
+    }
+
+    #[test]
+    fn an_inbound_frame_claiming_an_owned_sender_is_a_protocol_error() {
+        // A forged second message "from" node 4 into node 5's inbox.
+        let (run, _) = run_scripted(vec![Frame::data(3, 0, 4, 5, 0, body(77))]);
+        assert_eq!(
+            protocol_error(run),
+            "frame from node 4 which this rank owns"
+        );
+    }
+
+    #[test]
+    fn trailing_bytes_after_an_inbound_message_are_a_protocol_error() {
+        let mut long = body(90);
+        long.push(0);
+        let (run, _) = run_scripted(vec![Frame::data(3, 0, 9, 5, 0, long)]);
+        assert_eq!(
+            protocol_error(run),
+            "1 trailing bytes after the message from node 9"
+        );
+    }
+
+    #[test]
+    fn trailing_bytes_after_a_gathered_summary_are_a_protocol_error() {
+        let (run, _) = run_scripted_with(Vec::new(), vec![7], FaultPlan::default());
+        assert_eq!(
+            protocol_error(run),
+            "1 trailing bytes after the summary for node 0"
+        );
+    }
+
+    #[test]
+    fn a_rank_that_owns_part_of_the_run_refuses_a_fault_plan_before_any_frame_moves() {
+        let lossy = FaultPlan::default().with_drop_prob(0.05);
+        let (run, sent) = run_scripted_with(Vec::new(), Vec::new(), lossy);
+        assert!(
+            matches!(run, Err(NetError::FaultsUnsupported { phase: "traffic" })),
+            "{run:?}"
+        );
+        assert!(sent.is_empty(), "a frame left before the refusal: {sent:?}");
     }
 }

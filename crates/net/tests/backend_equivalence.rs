@@ -1,11 +1,15 @@
 //! The crate's central claim, enforced: per seed, every backend constructs
 //! the same final overlay graph.
 //!
-//! The lockstep simulator is the model; the channel backend (one rank owning
-//! every node, each message through the frame codec) and the TCP backend
+//! Every backend runs the simulator's own round on the block of nodes it
+//! owns, so what these tests pin is the medium: the channel backend (one rank
+//! owning every node, where no message becomes a frame) and the TCP backend
 //! (processes meshed over loopback sockets — realized as threads sharing
-//! nothing but their sockets here) must reproduce its expander edges, BFS
-//! parents, binarized tree, round counts and delivered-message totals exactly.
+//! nothing but their sockets here, every cross-rank message a frame) must
+//! reproduce the simulator's expander edges, BFS parents, binarized tree,
+//! round counts and delivered-message totals exactly. Under the debug
+//! profile the simulator's and `Reliable<P>`'s contracts run inside every
+//! rank.
 
 use overlay_core::{
     ExecutedPhase, ExpanderParams, OverlayBuilder, OverlayResult, Phase, PhaseExecSpec,
@@ -13,7 +17,7 @@ use overlay_core::{
 };
 use overlay_graph::{generators, DiGraph, NodeId};
 use overlay_net::{ChannelBackend, NetRunner, TcpBackend, TcpHost};
-use overlay_netsim::FaultPlan;
+use overlay_netsim::{FaultPlan, TransportConfig};
 use overlay_traffic::{hop_rows, Router, RouterConfig, RouterSummary, Workload};
 use std::time::Duration;
 
@@ -102,6 +106,58 @@ fn channel_backend_matches_the_classic_build_entry_point() {
     assert_same_overlay("build() vs channel", &direct, &subject);
 }
 
+/// A fault plan runs on the rank that owns every node, and it is the
+/// simulator's run: crashes, loss and delays, bare and behind the reliable
+/// transport.
+#[test]
+fn channel_backend_runs_fault_plans_as_the_simulator_does() {
+    let n = 48;
+    let g = generators::line(n);
+    let params = ExpanderParams::for_n(n).with_seed(9);
+    let crash = FaultPlan::default()
+        .with_crash(NodeId::from(7usize), 3)
+        .with_crash(NodeId::from(30usize), 11);
+    // (label, plan, nodes the plan leaves dead)
+    let plans = [
+        ("crash", crash.clone(), 2),
+        ("loss", FaultPlan::default().with_drop_prob(0.05), 0),
+        ("delays", FaultPlan::default().with_delays(0.1, 3), 0),
+        (
+            "all three",
+            crash.with_drop_prob(0.05).with_delays(0.1, 3),
+            2,
+        ),
+    ];
+    for (label, plan, dead) in plans {
+        for transport in [None, Some(TransportConfig::default())] {
+            let phase = || Phase::create_expander(&g, &params, plan.clone());
+            let spec = PhaseExecSpec {
+                seed: params.seed,
+                ncc0_cap: params.ncc0_cap,
+                budget: 2 * phase().clean_rounds(),
+                transport,
+            };
+            let model = SimExecutor::default()
+                .execute(phase(), spec)
+                .expect("the simulator cannot fail");
+            let subject = NetRunner::new(ChannelBackend::new(n))
+                .execute(phase(), spec)
+                .unwrap_or_else(|e| panic!("{label}: channel run failed: {e}"));
+            let context = format!("{label}, reliable: {}", transport.is_some());
+            assert_eq!(
+                model.alive.iter().filter(|&&a| !a).count(),
+                dead,
+                "{context}"
+            );
+            assert_eq!(subject.summaries, model.summaries, "{context}");
+            assert_eq!(subject.alive, model.alive, "{context}");
+            assert_eq!(subject.rounds, model.rounds, "{context}");
+            assert_eq!(subject.all_done, model.all_done, "{context}");
+            assert_eq!(subject.delivered, model.delivered, "{context}");
+        }
+    }
+}
+
 /// The `Router` traffic phase over `overlay`'s expander, pre-scheduled with a
 /// seeded workload: a constructor (every executor consumes its own copy of
 /// the nodes) and the run parameters.
@@ -175,9 +231,15 @@ fn router_traffic_over_channel_backend_matches_the_simulator_across_seeds() {
     }
 }
 
-/// What one rank of the loopback mesh brings back: two consecutive builds
-/// and one traffic phase, all over the same sockets.
-type RankRun = (OverlayResult, OverlayResult, ExecutedPhase<RouterSummary>);
+/// What one rank of the loopback mesh brings back: two consecutive builds,
+/// one traffic phase and a build behind the reliable transport, all over the
+/// same sockets.
+type RankRun = (
+    OverlayResult,
+    OverlayResult,
+    ExecutedPhase<RouterSummary>,
+    OverlayResult,
+);
 
 #[test]
 fn tcp_loopback_matches_the_simulator() {
@@ -189,6 +251,10 @@ fn tcp_loopback_matches_the_simulator() {
         let model = b
             .build_over(&g, &mut SimExecutor::default())
             .expect("simulator build");
+        let reliable = b.with_reliable_transport(TransportConfig::default());
+        let reliable_model = reliable
+            .build_over(&g, &mut SimExecutor::default())
+            .expect("simulator build behind the transport");
         let (phase, spec) = traffic_phase(&model, n, seed);
         let traffic_model: ExecutedPhase<RouterSummary> = SimExecutor::default()
             .execute(phase(), spec)
@@ -204,8 +270,11 @@ fn tcp_loopback_matches_the_simulator() {
             let first = b.build_over(&g, &mut runner).expect("first build");
             let second = b.build_over(&g, &mut runner).expect("second build");
             let traffic = runner.execute(phase(), spec).expect("traffic phase");
+            let wrapped = reliable
+                .build_over(&g, &mut runner)
+                .expect("build behind the transport");
             runner.shutdown().expect("shutdown");
-            (first, second, traffic)
+            (first, second, traffic, wrapped)
         };
         let mut results = std::thread::scope(|scope| {
             let mut handles = Vec::new();
@@ -224,7 +293,7 @@ fn tcp_loopback_matches_the_simulator() {
 
         // Every process derives the identical overlay from the all-gathered
         // summaries, and it matches the simulator's.
-        for (rank, (subject, second, traffic)) in results.drain(..).enumerate() {
+        for (rank, (subject, second, traffic, wrapped)) in results.drain(..).enumerate() {
             assert_same_overlay(&format!("tcp rank {rank}"), &model, &subject);
             let context = format!("n={n} procs={procs} rank {rank}");
             assert_same_overlay(&format!("{context}, second build"), &model, &second);
@@ -235,6 +304,7 @@ fn tcp_loopback_matches_the_simulator() {
             assert_eq!(traffic_model.rounds, traffic.rounds, "{context}");
             assert_eq!(traffic_model.all_done, traffic.all_done, "{context}");
             assert_eq!(traffic_model.delivered, traffic.delivered, "{context}");
+            assert_same_overlay(&format!("{context}, reliable"), &reliable_model, &wrapped);
         }
     }
 }

@@ -79,7 +79,9 @@ pub use churn::{ChurnSchedule, CrashBurst, RoundChurn};
 pub use faults::{CrashEvent, DelayModel, FaultPlan, FaultRouter, JoinEvent, Partition};
 pub use metrics::{MetricsMode, RoundMetrics, RunMetrics, TransportCounters};
 pub use protocol::{Channel, Ctx, Envelope, Protocol};
-pub use runtime::{node_rng, ParallelismConfig, RunOutcome, SimConfig, Simulator};
+pub use runtime::{
+    node_rng, Crossing, Medium, ParallelismConfig, RunOutcome, SimConfig, Simulator, WholeRun,
+};
 pub use trace::{DropCause, SharedTraceSink, TraceBuffer, TraceEvent, TraceSink};
 pub use transport::TransportConfig;
 pub use wire::{Wire, WireError};

@@ -83,15 +83,14 @@ pub struct Ctx<'a, M> {
 }
 
 impl<'a, M> Ctx<'a, M> {
-    /// Builds a context for an *external* runner — a round executor other than
-    /// [`crate::Simulator`], such as the socket-backed runners in the
-    /// `overlay-net` crate — that owns its own per-node outbox.
+    /// Builds a context for driving one node by hand, outside
+    /// [`crate::Simulator`] — a test that scripts a node's inboxes — with the
+    /// caller owning the outbox.
     ///
     /// The constructed context behaves exactly like the one the simulator
     /// hands to callbacks, with this node's messages starting at the current
-    /// end of `outbox`. External runners that replicate the simulator's
-    /// delivery order and [`crate::runtime::node_rng`] seeding therefore drive
-    /// protocols through bit-identical state trajectories.
+    /// end of `outbox`; with [`crate::runtime::node_rng`]'s stream the node
+    /// makes the random choices it would make in the simulator.
     pub fn external(
         me: NodeId,
         round: usize,

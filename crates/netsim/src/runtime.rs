@@ -8,6 +8,7 @@ use crate::trace::{DropCause, SharedTraceSink, TraceEvent};
 use overlay_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// Within-round parallelism policy for the simulator.
 ///
@@ -142,6 +143,48 @@ pub struct RunOutcome {
     pub all_done: bool,
 }
 
+/// A message crossing a block boundary: its recipient, the sender's ordinal among
+/// the sends it had admitted that round (local and remote alike), and the envelope.
+pub type Crossing<M> = (NodeId, u32, Envelope<M>);
+
+/// What carries messages of type `M` between the blocks of one run: the barrier
+/// that ends every round of a [`Simulator::for_block`] simulator (see
+/// [`Simulator::run_over`]).
+pub trait Medium<M> {
+    /// How the medium fails.
+    type Error;
+
+    /// Ends `round` for the block. On entry `crossing` holds what the block's nodes
+    /// sent to nodes outside it, in send order; the medium carries those away and
+    /// appends what the other blocks sent this one in the round — each for a node of
+    /// the block, from a node outside it. `block_done` says whether every node of the
+    /// block is done; the result says whether every node of the run is.
+    fn barrier(
+        &mut self,
+        round: usize,
+        block_done: bool,
+        crossing: &mut Vec<Crossing<M>>,
+    ) -> Result<bool, Self::Error>;
+}
+
+/// The medium of a block that owns every node: nothing crosses, and the block being
+/// done is the run being done. [`Simulator::run`] runs over it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WholeRun;
+
+impl<M> Medium<M> for WholeRun {
+    type Error = std::convert::Infallible;
+
+    fn barrier(
+        &mut self,
+        _: usize,
+        done: bool,
+        _: &mut Vec<Crossing<M>>,
+    ) -> Result<bool, Self::Error> {
+        Ok(done)
+    }
+}
+
 /// The recipient half of an outbox entry's route pair when the entry is not delivered
 /// next round (dropped, or delayed and handed to the fault router). No node has this
 /// id: `Simulator::new` admits at most `u32::MAX` nodes, so ids stop below it.
@@ -167,6 +210,15 @@ const NOT_ROUTED: NodeId = NodeId::new(u32::MAX);
 /// order (routed ones in sender-then-send order, then the delayed ones in release
 /// order), which is the delivery order every committed report was produced with.
 ///
+/// Envelopes another block sent (see [`Medium`]) are filed between rounds in
+/// `(sender, seq)` order around the routed ones: those from senders below the block
+/// ahead of them, those from senders above it staged behind them (a block that leaves
+/// nodes out delays nothing) — so the recipient's inbox is in the order the whole
+/// run's would be. A block that owns every node files none.
+///
+/// The arena is indexed by *slot*, a node's position within the block (its id for a
+/// block that owns every node).
+///
 /// Every buffer keeps its allocation from round to round. The inbox buffer stays at
 /// its high-water length and is assigned into, never truncated: the envelopes past the
 /// valid prefix — and the evicted tail of a capped inbox — are stale values awaiting
@@ -181,6 +233,10 @@ pub struct EnvelopeArena<M> {
     staged: Vec<Envelope<M>>,
     /// Recipient of `staged[i]`.
     to: Vec<NodeId>,
+    /// Envelopes from senders below the block, with their recipients, in
+    /// `(sender, seq)` order, counted like the routed ones; emptied by
+    /// [`Self::group`], which scatters them first.
+    inbound: Vec<(NodeId, Envelope<M>)>,
     /// The current round's inboxes back to back, filled by [`Self::group`].
     inboxes: Vec<Envelope<M>>,
     /// Per node: where its inbox starts in `inboxes`, valid after [`Self::group`].
@@ -202,6 +258,7 @@ impl<M: Clone> EnvelopeArena<M> {
             routes: Vec::new(),
             staged: Vec::new(),
             to: Vec::new(),
+            inbound: Vec::new(),
             inboxes: Vec::new(),
             starts: vec![0; n],
             lens: vec![0; n],
@@ -252,8 +309,9 @@ impl<M: Clone> EnvelopeArena<M> {
 
     /// Turns the routed outbox entries and the staged envelopes into per-node inboxes:
     /// a prefix sum over the counts kept at [`Self::route`] and [`Self::push`], then
-    /// one stable scatter into the inbox buffer that drains `outbox` (the entries the
-    /// recorded routes belong to), then the staging buffer.
+    /// one stable scatter into the inbox buffer that drains the envelopes filed from
+    /// below the block, `outbox` (the entries the recorded routes belong to), then
+    /// the staging buffer.
     fn group(&mut self, outbox: &mut Vec<(NodeId, Channel, M)>) {
         let mut total = 0usize;
         for ((start, cursor), &len) in self
@@ -284,6 +342,7 @@ impl<M: Clone> EnvelopeArena<M> {
                     payload: payload.clone(),
                 })
                 .or_else(|| self.staged.first().cloned())
+                .or_else(|| self.inbound.first().map(|(_, env)| env.clone()))
                 .expect("a positive total counted an envelope");
             self.inboxes.resize(total, filler);
         }
@@ -295,6 +354,9 @@ impl<M: Clone> EnvelopeArena<M> {
             *cursor += 1;
             scattered += 1;
         };
+        for (t, env) in self.inbound.drain(..) {
+            place(t, env);
+        }
         for ((_, channel, payload), &(t, from)) in outbox.drain(..).zip(&self.routes) {
             if t != NOT_ROUTED {
                 place(
@@ -375,10 +437,12 @@ impl LocalAdjacency {
     }
 }
 
-/// The per-node state of one contiguous chunk of nodes (`first..first + len`),
-/// borrowed from the simulator for the callbacks of one round.
+/// The per-node state of one contiguous chunk of nodes (`first..first + len`, at
+/// arena slots `slot..slot + len`), borrowed from the simulator for the callbacks of
+/// one round.
 struct Chunk<'a, P> {
     first: usize,
+    slot: usize,
     nodes: &'a mut [P],
     rngs: &'a mut [StdRng],
     done_flags: &'a mut [bool],
@@ -414,7 +478,7 @@ fn step_chunk<P: Protocol>(
     out.transport = TransportCounters::default();
     out.noted.clear();
     for (k, node) in chunk.nodes.iter_mut().enumerate() {
-        let i = chunk.first + k;
+        let (i, slot) = (chunk.first + k, chunk.slot + k);
         let base = out.outbox.len();
         if router.is_active(i, round) {
             let mut ctx = Ctx {
@@ -431,10 +495,10 @@ fn step_chunk<P: Protocol>(
                 // initial knowledge its protocol state was built with. Its inbox
                 // is empty: the router drops (and counts) messages that would
                 // land on the join round itself.
-                debug_assert!(arena.inbox(i).is_empty(), "start-round inboxes are empty");
+                debug_assert!(arena.inbox(slot).is_empty(), "start inboxes are empty");
                 node.on_start(&mut ctx);
             } else {
-                node.on_round(&mut ctx, arena.inbox(i));
+                node.on_round(&mut ctx, arena.inbox(slot));
             }
             let transport = ctx.transport;
             out.transport.absorb(&transport);
@@ -451,9 +515,8 @@ fn step_chunk<P: Protocol>(
 ///
 /// This is the seeding rule [`Simulator::new`] uses (seed XOR a
 /// golden-ratio-multiplied node index, so neighboring nodes get well-separated
-/// streams). It is public so external round executors (the `overlay-net`
-/// crate) can hand each node the *identical* random stream the simulator
-/// would, which is what makes cross-backend runs bit-for-bit comparable.
+/// streams). It is public so a test that drives one node by hand through
+/// [`Ctx::external`] can give it the stream the simulator would.
 pub fn node_rng(seed: u64, i: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1)))
 }
@@ -464,6 +527,19 @@ pub fn node_rng(seed: u64, i: usize) -> StdRng {
 /// Environmental faults (message loss, delays, crashes, joins, partitions) are
 /// injected by the [`FaultRouter`] the simulator builds from
 /// [`SimConfig::faults`]; a clean plan reproduces the fault-free behavior exactly.
+///
+/// # Blocks
+///
+/// A simulator steps one *block* of a run: the contiguous node range it was built
+/// for by [`Simulator::for_block`] ([`Simulator::new`] builds the block that owns
+/// every node). Every round ends at a [`Medium`] barrier: dispatch hands the
+/// messages it admitted for nodes outside the block to the medium, with their
+/// senders' send ordinals, and files what the medium brought from the other blocks
+/// into the next round's inboxes (see [`EnvelopeArena`] for where). Node ids, the
+/// seeding rule, the caps and the stop rule are the whole run's, so every block of
+/// a run over a lossless medium steps its nodes exactly as the whole-run simulator
+/// would — as long as no inbox goes over the receive cap, which each block applies
+/// to its own inboxes with its own `drop_rng`.
 ///
 /// # Hot-path layout
 ///
@@ -493,7 +569,15 @@ pub fn node_rng(seed: u64, i: usize) -> StdRng {
 /// tracing, metrics) is serial, so results do not depend on the chunk count.
 #[derive(Debug)]
 pub struct Simulator<P: Protocol> {
+    /// The block's nodes: node `base + k` at position (and arena slot) `k`.
     nodes: Vec<P>,
+    /// The block's first node.
+    base: usize,
+    /// Nodes in the whole run.
+    n: usize,
+    /// What dispatch admitted for nodes outside the block until the barrier, then
+    /// what the medium brought until it is filed.
+    crossing: Vec<Crossing<P::Message>>,
     rngs: Vec<StdRng>,
     /// Next round's inboxes: routed during dispatch, scattered at the start of the round.
     arena: EnvelopeArena<P::Message>,
@@ -535,7 +619,8 @@ pub struct Simulator<P: Protocol> {
 }
 
 impl<P: Protocol> Simulator<P> {
-    /// Creates a simulator over the given per-node protocol instances.
+    /// Creates a simulator over the given per-node protocol instances: the block
+    /// that owns every node.
     ///
     /// # Panics
     ///
@@ -544,10 +629,33 @@ impl<P: Protocol> Simulator<P> {
     /// are more than `u32::MAX` nodes (ids are 32 bits; `u32::MAX` marks "not routed").
     pub fn new(nodes: Vec<P>, config: SimConfig) -> Self {
         let n = nodes.len();
+        Self::for_block(nodes, 0..n, config)
+    }
+
+    /// Creates the simulator of `block` of the run whose nodes are `nodes`: it steps
+    /// the nodes in `block` and drops the others, which another block steps. Such a
+    /// simulator runs with [`Simulator::run_over`] and a [`Medium`] that connects it
+    /// to the other blocks.
+    ///
+    /// # Panics
+    ///
+    /// As [`Simulator::new`]; also if `block` is not within `0..nodes.len()`, or if it
+    /// leaves nodes out and `config.faults` is not clean (fault decisions are drawn
+    /// from one stream in the whole run's send order, which no block sees).
+    pub fn for_block(mut nodes: Vec<P>, block: Range<usize>, config: SimConfig) -> Self {
+        let n = nodes.len();
         assert!(
             u32::try_from(n).is_ok(),
             "more than u32::MAX nodes: node ids are 32 bits and u32::MAX is reserved"
         );
+        assert!(block.end <= n, "block {block:?} outside the {n}-node run");
+        assert!(
+            block.len() == n || config.faults.is_clean(),
+            "a block that does not own every node runs clean"
+        );
+        nodes.truncate(block.end);
+        nodes.drain(..block.start);
+        let len = nodes.len();
         if let Some(edges) = &config.local_edges {
             assert_eq!(
                 edges.len(),
@@ -555,21 +663,25 @@ impl<P: Protocol> Simulator<P> {
                 "local edge table must have one entry per node"
             );
         }
-        let rngs = (0..n).map(|i| node_rng(config.seed, i)).collect();
+        let rngs = block.clone().map(|i| node_rng(config.seed, i)).collect();
         let local_neighbors = config.local_edges.map(LocalAdjacency::new);
         let done_flags = nodes.iter().map(Protocol::is_done).collect();
-        let chunk_len = n.div_ceil(config.parallelism.effective_workers(n)).max(1);
-        let chunk_outs = (0..n.div_ceil(chunk_len)).map(|_| ChunkOut {
+        let workers = config.parallelism.effective_workers(len);
+        let chunk_len = len.div_ceil(workers).max(1);
+        let chunk_outs = (0..len.div_ceil(chunk_len)).map(|_| ChunkOut {
             outbox: Vec::new(),
             transport: TransportCounters::default(),
             noted: Vec::new(),
         });
         Simulator {
             nodes,
+            base: block.start,
+            n,
+            crossing: Vec::new(),
             rngs,
-            arena: EnvelopeArena::new(n),
+            arena: EnvelopeArena::new(len),
             outbox: Vec::new(),
-            out_lens: vec![0; n],
+            out_lens: vec![0; len],
             caps: config.caps,
             local_neighbors,
             drop_rng: StdRng::seed_from_u64(config.seed.wrapping_add(1)),
@@ -582,7 +694,7 @@ impl<P: Protocol> Simulator<P> {
             chunk_len,
             chunk_outs: chunk_outs.collect(),
             router: FaultRouter::new(&config.faults, n, config.seed),
-            metrics: RunMetrics::new(n),
+            metrics: RunMetrics::new(len),
             round: 0,
             sink: None,
         }
@@ -602,7 +714,7 @@ impl<P: Protocol> Simulator<P> {
     fn emit_lifecycle(&self, round: usize) {
         let Some(sink) = &self.sink else { return };
         let mut sink = sink.borrow_mut();
-        for i in 0..self.nodes.len() {
+        for i in self.block() {
             if self.router.is_crashed(i, round)
                 && (round == 0 || !self.router.is_crashed(i, round - 1))
             {
@@ -652,22 +764,27 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Number of nodes.
+    /// Number of nodes this simulator steps (its block's).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Immutable access to a node's protocol state.
-    pub fn node(&self, id: NodeId) -> &P {
-        &self.nodes[id.index()]
+    /// The nodes this simulator steps.
+    fn block(&self) -> Range<usize> {
+        self.base..self.base + self.nodes.len()
     }
 
-    /// Immutable access to all node states.
+    /// Immutable access to a node's protocol state (a node of the block).
+    pub fn node(&self, id: NodeId) -> &P {
+        &self.nodes[id.index() - self.base]
+    }
+
+    /// Immutable access to the block's node states, in node order.
     pub fn nodes(&self) -> &[P] {
         &self.nodes
     }
 
-    /// Consumes the simulator and returns the node states.
+    /// Consumes the simulator and returns the block's node states.
     pub fn into_nodes(self) -> Vec<P> {
         self.nodes
     }
@@ -682,9 +799,9 @@ impl<P: Protocol> Simulator<P> {
         self.round
     }
 
-    /// Returns `true` if every node is accounted for: crashed nodes count as done,
-    /// nodes whose join round has not arrived yet count as *not* done (the simulation
-    /// must run at least until they activate).
+    /// Returns `true` if every node of the block is accounted for: crashed nodes count
+    /// as done, nodes whose join round has not arrived yet count as *not* done (the
+    /// simulation must run at least until they activate).
     pub fn all_done(&self) -> bool {
         self.done_count() == self.nodes.len()
     }
@@ -701,8 +818,8 @@ impl<P: Protocol> Simulator<P> {
     pub fn done_count(&self) -> usize {
         self.done_flags
             .iter()
-            .enumerate()
-            .filter(|&(i, &done)| {
+            .zip(self.block())
+            .filter(|&(&done, i)| {
                 self.router.is_crashed(i, self.round)
                     || (self.router.join_round(i) <= self.round && done)
             })
@@ -716,28 +833,58 @@ impl<P: Protocol> Simulator<P> {
     /// delivered; they are visible in the metrics only as `delayed` counts (use
     /// [`Simulator::step`] past `all_done` to flush them).
     pub fn run(&mut self, max_rounds: usize) -> RunOutcome {
-        self.start();
-        let mut all_done = self.all_done();
-        let mut executed = 0usize;
-        while executed < max_rounds && !all_done {
-            self.step();
-            executed += 1;
-            all_done = self.all_done();
-        }
-        RunOutcome {
-            rounds: self.round,
-            all_done,
-        }
+        let Ok(outcome) = self.run_over(max_rounds, &mut WholeRun);
+        outcome
     }
 
-    /// Runs exactly one message round (running the start callback first if needed).
+    /// [`Simulator::run`] for a block: every round, round 0 included, ends at
+    /// `medium`'s barrier, whose answer is the stop rule's "every node is done".
+    /// Messages sent in the final round are discarded, as [`Simulator::run`]
+    /// discards them.
+    pub fn run_over<Md: Medium<P::Message>>(
+        &mut self,
+        max_rounds: usize,
+        medium: &mut Md,
+    ) -> Result<RunOutcome, Md::Error> {
+        // Round 0 runs unless it already has (every round that ran is on record
+        // in the metrics); it does not count against `max_rounds`.
+        let started = self.metrics.rounds > 0;
+        let last = self.round.saturating_add(max_rounds);
+        let mut all_done = started && self.all_done();
+        let mut round = self.round + usize::from(started);
+        while !all_done && round <= last {
+            self.run_round(round);
+            all_done = medium.barrier(round, self.all_done(), &mut self.crossing)?;
+            // What the medium brought joins the next round's inboxes, in
+            // `(sender, seq)` order around the routed envelopes.
+            self.crossing
+                .sort_unstable_by_key(|&(_, seq, ref env)| (env.from, seq));
+            for (to, _, env) in self.crossing.drain(..) {
+                let t = NodeId::from(to.index() - self.base);
+                if env.from.index() < self.base {
+                    self.arena.count(t.index(), env.channel);
+                    self.arena.inbound.push((t, env));
+                } else {
+                    self.arena.push(t, env);
+                }
+            }
+            round += 1;
+        }
+        Ok(RunOutcome {
+            rounds: self.round,
+            all_done,
+        })
+    }
+
+    /// Runs exactly one message round (running the start callback first if needed)
+    /// of the block that owns every node; a block that owns less runs with
+    /// [`Simulator::run_over`].
     pub fn step(&mut self) {
         self.start();
         self.run_round(self.round + 1);
     }
 
-    /// Runs round 0 — the start callbacks — unless it has already run (every
-    /// round that ran is on record in the metrics).
+    /// Runs round 0 — the start callbacks — unless it has already run.
     fn start(&mut self) {
         if self.metrics.rounds == 0 {
             self.run_round(0);
@@ -791,7 +938,7 @@ impl<P: Protocol> Simulator<P> {
     #[cfg(debug_assertions)]
     fn check_inbox_contracts(&self) {
         let cap = self.caps.global_cap();
-        for i in 0..self.nodes.len() {
+        for (i, node) in self.block().enumerate() {
             let inbox = self.arena.inbox(i);
             let globals = inbox
                 .iter()
@@ -799,28 +946,29 @@ impl<P: Protocol> Simulator<P> {
                 .count();
             assert_eq!(
                 self.arena.globals[i], globals,
-                "round {}: node {i}'s global count is not a recount of its inbox",
+                "round {}: node {node}'s global count is not a recount of its inbox",
                 self.round
             );
             assert!(
                 cap.is_none_or(|cap| globals <= cap),
-                "round {}: node {i}'s inbox holds {globals} global messages over the cap",
+                "round {}: node {node}'s inbox holds {globals} global messages over the cap",
                 self.round
             );
         }
     }
 
     /// Message conservation for one round, stated on its [`RoundMetrics`]:
-    /// `due` messages were routed or released for delivery this round, and the
-    /// callbacks queued the outbox. The arena is routing again by now: every route
-    /// it holds names its queued message's sender and recipient, and its counts
-    /// must be a recount of the routed pairs plus the staged delayed envelopes.
-    /// That there is one route per queued message is `group`'s own assertion.
+    /// `due` messages were routed, released or filed for delivery this round, and
+    /// the callbacks queued the outbox. The arena is routing again by now: every
+    /// route it holds names its queued message's sender and recipient, and its
+    /// counts must be a recount of the routed pairs plus the staged delayed
+    /// envelopes. What is handed to the medium waits in `crossing`. That there is
+    /// one route per queued message is `group`'s own assertion.
     #[cfg(debug_assertions)]
     fn check_contracts(&self, due: usize, m: &RoundMetrics) {
         let queued = self.outbox.len();
-        let senders = (self.out_lens.iter().enumerate())
-            .flat_map(|(i, &len)| std::iter::repeat_n(NodeId::from(i), len));
+        let senders = (self.out_lens.iter().zip(self.block()))
+            .flat_map(|(&len, i)| std::iter::repeat_n(NodeId::from(i), len));
         let mut routed = 0u64;
         let mut recount = vec![(0usize, 0usize); self.nodes.len()];
         let entries = self.outbox.iter().zip(&self.arena.routes).zip(senders);
@@ -829,7 +977,7 @@ impl<P: Protocol> Simulator<P> {
                 continue;
             }
             assert!(
-                (t, from) == (*to, sender),
+                (NodeId::from(self.base + t.index()), from) == (*to, sender),
                 "round {}: a route names the wrong recipient or sender",
                 self.round
             );
@@ -854,9 +1002,9 @@ impl<P: Protocol> Simulator<P> {
             self.round
         );
         assert_eq!(
-            routed + m.delayed + m.dropped() - m.dropped_receive,
+            routed + self.crossing.len() as u64 + m.delayed + m.dropped() - m.dropped_receive,
             queued as u64,
-            "round {}: a queued message was not routed, delayed or dropped under one send-side cause",
+            "round {}: a queued message was not routed, handed to the medium, delayed or dropped under one send-side cause",
             self.round
         );
     }
@@ -890,7 +1038,7 @@ impl<P: Protocol> Simulator<P> {
     /// `self.outbox` at every chunk count. One chunk is the whole round in
     /// place: no scope, no spawn, no copy.
     fn run_callbacks(&mut self, round: usize, round_metrics: &mut RoundMetrics) {
-        let (n, chunk_len) = (self.nodes.len(), self.chunk_len);
+        let (n, base, chunk_len) = (self.n, self.base, self.chunk_len);
         let (arena, router) = (&self.arena, &self.router);
         let step = |chunk, out: &mut _| step_chunk(chunk, round, n, arena, router, out);
         let nodes = self.nodes.chunks_mut(chunk_len);
@@ -900,7 +1048,8 @@ impl<P: Protocol> Simulator<P> {
             .zip(self.out_lens.chunks_mut(chunk_len))
             .enumerate()
             .map(|(c, (((nodes, rngs), done_flags), out_lens))| Chunk {
-                first: c * chunk_len,
+                first: base + c * chunk_len,
+                slot: c * chunk_len,
                 nodes,
                 rngs,
                 done_flags,
@@ -986,7 +1135,8 @@ impl<P: Protocol> Simulator<P> {
             // compacts them out of the inbox.
             for &k in &self.cap_scratch[cap..] {
                 self.drop_mark[k] = true;
-                let (from, to) = (self.arena.inboxes[start + k].from, NodeId::from(i));
+                let from = self.arena.inboxes[start + k].from;
+                let to = NodeId::from(self.base + i);
                 self.drop_message(
                     round_metrics,
                     from,
@@ -1002,9 +1152,11 @@ impl<P: Protocol> Simulator<P> {
     /// Applies send-side caps to the outbox in place and routes every surviving
     /// message through the fault router, which enqueues it for the next round (a
     /// route in the arena; the message stays in the outbox until the scatter), delays
-    /// it (a copy in the router's buffer), or drops it.
+    /// it (a copy in the router's buffer), or drops it. A message for a node outside
+    /// the block is handed to the medium instead of routed (a copy in `crossing`).
     fn dispatch(&mut self, round_metrics: &mut RoundMetrics) {
-        let n = self.nodes.len();
+        let (n, len) = (self.n, self.nodes.len());
+        let base = NodeId::from(self.base).raw();
         let global_send_cap = self.caps.global_cap();
         let local_edge_cap = self.caps.local_edge_cap();
 
@@ -1012,9 +1164,9 @@ impl<P: Protocol> Simulator<P> {
         // recycle it to route the next round's deliveries.
         self.arena.clear();
         let mut messages = self.outbox.iter();
-        for i in 0..n {
+        for (k, i) in self.block().enumerate() {
             // A node that sent nothing has nothing to count or route.
-            if self.out_lens[i] == 0 {
+            if self.out_lens[k] == 0 {
                 continue;
             }
             let sender = NodeId::from(i);
@@ -1024,7 +1176,7 @@ impl<P: Protocol> Simulator<P> {
             // that doesn't match `edge_epoch` reads as zero (the SoA replacement
             // for clearing a per-sender HashMap each iteration).
             self.edge_epoch += 1;
-            for &(to, channel, ref payload) in messages.by_ref().take(self.out_lens[i]) {
+            for &(to, channel, ref payload) in messages.by_ref().take(self.out_lens[k]) {
                 if to.index() >= n {
                     self.arena.skip();
                     self.drop_message(
@@ -1078,8 +1230,20 @@ impl<P: Protocol> Simulator<P> {
                 total_sent += 1;
                 // The message was sent (and paid for); the fault router now decides
                 // whether the network actually carries it.
+                let slot = NodeId::new(to.raw().wrapping_sub(base));
                 match self.router.route(sender, to, self.round) {
-                    Route::Deliver => self.arena.route(sender, to, channel),
+                    Route::Deliver if slot.index() < len => self.arena.route(sender, slot, channel),
+                    Route::Deliver => {
+                        self.arena.skip();
+                        let seq = u32::try_from(total_sent - 1).expect("send ordinals fit in u32");
+                        let payload = payload.clone();
+                        let env = Envelope {
+                            from: sender,
+                            channel,
+                            payload,
+                        };
+                        self.crossing.push((to, seq, env));
+                    }
                     Route::Delay(deliver_round) => {
                         self.arena.skip();
                         round_metrics.delayed += 1;
@@ -1097,8 +1261,8 @@ impl<P: Protocol> Simulator<P> {
                     }
                 }
             }
-            self.metrics.total_sent_per_node[i] += total_sent as u64;
-            self.metrics.total_global_sent_per_node[i] += global_sent as u64;
+            self.metrics.total_sent_per_node[k] += total_sent as u64;
+            self.metrics.total_global_sent_per_node[k] += global_sent as u64;
             round_metrics.max_sent = round_metrics.max_sent.max(total_sent);
             round_metrics.max_global_sent = round_metrics.max_global_sent.max(global_sent);
         }

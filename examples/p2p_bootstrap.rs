@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! cargo run --example p2p_bootstrap -- [n] [--seed S]         # lockstep simulator
-//! cargo run --example p2p_bootstrap -- [n] --backend channel  # one rank, every message framed
+//! cargo run --example p2p_bootstrap -- [n] --backend channel  # one rank owning every peer, nothing framed
 //! cargo run --example p2p_bootstrap -- [n] --backend tcp --spawn --procs 4
 //!     # real multi-process bootstrap: spawns procs-1 child processes and meshes
 //!     # them over localhost TCP; every process runs n/procs peers
