@@ -1342,6 +1342,45 @@ mod tests {
         ));
     }
 
+    /// The plan's fields are public; what `FaultPlan::with_join` refuses is
+    /// refused when it arrives as a struct literal too.
+    #[test]
+    fn rejects_a_join_at_round_zero() {
+        let plan = FaultPlan {
+            joins: vec![overlay_netsim::JoinEvent {
+                round: 0,
+                node: NodeId::from(3usize),
+            }],
+            ..FaultPlan::default()
+        };
+        let report = OverlayBuilder::new(ExpanderParams::for_n(16))
+            .build_under_faults(&generators::line(16), &plan);
+        assert_eq!(
+            report.unwrap_err(),
+            OverlayError::InvalidParams("node 3 joins at round 0, which is a normal start".into())
+        );
+    }
+
+    /// As [`rejects_a_join_at_round_zero`], for `FaultPlan::with_partition`'s
+    /// empty window.
+    #[test]
+    fn rejects_an_empty_partition_window() {
+        let plan = FaultPlan {
+            partitions: vec![overlay_netsim::Partition {
+                from_round: 7,
+                heal_round: 4,
+                side_a: vec![NodeId::from(0usize)],
+            }],
+            ..FaultPlan::default()
+        };
+        let report = OverlayBuilder::new(ExpanderParams::for_n(16))
+            .build_under_faults(&generators::line(16), &plan);
+        assert_eq!(
+            report.unwrap_err(),
+            OverlayError::InvalidParams("partition window 7..4 is empty".into())
+        );
+    }
+
     #[test]
     fn bfs_parents_form_spanning_tree_of_expander() {
         let n = 96;

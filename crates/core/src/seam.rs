@@ -288,9 +288,9 @@ pub type DetailedPhase<S> = (ExecutedPhase<S>, Option<SimDetail>);
 /// TCP sockets). The executors here do it by running the simulator's round,
 /// [`SimExecutor::execute_block`], over their medium. The phase carries the
 /// [`overlay_netsim::FaultPlan`] of its window: an executor either injects it
-/// (the simulator, and a socket rank that owns every node) or refuses a plan
-/// that is not clean (a socket rank that owns less) — never silently drops
-/// it.
+/// (the simulator; a socket rank that owns every node; a rank that owns less,
+/// for a [`FaultPlan::is_scheduled`] plan) or refuses it (a rank that owns
+/// less, for a plan with loss or delays) — never silently drops it.
 pub trait PhaseExecutor {
     /// How this executor fails below the protocol layer (connection loss,
     /// undecodable frames). The simulator cannot fail.
@@ -351,11 +351,13 @@ impl SimExecutor {
     /// at `medium`'s barrier: the one round loop of every executor.
     /// [`SimExecutor`] runs the block that owns every node over [`WholeRun`];
     /// a socket rank runs the block it owns over a medium of frames. The
-    /// [`ExecutedPhase`]'s per-node vectors and `delivered` cover the block.
+    /// [`ExecutedPhase`]'s summaries and `delivered` cover the block; its
+    /// `alive`, which the fault plan decides, covers the whole run.
     ///
     /// # Panics
     ///
-    /// As [`Simulator::for_block`]: a block that leaves nodes out runs clean.
+    /// As [`Simulator::for_block`]: a block that leaves nodes out runs a
+    /// [`FaultPlan::is_scheduled`] plan.
     pub fn execute_block<P: Summarize, Md, E>(
         &self,
         nodes: Vec<P>,
@@ -399,13 +401,14 @@ where
     Q::Message: Wire,
 {
     let started = Instant::now();
-    let mut sim = Simulator::for_block(nodes, block.clone(), config);
+    let n = nodes.len();
+    let mut sim = Simulator::for_block(nodes, block, config);
     if let Some(sink) = sink {
         sim.set_trace_sink(sink.clone());
     }
     let outcome = sim.run_over(budget, medium)?;
     let metrics = sim.metrics().clone();
-    let alive = block.map(|i| sim.is_active(NodeId::from(i))).collect();
+    let alive = (0..n).map(|i| sim.is_active(NodeId::from(i))).collect();
     let done_count = sim.done_count();
     // The simulator is done with the nodes: their ledgers move into the
     // summaries instead of being copied.

@@ -9,7 +9,9 @@
 //!   whole run behind the seam, fault plans included, with no message
 //!   encoded;
 //! * [`TcpBackend`] — multiple OS processes, each owning a block of nodes,
-//!   meshed over TCP with length-prefixed binary frames (see [`frame`]).
+//!   meshed over TCP with length-prefixed binary frames (see [`frame`]);
+//!   fault plans of crashes, joins and partitions included, loss and delays
+//!   refused.
 //!
 //! The seam is [`overlay_core::PhaseExecutor`]: [`NetRunner`] implements it
 //! over any [`Backend`], and
@@ -65,10 +67,11 @@ pub enum NetError {
     },
     /// The frame stream violated the synchronizer or handshake protocol.
     Protocol(String),
-    /// The phase carried a fault plan that is not clean, and the rank owns
-    /// only part of the run. Fault decisions are drawn in the whole run's send
+    /// The phase carried a fault plan with loss or delays, and the rank owns
+    /// only part of the run. Those verdicts are drawn in the whole run's send
     /// order, which only a rank that owns every node sees; running the phase
-    /// without its plan would report a clean run as the faulty one.
+    /// without them would report a clean run as the faulty one. Crashes, joins
+    /// and partitions run on any rank.
     FaultsUnsupported {
         /// The refused phase's report name.
         phase: &'static str,
@@ -92,7 +95,7 @@ impl std::fmt::Display for NetError {
             NetError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
             NetError::FaultsUnsupported { phase } => write!(
                 f,
-                "phase {phase} carries a fault plan, which only a rank that owns every node can inject"
+                "phase {phase} carries loss or delays, which only a rank that owns every node can inject"
             ),
         }
     }

@@ -20,12 +20,14 @@
 //! nodes of one rank never become frames, so a rank that owns every node
 //! ([`crate::ChannelBackend`]) encodes no message at all.
 //!
-//! A rank applies the model's receive caps to its own inboxes, drawing the
-//! evictions from its own stream: it matches the simulator whenever no inbox
-//! goes over the cap. A fault plan runs on a rank that owns every node; a
-//! rank that owns less refuses a plan that is not clean with
-//! [`NetError::FaultsUnsupported`], since fault decisions are drawn in the
-//! whole run's send order.
+//! Every decision about a node is taken by the rank that owns it, as the
+//! simulator takes it: receive-cap evictions are keyed on the seed, the round
+//! and the recipient, and a scheduled fault plan's crashes, joins and
+//! partitions are lookups every rank can make. So a rank runs any fault plan
+//! without loss or delay, and the liveness it reports for the whole run is the
+//! plan's. A rank that owns every node runs any plan at all; a rank that owns
+//! less refuses loss and delays with [`NetError::FaultsUnsupported`], since
+//! those verdicts are drawn in the whole run's send order.
 
 use crate::backend::Backend;
 use crate::frame::Frame;
@@ -79,7 +81,7 @@ impl<B: Backend> PhaseExecutor for NetRunner<B> {
         }
         // Refused before any frame moves, so every rank of a multi-process
         // run — each handed the same phase — fails the same way.
-        if owned.len() != n && !faults.is_clean() {
+        if owned.len() != n && !faults.is_scheduled() {
             return Err(NetError::FaultsUnsupported { phase: id.name() });
         }
         let tag = id.index() as u8;
@@ -96,7 +98,7 @@ impl<B: Backend> PhaseExecutor for NetRunner<B> {
             serial.execute_block(nodes, faults, spec, owned.clone(), &mut medium, None)?;
 
         // Phase-end all-gather: encode the owned digests, collect everyone's.
-        let local = (run.summaries.iter().zip(owned.clone()))
+        let local = (run.summaries.iter().zip(owned))
             .map(|(summary, i)| {
                 let mut bytes = Vec::new();
                 summary.encode(&mut bytes);
@@ -121,14 +123,9 @@ impl<B: Backend> PhaseExecutor for NetRunner<B> {
             .enumerate()
             .map(|(i, s)| s.ok_or_else(|| NetError::Protocol(format!("no summary for node {i}"))))
             .collect::<Result<_, _>>()?;
-        // Only a rank that owns every node can run a fault plan, so the nodes
-        // it does not own are alive.
-        let mut alive = vec![true; n];
-        alive[owned].copy_from_slice(&run.alive);
-
         Ok(ExecutedPhase {
             summaries,
-            alive,
+            alive: run.alive,
             rounds: run.rounds,
             all_done: run.all_done,
             delivered,
@@ -426,13 +423,16 @@ mod tests {
     }
 
     #[test]
-    fn a_rank_that_owns_part_of_the_run_refuses_a_fault_plan_before_any_frame_moves() {
+    fn a_rank_that_owns_part_of_the_run_refuses_loss_and_delays_before_any_frame_moves() {
         let lossy = FaultPlan::default().with_drop_prob(0.05);
-        let (run, sent) = run_scripted_with(Vec::new(), Vec::new(), lossy);
-        assert!(
-            matches!(run, Err(NetError::FaultsUnsupported { phase: "traffic" })),
-            "{run:?}"
-        );
-        assert!(sent.is_empty(), "a frame left before the refusal: {sent:?}");
+        let delayed = FaultPlan::default().with_delays(0.1, 2);
+        for plan in [lossy, delayed] {
+            let (run, sent) = run_scripted_with(Vec::new(), Vec::new(), plan);
+            assert!(
+                matches!(run, Err(NetError::FaultsUnsupported { phase: "traffic" })),
+                "{run:?}"
+            );
+            assert!(sent.is_empty(), "a frame left before the refusal: {sent:?}");
+        }
     }
 }

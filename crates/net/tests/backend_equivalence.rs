@@ -12,14 +12,38 @@
 //! rank.
 
 use overlay_core::{
-    ExecutedPhase, ExpanderParams, OverlayBuilder, OverlayResult, Phase, PhaseExecSpec,
-    PhaseExecutor, PhaseId, SimExecutor,
+    ExecutedPhase, ExpanderParams, ExpanderSummary, OverlayBuilder, OverlayResult, Phase,
+    PhaseExecSpec, PhaseExecutor, PhaseId, SimExecutor,
 };
 use overlay_graph::{generators, DiGraph, NodeId};
 use overlay_net::{ChannelBackend, NetRunner, TcpBackend, TcpHost};
 use overlay_netsim::{FaultPlan, TransportConfig};
 use overlay_traffic::{hop_rows, Router, RouterConfig, RouterSummary, Workload};
 use std::time::Duration;
+
+/// Runs `on_rank` on every rank of a loopback TCP mesh of `procs` processes
+/// over `n` nodes (threads sharing nothing but their sockets), in rank order.
+fn on_every_rank<T: Send>(
+    n: usize,
+    procs: usize,
+    seed: u64,
+    on_rank: impl Fn(TcpBackend) -> T + Sync,
+) -> Vec<T> {
+    let host = TcpHost::bind("127.0.0.1:0").expect("bind");
+    let addr = host.local_addr().expect("local addr").to_string();
+    let timeout = Duration::from_secs(30);
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        handles
+            .push(scope.spawn(|| on_rank(host.accept(procs, n, seed, timeout).expect("accept"))));
+        for _ in 1..procs {
+            handles.push(scope.spawn(|| on_rank(TcpBackend::join(&addr, timeout).expect("join"))));
+        }
+        (handles.into_iter())
+            .map(|h| h.join().expect("rank thread"))
+            .collect()
+    })
+}
 
 fn builder(n: usize, seed: u64) -> OverlayBuilder {
     OverlayBuilder::new(ExpanderParams::for_n(n).with_seed(seed))
@@ -260,12 +284,9 @@ fn tcp_loopback_matches_the_simulator() {
             .execute(phase(), spec)
             .expect("simulator traffic is infallible");
 
-        let host = TcpHost::bind("127.0.0.1:0").expect("bind");
-        let addr = host.local_addr().expect("local addr").to_string();
-        let timeout = Duration::from_secs(30);
         // Phase tags repeat across the two builds: the second must not see
         // what the first one's final rounds left on the wire.
-        let on_rank = |backend: TcpBackend| -> RankRun {
+        let results = on_every_rank(n, procs, seed, |backend| -> RankRun {
             let mut runner = NetRunner::new(backend);
             let first = b.build_over(&g, &mut runner).expect("first build");
             let second = b.build_over(&g, &mut runner).expect("second build");
@@ -275,25 +296,11 @@ fn tcp_loopback_matches_the_simulator() {
                 .expect("build behind the transport");
             runner.shutdown().expect("shutdown");
             (first, second, traffic, wrapped)
-        };
-        let mut results = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            handles.push(
-                scope.spawn(|| on_rank(host.accept(procs, n, seed, timeout).expect("accept"))),
-            );
-            for _ in 1..procs {
-                handles
-                    .push(scope.spawn(|| on_rank(TcpBackend::join(&addr, timeout).expect("join"))));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rank thread"))
-                .collect::<Vec<_>>()
         });
 
         // Every process derives the identical overlay from the all-gathered
         // summaries, and it matches the simulator's.
-        for (rank, (subject, second, traffic, wrapped)) in results.drain(..).enumerate() {
+        for (rank, (subject, second, traffic, wrapped)) in results.into_iter().enumerate() {
             assert_same_overlay(&format!("tcp rank {rank}"), &model, &subject);
             let context = format!("n={n} procs={procs} rank {rank}");
             assert_same_overlay(&format!("{context}, second build"), &model, &second);
@@ -306,5 +313,121 @@ fn tcp_loopback_matches_the_simulator() {
             assert_eq!(traffic_model.delivered, traffic.delivered, "{context}");
             assert_same_overlay(&format!("{context}, reliable"), &reliable_model, &wrapped);
         }
+    }
+}
+
+/// A rank that owns no node still steps every round's barrier and gathers
+/// every summary: 3 nodes over 4 ranks, where rank 0's block is empty.
+#[test]
+fn tcp_rank_that_owns_no_node_matches_the_simulator() {
+    let (n, procs, seed) = (3, 4, 1);
+    let g = knowledge_graph(n, seed);
+    let b = builder(n, seed);
+    let model = b
+        .build_over(&g, &mut SimExecutor::default())
+        .expect("simulator build");
+    let results = on_every_rank(n, procs, seed, |backend| {
+        let mut runner = NetRunner::new(backend);
+        let built = b.build_over(&g, &mut runner).expect("build");
+        runner.shutdown().expect("shutdown");
+        built
+    });
+    for (rank, subject) in results.iter().enumerate() {
+        assert_same_overlay(&format!("n={n} procs={procs} rank {rank}"), &model, subject);
+    }
+}
+
+/// Every decision about a node is taken by the rank that owns it, so a
+/// scheduled fault plan — crashes, late joins, a partition window, and all
+/// three — runs on ranks that each own part of the run, bare and behind the
+/// reliable transport, and so does a cap low enough that inboxes evict. Every
+/// rank reports the simulator's summaries, liveness, rounds, stop and
+/// delivered total.
+#[test]
+fn tcp_ranks_run_scheduled_fault_plans_as_the_simulator_does() {
+    let id = NodeId::from;
+    let crashes = FaultPlan::default()
+        .with_crash(id(5usize), 3)
+        .with_crash(id(12usize), 9);
+    let joins = FaultPlan::default()
+        .with_join(id(2usize), 4)
+        .with_join(id(14usize), 6);
+    let side: Vec<NodeId> = (0..6usize).map(id).collect();
+    let partition = FaultPlan::default().with_partition(side.clone(), 2, 7);
+    let all_three = FaultPlan {
+        joins: joins.joins.clone(),
+        ..crashes.clone()
+    }
+    .with_partition(side, 2, 7);
+    let mut runs: Vec<(&str, FaultPlan, Option<TransportConfig>, Option<usize>)> = Vec::new();
+    for (label, plan) in [
+        ("crashes", crashes),
+        ("joins", joins),
+        ("partition", partition),
+        ("all three", all_three.clone()),
+    ] {
+        for transport in [None, Some(TransportConfig::default())] {
+            runs.push((label, plan.clone(), transport, None));
+        }
+    }
+    runs.push(("all three, evicting", all_three, None, Some(2)));
+
+    for (n, procs) in [(16, 4), (17, 3)] {
+        let seed = 4;
+        let g = knowledge_graph(n, seed);
+        let params = ExpanderParams::for_n(n).with_seed(seed);
+        let phase = |plan: &FaultPlan| Phase::create_expander(&g, &params, plan.clone());
+        let spec = |transport, cap: Option<usize>| PhaseExecSpec {
+            seed: params.seed,
+            ncc0_cap: cap.unwrap_or(params.ncc0_cap),
+            budget: 2 * phase(&FaultPlan::default()).clean_rounds(),
+            transport,
+        };
+        let models: Vec<ExecutedPhase<ExpanderSummary>> = (runs.iter())
+            .map(|(label, plan, transport, cap)| {
+                let (model, detail) = SimExecutor::default()
+                    .execute_detailed(phase(plan), spec(*transport, *cap), None)
+                    .expect("the simulator cannot fail");
+                let metrics = detail.expect("the simulator's books").metrics;
+                assert_eq!(
+                    metrics.totals().dropped_receive > 0,
+                    cap.is_some(),
+                    "n={n} {label}: only the low cap evicts"
+                );
+                model
+            })
+            .collect();
+        let results = on_every_rank(n, procs, seed, |backend| {
+            let mut runner = NetRunner::new(backend);
+            let executed: Vec<_> = (runs.iter())
+                .map(|(label, plan, transport, cap)| {
+                    (runner.execute(phase(plan), spec(*transport, *cap)))
+                        .unwrap_or_else(|e| panic!("{label}: rank run failed: {e}"))
+                })
+                .collect();
+            runner.shutdown().expect("shutdown");
+            executed
+        });
+        for (rank, executed) in results.iter().enumerate() {
+            for ((label, _, transport, _), (model, subject)) in
+                runs.iter().zip(models.iter().zip(executed))
+            {
+                let context = format!(
+                    "n={n} procs={procs} rank {rank}: {label}, reliable: {}",
+                    transport.is_some()
+                );
+                assert_eq!(subject.summaries, model.summaries, "{context}");
+                assert_eq!(subject.alive, model.alive, "{context}");
+                assert_eq!(subject.rounds, model.rounds, "{context}");
+                assert_eq!(subject.all_done, model.all_done, "{context}");
+                assert_eq!(subject.delivered, model.delivered, "{context}");
+            }
+        }
+        let dead = |k: usize| models[k].alive.iter().filter(|&&a| !a).count();
+        assert_eq!(
+            (dead(0), dead(6)),
+            (2, 2),
+            "n={n}: both crashes take effect"
+        );
     }
 }

@@ -23,6 +23,7 @@ use overlay_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashSet};
+use std::ops::Range;
 
 /// A random delivery-delay model: with probability `prob` a delivered message is
 /// held back by 1 to `max_rounds` extra rounds (uniformly chosen).
@@ -108,11 +109,19 @@ impl FaultPlan {
     /// `true` if the plan injects nothing. The router is exact either way; for a
     /// clean plan it answers [`Route::Deliver`] without looking anything up.
     pub fn is_clean(&self) -> bool {
-        self.drop_prob == 0.0
-            && self.delay.is_none()
+        self.is_scheduled()
             && self.crashes.is_empty()
             && self.joins.is_empty()
             && self.partitions.is_empty()
+    }
+
+    /// `true` if the plan draws nothing: no loss and no delay, so every verdict
+    /// is a function of its schedule of crashes, joins and partitions — the
+    /// sender, the recipient and the round — which any block of a run can take
+    /// for its own senders (see [`crate::Simulator::for_block`]). Loss and delay
+    /// verdicts are drawn from one stream in the whole run's send order.
+    pub fn is_scheduled(&self) -> bool {
+        self.drop_prob == 0.0 && self.delay.is_none()
     }
 
     /// Sets the independent per-message loss probability.
@@ -246,8 +255,10 @@ impl FaultPlan {
 
     /// Checks that the probabilities and delay bounds are in range (fields are
     /// public, so plans need not come from the `with_*` builders), that every
-    /// referenced node exists among `n` nodes, and that no node both joins late and
-    /// crashes before its join round.
+    /// referenced node exists among `n` nodes, that no node both joins late and
+    /// crashes before its join round, and — as [`FaultPlan::with_join`] and
+    /// [`FaultPlan::with_partition`] demand — that no join is at round 0 and no
+    /// partition window is empty.
     pub fn validate(&self, n: usize) -> Result<(), String> {
         if !(0.0..=1.0).contains(&self.drop_prob) {
             return Err(format!("drop probability out of range: {}", self.drop_prob));
@@ -275,6 +286,12 @@ impl FaultPlan {
                     j.node.index()
                 ));
             }
+            if j.round == 0 {
+                return Err(format!(
+                    "node {} joins at round 0, which is a normal start",
+                    j.node.index()
+                ));
+            }
             // Compare against the *effective* crash round (the minimum across
             // duplicate events), which is what the router enforces.
             let crash = self
@@ -294,6 +311,12 @@ impl FaultPlan {
             }
         }
         for p in &self.partitions {
+            if p.from_round >= p.heal_round {
+                return Err(format!(
+                    "partition window {}..{} is empty",
+                    p.from_round, p.heal_round
+                ));
+            }
             for &v in &p.side_a {
                 if v.index() >= n {
                     return Err(format!(
@@ -323,16 +346,21 @@ pub enum Route {
 /// message and tracks node liveness.
 ///
 /// The router's RNG is seeded from the simulation seed, so fault decisions are part
-/// of the deterministic replay.
+/// of the deterministic replay. Liveness is the whole run's, so a block's router
+/// judges a message to a node another block owns as the whole run's would; the
+/// lifecycle counts it records are the block's own (see
+/// [`FaultRouter::record_lifecycle`]).
 #[derive(Clone, Debug)]
 pub struct FaultRouter<M> {
     /// Per node: the round it crashes at, if any.
     crash_round: Vec<Option<usize>>,
     /// Per node: the round it becomes active (0 = present from the start).
     join_round: Vec<usize>,
-    /// Per round: how many nodes crash at it (`crash_round` counted once).
+    /// Per round: how many of the block's nodes crash at it (`crash_round`
+    /// counted once).
     crashes_per_round: BTreeMap<usize, usize>,
-    /// Per round after 0: how many nodes join at it (`join_round` counted once).
+    /// Per round after 0: how many of the block's nodes join at it (`join_round`
+    /// counted once).
     joins_per_round: BTreeMap<usize, usize>,
     partitions: Vec<(usize, usize, HashSet<NodeId>)>,
     drop_prob: f64,
@@ -351,12 +379,12 @@ pub struct FaultRouter<M> {
 }
 
 impl<M> FaultRouter<M> {
-    /// Builds the router for `n` nodes.
+    /// Builds the router of the nodes `block` of an `n`-node run.
     ///
     /// # Panics
     ///
     /// Panics if the plan fails [`FaultPlan::validate`].
-    pub fn new(plan: &FaultPlan, n: usize, seed: u64) -> Self {
+    pub fn new(plan: &FaultPlan, n: usize, block: Range<usize>, seed: u64) -> Self {
         plan.validate(n).expect("invalid fault plan");
         let mut crash_round = vec![None; n];
         for c in &plan.crashes {
@@ -368,11 +396,11 @@ impl<M> FaultRouter<M> {
             join_round[j.node.index()] = join_round[j.node.index()].max(j.round);
         }
         let mut crashes_per_round = BTreeMap::new();
-        for &r in crash_round.iter().flatten() {
+        for &r in crash_round[block.clone()].iter().flatten() {
             *crashes_per_round.entry(r).or_insert(0) += 1;
         }
         let mut joins_per_round = BTreeMap::new();
-        for &r in join_round.iter().filter(|&&r| r > 0) {
+        for &r in join_round[block].iter().filter(|&&r| r > 0) {
             *joins_per_round.entry(r).or_insert(0) += 1;
         }
         FaultRouter {
@@ -421,13 +449,14 @@ impl<M> FaultRouter<M> {
         self.join_round[node]
     }
 
-    /// Number of nodes that crash at exactly `round` (for metrics).
+    /// Number of the block's nodes that crash at exactly `round` (for metrics).
     pub fn crashes_at(&self, round: usize) -> usize {
         self.crashes_per_round.get(&round).copied().unwrap_or(0)
     }
 
-    /// Number of nodes that join at exactly `round` (for metrics; 0 for round
-    /// 0, where nobody joins: the nodes present from the start just start).
+    /// Number of the block's nodes that join at exactly `round` (for metrics; 0
+    /// for round 0, where nobody joins: the nodes present from the start just
+    /// start).
     pub fn join_count_at(&self, round: usize) -> usize {
         self.joins_per_round.get(&round).copied().unwrap_or(0)
     }
@@ -501,8 +530,9 @@ impl<M> FaultRouter<M> {
         !self.in_flight.is_empty()
     }
 
-    /// Records this round's lifecycle events into `metrics`: two lookups in
-    /// the per-round counts, however many nodes there are.
+    /// Records this round's lifecycle events among the block's nodes into
+    /// `metrics`: two lookups in the per-round counts, however many nodes there
+    /// are.
     pub fn record_lifecycle(&self, round: usize, metrics: &mut RoundMetrics) {
         metrics.crashed = self.crashes_at(round);
         metrics.joined = self.join_count_at(round);
@@ -592,7 +622,7 @@ mod tests {
         let plan = FaultPlan::default()
             .with_join(id(1), 3)
             .with_crash(id(1), 7);
-        let router: FaultRouter<u8> = FaultRouter::new(&plan, 4, 1);
+        let router: FaultRouter<u8> = FaultRouter::new(&plan, 4, 0..4, 1);
         assert!(!router.is_active(1, 0));
         assert!(!router.is_active(1, 2));
         assert!(router.is_active(1, 3));
@@ -607,7 +637,7 @@ mod tests {
     #[test]
     fn partition_cuts_cross_traffic_only_during_window() {
         let plan = FaultPlan::default().with_partition(vec![id(0), id(1)], 2, 5);
-        let mut router: FaultRouter<u8> = FaultRouter::new(&plan, 4, 1);
+        let mut router: FaultRouter<u8> = FaultRouter::new(&plan, 4, 0..4, 1);
         // Cross-cut during the window: dropped.
         assert_eq!(
             router.route(id(0), id(2), 3),
@@ -630,7 +660,7 @@ mod tests {
         let plan = FaultPlan::default()
             .with_join(id(1), 4)
             .with_crash(id(2), 2);
-        let mut router: FaultRouter<u8> = FaultRouter::new(&plan, 4, 1);
+        let mut router: FaultRouter<u8> = FaultRouter::new(&plan, 4, 0..4, 1);
         // Delivery at round 1 < join round 4.
         assert_eq!(
             router.route(id(0), id(1), 0),
@@ -655,8 +685,8 @@ mod tests {
     #[test]
     fn drop_prob_one_loses_everything_and_zero_nothing() {
         let mut lossy: FaultRouter<u8> =
-            FaultRouter::new(&FaultPlan::default().with_drop_prob(1.0), 2, 1);
-        let mut clean: FaultRouter<u8> = FaultRouter::new(&FaultPlan::default(), 2, 1);
+            FaultRouter::new(&FaultPlan::default().with_drop_prob(1.0), 2, 0..2, 1);
+        let mut clean: FaultRouter<u8> = FaultRouter::new(&FaultPlan::default(), 2, 0..2, 1);
         for r in 0..50 {
             assert_eq!(lossy.route(id(0), id(1), r), Route::Drop(DropCause::Fault));
             assert_eq!(clean.route(id(0), id(1), r), Route::Deliver);
@@ -666,7 +696,7 @@ mod tests {
     #[test]
     fn delays_buffer_and_release() {
         let plan = FaultPlan::default().with_delays(1.0, 3);
-        let mut router: FaultRouter<u8> = FaultRouter::new(&plan, 2, 1);
+        let mut router: FaultRouter<u8> = FaultRouter::new(&plan, 2, 0..2, 1);
         let mut seen = 0;
         for _ in 0..20 {
             match router.route(id(0), id(1), 10) {
@@ -700,7 +730,7 @@ mod tests {
     #[test]
     fn drain_due_delivers_everything_and_recycles_the_buffer() {
         let plan = FaultPlan::default().with_delays(1.0, 1);
-        let mut router: FaultRouter<u8> = FaultRouter::new(&plan, 2, 1);
+        let mut router: FaultRouter<u8> = FaultRouter::new(&plan, 2, 0..2, 1);
         let env = |payload: u8| Envelope {
             from: id(0),
             channel: crate::Channel::Global,
@@ -729,7 +759,7 @@ mod tests {
     #[test]
     fn windowed_loss_spares_rounds_before_the_window() {
         let plan = FaultPlan::default().with_drop_prob_from(1.0, 5);
-        let mut router: FaultRouter<u8> = FaultRouter::new(&plan, 2, 1);
+        let mut router: FaultRouter<u8> = FaultRouter::new(&plan, 2, 0..2, 1);
         for r in 0..5 {
             assert_eq!(router.route(id(0), id(1), r), Route::Deliver);
         }
@@ -744,7 +774,7 @@ mod tests {
         // the window check happens before the RNG roll, so a zero window consumes
         // exactly the same random sequence as the historical unconditional check.
         let route_all = |plan: FaultPlan| -> Vec<Route> {
-            let mut router: FaultRouter<u8> = FaultRouter::new(&plan, 4, 9);
+            let mut router: FaultRouter<u8> = FaultRouter::new(&plan, 4, 0..4, 9);
             (0..200)
                 .map(|i| router.route(id(i % 4), id((i + 1) % 4), i))
                 .collect()
@@ -767,7 +797,7 @@ mod tests {
     fn routing_is_deterministic_per_seed() {
         let plan = FaultPlan::default().with_drop_prob(0.3).with_delays(0.5, 4);
         let route_all = |seed: u64| -> Vec<Route> {
-            let mut router: FaultRouter<u8> = FaultRouter::new(&plan, 8, seed);
+            let mut router: FaultRouter<u8> = FaultRouter::new(&plan, 8, 0..8, seed);
             (0..200)
                 .map(|i| router.route(id(i % 8), id((i + 1) % 8), i))
                 .collect()
@@ -814,7 +844,7 @@ mod tests {
     #[test]
     fn crash_round_zero_means_never_active() {
         let plan = FaultPlan::default().with_crash(id(1), 0);
-        let router: FaultRouter<u8> = FaultRouter::new(&plan, 2, 1);
+        let router: FaultRouter<u8> = FaultRouter::new(&plan, 2, 0..2, 1);
         assert!(!router.is_active(1, 0));
         assert!(!router.is_active(1, 50));
         assert!(router.is_active(0, 0));
@@ -822,16 +852,19 @@ mod tests {
 
     proptest::proptest! {
         /// The per-round counts made at construction against a recount of the
-        /// plan: a node counts once, at its earliest crash and at its latest
-        /// join, and a join at round 0 is no join. Plans repeat crashes and
-        /// joins of one node and include round-0 joins; a crash at or before
-        /// one of the node's joins is dropped, as `validate` demands.
+        /// plan over the block's nodes: a node counts once, at its earliest
+        /// crash and at its latest join. Plans repeat crashes and joins of one
+        /// node and place them inside and outside the block; a crash at or
+        /// before one of the node's joins is dropped, as `validate` demands.
         #[test]
         fn lifecycle_counts_are_a_recount_of_the_plan(
             n in 1usize..7,
+            ends in (0usize..7, 0usize..7),
             crashes in proptest::collection::vec((0usize..7, 0usize..12), 0..10),
-            joins in proptest::collection::vec((0usize..7, 0usize..12), 0..10),
+            joins in proptest::collection::vec((0usize..7, 1usize..12), 0..10),
         ) {
+            let (a, b) = (ends.0 % (n + 1), ends.1 % (n + 1));
+            let block = a.min(b)..a.max(b);
             let joins: Vec<JoinEvent> = (joins.iter())
                 .map(|&(v, round)| JoinEvent { round, node: id(v % n) })
                 .collect();
@@ -854,10 +887,10 @@ mod tests {
                 joins: joins.clone(),
                 ..FaultPlan::default()
             };
-            let router: FaultRouter<u8> = FaultRouter::new(&plan, n, 0);
+            let router: FaultRouter<u8> = FaultRouter::new(&plan, n, block.clone(), 0);
             for r in 0..=last + 1 {
-                let crashed = (0..n).filter(|&v| crash_of(v) == Some(r)).count();
-                let joined = (0..n).filter(|&v| r > 0 && last_join(v) == Some(r)).count();
+                let crashed = block.clone().filter(|&v| crash_of(v) == Some(r)).count();
+                let joined = block.clone().filter(|&v| last_join(v) == Some(r)).count();
                 proptest::prop_assert_eq!(router.crashes_at(r), crashed, "crashes at {}", r);
                 proptest::prop_assert_eq!(router.join_count_at(r), joined, "joins at {}", r);
             }

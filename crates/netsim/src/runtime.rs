@@ -17,8 +17,9 @@ use std::ops::Range;
 /// calling thread straight into the round's outbox, chunks `1..k` on rayon
 /// worker threads into one reusable buffer each, appended in chunk order
 /// before the (serial) dispatch and fault phases run. Each node owns its RNG,
-/// and the fault router's RNG and the receive-cap `drop_rng` are only drawn in
-/// those serial phases — so a run is **bitwise identical at every `k`**.
+/// the fault router's RNG is only drawn in the serial dispatch, and each
+/// receive-cap eviction draws from an RNG of its own inbox (see
+/// [`Simulator`]) — so a run is **bitwise identical at every `k`**.
 /// Parallelism is a wall-clock knob, never a semantics knob.
 ///
 /// Cost per round: `k − 1` thread spawns and `k − 1` appends. With `k = 1`
@@ -82,7 +83,8 @@ impl Default for ParallelismConfig {
 pub struct SimConfig {
     /// The capacity model to enforce.
     pub caps: CapacityModel,
-    /// Seed for all randomness (per-node RNGs, drop selection, and fault decisions).
+    /// Seed for all randomness (per-node RNGs, receive-cap evictions, and fault
+    /// decisions).
     pub seed: u64,
     /// The local edges of the initial graph (distinct neighbors per node), required by
     /// the hybrid model's CONGEST discipline: local messages may only travel over these
@@ -521,6 +523,21 @@ pub fn node_rng(seed: u64, i: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1)))
 }
 
+/// The RNG that picks which global messages `recipient`'s inbox evicts when it is
+/// over the receive cap in `round` of a run seeded with `seed`: a function of the
+/// three alone, so whichever block owns the recipient evicts the same messages.
+/// Each part is folded into the key as the first word of a generator seeded with
+/// the key so far, XOR the part, so no two keys share a stream (runs whose seeds
+/// differ by a few bits — a pipeline's phases — included).
+fn eviction_rng(seed: u64, round: usize, recipient: usize) -> StdRng {
+    let key = [round as u64, recipient as u64]
+        .into_iter()
+        .fold(seed, |key, part| {
+            StdRng::seed_from_u64(key).gen::<u64>() ^ part
+        });
+    StdRng::seed_from_u64(key)
+}
+
 /// A deterministic synchronous simulator executing one [`Protocol`] state machine per
 /// node.
 ///
@@ -536,10 +553,15 @@ pub fn node_rng(seed: u64, i: usize) -> StdRng {
 /// messages it admitted for nodes outside the block to the medium, with their
 /// senders' send ordinals, and files what the medium brought from the other blocks
 /// into the next round's inboxes (see [`EnvelopeArena`] for where). Node ids, the
-/// seeding rule, the caps and the stop rule are the whole run's, so every block of
-/// a run over a lossless medium steps its nodes exactly as the whole-run simulator
-/// would — as long as no inbox goes over the receive cap, which each block applies
-/// to its own inboxes with its own `drop_rng`.
+/// seeding rule, the caps, the stop rule and the fault plan's liveness are the whole
+/// run's, and every decision about a node is a function of the run's seed, the round
+/// and the node, taken by the block that owns it: a node's callbacks draw from its
+/// own RNG, a message's fate under a [`FaultPlan::is_scheduled`] plan is its sender's
+/// block's lookup, and an inbox over the receive cap evicts by an RNG keyed on the
+/// seed, the round and its recipient. So every block of a run over a lossless medium
+/// steps its nodes exactly as the whole-run simulator would. Loss and delay verdicts
+/// are drawn from one stream in the whole run's send order, which no block that
+/// leaves nodes out sees; such a block runs scheduled plans only.
 ///
 /// # Hot-path layout
 ///
@@ -565,8 +587,8 @@ pub fn node_rng(seed: u64, i: usize) -> StdRng {
 /// There is one round body. Only the protocol callbacks are ever split across
 /// threads, as contiguous chunks of nodes (see [`ParallelismConfig`] for the
 /// layout and its cost); everything that draws shared randomness (fault
-/// routing, receive-cap eviction) or observes cross-node order (dispatch,
-/// tracing, metrics) is serial, so results do not depend on the chunk count.
+/// routing) or observes cross-node order (dispatch, receive caps, tracing,
+/// metrics) is serial, so results do not depend on the chunk count.
 #[derive(Debug)]
 pub struct Simulator<P: Protocol> {
     /// The block's nodes: node `base + k` at position (and arena slot) `k`.
@@ -588,7 +610,9 @@ pub struct Simulator<P: Protocol> {
     out_lens: Vec<usize>,
     caps: CapacityModel,
     local_neighbors: Option<LocalAdjacency>,
-    drop_rng: StdRng,
+    /// The run's seed, which keys every receive-cap eviction (see
+    /// [`eviction_rng`]).
+    seed: u64,
     /// Scratch for `apply_receive_caps`: inbox-relative indices of global messages.
     cap_scratch: Vec<usize>,
     /// Scratch for `apply_receive_caps`: per-envelope drop marks for one inbox.
@@ -640,8 +664,9 @@ impl<P: Protocol> Simulator<P> {
     /// # Panics
     ///
     /// As [`Simulator::new`]; also if `block` is not within `0..nodes.len()`, or if it
-    /// leaves nodes out and `config.faults` is not clean (fault decisions are drawn
-    /// from one stream in the whole run's send order, which no block sees).
+    /// leaves nodes out and `config.faults` is not [`FaultPlan::is_scheduled`] (loss
+    /// and delay verdicts are drawn from one stream in the whole run's send order,
+    /// which no such block sees).
     pub fn for_block(mut nodes: Vec<P>, block: Range<usize>, config: SimConfig) -> Self {
         let n = nodes.len();
         assert!(
@@ -650,8 +675,8 @@ impl<P: Protocol> Simulator<P> {
         );
         assert!(block.end <= n, "block {block:?} outside the {n}-node run");
         assert!(
-            block.len() == n || config.faults.is_clean(),
-            "a block that does not own every node runs clean"
+            block.len() == n || config.faults.is_scheduled(),
+            "a block that does not own every node runs no loss or delay"
         );
         nodes.truncate(block.end);
         nodes.drain(..block.start);
@@ -684,7 +709,7 @@ impl<P: Protocol> Simulator<P> {
             out_lens: vec![0; len],
             caps: config.caps,
             local_neighbors,
-            drop_rng: StdRng::seed_from_u64(config.seed.wrapping_add(1)),
+            seed: config.seed,
             cap_scratch: Vec::new(),
             drop_mark: Vec::new(),
             per_edge_count: vec![0; n],
@@ -693,7 +718,7 @@ impl<P: Protocol> Simulator<P> {
             done_flags,
             chunk_len,
             chunk_outs: chunk_outs.collect(),
-            router: FaultRouter::new(&config.faults, n, config.seed),
+            router: FaultRouter::new(&config.faults, n, block, config.seed),
             metrics: RunMetrics::new(len),
             round: 0,
             sink: None,
@@ -806,7 +831,8 @@ impl<P: Protocol> Simulator<P> {
         self.done_count() == self.nodes.len()
     }
 
-    /// Returns `true` if node `i` executes callbacks in the current round.
+    /// Returns `true` if node `id` executes callbacks in the current round: the
+    /// fault plan's liveness, which every block knows for every node of the run.
     pub fn is_active(&self, id: NodeId) -> bool {
         self.router.is_active(id.index(), self.round)
     }
@@ -963,9 +989,24 @@ impl<P: Protocol> Simulator<P> {
     /// route it holds names its queued message's sender and recipient, and its
     /// counts must be a recount of the routed pairs plus the staged delayed
     /// envelopes. What is handed to the medium waits in `crossing`. That there is
-    /// one route per queued message is `group`'s own assertion.
+    /// one route per queued message is `group`'s own assertion. The round's
+    /// `crashed` and `joined` are a recount over the block's own nodes: another
+    /// block counts its nodes' events.
     #[cfg(debug_assertions)]
     fn check_contracts(&self, due: usize, m: &RoundMetrics) {
+        let round = self.round;
+        let crashed = (self.block())
+            .filter(|&i| self.router.is_crashed(i, round))
+            .filter(|&i| round == 0 || !self.router.is_crashed(i, round - 1))
+            .count();
+        let joined = (self.block())
+            .filter(|&i| self.router.joins_at(i, round))
+            .count();
+        assert_eq!(
+            (m.crashed, m.joined),
+            (crashed, joined),
+            "round {round}: the lifecycle counts are not a recount of the block's crashes and joins"
+        );
         let queued = self.outbox.len();
         let senders = (self.out_lens.iter().zip(self.block()))
             .flat_map(|(&len, i)| std::iter::repeat_n(NodeId::from(i), len));
@@ -1094,15 +1135,15 @@ impl<P: Protocol> Simulator<P> {
     /// paper). Applying the cap at delivery rather than at send time means injected
     /// delays cannot be used to smuggle extra messages past the cap.
     ///
-    /// The kept subset is chosen by a partial Fisher–Yates over the global messages
-    /// of the in-arena inbox slice: only the selection steps that decide the dropped
-    /// tail move elements, while the remaining draws are still made so the RNG stream
-    /// stays identical to a full `SliceRandom::shuffle` — which keeps every seeded
-    /// run byte-identical to the pre-arena implementation. No per-inbox `Vec` or
-    /// `HashSet` is allocated; the two scratch buffers are reused across rounds.
+    /// The evicted tail is chosen by the first `global_count − cap` steps of a
+    /// Fisher–Yates shuffle of the inbox's global messages, drawn from
+    /// [`eviction_rng`] of the round and the recipient: those steps alone decide the
+    /// positions past the cap, so the steps that would only permute the kept prefix
+    /// are neither run nor drawn. No per-inbox `Vec` or `HashSet` is allocated; the
+    /// two scratch buffers are reused across rounds.
     ///
     /// Which inboxes are over the cap is read off the arena's per-recipient global
-    /// counts; only those are scanned, and only they ever drew from `drop_rng`.
+    /// counts; only those are scanned.
     fn apply_receive_caps(&mut self, round_metrics: &mut RoundMetrics) {
         let Some(cap) = self.caps.global_cap() else {
             return;
@@ -1119,15 +1160,10 @@ impl<P: Protocol> Simulator<P> {
                     self.cap_scratch.push(k);
                 }
             }
-            // Partial Fisher–Yates: after the first `global_count - cap` steps the
-            // tail (positions `cap..`) is final; the later steps only permute the
-            // kept prefix, so their swaps are skipped but their draws are kept to
-            // preserve the historical RNG stream.
-            for k in (1..global_count).rev() {
-                let j = self.drop_rng.gen_range(0..k + 1);
-                if k >= cap {
-                    self.cap_scratch.swap(k, j);
-                }
+            let mut rng = eviction_rng(self.seed, self.round, self.base + i);
+            for k in (cap..global_count).rev() {
+                let j = rng.gen_range(0..k + 1);
+                self.cap_scratch.swap(k, j);
             }
             self.drop_mark.clear();
             self.drop_mark.resize(len, false);
@@ -1614,10 +1650,10 @@ mod tests {
         }
 
         /// The receive caps as the model states them: scan every inbox for its
-        /// global messages; where there are more than the cap, shuffle them with
-        /// `drop_rng` and evict every one past the first `cap`, in that order. The
-        /// kept envelopes stay in inbox order, and the counts are set from the
-        /// scan, under every capacity model.
+        /// global messages; where there are more than the cap, shuffle them all
+        /// with the inbox's `eviction_rng` and evict every one past the first
+        /// `cap`, in that order. The kept envelopes stay in inbox order, and the
+        /// counts are set from the scan, under every capacity model.
         fn reference_receive_caps(&mut self, round_metrics: &mut RoundMetrics) {
             let cap = self.caps.global_cap().unwrap_or(usize::MAX);
             for i in 0..self.nodes.len() {
@@ -1630,7 +1666,7 @@ mod tests {
                 if globals.len() <= cap {
                     continue;
                 }
-                globals.shuffle(&mut self.drop_rng);
+                globals.shuffle(&mut eviction_rng(self.seed, self.round, i));
                 let evicted = &globals[cap..];
                 for &k in evicted {
                     self.drop_message(
@@ -1837,11 +1873,6 @@ mod tests {
                     "case {case} round {round}: trace"
                 );
                 assert_eq!(
-                    new.drop_rng.clone().gen::<u64>(),
-                    old.drop_rng.clone().gen::<u64>(),
-                    "case {case} round {round}: the eviction stream moved"
-                );
-                assert_eq!(
                     new.router.peek_rng(),
                     old.router.peek_rng(),
                     "case {case} round {round}: the fault stream moved"
@@ -1915,6 +1946,147 @@ mod tests {
             over_cap >= 100 && under_cap >= 100,
             "the cases must mix inboxes over and (non-empty) under the cap: {over_cap} over, {under_cap} under"
         );
+    }
+
+    /// What one block sends another at a barrier: the crossing messages for
+    /// the other block's nodes, and whether the sender's block is done.
+    type Leg = (Vec<Crossing<u32>>, bool);
+
+    /// One block's end of an in-process mesh of blocks: a channel to and from
+    /// every other block, one message per round each way.
+    struct Link {
+        blocks: Vec<Range<usize>>,
+        tx: Vec<Option<std::sync::mpsc::Sender<Leg>>>,
+        rx: Vec<Option<std::sync::mpsc::Receiver<Leg>>>,
+    }
+
+    impl Medium<u32> for Link {
+        type Error = std::convert::Infallible;
+
+        fn barrier(
+            &mut self,
+            _: usize,
+            block_done: bool,
+            crossing: &mut Vec<Crossing<u32>>,
+        ) -> Result<bool, Self::Error> {
+            let mut out: Vec<Vec<_>> = self.blocks.iter().map(|_| Vec::new()).collect();
+            for c in crossing.drain(..) {
+                let owner = self.blocks.iter().position(|b| b.contains(&c.0.index()));
+                out[owner.expect("a recipient inside the run")].push(c);
+            }
+            for (tx, out) in self.tx.iter().zip(out) {
+                if let Some(tx) = tx {
+                    tx.send((out, block_done))
+                        .expect("the other block is running");
+                }
+            }
+            let mut all_done = block_done;
+            for rx in self.rx.iter().flatten() {
+                let (mut theirs, done) = rx.recv().expect("the other block is running");
+                crossing.append(&mut theirs);
+                all_done &= done;
+            }
+            Ok(all_done)
+        }
+    }
+
+    /// A block decides its own nodes: under crashes, a late join, a partition
+    /// window and an NCC0 cap that evicts, blocks of a run (an empty one among
+    /// them) connected by a lossless medium read the whole run's inboxes, and
+    /// their per-round books — each counting its own nodes' deliveries,
+    /// evictions, drops, crashes and joins — add up to the whole run's.
+    #[test]
+    fn blocks_over_a_lossless_medium_step_their_nodes_as_the_whole_run_does() {
+        let n = 9;
+        let blocks = [0..3, 3..3, 3..6, 6..9];
+        let nodes = || -> Vec<Scripted> {
+            let mut gen = StdRng::seed_from_u64(7);
+            (0..n)
+                .map(|_| Scripted {
+                    sends: (0..6)
+                        .map(|_| {
+                            (0..gen.gen_range(2..8usize))
+                                .map(|k| {
+                                    let to = if gen.gen_bool(0.4) {
+                                        4
+                                    } else {
+                                        gen.gen_range(0..n)
+                                    };
+                                    (NodeId::from(to), Channel::Global, k as u32)
+                                })
+                                .collect()
+                        })
+                        .collect(),
+                    seen: Vec::new(),
+                })
+                .collect()
+        };
+        let faults = FaultPlan::default()
+            .with_crash(NodeId::from(5usize), 3)
+            .with_crash(NodeId::from(8usize), 2)
+            .with_join(NodeId::from(1usize), 2)
+            .with_partition(vec![NodeId::from(0usize), NodeId::from(6usize)], 1, 3);
+        let config = SimConfig::ncc0_capped(3, 11, faults);
+        let rounds = 8;
+        let mut whole = Simulator::new(nodes(), config.clone());
+        let outcome = whole.run(rounds);
+
+        let mut rx: Vec<Vec<_>> = blocks.iter().map(|_| Vec::new()).collect();
+        let tx: Vec<Vec<_>> = (0..blocks.len())
+            .map(|a| {
+                (rx.iter_mut().enumerate())
+                    .map(|(b, rx)| {
+                        let (t, r) = std::sync::mpsc::channel::<Leg>();
+                        rx.push((a != b).then_some(r));
+                        (a != b).then_some(t)
+                    })
+                    .collect()
+            })
+            .collect();
+        let runs: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (blocks.iter().cloned().zip(tx.into_iter().zip(rx)))
+                .map(|(block, (tx, rx))| {
+                    let (nodes, config) = (nodes(), config.clone());
+                    let blocks = blocks.to_vec();
+                    scope.spawn(move || {
+                        let mut sim = Simulator::for_block(nodes, block, config);
+                        let Ok(outcome) = sim.run_over(rounds, &mut Link { blocks, tx, rx });
+                        (outcome, sim.metrics().clone(), sim.into_nodes())
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("block thread"))
+                .collect()
+        });
+
+        let book = |m: &RoundMetrics| {
+            let lifecycle = [m.crashed, m.joined].map(|count| count as u64);
+            let drops = [m.dropped_partition, m.dropped_offline, m.dropped_receive];
+            [[m.delivered].as_slice(), &drops, &lifecycle].concat()
+        };
+        for (block, (block_outcome, _, nodes)) in blocks.iter().zip(&runs) {
+            assert_eq!(*block_outcome, outcome, "block {block:?}");
+            for (node, i) in nodes.iter().zip(block.clone()) {
+                assert_eq!(node.seen, whole.nodes()[i].seen, "node {i}'s inboxes");
+            }
+        }
+        for (r, m) in whole.metrics().per_round.iter().enumerate() {
+            let summed = runs.iter().fold(vec![0; 6], |sum, (_, metrics, _)| {
+                let block = book(&metrics.per_round[r]);
+                sum.iter().zip(block).map(|(a, b)| a + b).collect()
+            });
+            assert_eq!(summed, book(m), "round {r}");
+        }
+        let totals = whole.metrics().totals();
+        assert!(
+            totals.dropped_receive > 0
+                && totals.dropped_partition > 0
+                && totals.dropped_offline > 0,
+            "the run must evict, cut and lose mail to the offline: {totals:?}"
+        );
+        assert_eq!((totals.crashed, totals.joined), (2, 1));
     }
 
     #[test]

@@ -574,10 +574,12 @@ pub fn registry() -> &'static Registry {
                 ),
         );
         // ---- Matrix cells beyond the historical set -------------------
-        // Capacity pressure is itself a message-loss mechanism (the receive cap
-        // drops overflow), so the transport twin of `tight-caps` measures
-        // whether retransmission heals *congestion* loss the way it heals
-        // random loss.
+        // Capacity pressure would be a message-loss mechanism of its own (the
+        // receive cap evicts overflow), so the transport twin of `tight-caps`
+        // stands ready to measure whether retransmission heals *congestion*
+        // loss the way it heals random loss. At the committed sizes the cap
+        // evicts nothing: `tight-caps` equals `clean-line` run for run and the
+        // twin retransmits nothing.
         all.push(
             s("tight-caps")
                 .reliable(TransportConfig::default(), 12)
@@ -699,10 +701,12 @@ pub fn registry() -> &'static Registry {
         // the 2% per-hop losses, trading delivered % up for latency.
         all.push(s("traffic-zipf-lossy").reliable(TransportConfig::default(), 12));
         // ---- Automatic lossy × capacity crossing ----------------------
-        // Capacity pressure is itself a message-loss mechanism (the receive
-        // cap sheds overflow), so every hand-authored lossy construction
-        // baseline is crossed with every non-standard capacity profile
-        // mechanically instead of hand-listing cells. A hand-authored cell
+        // Capacity pressure would be a message-loss mechanism of its own (the
+        // receive cap evicts overflow), so every hand-authored lossy
+        // construction baseline is crossed with every non-standard capacity
+        // profile mechanically instead of hand-listing cells. At the committed
+        // sizes no inbox goes over either cap: every crossing equals its
+        // baseline run for run. A hand-authored cell
         // that already occupies a crossing name (lossy-ncc0-generous, kept
         // verbatim above for its committed report header) wins the slot.
         let taken: BTreeSet<String> = all.iter().map(|sc| sc.name.clone()).collect();

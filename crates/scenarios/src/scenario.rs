@@ -75,8 +75,9 @@ impl GraphFamily {
 pub enum CapacityProfile {
     /// The default `2Δ` cap from [`ExpanderParams::for_n`].
     Standard,
-    /// Three quarters of the default — adversarial capacity pressure; the receive
-    /// cap starts dropping messages and the run must cope.
+    /// Three quarters of the default. At the committed sizes no inbox goes
+    /// over it: every committed cell under this profile equals its
+    /// standard-cap baseline run for run.
     Tight,
     /// Twice the default — headroom to isolate fault effects from capacity effects.
     Generous,
@@ -290,7 +291,7 @@ const TRAFFIC_WORKLOAD_SALT: u64 = 0x7AF1_C5EE_D5EE_D700;
 /// The workload is fully pre-scheduled harness-side and the router draws no
 /// mid-round randomness, so a traffic run stays a pure function of
 /// `(scenario, seed)` — and bitwise identical across the simulator and the
-/// `overlay-net` thread backends.
+/// `overlay-net` backends (one rank, or several over TCP).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrafficSpec {
     /// Who talks to whom, and when.

@@ -820,7 +820,8 @@ impl<P: Protocol> Protocol for Reliable<P> {
 mod tests {
     use super::*;
     use overlay_netsim::{
-        CapacityModel, FaultPlan, ParallelismConfig, SimConfig, Simulator, TraceBuffer, TraceEvent,
+        CapacityModel, DropCause, FaultPlan, ParallelismConfig, SimConfig, Simulator, TraceBuffer,
+        TraceEvent,
     };
     use proptest::prelude::*;
     use std::collections::BTreeSet;
@@ -1244,12 +1245,14 @@ mod tests {
 
     /// The digests below were computed on the `BTreeMap`/`BTreeSet` layout the
     /// slab replaced (commit b85b8c3), the mesh's on the sorted peer index and
-    /// two send passes the hashed index and one pass replaced (commit 5a43b37).
-    /// `seeded_runs_are_byte_identical` proves a run equals itself; this proves
-    /// it still equals *that*: same sends in the same order, hence the same
-    /// fault decisions, metrics and deliveries. The fleets stream to node 0
+    /// two send passes the hashed index and one pass replaced (commit 5a43b37),
+    /// then re-pinned when receive-cap evictions became keyed per inbox (the
+    /// mesh is the only case that evicts: 1 352, 1 405 and 1 509 messages).
+    /// `seeded_runs_are_byte_identical` proves a run equals itself; this
+    /// proves it still equals *that*: same sends in the same order, hence the
+    /// same fault decisions, metrics and deliveries. The fleets stream to node 0
     /// only, so each sender has one data peer; in the mesh each has three,
-    /// under loss, delays and a send cap, so the order *across* peers (all
+    /// under loss, delays and an NCC0 cap, so the order *across* peers (all
     /// fresh data before any retransmission) shows too. Every case runs twice
     /// — as one chunk and cut into three — and the second run must reproduce
     /// the digest and the trace (`Retransmits` / `GiveUps` events in node
@@ -1257,6 +1260,11 @@ mod tests {
     #[test]
     fn golden_wire_digests() {
         const SEEDS: [u64; 3] = [3, 11, 21];
+        const MESH: [u64; 3] = [
+            0x78bd_c91a_e4d1_15de,
+            0xd16a_c204_7a88_4f96,
+            0x38e0_5c5f_e48b_50b6,
+        ];
         let cfg = TransportConfig::default();
         type Run = (u64, Vec<TraceEvent>);
         let run = |nodes: Vec<Reliable<Beacon>>, config: SimConfig, limit: usize| -> Run {
@@ -1359,17 +1367,23 @@ mod tests {
                     };
                     run(wrap(Beacon::mesh(10, 2, 6, &[1, 3, 7]), cfg), config, 300)
                 },
-                [
-                    0x22bd_4af9_e03c_1e65,
-                    0x6b18_f1ca_51b2_2853,
-                    0x08ee_8484_36ef_9d81,
-                ],
+                MESH,
             ),
         ];
         let mut seen = [false; 2];
         for (name, run, golden) in cases {
             let whole = SEEDS.map(|seed| run(seed, ParallelismConfig::serial()));
             let chunked = SEEDS.map(|seed| run(seed, ParallelismConfig::fixed(3, 0)));
+            let evicts = (whole.iter().flat_map(|(_, events)| events)).any(|e| {
+                matches!(
+                    e,
+                    TraceEvent::Drop {
+                        cause: DropCause::ReceiveCap,
+                        ..
+                    }
+                )
+            });
+            assert_eq!(evicts, golden == MESH, "{name}: only the mesh evicts");
             assert_eq!(
                 whole.each_ref().map(|(digest, _)| *digest),
                 golden,
