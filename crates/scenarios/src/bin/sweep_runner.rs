@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p overlay-scenarios --bin sweep_runner [OPTIONS] [SCENARIO...]
 //!
-//!   --seeds N       seeds per scenario (default 16)
+//!   --seeds N       seeds per scenario, at least 1 (default 16)
 //!   --first-seed S  first seed of the range (default 0)
 //!   --dir PATH      output directory (default reports)
 //!   --check         diff each new report against the existing file before
@@ -129,7 +129,12 @@ fn parse_args() -> Result<Option<Options>, String> {
             "--seeds" => {
                 opts.seeds = value("--seeds")?
                     .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?
+                    .map_err(|e| format!("--seeds: {e}"))?;
+                // A sweep of no seeds would overwrite every selected report
+                // with an empty one.
+                if opts.seeds == 0 {
+                    return Err("--seeds must be at least 1".into());
+                }
             }
             "--first-seed" => {
                 opts.first_seed = value("--first-seed")?

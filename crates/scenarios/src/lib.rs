@@ -2,8 +2,8 @@
 //!
 //! The paper's Theorem 1.1 is a clean-network statement; this crate measures what the
 //! pipeline does when the network is *not* clean. A [`Scenario`] names one experiment:
-//! a graph family × size × capacity profile × [`FaultSpec`] (lowered per run into a
-//! concrete seeded [`overlay_netsim::FaultPlan`]). A [`Sweep`] executes a scenario
+//! a graph family × size × [`FaultSpec`] (lowered per run into a concrete seeded
+//! [`overlay_netsim::FaultPlan`]). A [`Sweep`] executes a scenario
 //! across many seeds — in parallel via rayon — and aggregates the per-seed
 //! [`RunRecord`]s into a [`SweepReport`] with success rates, coverage, round counts
 //! and message-loss accounting, serializable to JSON. A row carries the lower
@@ -17,9 +17,9 @@
 //! [`Registry`]: validated at construction (unique kebab-case names, every
 //! [`Scenario::baseline`] pairing resolves, every derived twin differs from its
 //! baseline only along its declared [`VariantAxis`]), with indexed
-//! [`Registry::find`], tag filtering ([`Registry::filter_by_tag`] — family,
-//! fault and capacity labels are tags too), and a [`Registry::pairs`] iterator
-//! over `(baseline, twin)` couples. Sweep them all — or the ones named on the
+//! [`Registry::find`], tag filtering ([`Registry::filter_by_tag`] — family and
+//! fault labels are tags too), and a [`Registry::pairs`] iterator over
+//! `(baseline, twin)` couples. Sweep them all — or the ones named on the
 //! command line — with the `sweep_runner` binary, and discover the cells
 //! with `sweep_runner --list [--tag T]`.
 //!
@@ -34,9 +34,10 @@
 //!    joins, reliable-transport retry round-trips).
 //! 2. If the cell is a *variant* of an existing experiment, derive it instead of
 //!    copying it: [`Scenario::reliable`] adds the `overlay-transport` reliability
-//!    layer (plus flat retry slack), [`Scenario::with_capacity`] moves the NCC0
-//!    capacity profile, [`Scenario::with_phases`] scopes budget/transport
-//!    overrides to single pipeline phases, and [`Scenario::at_n`] derives the
+//!    layer (plus flat retry slack), [`Scenario::with_phases`] scopes
+//!    budget/transport overrides to single pipeline phases,
+//!    [`Scenario::with_reinvitation`] and [`Scenario::with_traffic_axis`] vary a
+//!    serving or traffic cell, and [`Scenario::at_n`] derives the
 //!    on-demand large-`n` rerun for [`full_registry`]. Each derivation appends a
 //!    deterministic name suffix, rewrites the description, and records its
 //!    baseline and axis, so [`Registry::pairs`] (and `sweep_runner --compare`'s
@@ -91,7 +92,7 @@ pub use overlay_netsim::{ParallelismConfig, TraceEvent, TransportConfig};
 pub use overlay_traffic::{RoutingPolicy, TrafficReport, Workload};
 pub use registry::{find, full_registry, registry, Registry, RegistryError};
 pub use scenario::{
-    CapacityProfile, FaultSpec, ForensicRun, GraphFamily, RunRecord, Scenario, ServeRecord,
-    ServeSpec, TrafficRecord, TrafficSpec, VariantAxis,
+    FaultSpec, ForensicRun, GraphFamily, RunRecord, Scenario, ServeRecord, ServeSpec,
+    TrafficRecord, TrafficSpec, VariantAxis,
 };
 pub use sweep::{Sweep, SweepReport};

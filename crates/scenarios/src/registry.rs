@@ -2,20 +2,18 @@
 //! tag filtering, and the baseline↔twin pairing iterator.
 //!
 //! The built-in matrix ([`registry`]) holds the hand-authored baselines plus
-//! every *derived* cell: the reliable-transport twins, the capacity and
-//! phase-override variants, and (via [`full_registry`]) the on-demand large-`n`
-//! reruns — all constructed through the variant axis API
-//! ([`Scenario::reliable`], [`Scenario::at_n`], [`Scenario::with_capacity`],
-//! [`Scenario::with_phases`]), so adding a matrix cell is one derivation line,
-//! not a copy-pasted struct.
+//! every *derived* cell: the reliable-transport twins, the phase-override,
+//! re-invitation and traffic variants, and (via [`full_registry`]) the
+//! on-demand large-`n` reruns — all constructed through the variant axis API
+//! ([`Scenario::reliable`], [`Scenario::at_n`], [`Scenario::with_phases`],
+//! [`Scenario::with_reinvitation`], [`Scenario::with_traffic_axis`]), so adding
+//! a matrix cell is one derivation line, not a copy-pasted struct.
 
-use crate::scenario::{
-    CapacityProfile, FaultSpec, GraphFamily, Scenario, ServeSpec, TrafficSpec, VariantAxis,
-};
+use crate::scenario::{FaultSpec, GraphFamily, Scenario, ServeSpec, TrafficSpec, VariantAxis};
 use overlay_core::{PhaseId, PhaseOverrides, RoundBudget, TransportChoice};
 use overlay_netsim::{CrashBurst, TransportConfig};
 use overlay_traffic::{RoutingPolicy, Workload};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -178,7 +176,7 @@ impl Registry {
     }
 
     /// Scenarios whose [`Scenario::effective_tags`] contain `tag` — explicit
-    /// annotations and derived facets (family/fault/capacity labels,
+    /// annotations and derived facets (family/fault labels,
     /// `reliable`/`bare`, `axis:<label>`, `derived`) all match.
     pub fn filter_by_tag(&self, tag: &str) -> Vec<&Scenario> {
         self.scenarios.iter().filter(|s| s.has_tag(tag)).collect()
@@ -219,10 +217,9 @@ type SameField = fn(&Scenario, &Scenario) -> bool;
 /// The fields that make two scenarios the same experiment, each with the name
 /// a [`RegistryError::AxisViolation`] reports it under. Name, description,
 /// tags and pairing metadata are labels; parallelism is result-invisible.
-const EXPERIMENT_FIELDS: [(&str, SameField); 9] = [
+const EXPERIMENT_FIELDS: [(&str, SameField); 8] = [
     ("graph family", |a, b| a.family == b.family),
     ("n", |a, b| a.n == b.n),
-    ("capacity profile", |a, b| a.capacity == b.capacity),
     ("fault load", |a, b| a.faults == b.faults),
     ("serve spec", |a, b| a.serve == b.serve),
     ("traffic spec", |a, b| a.traffic == b.traffic),
@@ -248,10 +245,6 @@ fn validate_axis(base: &Scenario, twin: &Scenario, axis: VariantAxis) -> Result<
         VariantAxis::Size => {
             rest.n = base.n;
             twin.n != base.n
-        }
-        VariantAxis::Capacity => {
-            rest.capacity = base.capacity;
-            twin.capacity != base.capacity
         }
         VariantAxis::Phases => {
             rest.phases = base.phases;
@@ -378,13 +371,6 @@ fn baselines() -> Vec<Scenario> {
             heal: 0.50,
         }),
         Scenario::new(
-            "tight-caps",
-            "Clean network but only 3/4 of the standard NCC0 capacity",
-            GraphFamily::Line,
-            128,
-        )
-        .with_capacity_profile(CapacityProfile::Tight),
-        Scenario::new(
             "crash-then-loss",
             "Compound stressor: 10% of nodes crash a third of the way in and the \
              surviving network drops 2% of messages from that round on — \
@@ -490,9 +476,9 @@ fn baselines() -> Vec<Scenario> {
 }
 
 /// The built-in scenario matrix: hand-authored baselines first, then every
-/// derived cell — reliable-transport twins, capacity and phase-override
-/// variants — constructed through the variant axis API with pairing metadata
-/// intact.
+/// derived cell — reliable-transport twins, phase-override, re-invitation and
+/// traffic variants — constructed through the variant axis API with pairing
+/// metadata intact.
 ///
 /// The result is cached: repeated calls (and [`find`] lookups) share one
 /// validated instance instead of rebuilding the scenario list.
@@ -504,7 +490,7 @@ pub fn registry() -> &'static Registry {
 
         let mut all = baselines();
         // ---- Reliable-transport twins ---------------------------------
-        // Each twin keeps its baseline's graph, size, capacity and fault load
+        // Each twin keeps its baseline's graph, size and fault load
         // and adds only the `overlay-transport` reliability layer plus flat
         // retry slack (a retransmit+ack round-trip costs a *constant* number of
         // rounds per phase, which a percent multiplier cannot express for the
@@ -574,22 +560,11 @@ pub fn registry() -> &'static Registry {
                 ),
         );
         // ---- Matrix cells beyond the historical set -------------------
-        // Capacity pressure would be a message-loss mechanism of its own (the
-        // receive cap evicts overflow), so the transport twin of `tight-caps`
-        // stands ready to measure whether retransmission heals *congestion*
-        // loss the way it heals random loss. At the committed sizes the cap
-        // evicts nothing: `tight-caps` equals `clean-line` run for run and the
-        // twin retransmits nothing.
+        // The transport on a clean network: nothing is lost, so the twin
+        // retransmits nothing and the pair prices the reliability layer alone.
         all.push(
-            s("tight-caps")
+            s("clean-line")
                 .reliable(TransportConfig::default(), 12)
-                .with_tag("matrix"),
-        );
-        // Generous headroom under loss isolates the fault effect from capacity
-        // effects: any seed this cell loses is lost to *loss*, not caps.
-        all.push(
-            s("lossy-ncc0")
-                .with_capacity(CapacityProfile::Generous)
                 .with_tag("matrix"),
         );
         // Reliability scoped to the one-round binarize phase only: the
@@ -700,31 +675,6 @@ pub fn registry() -> &'static Registry {
         // The lossy traffic cell's transport twin: retransmission recovers
         // the 2% per-hop losses, trading delivered % up for latency.
         all.push(s("traffic-zipf-lossy").reliable(TransportConfig::default(), 12));
-        // ---- Automatic lossy × capacity crossing ----------------------
-        // Capacity pressure would be a message-loss mechanism of its own (the
-        // receive cap evicts overflow), so every hand-authored lossy
-        // construction baseline is crossed with every non-standard capacity
-        // profile mechanically instead of hand-listing cells. At the committed
-        // sizes no inbox goes over either cap: every crossing equals its
-        // baseline run for run. A hand-authored cell
-        // that already occupies a crossing name (lossy-ncc0-generous, kept
-        // verbatim above for its committed report header) wins the slot.
-        let taken: BTreeSet<String> = all.iter().map(|sc| sc.name.clone()).collect();
-        for b in baselines() {
-            let lossy = matches!(
-                b.faults,
-                FaultSpec::Lossy { .. } | FaultSpec::CrashThenLoss { .. }
-            );
-            if !lossy || b.serve.is_some() || b.traffic.is_some() {
-                continue;
-            }
-            for profile in [CapacityProfile::Tight, CapacityProfile::Generous] {
-                let twin = b.with_capacity(profile).with_tag("matrix");
-                if !taken.contains(&twin.name) {
-                    all.push(twin);
-                }
-            }
-        }
         Registry::new(all).expect("built-in scenario matrix is valid")
     })
 }
@@ -776,8 +726,7 @@ mod tests {
             "clean-tree",
             "lossy-ncc0-reliable",
             "crash-ncc0-reliable",
-            "tight-caps-reliable",
-            "lossy-ncc0-generous",
+            "clean-line-reliable",
             "lossy-ncc0-binarize-reliable",
             "crash-then-loss",
             "crash-then-loss-reliable",
@@ -791,28 +740,6 @@ mod tests {
         ] {
             assert!(reg.find(name).is_some(), "{name} missing");
         }
-    }
-
-    #[test]
-    fn lossy_capacity_crossing_is_complete_and_respects_hand_authored_cells() {
-        // Every hand-authored lossy construction baseline must have both
-        // capacity crossings, derived or hand-authored — the mechanical loop
-        // keeps the matrix complete without hand-listing cells.
-        let reg = registry();
-        for base in ["lossy-ncc0", "lossy-ncc0-heavy", "crash-then-loss"] {
-            for profile in ["tight", "generous"] {
-                let name = format!("{base}-{profile}");
-                let twin = reg.find(&name).unwrap_or_else(|| panic!("{name} missing"));
-                assert_eq!(twin.baseline.as_deref(), Some(base));
-                assert_eq!(twin.axis, Some(VariantAxis::Capacity));
-            }
-        }
-        // The hand-authored generous cell won its slot: exactly one entry.
-        let count = reg
-            .into_iter()
-            .filter(|sc| sc.name == "lossy-ncc0-generous")
-            .count();
-        assert_eq!(count, 1);
     }
 
     #[test]
@@ -878,12 +805,7 @@ mod tests {
                 .iter()
                 .map(|s| s.name.as_str())
                 .collect::<Vec<_>>(),
-            vec![
-                "crash-then-loss",
-                "crash-then-loss-reliable",
-                "crash-then-loss-tight",
-                "crash-then-loss-generous",
-            ],
+            vec!["crash-then-loss", "crash-then-loss-reliable"],
         );
     }
 

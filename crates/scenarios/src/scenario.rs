@@ -70,38 +70,6 @@ impl GraphFamily {
     }
 }
 
-/// How much per-round NCC0 capacity nodes get, relative to the paper-shaped default.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CapacityProfile {
-    /// The default `2Δ` cap from [`ExpanderParams::for_n`].
-    Standard,
-    /// Three quarters of the default. At the committed sizes no inbox goes
-    /// over it: every committed cell under this profile equals its
-    /// standard-cap baseline run for run.
-    Tight,
-    /// Twice the default — headroom to isolate fault effects from capacity effects.
-    Generous,
-}
-
-impl CapacityProfile {
-    fn apply(&self, params: &mut ExpanderParams) {
-        match self {
-            CapacityProfile::Standard => {}
-            CapacityProfile::Tight => params.ncc0_cap = (params.ncc0_cap * 3 / 4).max(1),
-            CapacityProfile::Generous => params.ncc0_cap *= 2,
-        }
-    }
-
-    /// A short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CapacityProfile::Standard => "standard",
-            CapacityProfile::Tight => "tight",
-            CapacityProfile::Generous => "generous",
-        }
-    }
-}
-
 /// The declarative fault load of a scenario, lowered per run (given `n`, the round
 /// schedule and the seed) into a concrete [`FaultPlan`].
 ///
@@ -460,19 +428,18 @@ fn seeded_subset(n: usize, fraction: f64, rng: &mut StdRng) -> Vec<usize> {
 /// The axis along which a derived scenario differs from its baseline.
 ///
 /// Every scenario produced by one of the variant constructors
-/// ([`Scenario::reliable`], [`Scenario::at_n`], [`Scenario::with_capacity`],
-/// [`Scenario::with_phases`]) records its axis next to its
-/// [`baseline`](Scenario::baseline) name, so twin↔baseline pairing is scenario
-/// *data* that a [`crate::Registry`] can validate — a twin must differ from its
-/// baseline along its declared axis and nothing else.
+/// ([`Scenario::reliable`], [`Scenario::at_n`], [`Scenario::with_phases`],
+/// [`Scenario::with_reinvitation`], [`Scenario::with_traffic_axis`]) records
+/// its axis next to its [`baseline`](Scenario::baseline) name, so
+/// twin↔baseline pairing is scenario *data* that a [`crate::Registry`] can
+/// validate — a twin must differ from its baseline along its declared axis and
+/// nothing else.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VariantAxis {
     /// The twin adds the reliable-delivery transport layer (plus retry slack).
     Transport,
     /// The twin reruns the baseline at a different (on-demand, large) `n`.
     Size,
-    /// The twin changes only the NCC0 capacity profile.
-    Capacity,
     /// The twin scopes budget/transport overrides to individual phases.
     Phases,
     /// The twin switches epoch-boundary re-invitation on in the maintenance
@@ -491,7 +458,6 @@ impl VariantAxis {
         match self {
             VariantAxis::Transport => "transport",
             VariantAxis::Size => "size",
-            VariantAxis::Capacity => "capacity",
             VariantAxis::Phases => "phases",
             VariantAxis::Maintenance => "maintenance",
             VariantAxis::Traffic => "traffic",
@@ -503,9 +469,10 @@ impl VariantAxis {
 ///
 /// Hand-authored baselines are built with [`Scenario::new`] plus the `with_*`
 /// setters; derived matrix cells come from the variant axis constructors
-/// ([`Scenario::reliable`], [`Scenario::at_n`], [`Scenario::with_capacity`],
-/// [`Scenario::with_phases`]), which append a deterministic name suffix, rewrite
-/// the description, and record the baseline they were derived from.
+/// ([`Scenario::reliable`], [`Scenario::at_n`], [`Scenario::with_phases`],
+/// [`Scenario::with_reinvitation`], [`Scenario::with_traffic_axis`]), which
+/// append a deterministic name suffix, rewrite the description, and record the
+/// baseline they were derived from.
 #[derive(Clone, Debug)]
 pub struct Scenario {
     /// Unique kebab-case name (registry key).
@@ -516,8 +483,6 @@ pub struct Scenario {
     pub family: GraphFamily,
     /// Node count (a family may round it; see [`GraphFamily::actual_n`]).
     pub n: usize,
-    /// The NCC0 capacity profile.
-    pub capacity: CapacityProfile,
     /// The fault load.
     pub faults: FaultSpec,
     /// When set, the scenario is a `serve-*` cell: after construction the
@@ -554,7 +519,7 @@ pub struct Scenario {
     pub phases: PhaseOverrides,
     /// Explicit annotation tags. Serialized into the report JSON header when
     /// non-empty; pre-matrix scenarios carry none, which keeps their committed
-    /// report headers byte-identical. Structural facets (family, fault, capacity,
+    /// report headers byte-identical. Structural facets (family, fault,
     /// transport, axis) need no explicit tag — [`Scenario::effective_tags`]
     /// derives them for filtering and listing.
     pub tags: Vec<String>,
@@ -670,8 +635,8 @@ pub struct ForensicRun {
 }
 
 impl Scenario {
-    /// A hand-authored baseline: clean faults, standard capacity, the paper's
-    /// round budget, bare sends, no per-phase overrides, no tags, no baseline.
+    /// A hand-authored baseline: clean faults, the paper's round budget, bare
+    /// sends, no per-phase overrides, no tags, no baseline.
     pub fn new(
         name: impl Into<String>,
         description: impl Into<String>,
@@ -683,7 +648,6 @@ impl Scenario {
             description: description.into(),
             family,
             n,
-            capacity: CapacityProfile::Standard,
             faults: FaultSpec::Clean,
             serve: None,
             traffic: None,
@@ -724,14 +688,6 @@ impl Scenario {
     /// wall-clock knob — see [`Scenario::parallelism`].
     pub fn with_parallelism(mut self, parallelism: ParallelismConfig) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the NCC0 capacity profile *without* deriving a variant — for
-    /// hand-authored baselines like `tight-caps`. The capacity *axis* is
-    /// [`Scenario::with_capacity`].
-    pub fn with_capacity_profile(mut self, capacity: CapacityProfile) -> Self {
-        self.capacity = capacity;
         self
     }
 
@@ -828,21 +784,6 @@ impl Scenario {
             format!("full-{}-{n}", self.name),
             format!("Large-n twin of {} at n = {n}", self.name),
             |twin| twin.n = n,
-        )
-    }
-
-    /// Derives the capacity-profile twin: same experiment under a different
-    /// per-round NCC0 cap — e.g. generous headroom isolating a fault's effect
-    /// from capacity pressure, or tight caps compounding it.
-    ///
-    /// Name: `<base>-<profile>`. Axis: [`VariantAxis::Capacity`].
-    pub fn with_capacity(&self, capacity: CapacityProfile) -> Scenario {
-        let (base, label) = (&self.name, capacity.label());
-        self.derive(
-            VariantAxis::Capacity,
-            format!("{base}-{label}"),
-            format!("Twin of {base} with {label} NCC0 capacity"),
-            |twin| twin.capacity = capacity,
         )
     }
 
@@ -955,7 +896,7 @@ impl Scenario {
     }
 
     /// The scenario's discoverable tag set: the explicit [`tags`](Scenario::tags)
-    /// plus derived structural facets — family, fault and capacity labels,
+    /// plus derived structural facets — family and fault labels,
     /// `reliable`/`bare` for the transport (a phase-scoped reliable override
     /// counts as `reliable`, with `phase-reliable` marking the scoping),
     /// `axis:<label>` and `derived` for variants. [`crate::Registry`] filtering
@@ -969,7 +910,6 @@ impl Scenario {
         };
         add(self.family.label());
         add(self.faults.label().to_string());
-        add(self.capacity.label().to_string());
         add(if self.uses_reliable_transport() {
             "reliable"
         } else {
@@ -1009,8 +949,7 @@ impl Scenario {
     /// plan, and the configured builder.
     fn prepare(&self, seed: u64) -> (usize, DiGraph, FaultPlan, OverlayBuilder) {
         let n = self.actual_n();
-        let mut params = ExpanderParams::for_n(n).with_seed(seed);
-        self.capacity.apply(&mut params);
+        let params = ExpanderParams::for_n(n).with_seed(seed);
         let g = self.family.build(n, seed ^ 0x6EED_5EED);
         let plan = self.faults.lower(n, &params, seed);
         let mut builder = OverlayBuilder::new(params)
@@ -1038,8 +977,7 @@ impl Scenario {
     /// expander a finished construction produced.
     fn maintenance_runner(&self, seed: u64, result: &OverlayResult) -> MaintenanceRunner {
         let spec = self.serve.expect("a maintenance runner needs a serve spec");
-        let mut params = ExpanderParams::for_n(self.actual_n()).with_seed(seed);
-        self.capacity.apply(&mut params);
+        let params = ExpanderParams::for_n(self.actual_n()).with_seed(seed);
         let config = MaintenanceConfig {
             epoch_rounds: spec.epoch_rounds,
             epochs: spec.epochs,
@@ -1282,15 +1220,9 @@ impl Scenario {
         }
     }
 
-    /// A full label like `join-churn(cycle/128, standard caps)`.
+    /// A full label like `join-churn(cycle/128)`.
     pub fn label(&self) -> String {
-        format!(
-            "{}({}/{}, {} caps)",
-            self.name,
-            self.family.label(),
-            self.actual_n(),
-            self.capacity.label()
-        )
+        format!("{}({}/{})", self.name, self.family.label(), self.actual_n())
     }
 }
 
@@ -1424,7 +1356,6 @@ mod tests {
     #[test]
     fn builder_defaults_are_the_clean_paper_setting() {
         let s = Scenario::new("test-clean", "clean line", GraphFamily::Line, 48);
-        assert_eq!(s.capacity, CapacityProfile::Standard);
         assert_eq!(s.faults, FaultSpec::Clean);
         assert_eq!(s.round_budget, RoundBudget::STANDARD);
         assert!(s.transport.is_none());
@@ -1504,18 +1435,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_variant_appends_the_profile_label() {
-        let base = Scenario::new("lossy-x", "x", GraphFamily::Cycle, 48)
-            .with_faults(FaultSpec::Lossy { drop_prob: 0.01 });
-        let twin = base.with_capacity(CapacityProfile::Generous);
-        assert_eq!(twin.name, "lossy-x-generous");
-        assert_eq!(twin.capacity, CapacityProfile::Generous);
-        assert_eq!(twin.baseline.as_deref(), Some("lossy-x"));
-        assert_eq!(twin.axis, Some(VariantAxis::Capacity));
-        assert_eq!(twin.faults, base.faults);
-    }
-
-    #[test]
     fn phase_variant_names_the_overridden_phase_and_kind() {
         let base = Scenario::new("lossy-x", "x", GraphFamily::Cycle, 48)
             .with_faults(FaultSpec::Lossy { drop_prob: 0.01 });
@@ -1549,7 +1468,7 @@ mod tests {
             .with_faults(FaultSpec::Lossy { drop_prob: 0.01 })
             .with_tag("matrix");
         let tags = base.effective_tags();
-        for expected in ["matrix", "cycle", "lossy", "standard", "bare"] {
+        for expected in ["matrix", "cycle", "lossy", "bare"] {
             assert!(
                 tags.iter().any(|t| t == expected),
                 "missing {expected}: {tags:?}"

@@ -140,7 +140,6 @@ impl SweepReport {
             ("description", Json::Str(scenario.description.clone())),
             ("family", Json::Str(scenario.family.label())),
             ("n", int(scenario.actual_n())),
-            ("capacity", Json::Str(scenario.capacity.label().to_string())),
             ("faults", Json::Str(scenario.faults.label().to_string())),
             (
                 "round_budget_percent",

@@ -25,6 +25,19 @@ fn help_prints_usage_to_stdout_and_succeeds() {
     assert!(out.stderr.is_empty());
 }
 
+/// `--seeds 0` is refused before anything runs: the sweep would otherwise
+/// overwrite the selected report with an empty one and exit 0.
+#[test]
+fn zero_seeds_is_refused_before_any_report_is_written() {
+    let dir = temp_dir("zero-seeds");
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
+    let out = sweep_runner(&["--dir", dir_arg, "--seeds", "0", "clean-line"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--seeds"), "{stderr}");
+    assert!(!dir.exists(), "nothing may be written");
+}
+
 /// One pair swept into a fresh directory: the table `--compare` renders after
 /// the sweep and the one `--compare --no-run` renders from the files are the
 /// same bytes — whatever `--seeds` the second call states, since the seed

@@ -8,6 +8,7 @@
 
 use overlay_networks::scenarios::{registry, report, Json, Sweep};
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 
 /// Number of seeds in every committed baseline sweep.
@@ -24,10 +25,32 @@ fn field<'a>(value: &'a Json, key: &str) -> &'a Json {
     }
 }
 
+fn reports_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("reports")
+}
+
 fn committed_path(scenario_name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("reports")
-        .join(format!("{scenario_name}.json"))
+    reports_dir().join(format!("{scenario_name}.json"))
+}
+
+/// Every committed sweep report, by scenario name: the `reports/*.json`
+/// files other than the pair floors in `thresholds.json`.
+fn committed_reports() -> Vec<(String, Json)> {
+    let mut reports: Vec<(String, Json)> = std::fs::read_dir(reports_dir())
+        .expect("reports/ exists")
+        .map(|entry| entry.expect("readable entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .filter_map(|path| {
+            let name = path.file_stem()?.to_str()?.to_string();
+            (name != "thresholds").then(|| {
+                let report = report::load_report(&path)
+                    .unwrap_or_else(|e| panic!("cannot load {}: {e}", path.display()));
+                (name, report)
+            })
+        })
+        .collect();
+    reports.sort_by(|a, b| a.0.cmp(&b.0));
+    reports
 }
 
 fn committed_run(scenario_name: &str, seed: usize) -> Json {
@@ -120,4 +143,39 @@ fn regenerated_reports_equal_the_committed_files_byte_for_byte() {
             path.display()
         );
     }
+}
+
+/// The sweep-report twin of the paper experiments' one-to-one check: a report
+/// whose cell left the registry would otherwise stay committed unnoticed,
+/// since `--check` only visits registered cells.
+#[test]
+fn committed_sweep_reports_and_registry_cells_are_one_to_one() {
+    let committed: BTreeSet<String> = committed_reports()
+        .into_iter()
+        .map(|(name, _)| name)
+        .collect();
+    let registered: BTreeSet<String> = registry().names().map(str::to_string).collect();
+    let orphans: Vec<&String> = committed.difference(&registered).collect();
+    let missing: Vec<&String> = registered.difference(&committed).collect();
+    assert!(
+        orphans.is_empty() && missing.is_empty(),
+        "reports without a cell: {orphans:?}; cells without a report: {missing:?}"
+    );
+}
+
+/// No registry cell is a copy of another: a cell whose per-seed runs equal
+/// another cell's byte for byte checks nothing its twin does not.
+#[test]
+fn no_two_committed_sweep_reports_share_their_runs() {
+    let mut seen: HashMap<String, String> = HashMap::new();
+    let mut copies = Vec::new();
+    for (name, report) in committed_reports() {
+        let first = seen
+            .entry(field(&report, "runs").render())
+            .or_insert_with(|| name.clone());
+        if *first != name {
+            copies.push(format!("{first} = {name}"));
+        }
+    }
+    assert!(copies.is_empty(), "reports with identical runs: {copies:?}");
 }

@@ -20,7 +20,6 @@ fn assert_mirrors_baseline(base: &Scenario, twin: &Scenario) {
                 twin.name
             );
             assert_eq!(base.n, twin.n, "{}", twin.name);
-            assert_eq!(base.capacity, twin.capacity, "{}", twin.name);
             assert_eq!(
                 base.round_budget.as_percent(),
                 twin.round_budget.as_percent(),
@@ -30,13 +29,6 @@ fn assert_mirrors_baseline(base: &Scenario, twin: &Scenario) {
         }
         VariantAxis::Size => {
             assert_ne!(base.n, twin.n, "{}", twin.name);
-            assert_eq!(base.capacity, twin.capacity, "{}", twin.name);
-            assert_eq!(base.transport, twin.transport, "{}", twin.name);
-            assert_eq!(base.round_budget, twin.round_budget, "{}", twin.name);
-        }
-        VariantAxis::Capacity => {
-            assert_ne!(base.capacity, twin.capacity, "{}", twin.name);
-            assert_eq!(base.n, twin.n, "{}", twin.name);
             assert_eq!(base.transport, twin.transport, "{}", twin.name);
             assert_eq!(base.round_budget, twin.round_budget, "{}", twin.name);
         }
@@ -62,7 +54,6 @@ fn assert_mirrors_baseline(base: &Scenario, twin: &Scenario) {
                 twin.name
             );
             assert_eq!(base.n, twin.n, "{}", twin.name);
-            assert_eq!(base.capacity, twin.capacity, "{}", twin.name);
             assert_eq!(base.transport, twin.transport, "{}", twin.name);
             assert_eq!(base.round_budget, twin.round_budget, "{}", twin.name);
         }
@@ -74,7 +65,6 @@ fn assert_mirrors_baseline(base: &Scenario, twin: &Scenario) {
             );
             assert_ne!(base.traffic, twin.traffic, "{}", twin.name);
             assert_eq!(base.n, twin.n, "{}", twin.name);
-            assert_eq!(base.capacity, twin.capacity, "{}", twin.name);
             assert_eq!(base.transport, twin.transport, "{}", twin.name);
             assert_eq!(base.round_budget, twin.round_budget, "{}", twin.name);
             assert_eq!(base.serve, twin.serve, "{}", twin.name);
@@ -83,7 +73,6 @@ fn assert_mirrors_baseline(base: &Scenario, twin: &Scenario) {
             assert!(!twin.phases.is_empty(), "{}", twin.name);
             assert_ne!(base.phases, twin.phases, "{}", twin.name);
             assert_eq!(base.n, twin.n, "{}", twin.name);
-            assert_eq!(base.capacity, twin.capacity, "{}", twin.name);
             assert_eq!(base.transport, twin.transport, "{}", twin.name);
             assert_eq!(base.round_budget, twin.round_budget, "{}", twin.name);
         }
