@@ -22,7 +22,7 @@
 //!   cost is proportional to the diameter the construction made small) over
 //!   either the expander edges ([`RoutingPolicy::Greedy`]) or the binarized
 //!   tree ([`RoutingPolicy::Tree`]) — a [`HopRow`]: its sorted neighbor list
-//!   and two bytes per destination, the neighbor's position in that list
+//!   and one byte per destination, the neighbor's position in that list
 //!   ([`next_hops`] is the same table with the neighbors spelled out) — one
 //!   load counter per neighbor, a FIFO forward queue with an NCC0-style
 //!   per-round forward budget, a queue capacity, and a TTL. Congestion is

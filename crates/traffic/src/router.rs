@@ -12,10 +12,10 @@
 //!
 //! What a router holds is sized for the forward, the one hot body of a
 //! traffic wave: its [`HopRow`] (its sorted neighbor list and, per
-//! destination, a two-byte *position* in that list), one load counter per
+//! destination, a one-byte *position* in that list), one load counter per
 //! neighbor in the same order, and a lower bound on the oldest queued
 //! injection round. A forward is `k = hop[dst]; to = neighbors[k];
-//! edge_load[k] += 1` — a read into a 2-byte-per-entry row, a read into a
+//! edge_load[k] += 1` — a read into a 1-byte-per-entry row, a read into a
 //! list of a few dozen entries, and a counter at the same position — and the
 //! TTL sweep over the queue runs only in a round in which the bound says
 //! something can have expired.
@@ -54,13 +54,15 @@ impl RoutingPolicy {
 
 /// Sentinel [`HopRow::hop`] entry: no route from this node to that
 /// destination.
-pub const NO_HOP: u16 = u16::MAX;
+pub const NO_HOP: u8 = u8::MAX;
 
 /// One node's row of the next-hop table, in the form a [`Router`] holds it.
 ///
-/// The next hop toward `dst` is `neighbors[hop[dst]]`: two bytes per
+/// The next hop toward `dst` is `neighbors[hop[dst]]`: one byte per
 /// destination instead of four, and the position doubles as the index of the
-/// per-neighbor load counter.
+/// per-neighbor load counter. One byte is enough for the overlays this crate
+/// routes over: the paper's nodes keep at most `Δ/2 = 8⌈log₂ n⌉` edges, which
+/// stays below [`NO_HOP`] for every `n ≤ 2³¹`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HopRow {
     /// The node's distinct neighbors, ascending, without itself
@@ -69,7 +71,7 @@ pub struct HopRow {
     /// Per destination, the position in `neighbors` of the neighbor to
     /// forward to; [`NO_HOP`] when the destination is the node itself or
     /// unreachable.
-    pub hop: Vec<u16>,
+    pub hop: Vec<u8>,
 }
 
 impl HopRow {
@@ -84,17 +86,18 @@ impl HopRow {
     /// The row as [`next_hops`] spells it: the neighbor itself per
     /// destination, [`UNROUTABLE`] for no route.
     fn expand(&self) -> Vec<NodeId> {
-        let to = |&k: &u16| self.neighbors.get(k as usize).map_or(UNROUTABLE, |&nb| nb);
+        let to = |&k: &u8| self.neighbors.get(k as usize).map_or(UNROUTABLE, |&nb| nb);
         self.hop.iter().map(to).collect()
     }
 }
 
-/// A position must fit a `u16` with [`NO_HOP`] to spare, or a real neighbor
-/// would read as "no route". (An `n²` table with such a node is past 8 GB.)
+/// A position must fit a byte with [`NO_HOP`] to spare, or a real neighbor
+/// would read as "no route". The overlay's `Δ/2 = 8⌈log₂ n⌉` bound on a
+/// node's edges keeps every built graph under it for `n ≤ 2³¹`.
 fn assert_positions_fit(neighbors: usize) {
     assert!(
         neighbors < NO_HOP as usize,
-        "a next-hop row indexes at most {} distinct neighbors, not {neighbors}",
+        "a next-hop row indexes at most {} distinct neighbors (the overlay's Δ/2 bound), not {neighbors}",
         NO_HOP - 1
     );
 }
@@ -148,7 +151,10 @@ fn assert_positions_fit(neighbors: usize) {
 /// The OR pass in front of the scan is what keeps a long path, where almost
 /// every hit word is empty, from paying for those writes: without it
 /// `line(1024)` was 9–28 % slower than the branchy kernel, with it not
-/// slower. The table is `n²` two-byte entries — 2 MB at `n = 1024`.
+/// slower. The table is `n²` one-byte entries — 1 MB at `n = 1024`, half
+/// the per-core L2 of that Xeon, which it shares with the ledgers, schedules
+/// and arena of the wave. At two bytes per entry the table filled the L2 by
+/// itself, and a forward waited on the `hop[dst]` load.
 ///
 /// # Panics
 ///
@@ -207,7 +213,7 @@ pub fn hop_rows(graph: &UGraph) -> Vec<HopRow> {
                         // The hit word's first two bits are written whether or
                         // not they exist (an absent one lands in slot 64); only
                         // a third bit takes the loop.
-                        let k = k as u16;
+                        let k = k as u8;
                         level_hops[hit.trailing_zeros() as usize] = k;
                         let rest = hit & hit.wrapping_sub(1);
                         level_hops[rest.trailing_zeros() as usize] = k;
@@ -611,8 +617,9 @@ impl Summarize for Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overlay_core::{ExpanderParams, OverlayBuilder};
+    use overlay_core::{ExpanderParams, MaintenanceConfig, MaintenanceRunner, OverlayBuilder};
     use overlay_graph::{analysis, generators};
+    use overlay_netsim::{ChurnSchedule, CrashBurst};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -841,6 +848,98 @@ mod tests {
             g.add_edge(NodeId::from(v), NodeId::from(v + 1));
         }
         assert_greedy_smallest_id(&g, &next_hops(&g));
+    }
+
+    /// A star: node 0 joined to nodes `1..=leaves`.
+    fn star_graph(leaves: usize) -> UGraph {
+        let mut g = UGraph::new(leaves + 1);
+        for v in 1..=leaves {
+            g.add_edge(NodeId::new(0), NodeId::from(v));
+        }
+        g
+    }
+
+    /// The most distinct neighbors any node of `graph` has: what a one-byte
+    /// position must index.
+    fn max_distinct_neighbors(graph: &UGraph) -> usize {
+        let distinct = graph.nodes().map(|v| graph.distinct_neighbors(v).len());
+        distinct.max().unwrap_or(0)
+    }
+
+    #[test]
+    fn a_hub_with_254_distinct_neighbors_fits_its_byte() {
+        let rows = hop_rows(&star_graph(254));
+        assert_eq!(rows[0].neighbors.len(), 254);
+        assert_eq!(rows[0].hop[254], 253);
+        assert_eq!(rows[254].hop[1], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 254 distinct neighbors (the overlay's Δ/2 bound), not 255")]
+    fn a_hub_with_255_distinct_neighbors_is_refused() {
+        let _ = hop_rows(&star_graph(255));
+    }
+
+    /// The overlay keeps at most `Δ/2 = 8⌈log₂ n⌉` edges a node (3Δ/8
+    /// accepted tokens and Δ/8 of its own), so its positions fit a byte.
+    #[test]
+    fn built_overlays_keep_at_most_half_delta_distinct_neighbors() {
+        for n in [64, 256, 1024] {
+            let params = ExpanderParams::for_n(n).with_seed(n as u64);
+            for (family, input) in [
+                ("line", generators::line(n)),
+                ("cycle", generators::cycle(n)),
+                ("random_regular", generators::random_regular(n, 4, 3)),
+            ] {
+                let overlay = OverlayBuilder::new(params)
+                    .build(&input)
+                    .expect("clean build");
+                let most = max_distinct_neighbors(&overlay.expander);
+                assert!(
+                    most <= params.delta / 2,
+                    "{family}({n}): {most} distinct neighbors against Δ/2 = {}",
+                    params.delta / 2
+                );
+            }
+        }
+    }
+
+    /// The graph a serving overlay's traffic routes over, after churn and
+    /// repair: joins, leaves, crashes and a crash burst for 8 epochs, with
+    /// re-invitation on and lossy invitations.
+    #[test]
+    fn a_churned_core_graph_keeps_at_most_half_delta_distinct_neighbors() {
+        let n = 128;
+        let params = ExpanderParams::for_n(n).with_seed(5);
+        let overlay = OverlayBuilder::new(params)
+            .build(&generators::cycle(n))
+            .expect("clean build");
+        let config = MaintenanceConfig {
+            invite_loss: 0.2,
+            invite_retries: 1,
+            seed: 11,
+            ..MaintenanceConfig::new(8)
+        };
+        let churn = ChurnSchedule {
+            seed: 13,
+            join_rate: 0.4,
+            leave_rate: 0.05,
+            crash_rate: 0.05,
+            burst: Some(CrashBurst {
+                every_rounds: 75,
+                fraction: 0.2,
+            }),
+        };
+        let mut runner = MaintenanceRunner::new(overlay.expander, params, config, churn);
+        for epoch in 1..=8 {
+            runner.step_epoch();
+            let most = max_distinct_neighbors(runner.core_graph());
+            assert!(
+                most <= params.delta / 2,
+                "epoch {epoch}: {most} distinct neighbors against Δ/2 = {}",
+                params.delta / 2
+            );
+        }
     }
 
     fn envelope(payload: RouterMsg) -> Envelope<RouterMsg> {

@@ -58,7 +58,7 @@ impl Workload {
     }
 
     /// Draws the complete injection schedule: one request list per source
-    /// node, each sorted by round (ties by destination, then draw order).
+    /// node, each sorted by round, ties by destination.
     ///
     /// Sources are visited in node order and all draws come from one
     /// `StdRng::seed_from_u64(seed)` stream, so the schedule is a pure
@@ -91,7 +91,9 @@ impl Workload {
         for src in (0..n).map(NodeId::from) {
             let mut reqs: Vec<Request> = Vec::with_capacity(requests_per_node as usize);
             for _ in 0..requests_per_node {
-                let round = rng.gen_range(1..horizon + 1);
+                // `0..horizon` and then `+ 1`, not `1..horizon + 1`: the same
+                // word over the same span, without the overflow at `u32::MAX`.
+                let round = rng.gen_range(0..horizon) + 1;
                 let dst = match self {
                     Workload::Uniform | Workload::FlashCrowd { .. } => uniform(&mut rng),
                     Workload::Zipf { .. } => {
@@ -117,7 +119,9 @@ impl Workload {
                     });
                 }
             }
-            reqs.sort_by_key(|r| (r.round, r.dst));
+            // A request *is* its `(round, dst)` key, so equal keys are equal
+            // values and the unstable sort's order is the stable sort's.
+            reqs.sort_unstable_by_key(|r| (r.round, r.dst));
             out.push(reqs);
         }
         out
@@ -292,6 +296,108 @@ mod tests {
             "low ranks drew only {:.2} of the traffic",
             hits_low / total
         );
+    }
+
+    /// The schedule as it was drawn before the overflow fix and the unstable
+    /// sort: `gen_range(1..horizon + 1)` and a stable sort on `(round, dst)`.
+    /// The executable specification [`Workload::schedule`] is checked
+    /// against, below `horizon = u32::MAX`.
+    fn reference_schedule(
+        workload: Workload,
+        n: usize,
+        requests_per_node: u32,
+        horizon: u32,
+        seed: u64,
+    ) -> Vec<Vec<Request>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let uniform = |rng: &mut StdRng| NodeId::from(rng.gen_range(0..n as u64) as usize);
+        let focus = uniform(&mut rng);
+        let cdf = match workload {
+            Workload::Zipf { exponent } => zipf_cdf(n, exponent),
+            _ => Vec::new(),
+        };
+        let mut out = Vec::with_capacity(n);
+        for src in (0..n).map(NodeId::from) {
+            let mut reqs = Vec::new();
+            for _ in 0..requests_per_node {
+                let round = rng.gen_range(1..horizon + 1);
+                let dst = match workload {
+                    Workload::Uniform | Workload::FlashCrowd { .. } => uniform(&mut rng),
+                    Workload::Zipf { .. } => sample_cdf(&cdf, rng.gen()),
+                    Workload::Hotspot => focus,
+                };
+                reqs.push(Request {
+                    round,
+                    dst: remap_self(src, dst, n),
+                });
+            }
+            if let Workload::FlashCrowd {
+                burst_at,
+                burst_len,
+            } = workload
+            {
+                for round in burst_at..burst_at.saturating_add(burst_len) {
+                    reqs.push(Request {
+                        round: round.max(1),
+                        dst: remap_self(src, focus, n),
+                    });
+                }
+            }
+            reqs.sort_by_key(|r| (r.round, r.dst));
+            out.push(reqs);
+        }
+        out
+    }
+
+    /// Every shape, several seeds and horizons, against the stable sort and
+    /// the old `gen_range(1..horizon + 1)` draw — on a small population at
+    /// every horizon up to 600, so the round draw is pinned at each span.
+    /// Hotspot and FlashCrowd schedules repeat `(round, dst)` keys, the case
+    /// in which an unstable sort could differ if a request were more than
+    /// its key.
+    #[test]
+    fn schedules_equal_the_stably_sorted_reference() {
+        let mut repeated_keys = 0;
+        for workload in [
+            Workload::Uniform,
+            Workload::Zipf { exponent: 1.1 },
+            Workload::Hotspot,
+            Workload::FlashCrowd {
+                burst_at: 0,
+                burst_len: 6,
+            },
+        ] {
+            for seed in 0..6 {
+                let wide = [(1, 3, 1), (17, 8, 4), (64, 40, 30), (200, 9, 600)];
+                let every_horizon = (1..=600).map(|horizon| (3, 4, horizon));
+                for (n, per_node, horizon) in wide.into_iter().chain(every_horizon) {
+                    let sched = workload.schedule(n, per_node, horizon, seed);
+                    let want = reference_schedule(workload, n, per_node, horizon, seed);
+                    assert_eq!(sched, want, "{workload:?}, n = {n}, seed {seed}");
+                    let pairs = sched.iter().flat_map(|reqs| reqs.windows(2));
+                    repeated_keys += pairs.filter(|w| w[0] == w[1]).count();
+                }
+            }
+        }
+        assert!(repeated_keys > 100, "only {repeated_keys} repeated keys");
+    }
+
+    #[test]
+    fn the_widest_horizon_draws_rounds_without_overflow() {
+        for workload in [
+            Workload::Uniform,
+            Workload::FlashCrowd {
+                burst_at: u32::MAX - 1,
+                burst_len: 4,
+            },
+        ] {
+            let sched = workload.schedule(2, 4, u32::MAX, 9);
+            for reqs in &sched {
+                assert!(reqs.len() >= 4);
+                assert!(reqs.iter().all(|r| r.round >= 1), "{reqs:?}");
+                assert!(reqs.windows(2).all(|w| w[0].round <= w[1].round));
+            }
+        }
     }
 
     #[test]
