@@ -11,7 +11,9 @@
 #![warn(missing_docs)]
 
 use overlay_baselines::{flooding, run_luby_mis, run_pointer_jumping, SupernodeMerge};
-use overlay_core::{benign, EvolutionEngine, ExpanderParams, OverlayBuilder};
+use overlay_core::bfs::BfsNode;
+use overlay_core::wellformed::BinarizeNode;
+use overlay_core::{benign, EvolutionEngine, ExpanderNode, ExpanderParams, OverlayBuilder};
 use overlay_graph::{analysis, cuts, generators, DiGraph};
 use overlay_hybrid::{
     sparsify, ComponentsConfig, DistributedBiconnectivity, HybridComponents, HybridMis,
@@ -555,8 +557,9 @@ fn e12_baselines(sizes: &[usize]) -> Vec<Row> {
     // at these sizes, so every other cell reads -1.
     for n in [1usize << 14, 1 << 17, 1 << 20] {
         let params = ExpanderParams::for_n(n);
-        let ours_schedule =
-            overlay_core::ExpanderNode::total_rounds(&params) + params.bfs_rounds + 1 + 1;
+        let ours_schedule = ExpanderNode::total_rounds(&params)
+            + BfsNode::total_rounds(params.bfs_rounds)
+            + BinarizeNode::total_rounds();
         let merge_rounds = if n <= 1 << 17 {
             SupernodeMerge::new(0xE12)
                 .run(&generators::line(n))

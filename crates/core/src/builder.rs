@@ -30,7 +30,7 @@
 //! `build` and `build_over` differ from `build_under_faults` only in mapping the
 //! report through one shared strict contract.
 
-use crate::pipeline::{Phase, PhaseId, PhaseMetrics, PhaseOverrides, TransportChoice};
+use crate::pipeline::{Phase, PhaseId, PhaseMetrics, PhaseOverrides};
 use crate::seam::{
     ExecutedPhase, ExpanderSummary, PhaseExecSpec, PhaseExecutor, SimDetail, SimExecutor, Summarize,
 };
@@ -395,9 +395,9 @@ impl OverlayBuilder {
     /// ([`crate::seam::SimExecutor::execute_block`], as the socket runners
     /// do) produces the same [`OverlayResult`] as [`OverlayBuilder::build`],
     /// except that off the simulator [`OverlayResult::messages`] carries only
-    /// the executor-counted [`MessageStats::total_delivered`] (everything else
-    /// is simulator bookkeeping no socket backend can observe — see
-    /// [`crate::seam::SimDetail`]).
+    /// the executor-counted [`MessageStats::total_delivered`]. The other
+    /// counters are the [`crate::seam::SimDetail`] each rank's round also
+    /// returns, for its own nodes only, and the socket runners drop it.
     ///
     /// # Errors
     ///
@@ -438,11 +438,7 @@ impl OverlayBuilder {
                 .budget(id)
                 .unwrap_or(self.round_budget)
                 .apply(clean_rounds),
-            transport: match self.phases.transport(id) {
-                None => self.transport,
-                Some(TransportChoice::Bare) => None,
-                Some(TransportChoice::Reliable(config)) => Some(config),
-            },
+            transport: self.phases.transport(id).or(self.transport),
         }
     }
 
@@ -1288,24 +1284,35 @@ mod tests {
     #[test]
     fn exec_spec_resolves_overrides_against_defaults() {
         let params = ExpanderParams::for_n(32).with_seed(40);
+        let reliable = TransportConfig::default().with_retransmit_after(7);
         let builder = OverlayBuilder::new(params)
             .with_round_budget(RoundBudget::percent(150))
-            .with_reliable_transport(TransportConfig::default())
             .with_phase_overrides(
                 PhaseOverrides::none()
                     .with_budget(PhaseId::Bfs, RoundBudget::percent(300))
-                    .with_transport(PhaseId::Binarize, TransportChoice::Bare),
+                    .with_transport(PhaseId::Binarize, reliable),
             );
         // Overridden phases use their own values...
         assert_eq!(builder.exec_spec(PhaseId::Bfs, 10).budget, 30);
-        assert_eq!(builder.exec_spec(PhaseId::Binarize, 10).transport, None);
+        assert_eq!(
+            builder.exec_spec(PhaseId::Binarize, 10).transport,
+            Some(reliable)
+        );
         // ...everything else inherits the builder-wide defaults.
         let construction = builder.exec_spec(PhaseId::CreateExpander, 10);
         assert_eq!(construction.budget, 15);
-        assert_eq!(construction.transport, Some(TransportConfig::default()));
+        assert_eq!(construction.transport, None);
+        assert_eq!(builder.exec_spec(PhaseId::Bfs, 10).transport, None);
+        // A builder-wide transport fills only the phases left unset.
+        let everywhere = TransportConfig::default();
+        let builder = builder.with_reliable_transport(everywhere);
+        assert_eq!(
+            builder.exec_spec(PhaseId::Binarize, 10).transport,
+            Some(reliable)
+        );
         assert_eq!(
             builder.exec_spec(PhaseId::Bfs, 10).transport,
-            Some(TransportConfig::default())
+            Some(everywhere)
         );
         // Each phase draws from its own offset of the builder's seed.
         assert_eq!(
@@ -1729,10 +1736,7 @@ mod tests {
         let scoped = OverlayBuilder::new(params)
             .with_phase_overrides(
                 PhaseOverrides::none()
-                    .with_transport(
-                        PhaseId::Binarize,
-                        TransportChoice::Reliable(TransportConfig::default()),
-                    )
+                    .with_transport(PhaseId::Binarize, TransportConfig::default())
                     .with_budget(PhaseId::Binarize, RoundBudget::STANDARD.with_slack(12)),
             )
             .build_under_faults(&g, &plan)

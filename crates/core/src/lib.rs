@@ -59,7 +59,7 @@ pub use expander::{ExpanderMsg, ExpanderNode};
 pub use maintenance::{EpochSample, MaintenanceConfig, MaintenanceRunner, ServeOutcome};
 pub use overlay_netsim::{ParallelismConfig, TransportConfig};
 pub use params::{ExpanderParams, RoundBudget};
-pub use pipeline::{Phase, PhaseId, PhaseMetrics, PhaseOverrides, TransportChoice};
+pub use pipeline::{Phase, PhaseId, PhaseMetrics, PhaseOverrides};
 pub use seam::{
     BfsSummary, BinarizeSummary, DetailedPhase, ExecutedPhase, ExpanderSummary, PhaseExecSpec,
     PhaseExecutor, SimDetail, SimExecutor, Summarize,

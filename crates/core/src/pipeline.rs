@@ -5,8 +5,8 @@
 //! binarization makes the tree well-formed. This module makes each stage a *value* —
 //! a [`Phase`] bundling its protocol nodes, its schedule-derived clean round count
 //! and the fault plan it runs against — plus the vocabulary the builder's single
-//! pipeline driver resolves per phase: [`PhaseId`], [`PhaseOverrides`] /
-//! [`TransportChoice`] and the [`PhaseMetrics`] rollup.
+//! pipeline driver resolves per phase: [`PhaseId`], [`PhaseOverrides`] and the
+//! [`PhaseMetrics`] rollup.
 //!
 //! Phases are executed by a [`crate::seam::PhaseExecutor`] — never directly. Because
 //! budgets and transports resolve *per phase* — via [`PhaseOverrides`] — a caller can,
@@ -178,16 +178,6 @@ impl Phase<BinarizeNode> {
     }
 }
 
-/// A per-phase transport decision: run the phase's protocol bare, or behind the
-/// reliable-delivery layer with the given configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TransportChoice {
-    /// The paper's setting: one-shot sends, no acknowledgments.
-    Bare,
-    /// The `overlay-transport` reliable-delivery layer with this configuration.
-    Reliable(TransportConfig),
-}
-
 /// Per-phase overrides of the builder-wide round budget and transport.
 ///
 /// Unset entries inherit the builder's globals, so an empty override set (the
@@ -196,10 +186,14 @@ pub enum TransportChoice {
 /// it — e.g. reliable transport for the one-round binarize phase, whose single
 /// lost message is unrecoverable, while the `O(log n)`-round construction phase
 /// keeps the cheap bare sends.
+///
+/// Only the construction phases ([`PhaseId::ALL`]) take overrides: every
+/// method that names a phase panics on [`PhaseId::Traffic`], which the
+/// construction pipeline never runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct PhaseOverrides {
-    budgets: [Option<RoundBudget>; 4],
-    transports: [Option<TransportChoice>; 4],
+    budgets: [Option<RoundBudget>; PhaseId::ALL.len()],
+    transports: [Option<TransportConfig>; PhaseId::ALL.len()],
 }
 
 impl PhaseOverrides {
@@ -210,30 +204,40 @@ impl PhaseOverrides {
 
     /// Returns the overrides with `id`'s round budget pinned to `budget`.
     pub fn with_budget(mut self, id: PhaseId, budget: RoundBudget) -> Self {
-        self.budgets[id.index()] = Some(budget);
+        self.budgets[slot(id)] = Some(budget);
         self
     }
 
-    /// Returns the overrides with `id`'s transport pinned to `choice`.
-    pub fn with_transport(mut self, id: PhaseId, choice: TransportChoice) -> Self {
-        self.transports[id.index()] = Some(choice);
+    /// Returns the overrides with `id` running behind the reliable-delivery
+    /// layer configured by `config`.
+    pub fn with_transport(mut self, id: PhaseId, config: TransportConfig) -> Self {
+        self.transports[slot(id)] = Some(config);
         self
     }
 
     /// The budget override for `id`, if one is set.
     pub fn budget(&self, id: PhaseId) -> Option<RoundBudget> {
-        self.budgets[id.index()]
+        self.budgets[slot(id)]
     }
 
     /// The transport override for `id`, if one is set.
-    pub fn transport(&self, id: PhaseId) -> Option<TransportChoice> {
-        self.transports[id.index()]
+    pub fn transport(&self, id: PhaseId) -> Option<TransportConfig> {
+        self.transports[slot(id)]
     }
 
     /// `true` when no phase overrides anything (pure builder-global behavior).
     pub fn is_empty(&self) -> bool {
         self.budgets.iter().all(Option::is_none) && self.transports.iter().all(Option::is_none)
     }
+}
+
+/// The override slot of construction phase `id`.
+fn slot(id: PhaseId) -> usize {
+    assert!(
+        id != PhaseId::Traffic,
+        "the construction pipeline never runs the traffic phase, so it takes no override"
+    );
+    id.index()
 }
 
 /// Metric rollup for one *simulated* phase, answering "which stage ate the
@@ -295,20 +299,22 @@ mod tests {
     fn overrides_are_per_phase() {
         let o = PhaseOverrides::none()
             .with_budget(PhaseId::Binarize, RoundBudget::percent(200))
-            .with_transport(
-                PhaseId::Binarize,
-                TransportChoice::Reliable(TransportConfig::default()),
-            )
-            .with_transport(PhaseId::Bfs, TransportChoice::Bare);
+            .with_transport(PhaseId::Binarize, TransportConfig::default());
         assert!(!o.is_empty());
         assert_eq!(o.budget(PhaseId::Binarize), Some(RoundBudget::percent(200)));
         assert_eq!(o.budget(PhaseId::CreateExpander), None);
-        assert_eq!(o.transport(PhaseId::Bfs), Some(TransportChoice::Bare));
         assert_eq!(
             o.transport(PhaseId::Binarize),
-            Some(TransportChoice::Reliable(TransportConfig::default()))
+            Some(TransportConfig::default())
         );
+        assert_eq!(o.transport(PhaseId::Bfs), None);
         assert_eq!(o.transport(PhaseId::CreateExpander), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "never runs the traffic phase")]
+    fn a_traffic_override_is_refused() {
+        let _ = PhaseOverrides::none().with_budget(PhaseId::Traffic, RoundBudget::percent(200));
     }
 
     #[test]

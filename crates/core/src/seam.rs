@@ -53,10 +53,11 @@ use std::time::{Duration, Instant};
 /// A protocol whose per-node end state can be digested into a small,
 /// wire-encodable summary sufficient for the pipeline's phase hand-offs.
 ///
-/// [`SimExecutor`], done with the finished nodes, hands each one over with
-/// [`Summarize::into_summary`]; a socket rank, which only encodes each digest
-/// for the wire, digests by reference with [`Summarize::summarize`]. The two
-/// must be equal. A node whose summary carries ledgers (a router's
+/// [`SimExecutor::execute_block`], done with the finished nodes, hands each one
+/// over with [`Summarize::into_summary`]. That is the round every executor
+/// runs, so a socket rank digests its nodes the same way before it encodes the
+/// digests for the wire. [`Summarize::summarize`] digests by reference, and the
+/// two must be equal. A node whose summary carries ledgers (a router's
 /// deliveries, a construction node's slot list) overrides `into_summary` to
 /// move its `Vec`s instead of copying them; the provided body copies.
 pub trait Summarize: Protocol
@@ -262,8 +263,9 @@ pub struct ExecutedPhase<S> {
 
 /// What only the lockstep simulator can tell about a phase it executed: the
 /// per-round, per-node books behind [`crate::MessageStats`] and
-/// [`crate::PhaseMetrics`]. Socket executors observe none of it and answer
-/// [`PhaseExecutor::execute_detailed`] with `None`.
+/// [`crate::PhaseMetrics`]. A socket rank gets one from
+/// [`SimExecutor::execute_block`] too, covering only the nodes it owns; its
+/// runner drops it and answers [`PhaseExecutor::execute_detailed`] with `None`.
 #[derive(Clone, Debug)]
 pub struct SimDetail {
     /// The simulator's full metrics for the phase.

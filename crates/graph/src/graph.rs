@@ -18,8 +18,6 @@ use std::collections::BTreeSet;
 /// g.add_edge(0.into(), 1.into());
 /// g.add_edge(1.into(), 2.into());
 /// assert_eq!(g.out_degree(1.into()), 1);
-/// assert!(g.has_edge(0.into(), 1.into()));
-/// assert!(!g.has_edge(1.into(), 0.into()));
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DiGraph {
@@ -57,11 +55,6 @@ impl DiGraph {
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) {
         assert!(v.index() < self.out.len(), "target node out of range");
         self.out[u.index()].push(v);
-    }
-
-    /// Returns `true` if at least one edge `(u, v)` exists.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.out[u.index()].contains(&v)
     }
 
     /// Out-neighbors of `u` (with multiplicity).

@@ -1,24 +1,6 @@
-//! Sequential maximal independent sets and their validity checker.
+//! The validity checker for maximal independent sets.
 
 use crate::{NodeId, UGraph};
-
-/// Computes a maximal independent set greedily in identifier order.
-pub fn greedy_mis(g: &UGraph) -> Vec<NodeId> {
-    let n = g.node_count();
-    let mut blocked = vec![false; n];
-    let mut mis = Vec::new();
-    for v in 0..n {
-        if blocked[v] {
-            continue;
-        }
-        mis.push(NodeId::from(v));
-        for &w in g.neighbors(NodeId::from(v)) {
-            blocked[w.index()] = true;
-        }
-        blocked[v] = true;
-    }
-    mis
-}
 
 /// Checks whether `set` is a maximal independent set of `g`:
 /// 1. no two members are adjacent (independence), and
@@ -62,28 +44,6 @@ pub fn is_maximal_independent_set(g: &UGraph, set: &[NodeId]) -> bool {
 mod tests {
     use super::*;
     use crate::generators;
-
-    #[test]
-    fn greedy_mis_is_valid_on_various_graphs() {
-        for g in [
-            generators::line(20),
-            generators::cycle(21),
-            generators::star(30),
-            generators::grid(5, 6),
-            generators::connected_random(64, 0.1, 5),
-        ] {
-            let u = g.to_undirected();
-            let mis = greedy_mis(&u);
-            assert!(is_maximal_independent_set(&u, &mis));
-        }
-    }
-
-    #[test]
-    fn greedy_mis_on_star_picks_center() {
-        let u = generators::star(10).to_undirected();
-        let mis = greedy_mis(&u);
-        assert_eq!(mis, vec![NodeId::from(0usize)]);
-    }
 
     #[test]
     fn checker_rejects_non_independent_sets() {

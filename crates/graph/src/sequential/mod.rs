@@ -1,9 +1,8 @@
 //! Centralized reference algorithms.
 //!
-//! Every distributed algorithm in the workspace is validated against one of these
-//! sequential implementations: union-find connected components, Tarjan's biconnectivity
-//! (articulation points, bridges, biconnected components), spanning trees, and maximal
-//! independent sets.
+//! The distributed algorithms in the workspace are validated against these: union-find
+//! connected components, Tarjan's biconnectivity (articulation points, bridges,
+//! biconnected components), BFS spanning trees, and a maximal-independent-set checker.
 
 mod biconnectivity;
 mod mis;
@@ -11,6 +10,6 @@ mod spanning_tree;
 mod union_find;
 
 pub use biconnectivity::{biconnected_components, BiconnectivityInfo};
-pub use mis::{greedy_mis, is_maximal_independent_set};
-pub use spanning_tree::{bfs_tree, kruskal_spanning_forest};
+pub use mis::is_maximal_independent_set;
+pub use spanning_tree::bfs_tree;
 pub use union_find::UnionFind;

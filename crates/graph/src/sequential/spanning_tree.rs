@@ -1,21 +1,7 @@
-//! Sequential spanning trees / forests.
+//! Sequential BFS spanning trees.
 
-use super::UnionFind;
 use crate::{NodeId, UGraph};
 use std::collections::VecDeque;
-
-/// Computes a spanning forest by Kruskal-style edge scanning (no weights: the first
-/// edge that connects two components wins). Returns the forest edges.
-pub fn kruskal_spanning_forest(g: &UGraph) -> Vec<(NodeId, NodeId)> {
-    let mut uf = UnionFind::new(g.node_count());
-    let mut forest = Vec::new();
-    for (u, v) in g.edges() {
-        if u != v && uf.union(u.index(), v.index()) {
-            forest.push((u, v));
-        }
-    }
-    forest
-}
 
 /// Computes a BFS tree rooted at `root`, returned as a parent vector (the root points to
 /// itself; unreachable nodes also point to themselves and are reported separately).
@@ -46,21 +32,6 @@ pub fn bfs_tree(g: &UGraph, root: NodeId) -> (Vec<NodeId>, Vec<NodeId>) {
 mod tests {
     use super::*;
     use crate::{analysis, generators};
-
-    #[test]
-    fn kruskal_on_connected_graph_has_n_minus_1_edges() {
-        let g = generators::grid(4, 4).to_undirected();
-        let forest = kruskal_spanning_forest(&g);
-        assert_eq!(forest.len(), 15);
-    }
-
-    #[test]
-    fn kruskal_on_forest_counts_components() {
-        let g = generators::disjoint_union(&[generators::line(5), generators::cycle(4)])
-            .to_undirected();
-        let forest = kruskal_spanning_forest(&g);
-        assert_eq!(forest.len(), 9 - 2);
-    }
 
     #[test]
     fn bfs_tree_is_spanning_tree() {

@@ -46,14 +46,6 @@ pub struct BiconnectivityResult {
     pub rounds: usize,
 }
 
-impl BiconnectivityResult {
-    /// The component index of an edge, if the edge exists.
-    pub fn component_of_edge(&self, u: NodeId, v: NodeId) -> Option<usize> {
-        let key = norm(u, v);
-        self.components.iter().position(|c| c.contains(&key))
-    }
-}
-
 /// Computes biconnected components, cut vertices and bridges of a weakly connected
 /// graph in the hybrid model (Theorem 1.4).
 #[derive(Clone, Copy, Debug)]

@@ -20,7 +20,7 @@
 
 use crate::components::component_params;
 use crate::sparsify::{sparsify, SparsifyResult};
-use overlay_core::{benign, EvolutionEngine, ExpanderParams, OverlayError};
+use overlay_core::{benign, EvolutionEngine, ExpanderNode, ExpanderParams, OverlayError};
 use overlay_graph::{analysis, sequential, DiGraph, NodeId, UGraph};
 use overlay_netsim::caps::log2_ceil;
 use std::collections::HashMap;
@@ -218,9 +218,8 @@ impl HybridSpanningTree {
         debug_assert!(unreachable.is_empty());
 
         let log_n = log2_ceil(n).max(1);
-        let construction_rounds = params.evolutions * (params.walk_len + 1) + 1;
         let rounds = sparsified.rounds
-            + construction_rounds
+            + ExpanderNode::total_rounds(&params)
             + params.bfs_rounds
             + params.evolutions // one round per unwinding level
             + 2 * log_n; // loop erasure via pointer jumping / prefix sums

@@ -178,12 +178,6 @@ impl ChurnSchedule {
             crashes,
         }
     }
-
-    /// Total events implied by `rate` over the first `rounds` rounds — the
-    /// accumulator's closed form, handy for sizing expectations in tests.
-    pub fn total_for(rate: f64, rounds: usize) -> usize {
-        (rate * rounds as f64).floor() as usize
-    }
 }
 
 #[cfg(test)]
@@ -200,7 +194,6 @@ mod tests {
             burst: None,
         };
         let total: usize = (0..100).map(|r| s.sample(r, 50).joins).sum();
-        assert_eq!(total, ChurnSchedule::total_for(0.3, 100));
         assert_eq!(total, 30);
     }
 

@@ -1,7 +1,7 @@
 //! Deterministic fault injection: message loss, delivery delays, crashes, delayed
 //! joins, and network partitions.
 //!
-//! A [`FaultPlan`] declares *what* goes wrong and *when*; the [`FaultRouter`] sits
+//! A [`FaultPlan`] declares *what* goes wrong and *when*; the `FaultRouter` sits
 //! between the send side of [`crate::Ctx`] and inbox delivery inside the
 //! [`crate::Simulator`] and executes the plan. Every decision — which message is
 //! lost, how long a delay lasts — is drawn from an RNG seeded from the simulation
@@ -107,7 +107,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// `true` if the plan injects nothing. The router is exact either way; for a
-    /// clean plan it answers [`Route::Deliver`] without looking anything up.
+    /// clean plan it answers `Route::Deliver` without looking anything up.
     pub fn is_clean(&self) -> bool {
         self.is_scheduled()
             && self.crashes.is_empty()
@@ -332,7 +332,7 @@ impl FaultPlan {
 
 /// The router's verdict for one message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Route {
+pub(crate) enum Route {
     /// Deliver next round, as normal.
     Deliver,
     /// Deliver at the returned (absolute) round instead.
@@ -351,7 +351,7 @@ pub enum Route {
 /// lifecycle counts it records are the block's own (see
 /// [`FaultRouter::record_lifecycle`]).
 #[derive(Clone, Debug)]
-pub struct FaultRouter<M> {
+pub(crate) struct FaultRouter<M> {
     /// Per node: the round it crashes at, if any.
     crash_round: Vec<Option<usize>>,
     /// Per node: the round it becomes active (0 = present from the start).
@@ -384,7 +384,7 @@ impl<M> FaultRouter<M> {
     /// # Panics
     ///
     /// Panics if the plan fails [`FaultPlan::validate`].
-    pub fn new(plan: &FaultPlan, n: usize, block: Range<usize>, seed: u64) -> Self {
+    pub(crate) fn new(plan: &FaultPlan, n: usize, block: Range<usize>, seed: u64) -> Self {
         plan.validate(n).expect("invalid fault plan");
         let mut crash_round = vec![None; n];
         for c in &plan.crashes {
@@ -430,34 +430,34 @@ impl<M> FaultRouter<M> {
     }
 
     /// `true` if `node` executes callbacks in `round` (joined and not yet crashed).
-    pub fn is_active(&self, node: usize, round: usize) -> bool {
+    pub(crate) fn is_active(&self, node: usize, round: usize) -> bool {
         self.join_round[node] <= round && self.crash_round[node].is_none_or(|c| round < c)
     }
 
     /// `true` if `node` joins exactly at `round` (its `on_start` must run now).
-    pub fn joins_at(&self, node: usize, round: usize) -> bool {
+    pub(crate) fn joins_at(&self, node: usize, round: usize) -> bool {
         self.join_round[node] == round && round > 0
     }
 
     /// `true` if `node` is crashed at `round`.
-    pub fn is_crashed(&self, node: usize, round: usize) -> bool {
+    pub(crate) fn is_crashed(&self, node: usize, round: usize) -> bool {
         self.crash_round[node].is_some_and(|c| round >= c)
     }
 
     /// The round `node` becomes active.
-    pub fn join_round(&self, node: usize) -> usize {
+    pub(crate) fn join_round(&self, node: usize) -> usize {
         self.join_round[node]
     }
 
     /// Number of the block's nodes that crash at exactly `round` (for metrics).
-    pub fn crashes_at(&self, round: usize) -> usize {
+    pub(crate) fn crashes_at(&self, round: usize) -> usize {
         self.crashes_per_round.get(&round).copied().unwrap_or(0)
     }
 
     /// Number of the block's nodes that join at exactly `round` (for metrics; 0
     /// for round 0, where nobody joins: the nodes present from the start just
     /// start).
-    pub fn join_count_at(&self, round: usize) -> usize {
+    pub(crate) fn join_count_at(&self, round: usize) -> usize {
         self.joins_per_round.get(&round).copied().unwrap_or(0)
     }
 
@@ -470,7 +470,7 @@ impl<M> FaultRouter<M> {
     /// Decides the fate of a message sent by `from` to `to` in `send_round` (normal
     /// delivery would be at `send_round + 1`).
     #[inline]
-    pub fn route(&mut self, from: NodeId, to: NodeId, send_round: usize) -> Route {
+    pub(crate) fn route(&mut self, from: NodeId, to: NodeId, send_round: usize) -> Route {
         if self.clean {
             return Route::Deliver;
         }
@@ -506,7 +506,7 @@ impl<M> FaultRouter<M> {
     }
 
     /// Buffers a delayed message for its delivery round.
-    pub fn buffer(&mut self, deliver_round: usize, to: NodeId, env: Envelope<M>) {
+    pub(crate) fn buffer(&mut self, deliver_round: usize, to: NodeId, env: Envelope<M>) {
         self.in_flight
             .entry(deliver_round)
             .or_insert_with(|| self.spare.pop().unwrap_or_default())
@@ -516,7 +516,7 @@ impl<M> FaultRouter<M> {
     /// Hands every message scheduled for delivery at `round` to `deliver` and
     /// recycles the emptied buffer, so rounds with active delay faults perform no
     /// per-round allocation once the pool is warm.
-    pub fn drain_due(&mut self, round: usize, mut deliver: impl FnMut(NodeId, Envelope<M>)) {
+    pub(crate) fn drain_due(&mut self, round: usize, mut deliver: impl FnMut(NodeId, Envelope<M>)) {
         if let Some(mut due) = self.in_flight.remove(&round) {
             for (to, env) in due.drain(..) {
                 deliver(to, env);
@@ -526,14 +526,15 @@ impl<M> FaultRouter<M> {
     }
 
     /// `true` if some delayed message is still in flight.
-    pub fn has_in_flight(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_in_flight(&self) -> bool {
         !self.in_flight.is_empty()
     }
 
     /// Records this round's lifecycle events among the block's nodes into
     /// `metrics`: two lookups in the per-round counts, however many nodes there
     /// are.
-    pub fn record_lifecycle(&self, round: usize, metrics: &mut RoundMetrics) {
+    pub(crate) fn record_lifecycle(&self, round: usize, metrics: &mut RoundMetrics) {
         metrics.crashed = self.crashes_at(round);
         metrics.joined = self.join_count_at(round);
     }

@@ -22,7 +22,7 @@
 //! Beyond the clean synchronous model, the simulator can inject deterministic
 //! environmental faults — random message loss, delivery delays, crash-stop failures,
 //! delayed node joins, and temporary partitions — declared as a [`FaultPlan`] in
-//! [`SimConfig::faults`] and executed by the [`FaultRouter`] (see [`faults`]). Fault
+//! [`SimConfig::faults`] and executed by the simulator's fault router (see [`faults`]). Fault
 //! decisions are drawn from the simulation seed, so faulty runs replay exactly, and
 //! every interference is recorded in [`RoundMetrics`].
 //!
@@ -76,12 +76,12 @@ pub mod wire;
 
 pub use caps::CapacityModel;
 pub use churn::{ChurnSchedule, CrashBurst, RoundChurn};
-pub use faults::{CrashEvent, DelayModel, FaultPlan, FaultRouter, JoinEvent, Partition};
+pub use faults::{CrashEvent, DelayModel, FaultPlan, JoinEvent, Partition};
 pub use metrics::{MetricsMode, RoundMetrics, RunMetrics, TransportCounters};
 pub use protocol::{Channel, Ctx, Envelope, Protocol};
 pub use runtime::{
     node_rng, Crossing, Medium, ParallelismConfig, RunOutcome, SimConfig, Simulator, WholeRun,
 };
-pub use trace::{DropCause, SharedTraceSink, TraceBuffer, TraceEvent, TraceSink};
+pub use trace::{DropCause, SharedTraceSink, TraceBuffer, TraceEvent};
 pub use transport::TransportConfig;
 pub use wire::{Wire, WireError};

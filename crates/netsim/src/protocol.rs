@@ -51,7 +51,7 @@ pub trait Protocol: Send {
     /// Called once per round with all messages delivered at the beginning of the round.
     ///
     /// The inbox is a slice into the simulator's per-round envelope arena (see
-    /// [`crate::runtime::EnvelopeArena`]); it is only valid for the duration of the
+    /// [`crate::Simulator`], *Hot-path layout*); it is only valid for the duration of the
     /// callback, so implementations copy out what they keep. Messages are
     /// `O(log n)`-bit values, so copying a payload costs the same as moving it.
     fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Message>, inbox: &[Envelope<Self::Message>]);

@@ -226,7 +226,7 @@ const NOT_ROUTED: NodeId = NodeId::new(u32::MAX);
 /// valid prefix — and the evicted tail of a capped inbox — are stale values awaiting
 /// overwrite, outside every range `EnvelopeArena::inbox` hands out and never observed.
 #[derive(Debug)]
-pub struct EnvelopeArena<M> {
+pub(crate) struct EnvelopeArena<M> {
     /// Per entry of the outbox being dispatched: `(recipient, sender)`, or
     /// [`NOT_ROUTED`] in the recipient half; emptied by [`Self::group`].
     routes: Vec<(NodeId, NodeId)>,
@@ -542,7 +542,7 @@ fn eviction_rng(seed: u64, round: usize, recipient: usize) -> StdRng {
 /// node.
 ///
 /// Environmental faults (message loss, delays, crashes, joins, partitions) are
-/// injected by the [`FaultRouter`] the simulator builds from
+/// injected by the fault router the simulator builds from
 /// [`SimConfig::faults`]; a clean plan reproduces the fault-free behavior exactly.
 ///
 /// # Blocks
@@ -552,7 +552,7 @@ fn eviction_rng(seed: u64, round: usize, recipient: usize) -> StdRng {
 /// every node). Every round ends at a [`Medium`] barrier: dispatch hands the
 /// messages it admitted for nodes outside the block to the medium, with their
 /// senders' send ordinals, and files what the medium brought from the other blocks
-/// into the next round's inboxes (see [`EnvelopeArena`] for where). Node ids, the
+/// into the next round's inboxes (the envelope arena says where). Node ids, the
 /// seeding rule, the caps, the stop rule and the fault plan's liveness are the whole
 /// run's, and every decision about a node is a function of the run's seed, the round
 /// and the node, taken by the block that owns it: a node's callbacks draw from its
@@ -568,7 +568,7 @@ fn eviction_rng(seed: u64, round: usize, recipient: usize) -> StdRng {
 /// A message is written twice between the `send_*` that queues it and the
 /// `on_round` that consumes it, each time into a flat buffer that is reused — not
 /// reallocated — round after round: into the shared outbox every node appends to
-/// behind its own base offset, and into the [`EnvelopeArena`]'s inbox buffer by one
+/// behind its own base offset, and into the envelope arena's inbox buffer by one
 /// stable scatter at the start of the next round that drains the outbox. In between,
 /// dispatch reads it in place (send caps, then the fault router) and records its
 /// recipient and sender; only a delayed message is copied besides, into the fault

@@ -1,6 +1,6 @@
 //! Structured event tracing for simulation runs.
 //!
-//! A [`TraceSink`] installed on a [`crate::Simulator`] (via
+//! A [`TraceBuffer`] installed on a [`crate::Simulator`] (via
 //! [`crate::Simulator::set_trace_sink`]) receives one [`TraceEvent`] per
 //! observable incident of a run: round boundaries, every dropped message with
 //! its cause and src/dst edge, crash and join lifecycle events, and the
@@ -20,7 +20,7 @@
 //!   metrics, same node states, same report) to an untraced run of the same
 //!   seed. Tests in `runtime.rs` and the scenario crate pin this down.
 //!
-//! Sinks are shared as [`SharedTraceSink`] (`Rc<RefCell<dyn TraceSink>>`) so
+//! Buffers are shared as [`SharedTraceSink`] (`Rc<RefCell<TraceBuffer>>`) so
 //! one buffer can observe several consecutive simulations — e.g. the three
 //! phases of the overlay pipeline — without ownership gymnastics.
 
@@ -219,20 +219,11 @@ pub enum TraceEvent {
     },
 }
 
-/// A consumer of [`TraceEvent`]s.
-///
-/// `Debug` is a supertrait so sinks can live inside the (`Debug`-derived)
-/// simulator. Implementations should be cheap: they run inline with the
-/// simulation whenever installed.
-pub trait TraceSink: std::fmt::Debug {
-    /// Receives one event, in emission order.
-    fn record(&mut self, event: TraceEvent);
-}
+/// A trace buffer handle shareable between a harness and the simulators it
+/// drives.
+pub type SharedTraceSink = Rc<RefCell<TraceBuffer>>;
 
-/// A sink handle shareable between a harness and the simulators it drives.
-pub type SharedTraceSink = Rc<RefCell<dyn TraceSink>>;
-
-/// The simplest useful sink: an in-memory event log.
+/// The trace sink: an in-memory event log.
 #[derive(Clone, Debug, Default)]
 pub struct TraceBuffer {
     /// Every recorded event, in emission order.
@@ -246,15 +237,14 @@ impl TraceBuffer {
     }
 
     /// An empty buffer behind a shared handle: clone one side into
-    /// [`crate::Simulator::set_trace_sink`] (it coerces to [`SharedTraceSink`])
-    /// and keep the other to read the events back after the run.
-    pub fn shared() -> Rc<RefCell<TraceBuffer>> {
+    /// [`crate::Simulator::set_trace_sink`] and keep the other to read the
+    /// events back after the run.
+    pub fn shared() -> SharedTraceSink {
         Rc::new(RefCell::new(TraceBuffer::new()))
     }
-}
 
-impl TraceSink for TraceBuffer {
-    fn record(&mut self, event: TraceEvent) {
+    /// Appends one event, in emission order.
+    pub fn record(&mut self, event: TraceEvent) {
         self.events.push(event);
     }
 }
@@ -266,7 +256,7 @@ mod tests {
     #[test]
     fn buffer_records_in_order() {
         let buf = TraceBuffer::shared();
-        let sink: SharedTraceSink = buf.clone();
+        let sink = buf.clone();
         sink.borrow_mut()
             .record(TraceEvent::RoundStart { round: 0 });
         sink.borrow_mut().record(TraceEvent::Crash {

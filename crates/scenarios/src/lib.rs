@@ -13,7 +13,7 @@
 //!
 //! # The registry
 //!
-//! [`registry`] returns the built-in scenario matrix as a first-class
+//! [`registry()`] returns the built-in scenario matrix as a first-class
 //! [`Registry`]: validated at construction (unique kebab-case names, every
 //! [`Scenario::baseline`] pairing resolves, every derived twin differs from its
 //! baseline only along its declared [`VariantAxis`]), with indexed
@@ -85,7 +85,7 @@ pub use compare::{
 pub use forensics::{post_mortem, MissingCause, MissingNode, PostMortem};
 pub use json::Json;
 pub use overlay_core::{
-    MessageStats, PhaseId, PhaseMetrics, PhaseOverrides, RoundBudget, ServeOutcome, TransportChoice,
+    MessageStats, PhaseId, PhaseMetrics, PhaseOverrides, RoundBudget, ServeOutcome,
 };
 pub use overlay_netsim::{ChurnSchedule, CrashBurst};
 pub use overlay_netsim::{ParallelismConfig, TraceEvent, TransportConfig};

@@ -10,7 +10,7 @@
 //! a matrix cell is one derivation line, not a copy-pasted struct.
 
 use crate::scenario::{FaultSpec, GraphFamily, Scenario, ServeSpec, TrafficSpec, VariantAxis};
-use overlay_core::{PhaseId, PhaseOverrides, RoundBudget, TransportChoice};
+use overlay_core::{PhaseId, PhaseOverrides, RoundBudget};
 use overlay_netsim::{CrashBurst, TransportConfig};
 use overlay_traffic::{RoutingPolicy, Workload};
 use std::collections::HashMap;
@@ -575,10 +575,7 @@ pub fn registry() -> &'static Registry {
                 .with_phases(
                     PhaseOverrides::none()
                         .with_budget(PhaseId::Binarize, RoundBudget::STANDARD.with_slack(12))
-                        .with_transport(
-                            PhaseId::Binarize,
-                            TransportChoice::Reliable(TransportConfig::default()),
-                        ),
+                        .with_transport(PhaseId::Binarize, TransportConfig::default()),
                 )
                 .with_tag("matrix"),
         );

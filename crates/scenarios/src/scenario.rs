@@ -3,7 +3,7 @@
 use overlay_core::{
     BuildReport, ExecutedPhase, ExpanderNode, ExpanderParams, MaintenanceConfig, MaintenanceRunner,
     MessageStats, OverlayBuilder, OverlayResult, Phase, PhaseExecSpec, PhaseExecutor, PhaseId,
-    PhaseOverrides, RoundBudget, ServeOutcome, SimExecutor, TransportChoice,
+    PhaseOverrides, RoundBudget, ServeOutcome, SimExecutor,
 };
 use overlay_graph::{generators, DiGraph, NodeId, UGraph};
 use overlay_netsim::{
@@ -330,23 +330,19 @@ fn fraction_round(schedule: usize, fraction: f64) -> usize {
 }
 
 /// The deterministic name suffix of a phase-override twin: per overridden phase
-/// (in pipeline order), the phase name plus what moved — the transport kind when
-/// a transport override is present, `budget` when only the budget is pinned.
+/// (in pipeline order), the phase name plus what moved — `reliable` when a
+/// transport override is present, `budget` when only the budget is pinned.
 fn phase_suffix(overrides: &PhaseOverrides) -> String {
     let mut suffix = String::new();
     for id in PhaseId::ALL {
         let budget = overrides.budget(id).is_some();
-        let transport = overrides.transport(id);
-        if !budget && transport.is_none() {
+        let reliable = overrides.transport(id).is_some();
+        if !budget && !reliable {
             continue;
         }
         suffix.push('-');
         suffix.push_str(id.name());
-        match transport {
-            Some(TransportChoice::Reliable(_)) => suffix.push_str("-reliable"),
-            Some(TransportChoice::Bare) => suffix.push_str("-bare"),
-            None => suffix.push_str("-budget"),
-        }
+        suffix.push_str(if reliable { "-reliable" } else { "-budget" });
     }
     suffix
 }
@@ -883,16 +879,12 @@ impl Scenario {
     }
 
     /// `true` when any part of the run uses the reliable transport — the
-    /// scenario-wide layer or a phase-scoped [`TransportChoice::Reliable`]
-    /// override.
+    /// scenario-wide layer or a phase-scoped transport override.
     pub fn uses_reliable_transport(&self) -> bool {
         self.transport.is_some()
-            || PhaseId::ALL.iter().any(|&id| {
-                matches!(
-                    self.phases.transport(id),
-                    Some(TransportChoice::Reliable(_))
-                )
-            })
+            || PhaseId::ALL
+                .iter()
+                .any(|&id| self.phases.transport(id).is_some())
     }
 
     /// The scenario's discoverable tag set: the explicit [`tags`](Scenario::tags)
@@ -1441,10 +1433,7 @@ mod tests {
         let twin = base.with_phases(
             PhaseOverrides::none()
                 .with_budget(PhaseId::Binarize, RoundBudget::STANDARD.with_slack(12))
-                .with_transport(
-                    PhaseId::Binarize,
-                    TransportChoice::Reliable(TransportConfig::default()),
-                ),
+                .with_transport(PhaseId::Binarize, TransportConfig::default()),
         );
         assert_eq!(twin.name, "lossy-x-binarize-reliable");
         assert_eq!(twin.axis, Some(VariantAxis::Phases));

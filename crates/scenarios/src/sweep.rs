@@ -3,7 +3,7 @@
 
 use crate::json::Json;
 use crate::scenario::{RunRecord, Scenario, ServeRecord, ServeSpec, TrafficRecord, TrafficSpec};
-use overlay_core::{MessageStats, PhaseId, PhaseOverrides, ServeOutcome, TransportChoice};
+use overlay_core::{MessageStats, PhaseId, PhaseOverrides, ServeOutcome};
 use overlay_traffic::TrafficReport;
 use rayon::prelude::*;
 use std::collections::HashSet;
@@ -223,12 +223,8 @@ fn phase_overrides_json(overrides: &PhaseOverrides) -> Json {
             fields.push(("round_budget_percent", int(budget.as_percent())));
             fields.push(("round_budget_slack", int(budget.slack())));
         }
-        match overrides.transport(id) {
-            None => {}
-            Some(TransportChoice::Bare) => fields.push(("transport", Json::Str("none".into()))),
-            Some(TransportChoice::Reliable(_)) => {
-                fields.push(("transport", Json::Str("reliable".into())))
-            }
+        if overrides.transport(id).is_some() {
+            fields.push(("transport", Json::Str("reliable".into())));
         }
         if !fields.is_empty() {
             phases.push((id.name(), Json::obj(fields)));
@@ -476,10 +472,7 @@ mod tests {
         let mut scoped = bare;
         scoped.phases = PhaseOverrides::none()
             .with_budget(PhaseId::Binarize, RoundBudget::STANDARD.with_slack(12))
-            .with_transport(
-                PhaseId::Binarize,
-                TransportChoice::Reliable(crate::TransportConfig::default()),
-            );
+            .with_transport(PhaseId::Binarize, crate::TransportConfig::default());
         let rendered = Sweep::over_seeds(scoped, 0, 2).run().to_json_string();
         assert!(rendered.contains("\"phase_overrides\""), "{rendered}");
         assert!(rendered.contains("\"binarize\""), "{rendered}");
