@@ -32,12 +32,6 @@ impl FloodingNode {
     pub fn best(&self) -> NodeId {
         self.best
     }
-
-    /// The round in which this node last improved its estimate (used by the harness to
-    /// measure convergence time).
-    pub fn converged(&self) -> bool {
-        self.done
-    }
 }
 
 impl Protocol for FloodingNode {

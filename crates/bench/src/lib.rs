@@ -10,11 +10,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use overlay_baselines::{flooding, run_luby_mis, run_pointer_jumping, SupernodeMerge};
-use overlay_core::bfs::BfsNode;
-use overlay_core::wellformed::BinarizeNode;
-use overlay_core::{benign, EvolutionEngine, ExpanderNode, ExpanderParams, OverlayBuilder};
-use overlay_graph::{analysis, cuts, generators, DiGraph};
+use overlay_baselines::{
+    rounds_until_all_know_minimum, run_luby_mis, run_pointer_jumping, SupernodeMerge,
+};
+use overlay_core::{
+    make_benign, BfsNode, BinarizeNode, EvolutionEngine, ExpanderNode, ExpanderParams,
+    OverlayBuilder,
+};
+use overlay_graph::{analysis, conductance_estimate, generators, DiGraph};
 use overlay_hybrid::{
     sparsify, ComponentsConfig, DistributedBiconnectivity, HybridComponents, HybridMis,
     HybridSpanningTree,
@@ -178,7 +181,7 @@ fn e2_conductance_growth(n: usize, walk_lens: &[usize]) -> Vec<Row> {
             (format!("two-cycles/{n}/l={walk}"), two_cycles.clone()),
         ] {
             let params = ExpanderParams::for_n(n).with_seed(0xE2).with_walk_len(walk);
-            let start = cuts::conductance_estimate(&benign::make_benign(&g, &params).unwrap(), 1);
+            let start = conductance_estimate(&make_benign(&g, &params).unwrap(), 1);
             let mut engine = EvolutionEngine::from_initial(&g, params).unwrap();
             let stats = engine.run(params.evolutions, false);
             // Mean growth factor over the evolutions before the plateau (phi < 0.05).
@@ -296,7 +299,7 @@ fn e5_quality(sizes: &[usize]) -> Vec<Row> {
                 .expect("pipeline succeeds");
             let simple = result.expander.simplify();
             let diam = analysis::diameter(&simple).unwrap_or(usize::MAX);
-            let phi = cuts::conductance_estimate(&result.expander, 0xE5);
+            let phi = conductance_estimate(&result.expander, 0xE5);
             rows.push(Row {
                 label,
                 values: vec![
@@ -536,7 +539,7 @@ fn e12_baselines(sizes: &[usize]) -> Vec<Row> {
         } else {
             (-1.0, -1.0)
         };
-        let flood = flooding::rounds_until_all_know_minimum(&g, 0xE12, 4 * n).unwrap_or(4 * n);
+        let flood = rounds_until_all_know_minimum(&g, 0xE12, 4 * n).unwrap_or(4 * n);
         rows.push(Row {
             label: format!("line/{n}"),
             values: vec![

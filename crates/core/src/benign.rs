@@ -7,7 +7,7 @@
 //! checks the invariant, which experiment E4 tracks across evolutions.
 
 use crate::{ExpanderParams, OverlayError};
-use overlay_graph::{cuts, DiGraph, UGraph};
+use overlay_graph::{DiGraph, UGraph};
 
 /// The result of checking the benign invariant on a graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,13 +22,6 @@ pub struct BenignReport {
     pub cut_ok: bool,
 }
 
-impl BenignReport {
-    /// Whether all checked properties hold.
-    pub fn is_benign(&self) -> bool {
-        self.regular && self.lazy && self.cut_ok
-    }
-}
-
 /// Checks the benign invariant of `g` for the given parameters.
 ///
 /// Computing the exact minimum cut is cubic in the number of nodes, so it is only done
@@ -39,7 +32,7 @@ pub fn check_benign(g: &UGraph, params: &ExpanderParams, check_cut: bool) -> Ben
     let regular = g.is_regular(delta);
     let lazy = g.nodes().all(|v| g.self_loops(v) >= delta / 2);
     let (min_cut, cut_ok) = if check_cut {
-        let c = cuts::min_cut(g);
+        let c = overlay_graph::min_cut(g);
         (Some(c), c >= params.lambda)
     } else {
         (None, true)
@@ -116,7 +109,6 @@ mod tests {
         assert!(report.regular, "graph must be delta-regular");
         assert!(report.lazy, "graph must be lazy");
         assert!(report.cut_ok, "cut must be at least lambda");
-        assert!(report.is_benign());
         assert_eq!(report.min_cut, Some(4));
     }
 
@@ -125,7 +117,7 @@ mod tests {
         let params = small_params();
         let benign = make_benign(&generators::cycle(32), &params).unwrap();
         let report = check_benign(&benign, &params, true);
-        assert!(report.is_benign());
+        assert!(report.regular && report.lazy && report.cut_ok);
         assert_eq!(report.min_cut, Some(8));
     }
 
@@ -162,7 +154,6 @@ mod tests {
         assert!(report.regular);
         assert!(report.lazy);
         assert!(!report.cut_ok);
-        assert!(!report.is_benign());
 
         // Not regular.
         let mut h = UGraph::new(2);

@@ -107,7 +107,8 @@ impl BfsNode {
     }
 
     /// The node's BFS depth.
-    pub fn depth(&self) -> u32 {
+    #[cfg(test)]
+    fn depth(&self) -> u32 {
         self.dist
     }
 

@@ -37,10 +37,10 @@ use crate::seam::{
 use crate::wellformed::WellFormedTree;
 use crate::{benign, ExpanderParams, OverlayError, RoundBudget};
 use overlay_graph::{analysis, DiGraph, NodeId, UGraph};
-use overlay_netsim::faults::{CrashEvent, FaultPlan, Partition};
-use overlay_netsim::trace::{SharedTraceSink, TraceEvent};
-use overlay_netsim::wire::Wire;
-use overlay_netsim::{ParallelismConfig, RoundMetrics, RunMetrics, TransportConfig};
+use overlay_netsim::{
+    CrashEvent, FaultPlan, ParallelismConfig, Partition, RoundMetrics, RunMetrics, SharedTraceSink,
+    TraceEvent, TransportConfig, Wire,
+};
 
 /// Round counts of the three phases of the pipeline.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -198,7 +198,7 @@ pub struct BuildReport {
     pub joined: usize,
     /// Per-phase metric rollups (rounds, drops by cause, transport overhead,
     /// wall-clock), one entry per *simulated* phase in pipeline order — stalled
-    /// phases included. See [`crate::pipeline::PhaseMetrics`].
+    /// phases included. See [`crate::PhaseMetrics`].
     pub phase_metrics: Vec<crate::pipeline::PhaseMetrics>,
 }
 
@@ -375,14 +375,14 @@ impl OverlayBuilder {
     }
 
     /// Runs the clean-path pipeline over a pluggable [`PhaseExecutor`]: the
-    /// lockstep simulator ([`crate::seam::SimExecutor`]), one in-process rank
+    /// lockstep simulator ([`crate::SimExecutor`]), one in-process rank
     /// owning every node, or TCP sockets across OS processes (the
     /// `overlay-net` crate).
     ///
     /// This is [`OverlayBuilder::build`] with the medium swapped and nothing
     /// else: the same driver validates the input, resolves each phase's
     /// seed/budget/transport and computes the hand-offs from per-node
-    /// [`crate::seam::Summarize`] digests (which is what lets a multi-process
+    /// [`crate::Summarize`] digests (which is what lets a multi-process
     /// executor participate: every process exchanges summaries at phase
     /// boundaries and re-derives the identical hand-off decisions locally),
     /// and the same strict contract maps its report to a result — the tree
@@ -392,11 +392,11 @@ impl OverlayBuilder {
     /// [`FaultPlan`]): socket backends experience *real* asynchrony and
     /// failures rather than injected ones. Per seed, an executor that runs
     /// the simulator's round on its nodes
-    /// ([`crate::seam::SimExecutor::execute_block`], as the socket runners
+    /// ([`crate::SimExecutor::execute_block`], as the socket runners
     /// do) produces the same [`OverlayResult`] as [`OverlayBuilder::build`],
     /// except that off the simulator [`OverlayResult::messages`] carries only
     /// the executor-counted [`MessageStats::total_delivered`]. The other
-    /// counters are the [`crate::seam::SimDetail`] each rank's round also
+    /// counters are the [`crate::SimDetail`] each rank's round also
     /// returns, for its own nodes only, and the socket runners drop it.
     ///
     /// # Errors

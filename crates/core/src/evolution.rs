@@ -1,14 +1,14 @@
 //! The graph-evolution engine: the same random experiment as the distributed protocol,
 //! executed directly on a graph.
 //!
-//! The distributed [`crate::expander::ExpanderNode`] protocol and this engine perform
+//! The distributed [`crate::ExpanderNode`] protocol and this engine perform
 //! exactly the same evolution step (Δ/8 tokens per node, ℓ uniformly random slot hops,
 //! up to 3Δ/8 acceptances, self-loop padding); the engine just skips the
 //! message-passing so that conductance and minimum-cut trajectories (experiments E2 and
 //! E4) can be measured on larger graphs and after every single evolution.
 
 use crate::{benign, ExpanderParams, OverlayError};
-use overlay_graph::{cuts, DiGraph, NodeId, UGraph};
+use overlay_graph::{conductance_estimate, DiGraph, NodeId, UGraph};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngCore, SeedableRng};
@@ -96,8 +96,8 @@ impl EvolutionEngine {
     pub fn evolve(&mut self, track_min_cut: bool) -> EvolutionStats {
         self.evolve_quiet();
 
-        let conductance = cuts::conductance_estimate(&self.graph, self.params.seed ^ 0xC0DE);
-        let min_cut = track_min_cut.then(|| cuts::min_cut(&self.graph));
+        let conductance = conductance_estimate(&self.graph, self.params.seed ^ 0xC0DE);
+        let min_cut = track_min_cut.then(|| overlay_graph::min_cut(&self.graph));
         let report = benign::check_benign(&self.graph, &self.params, false);
         EvolutionStats {
             evolution: self.evolutions_done - 1,
@@ -286,7 +286,7 @@ mod tests {
     fn conductance_grows_on_the_line() {
         let p = params(256, 2);
         let g = generators::line(256);
-        let start = cuts::conductance_estimate(&benign::make_benign(&g, &p).unwrap(), 7);
+        let start = conductance_estimate(&benign::make_benign(&g, &p).unwrap(), 7);
         let mut engine = EvolutionEngine::from_initial(&g, p).unwrap();
         let stats = engine.run(6, false);
         let end = stats.last().unwrap().conductance;

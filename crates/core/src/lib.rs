@@ -8,14 +8,14 @@
 //!
 //! The construction follows the paper:
 //!
-//! 1. [`benign::make_benign`] turns the initial graph into a *benign* graph
+//! 1. [`make_benign`] turns the initial graph into a *benign* graph
 //!    (Δ-regular, lazy, Λ-sized minimum cut) by copying edges and adding self-loops.
-//! 2. [`expander::ExpanderNode`] runs `L = O(log n)` *evolutions*: each node starts Δ/8
+//! 2. [`ExpanderNode`] runs `L = O(log n)` *evolutions*: each node starts Δ/8
 //!    random-walk tokens of constant length ℓ and rewires to the endpoints, which
 //!    multiplies the conductance by `Ω(√ℓ)` per evolution (Kwok–Lau) until the graph is
 //!    a constant-conductance expander of diameter `O(log n)`.
-//! 3. [`bfs::BfsNode`] floods the smallest identifier to build a BFS tree of the
-//!    expander, and [`wellformed::BinarizeNode`] reduces its degree to a constant.
+//! 3. [`BfsNode`] floods the smallest identifier to build a BFS tree of the
+//!    expander, and [`BinarizeNode`] reduces its degree to a constant.
 //!
 //! [`OverlayBuilder`] composes the three phases and reports the model-level costs
 //! (rounds and message counts) that the paper's Theorem 1.1 bounds. The
@@ -37,19 +37,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unnameable_types)]
 
-pub mod benign;
-pub mod bfs;
-pub mod builder;
+mod benign;
+mod bfs;
+mod builder;
 mod error;
-pub mod evolution;
-pub mod expander;
-pub mod maintenance;
+mod evolution;
+mod expander;
+mod maintenance;
 mod params;
-pub mod pipeline;
-pub mod seam;
-pub mod wellformed;
+mod pipeline;
+mod seam;
+mod wellformed;
 
+pub use benign::make_benign;
+pub use bfs::{BfsMsg, BfsNode};
 pub use builder::{
     BuildReport, MessageStats, OverlayBuilder, OverlayResult, PhaseOutcome, RoundBreakdown,
 };
@@ -57,11 +60,10 @@ pub use error::OverlayError;
 pub use evolution::{EvolutionEngine, EvolutionStats};
 pub use expander::{ExpanderMsg, ExpanderNode};
 pub use maintenance::{EpochSample, MaintenanceConfig, MaintenanceRunner, ServeOutcome};
-pub use overlay_netsim::{ParallelismConfig, TransportConfig};
 pub use params::{ExpanderParams, RoundBudget};
 pub use pipeline::{Phase, PhaseId, PhaseMetrics, PhaseOverrides};
 pub use seam::{
     BfsSummary, BinarizeSummary, DetailedPhase, ExecutedPhase, ExpanderSummary, PhaseExecSpec,
     PhaseExecutor, SimDetail, SimExecutor, Summarize,
 };
-pub use wellformed::WellFormedTree;
+pub use wellformed::{BinarizeNode, RelinkMsg, WellFormedTree};

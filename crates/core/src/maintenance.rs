@@ -30,7 +30,7 @@
 //!
 //! [`MaintenanceRunner`] is the **graph-level model** of the maintenance loop,
 //! not a message-level protocol: it is to the epoch protocol what
-//! [`EvolutionEngine`] is to [`crate::expander::ExpanderNode`] — the same
+//! [`EvolutionEngine`] is to [`crate::ExpanderNode`] — the same
 //! random experiment executed directly on the graph, with the message passing
 //! skipped. An invitation is a seeded coin flip against
 //! [`MaintenanceConfig::invite_loss`] (one coin per attempt, `1 + invite_retries`
@@ -641,7 +641,7 @@ fn bfs_over_slots(g: &UGraph) -> (Vec<Option<usize>>, Vec<usize>) {
     (parent, order)
 }
 
-/// The one-round binarization of [`crate::wellformed::BinarizeNode`] as a pure
+/// The one-round binarization of [`crate::BinarizeNode`] as a pure
 /// function on parent pointers: every node keeps only its first (smallest-id)
 /// child and arranges the rest as a balanced binary heap among themselves,
 /// bounding the degree by 4.

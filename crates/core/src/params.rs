@@ -70,12 +70,6 @@ impl ExpanderParams {
         self
     }
 
-    /// Returns a copy with a different number of evolutions.
-    pub fn with_evolutions(mut self, evolutions: usize) -> Self {
-        self.evolutions = evolutions;
-        self
-    }
-
     /// Returns a copy with a different walk length.
     pub fn with_walk_len(mut self, walk_len: usize) -> Self {
         self.walk_len = walk_len;
@@ -230,12 +224,8 @@ mod tests {
 
     #[test]
     fn builder_style_modifiers() {
-        let p = ExpanderParams::for_n(64)
-            .with_seed(9)
-            .with_evolutions(3)
-            .with_walk_len(5);
+        let p = ExpanderParams::for_n(64).with_seed(9).with_walk_len(5);
         assert_eq!(p.seed, 9);
-        assert_eq!(p.evolutions, 3);
         assert_eq!(p.walk_len, 5);
     }
 

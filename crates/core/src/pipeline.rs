@@ -8,7 +8,7 @@
 //! pipeline driver resolves per phase: [`PhaseId`], [`PhaseOverrides`] and the
 //! [`PhaseMetrics`] rollup.
 //!
-//! Phases are executed by a [`crate::seam::PhaseExecutor`] — never directly. Because
+//! Phases are executed by a [`crate::PhaseExecutor`] — never directly. Because
 //! budgets and transports resolve *per phase* — via [`PhaseOverrides`] — a caller can,
 //! e.g., run the reliable transport only for the one-round binarization where a
 //! single lost message is fatal, while the long construction phase stays on bare
@@ -20,8 +20,7 @@ use crate::seam::BfsSummary;
 use crate::wellformed::BinarizeNode;
 use crate::{ExpanderParams, RoundBudget};
 use overlay_graph::{DiGraph, NodeId, UGraph};
-use overlay_netsim::faults::FaultPlan;
-use overlay_netsim::{RoundMetrics, TransportConfig};
+use overlay_netsim::{FaultPlan, RoundMetrics, TransportConfig};
 use std::time::Duration;
 
 /// Identifies one of the three simulated phases of the paper's pipeline.
@@ -78,7 +77,7 @@ impl PhaseId {
 ///
 /// Budgets and transports are *not* part of a phase: [`crate::OverlayBuilder`]
 /// resolves them from its builder-wide defaults and the per-phase
-/// [`PhaseOverrides`] into a [`crate::seam::PhaseExecSpec`], so the same phase
+/// [`PhaseOverrides`] into a [`crate::PhaseExecSpec`], so the same phase
 /// value runs identically under any policy.
 #[derive(Clone, Debug)]
 pub struct Phase<P> {
@@ -92,7 +91,7 @@ impl<P> Phase<P> {
     /// A phase from raw parts. The typed constructors
     /// ([`Phase::create_expander`], [`Phase::bfs`], [`Phase::binarize`]) build the
     /// paper's stages; this escape hatch lets experiments hand a custom protocol
-    /// (e.g. the traffic routers) to any [`crate::seam::PhaseExecutor`].
+    /// (e.g. the traffic routers) to any [`crate::PhaseExecutor`].
     pub fn from_parts(id: PhaseId, nodes: Vec<P>, clean_rounds: usize, faults: FaultPlan) -> Self {
         Phase {
             id,
@@ -242,7 +241,7 @@ fn slot(id: PhaseId) -> usize {
 
 /// Metric rollup for one *simulated* phase, answering "which stage ate the
 /// budget": rounds executed, the phase's counter totals (delivery, drops by
-/// cause, transport overhead — the glossary in [`overlay_netsim::metrics`]),
+/// cause, transport overhead — the glossary on [`overlay_netsim::RoundMetrics`]),
 /// and host wall-clock time.
 ///
 /// One entry per phase the lockstep simulator executed is appended to

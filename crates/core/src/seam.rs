@@ -40,11 +40,9 @@ use crate::expander::ExpanderNode;
 use crate::pipeline::Phase;
 use crate::wellformed::BinarizeNode;
 use overlay_graph::NodeId;
-use overlay_netsim::trace::SharedTraceSink;
-use overlay_netsim::wire::{Wire, WireError};
 use overlay_netsim::{
-    FaultPlan, Medium, MetricsMode, ParallelismConfig, Protocol, RunMetrics, SimConfig, Simulator,
-    TransportConfig, WholeRun,
+    FaultPlan, Medium, MetricsMode, ParallelismConfig, Protocol, RunMetrics, SharedTraceSink,
+    SimConfig, Simulator, TransportConfig, WholeRun, Wire, WireError,
 };
 use overlay_transport::{Reliable, TransportMsg};
 use std::ops::Range;

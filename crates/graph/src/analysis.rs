@@ -107,11 +107,6 @@ impl Components {
         }
         groups
     }
-
-    /// Size of the largest component.
-    pub fn largest(&self) -> usize {
-        self.members().iter().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 /// Computes connected components by repeated BFS.
@@ -216,7 +211,7 @@ mod tests {
         assert_eq!(comps.component_count(), 2);
         assert!(comps.same_component(0.into(), 3.into()));
         assert!(!comps.same_component(0.into(), 4.into()));
-        assert_eq!(comps.largest(), 4);
+        assert_eq!(comps.members()[0].len(), 4);
         assert_eq!(comps.members()[1].len(), 3);
     }
 

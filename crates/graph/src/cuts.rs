@@ -74,7 +74,7 @@ pub fn exact_conductance(g: &UGraph) -> f64 {
 ///
 /// Combines:
 /// * sweep cuts over an approximate second eigenvector of the lazy random walk
-///   (the standard spectral partitioning heuristic, see [`spectral`]),
+///   (the standard spectral partitioning heuristic, by power iteration),
 /// * sweep cuts over the identifier order (which captures the worst cuts of lines,
 ///   barbells and other "ordered" topologies),
 /// * all singleton cuts.

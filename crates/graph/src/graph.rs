@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 /// let mut g = DiGraph::new(3);
 /// g.add_edge(0.into(), 1.into());
 /// g.add_edge(1.into(), 2.into());
-/// assert_eq!(g.out_degree(1.into()), 1);
+/// assert_eq!(g.out_neighbors(1.into()).len(), 1);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DiGraph {
@@ -60,11 +60,6 @@ impl DiGraph {
     /// Out-neighbors of `u` (with multiplicity).
     pub fn out_neighbors(&self, u: NodeId) -> &[NodeId] {
         &self.out[u.index()]
-    }
-
-    /// Out-degree of `u` (number of identifiers `u` stores).
-    pub fn out_degree(&self, u: NodeId) -> usize {
-        self.out[u.index()].len()
     }
 
     /// In-degrees of every node (number of nodes storing each identifier).
@@ -171,8 +166,8 @@ mod tests {
     fn add_edge_updates_degrees() {
         let g = path(4);
         assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.out_degree(0.into()), 1);
-        assert_eq!(g.out_degree(3.into()), 0);
+        assert_eq!(g.out_neighbors(0.into()).len(), 1);
+        assert_eq!(g.out_neighbors(3.into()).len(), 0);
         assert_eq!(g.in_degrees(), vec![0, 1, 1, 1]);
         // middle nodes have degree 2 (1 in + 1 out)
         assert_eq!(g.degree(), 2);

@@ -12,11 +12,11 @@
 //!   Erdős–Rényi graphs, grids, barbells, …) used as the initial topologies of every
 //!   experiment,
 //! * [`analysis`] — BFS, diameter, connected components, spanning-tree checks,
-//! * [`cuts`] — conductance (exact for small graphs, sweep/spectral estimates otherwise)
-//!   and global minimum cuts (Stoer–Wagner),
-//! * [`spectral`] — the lazy random walk and a power-iteration Fiedler embedding,
+//! * [`conductance_estimate`] and [`min_cut`] — a sweep-cut conductance estimate over a
+//!   power-iteration Fiedler embedding of the lazy random walk, and the global minimum
+//!   cut (Stoer–Wagner),
 //! * [`sequential`] — centralized reference algorithms (union-find components, Tarjan
-//!   biconnectivity, Kruskal spanning trees, greedy MIS and validity checkers) that the
+//!   biconnectivity, BFS spanning trees and a maximal-independent-set checker) that the
 //!   distributed implementations are verified against.
 //!
 //! # Example
@@ -31,16 +31,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unnameable_types)]
 
+// `benchmark/` imports `analysis` by this path.
 pub mod analysis;
-pub mod cuts;
+mod cuts;
+// `benchmark/` imports `generators` by this path.
 pub mod generators;
-pub mod graph;
+mod graph;
 mod ids;
+// Already a facade (private submodules behind `pub use`), called by path workspace-wide.
 pub mod sequential;
-pub mod spectral;
-pub mod ugraph;
+mod spectral;
+mod ugraph;
 
+pub use cuts::{conductance_estimate, min_cut};
 pub use graph::DiGraph;
 pub use ids::NodeId;
 pub use ugraph::UGraph;

@@ -18,22 +18,6 @@ pub struct BiconnectivityInfo {
     pub components: Vec<BTreeSet<(NodeId, NodeId)>>,
 }
 
-impl BiconnectivityInfo {
-    /// Returns `true` if the whole graph is biconnected: it is connected, has at least
-    /// three nodes (or is a single edge), and has no cut vertices.
-    pub fn is_biconnected(&self, g: &UGraph) -> bool {
-        crate::analysis::is_connected(g)
-            && self.cut_vertices.is_empty()
-            && self.components.len() <= 1
-    }
-
-    /// The biconnected component index of every edge (smaller endpoint first), if any.
-    pub fn component_of_edge(&self, u: NodeId, v: NodeId) -> Option<usize> {
-        let key = normalize(u, v);
-        self.components.iter().position(|c| c.contains(&key))
-    }
-}
-
 fn normalize(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
     if u <= v {
         (u, v)
@@ -149,7 +133,6 @@ mod tests {
         assert!(info.cut_vertices.is_empty());
         assert!(info.bridges.is_empty());
         assert_eq!(info.components.len(), 1);
-        assert!(info.is_biconnected(&g));
         assert_eq!(info.components[0].len(), 8);
     }
 
@@ -161,7 +144,6 @@ mod tests {
         assert_eq!(info.components.len(), 5);
         // Interior nodes are cut vertices.
         assert_eq!(info.cut_vertices.len(), 4);
-        assert!(!info.is_biconnected(&g));
     }
 
     #[test]
@@ -205,14 +187,6 @@ mod tests {
             vec![NodeId::from(2usize)]
         );
         assert_eq!(info.bridges.len(), 1);
-        assert_eq!(
-            info.component_of_edge(0.into(), 1.into()),
-            info.component_of_edge(1.into(), 2.into())
-        );
-        assert_ne!(
-            info.component_of_edge(0.into(), 1.into()),
-            info.component_of_edge(2.into(), 3.into())
-        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper's analysis works with the lazy random-walk matrix of a Δ-regular benign
 //! graph. For the experiment harness we approximate its second eigenvector (the
 //! Fiedler embedding) by power iteration, with deflation of the all-ones stationary
-//! vector; [`crate::cuts::conductance_estimate`] uses it for sweep cuts.
+//! vector; [`crate::conductance_estimate`] uses it for sweep cuts.
 
 use crate::{NodeId, UGraph};
 use rand::rngs::StdRng;

@@ -20,7 +20,7 @@
 
 use crate::components::component_params;
 use crate::sparsify::{sparsify, SparsifyResult};
-use overlay_core::{benign, EvolutionEngine, ExpanderNode, ExpanderParams, OverlayError};
+use overlay_core::{make_benign, EvolutionEngine, ExpanderNode, ExpanderParams, OverlayError};
 use overlay_graph::{analysis, sequential, DiGraph, NodeId, UGraph};
 use overlay_netsim::caps::log2_ceil;
 use std::collections::HashMap;
@@ -154,7 +154,7 @@ impl HybridSpanningTree {
             seed: self.seed,
             ..component_params(n, h.max_degree(), self.walk_len)
         };
-        let benign_graph = benign::make_benign(&h_digraph, &params)?;
+        let benign_graph = make_benign(&h_digraph, &params)?;
         let mut engine = TracedEvolution::from_benign(benign_graph, params);
         for _ in 0..params.evolutions {
             engine.evolve();
@@ -316,7 +316,7 @@ mod tests {
                 seed,
                 ..component_params(64, h.max_degree(), 12)
             };
-            let benign_graph = benign::make_benign(&h_digraph, &params).unwrap();
+            let benign_graph = make_benign(&h_digraph, &params).unwrap();
             let mut engine = TracedEvolution::from_benign(benign_graph, params);
             for _ in 0..params.evolutions {
                 engine.evolve();

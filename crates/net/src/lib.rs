@@ -9,7 +9,7 @@
 //!   whole run behind the seam, fault plans included, with no message
 //!   encoded;
 //! * [`TcpBackend`] — multiple OS processes, each owning a block of nodes,
-//!   meshed over TCP with length-prefixed binary frames (see [`frame`]);
+//!   meshed over TCP with length-prefixed binary frames (see [`Frame`]);
 //!   fault plans of crashes, joins and partitions included, loss and delays
 //!   refused.
 //!
@@ -17,26 +17,27 @@
 //! over any [`Backend`], and
 //! [`overlay_core::OverlayBuilder::build_over`] drives the paper's pipeline
 //! through it. Each rank runs the simulator's own round on the nodes it owns
-//! and only the medium between ranks is this crate's (see [`runner`]), so
+//! and only the medium between ranks is this crate's (see [`NetRunner`]), so
 //! **per seed, every backend constructs the same final overlay graph** — the
 //! simulator is this crate's CI-checked model, and
 //! `tests/backend_equivalence.rs` enforces the claim.
 //!
 //! No async runtime is involved, and no thread per node: each rank is one
 //! loop stepping its nodes in index order, and the α-synchronizer (per-round
-//! `DONE` markers, see [`tcp`]) turns blocking sockets into the synchronous
+//! `DONE` markers, see [`TcpBackend`]) turns blocking sockets into the synchronous
 //! round structure the protocols were written against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unnameable_types)]
 
-pub mod backend;
-pub mod frame;
-pub mod runner;
-pub mod tcp;
+mod backend;
+mod frame;
+mod runner;
+mod tcp;
 
-pub use backend::{partition, rank_of, Backend, ChannelBackend, SummaryEntries};
-pub use frame::{Frame, FrameKind, Roster, WIRE_VERSION};
+pub use backend::{Backend, ChannelBackend, SummaryEntries};
+pub use frame::{Frame, FrameKind, Roster, SummaryBody, WIRE_VERSION};
 pub use runner::NetRunner;
 pub use tcp::{TcpBackend, TcpHost};
 
@@ -44,7 +45,7 @@ pub use tcp::{TcpBackend, TcpHost};
 // of an in-process mesh on a thread of its own.
 const _: fn(NetRunner<TcpBackend>) -> Box<dyn Send> = |rank| Box::new(rank);
 
-use overlay_netsim::wire::WireError;
+use overlay_netsim::WireError;
 
 /// How the networking layer fails below the protocol layer.
 #[derive(Debug)]

@@ -2,14 +2,11 @@
 //! round-trips byte-exactly, every truncation is rejected, and frames from a
 //! different wire version are refused outright.
 
-use overlay_core::bfs::BfsMsg;
-use overlay_core::expander::ExpanderMsg;
-use overlay_core::wellformed::RelinkMsg;
+use overlay_core::{BfsMsg, ExpanderMsg, RelinkMsg};
 use overlay_core::{BfsSummary, BinarizeSummary, ExpanderSummary};
 use overlay_graph::NodeId;
-use overlay_net::frame::SummaryBody;
-use overlay_net::{Frame, FrameKind, Roster, WIRE_VERSION};
-use overlay_netsim::wire::{Wire, WireError};
+use overlay_net::{Frame, FrameKind, Roster, SummaryBody, WIRE_VERSION};
+use overlay_netsim::{Wire, WireError};
 use overlay_transport::TransportMsg;
 use proptest::prelude::*;
 

@@ -22,7 +22,7 @@
 //! Beyond the clean synchronous model, the simulator can inject deterministic
 //! environmental faults — random message loss, delivery delays, crash-stop failures,
 //! delayed node joins, and temporary partitions — declared as a [`FaultPlan`] in
-//! [`SimConfig::faults`] and executed by the simulator's fault router (see [`faults`]). Fault
+//! [`SimConfig::faults`] and executed by the simulator's fault router. Fault
 //! decisions are drawn from the simulation seed, so faulty runs replay exactly, and
 //! every interference is recorded in [`RoundMetrics`].
 //!
@@ -63,15 +63,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unnameable_types)]
 
+// `benchmark/` imports `caps::log2_ceil` by this path.
 pub mod caps;
-pub mod churn;
-pub mod faults;
-pub mod metrics;
-pub mod protocol;
-pub mod runtime;
-pub mod trace;
-pub mod transport;
+mod churn;
+mod faults;
+mod metrics;
+mod protocol;
+mod runtime;
+mod trace;
+mod transport;
+// `benchmark/` imports `wire::Wire` by this path.
 pub mod wire;
 
 pub use caps::CapacityModel;

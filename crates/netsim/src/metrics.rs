@@ -6,39 +6,41 @@
 //! [`RoundMetrics`] — that a round fills, a run sums ([`RunMetrics::totals`]) and
 //! every report above reads.
 //!
-//! # Drop-cause and counter glossary
-//!
-//! A message that is sent but never reaches its recipient's protocol callback is
-//! counted in exactly one of these buckets. This table is the one statement of
-//! which [`DropCause`] feeds which counter and under which label a trace or a
-//! post-mortem prints it ([`DropCause::label`]); "glossary order" elsewhere
-//! means the order of these rows:
-//!
-//! | Counter | [`DropCause`] | Label | Meaning |
-//! |---|---|---|---|
-//! | [`RoundMetrics::dropped_fault`] | `Fault` | `fault` | injected random loss ([`crate::FaultPlan::drop_prob`]) |
-//! | [`RoundMetrics::dropped_partition`] | `Partition` | `partition` | an active partition separates sender and receiver |
-//! | [`RoundMetrics::dropped_offline`] | `Offline` | `offline` | recipient is crashed or has not joined yet |
-//! | [`RoundMetrics::dropped_receive`] | `ReceiveCap` | `receive-cap` | receiver's per-round global receive cap evicted a random subset of its inbox |
-//! | [`RoundMetrics::dropped_send`] | `SendCap` | `send-cap` | sender exceeded its per-round global send cap, or a local message violated the CONGEST edge discipline |
-//! | [`RoundMetrics::dropped_send`] | `InvalidAddress` | `invalid-address` | the recipient id names no node |
-//!
-//! `delayed` is *not* a drop: a delayed message is re-counted as `delivered` in
-//! its actual delivery round (unless the run ends first).
-//!
-//! The [`TransportCounters`] (`retransmits`, `acks`, `dupes_dropped`,
-//! `give_ups`) are reported by reliable-delivery adapters via the
-//! [`crate::Ctx::note_retransmit`]-family hooks and are all zero for bare
-//! protocols. `dupes_dropped` payloads *do* appear in `delivered` — the network
-//! carried them, the transport suppressed them. `give_ups` counts payloads
-//! abandoned after the adapter's retransmission budget was exhausted (the peer
-//! is presumed dead).
+//! The drop-cause and counter glossary is on [`RoundMetrics`].
 
 use crate::trace::DropCause;
 
 /// The communication counters of one round — and, summed over its rounds
 /// ([`RunMetrics::totals`]), of a whole run or phase. Message counts are `u64`,
 /// per-node maxima and node counts `usize`.
+///
+/// # Drop-cause and counter glossary
+///
+/// A message that is sent but never reaches its recipient's protocol callback is
+/// counted in exactly one of these buckets. This table is the one statement of
+/// which [`DropCause`] feeds which counter and under which label a trace or a
+/// post-mortem prints it ([`DropCause::label`]); "glossary order" elsewhere
+/// means the order of these rows:
+///
+/// | Counter | [`DropCause`] | Label | Meaning |
+/// |---|---|---|---|
+/// | [`RoundMetrics::dropped_fault`] | `Fault` | `fault` | injected random loss ([`crate::FaultPlan::drop_prob`]) |
+/// | [`RoundMetrics::dropped_partition`] | `Partition` | `partition` | an active partition separates sender and receiver |
+/// | [`RoundMetrics::dropped_offline`] | `Offline` | `offline` | recipient is crashed or has not joined yet |
+/// | [`RoundMetrics::dropped_receive`] | `ReceiveCap` | `receive-cap` | receiver's per-round global receive cap evicted a random subset of its inbox |
+/// | [`RoundMetrics::dropped_send`] | `SendCap` | `send-cap` | sender exceeded its per-round global send cap, or a local message violated the CONGEST edge discipline |
+/// | [`RoundMetrics::dropped_send`] | `InvalidAddress` | `invalid-address` | the recipient id names no node |
+///
+/// `delayed` is *not* a drop: a delayed message is re-counted as `delivered` in
+/// its actual delivery round (unless the run ends first).
+///
+/// The [`TransportCounters`] (`retransmits`, `acks`, `dupes_dropped`,
+/// `give_ups`) are reported by reliable-delivery adapters via the
+/// [`crate::Ctx::note_retransmit`]-family hooks and are all zero for bare
+/// protocols. `dupes_dropped` payloads *do* appear in `delivered` — the network
+/// carried them, the transport suppressed them. `give_ups` counts payloads
+/// abandoned after the adapter's retransmission budget was exhausted (the peer
+/// is presumed dead).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundMetrics {
     /// Maximum number of messages any single node sent this round (local + global).

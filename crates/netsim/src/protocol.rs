@@ -36,7 +36,7 @@ pub struct Envelope<M> {
 ///
 /// `Send` is a supertrait (and `Send + Sync` is required of the message type) so
 /// the simulator may step disjoint groups of nodes on different worker threads
-/// within a round (see [`crate::runtime::ParallelismConfig`]). Protocol state is
+/// within a round (see [`crate::ParallelismConfig`]). Protocol state is
 /// plain owned data — per-node RNGs, identifiers, buffers — so this costs
 /// implementations nothing; it only rules out sharing thread-bound handles
 /// (`Rc`, `RefCell`) inside node state, which the model forbids anyway.
@@ -63,8 +63,8 @@ pub trait Protocol: Send {
     }
 }
 
-/// The per-round context handed to a node: who it is, which round it is, how many nodes
-/// exist, its private RNG, and its outbox.
+/// The per-round context handed to a node: who it is, which round it is, the bound
+/// `⌈log₂ n⌉` it knows, its private RNG, and its outbox.
 #[derive(Debug)]
 pub struct Ctx<'a, M> {
     pub(crate) me: NodeId,
@@ -72,11 +72,8 @@ pub struct Ctx<'a, M> {
     pub(crate) n: usize,
     pub(crate) rng: &'a mut StdRng,
     /// The outbox buffer shared by this node's chunk of the round (the whole
-    /// round, when it is one chunk); this node's messages start at `base`.
+    /// round, when it is one chunk); this node's messages are appended to it.
     pub(crate) outbox: &'a mut Vec<(NodeId, Channel, M)>,
-    /// Index into `outbox` where this node's messages begin (the buffer is shared
-    /// across nodes so it can be reused without reallocation).
-    pub(crate) base: usize,
     /// Transport-overhead counters reported by reliable-delivery adapters this
     /// callback; the simulator folds them into the round's metrics afterwards.
     pub(crate) transport: TransportCounters,
@@ -89,7 +86,7 @@ impl<'a, M> Ctx<'a, M> {
     ///
     /// The constructed context behaves exactly like the one the simulator
     /// hands to callbacks, with this node's messages starting at the current
-    /// end of `outbox`; with [`crate::runtime::node_rng`]'s stream the node
+    /// end of `outbox`; with [`crate::node_rng`]'s stream the node
     /// makes the random choices it would make in the simulator.
     pub fn external(
         me: NodeId,
@@ -102,7 +99,6 @@ impl<'a, M> Ctx<'a, M> {
             me,
             round,
             n,
-            base: outbox.len(),
             rng,
             outbox,
             transport: TransportCounters::default(),
@@ -119,14 +115,8 @@ impl<'a, M> Ctx<'a, M> {
         self.round
     }
 
-    /// The total number of nodes `n`. The paper only requires nodes to know an upper
-    /// bound `L ≥ log n` with `L = O(log n)`; protocols in this workspace only ever use
-    /// [`Ctx::log_n`], but `n` is exposed for harness-side assertions.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The upper bound `L = ⌈log₂ n⌉ ≥ log n` that all nodes know.
+    /// The upper bound `L = ⌈log₂ n⌉ ≥ log n` that all nodes know. The paper only
+    /// requires nodes to know such a bound with `L = O(log n)`, not `n` itself.
     pub fn log_n(&self) -> usize {
         crate::caps::log2_ceil(self.n).max(1)
     }
@@ -155,11 +145,6 @@ impl<'a, M> Ctx<'a, M> {
         self.outbox.push((to, channel, msg));
     }
 
-    /// Number of messages queued so far this round by *this* node.
-    pub fn queued(&self) -> usize {
-        self.outbox.len() - self.base
-    }
-
     /// Re-borrows this context for a *wrapped* protocol exchanging a different
     /// message type, writing into the adapter-owned `outbox` instead of the
     /// simulator's shared one.
@@ -177,7 +162,6 @@ impl<'a, M> Ctx<'a, M> {
             round: self.round,
             n: self.n,
             rng: self.rng,
-            base: outbox.len(),
             outbox,
             transport: TransportCounters::default(),
         }
@@ -223,17 +207,15 @@ mod tests {
             n: 1000,
             rng: &mut rng,
             outbox: &mut outbox,
-            base: 0,
             transport: TransportCounters::default(),
         };
         assert_eq!(ctx.me(), NodeId::from(3usize));
         assert_eq!(ctx.round(), 5);
-        assert_eq!(ctx.n(), 1000);
         assert_eq!(ctx.log_n(), 10);
         ctx.send_global(NodeId::from(1usize), 42);
         ctx.send_local(NodeId::from(2usize), 43);
         ctx.send(NodeId::from(4usize), Channel::Global, 44);
-        assert_eq!(ctx.queued(), 3);
+        assert_eq!(outbox.len(), 3);
         assert_eq!(outbox[0], (NodeId::from(1usize), Channel::Global, 42));
         assert_eq!(outbox[1], (NodeId::from(2usize), Channel::Local, 43));
     }
@@ -248,32 +230,8 @@ mod tests {
             n: 1,
             rng: &mut rng,
             outbox: &mut outbox,
-            base: 0,
             transport: TransportCounters::default(),
         };
         assert_eq!(ctx.log_n(), 1);
-    }
-
-    #[test]
-    fn queued_counts_only_past_the_base() {
-        let mut rng = StdRng::seed_from_u64(1);
-        // Two messages queued by an earlier node of the same round.
-        let mut outbox = vec![
-            (NodeId::from(0usize), Channel::Global, 1u32),
-            (NodeId::from(0usize), Channel::Global, 2u32),
-        ];
-        let mut ctx: Ctx<'_, u32> = Ctx {
-            me: NodeId::from(1usize),
-            round: 1,
-            n: 4,
-            rng: &mut rng,
-            outbox: &mut outbox,
-            base: 2,
-            transport: TransportCounters::default(),
-        };
-        assert_eq!(ctx.queued(), 0);
-        ctx.send_global(NodeId::from(2usize), 3);
-        assert_eq!(ctx.queued(), 1);
-        assert_eq!(outbox.len(), 3);
     }
 }

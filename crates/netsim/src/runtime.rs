@@ -489,7 +489,6 @@ fn step_chunk<P: Protocol>(
                 n,
                 rng: &mut chunk.rngs[k],
                 outbox: &mut out.outbox,
-                base,
                 transport: TransportCounters::default(),
             };
             if round == 0 || router.joins_at(i, round) {
@@ -725,7 +724,7 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Installs a structured-event trace sink (see [`crate::trace`]). The sink
+    /// Installs a structured-event trace sink (see [`crate::TraceEvent`]). The sink
     /// observes every subsequent round; installing one never perturbs the
     /// simulation itself (no RNG draws, no message reordering).
     pub fn set_trace_sink(&mut self, sink: SharedTraceSink) {

@@ -31,22 +31,21 @@ use std::rc::Rc;
 
 /// Why a message never reached its recipient: the fault router's three
 /// verdicts, then the capacity-model and addressing drops the simulator decides
-/// itself. The glossary in [`crate::metrics`] is the one table of what each
-/// cause means, which [`crate::RoundMetrics`] counter it feeds and how it is
-/// labelled.
+/// itself. The glossary on [`crate::RoundMetrics`] is the one table of what each
+/// cause means, which counter it feeds and how it is labelled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DropCause {
-    /// See the [`crate::metrics`] glossary, row `fault`.
+    /// See the [`crate::RoundMetrics`] glossary, row `fault`.
     Fault,
-    /// See the [`crate::metrics`] glossary, row `partition`.
+    /// See the [`crate::RoundMetrics`] glossary, row `partition`.
     Partition,
-    /// See the [`crate::metrics`] glossary, row `offline`.
+    /// See the [`crate::RoundMetrics`] glossary, row `offline`.
     Offline,
-    /// See the [`crate::metrics`] glossary, row `send-cap`.
+    /// See the [`crate::RoundMetrics`] glossary, row `send-cap`.
     SendCap,
-    /// See the [`crate::metrics`] glossary, row `receive-cap`.
+    /// See the [`crate::RoundMetrics`] glossary, row `receive-cap`.
     ReceiveCap,
-    /// See the [`crate::metrics`] glossary, row `invalid-address`.
+    /// See the [`crate::RoundMetrics`] glossary, row `invalid-address`.
     InvalidAddress,
 }
 

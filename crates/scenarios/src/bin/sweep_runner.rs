@@ -69,8 +69,9 @@
 //! under the untracked `<dir>/traces/`.
 
 use overlay_scenarios::{
-    compare, full_registry, post_mortem, registry, report, scaling, trace, Json, ParallelismConfig,
-    Scenario, Sweep,
+    check_thresholds, diff_reports, full_registry, load_report, load_thresholds, post_mortem,
+    registry, render_compare_table, scaling, to_jsonl, write_compare_table, write_report,
+    write_thresholds, Json, PairDelta, ParallelismConfig, Scenario, Sweep,
 };
 use std::io;
 use std::path::PathBuf;
@@ -276,7 +277,7 @@ fn trace_one(name: &str, opts: &Options) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let path = dir.join(format!("{}-seed{}.jsonl", scenario.name, opts.seed));
-    if let Err(e) = std::fs::write(&path, trace::to_jsonl(&run.events)) {
+    if let Err(e) = std::fs::write(&path, to_jsonl(&run.events)) {
         eprintln!("cannot write {}: {e}", path.display());
         return ExitCode::FAILURE;
     }
@@ -290,9 +291,9 @@ fn trace_one(name: &str, opts: &Options) -> ExitCode {
 /// just computed; otherwise, when that file exists, checks every committed
 /// floor and returns `false` (exit 1) on any violation. No file, no gate —
 /// the table alone stays informational.
-fn threshold_gate(deltas: &[compare::PairDelta], opts: &Options) -> bool {
+fn threshold_gate(deltas: &[PairDelta], opts: &Options) -> bool {
     if opts.write_thresholds {
-        return match compare::write_thresholds(deltas, &opts.dir) {
+        return match write_thresholds(deltas, &opts.dir) {
             Ok(path) => {
                 eprintln!(
                     "{} pair floor(s) written to {}",
@@ -311,14 +312,14 @@ fn threshold_gate(deltas: &[compare::PairDelta], opts: &Options) -> bool {
     if !path.exists() {
         return true;
     }
-    let thresholds = match compare::load_thresholds(&path) {
+    let thresholds = match load_thresholds(&path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("cannot read thresholds: {e}");
             return false;
         }
     };
-    let violations = compare::check_thresholds(deltas, &thresholds);
+    let violations = check_thresholds(deltas, &thresholds);
     if violations.is_empty() {
         eprintln!(
             "{} pair floor(s) hold ({})",
@@ -337,7 +338,7 @@ fn threshold_gate(deltas: &[compare::PairDelta], opts: &Options) -> bool {
 /// The report of `scenario` under `<dir>`, `None` when there is no such file.
 /// Any other failure — unreadable, not JSON — is an error naming the file.
 fn load_if_present(opts: &Options, scenario: &Scenario) -> io::Result<Option<Json>> {
-    match report::load_report(opts.dir.join(format!("{}.json", scenario.name))) {
+    match load_report(opts.dir.join(format!("{}.json", scenario.name))) {
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
         loaded => loaded.map(Some),
     }
@@ -363,7 +364,7 @@ fn compare_committed(opts: &Options) -> ExitCode {
             _ => continue,
         };
         let axis = twin.axis.map_or("", |a| a.label());
-        match compare::PairDelta::from_committed(&base_doc, &twin_doc, axis) {
+        match PairDelta::from_committed(&base_doc, &twin_doc, axis) {
             Ok(d) => deltas.push(d),
             Err(e) => {
                 eprintln!("--compare: {e}");
@@ -378,8 +379,8 @@ fn compare_committed(opts: &Options) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    print!("{}", compare::render_table(&deltas));
-    match compare::write_compare_table(&deltas, &opts.dir) {
+    print!("{}", render_compare_table(&deltas));
+    match write_compare_table(&deltas, &opts.dir) {
         Ok(path) => eprintln!("delta table persisted to {}", path.display()),
         Err(e) => {
             eprintln!("cannot write delta table: {e}");
@@ -514,9 +515,9 @@ fn main() -> ExitCode {
                     path.display()
                 );
             } else {
-                match report::load_report(&path) {
+                match load_report(&path) {
                     Ok(previous) => {
-                        let diffs = report::diff_reports(&previous, &result.to_json());
+                        let diffs = diff_reports(&previous, &result.to_json());
                         if !diffs.is_empty() {
                             regressed = true;
                             eprintln!(
@@ -545,7 +546,7 @@ fn main() -> ExitCode {
             // reproducible; the intended-change workflow (rerun without --check,
             // commit) still works.
             regressions += 1;
-        } else if let Err(e) = report::write_report(&result, &dir) {
+        } else if let Err(e) = write_report(&result, &dir) {
             eprintln!("  cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }

@@ -6,7 +6,7 @@
 //! `(baseline, twin)` couple of report documents (see
 //! [`crate::Registry::pairs`]) into the headline quantities — success rate,
 //! coverage, mean rounds, mean delivered messages, total retransmissions — and
-//! [`render_table`] lays any number of couples out as one markdown table, which
+//! [`render_compare_table`] lays any number of couples out as one markdown table, which
 //! `sweep_runner --compare` prints and persists next to the reports (and CI
 //! uploads as an artifact).
 //!
@@ -64,7 +64,7 @@ pub struct TrafficDeltas {
 
 impl PairDelta {
     /// Condenses a couple of report documents — as parsed by
-    /// [`crate::report::load_report`], or straight from
+    /// [`crate::load_report`], or straight from
     /// [`crate::SweepReport::to_json`] — into their headline deltas. No
     /// re-sweep is needed, which is what makes `sweep_runner --compare
     /// --no-run` free in CI. `axis` comes from the registry (the variant axis
@@ -73,7 +73,7 @@ impl PairDelta {
     /// # Errors
     ///
     /// Returns a description of the first missing or mistyped header field (a
-    /// document written by [`crate::report::write_report`] always has them
+    /// document written by [`crate::write_report`] always has them
     /// all), or names both reports when their seed counts differ.
     pub fn from_committed(base: &Json, twin: &Json, axis: &str) -> Result<PairDelta, String> {
         let scenario = |doc: &Json, side: &str| -> Result<String, String> {
@@ -191,7 +191,7 @@ fn uint_field(doc: &Json, key: &str) -> Option<u64> {
 /// Renders the couples as one markdown table, in input order: each cell shows
 /// `baseline → twin`, with the signed round delta spelled out (the round cost of
 /// a variant is the number readers reach for first).
-pub fn render_table(deltas: &[PairDelta]) -> String {
+pub fn render_compare_table(deltas: &[PairDelta]) -> String {
     let mut out = String::from(
         "| baseline | twin | axis | success | coverage | mean rounds | mean delivered | retransmits |\n\
          |---|---|---|---|---|---|---|---|\n",
@@ -269,7 +269,7 @@ pub fn write_compare_table(deltas: &[PairDelta], dir: impl AsRef<Path>) -> io::R
         "# Baseline vs twin deltas\n\n\
          One row per registered (baseline, twin) pair, {seeds}; see\n\
          `Registry::pairs` and `sweep_runner --compare`.\n\n{}",
-        render_table(deltas)
+        render_compare_table(deltas)
     );
     std::fs::write(&path, body)?;
     Ok(path)
@@ -437,12 +437,12 @@ mod tests {
     #[test]
     fn table_renders_one_row_per_pair_and_is_deterministic() {
         let d = pair_delta("lossy-ncc0-reliable", 2);
-        let table = render_table(std::slice::from_ref(&d));
+        let table = render_compare_table(std::slice::from_ref(&d));
         assert_eq!(table.lines().count(), 3, "header + divider + row:\n{table}");
         assert!(table.contains("| lossy-ncc0 | lossy-ncc0-reliable | transport |"));
         assert_eq!(
             table,
-            render_table(std::slice::from_ref(&pair_delta("lossy-ncc0-reliable", 2)))
+            render_compare_table(std::slice::from_ref(&pair_delta("lossy-ncc0-reliable", 2)))
         );
     }
 
@@ -451,12 +451,12 @@ mod tests {
         // A classic construction pair has no traffic section.
         let classic = pair_delta("lossy-ncc0-reliable", 2);
         assert!(classic.traffic.is_none());
-        assert!(!render_table(std::slice::from_ref(&classic)).contains("### Traffic"));
+        assert!(!render_compare_table(std::slice::from_ref(&classic)).contains("### Traffic"));
 
         let routed = pair_delta("traffic-uniform-tree", 2);
         let t = routed.traffic.expect("both sides route a workload");
         assert!(t.delivered_fraction.0 > 0.0);
-        let table = render_table(std::slice::from_ref(&routed));
+        let table = render_compare_table(std::slice::from_ref(&routed));
         assert!(table.contains("### Traffic"), "{table}");
         assert!(table.contains("| traffic-uniform | traffic-uniform-tree |"));
     }

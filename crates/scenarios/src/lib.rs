@@ -7,9 +7,10 @@
 //! across many seeds — in parallel via rayon — and aggregates the per-seed
 //! [`RunRecord`]s into a [`SweepReport`] with success rates, coverage, round counts
 //! and message-loss accounting, serializable to JSON. A row carries the lower
-//! layers' results as they are — [`MessageStats`], [`ServeOutcome`],
-//! [`TrafficReport`] — rather than a copy of their fields, so a new counter is
-//! one struct field plus one JSON key in `sweep.rs`.
+//! layers' results as they are — [`overlay_core::MessageStats`],
+//! [`overlay_core::ServeOutcome`], [`overlay_traffic::TrafficReport`] — rather than a
+//! copy of their fields, so a new counter is one struct field plus one JSON key in
+//! `sweep.rs`.
 //!
 //! # The registry
 //!
@@ -17,8 +18,8 @@
 //! [`Registry`]: validated at construction (unique kebab-case names, every
 //! [`Scenario::baseline`] pairing resolves, every derived twin differs from its
 //! baseline only along its declared [`VariantAxis`]), with indexed
-//! [`Registry::find`], tag filtering ([`Registry::filter_by_tag`] — family and
-//! fault labels are tags too), and a [`Registry::pairs`] iterator over
+//! [`Registry::find`], tags ([`Scenario::has_tag`] — family and fault labels are
+//! tags too), and a [`Registry::pairs`] iterator over
 //! `(baseline, twin)` couples. Sweep them all — or the ones named on the
 //! command line — with the `sweep_runner` binary, and discover the cells
 //! with `sweep_runner --list [--tag T]`.
@@ -29,9 +30,10 @@
 //!    [`overlay_netsim::FaultPlan`] in [`FaultSpec::lower`] — keep every random choice
 //!    derived from the `seed` argument so reruns are reproducible. Then register a
 //!    hand-authored baseline with [`Scenario::new`] plus the `with_*` setters.
-//!    Declare a [`RoundBudget`] above [`RoundBudget::STANDARD`] only when the
-//!    fault model legitimately stretches wall-rounds (delivery jitter, late
-//!    joins, reliable-transport retry round-trips).
+//!    Declare a [`overlay_core::RoundBudget`] above
+//!    [`overlay_core::RoundBudget::STANDARD`] only when the fault model legitimately
+//!    stretches wall-rounds (delivery jitter, late joins, reliable-transport retry
+//!    round-trips).
 //! 2. If the cell is a *variant* of an existing experiment, derive it instead of
 //!    copying it: [`Scenario::reliable`] adds the `overlay-transport` reliability
 //!    layer (plus flat retry slack), [`Scenario::with_phases`] scopes
@@ -49,8 +51,8 @@
 //!
 //! # Persisted reports
 //!
-//! [`report::write_report`] saves a sweep's deterministic JSON body under
-//! `reports/<scenario>.json`; [`report::diff_reports`] compares two such documents
+//! [`write_report`] saves a sweep's deterministic JSON body under
+//! `reports/<scenario>.json`; [`diff_reports`] compares two such documents
 //! structurally for cross-commit regression checks (see the `sweep_runner` binary,
 //! which runs the whole registry, persists every report, and optionally `--check`s
 //! against the previous ones). The baseline-vs-twin delta table
@@ -68,31 +70,31 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unnameable_types)]
 
-pub mod compare;
-pub mod forensics;
-pub mod json;
+mod compare;
+mod forensics;
+mod json;
 mod registry;
-pub mod report;
+mod report;
+// `benchmark/` imports `scaling::MachineInfo` by this path.
 pub mod scaling;
 mod scenario;
 mod sweep;
-pub mod trace;
+mod trace;
 
 pub use compare::{
-    check_thresholds, load_thresholds, write_thresholds, PairDelta, PairThreshold, TrafficDeltas,
+    check_thresholds, load_thresholds, render_compare_table, write_compare_table, write_thresholds,
+    PairDelta, PairThreshold, TrafficDeltas,
 };
 pub use forensics::{post_mortem, MissingCause, MissingNode, PostMortem};
 pub use json::Json;
-pub use overlay_core::{
-    MessageStats, PhaseId, PhaseMetrics, PhaseOverrides, RoundBudget, ServeOutcome,
-};
-pub use overlay_netsim::{ChurnSchedule, CrashBurst};
 pub use overlay_netsim::{ParallelismConfig, TraceEvent, TransportConfig};
-pub use overlay_traffic::{RoutingPolicy, TrafficReport, Workload};
 pub use registry::{find, full_registry, registry, Registry, RegistryError};
+pub use report::{diff_reports, load_report, write_report};
 pub use scenario::{
     FaultSpec, ForensicRun, GraphFamily, RunRecord, Scenario, ServeRecord, ServeSpec,
     TrafficRecord, TrafficSpec, VariantAxis,
 };
 pub use sweep::{Sweep, SweepReport};
+pub use trace::to_jsonl;

@@ -175,13 +175,6 @@ impl Registry {
         self.scenarios.iter().map(|s| s.name.as_str())
     }
 
-    /// Scenarios whose [`Scenario::effective_tags`] contain `tag` — explicit
-    /// annotations and derived facets (family/fault labels,
-    /// `reliable`/`bare`, `axis:<label>`, `derived`) all match.
-    pub fn filter_by_tag(&self, tag: &str) -> Vec<&Scenario> {
-        self.scenarios.iter().filter(|s| s.has_tag(tag)).collect()
-    }
-
     /// Iterates the `(baseline, twin)` couples whose members are *both* in this
     /// registry, in twin registration order — the input to baseline-vs-twin
     /// delta tables (`sweep_runner --compare`).
@@ -781,8 +774,12 @@ mod tests {
     #[test]
     fn tag_filter_covers_annotations_and_structural_facets() {
         let reg = registry();
-        assert!(!reg.filter_by_tag("matrix").is_empty());
-        let reliable = reg.filter_by_tag("reliable");
+        let tagged =
+            |tag: &str| -> Vec<&Scenario> { reg.iter().filter(|s| s.has_tag(tag)).collect() };
+        let names =
+            |tag: &str| -> Vec<&str> { tagged(tag).iter().map(|s| s.name.as_str()).collect() };
+        assert!(!tagged("matrix").is_empty());
+        let reliable = tagged("reliable");
         assert!(reliable.iter().all(|s| s.uses_reliable_transport()));
         // Phase-scoped reliability counts as reliable (and is marked as scoped),
         // so a "sweep everything reliable" filter cannot silently miss it.
@@ -790,18 +787,12 @@ mod tests {
             .iter()
             .any(|s| s.name == "lossy-ncc0-binarize-reliable"));
         assert_eq!(
-            reg.filter_by_tag("phase-reliable")
-                .iter()
-                .map(|s| s.name.as_str())
-                .collect::<Vec<_>>(),
-            vec!["lossy-ncc0-binarize-reliable"],
+            names("phase-reliable"),
+            vec!["lossy-ncc0-binarize-reliable"]
         );
-        assert!(!reg.filter_by_tag("binary-tree").is_empty());
+        assert!(!tagged("binary-tree").is_empty());
         assert_eq!(
-            reg.filter_by_tag("crash-then-loss")
-                .iter()
-                .map(|s| s.name.as_str())
-                .collect::<Vec<_>>(),
+            names("crash-then-loss"),
             vec!["crash-then-loss", "crash-then-loss-reliable"],
         );
     }

@@ -926,8 +926,9 @@ impl Scenario {
         tags
     }
 
-    /// Whether [`Scenario::effective_tags`] contains `tag` — what `--tag` and
-    /// [`crate::Registry::filter_by_tag`] select by.
+    /// Whether [`Scenario::effective_tags`] contains `tag` — explicit annotations
+    /// and derived facets (family/fault labels, `reliable`/`bare`,
+    /// `axis:<label>`, `derived`) all match. `sweep_runner --tag` selects by it.
     pub fn has_tag(&self, tag: &str) -> bool {
         self.effective_tags().iter().any(|t| t == tag)
     }

@@ -36,12 +36,11 @@
 //! (`bfs`, `binarize`) number the core nodes 0..core_size, and
 //! `BuildReport::survivor_ids` maps them back to original ids — the forensics
 //! analyzer does this for you. `channel` is `"global"` or `"local"`;
-//! `cause` is a [`overlay_netsim::DropCause::label`] (see the glossary in
-//! `overlay_netsim::metrics`).
+//! `cause` is a [`overlay_netsim::DropCause::label`] (see the glossary on
+//! `overlay_netsim::RoundMetrics`).
 
 use crate::json::Json;
-use overlay_netsim::protocol::Channel;
-use overlay_netsim::TraceEvent;
+use overlay_netsim::{Channel, TraceEvent};
 
 fn channel_label(channel: Channel) -> &'static str {
     match channel {

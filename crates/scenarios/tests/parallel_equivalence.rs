@@ -11,7 +11,7 @@
 //! across the whole matrix and a spread of worker counts rather than the
 //! ambient thread pool.
 
-use overlay_scenarios::{registry, trace, ParallelismConfig};
+use overlay_scenarios::{registry, to_jsonl, ParallelismConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -49,8 +49,8 @@ proptest! {
             workers
         );
         prop_assert_eq!(
-            trace::to_jsonl(&serial.events),
-            trace::to_jsonl(&parallel.events),
+            to_jsonl(&serial.events),
+            to_jsonl(&parallel.events),
             "{} seed={} workers={}: trace JSONL diverged",
             scenario.name,
             seed,

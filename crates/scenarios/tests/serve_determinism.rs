@@ -13,7 +13,7 @@
 //! tree: exactly one `Repair` trace event per epoch, every one reporting
 //! `tree_valid`, and the aggregated record counting zero violations.
 
-use overlay_scenarios::{registry, trace, ParallelismConfig, Scenario, TraceEvent};
+use overlay_scenarios::{registry, to_jsonl, ParallelismConfig, Scenario, TraceEvent};
 use proptest::prelude::*;
 
 /// The registered serve cells (the `serve-*` family plus any future cell that
@@ -52,8 +52,8 @@ proptest! {
             workers
         );
         prop_assert_eq!(
-            trace::to_jsonl(&serial.events),
-            trace::to_jsonl(&parallel.events),
+            to_jsonl(&serial.events),
+            to_jsonl(&parallel.events),
             "{} seed={} workers={}: trace JSONL diverged",
             scenario.name,
             seed,

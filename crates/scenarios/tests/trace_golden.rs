@@ -5,10 +5,10 @@
 //!
 //! Each cell is the only committed one that reaches some part of the trace
 //! format (see the comments in [`GOLDEN`]). A digest is FNV-1a 64 over
-//! `trace::to_jsonl(&scenario.run_traced(seed).events)`. After an intended
+//! `to_jsonl(&scenario.run_traced(seed).events)`. After an intended
 //! change to the trace, regenerate the constants from the failure message.
 
-use overlay_scenarios::{find, trace, TraceEvent};
+use overlay_scenarios::{find, to_jsonl, TraceEvent};
 
 /// `(scenario, seed, FNV-1a 64 of the JSONL trace)`.
 const GOLDEN: [(&str, u64, u64); 5] = [
@@ -43,7 +43,7 @@ fn traces_match_their_golden_digests() {
     let measured: Vec<(&str, u64, u64)> = GOLDEN
         .iter()
         .map(|&(name, seed, _)| {
-            let digest = fnv1a64(trace::to_jsonl(&traced(name, seed)).as_bytes());
+            let digest = fnv1a64(to_jsonl(&traced(name, seed)).as_bytes());
             (name, seed, digest)
         })
         .collect();

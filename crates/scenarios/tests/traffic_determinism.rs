@@ -10,7 +10,7 @@
 //! or not. Sampled over the registered traffic cells, seeds, and worker
 //! counts.
 
-use overlay_scenarios::{registry, trace, ParallelismConfig, Scenario};
+use overlay_scenarios::{registry, to_jsonl, ParallelismConfig, Scenario};
 use proptest::prelude::*;
 
 /// The registered traffic cells (the `traffic-*` family plus any future cell
@@ -49,8 +49,8 @@ proptest! {
             workers
         );
         prop_assert_eq!(
-            trace::to_jsonl(&serial.events),
-            trace::to_jsonl(&parallel.events),
+            to_jsonl(&serial.events),
+            to_jsonl(&parallel.events),
             "{} seed={} workers={}: trace JSONL diverged",
             scenario.name,
             seed,

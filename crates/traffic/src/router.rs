@@ -1307,7 +1307,7 @@ mod tests {
     /// outbox entry, inbox slot and routed request.
     #[test]
     fn message_layouts_carry_a_four_byte_id() {
-        use overlay_core::expander::ExpanderMsg;
+        use overlay_core::ExpanderMsg;
         use overlay_netsim::Channel;
         use std::mem::size_of;
         assert_eq!(size_of::<NodeId>(), 4);

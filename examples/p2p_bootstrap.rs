@@ -31,7 +31,7 @@
 //! times (fresh listener + freshly spawned joiners each wave) to exercise the
 //! concurrent-join path under load; per-wave wall-clocks are printed.
 
-use overlay_networks::baselines::flooding;
+use overlay_networks::baselines::rounds_until_all_know_minimum;
 use overlay_networks::core::{ExpanderParams, OverlayBuilder, OverlayResult};
 use overlay_networks::graph::{analysis, DiGraph, NodeId};
 use overlay_networks::net::{Backend, ChannelBackend, NetRunner, TcpBackend, TcpHost};
@@ -218,8 +218,7 @@ fn main() {
     );
 
     // How long would a broadcast take on the raw referral graph?
-    let raw_broadcast =
-        flooding::rounds_until_all_know_minimum(&g, 1, 4 * n).expect("graph is connected");
+    let raw_broadcast = rounds_until_all_know_minimum(&g, 1, 4 * n).expect("graph is connected");
     println!("broadcast over the raw referral graph: {raw_broadcast} rounds (Θ(diameter))");
 
     // Build the overlay over the selected medium.

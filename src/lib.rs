@@ -12,7 +12,7 @@
 //!   sequence numbers, acks, retransmission, duplicate suppression) that wraps any
 //!   protocol so the construction survives message loss,
 //! * [`core`] (`overlay-core`) — the `CreateExpander` pipeline of Theorem 1.1, with
-//!   each paper phase a first-class `Phase` value (`overlay_core::pipeline`) and
+//!   each paper phase a first-class [`Phase`](overlay_core::Phase) value and
 //!   per-phase round-budget/transport overrides,
 //! * [`traffic`] (`overlay-traffic`) — request workloads routed over the finished
 //!   overlay: seeded workload generators, a greedy/tree router protocol, and

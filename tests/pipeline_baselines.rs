@@ -1,12 +1,12 @@
 //! The pipeline-refactor contract: `OverlayBuilder::build_under_faults` — now a
-//! facade over the first-class phase pipeline (`overlay_core::pipeline`) — must
+//! facade over the first-class phase pipeline (`overlay_core::Phase`) — must
 //! produce **byte-identical** `RunRecord`s to the committed `reports/` baselines
 //! for every registered scenario. The committed files were generated before the
 //! pipeline existed, so any drift in per-phase seeding, budget application,
 //! metrics absorption or stall accounting shows up here as a named per-field
 //! mismatch long before the CI-level `sweep_runner --check`.
 
-use overlay_networks::scenarios::{registry, report, Json, Sweep};
+use overlay_networks::scenarios::{load_report, registry, Json, Sweep};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
@@ -43,7 +43,7 @@ fn committed_reports() -> Vec<(String, Json)> {
         .filter_map(|path| {
             let name = path.file_stem()?.to_str()?.to_string();
             (name != "thresholds").then(|| {
-                let report = report::load_report(&path)
+                let report = load_report(&path)
                     .unwrap_or_else(|e| panic!("cannot load {}: {e}", path.display()));
                 (name, report)
             })
@@ -55,7 +55,7 @@ fn committed_reports() -> Vec<(String, Json)> {
 
 fn committed_run(scenario_name: &str, seed: usize) -> Json {
     let path = committed_path(scenario_name);
-    let report = report::load_report(&path).unwrap_or_else(|e| panic!("cannot load baseline: {e}"));
+    let report = load_report(&path).unwrap_or_else(|e| panic!("cannot load baseline: {e}"));
     assert_eq!(
         field(&report, "seeds").render(),
         BASELINE_SEEDS.to_string(),

@@ -167,7 +167,8 @@ proptest! {
         let n = 32;
         let params = ExpanderParams {
             seed,
-            ..ExpanderParams::for_n(n).with_walk_len(8).with_evolutions(4)
+            evolutions: 4,
+            ..ExpanderParams::for_n(n).with_walk_len(8)
         };
         let g = generators::cycle(n);
         let make_nodes = || -> Vec<ExpanderNode> {
