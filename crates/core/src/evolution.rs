@@ -1,11 +1,14 @@
 //! The graph-evolution engine: the same random experiment as the distributed protocol,
 //! executed directly on a graph.
 //!
-//! The distributed [`crate::ExpanderNode`] protocol and this engine perform
-//! exactly the same evolution step (Δ/8 tokens per node, ℓ uniformly random slot hops,
-//! up to 3Δ/8 acceptances, self-loop padding); the engine just skips the
-//! message-passing so that conductance and minimum-cut trajectories (experiments E2 and
-//! E4) can be measured on larger graphs and after every single evolution.
+//! The distributed [`crate::ExpanderNode`] protocol and this engine run the same
+//! random experiment per evolution (Δ/8 tokens per node, ℓ uniformly random slot hops,
+//! up to 3Δ/8 acceptances, self-loop padding), but on different random streams: every
+//! protocol node draws from its own generator, the engine from one generator for the
+//! whole graph. Their graphs are equal in distribution, not byte for byte, and no test
+//! compares them. The engine skips the message-passing so that conductance and
+//! minimum-cut trajectories (experiments E2 and E4) can be measured on larger graphs
+//! and after every single evolution.
 
 use crate::{benign, ExpanderParams, OverlayError};
 use overlay_graph::{conductance_estimate, DiGraph, NodeId, UGraph};

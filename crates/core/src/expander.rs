@@ -30,6 +30,7 @@ use crate::ExpanderParams;
 use overlay_graph::NodeId;
 use overlay_netsim::wire::{Wire, WireError};
 use overlay_netsim::{Ctx, Envelope, Protocol};
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -206,8 +207,16 @@ impl ExpanderNode {
     }
 
     /// Sends a token one hop along a uniformly random incident slot; self-loop hops stay
-    /// local and cost no message.
-    fn hop_token(&mut self, ctx: &mut Ctx<'_, ExpanderMsg>, origin: NodeId, steps_left: u32) {
+    /// local and cost no message. `rng` is the callback's local copy of the node's
+    /// generator (see [`Self::ingest`]); every draw of a hop comes from it.
+    #[inline(always)]
+    fn hop_token(
+        &mut self,
+        ctx: &mut Ctx<'_, ExpanderMsg>,
+        rng: &mut StdRng,
+        origin: NodeId,
+        steps_left: u32,
+    ) {
         // A node that joined mid-evolution has no slots until its first step-0 round;
         // it draws nothing and holds the token like an all-self-loop slot list would
         // (a lazy step). Unreachable in clean runs: every node has a list there.
@@ -215,7 +224,7 @@ impl ExpanderNode {
         let slot = if self.degree == 0 {
             None
         } else {
-            self.slots.get(ctx.rng().gen_range(0..self.degree))
+            self.slots.get(rng.gen_range(0..self.degree))
         };
         match slot {
             Some(&target) if target != self.id => {
@@ -230,9 +239,11 @@ impl ExpanderNode {
     fn launch_own_tokens(&mut self, ctx: &mut Ctx<'_, ExpanderMsg>) {
         let tokens = self.params.tokens_per_node();
         let steps_left = self.params.walk_len as u32 - 1;
+        let mut rng = ctx.rng().clone();
         for _ in 0..tokens {
-            self.hop_token(ctx, self.id, steps_left);
+            self.hop_token(ctx, &mut rng, self.id, steps_left);
         }
+        *ctx.rng() = rng;
     }
 
     fn accept_round(&mut self, ctx: &mut Ctx<'_, ExpanderMsg>) {
@@ -255,16 +266,18 @@ impl ExpanderNode {
     /// Takes in one token that reached this node: a finished walk awaits the accept
     /// round; one with hops left takes its next hop at once in a forwarding round
     /// and waits for the next one otherwise.
+    #[inline(always)]
     fn take_token(
         &mut self,
         ctx: &mut Ctx<'_, ExpanderMsg>,
+        rng: &mut StdRng,
         forwarding: bool,
         (origin, steps_left): BufferedToken,
     ) {
         if steps_left == 0 {
             self.arrived.push(origin);
         } else if forwarding {
-            self.hop_token(ctx, origin, steps_left - 1);
+            self.hop_token(ctx, rng, origin, steps_left - 1);
         } else {
             self.forward_buffer.push((origin, steps_left));
         }
@@ -274,6 +287,11 @@ impl ExpanderNode {
     /// tokens are taken in is the order they hop in a forwarding round, and so the
     /// order of the node's RNG draws: tokens held over from rounds that forwarded
     /// nothing, then the inbox in inbox order, then last round's lazy steps.
+    ///
+    /// The hops draw from a local copy of the node's generator, written back before
+    /// returning, so a draw updates a local value instead of going through `ctx`'s
+    /// reference to the generator. Nothing else may draw from `ctx.rng()` while the
+    /// copy is live.
     fn ingest(
         &mut self,
         ctx: &mut Ctx<'_, ExpanderMsg>,
@@ -286,12 +304,13 @@ impl ExpanderNode {
         debug_assert!(self.scratch.is_empty(), "scratch is empty between uses");
         let mut held =
             std::mem::replace(&mut self.self_delivery, std::mem::take(&mut self.scratch));
+        let mut rng = ctx.rng().clone();
         if forwarding && !self.forward_buffer.is_empty() {
             // `take_token` does not file into `forward_buffer` while forwarding, so
             // draining a detached buffer is equivalent.
             let mut waiting = std::mem::take(&mut self.forward_buffer);
             for token in waiting.drain(..) {
-                self.take_token(ctx, true, token);
+                self.take_token(ctx, &mut rng, true, token);
             }
             self.forward_buffer = waiting;
         }
@@ -299,14 +318,15 @@ impl ExpanderNode {
             match env.payload {
                 ExpanderMsg::Intro => self.intro_neighbors.push(env.from),
                 ExpanderMsg::Token { origin, steps_left } => {
-                    self.take_token(ctx, forwarding, (origin, steps_left))
+                    self.take_token(ctx, &mut rng, forwarding, (origin, steps_left))
                 }
                 ExpanderMsg::Accept => self.next_slots.push(env.from),
             }
         }
         for token in held.drain(..) {
-            self.take_token(ctx, forwarding, token);
+            self.take_token(ctx, &mut rng, forwarding, token);
         }
+        *ctx.rng() = rng;
         self.scratch = held;
     }
 }

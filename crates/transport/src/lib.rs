@@ -15,15 +15,15 @@
 //!   bitmap of out-of-order receptions),
 //! * **deterministic retransmission timers in rounds** (no wall-clock, no
 //!   randomness: a message unacknowledged for
-//!   [`TransportConfig::retransmit_after`] rounds is re-sent, up to
-//!   [`TransportConfig::max_retransmits`] times),
+//!   [`overlay_netsim::TransportConfig::retransmit_after`] rounds is re-sent,
+//!   up to [`overlay_netsim::TransportConfig::max_retransmits`] times),
 //! * **duplicate suppression** at the receiver, so the wrapped protocol never
 //!   sees a payload twice, and
-//! * a **per-peer window** ([`TransportConfig::window`]) bounding in-flight
-//!   traffic so the adapter's overhead stays within the NCC0 `O(log n)`
-//!   per-round budget (the simulator's send/receive caps apply to transport
-//!   traffic exactly as to protocol traffic — an ack lost to the cap is simply
-//!   retransmitted into).
+//! * a **per-peer window** ([`overlay_netsim::TransportConfig::window`])
+//!   bounding in-flight traffic so the adapter's overhead stays within the
+//!   NCC0 `O(log n)` per-round budget (the simulator's send/receive caps apply
+//!   to transport traffic exactly as to protocol traffic — an ack lost to the
+//!   cap is simply retransmitted into).
 //!
 //! The adapter is *transparent on a clean network*: data is delivered one round
 //! after sending (the same latency as a bare send), the wrapped protocol's inbox
@@ -74,8 +74,8 @@
 //! order per message in send order, so this order is part of the adapter's
 //! observable behaviour: it is what makes a seeded run reproducible and what
 //! keeps the simulator, channel and TCP backends equal. The open-stream list
-//! stays sorted (streams opened in a callback are appended and the list is
-//! sorted once), the round's ack list is sorted once, and the send pass holds
+//! stays sorted (a stream opened in a callback is inserted at its place, found
+//! by binary search), the round's ack list is sorted once, and the send pass holds
 //! each retransmission back until every fresh send is out — the order a walk
 //! over an ordered map of all peers would give, at the cost of the open
 //! streams alone.
@@ -89,8 +89,10 @@
 //!
 //! ```
 //! use overlay_graph::NodeId;
-//! use overlay_netsim::{Ctx, Envelope, FaultPlan, Protocol, SimConfig, Simulator};
-//! use overlay_transport::{Reliable, TransportConfig};
+//! use overlay_netsim::{
+//!     Ctx, Envelope, FaultPlan, Protocol, SimConfig, Simulator, TransportConfig,
+//! };
+//! use overlay_transport::Reliable;
 //!
 //! /// Sends one message to the next node; done once it has heard from its
 //! /// predecessor.
@@ -121,8 +123,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unnameable_types)]
 
 mod reliable;
 
-pub use overlay_netsim::TransportConfig;
 pub use reliable::{Reliable, ReliableStats, TransportMsg};

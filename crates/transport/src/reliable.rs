@@ -511,7 +511,6 @@ impl<P: Protocol> Reliable<P> {
     /// outgoing queues (assigning sequence numbers in send order).
     fn collect_inner_sends(&mut self, ctx: &mut Ctx<'_, TransportMsg<P::Message>>) {
         let mut out = std::mem::take(&mut self.inner_outbox);
-        let listed = self.sending.len();
         for (to, channel, payload) in out.drain(..) {
             let slot = self.slot_of(to);
             let peer = &mut self.peers[slot as usize];
@@ -546,13 +545,12 @@ impl<P: Protocol> Reliable<P> {
                 },
             );
             if !peer.listed {
+                // A stream opened this callback takes its place at once, so
+                // the list stays strictly ascending.
                 peer.listed = true;
-                self.sending.push((to, slot));
+                let at = self.sending.partition_point(|&(id, _)| id < to);
+                self.sending.insert(at, (to, slot));
             }
-        }
-        if self.sending.len() > listed {
-            // Streams opened this callback join the list once, in order.
-            self.sending.sort_unstable();
         }
         self.inner_outbox = out;
     }
