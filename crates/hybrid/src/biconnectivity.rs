@@ -16,20 +16,11 @@
 
 use crate::components::{ComponentsConfig, HybridComponents};
 use crate::spanning_tree::{HybridSpanningTree, SpanningTreeResult};
+use crate::{norm, EdgeKey};
 use overlay_core::OverlayError;
 use overlay_graph::{analysis, DiGraph, NodeId, UGraph};
 use overlay_netsim::caps::log2_ceil;
 use std::collections::{BTreeMap, BTreeSet};
-
-type EdgeKey = (NodeId, NodeId);
-
-fn norm(a: NodeId, b: NodeId) -> EdgeKey {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
 
 /// The output of the distributed biconnectivity algorithm.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

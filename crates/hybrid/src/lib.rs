@@ -39,3 +39,17 @@ pub use components::{ComponentsConfig, ComponentsResult, HybridComponents};
 pub use mis::{HybridMis, HybridMisResult};
 pub use spanning_tree::{HybridSpanningTree, SpanningTreeResult};
 pub use sparsify::{sparsify, SparsifyResult};
+
+use overlay_graph::NodeId;
+
+/// An undirected edge as its `(smaller, larger)` endpoints.
+type EdgeKey = (NodeId, NodeId);
+
+/// The [`EdgeKey`] of the edge `{a, b}`.
+fn norm(a: NodeId, b: NodeId) -> EdgeKey {
+    if a <= b {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}

@@ -20,20 +20,11 @@
 
 use crate::components::component_params;
 use crate::sparsify::{sparsify, SparsifyResult};
+use crate::{norm, EdgeKey};
 use overlay_core::{make_benign, EvolutionEngine, ExpanderNode, ExpanderParams, OverlayError};
 use overlay_graph::{analysis, sequential, DiGraph, NodeId, UGraph};
 use overlay_netsim::caps::log2_ceil;
 use std::collections::HashMap;
-
-type EdgeKey = (NodeId, NodeId);
-
-fn norm(a: NodeId, b: NodeId) -> EdgeKey {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
 
 /// One level of traced evolutions: for every established (non-loop) edge, the walk —
 /// a list of lower-level edges — that created it.

@@ -83,7 +83,8 @@ pub use faults::{CrashEvent, DelayModel, FaultPlan, JoinEvent, Partition};
 pub use metrics::{MetricsMode, RoundMetrics, RunMetrics, TransportCounters};
 pub use protocol::{Channel, Ctx, Envelope, Protocol};
 pub use runtime::{
-    node_rng, Crossing, Medium, ParallelismConfig, RunOutcome, SimConfig, Simulator, WholeRun,
+    node_rng, worker_count, Crossing, Medium, ParallelismConfig, RunOutcome, SimConfig, Simulator,
+    WholeRun,
 };
 pub use trace::{DropCause, SharedTraceSink, TraceBuffer, TraceEvent};
 pub use transport::TransportConfig;

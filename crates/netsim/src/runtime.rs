@@ -10,12 +10,25 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
 
+/// The worker-thread count of every parallel split: the simulator's chunks
+/// ([`ParallelismConfig`] with `workers: None`) and a sweep's seeds.
+/// `RAYON_NUM_THREADS`, when a positive integer, sets it (the name is kept
+/// for CI and the scaling report, which set and record it); otherwise it is
+/// [`std::thread::available_parallelism`].
+pub fn worker_count() -> usize {
+    std::env::var("RAYON_NUM_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .filter(|&threads: &usize| threads >= 1)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Within-round parallelism policy for the simulator.
 ///
 /// A round's protocol callbacks run over `k = effective_workers(n)` contiguous
 /// chunks of nodes, every chunk through the same function: chunk 0 on the
-/// calling thread straight into the round's outbox, chunks `1..k` on rayon
-/// worker threads into one reusable buffer each, appended in chunk order
+/// calling thread straight into the round's outbox, chunks `1..k` on scoped
+/// threads into one reusable buffer each, appended in chunk order
 /// before the (serial) dispatch and fault phases run. Each node owns its RNG,
 /// the fault router's RNG is only drawn in the serial dispatch, and each
 /// receive-cap eviction draws from an RNG of its own inbox (see
@@ -27,8 +40,7 @@ use std::ops::Range;
 /// simulations too small to repay the spawns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParallelismConfig {
-    /// Worker threads to step nodes with; `None` asks rayon
-    /// ([`rayon::current_num_threads`], which honors `RAYON_NUM_THREADS`).
+    /// Worker threads to step nodes with; `None` asks [`worker_count`].
     pub workers: Option<usize>,
     /// Minimum node count before within-round parallelism engages; below it a
     /// round is one chunk regardless of `workers`.
@@ -61,14 +73,12 @@ impl ParallelismConfig {
         if n < self.min_nodes {
             return 1;
         }
-        self.workers
-            .unwrap_or_else(rayon::current_num_threads)
-            .max(1)
+        self.workers.unwrap_or_else(worker_count).max(1)
     }
 }
 
 impl Default for ParallelismConfig {
-    /// Rayon's worker count, engaged from
+    /// [`worker_count`] threads, engaged from
     /// [`ParallelismConfig::DEFAULT_MIN_NODES`] nodes up.
     fn default() -> Self {
         ParallelismConfig {
@@ -1106,9 +1116,9 @@ impl<P: Protocol> Simulator<P> {
         if outs.is_empty() {
             step(first, first_out);
         } else {
-            rayon::scope(|s| {
+            std::thread::scope(|s| {
                 for (chunk, out) in chunks.zip(outs.iter_mut()) {
-                    s.spawn(move |_| step(chunk, out));
+                    s.spawn(move || step(chunk, out));
                 }
                 step(first, first_out);
             });

@@ -32,7 +32,8 @@
 //!                   write the JSONL event trace to
 //!                   `<dir>/traces/<NAME>-seed<S>.jsonl`, print its
 //!                   post-mortem, and exit
-//!   --seed S        the seed for --trace (default 0)
+//!   --seed S        the seed for --trace and --scaling (default 0); a sweep
+//!                   takes --first-seed instead
 //!   --explain       after each sweep, print a forensic post-mortem (failing
 //!                   phase, missing nodes, dominant drop cause, dead-peer
 //!                   burn) for every failed seed
@@ -53,7 +54,7 @@
 //!                   lossy-reliable columns) runs once per size, serially and
 //!                   in parallel, asserted bitwise identical; machine info and
 //!                   per-n wall-clocks land in `<dir>/scaling.md`
-//!   --max-n N       cap the scaling harness at cells with n <= N
+//!   --max-n N       with --scaling: cap the harness at cells with n <= N
 //!                   (default 65536)
 //!   SCENARIO...     registry names to run (default: the whole registry)
 //! ```
@@ -87,13 +88,13 @@ struct Options {
     no_run: bool,
     write_thresholds: bool,
     trace: Option<String>,
-    seed: u64,
+    seed: Option<u64>,
     explain: bool,
     list: bool,
     tag: Option<String>,
     par_threshold: Option<usize>,
     scaling: bool,
-    max_n: usize,
+    max_n: Option<usize>,
     names: Vec<String>,
 }
 
@@ -114,13 +115,13 @@ fn parse_args() -> Result<Option<Options>, String> {
         no_run: false,
         write_thresholds: false,
         trace: None,
-        seed: 0,
+        seed: None,
         explain: false,
         list: false,
         tag: None,
         par_threshold: None,
         scaling: false,
-        max_n: 65536,
+        max_n: None,
         names: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
@@ -150,9 +151,11 @@ fn parse_args() -> Result<Option<Options>, String> {
             "--write-thresholds" => opts.write_thresholds = true,
             "--trace" => opts.trace = Some(value("--trace")?),
             "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
+                opts.seed = Some(
+                    value("--seed")?
+                        .parse()
+                        .map_err(|e| format!("--seed: {e}"))?,
+                )
             }
             "--explain" => opts.explain = true,
             "--list" => opts.list = true,
@@ -166,9 +169,11 @@ fn parse_args() -> Result<Option<Options>, String> {
             }
             "--scaling" => opts.scaling = true,
             "--max-n" => {
-                opts.max_n = value("--max-n")?
-                    .parse()
-                    .map_err(|e| format!("--max-n: {e}"))?
+                opts.max_n = Some(
+                    value("--max-n")?
+                        .parse()
+                        .map_err(|e| format!("--max-n: {e}"))?,
+                )
             }
             "--help" | "-h" => return Ok(None),
             name if !name.starts_with('-') => opts.names.push(name.to_string()),
@@ -180,6 +185,16 @@ fn parse_args() -> Result<Option<Options>, String> {
     }
     if opts.write_thresholds && !opts.compare {
         return Err("--write-thresholds only makes sense with --compare".into());
+    }
+    // A sweep runs `--first-seed`'s range uncapped: taking these silently
+    // would rewrite the selected reports from seeds other than the ones asked.
+    if opts.seed.is_some() && opts.trace.is_none() && !opts.scaling {
+        return Err("--seed only makes sense with --trace or --scaling; \
+                    a sweep takes --first-seed"
+            .into());
+    }
+    if opts.max_n.is_some() && !opts.scaling {
+        return Err("--max-n only makes sense with --scaling".into());
     }
     Ok(Some(opts))
 }
@@ -270,13 +285,14 @@ fn trace_one(name: &str, opts: &Options) -> ExitCode {
             min_nodes: threshold,
         });
     }
-    let run = scenario.run_traced(opts.seed);
+    let seed = opts.seed.unwrap_or(0);
+    let run = scenario.run_traced(seed);
     let dir = opts.dir.join("traces");
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("cannot create {}: {e}", dir.display());
         return ExitCode::FAILURE;
     }
-    let path = dir.join(format!("{}-seed{}.jsonl", scenario.name, opts.seed));
+    let path = dir.join(format!("{}-seed{seed}.jsonl", scenario.name));
     if let Err(e) = std::fs::write(&path, to_jsonl(&run.events)) {
         eprintln!("cannot write {}: {e}", path.display());
         return ExitCode::FAILURE;
@@ -401,15 +417,16 @@ fn compare_committed(opts: &Options) -> ExitCode {
 /// sweep baselines so scaling claims are pinned to a recorded measurement.
 fn run_scaling(opts: &Options) -> ExitCode {
     let machine = scaling::MachineInfo::capture();
-    let cells = scaling::scaling_cells(opts.max_n);
+    let max_n = opts.max_n.unwrap_or(65536);
+    let cells = scaling::scaling_cells(max_n);
     if cells.is_empty() {
-        eprintln!("--scaling: no size-axis cell has n <= {}", opts.max_n);
+        eprintln!("--scaling: no size-axis cell has n <= {max_n}");
         return ExitCode::FAILURE;
     }
     let min_nodes = opts.par_threshold.unwrap_or(0);
     let mut measured = Vec::with_capacity(cells.len());
     for scenario in &cells {
-        let cell = scaling::run_cell(scenario, opts.seed, min_nodes);
+        let cell = scaling::run_cell(scenario, opts.seed.unwrap_or(0), min_nodes);
         // The speedup figure is only printed when a spare core gives the
         // serial/parallel ratio its meaning; single-core machines get the
         // caveat instead of a number that would misread as a parallelism claim.

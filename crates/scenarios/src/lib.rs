@@ -4,7 +4,7 @@
 //! pipeline does when the network is *not* clean. A [`Scenario`] names one experiment:
 //! a graph family × size × [`FaultSpec`] (lowered per run into a concrete seeded
 //! [`overlay_netsim::FaultPlan`]). A [`Sweep`] executes a scenario
-//! across many seeds — in parallel via rayon — and aggregates the per-seed
+//! across many seeds — in parallel on scoped threads — and aggregates the per-seed
 //! [`RunRecord`]s into a [`SweepReport`] with success rates, coverage, round counts
 //! and message-loss accounting, serializable to JSON. A row carries the lower
 //! layers' results as they are — [`overlay_core::MessageStats`],

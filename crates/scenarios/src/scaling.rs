@@ -18,7 +18,7 @@
 use crate::scenario::Scenario;
 use crate::VariantAxis;
 use overlay_netsim::caps::log2_ceil;
-use overlay_netsim::ParallelismConfig;
+use overlay_netsim::{worker_count, ParallelismConfig};
 use std::time::{Duration, Instant};
 
 /// The environment a scaling run measured on. Wall-clocks are meaningless
@@ -29,7 +29,7 @@ pub struct MachineInfo {
     pub available_parallelism: usize,
     /// The `RAYON_NUM_THREADS` override, when set.
     pub rayon_env: Option<String>,
-    /// Worker threads rayon will actually use.
+    /// Worker threads a run will use ([`worker_count`]).
     pub workers: usize,
     /// Operating system (`std::env::consts::OS`).
     pub os: &'static str,
@@ -45,7 +45,7 @@ impl MachineInfo {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
             rayon_env: std::env::var("RAYON_NUM_THREADS").ok(),
-            workers: rayon::current_num_threads(),
+            workers: worker_count(),
             os: std::env::consts::OS,
             arch: std::env::consts::ARCH,
         }
@@ -145,7 +145,7 @@ pub fn run_cell(scenario: &Scenario, seed: u64, min_nodes: usize) -> ScalingCell
         delivered: serial_record.messages.total_delivered,
         serial_wall,
         parallel_wall,
-        workers: rayon::current_num_threads(),
+        workers: worker_count(),
     }
 }
 

@@ -4,10 +4,8 @@
 use crate::json::Json;
 use crate::scenario::{RunRecord, Scenario, ServeRecord, ServeSpec, TrafficRecord, TrafficSpec};
 use overlay_core::{MessageStats, PhaseId, PhaseOverrides, ServeOutcome};
+use overlay_netsim::worker_count;
 use overlay_traffic::TrafficReport;
-use rayon::prelude::*;
-use std::collections::HashSet;
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// A scenario × seed-set execution plan.
@@ -35,33 +33,51 @@ impl Sweep {
         }
     }
 
-    /// Runs every seed in parallel (rayon) and aggregates. Results are ordered by
-    /// seed position, so the report is identical to running the seeds one after
-    /// another on the calling thread.
+    /// Runs the seeds in parallel, one contiguous block of seeds per thread, and
+    /// aggregates. Results are ordered by seed position, so the report is
+    /// identical to running the seeds one after another on the calling thread.
     ///
-    /// The report's [`SweepReport::observed_workers`] counts the *distinct
-    /// threads that actually executed seeds* — measured, not configured — so a
-    /// sweep pinned to one core (or shorter than the worker count) reports the
+    /// The report's [`SweepReport::observed_workers`] is the number of threads
+    /// the seeds ran on, so a sweep shorter than the worker count reports the
     /// parallelism it really got.
     pub fn run(&self) -> SweepReport {
         let start = std::time::Instant::now();
-        let seen = Mutex::new(HashSet::new());
-        let records: Vec<RunRecord> = self
-            .seeds
-            .par_iter()
-            .map(|&seed| {
-                seen.lock().unwrap().insert(std::thread::current().id());
-                self.scenario.run(seed)
-            })
-            .collect();
+        let workers = worker_count();
+        let (records, threads) = ordered_map(&self.seeds, workers, |&seed| self.scenario.run(seed));
         SweepReport {
             scenario: self.scenario.clone(),
             records,
             wall: start.elapsed(),
-            workers: rayon::current_num_threads(),
-            observed_workers: seen.into_inner().unwrap().len(),
+            workers,
+            observed_workers: threads,
         }
     }
+}
+
+/// Maps `f` over `items` in at most `workers` contiguous chunks, each on its
+/// own scoped thread (a lone chunk runs on the calling thread), and returns
+/// the results in input order together with the number of chunks.
+fn ordered_map<T: Sync, U: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> U + Sync,
+) -> (Vec<U>, usize) {
+    if workers <= 1 || items.len() <= 1 {
+        return (items.iter().map(f).collect(), items.len().min(1));
+    }
+    let chunks = items.chunks(items.len().div_ceil(workers.min(items.len())));
+    let threads = chunks.len();
+    let f = &f;
+    let results = std::thread::scope(|s| {
+        let handles: Vec<_> = chunks
+            .map(|chunk| s.spawn(move || chunk.iter().map(f).collect::<Vec<U>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("sweep worker panicked"))
+            .collect()
+    });
+    (results, threads)
 }
 
 /// The aggregated outcome of a [`Sweep`].
@@ -74,10 +90,10 @@ pub struct SweepReport {
     /// Wall-clock time of the sweep (the only non-deterministic field; excluded from
     /// [`SweepReport::to_json`]'s deterministic section).
     pub wall: Duration,
-    /// Worker threads the sweep was configured with ([`rayon::current_num_threads`]).
+    /// Worker threads the sweep was configured with ([`worker_count`]).
     pub workers: usize,
-    /// Distinct threads that actually executed seeds — the parallelism the sweep
-    /// *measured*, which can be less than `workers` on a loaded or small machine.
+    /// Threads that executed seeds, one per contiguous block of seeds — fewer
+    /// than `workers` when the seeds do not fill that many blocks.
     pub observed_workers: usize,
 }
 
@@ -418,6 +434,35 @@ mod tests {
         let sequential: Vec<RunRecord> =
             sweep.seeds.iter().map(|&s| sweep.scenario.run(s)).collect();
         assert_eq!(sweep.run().records, sequential);
+    }
+
+    /// Runs [`ordered_map`] over `0..n` on `workers`, checking the input order
+    /// is kept and that the returned count is both the number of chunks and
+    /// the number of distinct threads that ran them.
+    fn check_ordered_map(n: usize, workers: usize, chunks: usize) {
+        let items: Vec<usize> = (0..n).collect();
+        let seen = std::sync::Mutex::new(std::collections::HashSet::new());
+        let (out, threads) = ordered_map(&items, workers, |&x| {
+            seen.lock().unwrap().insert(std::thread::current().id());
+            x * 3
+        });
+        assert_eq!(out, (0..n).map(|x| x * 3).collect::<Vec<_>>(), "n={n}");
+        assert_eq!(threads, chunks, "n={n} workers={workers}");
+        assert_eq!(seen.into_inner().unwrap().len(), chunks, "n={n}");
+    }
+
+    #[test]
+    fn ordered_map_keeps_input_order_with_one_thread_per_chunk() {
+        check_ordered_map(0, 4, 0);
+        check_ordered_map(1, 4, 1);
+        // More workers than items: one item per thread.
+        check_ordered_map(3, 8, 3);
+        // More items than workers: ceil(10 / 4) = 3 per chunk, so 3 + 3 + 3 + 1,
+        // and ceil(10 / 3) = 4 per chunk, so 4 + 4 + 2.
+        check_ordered_map(10, 4, 4);
+        check_ordered_map(10, 3, 3);
+        check_ordered_map(7, 1, 1);
+        check_ordered_map(5, 0, 1);
     }
 
     #[test]

@@ -38,6 +38,22 @@ fn zero_seeds_is_refused_before_any_report_is_written() {
     assert!(!dir.exists(), "nothing may be written");
 }
 
+/// `--seed` only picks the run of `--trace` and `--scaling`, and `--max-n`
+/// only caps `--scaling`: on a sweep both are refused before anything runs,
+/// instead of the sweep ignoring them and rewriting the report from seeds 0..16.
+#[test]
+fn seed_and_max_n_are_refused_on_a_sweep() {
+    let dir = temp_dir("sweep-only-flags");
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
+    for (flag, value) in [("--seed", "3"), ("--max-n", "256")] {
+        let out = sweep_runner(&["--dir", dir_arg, "--seeds", "1", flag, value, "clean-line"]);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{stderr}");
+        assert!(!dir.exists(), "{flag}: nothing may be written");
+    }
+}
+
 /// One pair swept into a fresh directory: the table `--compare` renders after
 /// the sweep and the one `--compare --no-run` renders from the files are the
 /// same bytes — whatever `--seeds` the second call states, since the seed

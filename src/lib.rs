@@ -19,13 +19,14 @@
 //!   latency/congestion reports measuring what the paper's guarantees bought,
 //! * [`hybrid`] (`overlay-hybrid`) — connected components, spanning trees, biconnected
 //!   components and MIS in the hybrid model (Theorems 1.2–1.5),
-//! * [`net`] (`overlay-net`) — the same protocol code over real byte streams: a
-//!   threaded channel backend and a multi-process TCP backend behind the
-//!   `PhaseExecutor` seam, with the simulator as the CI-checked model,
+//! * [`net`] (`overlay-net`) — the same protocol code behind the
+//!   `PhaseExecutor` seam: a one-process channel backend that owns every node
+//!   and encodes nothing, and a multi-process TCP backend over real byte
+//!   streams, with the simulator as the CI-checked model,
 //! * [`baselines`] (`overlay-baselines`) — supernode merging, pointer jumping, flooding
 //!   and Luby MIS baselines,
 //! * [`scenarios`] (`overlay-scenarios`) — declarative churn/fault scenarios (message
-//!   loss, delays, crash waves, join churn, partitions) and a rayon-parallel
+//!   loss, delays, crash waves, join churn, partitions) and a parallel
 //!   multi-seed sweep runner with JSON reports.
 //!
 //! # Quick start
