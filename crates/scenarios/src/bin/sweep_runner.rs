@@ -8,12 +8,6 @@
 //!   --dir PATH      output directory (default reports)
 //!   --check         diff each new report against the existing file before
 //!                   overwriting; exit 1 if any deterministic value changed
-//!   --full          additionally run the on-demand larger-n sweeps
-//!                   (n = 1024 / 4096 / 16384 / 65536); their reports go to
-//!                   `<dir>/full/` and are never part of the committed
-//!                   `--check` baselines (serial-vs-parallel wall-clocks are
-//!                   `--scaling`'s and the benchmark ledger's job, not this
-//!                   flag's)
 //!   --compare       after the sweeps, print the baseline-vs-twin delta table
 //!                   (success, coverage, rounds, delivered, retransmits per
 //!                   registered pair) from the reports under `<dir>` — the
@@ -31,7 +25,8 @@
 //!   --trace NAME    run scenario NAME once (under --seed) with tracing on,
 //!                   write the JSONL event trace to
 //!                   `<dir>/traces/<NAME>-seed<S>.jsonl`, print its
-//!                   post-mortem, and exit
+//!                   post-mortem, and exit; takes only --seed,
+//!                   --par-threshold and --dir
 //!   --seed S        the seed for --trace and --scaling (default 0); a sweep
 //!                   takes --first-seed instead
 //!   --explain       after each sweep, print a forensic post-mortem (failing
@@ -49,11 +44,12 @@
 //!                   the run a serial-vs-parallel equivalence gate, since the
 //!                   parallel path must reproduce the committed baselines
 //!                   byte-for-byte
-//!   --scaling       run the scaling harness instead of sweeps: every
-//!                   size-axis cell of the full registry (clean and
-//!                   lossy-reliable columns) runs once per size, serially and
-//!                   in parallel, asserted bitwise identical; machine info and
-//!                   per-n wall-clocks land in `<dir>/scaling.md`
+//!   --scaling       run the scaling harness instead of sweeps: the cells
+//!                   clean-line and lossy-ncc0-reliable run once per size
+//!                   (n = 1024 / 4096 / 16384 / 65536), serially and in
+//!                   parallel, asserted bitwise identical; machine info and
+//!                   per-n wall-clocks land in `<dir>/scaling.md`; takes only
+//!                   --seed, --max-n, --par-threshold and --dir
 //!   --max-n N       with --scaling: cap the harness at cells with n <= N
 //!                   (default 65536)
 //!   SCENARIO...     registry names to run (default: the whole registry)
@@ -61,18 +57,17 @@
 //!
 //! Reports are deterministic per `(scenario, seed set)`, so committing `reports/`
 //! and running with `--check` turns any behavior change into a named, per-seed,
-//! per-counter diff. The `--full` sweeps are deliberately outside that contract:
-//! they take minutes and exist to spot-check large-n behavior on demand, so they
-//! are written to an untracked `full/` subdirectory and skipped by `--check`.
+//! per-counter diff. Large-n runs are `--scaling`'s: it writes wall-clocks, which
+//! no report body holds.
 //!
 //! Environment facts (wall-clock, worker count) never enter a report body; the
 //! summary line printed per sweep is where they go. Traces are derived output
 //! under the untracked `<dir>/traces/`.
 
 use overlay_scenarios::{
-    check_thresholds, diff_reports, full_registry, load_report, load_thresholds, post_mortem,
-    registry, render_compare_table, scaling, to_jsonl, write_compare_table, write_report,
-    write_thresholds, Json, PairDelta, ParallelismConfig, Scenario, Sweep,
+    check_thresholds, diff_reports, load_report, load_thresholds, post_mortem, registry,
+    render_compare_table, scaling, to_jsonl, write_compare_table, write_report, write_thresholds,
+    Json, PairDelta, ParallelismConfig, Scenario, Sweep,
 };
 use std::io;
 use std::path::PathBuf;
@@ -83,7 +78,6 @@ struct Options {
     first_seed: u64,
     dir: PathBuf,
     check: bool,
-    full: bool,
     compare: bool,
     no_run: bool,
     write_thresholds: bool,
@@ -99,9 +93,15 @@ struct Options {
 }
 
 const USAGE: &str = "usage: sweep_runner [--seeds N] [--first-seed S] [--dir PATH] \
-    [--check] [--full] [--compare [--no-run] [--write-thresholds]] \
+    [--check] [--compare [--no-run] [--write-thresholds]] \
     [--trace NAME [--seed S]] [--explain] [--list] [--tag T] \
     [--par-threshold N] [--scaling [--max-n N]] [SCENARIO...]";
+
+/// The flags `--trace` and `--scaling` read. Each runs one thing, so any other
+/// flag or a scenario name given with them would be ignored while the run
+/// exits 0: `parse_args` refuses it instead.
+const TRACE_READS: &[&str] = &["--trace", "--seed", "--par-threshold", "--dir"];
+const SCALING_READS: &[&str] = &["--scaling", "--seed", "--max-n", "--par-threshold", "--dir"];
 
 /// Parses the command line; `Ok(None)` means `--help` was asked for.
 fn parse_args() -> Result<Option<Options>, String> {
@@ -110,7 +110,6 @@ fn parse_args() -> Result<Option<Options>, String> {
         first_seed: 0,
         dir: PathBuf::from("reports"),
         check: false,
-        full: false,
         compare: false,
         no_run: false,
         write_thresholds: false,
@@ -124,8 +123,12 @@ fn parse_args() -> Result<Option<Options>, String> {
         max_n: None,
         names: Vec::new(),
     };
+    let mut flags = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if arg.starts_with('-') {
+            flags.push(arg.clone());
+        }
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
             "--seeds" => {
@@ -145,7 +148,6 @@ fn parse_args() -> Result<Option<Options>, String> {
             }
             "--dir" => opts.dir = PathBuf::from(value("--dir")?),
             "--check" => opts.check = true,
-            "--full" => opts.full = true,
             "--compare" => opts.compare = true,
             "--no-run" => opts.no_run = true,
             "--write-thresholds" => opts.write_thresholds = true,
@@ -196,6 +198,21 @@ fn parse_args() -> Result<Option<Options>, String> {
     if opts.max_n.is_some() && !opts.scaling {
         return Err("--max-n only makes sense with --scaling".into());
     }
+    let mode = if opts.trace.is_some() {
+        Some(("--trace", TRACE_READS))
+    } else if opts.scaling {
+        Some(("--scaling", SCALING_READS))
+    } else {
+        None
+    };
+    if let Some((mode, reads)) = mode {
+        if let Some(flag) = flags.iter().find(|f| !reads.contains(&f.as_str())) {
+            return Err(format!("{mode} does not take {flag}"));
+        }
+        if let Some(name) = opts.names.first() {
+            return Err(format!("{mode} does not take a scenario name ({name:?})"));
+        }
+    }
     Ok(Some(opts))
 }
 
@@ -208,19 +225,11 @@ fn selected(opts: &Options) -> Result<Vec<Scenario>, String> {
             .map(|name| {
                 registry()
                     .find(name)
-                    .or_else(|| full_registry().find(name))
                     .cloned()
                     .ok_or_else(|| format!("unknown scenario {name:?}; known: {}", known_names()))
             })
             .collect::<Result<Vec<_>, _>>()?
     };
-    if opts.full {
-        for s in full_registry() {
-            if !scenarios.iter().any(|existing| existing.name == s.name) {
-                scenarios.push(s.clone());
-            }
-        }
-    }
     // `--tag` narrows the *default* selection; scenarios the user named
     // explicitly always run (naming a cell is already the narrowest filter).
     if let (Some(tag), true) = (&opts.tag, opts.names.is_empty()) {
@@ -233,11 +242,7 @@ fn selected(opts: &Options) -> Result<Vec<Scenario>, String> {
 }
 
 fn known_names() -> String {
-    registry()
-        .names()
-        .chain(full_registry().names())
-        .collect::<Vec<_>>()
-        .join(", ")
+    registry().names().collect::<Vec<_>>().join(", ")
 }
 
 /// Prints one line per scenario so users can discover matrix cells without
@@ -245,9 +250,6 @@ fn known_names() -> String {
 /// baseline the cell was derived from (`-` for hand-authored baselines).
 fn print_listing(opts: &Options) {
     let mut scenarios: Vec<&Scenario> = registry().iter().collect();
-    if opts.full {
-        scenarios.extend(full_registry().iter());
-    }
     if let Some(tag) = &opts.tag {
         scenarios.retain(|s| s.has_tag(tag));
     }
@@ -272,7 +274,7 @@ fn print_listing(opts: &Options) {
 /// behaviorally identical to the untraced one (the sink never draws RNG), so the
 /// trace explains exactly the run a sweep would have executed.
 fn trace_one(name: &str, opts: &Options) -> ExitCode {
-    let mut scenario = match registry().find(name).or_else(|| full_registry().find(name)) {
+    let mut scenario = match registry().find(name) {
         Some(s) => s.clone(),
         None => {
             eprintln!("unknown scenario {name:?}; known: {}", known_names());
@@ -409,7 +411,7 @@ fn compare_committed(opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `--scaling`: the scaling harness. Every size-axis cell of the full registry
+/// `--scaling`: the scaling harness. Every cell of [`scaling::scaling_cells`]
 /// up to `--max-n` runs once under `--seed`, serially and with within-round
 /// parallelism engaged (from `--par-threshold` nodes up, default 0 so the
 /// parallel path always runs). The per-cell results and wall-clocks, plus the
@@ -420,7 +422,7 @@ fn run_scaling(opts: &Options) -> ExitCode {
     let max_n = opts.max_n.unwrap_or(65536);
     let cells = scaling::scaling_cells(max_n);
     if cells.is_empty() {
-        eprintln!("--scaling: no size-axis cell has n <= {max_n}");
+        eprintln!("--scaling: no scaling cell has n <= {max_n}");
         return ExitCode::FAILURE;
     }
     let min_nodes = opts.par_threshold.unwrap_or(0);
@@ -491,14 +493,6 @@ fn main() -> ExitCode {
 
     let mut regressions = 0usize;
     for mut scenario in scenarios {
-        // Large-n scenarios selected by name go where `--full` puts them: the
-        // untracked `full/` subdirectory, outside the `--check` contract.
-        let is_full = scenario.name.starts_with("full-");
-        let dir = if is_full {
-            opts.dir.join("full")
-        } else {
-            opts.dir.clone()
-        };
         if let Some(threshold) = opts.par_threshold {
             // Parallelism is bitwise-invisible in results, so overriding it
             // never perturbs a `--check` comparison — it only decides which
@@ -519,9 +513,9 @@ fn main() -> ExitCode {
             }
         }
 
-        let path = dir.join(format!("{}.json", result.scenario.name));
+        let path = opts.dir.join(format!("{}.json", result.scenario.name));
         let mut regressed = false;
-        if opts.check && !is_full {
+        if opts.check {
             if !path.exists() {
                 // A missing baseline must fail the check: treating it as success
                 // would make the regression gate silently inert (e.g. a baseline
@@ -563,7 +557,7 @@ fn main() -> ExitCode {
             // reproducible; the intended-change workflow (rerun without --check,
             // commit) still works.
             regressions += 1;
-        } else if let Err(e) = write_report(&result, &dir) {
+        } else if let Err(e) = write_report(&result, &opts.dir) {
             eprintln!("  cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }

@@ -39,9 +39,8 @@
 //!    layer (plus flat retry slack), [`Scenario::with_phases`] scopes
 //!    budget/transport overrides to single pipeline phases,
 //!    [`Scenario::with_reinvitation`] and [`Scenario::with_traffic_axis`] vary a
-//!    serving or traffic cell, and [`Scenario::at_n`] derives the
-//!    on-demand large-`n` rerun for [`full_registry`]. Each derivation appends a
-//!    deterministic name suffix, rewrites the description, and records its
+//!    serving or traffic cell. Each derivation appends a deterministic name
+//!    suffix, rewrites the description, and records its
 //!    baseline and axis, so [`Registry::pairs`] (and `sweep_runner --compare`'s
 //!    delta table) pick the couple up automatically.
 //! 3. There is no step 3: sweeps, aggregation, JSON reports, persisted
@@ -58,8 +57,9 @@
 //! against the previous ones). The baseline-vs-twin delta table
 //! (`sweep_runner --compare`) has one comparator, [`PairDelta::from_committed`],
 //! which reads those documents: after a sweep and with `--no-run` it is the same
-//! function over the same files. `--full` adds the large-`n` cells to a sweep and
-//! nothing else; serial-vs-chunked wall-clocks are `--scaling`'s job.
+//! function over the same files. Large-`n` runs and serial-vs-chunked
+//! wall-clocks are `--scaling`'s job ([`scaling`]), which reruns registry cells
+//! at a bigger `n` under their own names.
 //!
 //! # Determinism
 //!
@@ -90,7 +90,7 @@ pub use compare::{
 pub use forensics::{post_mortem, MissingCause, MissingNode, PostMortem};
 pub use json::Json;
 pub use overlay_netsim::{ParallelismConfig, TraceEvent, TransportConfig};
-pub use registry::{find, full_registry, registry, Registry, RegistryError};
+pub use registry::{find, registry, Registry, RegistryError};
 pub use report::{diff_reports, load_report, write_report};
 pub use scenario::{
     FaultSpec, ForensicRun, GraphFamily, RunRecord, Scenario, ServeRecord, ServeSpec,

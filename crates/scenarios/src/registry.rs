@@ -2,12 +2,13 @@
 //! tag filtering, and the baseline↔twin pairing iterator.
 //!
 //! The built-in matrix ([`registry`]) holds the hand-authored baselines plus
-//! every *derived* cell: the reliable-transport twins, the phase-override,
-//! re-invitation and traffic variants, and (via [`full_registry`]) the
-//! on-demand large-`n` reruns — all constructed through the variant axis API
-//! ([`Scenario::reliable`], [`Scenario::at_n`], [`Scenario::with_phases`],
+//! every *derived* cell: the reliable-transport twins and the phase-override,
+//! re-invitation and traffic variants — all constructed through the variant
+//! axis API ([`Scenario::reliable`], [`Scenario::with_phases`],
 //! [`Scenario::with_reinvitation`], [`Scenario::with_traffic_axis`]), so adding
-//! a matrix cell is one derivation line, not a copy-pasted struct.
+//! a matrix cell is one derivation line, not a copy-pasted struct. It is the
+//! only registry: the scaling harness's large-`n` cells are its baselines at a
+//! bigger `n` (see `scaling::scaling_cells`), not registered cells.
 
 use crate::scenario::{FaultSpec, GraphFamily, Scenario, ServeSpec, TrafficSpec, VariantAxis};
 use overlay_core::{PhaseId, PhaseOverrides, RoundBudget};
@@ -22,10 +23,9 @@ use std::sync::OnceLock;
 pub enum RegistryError {
     /// A scenario name is empty, not kebab-case, or dash-delimited incorrectly.
     InvalidName(String),
-    /// Two scenarios (or a scenario and an external baseline) share a name.
+    /// Two scenarios share a name.
     DuplicateName(String),
-    /// A scenario's `baseline` field names no scenario in this registry (or its
-    /// external context).
+    /// A scenario's `baseline` field names no scenario in this registry.
     UnresolvedBaseline {
         /// The twin whose pairing is dangling.
         scenario: String,
@@ -91,33 +91,12 @@ impl Registry {
     ///
     /// Returns the first [`RegistryError`] found, in scenario order.
     pub fn new(scenarios: Vec<Scenario>) -> Result<Self, RegistryError> {
-        Self::build(scenarios, None)
-    }
-
-    /// Builds a registry whose baseline references may also resolve in
-    /// `external` — how [`full_registry`]'s large-`n` derivations point back at
-    /// the committed laptop-sized cells without duplicating them.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`RegistryError`] found; names must be unique across
-    /// `scenarios` *and* `external` combined.
-    pub fn with_external_baselines(
-        scenarios: Vec<Scenario>,
-        external: &Registry,
-    ) -> Result<Self, RegistryError> {
-        Self::build(scenarios, Some(external))
-    }
-
-    fn build(scenarios: Vec<Scenario>, external: Option<&Registry>) -> Result<Self, RegistryError> {
         let mut index = HashMap::with_capacity(scenarios.len());
         for (i, s) in scenarios.iter().enumerate() {
             if !is_kebab_case(&s.name) {
                 return Err(RegistryError::InvalidName(s.name.clone()));
             }
-            if index.insert(s.name.clone(), i).is_some()
-                || external.is_some_and(|e| e.index.contains_key(&s.name))
-            {
+            if index.insert(s.name.clone(), i).is_some() {
                 return Err(RegistryError::DuplicateName(s.name.clone()));
             }
         }
@@ -128,13 +107,12 @@ impl Registry {
                 (Some(b), Some(axis)) => (b, axis),
                 _ => return Err(RegistryError::MissingAxis(twin.name.clone())),
             };
-            let base = registry
-                .find(baseline)
-                .or_else(|| external.and_then(|e| e.find(baseline)))
-                .ok_or_else(|| RegistryError::UnresolvedBaseline {
+            let Some(base) = registry.find(baseline) else {
+                return Err(RegistryError::UnresolvedBaseline {
                     scenario: twin.name.clone(),
                     baseline: baseline.clone(),
-                })?;
+                });
+            };
             if let Err(problem) = validate_axis(base, twin, axis) {
                 return Err(RegistryError::AxisViolation {
                     scenario: twin.name.clone(),
@@ -235,10 +213,6 @@ fn validate_axis(base: &Scenario, twin: &Scenario, axis: VariantAxis) -> Result<
             rest.round_budget = twin.round_budget.with_slack(base.round_budget.slack());
             base.transport.is_none() && twin.transport.is_some()
         }
-        VariantAxis::Size => {
-            rest.n = base.n;
-            twin.n != base.n
-        }
         VariantAxis::Phases => {
             rest.phases = base.phases;
             !twin.phases.is_empty() && twin.phases != base.phases
@@ -276,7 +250,7 @@ fn validate_axis(base: &Scenario, twin: &Scenario, axis: VariantAxis) -> Result<
 /// The hand-authored baselines: the paper's clean settings plus one scenario per
 /// fault family. Sizes are laptop-friendly so the whole registry sweeps in
 /// seconds; the specs are fractions of `n` and of the round schedule, so scaling
-/// a scenario up is just a bigger `n` (see [`Scenario::at_n`]).
+/// a scenario up is just a bigger `n` (as `scaling::scaling_cells` does).
 fn baselines() -> Vec<Scenario> {
     vec![
         Scenario::new(
@@ -669,31 +643,7 @@ pub fn registry() -> &'static Registry {
     })
 }
 
-/// On-demand larger-`n` derivations for the sweep runner's `--full` flag.
-///
-/// These sweeps take minutes, not seconds, so they are *excluded* from the
-/// committed `reports/` baselines and from `--check` (the runner writes them to
-/// a `full/` subdirectory that stays untracked); they exist to confirm that the
-/// `O(log n)` behavior — and the transport's overhead ratio — holds at sizes the
-/// laptop-friendly registry cannot witness. Every cell is derived via
-/// [`Scenario::at_n`], so its `full-<base>-<n>` name is a pure function of the
-/// baseline and the size — a third size can never be mislabeled.
-pub fn full_registry() -> &'static Registry {
-    static FULL: OnceLock<Registry> = OnceLock::new();
-    FULL.get_or_init(|| {
-        let base = registry();
-        let mut all = Vec::new();
-        for &n in &[1024usize, 4096, 16384, 65536] {
-            for name in ["clean-line", "lossy-ncc0-reliable"] {
-                all.push(base.find(name).expect("baseline registered").at_n(n));
-            }
-        }
-        Registry::with_external_baselines(all, base).expect("full registry is valid")
-    })
-}
-
-/// Looks a scenario up by its registry name (committed matrix only; the sweep
-/// runner additionally consults [`full_registry`] for `full-*` names).
+/// Looks a scenario up by its registry name.
 pub fn find(name: &str) -> Option<Scenario> {
     registry().find(name).cloned()
 }
@@ -830,65 +780,13 @@ mod tests {
         // A "transport twin" that also changed the graph family must be refused.
         let mut twin = base.reliable(TransportConfig::default(), 4);
         twin.family = GraphFamily::Cycle;
-        match Registry::new(vec![base.clone(), twin]).unwrap_err() {
+        match Registry::new(vec![base, twin]).unwrap_err() {
             RegistryError::AxisViolation { scenario, problem } => {
                 assert_eq!(scenario, "base-reliable");
                 assert!(problem.contains("graph family"), "{problem}");
             }
             other => panic!("expected AxisViolation, got {other:?}"),
         }
-        // A size twin that does not actually change n is refused too.
-        let mut same_n = base.at_n(1024);
-        same_n.n = base.n;
-        assert!(matches!(
-            Registry::new(vec![base, same_n]).unwrap_err(),
-            RegistryError::AxisViolation { .. }
-        ));
-    }
-
-    #[test]
-    fn full_registry_is_large_n_derived_and_does_not_collide() {
-        let base = registry();
-        let full = full_registry();
-        assert!(!full.is_empty());
-        for s in full {
-            assert!(s.n >= 1024, "{} is not a large-n sweep", s.name);
-            assert!(
-                s.name.starts_with("full-"),
-                "{} must be namespaced away from the committed baselines",
-                s.name
-            );
-            assert!(base.find(&s.name).is_none());
-            // Every full cell is a size-axis derivation of a committed cell.
-            assert_eq!(s.axis, Some(VariantAxis::Size));
-            let baseline = s.baseline.as_deref().expect("derived");
-            assert!(base.find(baseline).is_some(), "{baseline} dangling");
-        }
-        let mut names: Vec<&str> = full.names().collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), full.len(), "full names must be unique");
-    }
-
-    #[test]
-    fn three_size_full_sets_never_mislabel() {
-        // Regression for the old `match n { 1024 => ..., _ => "4096" }` naming,
-        // which silently labeled any third size as 4096: derived names are a
-        // pure function of (baseline, n), so a 3-size set keeps 3 exact names.
-        let clean = registry().find("clean-line").unwrap();
-        let set: Vec<Scenario> = [512usize, 1024, 4096]
-            .iter()
-            .map(|&n| clean.at_n(n))
-            .collect();
-        let reg = Registry::with_external_baselines(set, registry()).expect("valid");
-        assert_eq!(
-            reg.names().collect::<Vec<_>>(),
-            vec![
-                "full-clean-line-512",
-                "full-clean-line-1024",
-                "full-clean-line-4096",
-            ],
-        );
     }
 
     #[test]

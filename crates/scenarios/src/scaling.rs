@@ -1,22 +1,22 @@
-//! The scaling harness: sweeps `n × family × fault load` through the large-`n`
-//! matrix cells and reports wall-clock against the paper's `O(log n)` round
-//! bound.
+//! The scaling harness: reruns registry cells at large `n` and reports
+//! wall-clock against the paper's `O(log n)` round bound.
 //!
-//! The harness runs every size-axis cell of [`crate::full_registry`] (derived
-//! via `Scenario::at_n`, so clean and lossy-reliable columns at each size) once
-//! per size, twice each: once with within-round parallelism forced off and once
-//! with it engaged. The two runs must produce identical records — the
-//! simulator's parallel path is bitwise equal to the serial one — so the pair
-//! yields a *measured* serial-vs-parallel wall-clock per `n` for free, next to
-//! the round counts the paper's analysis predicts.
+//! The harness runs two registry cells, `clean-line` and `lossy-ncc0-reliable`,
+//! at n = 1024, 4096, 16 384 and 65 536 ([`scaling_cells`]: the registered
+//! cell with only `n` changed, under its own name), twice each: once with
+//! within-round parallelism forced off and once with it engaged. The two runs
+//! must produce identical records — the simulator's parallel path is bitwise
+//! equal to the serial one — so the pair yields a *measured* serial-vs-parallel
+//! wall-clock per `n` for free, next to the round counts the paper's analysis
+//! predicts.
 //!
 //! Output is a markdown report ([`render_markdown`]) committed next to the
 //! sweep baselines: machine facts first (they are what the wall-clocks mean
 //! anything relative to), then a per-cell table, then the round-bound
 //! interpretation. The sweep runner's `--scaling` flag drives this end to end.
 
+use crate::registry::registry;
 use crate::scenario::Scenario;
-use crate::VariantAxis;
 use overlay_netsim::caps::log2_ceil;
 use overlay_netsim::{worker_count, ParallelismConfig};
 use std::time::{Duration, Instant};
@@ -64,7 +64,7 @@ impl MachineInfo {
 /// serial and parallel wall-clocks and the run's headline results.
 #[derive(Clone, Debug)]
 pub struct ScalingCell {
-    /// The cell's registry name (e.g. `full-clean-line-65536`).
+    /// The registry name of the cell it reruns (e.g. `clean-line`).
     pub name: String,
     /// Graph family label.
     pub family: String,
@@ -96,16 +96,29 @@ impl ScalingCell {
     }
 }
 
-/// The size-axis cells of [`crate::full_registry`] with `n <= max_n`, ordered
-/// by `(n, name)` so the report reads smallest to largest.
+/// The registry cells the harness reruns, in name order.
+const BASES: [&str; 2] = ["clean-line", "lossy-ncc0-reliable"];
+
+/// The node counts each base runs at, ascending.
+const SIZES: [usize; 4] = [1024, 4096, 16384, 65536];
+
+/// Every base at every size up to `max_n`: the registered cell with only `n`
+/// changed, under its own name (the report has an `n` column), in `(n, name)`
+/// order so the report reads smallest to largest.
 pub fn scaling_cells(max_n: usize) -> Vec<Scenario> {
-    let mut cells: Vec<Scenario> = crate::full_registry()
-        .iter()
-        .filter(|s| s.axis == Some(VariantAxis::Size) && s.actual_n() <= max_n)
-        .cloned()
-        .collect();
-    cells.sort_by(|a, b| (a.actual_n(), &a.name).cmp(&(b.actual_n(), &b.name)));
-    cells
+    SIZES
+        .into_iter()
+        .filter(|&n| n <= max_n)
+        .flat_map(|n| {
+            BASES.map(|base| Scenario {
+                n,
+                ..registry()
+                    .find(base)
+                    .expect("scaling base registered")
+                    .clone()
+            })
+        })
+        .collect()
 }
 
 /// Measures one cell: runs `seed` once serially and once with parallelism
@@ -156,11 +169,11 @@ pub fn render_markdown(machine: &MachineInfo, cells: &[ScalingCell]) -> String {
     let mut out = String::new();
     out.push_str("# Scaling report\n\n");
     out.push_str(
-        "Generated by `sweep_runner --scaling`: every size-axis cell of the\n\
-         `--full` registry runs once per size, serially and with within-round\n\
-         parallelism engaged. The two runs are asserted bitwise identical, so\n\
-         the wall-clock pair is a measured serial-vs-parallel comparison of the\n\
-         same computation.\n\n",
+        "Generated by `sweep_runner --scaling`: the registry cells `clean-line`\n\
+         and `lossy-ncc0-reliable` run once per size, serially and with\n\
+         within-round parallelism engaged. The two runs are asserted bitwise\n\
+         identical, so the wall-clock pair is a measured serial-vs-parallel\n\
+         comparison of the same computation.\n\n",
     );
     out.push_str("## Machine\n\n");
     out.push_str(&format!("- os/arch: {}/{}\n", machine.os, machine.arch));
@@ -172,7 +185,7 @@ pub fn render_markdown(machine: &MachineInfo, cells: &[ScalingCell]) -> String {
         "- RAYON_NUM_THREADS: {}\n",
         machine.rayon_env.as_deref().unwrap_or("(unset)")
     ));
-    out.push_str(&format!("- rayon workers: {}\n\n", machine.workers));
+    out.push_str(&format!("- worker threads: {}\n\n", machine.workers));
     out.push_str("## Cells\n\n");
     // The speedup column only appears when a spare core exists to give the
     // ratio its meaning; on a single core the serial/parallel pair still
@@ -223,13 +236,13 @@ pub fn render_markdown(machine: &MachineInfo, cells: &[ScalingCell]) -> String {
     if !machine.has_spare_cores() {
         out.push_str(
             "**This machine exposes a single core**, so the parallel path cannot\n\
-             produce a wall-clock speedup here: rayon sizes its pool to the one\n\
-             available core (unless `RAYON_NUM_THREADS` forces more, which only\n\
-             adds scheduling overhead on one core). The speedup column is\n\
-             therefore omitted — the serial/parallel wall-clock pair measures\n\
-             the sharded path's overhead, not its benefit; the bitwise identity\n\
-             assertion still exercises that code path end to end. Re-run\n\
-             `sweep_runner --scaling` on a multi-core machine for a real\n\
+             produce a wall-clock speedup here: the worker threads are sized to\n\
+             the one available core (unless `RAYON_NUM_THREADS` forces more,\n\
+             which only adds scheduling overhead on one core). The speedup\n\
+             column is therefore omitted — the serial/parallel wall-clock pair\n\
+             measures the sharded path's overhead, not its benefit; the bitwise\n\
+             identity assertion still exercises that code path end to end.\n\
+             Re-run `sweep_runner --scaling` on a multi-core machine for a real\n\
              speedup measurement.\n",
         );
     }
@@ -242,18 +255,38 @@ mod tests {
 
     #[test]
     fn scaling_cells_are_size_sorted_and_capped() {
-        let cells = scaling_cells(4096);
-        assert!(!cells.is_empty());
-        assert!(cells.iter().all(|s| s.actual_n() <= 4096));
-        let sizes: Vec<usize> = cells.iter().map(|s| s.actual_n()).collect();
-        let mut sorted = sizes.clone();
-        sorted.sort_unstable();
-        assert_eq!(sizes, sorted);
-        // Both the clean and the lossy-reliable column are present at each size.
-        assert!(cells.iter().any(|s| s.name.starts_with("full-clean-line-")));
-        assert!(cells
-            .iter()
-            .any(|s| s.name.starts_with("full-lossy-ncc0-reliable-")));
+        let grid = |max_n| -> Vec<(usize, String)> {
+            scaling_cells(max_n)
+                .into_iter()
+                .map(|s| (s.actual_n(), s.name))
+                .collect()
+        };
+        let cell = |n: usize, name: &str| (n, name.to_string());
+        assert_eq!(
+            grid(4096),
+            vec![
+                cell(1024, "clean-line"),
+                cell(1024, "lossy-ncc0-reliable"),
+                cell(4096, "clean-line"),
+                cell(4096, "lossy-ncc0-reliable"),
+            ]
+        );
+        let all = grid(usize::MAX);
+        assert_eq!(all.len(), 8);
+        assert_eq!(&all[..4], &grid(8192)[..]);
+        let mut sorted = all.clone();
+        sorted.sort();
+        assert_eq!(all, sorted);
+        assert_eq!(all[7], cell(65536, "lossy-ncc0-reliable"));
+        assert!(scaling_cells(512).is_empty());
+        // A cell is its registry cell with only `n` moved.
+        for s in scaling_cells(1024) {
+            let base = registry().find(&s.name).expect("registered");
+            assert_eq!(
+                format!("{:?}", Scenario { n: base.n, ..s }),
+                format!("{base:?}")
+            );
+        }
     }
 
     #[test]

@@ -424,7 +424,7 @@ fn seeded_subset(n: usize, fraction: f64, rng: &mut StdRng) -> Vec<usize> {
 /// The axis along which a derived scenario differs from its baseline.
 ///
 /// Every scenario produced by one of the variant constructors
-/// ([`Scenario::reliable`], [`Scenario::at_n`], [`Scenario::with_phases`],
+/// ([`Scenario::reliable`], [`Scenario::with_phases`],
 /// [`Scenario::with_reinvitation`], [`Scenario::with_traffic_axis`]) records
 /// its axis next to its [`baseline`](Scenario::baseline) name, so
 /// twin↔baseline pairing is scenario *data* that a [`crate::Registry`] can
@@ -434,8 +434,6 @@ fn seeded_subset(n: usize, fraction: f64, rng: &mut StdRng) -> Vec<usize> {
 pub enum VariantAxis {
     /// The twin adds the reliable-delivery transport layer (plus retry slack).
     Transport,
-    /// The twin reruns the baseline at a different (on-demand, large) `n`.
-    Size,
     /// The twin scopes budget/transport overrides to individual phases.
     Phases,
     /// The twin switches epoch-boundary re-invitation on in the maintenance
@@ -453,7 +451,6 @@ impl VariantAxis {
     pub fn label(&self) -> &'static str {
         match self {
             VariantAxis::Transport => "transport",
-            VariantAxis::Size => "size",
             VariantAxis::Phases => "phases",
             VariantAxis::Maintenance => "maintenance",
             VariantAxis::Traffic => "traffic",
@@ -465,7 +462,7 @@ impl VariantAxis {
 ///
 /// Hand-authored baselines are built with [`Scenario::new`] plus the `with_*`
 /// setters; derived matrix cells come from the variant axis constructors
-/// ([`Scenario::reliable`], [`Scenario::at_n`], [`Scenario::with_phases`],
+/// ([`Scenario::reliable`], [`Scenario::with_phases`],
 /// [`Scenario::with_reinvitation`], [`Scenario::with_traffic_axis`]), which
 /// append a deterministic name suffix, rewrite the description, and record the
 /// baseline they were derived from.
@@ -764,22 +761,6 @@ impl Scenario {
                 twin.round_budget = twin.round_budget.with_slack(slack);
                 twin.transport = Some(transport);
             },
-        )
-    }
-
-    /// Derives the on-demand large-`n` rerun of this scenario.
-    ///
-    /// Name: `full-<base>-<n>` — the `full-` namespace keeps these out of the
-    /// committed `reports/` baselines (the sweep runner routes them to the
-    /// untracked `full/` subdirectory, outside the `--check` contract), and the
-    /// size suffix is derived from the argument, so a third or fourth size can
-    /// never be mislabeled. Axis: [`VariantAxis::Size`].
-    pub fn at_n(&self, n: usize) -> Scenario {
-        self.derive(
-            VariantAxis::Size,
-            format!("full-{}-{n}", self.name),
-            format!("Large-n twin of {} at n = {n}", self.name),
-            |twin| twin.n = n,
         )
     }
 
@@ -1413,18 +1394,6 @@ mod tests {
         assert_eq!(twin.family, base.family);
         assert_eq!(twin.faults, base.faults);
         assert!(twin.description.contains("Twin of lossy-x"));
-    }
-
-    #[test]
-    fn size_variant_derives_full_names_for_any_size() {
-        let base = Scenario::new("clean-line", "base", GraphFamily::Line, 128);
-        for n in [512usize, 1024, 4096] {
-            let big = base.at_n(n);
-            assert_eq!(big.name, format!("full-clean-line-{n}"));
-            assert_eq!(big.n, n);
-            assert_eq!(big.baseline.as_deref(), Some("clean-line"));
-            assert_eq!(big.axis, Some(VariantAxis::Size));
-        }
     }
 
     #[test]

@@ -38,19 +38,50 @@ fn zero_seeds_is_refused_before_any_report_is_written() {
     assert!(!dir.exists(), "nothing may be written");
 }
 
-/// `--seed` only picks the run of `--trace` and `--scaling`, and `--max-n`
-/// only caps `--scaling`: on a sweep both are refused before anything runs,
-/// instead of the sweep ignoring them and rewriting the report from seeds 0..16.
+/// Every flag is read by the mode it is given with, or refused before anything
+/// runs: on a sweep `--seed` (it picks the run of `--trace` and `--scaling`)
+/// and `--max-n` (it caps `--scaling`), which the sweep would ignore while
+/// rewriting the report from seeds 0..16; with `--trace` or `--scaling` any
+/// flag beyond the ones the mode reads, and any scenario name, which the run
+/// would ignore while exiting 0. A retired large-`n` cell name is an unknown
+/// scenario. Every `--scaling` input caps at `--max-n 1024`, so a runner that
+/// took it would finish in seconds, not run the 65 536-node cells.
 #[test]
-fn seed_and_max_n_are_refused_on_a_sweep() {
-    let dir = temp_dir("sweep-only-flags");
+fn flags_their_mode_never_reads_are_refused() {
+    let dir = temp_dir("unread-flags");
     let dir_arg = dir.to_str().expect("utf-8 temp path");
-    for (flag, value) in [("--seed", "3"), ("--max-n", "256")] {
-        let out = sweep_runner(&["--dir", dir_arg, "--seeds", "1", flag, value, "clean-line"]);
-        assert_eq!(out.status.code(), Some(1), "{flag}: {out:?}");
+    let cases: [(&[&str], &str); 11] = [
+        (&["--seeds", "1", "--seed", "3", "clean-line"], "--seed"),
+        (&["--seeds", "1", "--max-n", "256", "clean-line"], "--max-n"),
+        (
+            &["--seeds", "1", "full-clean-line-1024"],
+            "full-clean-line-1024",
+        ),
+        (
+            &["--trace", "clean-line", "--check", "--compare", "--explain"],
+            "--check",
+        ),
+        (&["--trace", "clean-line", "--compare"], "--compare"),
+        (&["--trace", "clean-line", "--explain"], "--explain"),
+        (&["--trace", "clean-line", "--seeds", "3"], "--seeds"),
+        (
+            &["--trace", "clean-line", "clean-expander"],
+            "clean-expander",
+        ),
+        (&["--scaling", "--max-n", "1024", "--check"], "--check"),
+        (&["--scaling", "--max-n", "1024", "--seeds", "3"], "--seeds"),
+        (
+            &["--scaling", "--max-n", "1024", "clean-line"],
+            "clean-line",
+        ),
+    ];
+    for (mode_args, named) in cases {
+        let args = [&["--dir", dir_arg][..], mode_args].concat();
+        let out = sweep_runner(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(flag), "{stderr}");
-        assert!(!dir.exists(), "{flag}: nothing may be written");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(!dir.exists(), "{args:?}: nothing may be written");
     }
 }
 
