@@ -1,41 +1,23 @@
 //! Runs fault-scenario sweeps and persists their JSON reports under `reports/`.
 //!
 //! ```text
-//! cargo run --release -p overlay-scenarios --bin sweep_runner [OPTIONS] [SCENARIO...]
+//! cargo run --release -p overlay-scenarios --bin sweep_runner -- [FLAGS] [SCENARIO...]
 //!
+//! Each mode reads the flags listed under it and refuses, with exit 1 before
+//! anything runs, every other flag; only a sweep takes scenario names, and not
+//! together with --tag.
+//!
+//! sweep (no mode flag): run each scenario over a seed range, write
+//! `<dir>/<name>.json`
 //!   --seeds N       seeds per scenario, at least 1 (default 16)
-//!   --first-seed S  first seed of the range (default 0)
+//!   --seed S        first seed of the range (default 0)
 //!   --dir PATH      output directory (default reports)
 //!   --check         diff each new report against the existing file before
 //!                   overwriting; exit 1 if any deterministic value changed
-//!   --compare       after the sweeps, print the baseline-vs-twin delta table
-//!                   (success, coverage, rounds, delivered, retransmits per
-//!                   registered pair) from the reports under `<dir>` — the
-//!                   ones this run just wrote or verified — and persist it to
-//!                   `<dir>/compare.md`; when `<dir>/thresholds.json` exists,
-//!                   additionally check every committed pair floor (a twin's
-//!                   success or coverage delta shrinking below its committed
-//!                   value exits 1)
-//!   --no-run        with --compare: skip the sweeps and build the same table
-//!                   from the reports already under `<dir>`
-//!   --write-thresholds
-//!                   with --compare: instead of checking `<dir>/thresholds.json`,
-//!                   (re)write it from the deltas just computed — the workflow
-//!                   for establishing or deliberately revising the pair floors
-//!   --trace NAME    run scenario NAME once (under --seed) with tracing on,
-//!                   write the JSONL event trace to
-//!                   `<dir>/traces/<NAME>-seed<S>.jsonl`, print its
-//!                   post-mortem, and exit; takes only --seed,
-//!                   --par-threshold and --dir
-//!   --seed S        the seed for --trace and --scaling (default 0); a sweep
-//!                   takes --first-seed instead
 //!   --explain       after each sweep, print a forensic post-mortem (failing
 //!                   phase, missing nodes, dominant drop cause, dead-peer
 //!                   burn) for every failed seed
-//!   --list          print the registry (name, family, n, faults, tags,
-//!                   baseline) and exit without running anything
-//!   --tag T         restrict --list and the default sweep selection to
-//!                   scenarios whose effective tags contain T
+//!   --tag T         sweep only the scenarios whose effective tags contain T
 //!   --par-threshold N
 //!                   engage within-round parallelism from N nodes up for every
 //!                   selected scenario (default: the scenario's own policy,
@@ -44,15 +26,36 @@
 //!                   the run a serial-vs-parallel equivalence gate, since the
 //!                   parallel path must reproduce the committed baselines
 //!                   byte-for-byte
-//!   --scaling       run the scaling harness instead of sweeps: the cells
-//!                   clean-line and lossy-ncc0-reliable run once per size
-//!                   (n = 1024 / 4096 / 16384 / 65536), serially and in
-//!                   parallel, asserted bitwise identical; machine info and
-//!                   per-n wall-clocks land in `<dir>/scaling.md`; takes only
-//!                   --seed, --max-n, --par-threshold and --dir
-//!   --max-n N       with --scaling: cap the harness at cells with n <= N
-//!                   (default 65536)
 //!   SCENARIO...     registry names to run (default: the whole registry)
+//!
+//! sweep --compare: the sweep's flags, then the baseline-vs-twin delta table
+//! (success, coverage, rounds, delivered, retransmits per registered pair)
+//! from the reports under `<dir>` — the ones this run just wrote or verified —
+//! printed and persisted to `<dir>/compare.md`; when `<dir>/thresholds.json`
+//! exists, every committed pair floor is checked (a twin's success or coverage
+//! delta shrinking below its committed value exits 1)
+//!   --write-thresholds
+//!                   instead of checking `<dir>/thresholds.json`, (re)write it
+//!                   from the deltas just computed — the workflow for
+//!                   establishing or deliberately revising the pair floors
+//!
+//! --compare --no-run: the same table and gate from the reports already under
+//! `<dir>`, with no sweep
+//!   --dir PATH, --write-thresholds
+//!
+//! --list: print the registry (name, family, n, faults, tags, baseline)
+//!   --tag T         only the scenarios whose effective tags contain T
+//!
+//! --trace NAME: run scenario NAME once with tracing on, write the JSONL event
+//! trace to `<dir>/traces/<NAME>-seed<S>.jsonl` and print its post-mortem
+//!   --seed S, --par-threshold N, --dir PATH
+//!
+//! --scaling: the scaling harness; the cells clean-line and
+//! lossy-ncc0-reliable run once per size (n = 1024 / 4096 / 16384 / 65536),
+//! serially and in parallel, asserted bitwise identical; machine info and
+//! per-n wall-clocks land in `<dir>/scaling.md`
+//!   --seed S, --par-threshold N, --dir PATH
+//!   --max-n N       cap the harness at cells with n <= N (default 65536)
 //! ```
 //!
 //! Reports are deterministic per `(scenario, seed set)`, so committing `reports/`
@@ -73,186 +76,199 @@ use std::io;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+#[derive(Clone, Copy)]
+enum Mode {
+    List,
+    Trace,
+    Scaling,
+    CompareFiles,
+    Sweep { compare: bool },
+}
+
+/// Each mode with its usage line, which is also the check of its command line:
+/// `parse_args` picks the first row whose bare flags (the ones that select it)
+/// are all given and refuses any flag the line does not name, so no mode
+/// ignores a flag while exiting 0. Only a line with `SCENARIO...` takes
+/// scenario names. The plain sweep selects on nothing, so it comes last.
+const MODES: [(Mode, &str); 6] = [
+    (Mode::List, "--list [--tag T]"),
+    (
+        Mode::Trace,
+        "--trace NAME [--seed S] [--par-threshold N] [--dir PATH]",
+    ),
+    (
+        Mode::Scaling,
+        "--scaling [--seed S] [--max-n N] [--par-threshold N] [--dir PATH]",
+    ),
+    (
+        Mode::CompareFiles,
+        "--compare --no-run [--write-thresholds] [--dir PATH]",
+    ),
+    (
+        Mode::Sweep { compare: true },
+        "--compare [--write-thresholds] [--seeds N] [--seed S] [--dir PATH] [--check] \
+         [--explain] [--par-threshold N] [--tag T | SCENARIO...]",
+    ),
+    (
+        Mode::Sweep { compare: false },
+        "[--seeds N] [--seed S] [--dir PATH] [--check] [--explain] [--par-threshold N] \
+         [--tag T | SCENARIO...]",
+    ),
+];
+
+/// The flags that select a usage line's mode: the ones outside brackets.
+fn selecting(line: &str) -> impl Iterator<Item = &str> {
+    line.split(' ').filter(|word| word.starts_with("--"))
+}
+
+fn usage() -> String {
+    let lines: Vec<String> = MODES
+        .iter()
+        .map(|(_, line)| format!("sweep_runner {line}"))
+        .collect();
+    format!("usage: {}", lines.join("\n       "))
+}
+
 struct Options {
+    mode: Mode,
     seeds: usize,
-    first_seed: u64,
+    seed: u64,
     dir: PathBuf,
     check: bool,
-    compare: bool,
-    no_run: bool,
-    write_thresholds: bool,
-    trace: Option<String>,
-    seed: Option<u64>,
     explain: bool,
-    list: bool,
+    write_thresholds: bool,
     tag: Option<String>,
     par_threshold: Option<usize>,
-    scaling: bool,
-    max_n: Option<usize>,
+    max_n: usize,
+    /// The scenarios a sweep names, or the one `--trace` names.
     names: Vec<String>,
 }
 
-const USAGE: &str = "usage: sweep_runner [--seeds N] [--first-seed S] [--dir PATH] \
-    [--check] [--compare [--no-run] [--write-thresholds]] \
-    [--trace NAME [--seed S]] [--explain] [--list] [--tag T] \
-    [--par-threshold N] [--scaling [--max-n N]] [SCENARIO...]";
-
-/// The flags `--trace` and `--scaling` read. Each runs one thing, so any other
-/// flag or a scenario name given with them would be ignored while the run
-/// exits 0: `parse_args` refuses it instead.
-const TRACE_READS: &[&str] = &["--trace", "--seed", "--par-threshold", "--dir"];
-const SCALING_READS: &[&str] = &["--scaling", "--seed", "--max-n", "--par-threshold", "--dir"];
+fn number<T: std::str::FromStr>(flag: &str, text: String) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse().map_err(|e| format!("{flag}: {e}"))
+}
 
 /// Parses the command line; `Ok(None)` means `--help` was asked for.
 fn parse_args() -> Result<Option<Options>, String> {
     let mut opts = Options {
+        mode: Mode::Sweep { compare: false },
         seeds: 16,
-        first_seed: 0,
+        seed: 0,
         dir: PathBuf::from("reports"),
         check: false,
-        compare: false,
-        no_run: false,
-        write_thresholds: false,
-        trace: None,
-        seed: None,
         explain: false,
-        list: false,
+        write_thresholds: false,
         tag: None,
         par_threshold: None,
-        scaling: false,
-        max_n: None,
+        max_n: 65536,
         names: Vec::new(),
     };
     let mut flags = Vec::new();
+    let mut trace = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg.starts_with('-') {
-            flags.push(arg.clone());
-        }
-        let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
         match arg.as_str() {
             "--seeds" => {
-                opts.seeds = value("--seeds")?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?;
+                opts.seeds = number(&arg, value()?)?;
                 // A sweep of no seeds would overwrite every selected report
                 // with an empty one.
                 if opts.seeds == 0 {
                     return Err("--seeds must be at least 1".into());
                 }
             }
-            "--first-seed" => {
-                opts.first_seed = value("--first-seed")?
-                    .parse()
-                    .map_err(|e| format!("--first-seed: {e}"))?
-            }
-            "--dir" => opts.dir = PathBuf::from(value("--dir")?),
+            "--seed" => opts.seed = number(&arg, value()?)?,
+            "--dir" => opts.dir = PathBuf::from(value()?),
             "--check" => opts.check = true,
-            "--compare" => opts.compare = true,
-            "--no-run" => opts.no_run = true,
-            "--write-thresholds" => opts.write_thresholds = true,
-            "--trace" => opts.trace = Some(value("--trace")?),
-            "--seed" => {
-                opts.seed = Some(
-                    value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
-            }
             "--explain" => opts.explain = true,
-            "--list" => opts.list = true,
-            "--tag" => opts.tag = Some(value("--tag")?),
-            "--par-threshold" => {
-                opts.par_threshold = Some(
-                    value("--par-threshold")?
-                        .parse()
-                        .map_err(|e| format!("--par-threshold: {e}"))?,
-                )
-            }
-            "--scaling" => opts.scaling = true,
-            "--max-n" => {
-                opts.max_n = Some(
-                    value("--max-n")?
-                        .parse()
-                        .map_err(|e| format!("--max-n: {e}"))?,
-                )
-            }
+            "--write-thresholds" => opts.write_thresholds = true,
+            "--trace" => trace = Some(value()?),
+            "--tag" => opts.tag = Some(value()?),
+            "--par-threshold" => opts.par_threshold = Some(number(&arg, value()?)?),
+            "--max-n" => opts.max_n = number(&arg, value()?)?,
+            "--list" | "--compare" | "--no-run" | "--scaling" => {}
             "--help" | "-h" => return Ok(None),
-            name if !name.starts_with('-') => opts.names.push(name.to_string()),
+            name if !name.starts_with('-') => {
+                opts.names.push(name.to_string());
+                continue;
+            }
             other => return Err(format!("unknown option {other}")),
         }
+        flags.push(arg);
     }
-    if opts.no_run && !opts.compare {
-        return Err("--no-run only makes sense with --compare".into());
-    }
-    if opts.write_thresholds && !opts.compare {
-        return Err("--write-thresholds only makes sense with --compare".into());
-    }
-    // A sweep runs `--first-seed`'s range uncapped: taking these silently
-    // would rewrite the selected reports from seeds other than the ones asked.
-    if opts.seed.is_some() && opts.trace.is_none() && !opts.scaling {
-        return Err("--seed only makes sense with --trace or --scaling; \
-                    a sweep takes --first-seed"
-            .into());
-    }
-    if opts.max_n.is_some() && !opts.scaling {
-        return Err("--max-n only makes sense with --scaling".into());
-    }
-    let mode = if opts.trace.is_some() {
-        Some(("--trace", TRACE_READS))
-    } else if opts.scaling {
-        Some(("--scaling", SCALING_READS))
+    let (mode, line) = MODES
+        .iter()
+        .find(|(_, line)| selecting(line).all(|s| flags.iter().any(|f| f == s)))
+        .expect("the plain sweep selects on nothing");
+    let selects: Vec<&str> = selecting(line).collect();
+    let label = if selects.is_empty() {
+        "a sweep".to_string()
     } else {
-        None
+        selects.join(" ")
     };
-    if let Some((mode, reads)) = mode {
-        if let Some(flag) = flags.iter().find(|f| !reads.contains(&f.as_str())) {
-            return Err(format!("{mode} does not take {flag}"));
+    let named = |flag: &str| line.split(' ').any(|w| w.trim_matches(['[', ']']) == flag);
+    if let Some(flag) = flags.iter().find(|f| !named(f)) {
+        return Err(format!("{label} does not take {flag}"));
+    }
+    if let Some(name) = opts.names.first() {
+        if !line.contains("SCENARIO") {
+            return Err(format!("{label} does not take a scenario name ({name:?})"));
         }
-        if let Some(name) = opts.names.first() {
-            return Err(format!("{mode} does not take a scenario name ({name:?})"));
+        if opts.tag.is_some() {
+            return Err(format!("--tag does not narrow a named scenario ({name:?})"));
         }
     }
+    opts.mode = *mode;
+    opts.names.extend(trace);
     Ok(Some(opts))
 }
 
+fn lookup(name: &str) -> Result<Scenario, String> {
+    registry().find(name).cloned().ok_or_else(|| {
+        let known: Vec<&str> = registry().names().collect();
+        format!("unknown scenario {name:?}; known: {}", known.join(", "))
+    })
+}
+
+/// The scenarios a run covers: the named ones, or else the registry narrowed
+/// by `--tag`, each under `--par-threshold` when one is given. Parallelism is
+/// bitwise-invisible in results, so overriding it never perturbs a `--check`
+/// comparison — it only decides which code path produces the (identical) bytes.
 fn selected(opts: &Options) -> Result<Vec<Scenario>, String> {
     let mut scenarios: Vec<Scenario> = if opts.names.is_empty() {
         registry().iter().cloned().collect()
     } else {
         opts.names
             .iter()
-            .map(|name| {
-                registry()
-                    .find(name)
-                    .cloned()
-                    .ok_or_else(|| format!("unknown scenario {name:?}; known: {}", known_names()))
-            })
-            .collect::<Result<Vec<_>, _>>()?
+            .map(|name| lookup(name))
+            .collect::<Result<_, _>>()?
     };
-    // `--tag` narrows the *default* selection; scenarios the user named
-    // explicitly always run (naming a cell is already the narrowest filter).
-    if let (Some(tag), true) = (&opts.tag, opts.names.is_empty()) {
+    if let Some(tag) = &opts.tag {
         scenarios.retain(|s| s.has_tag(tag));
         if scenarios.is_empty() {
             return Err(format!("no registered scenario carries tag {tag:?}"));
         }
     }
+    if let Some(min_nodes) = opts.par_threshold {
+        let parallelism = ParallelismConfig {
+            workers: None,
+            min_nodes,
+        };
+        scenarios = scenarios
+            .into_iter()
+            .map(|s| s.with_parallelism(parallelism))
+            .collect();
+    }
     Ok(scenarios)
-}
-
-fn known_names() -> String {
-    registry().names().collect::<Vec<_>>().join(", ")
 }
 
 /// Prints one line per scenario so users can discover matrix cells without
 /// reading source: name, family/n, fault label, effective tags, and the
 /// baseline the cell was derived from (`-` for hand-authored baselines).
-fn print_listing(opts: &Options) {
-    let mut scenarios: Vec<&Scenario> = registry().iter().collect();
-    if let Some(tag) = &opts.tag {
-        scenarios.retain(|s| s.has_tag(tag));
-    }
+fn print_listing(scenarios: &[Scenario]) {
     println!(
         "{:<30} {:<24} {:<16} {:<44} baseline",
         "name", "family/n", "faults", "tags"
@@ -273,84 +289,54 @@ fn print_listing(opts: &Options) {
 /// stream written to `<dir>/traces/`, its post-mortem printed. The traced run is
 /// behaviorally identical to the untraced one (the sink never draws RNG), so the
 /// trace explains exactly the run a sweep would have executed.
-fn trace_one(name: &str, opts: &Options) -> ExitCode {
-    let mut scenario = match registry().find(name) {
-        Some(s) => s.clone(),
-        None => {
-            eprintln!("unknown scenario {name:?}; known: {}", known_names());
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(threshold) = opts.par_threshold {
-        scenario = scenario.with_parallelism(ParallelismConfig {
-            workers: None,
-            min_nodes: threshold,
-        });
-    }
-    let seed = opts.seed.unwrap_or(0);
-    let run = scenario.run_traced(seed);
+fn trace_one(opts: &Options) -> Result<(), String> {
+    let scenario = selected(opts)?.pop().expect("--trace names one scenario");
+    let run = scenario.run_traced(opts.seed);
     let dir = opts.dir.join("traces");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
-    let path = dir.join(format!("{}-seed{seed}.jsonl", scenario.name));
-    if let Err(e) = std::fs::write(&path, to_jsonl(&run.events)) {
-        eprintln!("cannot write {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
+    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let path = dir.join(format!("{}-seed{}.jsonl", scenario.name, opts.seed));
+    std::fs::write(&path, to_jsonl(&run.events))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     println!("{} events written to {}", run.events.len(), path.display());
     print!("{}", post_mortem(&scenario, &run).render());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// The per-pair regression gate of `--compare`. With
 /// `--write-thresholds`, (re)writes `<dir>/thresholds.json` from the deltas
 /// just computed; otherwise, when that file exists, checks every committed
-/// floor and returns `false` (exit 1) on any violation. No file, no gate —
-/// the table alone stays informational.
-fn threshold_gate(deltas: &[PairDelta], opts: &Options) -> bool {
+/// floor and fails on any violation. No file, no gate — the table alone stays
+/// informational.
+fn threshold_gate(deltas: &[PairDelta], opts: &Options) -> Result<(), String> {
     if opts.write_thresholds {
-        return match write_thresholds(deltas, &opts.dir) {
-            Ok(path) => {
-                eprintln!(
-                    "{} pair floor(s) written to {}",
-                    deltas.len(),
-                    path.display()
-                );
-                true
-            }
-            Err(e) => {
-                eprintln!("cannot write thresholds: {e}");
-                false
-            }
-        };
+        let path = write_thresholds(deltas, &opts.dir)
+            .map_err(|e| format!("cannot write thresholds: {e}"))?;
+        eprintln!(
+            "{} pair floor(s) written to {}",
+            deltas.len(),
+            path.display()
+        );
+        return Ok(());
     }
     let path = opts.dir.join("thresholds.json");
     if !path.exists() {
-        return true;
+        return Ok(());
     }
-    let thresholds = match load_thresholds(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read thresholds: {e}");
-            return false;
-        }
-    };
+    let thresholds = load_thresholds(&path).map_err(|e| format!("cannot read thresholds: {e}"))?;
     let violations = check_thresholds(deltas, &thresholds);
-    if violations.is_empty() {
-        eprintln!(
-            "{} pair floor(s) hold ({})",
-            thresholds.len(),
-            path.display()
-        );
-        return true;
+    if !violations.is_empty() {
+        return Err(format!(
+            "{} pair floor violation(s):\n  {}",
+            violations.len(),
+            violations.join("\n  ")
+        ));
     }
-    eprintln!("{} pair floor violation(s):", violations.len());
-    for v in &violations {
-        eprintln!("  {v}");
-    }
-    false
+    eprintln!(
+        "{} pair floor(s) hold ({})",
+        thresholds.len(),
+        path.display()
+    );
+    Ok(())
 }
 
 /// The report of `scenario` under `<dir>`, `None` when there is no such file.
@@ -369,46 +355,30 @@ fn load_if_present(opts: &Options, scenario: &Scenario) -> io::Result<Option<Jso
 /// few named cells into a fresh directory); a report that is present but does
 /// not load (the error names the file) or lacks a headline field (it names the
 /// scenario) fails the run.
-fn compare_committed(opts: &Options) -> ExitCode {
+fn compare_committed(opts: &Options) -> Result<(), String> {
+    let loaded = |s: &Scenario| load_if_present(opts, s).map_err(|e| format!("--compare: {e}"));
     let mut deltas = Vec::new();
     for (base, twin) in registry().pairs() {
-        let (base_doc, twin_doc) = match (load_if_present(opts, base), load_if_present(opts, twin))
-        {
-            (Ok(Some(b)), Ok(Some(t))) => (b, t),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("--compare: {e}");
-                return ExitCode::FAILURE;
-            }
-            _ => continue,
+        let (Some(base_doc), Some(twin_doc)) = (loaded(base)?, loaded(twin)?) else {
+            continue;
         };
         let axis = twin.axis.map_or("", |a| a.label());
-        match PairDelta::from_committed(&base_doc, &twin_doc, axis) {
-            Ok(d) => deltas.push(d),
-            Err(e) => {
-                eprintln!("--compare: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        deltas.push(
+            PairDelta::from_committed(&base_doc, &twin_doc, axis)
+                .map_err(|e| format!("--compare: {e}"))?,
+        );
     }
     if deltas.is_empty() {
-        eprintln!(
+        return Err(format!(
             "--compare: no (baseline, twin) pair has both reports under {}",
             opts.dir.display()
-        );
-        return ExitCode::FAILURE;
+        ));
     }
     print!("{}", render_compare_table(&deltas));
-    match write_compare_table(&deltas, &opts.dir) {
-        Ok(path) => eprintln!("delta table persisted to {}", path.display()),
-        Err(e) => {
-            eprintln!("cannot write delta table: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if !threshold_gate(&deltas, opts) {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    let path = write_compare_table(&deltas, &opts.dir)
+        .map_err(|e| format!("cannot write delta table: {e}"))?;
+    eprintln!("delta table persisted to {}", path.display());
+    threshold_gate(&deltas, opts)
 }
 
 /// `--scaling`: the scaling harness. Every cell of [`scaling::scaling_cells`]
@@ -417,18 +387,19 @@ fn compare_committed(opts: &Options) -> ExitCode {
 /// parallel path always runs). The per-cell results and wall-clocks, plus the
 /// machine's facts, are rendered to `<dir>/scaling.md` — committed next to the
 /// sweep baselines so scaling claims are pinned to a recorded measurement.
-fn run_scaling(opts: &Options) -> ExitCode {
+fn run_scaling(opts: &Options) -> Result<(), String> {
     let machine = scaling::MachineInfo::capture();
-    let max_n = opts.max_n.unwrap_or(65536);
-    let cells = scaling::scaling_cells(max_n);
+    let cells = scaling::scaling_cells(opts.max_n);
     if cells.is_empty() {
-        eprintln!("--scaling: no scaling cell has n <= {max_n}");
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "--scaling: no scaling cell has n <= {}",
+            opts.max_n
+        ));
     }
     let min_nodes = opts.par_threshold.unwrap_or(0);
     let mut measured = Vec::with_capacity(cells.len());
     for scenario in &cells {
-        let cell = scaling::run_cell(scenario, opts.seed.unwrap_or(0), min_nodes);
+        let cell = scaling::run_cell(scenario, opts.seed, min_nodes);
         // The speedup figure is only printed when a spare core gives the
         // serial/parallel ratio its meaning; single-core machines get the
         // caveat instead of a number that would misread as a parallelism claim.
@@ -446,63 +417,20 @@ fn run_scaling(opts: &Options) -> ExitCode {
     }
     let text = scaling::render_markdown(&machine, &measured);
     let path = opts.dir.join("scaling.md");
-    if let Err(e) = std::fs::create_dir_all(&opts.dir) {
-        eprintln!("cannot create {}: {e}", opts.dir.display());
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::write(&path, text) {
-        eprintln!("cannot write {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
+    std::fs::create_dir_all(&opts.dir)
+        .map_err(|e| format!("cannot create {}: {e}", opts.dir.display()))?;
+    std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     eprintln!("scaling report written to {}", path.display());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(Some(opts)) => opts,
-        Ok(None) => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if opts.list {
-        print_listing(&opts);
-        return ExitCode::SUCCESS;
-    }
-    if let Some(name) = &opts.trace {
-        return trace_one(name, &opts);
-    }
-    if opts.scaling {
-        return run_scaling(&opts);
-    }
-    if opts.no_run {
-        return compare_committed(&opts);
-    }
-    let scenarios = match selected(&opts) {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
+/// A sweep: every selected scenario over `--seeds` seeds from `--seed`, each
+/// report written to `<dir>` — or, under `--check`, first diffed against the
+/// file there, which a changed report leaves in place.
+fn sweep(opts: &Options) -> Result<(), String> {
     let mut regressions = 0usize;
-    for mut scenario in scenarios {
-        if let Some(threshold) = opts.par_threshold {
-            // Parallelism is bitwise-invisible in results, so overriding it
-            // never perturbs a `--check` comparison — it only decides which
-            // code path produces the (identical) bytes.
-            scenario = scenario.with_parallelism(ParallelismConfig {
-                workers: None,
-                min_nodes: threshold,
-            });
-        }
-        let result = Sweep::over_seeds(scenario, opts.first_seed, opts.seeds).run();
+    for scenario in selected(opts)? {
+        let result = Sweep::over_seeds(scenario, opts.seed, opts.seeds).run();
         println!("{}", result.summary());
         if opts.explain {
             // Failed seeds are cheap to replay one at a time: re-run each under a
@@ -514,61 +442,88 @@ fn main() -> ExitCode {
         }
 
         let path = opts.dir.join(format!("{}.json", result.scenario.name));
-        let mut regressed = false;
-        if opts.check {
-            if !path.exists() {
-                // A missing baseline must fail the check: treating it as success
-                // would make the regression gate silently inert (e.g. a baseline
-                // directory that was never committed, or a renamed scenario).
-                regressed = true;
-                eprintln!(
-                    "  no baseline at {}; run without --check to create it",
-                    path.display()
-                );
-            } else {
-                match load_report(&path) {
-                    Ok(previous) => {
-                        let diffs = diff_reports(&previous, &result.to_json());
-                        if !diffs.is_empty() {
-                            regressed = true;
-                            eprintln!(
-                                "  {} changed vs {} ({} difference(s)):",
-                                result.scenario.name,
-                                path.display(),
-                                diffs.len()
-                            );
-                            for line in diffs.iter().take(20) {
-                                eprintln!("    {line}");
-                            }
-                            if diffs.len() > 20 {
-                                eprintln!("    ... and {} more", diffs.len() - 20);
-                            }
+        let regressed = opts.check
+            && match load_if_present(opts, &result.scenario) {
+                // A missing baseline must fail the check: treating it as
+                // success would make the regression gate silently inert (e.g.
+                // a baseline directory that was never committed, or a renamed
+                // scenario).
+                Ok(None) => {
+                    eprintln!(
+                        "  no baseline at {}; run without --check to create it",
+                        path.display()
+                    );
+                    true
+                }
+                Err(e) => {
+                    eprintln!("  cannot read previous report: {e}");
+                    true
+                }
+                Ok(Some(previous)) => {
+                    let diffs = diff_reports(&previous, &result.to_json());
+                    if !diffs.is_empty() {
+                        eprintln!(
+                            "  {} changed vs {} ({} difference(s)):",
+                            result.scenario.name,
+                            path.display(),
+                            diffs.len()
+                        );
+                        for line in diffs.iter().take(20) {
+                            eprintln!("    {line}");
+                        }
+                        if diffs.len() > 20 {
+                            eprintln!("    ... and {} more", diffs.len() - 20);
                         }
                     }
-                    Err(e) => {
-                        eprintln!("  cannot read previous report: {e}");
-                        regressed = true;
-                    }
+                    !diffs.is_empty()
                 }
-            }
-        }
+            };
         if regressed {
             // Keep the baseline (or its absence) intact so the failure stays
             // reproducible; the intended-change workflow (rerun without --check,
             // commit) still works.
             regressions += 1;
-        } else if let Err(e) = write_report(&result, &opts.dir) {
-            eprintln!("  cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
+        } else {
+            write_report(&result, &opts.dir)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         }
     }
-
     if regressions > 0 {
-        eprintln!("{regressions} scenario(s) changed behavior");
-        return ExitCode::FAILURE;
+        return Err(format!("{regressions} scenario(s) changed behavior"));
     }
-    if opts.compare {
-        return compare_committed(&opts);
+    Ok(())
+}
+
+fn run(opts: &Options) -> Result<(), String> {
+    match opts.mode {
+        Mode::List => selected(opts).map(|s| print_listing(&s)),
+        Mode::Trace => trace_one(opts),
+        Mode::Scaling => run_scaling(opts),
+        Mode::CompareFiles => compare_committed(opts),
+        Mode::Sweep { compare } => {
+            sweep(opts)?;
+            if compare {
+                compare_committed(opts)?;
+            }
+            Ok(())
+        }
     }
-    ExitCode::SUCCESS
+}
+
+fn main() -> ExitCode {
+    let ran = match parse_args() {
+        Ok(Some(opts)) => run(&opts),
+        Ok(None) => {
+            println!("{}", usage());
+            Ok(())
+        }
+        Err(msg) => Err(msg),
+    };
+    match ran {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
+        }
+    }
 }

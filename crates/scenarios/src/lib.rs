@@ -44,9 +44,11 @@
 //!    baseline and axis, so [`Registry::pairs`] (and `sweep_runner --compare`'s
 //!    delta table) pick the couple up automatically.
 //! 3. There is no step 3: sweeps, aggregation, JSON reports, persisted
-//!    `reports/<name>.json` files and the experiments binary pick the new entry up
+//!    `reports/<name>.json` files and `sweep_runner --list` pick the new entry up
 //!    automatically — run `sweep_runner` once without `--check` to commit the
-//!    cell's 16-seed baseline.
+//!    cell's 16-seed baseline. The experiments binary does not: its
+//!    `overlay_bench::EXPERIMENTS` table names its own sizes and never reads the
+//!    registry.
 //!
 //! # Persisted reports
 //!

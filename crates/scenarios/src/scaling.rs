@@ -66,10 +66,6 @@ impl MachineInfo {
 pub struct ScalingCell {
     /// The registry name of the cell it reruns (e.g. `clean-line`).
     pub name: String,
-    /// Graph family label.
-    pub family: String,
-    /// Fault-load label.
-    pub faults: String,
     /// Effective node count.
     pub n: usize,
     /// Total rounds across all pipeline phases.
@@ -82,8 +78,6 @@ pub struct ScalingCell {
     pub serial_wall: Duration,
     /// Wall-clock with within-round parallelism engaged (same results, bitwise).
     pub parallel_wall: Duration,
-    /// Worker threads the parallel run stepped nodes with.
-    pub workers: usize,
 }
 
 impl ScalingCell {
@@ -150,15 +144,12 @@ pub fn run_cell(scenario: &Scenario, seed: u64, min_nodes: usize) -> ScalingCell
     );
     ScalingCell {
         name: scenario.name.clone(),
-        family: scenario.family.label(),
-        faults: scenario.faults.label().to_string(),
         n: scenario.actual_n(),
         rounds: serial_record.rounds,
         success: serial_record.success,
         delivered: serial_record.messages.total_delivered,
         serial_wall,
         parallel_wall,
-        workers: worker_count(),
     }
 }
 

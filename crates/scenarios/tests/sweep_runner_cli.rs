@@ -39,19 +39,21 @@ fn zero_seeds_is_refused_before_any_report_is_written() {
 }
 
 /// Every flag is read by the mode it is given with, or refused before anything
-/// runs: on a sweep `--seed` (it picks the run of `--trace` and `--scaling`)
-/// and `--max-n` (it caps `--scaling`), which the sweep would ignore while
-/// rewriting the report from seeds 0..16; with `--trace` or `--scaling` any
-/// flag beyond the ones the mode reads, and any scenario name, which the run
-/// would ignore while exiting 0. A retired large-`n` cell name is an unknown
-/// scenario. Every `--scaling` input caps at `--max-n 1024`, so a runner that
-/// took it would finish in seconds, not run the 65 536-node cells.
+/// runs: `--max-n` on a sweep (it caps `--scaling`), which the sweep would
+/// ignore while rewriting the report from seeds 0..16; with `--list`,
+/// `--trace`, `--scaling` or `--compare --no-run` any flag beyond the ones the
+/// mode reads, and any scenario name, which the run would ignore while exiting
+/// 0; `--no-run` and `--write-thresholds` without `--compare`; `--tag` beside a
+/// scenario name; the retired `--first-seed`; and a `--list --tag` no cell
+/// carries. A retired large-`n` cell name is an unknown scenario. Every
+/// `--scaling` input caps at `--max-n 1024`, so a runner that took it would
+/// finish in seconds, not run the 65 536-node cells. `--list` reads no `--dir`
+/// and writes nothing, so its cases run without one.
 #[test]
 fn flags_their_mode_never_reads_are_refused() {
     let dir = temp_dir("unread-flags");
     let dir_arg = dir.to_str().expect("utf-8 temp path");
-    let cases: [(&[&str], &str); 11] = [
-        (&["--seeds", "1", "--seed", "3", "clean-line"], "--seed"),
+    let cases: [(&[&str], &str); 19] = [
         (&["--seeds", "1", "--max-n", "256", "clean-line"], "--max-n"),
         (
             &["--seeds", "1", "full-clean-line-1024"],
@@ -74,23 +76,87 @@ fn flags_their_mode_never_reads_are_refused() {
             &["--scaling", "--max-n", "1024", "clean-line"],
             "clean-line",
         ),
+        (
+            &[
+                "--compare",
+                "--no-run",
+                "--check",
+                "--explain",
+                "--first-seed",
+                "5",
+                "--par-threshold",
+                "0",
+                "--seeds",
+                "3",
+                "--tag",
+                "serve",
+                "clean-line",
+            ],
+            "--first-seed",
+        ),
+        (
+            &[
+                "--list",
+                "--check",
+                "--explain",
+                "--seeds",
+                "3",
+                "--compare",
+                "clean-line",
+            ],
+            "--check",
+        ),
+        (&["--compare", "--no-run", "--seeds", "16"], "--seeds"),
+        (&["--no-run"], "--no-run"),
+        (&["--write-thresholds", "clean-line"], "--write-thresholds"),
+        (&["--tag", "serve", "clean-line"], "--tag"),
+        (&["--list", "--trace", "clean-line"], "--trace"),
+        (&["--first-seed", "5", "clean-line"], "--first-seed"),
+        (&["--list", "--tag", "no-such-tag"], "no-such-tag"),
     ];
     for (mode_args, named) in cases {
-        let args = [&["--dir", dir_arg][..], mode_args].concat();
+        let args = if mode_args[0] == "--list" {
+            mode_args.to_vec()
+        } else {
+            [&["--dir", dir_arg][..], mode_args].concat()
+        };
         let out = sweep_runner(&args);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
         assert!(!dir.exists(), "{args:?}: nothing may be written");
     }
 }
 
+/// `--seed` is the first seed of a sweep's range, as it is the seed of
+/// `--trace` and `--scaling`.
+#[test]
+fn seed_starts_the_sweep_range() {
+    let dir = temp_dir("first-seed");
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
+    let out = sweep_runner(&[
+        "--dir",
+        dir_arg,
+        "--seeds",
+        "1",
+        "--seed",
+        "3",
+        "clean-line",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let report = std::fs::read_to_string(dir.join("clean-line.json")).expect("report written");
+    assert_eq!(report.matches("\"seed\":").count(), 1, "{report}");
+    assert!(report.contains("\"seed\": 3,"), "{report}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// One pair swept into a fresh directory: the table `--compare` renders after
 /// the sweep and the one `--compare --no-run` renders from the files are the
-/// same bytes — whatever `--seeds` the second call states, since the seed
-/// count comes from the reports — every other pair (no report on either side)
-/// is skipped, and a report that is *present but truncated* is an error
-/// naming the file, not one more skipped pair.
+/// same bytes — the seed count comes from the reports, so the second call
+/// refuses a `--seeds` and leaves the table as it was — every other pair (no
+/// report on either side) is skipped, and a report that is *present but
+/// truncated* is an error naming the file, not one more skipped pair.
 #[test]
 fn compare_reads_the_written_reports_and_refuses_a_malformed_one() {
     let dir = temp_dir("compare");
@@ -103,20 +169,22 @@ fn compare_reads_the_written_reports_and_refuses_a_malformed_one() {
     assert!(table.contains("| lossy-ncc0 | lossy-ncc0-reliable | transport |"));
     let after_sweep = std::fs::read(dir.join("compare.md")).expect("table persisted");
 
-    let offline = sweep_runner(&[&common[..], &["--no-run"]].concat());
+    let no_run = ["--dir", dir_arg, "--compare", "--no-run"];
+    let offline = sweep_runner(&no_run);
     assert!(offline.status.success(), "{offline:?}");
     assert!(table.ends_with(&*String::from_utf8_lossy(&offline.stdout)));
     assert_eq!(std::fs::read(dir.join("compare.md")).unwrap(), after_sweep);
     assert!(String::from_utf8_lossy(&after_sweep).contains("pair, 2 seeds each; see"));
 
-    let restated = sweep_runner(&["--dir", dir_arg, "--seeds", "16", "--compare", "--no-run"]);
-    assert!(restated.status.success(), "{restated:?}");
+    let restated = sweep_runner(&[&no_run[..], &["--seeds", "16"]].concat());
+    assert_eq!(restated.status.code(), Some(1), "{restated:?}");
+    assert!(String::from_utf8_lossy(&restated.stderr).contains("--seeds"));
     assert_eq!(std::fs::read(dir.join("compare.md")).unwrap(), after_sweep);
 
     let twin = dir.join("lossy-ncc0-reliable.json");
     let text = std::fs::read_to_string(&twin).unwrap();
     std::fs::write(&twin, &text[..text.len() / 2]).unwrap();
-    let refused = sweep_runner(&[&common[..], &["--no-run"]].concat());
+    let refused = sweep_runner(&no_run);
     assert_eq!(refused.status.code(), Some(1), "{refused:?}");
     let stderr = String::from_utf8_lossy(&refused.stderr);
     assert!(stderr.contains("lossy-ncc0-reliable.json"), "{stderr}");
