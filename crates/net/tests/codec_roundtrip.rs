@@ -1,12 +1,15 @@
 //! Property tests for the wire codec: every message that can cross a socket
 //! round-trips byte-exactly, every truncation is rejected, and frames from a
-//! different wire version are refused outright.
+//! different wire version are refused outright. One table pins the bytes
+//! themselves, so a layout change that stays self-consistent (two fields
+//! swapped, a tag renumbered) still fails here.
 
 use overlay_core::{BfsMsg, ExpanderMsg, RelinkMsg};
 use overlay_core::{BfsSummary, BinarizeSummary, ExpanderSummary};
 use overlay_graph::NodeId;
 use overlay_net::{Frame, FrameKind, Roster, SummaryBody, WIRE_VERSION};
-use overlay_netsim::{Wire, WireError};
+use overlay_netsim::{Channel, Wire, WireError};
+use overlay_traffic::{Delivery, RouterMsg, RouterSummary};
 use overlay_transport::TransportMsg;
 use proptest::prelude::*;
 
@@ -252,4 +255,182 @@ fn a_truncated_stream_is_an_error_not_a_clean_eof() {
             wire.len()
         );
     }
+}
+
+/// Lowercase hex, two digits a byte.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Parses `layout` (hex, whitespace ignored: one group a field).
+fn unhex(layout: &str) -> Vec<u8> {
+    let digits: Vec<u8> = layout
+        .bytes()
+        .filter(|b| !b.is_ascii_whitespace())
+        .collect();
+    digits
+        .chunks(2)
+        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+        .collect()
+}
+
+/// `value` encodes to exactly `layout`, and `layout` decodes to `value`.
+fn pin<T: Wire + PartialEq + std::fmt::Debug>(value: T, layout: &str) {
+    let want = unhex(layout);
+    let mut got = Vec::new();
+    value.encode(&mut got);
+    assert_eq!(hex(&got), hex(&want), "the encoding of {value:?}");
+    let mut buf = want.as_slice();
+    assert_eq!(T::decode(&mut buf), Ok(value));
+    assert!(buf.is_empty(), "decode left {} bytes", buf.len());
+}
+
+/// One fixed value of every variant of every type that crosses a socket,
+/// against its committed bytes. No two fields of one value are equal, so
+/// swapping two fields moves a byte. Integers are little-endian, a `NodeId`
+/// takes eight bytes (`RouterMsg::dst` and the frame header's ids four), a
+/// `Vec` is a `u32` count then its elements, an `Option` a `0`/`1` byte then
+/// the value, an enum a tag byte then its fields.
+#[test]
+fn every_wire_type_keeps_its_committed_byte_layout() {
+    let id = NodeId::new;
+
+    pin(Channel::Local, "00");
+    pin(Channel::Global, "01");
+
+    pin(ExpanderMsg::Intro, "00");
+    pin(
+        ExpanderMsg::Token {
+            origin: id(0x0a0b_0c0d),
+            steps_left: 5,
+        },
+        "01 0d0c0b0a00000000 05000000",
+    );
+    pin(ExpanderMsg::Accept, "02");
+    pin(
+        BfsMsg::Offer {
+            root: id(7),
+            dist: 3,
+        },
+        "00 0700000000000000 03000000",
+    );
+    pin(BfsMsg::Child, "01");
+    pin(
+        RelinkMsg {
+            parent: id(1),
+            left: Some(id(2)),
+            right: None,
+        },
+        "0100000000000000 01 0200000000000000 00",
+    );
+
+    pin(
+        ExpanderSummary {
+            id: id(4),
+            slots: vec![id(5), id(6)],
+        },
+        "0400000000000000 02000000 0500000000000000 0600000000000000",
+    );
+    pin(
+        BfsSummary {
+            id: id(6),
+            root: id(1),
+            parent: id(2),
+            children: vec![id(9)],
+        },
+        "0600000000000000 0100000000000000 0200000000000000 01000000 0900000000000000",
+    );
+    pin(
+        BinarizeSummary {
+            id: id(8),
+            new_parent: id(3),
+        },
+        "0800000000000000 0300000000000000",
+    );
+
+    pin(
+        TransportMsg::Data {
+            seq: 9,
+            floor: 4,
+            payload: ExpanderMsg::Accept,
+        },
+        "00 09000000 04000000 02",
+    );
+    pin(
+        TransportMsg::<ExpanderMsg>::Ack {
+            cum: 7,
+            sel: 0x0102,
+        },
+        "01 07000000 0201000000000000",
+    );
+
+    pin(
+        RouterMsg {
+            id: 1 << 32 | 7,
+            dst: id(3),
+            injected: 4,
+            hops: 1,
+        },
+        "0700000001000000 03000000 04000000 01000000",
+    );
+    let delivery = Delivery {
+        id: 1 << 32 | 2,
+        hops: 3,
+        injected: 4,
+        delivered: 9,
+    };
+    pin(delivery, "0200000001000000 03000000 04000000 09000000");
+    pin(
+        RouterSummary {
+            injected: 2,
+            deliveries: vec![delivery],
+            dropped: vec![5],
+            expired: vec![],
+            forwards: 11,
+            max_edge_load: 6,
+        },
+        "02000000 \
+         01000000 0200000001000000 03000000 04000000 09000000 \
+         01000000 0500000000000000 \
+         00000000 \
+         0b00000000000000 \
+         06000000",
+    );
+
+    let kinds = [
+        FrameKind::Hello,
+        FrameKind::Roster,
+        FrameKind::Data,
+        FrameKind::Done,
+        FrameKind::Summary,
+        FrameKind::Bye,
+    ];
+    for (tag, kind) in kinds.into_iter().enumerate() {
+        pin(kind, &format!("{tag:02x}"));
+    }
+    pin(
+        Roster {
+            n: 16,
+            procs: 2,
+            your_rank: 1,
+            config: 0xbeef,
+            addrs: vec![b"a:1".to_vec()],
+        },
+        "10000000 02000000 01000000 efbe000000000000 01000000 03000000 613a31",
+    );
+    pin(
+        SummaryBody {
+            entries: vec![(3, vec![0xaa, 0xbb]), (4, vec![])],
+            delivered: 12,
+        },
+        "02000000 03000000 02000000 aabb 04000000 00000000 0c00000000000000",
+    );
+
+    // A frame is a version byte, its header, and its body unprefixed.
+    let frame = Frame::data(6, 7, 3, 9, 1, vec![0xca, 0xfe]);
+    let layout = unhex("01 02 06 07000000 03000000 09000000 01000000 cafe");
+    let mut got = Vec::new();
+    frame.encode(&mut got);
+    assert_eq!(hex(&got), hex(&layout));
+    assert_eq!(Frame::decode(&mut layout.as_slice()), Ok(frame));
 }
