@@ -8,7 +8,6 @@
 //! children.
 
 use overlay_graph::NodeId;
-use overlay_netsim::wire::{Wire, WireError};
 use overlay_netsim::{Ctx, Envelope, Protocol};
 
 /// Messages of the BFS protocol.
@@ -26,29 +25,7 @@ pub enum BfsMsg {
     Child,
 }
 
-impl Wire for BfsMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            BfsMsg::Offer { root, dist } => {
-                out.push(0);
-                root.encode(out);
-                dist.encode(out);
-            }
-            BfsMsg::Child => out.push(1),
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(BfsMsg::Offer {
-                root: NodeId::decode(buf)?,
-                dist: u32::decode(buf)?,
-            }),
-            1 => Ok(BfsMsg::Child),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
+overlay_netsim::wire! { BfsMsg { 0 => Offer { root, dist }, 1 => Child } }
 
 /// Per-node state of the distributed BFS.
 #[derive(Debug)]

@@ -28,7 +28,6 @@
 
 use crate::ExpanderParams;
 use overlay_graph::NodeId;
-use overlay_netsim::wire::{Wire, WireError};
 use overlay_netsim::{Ctx, Envelope, Protocol};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -54,31 +53,7 @@ pub enum ExpanderMsg {
     Accept,
 }
 
-impl Wire for ExpanderMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ExpanderMsg::Intro => out.push(0),
-            ExpanderMsg::Token { origin, steps_left } => {
-                out.push(1);
-                origin.encode(out);
-                steps_left.encode(out);
-            }
-            ExpanderMsg::Accept => out.push(2),
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(ExpanderMsg::Intro),
-            1 => Ok(ExpanderMsg::Token {
-                origin: NodeId::decode(buf)?,
-                steps_left: u32::decode(buf)?,
-            }),
-            2 => Ok(ExpanderMsg::Accept),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
+overlay_netsim::wire! { ExpanderMsg { 0 => Intro, 1 => Token { origin, steps_left }, 2 => Accept } }
 
 /// A buffered token: its origin and the hops it still has to take.
 type BufferedToken = (NodeId, u32);

@@ -42,7 +42,7 @@ use crate::wellformed::BinarizeNode;
 use overlay_graph::NodeId;
 use overlay_netsim::{
     FaultPlan, Medium, MetricsMode, ParallelismConfig, Protocol, RunMetrics, SharedTraceSink,
-    SimConfig, Simulator, TransportConfig, WholeRun, Wire, WireError,
+    SimConfig, Simulator, TransportConfig, WholeRun, Wire,
 };
 use overlay_transport::{Reliable, TransportMsg};
 use std::ops::Range;
@@ -89,19 +89,7 @@ pub struct ExpanderSummary {
     pub slots: Vec<NodeId>,
 }
 
-impl Wire for ExpanderSummary {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.slots.encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(ExpanderSummary {
-            id: NodeId::decode(buf)?,
-            slots: Vec::decode(buf)?,
-        })
-    }
-}
+overlay_netsim::wire! { ExpanderSummary { id, slots } }
 
 impl Summarize for ExpanderNode {
     type Summary = ExpanderSummary;
@@ -135,23 +123,7 @@ pub struct BfsSummary {
     pub children: Vec<NodeId>,
 }
 
-impl Wire for BfsSummary {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.root.encode(out);
-        self.parent.encode(out);
-        self.children.encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(BfsSummary {
-            id: NodeId::decode(buf)?,
-            root: NodeId::decode(buf)?,
-            parent: NodeId::decode(buf)?,
-            children: Vec::decode(buf)?,
-        })
-    }
-}
+overlay_netsim::wire! { BfsSummary { id, root, parent, children } }
 
 impl Summarize for BfsNode {
     type Summary = BfsSummary;
@@ -185,19 +157,7 @@ pub struct BinarizeSummary {
     pub new_parent: NodeId,
 }
 
-impl Wire for BinarizeSummary {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.new_parent.encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(BinarizeSummary {
-            id: NodeId::decode(buf)?,
-            new_parent: NodeId::decode(buf)?,
-        })
-    }
-}
+overlay_netsim::wire! { BinarizeSummary { id, new_parent } }
 
 /// A node behind the reliable transport digests to what the node it wraps
 /// digests to: the transport's own state never crosses a phase boundary.

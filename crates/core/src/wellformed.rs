@@ -16,7 +16,6 @@
 //! `tree_height` of `log₂ n` or `log₂ n + 1` in every case.
 
 use overlay_graph::{NodeId, UGraph};
-use overlay_netsim::wire::{Wire, WireError};
 use overlay_netsim::{Ctx, Envelope, Protocol};
 
 /// A rooted tree over all nodes, produced by the construction pipeline.
@@ -201,7 +200,8 @@ impl WellFormedTree {
 }
 
 /// Messages of the binarization protocol: the single re-linking instruction a node
-/// receives from its BFS parent.
+/// receives from its BFS parent. The receiver keeps only `parent`: the finalize
+/// hand-off rebuilds the tree from every node's parent alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RelinkMsg {
     /// The node's parent in the binarized tree.
@@ -212,21 +212,7 @@ pub struct RelinkMsg {
     pub right: Option<NodeId>,
 }
 
-impl Wire for RelinkMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.parent.encode(out);
-        self.left.encode(out);
-        self.right.encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(RelinkMsg {
-            parent: NodeId::decode(buf)?,
-            left: Option::decode(buf)?,
-            right: Option::decode(buf)?,
-        })
-    }
-}
+overlay_netsim::wire! { RelinkMsg { parent, left, right } }
 
 /// Per-node state of the one-round binarization step.
 #[derive(Debug)]
@@ -235,7 +221,6 @@ pub struct BinarizeNode {
     bfs_parent: NodeId,
     bfs_children: Vec<NodeId>,
     new_parent: NodeId,
-    new_children: Vec<NodeId>,
     done: bool,
 }
 
@@ -248,7 +233,6 @@ impl BinarizeNode {
             bfs_parent,
             bfs_children,
             new_parent: id,
-            new_children: Vec::new(),
             done: false,
         }
     }
@@ -263,11 +247,6 @@ impl BinarizeNode {
         self.new_parent
     }
 
-    /// The node's children in the binarized tree.
-    pub fn new_children(&self) -> &[NodeId] {
-        &self.new_children
-    }
-
     /// Number of message rounds the protocol needs after the start round.
     pub fn total_rounds() -> usize {
         1
@@ -280,7 +259,6 @@ impl Protocol for BinarizeNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, RelinkMsg>) {
         // The node keeps only its first child; the remaining children are arranged as a
         // balanced binary heap among themselves: child j's new parent is child (j-1)/2.
-        let k = self.bfs_children.len();
         for (j, &c) in self.bfs_children.iter().enumerate() {
             let parent = if j == 0 {
                 self.id
@@ -298,9 +276,6 @@ impl Protocol for BinarizeNode {
                 },
             );
         }
-        if k > 0 {
-            self.new_children.push(self.bfs_children[0]);
-        }
         if self.bfs_parent == self.id {
             self.new_parent = self.id;
         }
@@ -308,14 +283,8 @@ impl Protocol for BinarizeNode {
 
     fn on_round(&mut self, _ctx: &mut Ctx<'_, RelinkMsg>, inbox: &[Envelope<RelinkMsg>]) {
         for env in inbox {
-            let msg = env.payload;
-            self.new_parent = msg.parent;
-            for extra in [msg.left, msg.right].into_iter().flatten() {
-                self.new_children.push(extra);
-            }
+            self.new_parent = env.payload.parent;
         }
-        self.new_children.sort_unstable();
-        self.new_children.dedup();
         self.done = true;
     }
 

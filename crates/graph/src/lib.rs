@@ -33,10 +33,12 @@
 #![warn(missing_docs)]
 #![warn(unnameable_types)]
 
-// `benchmark/` imports `analysis` by this path.
+// Imported by this path in `benchmark/`, the root crate's tests and examples,
+// and in baselines, bench, core, hybrid, scenarios and traffic.
 pub mod analysis;
 mod cuts;
-// `benchmark/` imports `generators` by this path.
+// Imported by this path in `benchmark/`, the root crate, its tests and
+// examples, and in baselines, bench, core, hybrid, net, scenarios and traffic.
 pub mod generators;
 mod graph;
 mod ids;

@@ -58,29 +58,8 @@ pub enum FrameKind {
     Bye,
 }
 
-impl Wire for FrameKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            FrameKind::Hello => 0,
-            FrameKind::Roster => 1,
-            FrameKind::Data => 2,
-            FrameKind::Done => 3,
-            FrameKind::Summary => 4,
-            FrameKind::Bye => 5,
-        });
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(FrameKind::Hello),
-            1 => Ok(FrameKind::Roster),
-            2 => Ok(FrameKind::Data),
-            3 => Ok(FrameKind::Done),
-            4 => Ok(FrameKind::Summary),
-            5 => Ok(FrameKind::Bye),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
+overlay_netsim::wire! {
+    FrameKind { 0 => Hello, 1 => Roster, 2 => Data, 3 => Done, 4 => Summary, 5 => Bye }
 }
 
 /// One unit of transmission; see the module docs for the field conventions.
@@ -129,7 +108,9 @@ impl Frame {
         }
     }
 
-    /// Encodes the frame *without* the socket length prefix.
+    /// Encodes the frame *without* the socket length prefix. Written by hand,
+    /// not with `wire!`: a version byte leads, and the body runs unprefixed
+    /// to the end.
     pub fn encode(&self, out: &mut Vec<u8>) {
         out.push(WIRE_VERSION);
         self.kind.encode(out);
@@ -176,13 +157,17 @@ impl Frame {
     }
 
     /// Reads one length-prefixed frame from a socket. `Ok(None)` is a clean
-    /// end-of-stream (EOF before the first prefix byte).
+    /// end-of-stream (EOF before the first prefix byte). An interrupted read
+    /// is retried, as [`Read::read`] asks.
     pub fn read_from(r: &mut impl Read) -> std::io::Result<Option<Frame>> {
         let mut prefix = [0u8; 4];
-        match r.read(&mut prefix) {
-            Ok(0) => return Ok(None),
-            Ok(got) => r.read_exact(&mut prefix[got..])?,
-            Err(e) => return Err(e),
+        loop {
+            match r.read(&mut prefix) {
+                Ok(0) => return Ok(None),
+                Ok(got) => break r.read_exact(&mut prefix[got..])?,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
         let len = u32::from_le_bytes(prefix) as usize;
         if len > MAX_FRAME_LEN {
@@ -218,25 +203,7 @@ pub struct Roster {
     pub addrs: Vec<Vec<u8>>,
 }
 
-impl Wire for Roster {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.n.encode(out);
-        self.procs.encode(out);
-        self.your_rank.encode(out);
-        self.config.encode(out);
-        self.addrs.encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Roster {
-            n: u32::decode(buf)?,
-            procs: u32::decode(buf)?,
-            your_rank: u32::decode(buf)?,
-            config: u64::decode(buf)?,
-            addrs: Vec::decode(buf)?,
-        })
-    }
-}
+overlay_netsim::wire! { Roster { n, procs, your_rank, config, addrs } }
 
 /// Body of a [`FrameKind::Summary`] frame: every owned node's encoded digest
 /// plus the process's delivered-message count for the phase.
@@ -248,32 +215,7 @@ pub struct SummaryBody {
     pub delivered: u64,
 }
 
-impl Wire for SummaryBody {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let len = u32::try_from(self.entries.len()).expect("entry count fits in u32");
-        len.encode(out);
-        for (node, bytes) in &self.entries {
-            node.encode(out);
-            bytes.encode(out);
-        }
-        self.delivered.encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let len = u32::decode(buf)? as usize;
-        if len > buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let mut entries = Vec::with_capacity(len);
-        for _ in 0..len {
-            entries.push((u32::decode(buf)?, Vec::decode(buf)?));
-        }
-        Ok(SummaryBody {
-            entries,
-            delivered: u64::decode(buf)?,
-        })
-    }
-}
+overlay_netsim::wire! { SummaryBody { entries, delivered } }
 
 #[cfg(test)]
 mod tests {
@@ -288,6 +230,35 @@ mod tests {
         let back = Frame::read_from(&mut cursor).unwrap().unwrap();
         assert_eq!(back, frame);
         assert!(Frame::read_from(&mut cursor).unwrap().is_none(), "EOF");
+    }
+
+    /// Yields `Interrupted` once, then reads from `bytes`.
+    struct InterruptedOnce<'a> {
+        interrupted: bool,
+        bytes: &'a [u8],
+    }
+
+    impl Read for InterruptedOnce<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn an_interrupted_read_is_retried_not_reported() {
+        let frame = Frame::control(FrameKind::Done, 0, 4, 1, 0);
+        let mut wire = Vec::new();
+        frame.write_to(&mut wire).unwrap();
+        let mut reader = InterruptedOnce {
+            interrupted: false,
+            bytes: &wire,
+        };
+        assert_eq!(Frame::read_from(&mut reader).unwrap(), Some(frame));
+        assert!(Frame::read_from(&mut reader).unwrap().is_none(), "EOF");
     }
 
     #[test]

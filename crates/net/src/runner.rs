@@ -35,7 +35,7 @@ use crate::NetError;
 use overlay_core::{ExecutedPhase, Phase, PhaseExecSpec, PhaseExecutor, SimExecutor, Summarize};
 use overlay_graph::NodeId;
 use overlay_netsim::wire::Wire;
-use overlay_netsim::{Channel, Crossing, Envelope, Medium, ParallelismConfig};
+use overlay_netsim::{Crossing, Envelope, Medium, ParallelismConfig};
 use std::ops::Range;
 
 /// Drives [`overlay_core::OverlayBuilder::build_over`] across a [`Backend`].
@@ -154,8 +154,7 @@ impl<B: Backend, M: Wire> Medium<M> for Frames<'_, B> {
         let round = u32::try_from(round).expect("round numbers fit in u32");
         for (to, seq, env) in crossing.drain(..) {
             let mut body = Vec::new();
-            env.channel.encode(&mut body);
-            env.payload.encode(&mut body);
+            (env.channel, env.payload).encode(&mut body);
             let frame = Frame::data(self.phase, round, env.from.raw(), to.raw(), seq, body);
             self.backend.send(frame)?;
         }
@@ -180,9 +179,8 @@ impl<B: Backend, M: Wire> Medium<M> for Frames<'_, B> {
             if let Some(msg) = misaddressed {
                 return Err(NetError::Protocol(msg));
             }
-            let mut body = frame.body.as_slice();
-            let channel = Channel::decode(&mut body)?;
-            let payload = decode_exact(body, || format!("the message from node {from}"))?;
+            let (channel, payload) =
+                decode_exact(&frame.body, || format!("the message from node {from}"))?;
             let env = Envelope {
                 from: NodeId::new(frame.from),
                 channel,
@@ -210,7 +208,7 @@ mod tests {
     use super::*;
     use crate::backend::SummaryEntries;
     use overlay_core::PhaseId;
-    use overlay_netsim::{Ctx, FaultPlan, Protocol};
+    use overlay_netsim::{Channel, Ctx, FaultPlan, Protocol};
 
     /// Rank `4..6` of a 12-node run whose peers are a script: round 0's
     /// barrier hands over `inbound`, and the gather fills in an empty digest,
@@ -304,8 +302,7 @@ mod tests {
 
     fn body(payload: u32) -> Vec<u8> {
         let mut bytes = Vec::new();
-        Channel::Global.encode(&mut bytes);
-        payload.encode(&mut bytes);
+        (Channel::Global, payload).encode(&mut bytes);
         bytes
     }
 

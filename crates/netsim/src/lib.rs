@@ -65,7 +65,8 @@
 #![warn(missing_docs)]
 #![warn(unnameable_types)]
 
-// `benchmark/` imports `caps::log2_ceil` by this path.
+// `caps::log2_ceil` is imported by this path in `benchmark/`, the root crate's
+// tests, and in baselines, bench, core, hybrid and scenarios.
 pub mod caps;
 mod churn;
 mod faults;
@@ -74,7 +75,8 @@ mod protocol;
 mod runtime;
 mod trace;
 mod transport;
-// `benchmark/` imports `wire::Wire` by this path.
+// Imported by this path in `benchmark/` (`wire::Wire`), net and traffic. The
+// `wire!` macro is the crate root's, not this module's.
 pub mod wire;
 
 pub use caps::CapacityModel;

@@ -16,6 +16,8 @@ pub enum Channel {
     Global,
 }
 
+crate::wire! { Channel { 0 => Local, 1 => Global } }
+
 /// A delivered message together with its sender and channel.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Envelope<M> {

@@ -17,12 +17,12 @@
 //!   so frames can be compared and logged byte-for-byte across backends.
 //!
 //! Integers are little-endian and fixed-width. Collections are prefixed with a
-//! `u32` element count. Enums write a one-byte tag followed by the variant's
-//! fields; unknown tags decode to [`WireError::BadTag`].
+//! `u32` element count. Structs and tuples write their fields in order. Enums
+//! write a one-byte tag followed by the variant's fields; unknown tags decode
+//! to [`WireError::BadTag`]. A message, summary or frame type states that
+//! layout once, in a [`wire!`](crate::wire!) list next to its declaration.
 
 use overlay_graph::NodeId;
-
-use crate::protocol::Channel;
 
 /// Why a byte buffer failed to decode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,8 +54,10 @@ impl std::error::Error for WireError {}
 ///
 /// `decode` consumes from the front of `buf` (advancing the slice) and must
 /// accept exactly the bytes `encode` produces; round-tripping is asserted by
-/// proptests in `overlay-net`. Implementations for protocol messages live next
-/// to the message type they encode.
+/// proptests in `overlay-net`, and the bytes of every type that crosses a
+/// socket by a table there. A type whose layout is its fields in order, or a
+/// tag byte and then the variant's fields, derives both methods with
+/// [`wire!`](crate::wire!).
 pub trait Wire: Sized {
     /// Appends this value's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
@@ -135,23 +137,6 @@ impl Wire for NodeId {
     }
 }
 
-impl Wire for Channel {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            Channel::Local => 0,
-            Channel::Global => 1,
-        });
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(Channel::Local),
-            1 => Ok(Channel::Global),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
-
 impl<T: Wire> Wire for Option<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -197,9 +182,72 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+        self.1.encode(out);
+    }
+
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok((A::decode(buf)?, B::decode(buf)?))
+    }
+}
+
+/// Implements [`Wire`] for a type from one list of its fields in wire order.
+///
+/// A struct is its fields in order:
+/// `wire! { BfsSummary { id, root, parent, children } }`. An enum is a tag
+/// byte, then the variant's fields in order, each tag written out:
+/// `wire! { ExpanderMsg { 0 => Intro, 1 => Token { origin, steps_left }, 2 => Accept } }`.
+/// A tag no variant has decodes to [`WireError::BadTag`]. A generic enum
+/// names its one type parameter, which must be [`Wire`] too:
+/// `wire! { TransportMsg<M> { 0 => Data { seq, floor, payload }, 1 => Ack { cum, sel } } }`.
+///
+/// The generated pattern and struct literal have no `..`, so a list that
+/// leaves a field out does not compile. Invoke it with braces, next to the
+/// type's declaration: rustfmt leaves a braced list on its one line.
+#[macro_export]
+macro_rules! wire {
+    ($ty:ident { $($field:ident),* }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                $($crate::wire::Wire::encode(&self.$field, out);)*
+            }
+
+            fn decode(buf: &mut &[u8]) -> ::std::result::Result<Self, $crate::wire::WireError> {
+                ::std::result::Result::Ok(Self { $($field: $crate::wire::Wire::decode(buf)?),* })
+            }
+        }
+    };
+    ($ty:ident $(<$param:ident>)? {
+        $($tag:literal => $variant:ident $({ $($field:ident),* })?),+
+    }) => {
+        impl$(<$param: $crate::wire::Wire>)? $crate::wire::Wire for $ty$(<$param>)? {
+            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                match self {
+                    $(Self::$variant $({ $($field),* })? => {
+                        out.push($tag);
+                        $($($crate::wire::Wire::encode($field, out);)*)?
+                    })+
+                }
+            }
+
+            fn decode(buf: &mut &[u8]) -> ::std::result::Result<Self, $crate::wire::WireError> {
+                match <u8 as $crate::wire::Wire>::decode(buf)? {
+                    $($tag => ::std::result::Result::Ok(
+                        Self::$variant $({ $($field: $crate::wire::Wire::decode(buf)?),* })?
+                    ),)+
+                    t => ::std::result::Result::Err($crate::wire::WireError::BadTag(t)),
+                }
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Channel;
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
         let mut bytes = Vec::new();
@@ -224,6 +272,7 @@ mod tests {
         round_trip(Some(7u32));
         round_trip(vec![NodeId::new(1), NodeId::new(2)]);
         round_trip(Vec::<u64>::new());
+        round_trip((7u32, vec![true, false]));
     }
 
     #[test]

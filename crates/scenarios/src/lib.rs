@@ -79,7 +79,8 @@ mod forensics;
 mod json;
 mod registry;
 mod report;
-// `benchmark/` imports `scaling::MachineInfo` by this path.
+// Imported by this path in `benchmark/` (`scaling::MachineInfo`) and by this
+// crate's `sweep_runner` (`--scaling`).
 pub mod scaling;
 mod scenario;
 mod sweep;

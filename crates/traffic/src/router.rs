@@ -279,6 +279,7 @@ pub struct RouterMsg {
     pub hops: u32,
 }
 
+// By hand, not `wire!`: `dst` travels in four bytes, not a `NodeId`'s eight.
 impl Wire for RouterMsg {
     fn encode(&self, out: &mut Vec<u8>) {
         self.id.encode(out);
@@ -310,23 +311,7 @@ pub struct Delivery {
     pub delivered: u32,
 }
 
-impl Wire for Delivery {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.hops.encode(out);
-        self.injected.encode(out);
-        self.delivered.encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Delivery {
-            id: u64::decode(buf)?,
-            hops: u32::decode(buf)?,
-            injected: u32::decode(buf)?,
-            delivered: u32::decode(buf)?,
-        })
-    }
-}
+overlay_netsim::wire! { Delivery { id, hops, injected, delivered } }
 
 /// The router's tunables. All limits are per node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -566,26 +551,8 @@ pub struct RouterSummary {
     pub max_edge_load: u32,
 }
 
-impl Wire for RouterSummary {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.injected.encode(out);
-        self.deliveries.encode(out);
-        self.dropped.encode(out);
-        self.expired.encode(out);
-        self.forwards.encode(out);
-        self.max_edge_load.encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(RouterSummary {
-            injected: u32::decode(buf)?,
-            deliveries: Vec::decode(buf)?,
-            dropped: Vec::decode(buf)?,
-            expired: Vec::decode(buf)?,
-            forwards: u64::decode(buf)?,
-            max_edge_load: u32::decode(buf)?,
-        })
-    }
+overlay_netsim::wire! {
+    RouterSummary { injected, deliveries, dropped, expired, forwards, max_edge_load }
 }
 
 impl Summarize for Router {

@@ -5,7 +5,6 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use overlay_graph::NodeId;
-use overlay_netsim::wire::{Wire, WireError};
 use overlay_netsim::{Channel, Ctx, Envelope, Protocol, TransportConfig};
 
 /// The wire format of the reliable layer: the inner protocol's payloads wrapped
@@ -41,42 +40,7 @@ pub enum TransportMsg<M> {
     },
 }
 
-impl<M: Wire> Wire for TransportMsg<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            TransportMsg::Data {
-                seq,
-                floor,
-                payload,
-            } => {
-                out.push(0);
-                seq.encode(out);
-                floor.encode(out);
-                payload.encode(out);
-            }
-            TransportMsg::Ack { cum, sel } => {
-                out.push(1);
-                cum.encode(out);
-                sel.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(TransportMsg::Data {
-                seq: u32::decode(buf)?,
-                floor: u32::decode(buf)?,
-                payload: M::decode(buf)?,
-            }),
-            1 => Ok(TransportMsg::Ack {
-                cum: u32::decode(buf)?,
-                sel: u64::decode(buf)?,
-            }),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
+overlay_netsim::wire! { TransportMsg<M> { 0 => Data { seq, floor, payload }, 1 => Ack { cum, sel } } }
 
 /// "No entry": ends a peer's outgoing queue and the pool's free list.
 const NIL: u32 = u32::MAX;

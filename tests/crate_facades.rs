@@ -8,14 +8,15 @@ use std::path::{Path, PathBuf};
 
 /// `(crate directory, module)` pairs that stay `pub mod`.
 const PUBLIC_MODULES: [(&str, &str); 6] = [
-    // `benchmark/` imports these four by their paths.
+    // Imported by path in `benchmark/` and in workspace crates (the comment
+    // on each `pub mod` names where).
     ("graph", "analysis"),
     ("graph", "generators"),
     ("netsim", "caps"),
     ("netsim", "wire"),
     // Already a facade: private submodules behind `pub use`.
     ("graph", "sequential"),
-    // `benchmark/` imports `scaling::MachineInfo`.
+    // Imported by path in `benchmark/` and in `sweep_runner`.
     ("scenarios", "scaling"),
 ];
 
