@@ -58,11 +58,6 @@ impl BfsNode {
         }
     }
 
-    /// The node's identifier.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
     /// The smallest identifier this node has seen (after termination: the BFS root).
     pub fn root(&self) -> NodeId {
         self.root
@@ -209,20 +204,21 @@ mod tests {
         let nodes = run_bfs(&g, 20);
         let root = NodeId::from(0usize);
         let mut child_count = 0usize;
-        for node in &nodes {
-            if node.id() == root {
+        for (v, node) in nodes.iter().enumerate() {
+            let id = NodeId::from(v);
+            if id == root {
                 assert_eq!(node.parent(), root);
             } else {
-                assert_ne!(node.parent(), node.id(), "non-root must have a parent");
+                assert_ne!(node.parent(), id, "non-root must have a parent");
             }
             child_count += node.children().len();
         }
         // Every non-root node is some node's child exactly once.
         assert_eq!(child_count, 63);
         // Parent/child relations are mutual.
-        for node in &nodes {
+        for (v, node) in nodes.iter().enumerate() {
             for &c in node.children() {
-                assert_eq!(nodes[c.index()].parent(), node.id());
+                assert_eq!(nodes[c.index()].parent(), NodeId::from(v));
             }
         }
     }

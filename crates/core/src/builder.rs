@@ -31,9 +31,7 @@
 //! report through one shared strict contract.
 
 use crate::pipeline::{Phase, PhaseId, PhaseMetrics, PhaseOverrides};
-use crate::seam::{
-    ExecutedPhase, ExpanderSummary, PhaseExecSpec, PhaseExecutor, SimDetail, SimExecutor, Summarize,
-};
+use crate::seam::{ExecutedPhase, PhaseExecSpec, PhaseExecutor, SimDetail, SimExecutor, Summarize};
 use crate::wellformed::WellFormedTree;
 use crate::{benign, ExpanderParams, OverlayError, RoundBudget};
 use overlay_graph::{analysis, DiGraph, NodeId, UGraph};
@@ -208,12 +206,14 @@ impl BuildReport {
         self.result.is_some() && self.tree_valid_over_alive
     }
 
-    /// Fraction of the initial `n` nodes covered by the final tree's alive nodes.
+    /// Fraction of the initial `n` nodes covered by the final tree: the nodes
+    /// alive at the end that reach its root through alive nodes
+    /// ([`WellFormedTree::covered`]).
     pub fn coverage(&self, n: usize) -> f64 {
-        if n == 0 || self.result.is_none() {
-            return 0.0;
+        match &self.result {
+            Some(result) if n > 0 => result.tree.covered(&self.alive_at_end) as f64 / n as f64,
+            _ => 0.0,
         }
-        self.alive_at_end.iter().filter(|a| **a).count() as f64 / n as f64
     }
 
     /// The name of the first stalled phase, if any.
@@ -513,12 +513,14 @@ impl OverlayBuilder {
             return Ok(ledger.into_report());
         };
         let alive1 = construction.alive;
+        let slots = construction.summaries;
+        check_digests(PhaseId::CreateExpander, n, &slots, |s| s)?;
 
         // Hand-off 1: the survivor-induced final evolution graph; edges into dead
         // nodes dangle and are pruned. If the survivors fragment, continue on the
         // largest component — the "core" — and report the fragmentation.
         let survivors: Vec<usize> = (0..n).filter(|&i| alive1[i]).collect();
-        let full = survivor_graph(&construction.summaries, &alive1);
+        let full = survivor_graph(&slots, &alive1);
         let comps = analysis::connected_components(&full);
         let mut sizes: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
         for &v in &survivors {
@@ -556,6 +558,9 @@ impl OverlayBuilder {
         };
         let alive2 = bfs_run.alive;
         let bfs = bfs_run.summaries;
+        check_digests(PhaseId::Bfs, m, &bfs, |b| {
+            [&b.root, &b.parent].into_iter().chain(&b.children)
+        })?;
 
         // Hand-off 2: convergence among the nodes still alive — one shared root,
         // no self-parents.
@@ -567,7 +572,8 @@ impl OverlayBuilder {
         let converged = match root {
             None => false,
             Some(root) => bfs.iter().enumerate().all(|(i, node)| {
-                !alive2[i] || (node.root == root && (node.id == root || node.parent != node.id))
+                let id = NodeId::from(i);
+                !alive2[i] || (node.root == root && (id == root || node.parent != id))
             }),
         };
         if !converged {
@@ -589,7 +595,8 @@ impl OverlayBuilder {
             return Ok(ledger.into_report());
         };
         let alive3 = bin_run.alive;
-        let parents: Vec<NodeId> = bin_run.summaries.iter().map(|s| s.new_parent).collect();
+        let parents = bin_run.summaries;
+        check_digests(PhaseId::Binarize, m, &parents, std::slice::from_ref)?;
 
         // Hand-off 3: the finalize validation judges binarization's success.
         let tree = WellFormedTree::from_parents_over(parents, &alive3);
@@ -823,10 +830,37 @@ fn fragmentation_error(report: &BuildReport) -> OverlayError {
         .expect("a partial core is always preceded by a fragmentation event")
 }
 
+/// Refuses `phase`'s digests unless there is one per node of the phase's `n`
+/// and every id they hold (`ids` of a digest) names one of those nodes. Digests
+/// gathered from other ranks are outside input, and the hand-offs index by
+/// every id in them.
+fn check_digests<'a, S, I>(
+    phase: PhaseId,
+    n: usize,
+    digests: &'a [S],
+    ids: impl Fn(&'a S) -> I,
+) -> Result<(), OverlayError>
+where
+    I: IntoIterator<Item = &'a NodeId>,
+{
+    let refuse = |what: String| Err(OverlayError::Backend(format!("{} {what}", phase.name())));
+    if digests.len() != n {
+        return refuse(format!("returned {} digests for {n} nodes", digests.len()));
+    }
+    for (v, digest) in digests.iter().enumerate() {
+        if let Some(id) = ids(digest).into_iter().find(|id| id.index() >= n) {
+            return refuse(format!(
+                "digest of node {v} names {id}, outside its {n} nodes"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// The survivor-induced final evolution graph, read off the per-node slot
-/// digests and indexed by *original* ids: dead nodes stay as isolated vertices,
-/// edges into them are pruned, and every list comes out neighbours ascending,
-/// self-loops last.
+/// digests (in node order) and indexed by *original* ids: dead nodes stay as
+/// isolated vertices, edges into them are pruned, and every list comes out
+/// neighbours ascending, self-loops last.
 ///
 /// Under message loss an Accept can be dropped, leaving an edge in only one
 /// endpoint's slots; such half-acknowledged edges are *included* (one-sided
@@ -835,17 +869,16 @@ fn fragmentation_error(report: &BuildReport) -> OverlayError {
 /// reconstruction depends on protocol state only, never on id order. Clean runs
 /// hold every edge symmetrically, and `max(k, k) == k` reproduces the exact
 /// fault-free graph.
-fn survivor_graph(nodes: &[ExpanderSummary], alive: &[bool]) -> UGraph {
+fn survivor_graph(nodes: &[Vec<NodeId>], alive: &[bool]) -> UGraph {
     let n = alive.len();
     // Per alive node: its alive non-self slot targets, ascending.
     let mut targets: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut self_loops = vec![0usize; n];
-    for node in nodes {
-        let v = node.id.index();
+    for (v, slots) in nodes.iter().enumerate() {
         if !alive[v] {
             continue;
         }
-        for w in node.slots.iter().map(|w| w.index()) {
+        for w in slots.iter().map(|w| w.index()) {
             if w == v {
                 self_loops[v] += 1;
             } else if alive[w] {
@@ -976,15 +1009,14 @@ mod tests {
         /// multiplicity the better-informed side holds — so the reconstruction depends on
         /// protocol state only, never on id order. Clean runs hold every edge
         /// symmetrically, and `max(k, k) == k` reproduces the exact fault-free graph.
-        fn collect(nodes: &[ExpanderSummary], alive: &[bool]) -> SlotEdges {
+        fn collect(nodes: &[Vec<NodeId>], alive: &[bool]) -> SlotEdges {
             let mut pairs = BTreeMap::new();
             let mut self_loops = vec![0usize; alive.len()];
-            for node in nodes {
-                let v = node.id.index();
+            for (v, slots) in nodes.iter().enumerate() {
                 if !alive[v] {
                     continue;
                 }
-                for &w in &node.slots {
+                for &w in slots {
                     let w = w.index();
                     if w == v {
                         self_loops[v] += 1;
@@ -1053,7 +1085,7 @@ mod tests {
     /// nodes, edges listed at one end only or more often at one end than the
     /// other (in both id directions), and few enough edges that the survivors
     /// fragment.
-    fn random_digests(rng: &mut StdRng) -> (Vec<ExpanderSummary>, Vec<bool>) {
+    fn random_digests(rng: &mut StdRng) -> (Vec<Vec<NodeId>>, Vec<bool>) {
         let n = rng.gen_range(1..24usize);
         let alive: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.75)).collect();
         let mut slots: Vec<Vec<NodeId>> = vec![Vec::new(); n];
@@ -1068,14 +1100,10 @@ mod tests {
                 slots[w].push(NodeId::from(v));
             }
         }
-        let nodes = slots.into_iter().enumerate().map(|(v, mut slots)| {
-            slots.shuffle(rng);
-            ExpanderSummary {
-                id: NodeId::from(v),
-                slots,
-            }
-        });
-        (nodes.collect(), alive)
+        for list in &mut slots {
+            list.shuffle(rng);
+        }
+        (slots, alive)
     }
 
     #[test]
@@ -1598,7 +1626,7 @@ mod tests {
     #[test]
     fn reliable_transport_rescues_lossy_binarization() {
         // Seed 1 of the `lossy-ncc0` scenario (0.2% loss, cycle/128): the bare
-        // pipeline loses a RelinkMsg in the one-round binarization and fails at
+        // pipeline loses a relink message in the one-round binarization and fails at
         // `finalize`. The transport retransmits it and completes the tree.
         let n = 128;
         let g = generators::cycle(n);
@@ -1712,7 +1740,7 @@ mod tests {
     #[test]
     fn binarize_only_transport_rescues_a_binarize_window_partition() {
         // A partition covering exactly the one-round binarization drops every
-        // cross-cut RelinkMsg: the bare pipeline finishes its schedule but the
+        // cross-cut relink message: the bare pipeline finishes its schedule but the
         // orphaned nodes keep their self-parent and `finalize` fails. Scoping the
         // reliable transport to just the binarize phase retransmits the relinks
         // after the heal — the construction and BFS phases stay on the paper's
@@ -1902,5 +1930,101 @@ mod tests {
             node: NodeId::from(3usize)
         }));
         assert!(events.iter().any(|e| matches!(e, TraceEvent::Drop { .. })));
+    }
+
+    #[test]
+    fn coverage_counts_the_alive_nodes_the_tree_reaches() {
+        // An inner node of the clean tree crashes in the binarize window after
+        // relinking its children: they stay alive, hang off a dead parent, and
+        // the tree does not cover them.
+        let n = 64;
+        let g = generators::cycle(n);
+        let params = ExpanderParams::for_n(n).with_seed(2);
+        let clean = OverlayBuilder::new(params).build(&g).expect("clean build");
+        let victim = g
+            .nodes()
+            .find(|&v| v != clean.tree.root() && !clean.tree.children(v).is_empty())
+            .expect("a tree of 64 nodes has an inner node");
+        let crash_round =
+            ExpanderNode::total_rounds(&params) + BfsNode::total_rounds(params.bfs_rounds) + 1;
+        let plan = FaultPlan::default().with_crash(victim, crash_round);
+        let report = OverlayBuilder::new(params)
+            .build_under_faults(&g, &plan)
+            .expect("valid input");
+        let tree = &report.result.as_ref().expect("one alive root").tree;
+        assert!(!report.tree_valid_over_alive);
+        let alive = report.alive_at_end.iter().filter(|a| **a).count();
+        let covered = tree.covered(&report.alive_at_end);
+        assert!(covered < alive, "{covered} of {alive}");
+        assert_eq!(report.coverage(n), covered as f64 / n as f64);
+    }
+
+    /// How [`Tampering`] corrupts one phase's digests.
+    #[derive(Clone, Copy, Debug)]
+    enum Tamper {
+        /// Node 0's digest, re-encoded with its last four bytes — an id in
+        /// every digest this pipeline makes — set to one past the last node.
+        ForeignId,
+        /// The last node's digest, dropped.
+        MissingDigest,
+    }
+
+    /// The simulator, with the digests of phase `target` corrupted by `tamper`.
+    struct Tampering {
+        target: PhaseId,
+        tamper: Tamper,
+    }
+
+    impl PhaseExecutor for Tampering {
+        type Error = std::convert::Infallible;
+
+        fn execute<P: Summarize + Send>(
+            &mut self,
+            phase: Phase<P>,
+            spec: PhaseExecSpec,
+        ) -> Result<ExecutedPhase<P::Summary>, Self::Error>
+        where
+            P::Message: Wire + Send,
+        {
+            let id = phase.id();
+            let mut run = SimExecutor::default().execute(phase, spec)?;
+            let digests = &mut run.summaries;
+            match self.tamper {
+                _ if id != self.target => {}
+                Tamper::ForeignId => {
+                    let mut bytes = Vec::new();
+                    digests[0].encode(&mut bytes);
+                    let at = bytes.len() - 4;
+                    bytes[at..].copy_from_slice(&(digests.len() as u32).to_le_bytes());
+                    digests[0] = Wire::decode(&mut bytes.as_slice()).expect("still a digest");
+                }
+                Tamper::MissingDigest => drop(digests.pop()),
+            }
+            Ok(run)
+        }
+    }
+
+    #[test]
+    fn gathered_digests_the_hand_offs_cannot_read_are_a_backend_error() {
+        let n = 32;
+        let g = generators::line(n);
+        let builder = OverlayBuilder::new(ExpanderParams::for_n(n).with_seed(3));
+        for target in PhaseId::ALL {
+            let phase = target.name();
+            for (tamper, why) in [
+                (
+                    Tamper::ForeignId,
+                    format!("{phase} digest of node 0 names n{n}, outside its {n} nodes"),
+                ),
+                (
+                    Tamper::MissingDigest,
+                    format!("{phase} returned {} digests for {n} nodes", n - 1),
+                ),
+            ] {
+                let mut exec = Tampering { target, tamper };
+                let err = builder.build_over(&g, &mut exec).expect_err("refused");
+                assert_eq!(err, OverlayError::Backend(why), "{tamper:?}");
+            }
+        }
     }
 }

@@ -43,7 +43,9 @@ pub enum OverlayError {
     FinalizeFailed,
     /// A pluggable phase executor (a socket or channel backend from the
     /// `overlay-net` crate) failed below the protocol layer — a peer process
-    /// died, a connection broke, or a frame failed to decode.
+    /// died, a connection broke, or a frame failed to decode — or handed back
+    /// digests the hand-offs cannot read: not one per node, or one naming a
+    /// node outside the phase.
     Backend(String),
 }
 

@@ -639,7 +639,7 @@ mod tests {
                 "round {round}: forward_buffer"
             );
             assert_eq!(new.next_slots, old.next_slots, "round {round}: next_slots");
-            assert_eq!(new.summarize().slots, old.slots, "round {round}: summary");
+            assert_eq!(new.summarize(), old.slots, "round {round}: summary");
             assert_eq!(new.done, old.done, "round {round}: done");
             if new.done {
                 assert_eq!(new.slots(), old.slots(), "round {round}: finished slots");

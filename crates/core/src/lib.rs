@@ -63,7 +63,7 @@ pub use maintenance::{EpochSample, MaintenanceConfig, MaintenanceRunner, ServeOu
 pub use params::{ExpanderParams, RoundBudget};
 pub use pipeline::{Phase, PhaseId, PhaseMetrics, PhaseOverrides};
 pub use seam::{
-    BfsSummary, BinarizeSummary, DetailedPhase, ExecutedPhase, ExpanderSummary, PhaseExecSpec,
-    PhaseExecutor, SimDetail, SimExecutor, Summarize,
+    BfsSummary, DetailedPhase, ExecutedPhase, PhaseExecSpec, PhaseExecutor, SimDetail, SimExecutor,
+    Summarize,
 };
-pub use wellformed::{BinarizeNode, RelinkMsg, WellFormedTree};
+pub use wellformed::{BinarizeNode, WellFormedTree};

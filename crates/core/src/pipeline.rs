@@ -162,11 +162,11 @@ impl Phase<BfsNode> {
 
 impl Phase<BinarizeNode> {
     /// The one-round binarization phase, handed off from the BFS phase's per-node
-    /// digests (all any executor, local or multi-process, can hand back).
+    /// digests (all any executor, local or multi-process, can hand back), in
+    /// node order.
     pub fn binarize(bfs: &[BfsSummary], faults: FaultPlan) -> Self {
-        let nodes: Vec<BinarizeNode> = bfs
-            .iter()
-            .map(|b| BinarizeNode::new(b.id, b.parent, b.children.clone()))
+        let nodes: Vec<BinarizeNode> = (bfs.iter().enumerate())
+            .map(|(v, b)| BinarizeNode::new(NodeId::from(v), b.children.clone()))
             .collect();
         Phase::from_parts(
             PhaseId::Binarize,

@@ -29,11 +29,14 @@
 //!
 //! Summaries exist because a multi-process executor cannot hand back remote
 //! nodes' full protocol states. Each phase's hand-off needs only a small
-//! per-node digest — final slot lists after construction, `(root, parent,
-//! children)` after BFS, the relinked parent after binarization — and every
-//! successor phase is constructible from those digests alone. Summaries
-//! implement [`Wire`] so executors can exchange them across process
-//! boundaries.
+//! per-node digest — the final slot list (`Vec<NodeId>`) after construction,
+//! a [`BfsSummary`] (`root`, `parent`, `children`) after BFS, the relinked
+//! parent (a [`NodeId`]) after binarization — and every successor phase is
+//! constructible from those digests alone. No digest names its own node: an
+//! [`ExecutedPhase`] lists them in node order, so a digest's position is its
+//! node. Summaries implement [`Wire`] so executors can exchange them across
+//! process boundaries; ids inside them come from other processes, and the
+//! pipeline driver refuses a digest that names a node outside the phase.
 
 use crate::bfs::BfsNode;
 use crate::expander::ExpanderNode;
@@ -78,34 +81,18 @@ where
     }
 }
 
-/// What the `CreateExpander` hand-off needs from each node: its identifier and
-/// its final evolution-graph slot list.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExpanderSummary {
-    /// The node's identifier.
-    pub id: NodeId,
-    /// The node's slots in the final evolution graph `G_L` (one entry per
-    /// incident half-edge, self-loops included).
-    pub slots: Vec<NodeId>,
-}
-
-overlay_netsim::wire! { ExpanderSummary { id, slots } }
-
+/// What the `CreateExpander` hand-off needs from each node: its slots in the
+/// final evolution graph `G_L` (one entry per incident half-edge, self-loops
+/// included).
 impl Summarize for ExpanderNode {
-    type Summary = ExpanderSummary;
+    type Summary = Vec<NodeId>;
 
-    fn summarize(&self) -> ExpanderSummary {
-        ExpanderSummary {
-            id: self.id(),
-            slots: self.padded_slots(),
-        }
+    fn summarize(&self) -> Vec<NodeId> {
+        self.padded_slots()
     }
 
-    fn into_summary(self) -> ExpanderSummary {
-        ExpanderSummary {
-            id: self.id(),
-            slots: self.into_padded_slots(),
-        }
+    fn into_summary(self) -> Vec<NodeId> {
+        self.into_padded_slots()
     }
 }
 
@@ -113,8 +100,6 @@ impl Summarize for ExpanderNode {
 /// its place in the BFS tree.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BfsSummary {
-    /// The node's identifier.
-    pub id: NodeId,
     /// The smallest identifier the node knows (the root it elected).
     pub root: NodeId,
     /// The node's BFS parent (itself for the root).
@@ -123,14 +108,13 @@ pub struct BfsSummary {
     pub children: Vec<NodeId>,
 }
 
-overlay_netsim::wire! { BfsSummary { id, root, parent, children } }
+overlay_netsim::wire! { BfsSummary { root, parent, children } }
 
 impl Summarize for BfsNode {
     type Summary = BfsSummary;
 
     fn summarize(&self) -> BfsSummary {
         BfsSummary {
-            id: self.id(),
             root: self.root(),
             parent: self.parent(),
             children: self.children().to_vec(),
@@ -139,25 +123,12 @@ impl Summarize for BfsNode {
 
     fn into_summary(self) -> BfsSummary {
         BfsSummary {
-            id: self.id(),
             root: self.root(),
             parent: self.parent(),
             children: self.into_children(),
         }
     }
 }
-
-/// What the finalize hand-off needs from each node: its parent in the
-/// binarized tree.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BinarizeSummary {
-    /// The node's identifier.
-    pub id: NodeId,
-    /// The node's parent in the binarized (well-formed) tree.
-    pub new_parent: NodeId,
-}
-
-overlay_netsim::wire! { BinarizeSummary { id, new_parent } }
 
 /// A node behind the reliable transport digests to what the node it wraps
 /// digests to: the transport's own state never crosses a phase boundary.
@@ -176,14 +147,13 @@ where
     }
 }
 
+/// What the finalize hand-off needs from each node: its parent in the
+/// binarized (well-formed) tree.
 impl Summarize for BinarizeNode {
-    type Summary = BinarizeSummary;
+    type Summary = NodeId;
 
-    fn summarize(&self) -> BinarizeSummary {
-        BinarizeSummary {
-            id: self.id(),
-            new_parent: self.new_parent(),
-        }
+    fn summarize(&self) -> NodeId {
+        self.new_parent()
     }
 }
 
@@ -431,20 +401,13 @@ mod tests {
 
     #[test]
     fn summaries_round_trip() {
-        round_trip(ExpanderSummary {
-            id: NodeId::new(3),
-            slots: vec![NodeId::new(1), NodeId::new(3), NodeId::new(7)],
-        });
+        round_trip(vec![NodeId::new(1), NodeId::new(3), NodeId::new(7)]);
         round_trip(BfsSummary {
-            id: NodeId::new(5),
             root: NodeId::new(0),
             parent: NodeId::new(2),
             children: vec![NodeId::new(9)],
         });
-        round_trip(BinarizeSummary {
-            id: NodeId::new(4),
-            new_parent: NodeId::new(1),
-        });
+        round_trip(NodeId::new(1));
     }
 
     /// Runs `nodes` for at most `rounds` rounds, then checks that every node
@@ -505,12 +468,8 @@ mod tests {
 
         let star = (0..9u32)
             .map(|v| match v {
-                0 => BinarizeNode::new(
-                    NodeId::new(0),
-                    NodeId::new(0),
-                    (1..9).map(NodeId::new).collect(),
-                ),
-                _ => BinarizeNode::new(NodeId::new(v), NodeId::new(0), Vec::new()),
+                0 => BinarizeNode::new(NodeId::new(0), (1..9).map(NodeId::new).collect()),
+                _ => BinarizeNode::new(NodeId::new(v), Vec::new()),
             })
             .collect();
         let (_, done) = hand_over(star, SimConfig::default(), BinarizeNode::total_rounds() + 1);
@@ -519,9 +478,7 @@ mod tests {
 
     #[test]
     fn node_summaries_digest_the_accessors() {
-        let b = BinarizeNode::new(NodeId::new(2), NodeId::new(1), vec![NodeId::new(3)]);
-        let s = b.summarize();
-        assert_eq!(s.id, NodeId::new(2));
-        assert_eq!(s.new_parent, b.new_parent());
+        let b = BinarizeNode::new(NodeId::new(2), vec![NodeId::new(3)]);
+        assert_eq!(b.summarize(), b.new_parent());
     }
 }

@@ -199,47 +199,27 @@ impl WellFormedTree {
     }
 }
 
-/// Messages of the binarization protocol: the single re-linking instruction a node
-/// receives from its BFS parent. The receiver keeps only `parent`: the finalize
-/// hand-off rebuilds the tree from every node's parent alone.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RelinkMsg {
-    /// The node's parent in the binarized tree.
-    pub parent: NodeId,
-    /// Its first sibling-child, if any.
-    pub left: Option<NodeId>,
-    /// Its second sibling-child, if any.
-    pub right: Option<NodeId>,
-}
-
-overlay_netsim::wire! { RelinkMsg { parent, left, right } }
-
-/// Per-node state of the one-round binarization step.
+/// Per-node state of the one-round binarization step. Its one message is the
+/// receiver's new parent, a bare [`NodeId`]: the finalize hand-off rebuilds the
+/// tree from every node's parent alone.
 #[derive(Debug)]
 pub struct BinarizeNode {
     id: NodeId,
-    bfs_parent: NodeId,
     bfs_children: Vec<NodeId>,
     new_parent: NodeId,
     done: bool,
 }
 
 impl BinarizeNode {
-    /// Creates the state machine for node `id` given its BFS parent and children.
-    pub fn new(id: NodeId, bfs_parent: NodeId, mut bfs_children: Vec<NodeId>) -> Self {
+    /// Creates the state machine for node `id` given its BFS children.
+    pub fn new(id: NodeId, mut bfs_children: Vec<NodeId>) -> Self {
         bfs_children.sort_unstable();
         BinarizeNode {
             id,
-            bfs_parent,
             bfs_children,
             new_parent: id,
             done: false,
         }
-    }
-
-    /// The node's identifier.
-    pub fn id(&self) -> NodeId {
-        self.id
     }
 
     /// The node's parent in the binarized tree (itself for the root).
@@ -254,9 +234,9 @@ impl BinarizeNode {
 }
 
 impl Protocol for BinarizeNode {
-    type Message = RelinkMsg;
+    type Message = NodeId;
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, RelinkMsg>) {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, NodeId>) {
         // The node keeps only its first child; the remaining children are arranged as a
         // balanced binary heap among themselves: child j's new parent is child (j-1)/2.
         for (j, &c) in self.bfs_children.iter().enumerate() {
@@ -265,25 +245,13 @@ impl Protocol for BinarizeNode {
             } else {
                 self.bfs_children[(j - 1) / 2]
             };
-            let left = self.bfs_children.get(2 * j + 1).copied();
-            let right = self.bfs_children.get(2 * j + 2).copied();
-            ctx.send_global(
-                c,
-                RelinkMsg {
-                    parent,
-                    left,
-                    right,
-                },
-            );
-        }
-        if self.bfs_parent == self.id {
-            self.new_parent = self.id;
+            ctx.send_global(c, parent);
         }
     }
 
-    fn on_round(&mut self, _ctx: &mut Ctx<'_, RelinkMsg>, inbox: &[Envelope<RelinkMsg>]) {
+    fn on_round(&mut self, _ctx: &mut Ctx<'_, NodeId>, inbox: &[Envelope<NodeId>]) {
         for env in inbox {
-            self.new_parent = env.payload.parent;
+            self.new_parent = env.payload;
         }
         self.done = true;
     }
@@ -304,13 +272,9 @@ mod tests {
         let nodes: Vec<BinarizeNode> = (0..n)
             .map(|v| {
                 if v == 0 {
-                    BinarizeNode::new(
-                        NodeId::from(0usize),
-                        NodeId::from(0usize),
-                        (1..n).map(NodeId::from).collect(),
-                    )
+                    BinarizeNode::new(NodeId::from(0usize), (1..n).map(NodeId::from).collect())
                 } else {
-                    BinarizeNode::new(NodeId::from(v), NodeId::from(0usize), Vec::new())
+                    BinarizeNode::new(NodeId::from(v), Vec::new())
                 }
             })
             .collect();
@@ -370,13 +334,12 @@ mod tests {
         let n = 16;
         let nodes: Vec<BinarizeNode> = (0..n)
             .map(|v| {
-                let parent = if v == 0 { 0 } else { v - 1 };
                 let children = if v + 1 < n {
                     vec![NodeId::from(v + 1)]
                 } else {
                     Vec::new()
                 };
-                BinarizeNode::new(NodeId::from(v), NodeId::from(parent), children)
+                BinarizeNode::new(NodeId::from(v), children)
             })
             .collect();
         let mut sim = Simulator::new(nodes, SimConfig::default());

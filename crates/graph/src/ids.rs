@@ -7,7 +7,7 @@ use std::fmt;
 /// The paper gives every node an `O(log n)`-bit identifier, and every medium here caps
 /// `n` at 2³²: the simulator admits at most `u32::MAX` nodes and socket frames carry
 /// node ids in four bytes. So the width is decided here, once, and no caller narrows by
-/// hand. On the wire an id is eight bytes (`Wire for NodeId`), the width the codec pins.
+/// hand. On the wire an id is the same four bytes (`Wire for NodeId`), as in frame headers.
 /// Nodes of an `n`-node graph are `0..n`, which is also their index into the simulator's
 /// node table, but nothing in the public API relies on identifiers being dense.
 ///

@@ -28,7 +28,7 @@ use std::io::{Read, Write};
 
 /// The frame codec version this build speaks. Bumped on any layout change;
 /// decoding rejects every other value.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Frames larger than this are rejected at the socket before allocation: no
 /// phase of the pipeline legitimately produces frames anywhere near it, so an

@@ -12,8 +12,8 @@
 //! rank.
 
 use overlay_core::{
-    ExecutedPhase, ExpanderParams, ExpanderSummary, OverlayBuilder, OverlayResult, Phase,
-    PhaseExecSpec, PhaseExecutor, PhaseId, SimExecutor,
+    ExecutedPhase, ExpanderParams, OverlayBuilder, OverlayResult, Phase, PhaseExecSpec,
+    PhaseExecutor, PhaseId, SimExecutor,
 };
 use overlay_graph::{generators, DiGraph, NodeId};
 use overlay_net::{ChannelBackend, NetRunner, TcpBackend, TcpHost};
@@ -383,7 +383,7 @@ fn tcp_ranks_run_scheduled_fault_plans_as_the_simulator_does() {
             budget: 2 * phase(&FaultPlan::default()).clean_rounds(),
             transport,
         };
-        let models: Vec<ExecutedPhase<ExpanderSummary>> = (runs.iter())
+        let models: Vec<ExecutedPhase<Vec<NodeId>>> = (runs.iter())
             .map(|(label, plan, transport, cap)| {
                 let (model, detail) = SimExecutor::default()
                     .execute_detailed(phase(plan), spec(*transport, *cap), None)

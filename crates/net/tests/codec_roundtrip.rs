@@ -4,8 +4,7 @@
 //! themselves, so a layout change that stays self-consistent (two fields
 //! swapped, a tag renumbered) still fails here.
 
-use overlay_core::{BfsMsg, ExpanderMsg, RelinkMsg};
-use overlay_core::{BfsSummary, BinarizeSummary, ExpanderSummary};
+use overlay_core::{BfsMsg, BfsSummary, ExpanderMsg};
 use overlay_graph::NodeId;
 use overlay_net::{Frame, FrameKind, Roster, SummaryBody, WIRE_VERSION};
 use overlay_netsim::{Channel, Wire, WireError};
@@ -47,11 +46,7 @@ fn nodes(raws: Vec<u64>) -> Vec<NodeId> {
     raws.into_iter().map(node).collect()
 }
 
-fn option_node(pick: (u8, u64)) -> Option<NodeId> {
-    (pick.0 == 1).then(|| node(pick.1))
-}
-
-/// `0..=u32::MAX`: every value a [`NodeId`] holds (it travels in eight bytes).
+/// `0..=u32::MAX`: every value a [`NodeId`] holds (it travels in its four bytes).
 const ID: std::ops::Range<u64> = 0..1 << 32;
 
 proptest! {
@@ -77,16 +72,8 @@ proptest! {
     }
 
     #[test]
-    fn relink_messages_round_trip(
-        parent in ID,
-        left in (0u8..2, ID),
-        right in (0u8..2, ID),
-    ) {
-        assert_round_trip(&RelinkMsg {
-            parent: node(parent),
-            left: option_node(left),
-            right: option_node(right),
-        });
+    fn binarize_messages_round_trip(parent in ID) {
+        assert_round_trip(&node(parent));
     }
 
     #[test]
@@ -111,19 +98,18 @@ proptest! {
 
     #[test]
     fn phase_summaries_round_trip(
-        ids in (ID, ID, ID, ID),
+        ids in (ID, ID, ID),
         slots in proptest::collection::vec(ID, 0..8),
         children in proptest::collection::vec(ID, 0..8),
     ) {
-        let (id, root, parent, new_parent) = ids;
-        assert_round_trip(&ExpanderSummary { id: node(id), slots: nodes(slots) });
+        let (root, parent, new_parent) = ids;
+        assert_round_trip(&nodes(slots));
         assert_round_trip(&BfsSummary {
-            id: node(id),
             root: node(root),
             parent: node(parent),
             children: nodes(children),
         });
-        assert_round_trip(&BinarizeSummary { id: node(id), new_parent: node(new_parent) });
+        assert_round_trip(&node(new_parent));
     }
 
     #[test]
@@ -209,36 +195,6 @@ fn unknown_tags_are_rejected_not_misread() {
 }
 
 #[test]
-fn ids_past_32_bits_are_a_typed_error_not_a_panic_or_a_truncation() {
-    for raw in [1u64 << 32, u64::MAX] {
-        let mut token = vec![1];
-        raw.encode(&mut token);
-        7u32.encode(&mut token);
-        let mut buf = token.as_slice();
-        assert_eq!(
-            ExpanderMsg::decode(&mut buf),
-            Err(WireError::IdOutOfRange(raw))
-        );
-
-        let mut summary = Vec::new();
-        raw.encode(&mut summary);
-        Vec::<NodeId>::new().encode(&mut summary);
-        let mut buf = summary.as_slice();
-        assert_eq!(
-            ExpanderSummary::decode(&mut buf),
-            Err(WireError::IdOutOfRange(raw))
-        );
-    }
-    // The largest value that fits still decodes, to itself.
-    let mut bytes = Vec::new();
-    u64::from(u32::MAX).encode(&mut bytes);
-    assert_eq!(
-        NodeId::decode(&mut bytes.as_slice()),
-        Ok(NodeId::new(u32::MAX))
-    );
-}
-
-#[test]
 fn a_truncated_stream_is_an_error_not_a_clean_eof() {
     let frame = Frame::data(1, 2, 3, 4, 0, vec![9; 16]);
     let mut wire = Vec::new();
@@ -288,9 +244,10 @@ fn pin<T: Wire + PartialEq + std::fmt::Debug>(value: T, layout: &str) {
 /// One fixed value of every variant of every type that crosses a socket,
 /// against its committed bytes. No two fields of one value are equal, so
 /// swapping two fields moves a byte. Integers are little-endian, a `NodeId`
-/// takes eight bytes (`RouterMsg::dst` and the frame header's ids four), a
-/// `Vec` is a `u32` count then its elements, an `Option` a `0`/`1` byte then
-/// the value, an enum a tag byte then its fields.
+/// is its four bytes (as the frame header's ids are), a `Vec` is a `u32`
+/// count then its elements, an enum a tag byte then its fields. The binarize
+/// message and digest are a bare `NodeId`, the construction digest a bare
+/// `Vec<NodeId>`.
 #[test]
 fn every_wire_type_keeps_its_committed_byte_layout() {
     let id = NodeId::new;
@@ -304,7 +261,7 @@ fn every_wire_type_keeps_its_committed_byte_layout() {
             origin: id(0x0a0b_0c0d),
             steps_left: 5,
         },
-        "01 0d0c0b0a00000000 05000000",
+        "01 0d0c0b0a 05000000",
     );
     pin(ExpanderMsg::Accept, "02");
     pin(
@@ -312,40 +269,19 @@ fn every_wire_type_keeps_its_committed_byte_layout() {
             root: id(7),
             dist: 3,
         },
-        "00 0700000000000000 03000000",
+        "00 07000000 03000000",
     );
     pin(BfsMsg::Child, "01");
-    pin(
-        RelinkMsg {
-            parent: id(1),
-            left: Some(id(2)),
-            right: None,
-        },
-        "0100000000000000 01 0200000000000000 00",
-    );
+    pin(id(0x0a0b_0c0d), "0d0c0b0a");
 
-    pin(
-        ExpanderSummary {
-            id: id(4),
-            slots: vec![id(5), id(6)],
-        },
-        "0400000000000000 02000000 0500000000000000 0600000000000000",
-    );
+    pin(vec![id(5), id(6)], "02000000 05000000 06000000");
     pin(
         BfsSummary {
-            id: id(6),
-            root: id(1),
+            root: id(3),
             parent: id(2),
             children: vec![id(9)],
         },
-        "0600000000000000 0100000000000000 0200000000000000 01000000 0900000000000000",
-    );
-    pin(
-        BinarizeSummary {
-            id: id(8),
-            new_parent: id(3),
-        },
-        "0800000000000000 0300000000000000",
+        "03000000 02000000 01000000 09000000",
     );
 
     pin(
@@ -428,7 +364,7 @@ fn every_wire_type_keeps_its_committed_byte_layout() {
 
     // A frame is a version byte, its header, and its body unprefixed.
     let frame = Frame::data(6, 7, 3, 9, 1, vec![0xca, 0xfe]);
-    let layout = unhex("01 02 06 07000000 03000000 09000000 01000000 cafe");
+    let layout = unhex("02 02 06 07000000 03000000 09000000 01000000 cafe");
     let mut got = Vec::new();
     frame.encode(&mut got);
     assert_eq!(hex(&got), hex(&layout));

@@ -16,7 +16,8 @@
 //! * **Deterministic bytes.** Encoding a value twice yields identical bytes,
 //!   so frames can be compared and logged byte-for-byte across backends.
 //!
-//! Integers are little-endian and fixed-width. Collections are prefixed with a
+//! Integers are little-endian and fixed-width, and a [`NodeId`] is its `u32`:
+//! the one id width, in memory and on the wire. Collections are prefixed with a
 //! `u32` element count. Structs and tuples write their fields in order. Enums
 //! write a one-byte tag followed by the variant's fields; unknown tags decode
 //! to [`WireError::BadTag`]. A message, summary or frame type states that
@@ -33,8 +34,6 @@ pub enum WireError {
     BadTag(u8),
     /// A frame header declared an unsupported codec version.
     BadVersion(u8),
-    /// An eight-byte node identifier held a value a 32-bit [`NodeId`] cannot.
-    IdOutOfRange(u64),
 }
 
 impl std::fmt::Display for WireError {
@@ -43,7 +42,6 @@ impl std::fmt::Display for WireError {
             WireError::Truncated => write!(f, "truncated input"),
             WireError::BadTag(t) => write!(f, "unknown enum tag {t}"),
             WireError::BadVersion(v) => write!(f, "unsupported wire version {v}"),
-            WireError::IdOutOfRange(raw) => write!(f, "node id {raw} exceeds u32::MAX"),
         }
     }
 }
@@ -123,37 +121,14 @@ impl Wire for bool {
     }
 }
 
-/// Eight bytes, though a [`NodeId`] is 32 bits wide: every encoding carrying an id pins it.
+/// The id's four bytes: every `u32` is a [`NodeId`], so any four bytes decode.
 impl Wire for NodeId {
     fn encode(&self, out: &mut Vec<u8>) {
-        u64::from(self.raw()).encode(out);
+        self.raw().encode(out);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let raw = u64::decode(buf)?;
-        u32::try_from(raw)
-            .map(NodeId::new)
-            .map_err(|_| WireError::IdOutOfRange(raw))
-    }
-}
-
-impl<T: Wire> Wire for Option<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            None => out.push(0),
-            Some(v) => {
-                out.push(1);
-                v.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(buf)?)),
-            t => Err(WireError::BadTag(t)),
-        }
+        u32::decode(buf).map(NodeId::new)
     }
 }
 
@@ -196,7 +171,7 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 /// Implements [`Wire`] for a type from one list of its fields in wire order.
 ///
 /// A struct is its fields in order:
-/// `wire! { BfsSummary { id, root, parent, children } }`. An enum is a tag
+/// `wire! { BfsSummary { root, parent, children } }`. An enum is a tag
 /// byte, then the variant's fields in order, each tag written out:
 /// `wire! { ExpanderMsg { 0 => Intro, 1 => Token { origin, steps_left }, 2 => Accept } }`.
 /// A tag no variant has decodes to [`WireError::BadTag`]. A generic enum
@@ -268,8 +243,6 @@ mod tests {
         round_trip(NodeId::new(42));
         round_trip(Channel::Local);
         round_trip(Channel::Global);
-        round_trip(Option::<u32>::None);
-        round_trip(Some(7u32));
         round_trip(vec![NodeId::new(1), NodeId::new(2)]);
         round_trip(Vec::<u64>::new());
         round_trip((7u32, vec![true, false]));
@@ -299,7 +272,5 @@ mod tests {
         assert_eq!(bool::decode(&mut slice), Err(WireError::BadTag(9)));
         let mut slice: &[u8] = &[7];
         assert_eq!(Channel::decode(&mut slice), Err(WireError::BadTag(7)));
-        let mut slice: &[u8] = &[3, 0, 0, 0, 0];
-        assert_eq!(Option::<u32>::decode(&mut slice), Err(WireError::BadTag(3)));
     }
 }

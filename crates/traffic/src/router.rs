@@ -21,7 +21,6 @@
 //! something can have expired.
 
 use overlay_graph::{NodeId, UGraph};
-use overlay_netsim::wire::{Wire, WireError};
 use overlay_netsim::{Ctx, Envelope, Protocol};
 use std::collections::VecDeque;
 
@@ -271,7 +270,7 @@ pub fn next_hops(graph: &UGraph) -> Vec<Vec<NodeId>> {
 pub struct RouterMsg {
     /// Globally unique request id: `(source << 32) | per-source sequence`.
     pub id: u64,
-    /// Destination node (four bytes on the wire).
+    /// Destination node.
     pub dst: NodeId,
     /// Round the source injected the request in.
     pub injected: u32,
@@ -279,24 +278,7 @@ pub struct RouterMsg {
     pub hops: u32,
 }
 
-// By hand, not `wire!`: `dst` travels in four bytes, not a `NodeId`'s eight.
-impl Wire for RouterMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.dst.raw().encode(out);
-        self.injected.encode(out);
-        self.hops.encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(RouterMsg {
-            id: u64::decode(buf)?,
-            dst: NodeId::new(u32::decode(buf)?),
-            injected: u32::decode(buf)?,
-            hops: u32::decode(buf)?,
-        })
-    }
-}
+overlay_netsim::wire! { RouterMsg { id, dst, injected, hops } }
 
 /// One completed delivery, recorded by the destination.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -586,7 +568,7 @@ mod tests {
     use super::*;
     use overlay_core::{ExpanderParams, MaintenanceConfig, MaintenanceRunner, OverlayBuilder};
     use overlay_graph::{analysis, generators};
-    use overlay_netsim::{ChurnSchedule, CrashBurst};
+    use overlay_netsim::{ChurnSchedule, CrashBurst, Wire};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
