@@ -10,7 +10,7 @@ use overlay_netsim::{CapacityModel, Ctx, Envelope, Protocol, SimConfig, Simulato
 
 /// Per-node state of the leader-election-by-flooding baseline.
 #[derive(Debug)]
-pub struct FloodingNode {
+pub(crate) struct FloodingNode {
     neighbors: Vec<NodeId>,
     best: NodeId,
     rounds_without_change: usize,
@@ -19,7 +19,7 @@ pub struct FloodingNode {
 
 impl FloodingNode {
     /// Creates the state machine for node `id` with its (undirected) neighbors.
-    pub fn new(id: NodeId, neighbors: Vec<NodeId>) -> Self {
+    pub(crate) fn new(id: NodeId, neighbors: Vec<NodeId>) -> Self {
         FloodingNode {
             neighbors,
             best: id,
@@ -29,7 +29,7 @@ impl FloodingNode {
     }
 
     /// The smallest identifier this node has seen.
-    pub fn best(&self) -> NodeId {
+    pub(crate) fn best(&self) -> NodeId {
         self.best
     }
 }

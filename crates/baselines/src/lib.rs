@@ -16,6 +16,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unnameable_types)]
+#![warn(unreachable_pub)]
 
 mod flooding;
 mod luby_mis;

@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 
 /// Messages of the MIS protocol.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum LubyMsg {
+pub(crate) enum LubyMsg {
     /// The sender's random value for this round.
     Value(u64),
     /// The sender joined the MIS; the receiver must leave the competition.
@@ -24,7 +24,7 @@ pub enum LubyMsg {
 
 /// Decision state of a node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MisState {
+pub(crate) enum MisState {
     /// Still competing.
     Undecided,
     /// Joined the independent set.
@@ -35,7 +35,7 @@ pub enum MisState {
 
 /// Per-node state of the Luby/Métivier MIS protocol.
 #[derive(Debug)]
-pub struct LubyMisNode {
+pub(crate) struct LubyMisNode {
     id: NodeId,
     active_neighbors: BTreeSet<NodeId>,
     state: MisState,
@@ -45,7 +45,7 @@ pub struct LubyMisNode {
 
 impl LubyMisNode {
     /// Creates the state machine for node `id` with its (undirected) neighbors.
-    pub fn new(id: NodeId, neighbors: Vec<NodeId>) -> Self {
+    pub(crate) fn new(id: NodeId, neighbors: Vec<NodeId>) -> Self {
         LubyMisNode {
             id,
             active_neighbors: neighbors.into_iter().filter(|&v| v != id).collect(),
@@ -56,12 +56,12 @@ impl LubyMisNode {
     }
 
     /// The node's decision.
-    pub fn state(&self) -> MisState {
+    pub(crate) fn state(&self) -> MisState {
         self.state
     }
 
     /// Number of rounds until this node decided.
-    pub fn rounds_to_decision(&self) -> usize {
+    pub(crate) fn rounds_to_decision(&self) -> usize {
         self.rounds
     }
 

@@ -12,11 +12,11 @@ use overlay_netsim::{Ctx, Envelope, Protocol, RunMetrics, SimConfig, Simulator};
 use std::collections::BTreeSet;
 
 /// Messages of the pointer-jumping protocol: a single identifier being introduced.
-pub type IntroduceMsg = NodeId;
+pub(crate) type IntroduceMsg = NodeId;
 
 /// Per-node state of the unbounded pointer-jumping protocol.
 #[derive(Debug)]
-pub struct PointerJumpingNode {
+pub(crate) struct PointerJumpingNode {
     id: NodeId,
     known: BTreeSet<NodeId>,
     rounds: usize,
@@ -26,7 +26,7 @@ pub struct PointerJumpingNode {
 impl PointerJumpingNode {
     /// Creates the state machine for node `id` with its initial out-neighbors, running
     /// for `rounds` rounds.
-    pub fn new(id: NodeId, out_neighbors: Vec<NodeId>, rounds: usize) -> Self {
+    pub(crate) fn new(id: NodeId, out_neighbors: Vec<NodeId>, rounds: usize) -> Self {
         PointerJumpingNode {
             id,
             known: out_neighbors.into_iter().filter(|&v| v != id).collect(),
@@ -36,7 +36,7 @@ impl PointerJumpingNode {
     }
 
     /// The identifiers this node knows (excluding itself).
-    pub fn known(&self) -> &BTreeSet<NodeId> {
+    pub(crate) fn known(&self) -> &BTreeSet<NodeId> {
         &self.known
     }
 

@@ -9,6 +9,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unnameable_types)]
+#![warn(unreachable_pub)]
 
 use overlay_baselines::{
     rounds_until_all_know_minimum, run_luby_mis, run_pointer_jumping, SupernodeMerge,

@@ -3,47 +3,13 @@
 //! A graph is *benign* for parameters `(Δ, Λ)` if it is Δ-regular (self-loops allowed),
 //! *lazy* (every node has at least Δ/2 self-loops), and every cut has at least Λ edges.
 //! [`make_benign`] performs the paper's preprocessing that turns an arbitrary
-//! constant-degree weakly connected graph into a benign graph, and [`BenignReport`]
-//! checks the invariant, which experiment E4 tracks across evolutions.
+//! constant-degree weakly connected graph into a benign graph. Experiment E4
+//! tracks the invariant across evolutions through
+//! [`EvolutionStats`](crate::EvolutionStats): regularity and laziness after
+//! every evolution, the exact minimum cut when it is asked for.
 
 use crate::{ExpanderParams, OverlayError};
 use overlay_graph::{DiGraph, UGraph};
-
-/// The result of checking the benign invariant on a graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BenignReport {
-    /// Whether every node has exactly degree Δ.
-    pub regular: bool,
-    /// Whether every node has at least Δ/2 self-loops.
-    pub lazy: bool,
-    /// The global minimum cut (ignoring self-loops), if it was computed.
-    pub min_cut: Option<usize>,
-    /// Whether the minimum cut is at least Λ (only meaningful if `min_cut` is `Some`).
-    pub cut_ok: bool,
-}
-
-/// Checks the benign invariant of `g` for the given parameters.
-///
-/// Computing the exact minimum cut is cubic in the number of nodes, so it is only done
-/// when `check_cut` is `true` (experiments enable it for moderate sizes; the other two
-/// properties are always checked).
-pub fn check_benign(g: &UGraph, params: &ExpanderParams, check_cut: bool) -> BenignReport {
-    let delta = params.delta;
-    let regular = g.is_regular(delta);
-    let lazy = g.nodes().all(|v| g.self_loops(v) >= delta / 2);
-    let (min_cut, cut_ok) = if check_cut {
-        let c = overlay_graph::min_cut(g);
-        (Some(c), c >= params.lambda)
-    } else {
-        (None, true)
-    };
-    BenignReport {
-        regular,
-        lazy,
-        min_cut,
-        cut_ok,
-    }
-}
 
 /// The paper's `MakeBenign` preprocessing (Section 2.1): make the knowledge graph
 /// bidirected, copy every undirected edge Λ times, then add self-loops until every node
@@ -100,25 +66,29 @@ mod tests {
         p
     }
 
+    fn is_lazy(g: &UGraph, params: &ExpanderParams) -> bool {
+        g.nodes().all(|v| g.self_loops(v) >= params.delta / 2)
+    }
+
     #[test]
     fn make_benign_produces_benign_graph() {
         let params = small_params();
         let g = generators::line(64);
         let benign = make_benign(&g, &params).unwrap();
-        let report = check_benign(&benign, &params, true);
-        assert!(report.regular, "graph must be delta-regular");
-        assert!(report.lazy, "graph must be lazy");
-        assert!(report.cut_ok, "cut must be at least lambda");
-        assert_eq!(report.min_cut, Some(4));
+        assert!(
+            benign.is_regular(params.delta),
+            "graph must be delta-regular"
+        );
+        assert!(is_lazy(&benign, &params), "graph must be lazy");
+        assert_eq!(overlay_graph::min_cut(&benign), params.lambda);
     }
 
     #[test]
     fn make_benign_on_cycle_has_larger_cut() {
         let params = small_params();
         let benign = make_benign(&generators::cycle(32), &params).unwrap();
-        let report = check_benign(&benign, &params, true);
-        assert!(report.regular && report.lazy && report.cut_ok);
-        assert_eq!(report.min_cut, Some(8));
+        assert!(benign.is_regular(params.delta) && is_lazy(&benign, &params));
+        assert_eq!(overlay_graph::min_cut(&benign), 2 * params.lambda);
     }
 
     #[test]
@@ -141,25 +111,6 @@ mod tests {
             make_benign(&DiGraph::new(0), &params),
             Err(OverlayError::EmptyGraph)
         );
-    }
-
-    #[test]
-    fn check_benign_detects_violations() {
-        let params = small_params();
-        // Regular and lazy but cut of size 1: two dense blobs joined by one edge.
-        let mut g = UGraph::new(2);
-        g.add_edge(0.into(), 1.into());
-        g.pad_self_loops(params.delta);
-        let report = check_benign(&g, &params, true);
-        assert!(report.regular);
-        assert!(report.lazy);
-        assert!(!report.cut_ok);
-
-        // Not regular.
-        let mut h = UGraph::new(2);
-        h.add_edge(0.into(), 1.into());
-        let report = check_benign(&h, &params, false);
-        assert!(!report.regular);
     }
 
     #[test]

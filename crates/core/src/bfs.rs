@@ -69,7 +69,7 @@ impl BfsNode {
     }
 
     /// The node's BFS children.
-    pub fn children(&self) -> &[NodeId] {
+    pub(crate) fn children(&self) -> &[NodeId] {
         &self.children
     }
 

@@ -154,7 +154,7 @@ pub enum PhaseOutcome {
 
 impl PhaseOutcome {
     /// `true` for [`PhaseOutcome::Stalled`].
-    pub fn is_stall(&self) -> bool {
+    pub(crate) fn is_stall(&self) -> bool {
         matches!(self, PhaseOutcome::Stalled { .. })
     }
 }

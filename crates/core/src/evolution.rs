@@ -28,7 +28,7 @@ fn slot_index(word: u64, len: usize) -> usize {
     ((u128::from(word) * len as u128) >> 64) as usize
 }
 
-/// Summary of one evolution step, as recorded by [`EvolutionEngine::evolve`].
+/// Summary of one evolution step, as recorded by [`EvolutionEngine::run`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EvolutionStats {
     /// Index of the evolution (0-based).
@@ -81,14 +81,14 @@ impl EvolutionEngine {
     }
 
     /// Consumes the engine, returning its current communication graph.
-    pub fn into_graph(self) -> UGraph {
+    pub(crate) fn into_graph(self) -> UGraph {
         self.graph
     }
 
     /// Executes one evolution without computing any statistics — no
     /// conductance estimate, no benign re-check. The maintenance loop's fast
     /// path: the rewiring (and its RNG stream) is exactly that of
-    /// [`EvolutionEngine::evolve`].
+    /// each evolution of [`EvolutionEngine::run`].
     pub fn evolve_quiet(&mut self) {
         self.evolve_with(|(), _, _| {}, |_, _, ()| {});
     }
@@ -96,17 +96,18 @@ impl EvolutionEngine {
     /// Executes one evolution and returns statistics of the resulting graph.
     ///
     /// Setting `track_min_cut` enables the (cubic-time) exact minimum-cut computation.
-    pub fn evolve(&mut self, track_min_cut: bool) -> EvolutionStats {
+    pub(crate) fn evolve(&mut self, track_min_cut: bool) -> EvolutionStats {
         self.evolve_quiet();
 
         let conductance = conductance_estimate(&self.graph, self.params.seed ^ 0xC0DE);
         let min_cut = track_min_cut.then(|| overlay_graph::min_cut(&self.graph));
-        let report = benign::check_benign(&self.graph, &self.params, false);
+        let (g, delta) = (&self.graph, self.params.delta);
         EvolutionStats {
             evolution: self.evolutions_done - 1,
             conductance,
             min_cut,
-            regular_and_lazy: report.regular && report.lazy,
+            regular_and_lazy: g.is_regular(delta)
+                && g.nodes().all(|v| g.self_loops(v) >= delta / 2),
         }
     }
 

@@ -39,8 +39,8 @@
 //! through [`crate::PhaseExecutor`], so a serve cell runs on the simulator host
 //! only and has no socket counterpart; what the seam does carry on a serving
 //! cell is the traffic wave routed over [`MaintenanceRunner::core_graph`]
-//! between epochs. Running re-invitation and repair as `Protocol` phases is a
-//! parked direction (ROADMAP), not an unfinished half of this type.
+//! between epochs. Running re-invitation and repair as `Protocol` phases is
+//! open ROADMAP item 12, not an unfinished half of this type.
 //!
 //! # Determinism
 //!
@@ -50,6 +50,7 @@
 //! RNG, and each repair evolution from a per-epoch re-seeded
 //! [`EvolutionEngine`]. Two runs of the same inputs produce identical samples.
 
+use crate::wellformed::binarized;
 use crate::{EvolutionEngine, ExpanderParams, WellFormedTree};
 use overlay_graph::{NodeId, UGraph};
 use overlay_netsim::{ChurnSchedule, SharedTraceSink, TraceEvent};
@@ -94,7 +95,7 @@ impl MaintenanceConfig {
     /// # Panics
     ///
     /// Panics if `epoch_rounds` is zero or `invite_loss` is outside `0.0..=1.0`.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.epoch_rounds > 0, "epoch_rounds must be positive");
         assert!(
             (0.0..=1.0).contains(&self.invite_loss) && self.invite_loss.is_finite(),
@@ -642,9 +643,8 @@ fn bfs_over_slots(g: &UGraph) -> (Vec<Option<usize>>, Vec<usize>) {
 }
 
 /// The one-round binarization of [`crate::BinarizeNode`] as a pure
-/// function on parent pointers: every node keeps only its first (smallest-id)
-/// child and arranges the rest as a balanced binary heap among themselves,
-/// bounding the degree by 4.
+/// function on parent pointers: [`binarized`] over every node's children,
+/// smallest id first.
 fn binarize_parents(bfs: &[usize]) -> Vec<usize> {
     let n = bfs.len();
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -654,9 +654,9 @@ fn binarize_parents(bfs: &[usize]) -> Vec<usize> {
         }
     }
     let mut out: Vec<usize> = (0..n).collect();
-    for cs in &children {
-        for (j, &c) in cs.iter().enumerate() {
-            out[c] = if j == 0 { bfs[c] } else { cs[(j - 1) / 2] };
+    for (v, cs) in children.iter().enumerate() {
+        for (c, parent) in binarized(v, cs) {
+            out[c] = parent;
         }
     }
     out

@@ -82,7 +82,7 @@ impl ExpanderParams {
     }
 
     /// Maximum number of tokens a node accepts per evolution (3Δ/8).
-    pub fn max_accepts(&self) -> usize {
+    pub(crate) fn max_accepts(&self) -> usize {
         3 * self.delta / 8
     }
 
@@ -195,7 +195,7 @@ impl RoundBudget {
 
     /// Scales a clean phase budget, rounding up — never below `base` — then adds
     /// the flat slack.
-    pub fn apply(&self, base: usize) -> usize {
+    pub(crate) fn apply(&self, base: usize) -> usize {
         let scaled = (base * self.percent as usize).div_ceil(100);
         scaled.max(base) + self.slack as usize
     }

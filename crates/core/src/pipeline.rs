@@ -102,7 +102,7 @@ impl<P> Phase<P> {
     }
 
     /// Which paper phase this is.
-    pub fn id(&self) -> PhaseId {
+    pub(crate) fn id(&self) -> PhaseId {
         self.id
     }
 

@@ -50,7 +50,7 @@ impl WellFormedTree {
     /// # Panics
     ///
     /// Panics if `alive.len()` differs from `parent.len()`.
-    pub fn from_parents_over(mut parent: Vec<NodeId>, alive: &[bool]) -> Option<Self> {
+    pub(crate) fn from_parents_over(mut parent: Vec<NodeId>, alive: &[bool]) -> Option<Self> {
         assert_eq!(alive.len(), parent.len(), "one liveness flag per node");
         // Detach dead nodes entirely (self-parent, no edges) so height() and
         // max_degree() measure the alive tree, not dangling dead subtrees.
@@ -100,7 +100,8 @@ impl WellFormedTree {
     }
 
     /// The children of `v`.
-    pub fn children(&self, v: NodeId) -> &[NodeId] {
+    #[cfg(test)]
+    pub(crate) fn children(&self, v: NodeId) -> &[NodeId] {
         &self.children[v.index()]
     }
 
@@ -183,7 +184,7 @@ impl WellFormedTree {
     /// # Panics
     ///
     /// Panics if `alive.len()` differs from the node count.
-    pub fn is_valid_over(&self, alive: &[bool]) -> bool {
+    pub(crate) fn is_valid_over(&self, alive: &[bool]) -> bool {
         alive[self.root.index()] && self.covered(alive) == alive.iter().filter(|a| **a).count()
     }
 
@@ -197,6 +198,18 @@ impl WellFormedTree {
         }
         g
     }
+}
+
+/// The binarization rule for one node's sorted children, as `(child, new
+/// parent)` pairs: the node keeps only its first child, and the remaining
+/// children are arranged as a balanced binary heap among themselves — child
+/// j's new parent is child (j−1)/2 — which bounds every degree by 4.
+pub(crate) fn binarized<T: Copy>(node: T, children: &[T]) -> impl Iterator<Item = (T, T)> + '_ {
+    let parent = move |j: usize| if j == 0 { node } else { children[(j - 1) / 2] };
+    children
+        .iter()
+        .enumerate()
+        .map(move |(j, &c)| (c, parent(j)))
 }
 
 /// Per-node state of the one-round binarization step. Its one message is the
@@ -223,7 +236,7 @@ impl BinarizeNode {
     }
 
     /// The node's parent in the binarized tree (itself for the root).
-    pub fn new_parent(&self) -> NodeId {
+    pub(crate) fn new_parent(&self) -> NodeId {
         self.new_parent
     }
 
@@ -237,14 +250,7 @@ impl Protocol for BinarizeNode {
     type Message = NodeId;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, NodeId>) {
-        // The node keeps only its first child; the remaining children are arranged as a
-        // balanced binary heap among themselves: child j's new parent is child (j-1)/2.
-        for (j, &c) in self.bfs_children.iter().enumerate() {
-            let parent = if j == 0 {
-                self.id
-            } else {
-                self.bfs_children[(j - 1) / 2]
-            };
+        for (c, parent) in binarized(self.id, &self.bfs_children) {
             ctx.send_global(c, parent);
         }
     }

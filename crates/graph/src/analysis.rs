@@ -33,7 +33,7 @@ pub fn bfs_distances(g: &UGraph, source: NodeId) -> Vec<Option<usize>> {
 }
 
 /// The eccentricity of `source`: the largest finite BFS distance from it.
-pub fn eccentricity(g: &UGraph, source: NodeId) -> usize {
+pub(crate) fn eccentricity(g: &UGraph, source: NodeId) -> usize {
     bfs_distances(g, source)
         .into_iter()
         .flatten()
@@ -80,7 +80,8 @@ pub struct Components {
 
 impl Components {
     /// The component label (`0..component_count()`) of each node.
-    pub fn labels(&self) -> &[usize] {
+    #[cfg(test)]
+    pub(crate) fn labels(&self) -> &[usize] {
         &self.labels
     }
 

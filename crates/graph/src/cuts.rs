@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 /// degree of the graph.
 ///
 /// Returns `None` if the set is empty or contains every node.
-pub fn set_conductance(g: &UGraph, set: &BTreeSet<NodeId>) -> Option<f64> {
+pub(crate) fn set_conductance(g: &UGraph, set: &BTreeSet<NodeId>) -> Option<f64> {
     if set.is_empty() || set.len() >= g.node_count() {
         return None;
     }
@@ -40,7 +40,7 @@ pub fn set_conductance(g: &UGraph, set: &BTreeSet<NodeId>) -> Option<f64> {
 /// # Panics
 ///
 /// Panics if the graph has more than 20 nodes.
-pub fn exact_conductance(g: &UGraph) -> f64 {
+pub(crate) fn exact_conductance(g: &UGraph) -> f64 {
     let n = g.node_count();
     assert!(
         n <= 20,

@@ -105,7 +105,8 @@ pub fn grid(rows: usize, cols: usize) -> DiGraph {
 /// # Panics
 ///
 /// Panics if `d > 20` (guard against accidental huge graphs).
-pub fn hypercube(d: u32) -> DiGraph {
+#[cfg(test)]
+pub(crate) fn hypercube(d: u32) -> DiGraph {
     assert!(d <= 20, "hypercube dimension too large");
     let n = 1usize << d;
     let mut g = DiGraph::new(n);
@@ -154,7 +155,7 @@ pub fn barbell(clique: usize, bridge: usize) -> DiGraph {
 /// # Panics
 ///
 /// Panics if `p` is not in `[0, 1]`.
-pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> DiGraph {
+pub(crate) fn erdos_renyi(n: usize, p: f64, seed: u64) -> DiGraph {
     assert!((0.0..=1.0).contains(&p), "probability must lie in [0, 1]");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = DiGraph::new(n);

@@ -63,7 +63,7 @@ impl DiGraph {
     }
 
     /// In-degrees of every node (number of nodes storing each identifier).
-    pub fn in_degrees(&self) -> Vec<usize> {
+    pub(crate) fn in_degrees(&self) -> Vec<usize> {
         let mut indeg = vec![0usize; self.out.len()];
         for adj in &self.out {
             for &v in adj {

@@ -32,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unnameable_types)]
+#![warn(unreachable_pub)]
 
 // Imported by this path in `benchmark/`, the root crate's tests and examples,
 // and in baselines, bench, core, hybrid, scenarios and traffic.

@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 /// uniformly random incident edge slot (self-loop slots also stay put). For irregular
 /// graphs the walk normalizes by the node's own degree, which corresponds to the usual
 /// lazy walk on the multigraph.
-pub fn lazy_walk_step(g: &UGraph, x: &[f64]) -> Vec<f64> {
+pub(crate) fn lazy_walk_step(g: &UGraph, x: &[f64]) -> Vec<f64> {
     let n = g.node_count();
     let mut y = vec![0.0; n];
     for v in 0..n {
@@ -37,7 +37,7 @@ pub fn lazy_walk_step(g: &UGraph, x: &[f64]) -> Vec<f64> {
 /// Approximate second eigenvector ("Fiedler embedding") of the lazy random-walk matrix,
 /// obtained by `iterations` rounds of power iteration with deflation of the constant
 /// vector. Deterministic for a fixed `seed`.
-pub fn fiedler_embedding(g: &UGraph, iterations: usize, seed: u64) -> Vec<f64> {
+pub(crate) fn fiedler_embedding(g: &UGraph, iterations: usize, seed: u64) -> Vec<f64> {
     let n = g.node_count();
     if n == 0 {
         return Vec::new();

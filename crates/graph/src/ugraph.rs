@@ -166,7 +166,8 @@ impl UGraph {
     }
 
     /// Builds an undirected graph from a list of edges.
-    pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (NodeId, NodeId)>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_edges(n: usize, edges: impl IntoIterator<Item = (NodeId, NodeId)>) -> Self {
         let mut g = UGraph::new(n);
         for (u, v) in edges {
             g.add_edge(u, v);
@@ -231,7 +232,7 @@ impl UGraph {
 
     /// Number of edge slots at nodes of `set` whose other endpoint lies outside `set`
     /// (the numerator of the conductance of `set`).
-    pub fn boundary_size(&self, set: &BTreeSet<NodeId>) -> usize {
+    pub(crate) fn boundary_size(&self, set: &BTreeSet<NodeId>) -> usize {
         set.iter()
             .map(|&v| {
                 self.adj[v.index()]

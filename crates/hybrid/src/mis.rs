@@ -32,7 +32,7 @@ use std::collections::BTreeSet;
 
 /// Decision state of a node during the MIS computation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MisDecision {
+pub(crate) enum MisDecision {
     /// Not decided yet.
     Undecided,
     /// In the independent set.
@@ -43,7 +43,7 @@ pub enum MisDecision {
 
 /// Messages of the Ghaffari shattering protocol.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum GhaffariMsg {
+pub(crate) enum GhaffariMsg {
     /// Per-round exchange: whether the sender marked itself, and its desire level.
     Round {
         /// Marked this round.
@@ -59,7 +59,7 @@ pub enum GhaffariMsg {
 
 /// Per-node state of Ghaffari's desire-level MIS algorithm (the shattering stage).
 #[derive(Debug)]
-pub struct GhaffariNode {
+pub(crate) struct GhaffariNode {
     active_neighbors: BTreeSet<NodeId>,
     desire: f64,
     marked: bool,
@@ -70,7 +70,7 @@ pub struct GhaffariNode {
 impl GhaffariNode {
     /// Creates the state machine for node `id` with its (undirected) neighbors, running
     /// for `rounds_budget` rounds.
-    pub fn new(id: NodeId, neighbors: Vec<NodeId>, rounds_budget: usize) -> Self {
+    pub(crate) fn new(id: NodeId, neighbors: Vec<NodeId>, rounds_budget: usize) -> Self {
         GhaffariNode {
             active_neighbors: neighbors.into_iter().filter(|&v| v != id).collect(),
             desire: 0.5,
@@ -81,7 +81,7 @@ impl GhaffariNode {
     }
 
     /// The node's decision after the shattering stage (possibly still undecided).
-    pub fn decision(&self) -> MisDecision {
+    pub(crate) fn decision(&self) -> MisDecision {
         self.decision
     }
 

@@ -29,21 +29,21 @@ use std::collections::HashMap;
 /// One level of traced evolutions: for every established (non-loop) edge, the walk —
 /// a list of lower-level edges — that created it.
 #[derive(Clone, Debug, Default)]
-pub struct TraceLevel {
+pub(crate) struct TraceLevel {
     paths: HashMap<EdgeKey, Vec<EdgeKey>>,
 }
 
 /// The traced evolution engine: [`EvolutionEngine`]'s evolution step, observed so
 /// that the walk behind every established edge is remembered.
 #[derive(Debug)]
-pub struct TracedEvolution {
+pub(crate) struct TracedEvolution {
     engine: EvolutionEngine,
     levels: Vec<TraceLevel>,
 }
 
 impl TracedEvolution {
     /// Creates the engine from a benign graph.
-    pub fn from_benign(graph: UGraph, params: ExpanderParams) -> Self {
+    pub(crate) fn from_benign(graph: UGraph, params: ExpanderParams) -> Self {
         TracedEvolution {
             engine: EvolutionEngine::from_benign(graph, params.with_seed(params.seed ^ 0x7AACE)),
             levels: Vec::new(),
@@ -51,18 +51,18 @@ impl TracedEvolution {
     }
 
     /// The current graph.
-    pub fn graph(&self) -> &UGraph {
+    pub(crate) fn graph(&self) -> &UGraph {
         self.engine.graph()
     }
 
     /// The recorded trace levels (one per evolution).
-    pub fn levels(&self) -> &[TraceLevel] {
+    pub(crate) fn levels(&self) -> &[TraceLevel] {
         &self.levels
     }
 
     /// Runs one traced evolution: a token carries the non-loop hops of its walk,
     /// and the first token accepted for an edge names the walk that created it.
-    pub fn evolve(&mut self) {
+    pub(crate) fn evolve(&mut self) {
         let mut level = TraceLevel::default();
         self.engine.evolve_with(
             |path: &mut Vec<EdgeKey>, from, to| {

@@ -36,7 +36,7 @@ pub struct SparsifyResult {
 
 impl SparsifyResult {
     /// Returns the delegation center of an `H`-edge, if it is a delegated edge.
-    pub fn center_of(&self, a: NodeId, b: NodeId) -> Option<NodeId> {
+    pub(crate) fn center_of(&self, a: NodeId, b: NodeId) -> Option<NodeId> {
         let key = if a <= b { (a, b) } else { (b, a) };
         self.delegation_center
             .iter()

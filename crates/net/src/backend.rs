@@ -74,12 +74,12 @@ pub trait Backend {
 
 /// The node range process `rank` owns out of `n` nodes split across `procs`
 /// processes: the standard contiguous block partition.
-pub fn partition(n: usize, procs: usize, rank: usize) -> Range<usize> {
+pub(crate) fn partition(n: usize, procs: usize, rank: usize) -> Range<usize> {
     (rank * n / procs)..((rank + 1) * n / procs)
 }
 
 /// The rank whose [`partition`] contains `node`.
-pub fn rank_of(n: usize, procs: usize, node: usize) -> usize {
+pub(crate) fn rank_of(n: usize, procs: usize, node: usize) -> usize {
     // Inverse of `partition`'s floor arithmetic, found by the direct scan's
     // closed form: candidate ranks differ by at most one from the even split.
     let mut rank = (node * procs) / n;

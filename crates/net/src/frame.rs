@@ -33,7 +33,7 @@ pub const WIRE_VERSION: u8 = 2;
 /// Frames larger than this are rejected at the socket before allocation: no
 /// phase of the pipeline legitimately produces frames anywhere near it, so an
 /// oversized length prefix means a corrupt or hostile stream.
-pub const MAX_FRAME_LEN: usize = 1 << 24;
+pub(crate) const MAX_FRAME_LEN: usize = 1 << 24;
 
 /// What a frame carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

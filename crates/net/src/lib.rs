@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unnameable_types)]
+#![warn(unreachable_pub)]
 
 mod backend;
 mod frame;

@@ -43,7 +43,7 @@ impl CapacityModel {
     }
 
     /// The send/receive cap applied to global (overlay) messages, if any.
-    pub fn global_cap(&self) -> Option<usize> {
+    pub(crate) fn global_cap(&self) -> Option<usize> {
         match self {
             CapacityModel::Unbounded => None,
             CapacityModel::Ncc0 { per_round } => Some(*per_round),
@@ -54,7 +54,7 @@ impl CapacityModel {
     }
 
     /// The per-edge cap applied to local messages, if the model distinguishes them.
-    pub fn local_edge_cap(&self) -> Option<usize> {
+    pub(crate) fn local_edge_cap(&self) -> Option<usize> {
         match self {
             CapacityModel::Hybrid { local_per_edge, .. } => Some(*local_per_edge),
             _ => None,

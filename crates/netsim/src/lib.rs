@@ -64,6 +64,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unnameable_types)]
+#![warn(unreachable_pub)]
 
 // `caps::log2_ceil` is imported by this path in `benchmark/`, the root crate's
 // tests, and in baselines, bench, core, hybrid and scenarios.

@@ -180,7 +180,7 @@ pub enum MetricsMode {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunMetrics {
     /// Number of rounds recorded, including the start round (round 0). Kept in
-    /// lockstep by [`RunMetrics::record_round`] on *every* path — the start
+    /// lockstep by `RunMetrics::record_round` on *every* path — the start
     /// callback as well as each message round — so a run that ends before its
     /// first message round (round budget 0) still reports its recorded round.
     pub rounds: usize,
@@ -206,7 +206,7 @@ impl RunMetrics {
 
     /// Records one finished round: folds it into the totals and keeps it in
     /// [`RunMetrics::per_round`].
-    pub fn record_round(&mut self, round: RoundMetrics) {
+    pub(crate) fn record_round(&mut self, round: RoundMetrics) {
         if self.rounds == 0 {
             self.first_round_crashed = round.crashed;
         }

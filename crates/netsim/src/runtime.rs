@@ -50,7 +50,7 @@ pub struct ParallelismConfig {
 impl ParallelismConfig {
     /// The threshold below which parallelizing a round costs more than it saves
     /// (thread spawns are microseconds; small rounds are too).
-    pub const DEFAULT_MIN_NODES: usize = 4096;
+    pub(crate) const DEFAULT_MIN_NODES: usize = 4096;
 
     /// Always step nodes as one chunk on the calling thread.
     pub fn serial() -> Self {
@@ -69,7 +69,7 @@ impl ParallelismConfig {
     }
 
     /// The chunk count to use for a round over `n` nodes (`1` = no worker threads).
-    pub fn effective_workers(&self, n: usize) -> usize {
+    pub(crate) fn effective_workers(&self, n: usize) -> usize {
         if n < self.min_nodes {
             return 1;
         }
@@ -78,8 +78,8 @@ impl ParallelismConfig {
 }
 
 impl Default for ParallelismConfig {
-    /// [`worker_count`] threads, engaged from
-    /// [`ParallelismConfig::DEFAULT_MIN_NODES`] nodes up.
+    /// [`worker_count`] threads, engaged from `DEFAULT_MIN_NODES` (4096) nodes
+    /// up.
     fn default() -> Self {
         ParallelismConfig {
             workers: None,

@@ -301,7 +301,7 @@ const THRESHOLD_TOLERANCE: f64 = 1e-9;
 
 impl PairThreshold {
     /// The floor that pins a pair exactly where a measured delta stands.
-    pub fn from_delta(delta: &PairDelta) -> PairThreshold {
+    pub(crate) fn from_delta(delta: &PairDelta) -> PairThreshold {
         PairThreshold {
             twin: delta.twin.clone(),
             min_success_delta: delta.success.1 - delta.success.0,

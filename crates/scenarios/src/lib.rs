@@ -29,20 +29,21 @@
 //! 1. If the failure mode is new, add a variant to [`FaultSpec`] and lower it to a
 //!    [`overlay_netsim::FaultPlan`] in [`FaultSpec::lower`] — keep every random choice
 //!    derived from the `seed` argument so reruns are reproducible. Then register a
-//!    hand-authored baseline with [`Scenario::new`] plus the `with_*` setters.
+//!    hand-authored baseline in `registry.rs` with [`Scenario::new`] plus the
+//!    `with_*` setters.
 //!    Declare a [`overlay_core::RoundBudget`] above
 //!    [`overlay_core::RoundBudget::STANDARD`] only when the fault model legitimately
 //!    stretches wall-rounds (delivery jitter, late joins, reliable-transport retry
 //!    round-trips).
-//! 2. If the cell is a *variant* of an existing experiment, derive it instead of
-//!    copying it: [`Scenario::reliable`] adds the `overlay-transport` reliability
-//!    layer (plus flat retry slack), [`Scenario::with_phases`] scopes
-//!    budget/transport overrides to single pipeline phases,
-//!    [`Scenario::with_reinvitation`] and [`Scenario::with_traffic_axis`] vary a
-//!    serving or traffic cell. Each derivation appends a deterministic name
-//!    suffix, rewrites the description, and records its
-//!    baseline and axis, so [`Registry::pairs`] (and `sweep_runner --compare`'s
-//!    delta table) pick the couple up automatically.
+//! 2. If the cell is a *variant* of an existing experiment, derive it in
+//!    `registry.rs` instead of copying it: [`Scenario::reliable`] adds the
+//!    `overlay-transport` reliability layer (plus flat retry slack),
+//!    `with_phases` scopes budget/transport overrides to single pipeline phases,
+//!    `with_reinvitation` and `with_traffic_axis` vary a serving or traffic
+//!    cell. Each derivation appends a deterministic name suffix, rewrites the
+//!    description, and records its baseline and axis, so [`Registry::pairs`]
+//!    (and `sweep_runner --compare`'s delta table) pick the couple up
+//!    automatically.
 //! 3. There is no step 3: sweeps, aggregation, JSON reports, persisted
 //!    `reports/<name>.json` files and `sweep_runner --list` pick the new entry up
 //!    automatically — run `sweep_runner` once without `--check` to commit the
@@ -73,6 +74,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unnameable_types)]
+#![warn(unreachable_pub)]
 
 mod compare;
 mod forensics;
@@ -93,7 +95,7 @@ pub use compare::{
 pub use forensics::{post_mortem, MissingCause, MissingNode, PostMortem};
 pub use json::Json;
 pub use overlay_netsim::{ParallelismConfig, TraceEvent, TransportConfig};
-pub use registry::{find, registry, Registry, RegistryError};
+pub use registry::{find, registry, Registry};
 pub use report::{diff_reports, load_report, write_report};
 pub use scenario::{
     FaultSpec, ForensicRun, GraphFamily, RunRecord, Scenario, ServeRecord, ServeSpec,

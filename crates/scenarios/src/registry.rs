@@ -1,5 +1,8 @@
 //! The first-class scenario registry: validated construction, indexed lookup,
-//! tag filtering, and the baseline↔twin pairing iterator.
+//! tag filtering, and the baseline↔twin pairing iterator. The registry is
+//! compile-time data, so a cell that breaks a naming or pairing rule panics
+//! [`registry`] with the rule's message, as the crate's other configuration
+//! checks do.
 //!
 //! The built-in matrix ([`registry`]) holds the hand-authored baselines plus
 //! every *derived* cell: the reliable-transport twins and the phase-override,
@@ -15,68 +18,15 @@ use overlay_core::{PhaseId, PhaseOverrides, RoundBudget};
 use overlay_netsim::{CrashBurst, TransportConfig};
 use overlay_traffic::{RoutingPolicy, Workload};
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::OnceLock;
-
-/// Why a [`Registry`] refused a scenario set.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RegistryError {
-    /// A scenario name is empty, not kebab-case, or dash-delimited incorrectly.
-    InvalidName(String),
-    /// Two scenarios share a name.
-    DuplicateName(String),
-    /// A scenario's `baseline` field names no scenario in this registry.
-    UnresolvedBaseline {
-        /// The twin whose pairing is dangling.
-        scenario: String,
-        /// The baseline name that did not resolve.
-        baseline: String,
-    },
-    /// `baseline` and `axis` must be set together: a pairing without a declared
-    /// axis cannot be validated, and an axis without a baseline is meaningless.
-    MissingAxis(String),
-    /// A twin differs from its baseline somewhere other than its declared axis
-    /// (or does not differ along the axis at all).
-    AxisViolation {
-        /// The offending twin.
-        scenario: String,
-        /// What the per-axis check found.
-        problem: String,
-    },
-}
-
-impl fmt::Display for RegistryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RegistryError::InvalidName(name) => {
-                write!(f, "scenario name {name:?} is not kebab-case")
-            }
-            RegistryError::DuplicateName(name) => {
-                write!(f, "duplicate scenario name {name:?}")
-            }
-            RegistryError::UnresolvedBaseline { scenario, baseline } => {
-                write!(f, "{scenario}: baseline {baseline:?} is not registered")
-            }
-            RegistryError::MissingAxis(name) => {
-                write!(f, "{name}: baseline and axis must be declared together")
-            }
-            RegistryError::AxisViolation { scenario, problem } => {
-                write!(f, "{scenario}: {problem}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RegistryError {}
 
 /// A validated, indexed set of scenarios.
 ///
-/// Construction ([`Registry::new`]) checks that every name is unique kebab-case,
-/// that every [`Scenario::baseline`] reference resolves, and that every twin
-/// differs from its baseline *only along its declared axis* — so a registry that
-/// builds at all is guaranteed internally consistent, and lookups
-/// ([`Registry::find`]) are indexed instead of rescanning (the old free
-/// function rebuilt the whole scenario list per lookup).
+/// Construction checks that every name is unique kebab-case, that every
+/// [`Scenario::baseline`] reference resolves, and that every twin differs from
+/// its baseline *only along its declared axis*, and panics on the first
+/// violation: the registry is compile-time data, so a registry that builds at
+/// all is internally consistent. Lookups ([`Registry::find`]) are indexed.
 #[derive(Clone, Debug)]
 pub struct Registry {
     scenarios: Vec<Scenario>,
@@ -87,40 +37,38 @@ impl Registry {
     /// Builds and validates a registry whose baseline references must all
     /// resolve within `scenarios` itself.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns the first [`RegistryError`] found, in scenario order.
-    pub fn new(scenarios: Vec<Scenario>) -> Result<Self, RegistryError> {
+    /// Panics on the first invalid scenario, in scenario order.
+    pub(crate) fn new(scenarios: Vec<Scenario>) -> Self {
         let mut index = HashMap::with_capacity(scenarios.len());
         for (i, s) in scenarios.iter().enumerate() {
-            if !is_kebab_case(&s.name) {
-                return Err(RegistryError::InvalidName(s.name.clone()));
-            }
-            if index.insert(s.name.clone(), i).is_some() {
-                return Err(RegistryError::DuplicateName(s.name.clone()));
-            }
+            let name = &s.name;
+            assert!(
+                is_kebab_case(name),
+                "scenario name {name:?} is not kebab-case"
+            );
+            assert!(
+                index.insert(name.clone(), i).is_none(),
+                "duplicate scenario name {name:?}"
+            );
         }
         let registry = Registry { scenarios, index };
         for twin in &registry.scenarios {
+            let name = &twin.name;
             let (baseline, axis) = match (&twin.baseline, twin.axis) {
                 (None, None) => continue,
                 (Some(b), Some(axis)) => (b, axis),
-                _ => return Err(RegistryError::MissingAxis(twin.name.clone())),
+                _ => panic!("{name}: baseline and axis must be declared together"),
             };
             let Some(base) = registry.find(baseline) else {
-                return Err(RegistryError::UnresolvedBaseline {
-                    scenario: twin.name.clone(),
-                    baseline: baseline.clone(),
-                });
+                panic!("{name}: baseline {baseline:?} is not registered");
             };
             if let Err(problem) = validate_axis(base, twin, axis) {
-                return Err(RegistryError::AxisViolation {
-                    scenario: twin.name.clone(),
-                    problem,
-                });
+                panic!("{name}: {problem}");
             }
         }
-        Ok(registry)
+        registry
     }
 
     /// Indexed lookup by registry name.
@@ -186,7 +134,7 @@ fn is_kebab_case(name: &str) -> bool {
 type SameField = fn(&Scenario, &Scenario) -> bool;
 
 /// The fields that make two scenarios the same experiment, each with the name
-/// a [`RegistryError::AxisViolation`] reports it under. Name, description,
+/// an axis violation reports it under. Name, description,
 /// tags and pairing metadata are labels; parallelism is result-invisible.
 const EXPERIMENT_FIELDS: [(&str, SameField); 8] = [
     ("graph family", |a, b| a.family == b.family),
@@ -452,36 +400,35 @@ fn baselines() -> Vec<Scenario> {
 pub fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(|| {
-        let base = Registry::new(baselines()).expect("hand-authored baselines are valid");
-        let s = |name: &str| base.find(name).expect("baseline registered").clone();
-
         let mut all = baselines();
-        // ---- Reliable-transport twins ---------------------------------
-        // Each twin keeps its baseline's graph, size and fault load
-        // and adds only the `overlay-transport` reliability layer plus flat
-        // retry slack (a retransmit+ack round-trip costs a *constant* number of
-        // rounds per phase, which a percent multiplier cannot express for the
-        // 1-round binarize phase), so the report pair reads as
-        // paper-vs-fault-tolerant-variant. The bespoke `describe` texts predate
-        // the derivation API and are kept verbatim so the committed report
-        // headers stay byte-identical.
-        all.push(
+        let s = |name: &str| {
+            all.iter()
+                .find(|c| c.name == name)
+                .expect("baseline registered")
+                .clone()
+        };
+        let derived = vec![
+            // ---- Reliable-transport twins ---------------------------------
+            // Each twin keeps its baseline's graph, size and fault load
+            // and adds only the `overlay-transport` reliability layer plus flat
+            // retry slack (a retransmit+ack round-trip costs a *constant* number of
+            // rounds per phase, which a percent multiplier cannot express for the
+            // 1-round binarize phase), so the report pair reads as
+            // paper-vs-fault-tolerant-variant. The bespoke `describe` texts predate
+            // the derivation API and are kept verbatim so the committed report
+            // headers stay byte-identical.
             s("lossy-ncc0")
                 .reliable(TransportConfig::default(), 12)
                 .describe(
                     "Twin of lossy-ncc0 (0.2% loss) over the reliable transport: \
                      retransmission heals the binarization seeds the baseline loses",
                 ),
-        );
-        all.push(
             s("lossy-ncc0-heavy")
                 .reliable(TransportConfig::default(), 12)
                 .describe(
                     "Twin of lossy-ncc0-heavy (5% loss) over the reliable \
                      transport: the baseline collapses on every seed",
                 ),
-        );
-        all.push(
             s("delay-jitter")
                 .reliable(TransportConfig::default(), 12)
                 .describe(
@@ -489,8 +436,6 @@ pub fn registry() -> &'static Registry {
                      unacknowledged sends keep the run alive until delayed \
                      messages land, at the cost of spurious retransmissions",
                 ),
-        );
-        all.push(
             s("partition-heal")
                 .reliable(TransportConfig::default(), 12)
                 .describe(
@@ -498,11 +443,9 @@ pub fn registry() -> &'static Registry {
                      cross-cut messages are retried until the partition heals \
                      instead of being lost",
                 ),
-        );
-        // `crash-ncc0-reliable` predates the mechanical `<base>-reliable`
-        // naming; the historical name is pinned so its committed report (and
-        // every cross-reference to it) survives the derivation.
-        all.push(
+            // `crash-ncc0-reliable` predates the mechanical `<base>-reliable`
+            // naming; the historical name is pinned so its committed report (and
+            // every cross-reference to it) survives the derivation.
             s("mid-build-crash-wave")
                 .reliable(TransportConfig::default().with_max_retransmits(4), 12)
                 .renamed("crash-ncc0-reliable")
@@ -513,8 +456,6 @@ pub fn registry() -> &'static Registry {
                      of burning the full retransmission budget — this documents \
                      the cost of reliability against faults it cannot heal",
                 ),
-        );
-        all.push(
             s("join-churn")
                 .reliable(TransportConfig::default(), 12)
                 .describe(
@@ -525,19 +466,15 @@ pub fn registry() -> &'static Registry {
                      twin documents that retransmission alone cannot rescue join \
                      churn",
                 ),
-        );
-        // ---- Matrix cells beyond the historical set -------------------
-        // The transport on a clean network: nothing is lost, so the twin
-        // retransmits nothing and the pair prices the reliability layer alone.
-        all.push(
+            // ---- Matrix cells beyond the historical set -------------------
+            // The transport on a clean network: nothing is lost, so the twin
+            // retransmits nothing and the pair prices the reliability layer alone.
             s("clean-line")
                 .reliable(TransportConfig::default(), 12)
                 .with_tag("matrix"),
-        );
-        // Reliability scoped to the one-round binarize phase only: the
-        // baseline's failure mode is lost binarization seeds, so this cell buys
-        // back exactly those at a fraction of full-pipeline ack volume.
-        all.push(
+            // Reliability scoped to the one-round binarize phase only: the
+            // baseline's failure mode is lost binarization seeds, so this cell buys
+            // back exactly those at a fraction of full-pipeline ack volume.
             s("lossy-ncc0")
                 .with_phases(
                     PhaseOverrides::none()
@@ -545,21 +482,17 @@ pub fn registry() -> &'static Registry {
                         .with_transport(PhaseId::Binarize, TransportConfig::default()),
                 )
                 .with_tag("matrix"),
-        );
-        // The compound stressor's twin: retransmission fights the post-wave
-        // loss while the give-up budget stops it from burning rounds on the
-        // crashed peers.
-        all.push(
+            // The compound stressor's twin: retransmission fights the post-wave
+            // loss while the give-up budget stops it from burning rounds on the
+            // crashed peers.
             s("crash-then-loss")
                 .reliable(TransportConfig::default().with_max_retransmits(4), 12)
                 .with_tag("matrix"),
-        );
-        // The per-peer failure detector against the same crash wave that
-        // `crash-ncc0-reliable` fights per-message: the first exhausted
-        // payload silences the whole dead peer, so the ~38k-retransmit burn
-        // documented in that cell's baseline collapses to one give-up per
-        // crashed peer. Named next to its historical sibling.
-        all.push(
+            // The per-peer failure detector against the same crash wave that
+            // `crash-ncc0-reliable` fights per-message: the first exhausted
+            // payload silences the whole dead peer, so the ~38k-retransmit burn
+            // documented in that cell's baseline collapses to one give-up per
+            // crashed peer. Named next to its historical sibling.
             s("mid-build-crash-wave")
                 .reliable(
                     TransportConfig::default()
@@ -575,39 +508,37 @@ pub fn registry() -> &'static Registry {
                      crashed peer costs one give-up instead of one per message \
                      — compare its retransmit total against crash-ncc0-reliable",
                 ),
-        );
-        // ---- Serve twins ----------------------------------------------
-        // The maintenance subsystem's headline pair: the same 3000-round join
-        // storm with re-invitation switched on. Construction-style transport
-        // redelivery cannot rescue stragglers (the join-churn pair proved it:
-        // coverage 15.7% -> 16.2%); a protocol-level re-invitation into the
-        // *current* evolution does.
-        all.push(s("serve-churn").with_reinvitation());
-        // The reliable twin of the lossy serve cell heals construction *and*
-        // retries invitations (invite_retries = max_retransmits), so the pair
-        // reads as bare-vs-reliable for a continuously-serving overlay.
-        all.push(s("serve-loss").reliable(TransportConfig::default(), 12));
-        // The crash-serving twin is a control: a clean network gains nothing
-        // from reliability, so the serve metrics should match the baseline's
-        // while the ack overhead appears in the message columns.
-        all.push(s("serve-crash").reliable(TransportConfig::default(), 12));
-        // ---- Traffic twins --------------------------------------------
-        // The routing-policy pair: the same uniform workload over the
-        // binarized tree instead of the expander. Tree routing funnels
-        // every cross-subtree request through the root, so its p99 hops
-        // and max edge load bound what expander routing buys.
-        all.push(s("traffic-uniform").with_traffic_axis(
-            "tree",
-            TrafficSpec {
-                policy: RoutingPolicy::Tree,
-                ..TrafficSpec::new(Workload::Uniform)
-            },
-        ));
-        // Workload-shape twins live in the flat traffic-* namespace. The
-        // hotspot cell is the congestion witness: every request targets one
-        // seeded focus node, so the constant-degree overlay must carry the
-        // whole workload over the focus's few incident edges.
-        all.push(
+            // ---- Serve twins ----------------------------------------------
+            // The maintenance subsystem's headline pair: the same 3000-round join
+            // storm with re-invitation switched on. Construction-style transport
+            // redelivery cannot rescue stragglers (the join-churn pair proved it:
+            // coverage 15.7% -> 16.2%); a protocol-level re-invitation into the
+            // *current* evolution does.
+            s("serve-churn").with_reinvitation(),
+            // The reliable twin of the lossy serve cell heals construction *and*
+            // retries invitations (invite_retries = max_retransmits), so the pair
+            // reads as bare-vs-reliable for a continuously-serving overlay.
+            s("serve-loss").reliable(TransportConfig::default(), 12),
+            // The crash-serving twin is a control: a clean network gains nothing
+            // from reliability, so the serve metrics should match the baseline's
+            // while the ack overhead appears in the message columns.
+            s("serve-crash").reliable(TransportConfig::default(), 12),
+            // ---- Traffic twins --------------------------------------------
+            // The routing-policy pair: the same uniform workload over the
+            // binarized tree instead of the expander. Tree routing funnels
+            // every cross-subtree request through the root, so its p99 hops
+            // and max edge load bound what expander routing buys.
+            s("traffic-uniform").with_traffic_axis(
+                "tree",
+                TrafficSpec {
+                    policy: RoutingPolicy::Tree,
+                    ..TrafficSpec::new(Workload::Uniform)
+                },
+            ),
+            // Workload-shape twins live in the flat traffic-* namespace. The
+            // hotspot cell is the congestion witness: every request targets one
+            // seeded focus node, so the constant-degree overlay must carry the
+            // whole workload over the focus's few incident edges.
             s("traffic-uniform")
                 .with_traffic_axis("hotspot", TrafficSpec::new(Workload::Hotspot))
                 .renamed("traffic-hotspot")
@@ -618,8 +549,6 @@ pub fn registry() -> &'static Registry {
                      edges, so max edge load and TTL expiry document the \
                      congestion collapse mode",
                 ),
-        );
-        all.push(
             s("traffic-uniform")
                 .with_traffic_axis(
                     "flash",
@@ -635,11 +564,12 @@ pub fn registry() -> &'static Registry {
                      bursty arrival — queue depth absorbs the spike and the \
                      latency tail pays for it",
                 ),
-        );
-        // The lossy traffic cell's transport twin: retransmission recovers
-        // the 2% per-hop losses, trading delivered % up for latency.
-        all.push(s("traffic-zipf-lossy").reliable(TransportConfig::default(), 12));
-        Registry::new(all).expect("built-in scenario matrix is valid")
+            // The lossy traffic cell's transport twin: retransmission recovers
+            // the 2% per-hop losses, trading delivered % up for latency.
+            s("traffic-zipf-lossy").reliable(TransportConfig::default(), 12),
+        ];
+        all.extend(derived);
+        Registry::new(all)
     })
 }
 
@@ -693,7 +623,7 @@ mod tests {
     #[test]
     fn every_baseline_reference_resolves_and_mirrors_its_axis() {
         // Registry construction already validates this; the loop documents the
-        // invariant independently of `Registry::build`'s implementation.
+        // invariant independently of `Registry::new`'s implementation.
         let reg = registry();
         let mut pair_count = 0;
         for twin in reg {
@@ -747,46 +677,46 @@ mod tests {
         );
     }
 
-    #[test]
-    fn validation_rejects_duplicates_bad_names_and_dangling_baselines() {
-        let s = |name: &str| Scenario::new(name, "d", GraphFamily::Line, 16);
-        assert_eq!(
-            Registry::new(vec![s("a"), s("a")]).unwrap_err(),
-            RegistryError::DuplicateName("a".into())
-        );
-        assert_eq!(
-            Registry::new(vec![s("Bad_Name")]).unwrap_err(),
-            RegistryError::InvalidName("Bad_Name".into())
-        );
-        let dangling = s("base").reliable(TransportConfig::default(), 4);
-        assert_eq!(
-            Registry::new(vec![dangling]).unwrap_err(),
-            RegistryError::UnresolvedBaseline {
-                scenario: "base-reliable".into(),
-                baseline: "base".into(),
-            }
-        );
-        let mut half_pair = s("half");
-        half_pair.baseline = Some("base".into());
-        assert_eq!(
-            Registry::new(vec![s("base"), half_pair]).unwrap_err(),
-            RegistryError::MissingAxis("half".into())
-        );
+    fn cell(name: &str) -> Scenario {
+        Scenario::new(name, "d", GraphFamily::Line, 16)
     }
 
     #[test]
+    #[should_panic(expected = "duplicate scenario name \"a\"")]
+    fn validation_rejects_duplicate_names() {
+        Registry::new(vec![cell("a"), cell("a")]);
+    }
+
+    #[test]
+    #[should_panic(expected = "scenario name \"Bad_Name\" is not kebab-case")]
+    fn validation_rejects_names_that_are_not_kebab_case() {
+        Registry::new(vec![cell("Bad_Name")]);
+    }
+
+    #[test]
+    #[should_panic(expected = "base-reliable: baseline \"base\" is not registered")]
+    fn validation_rejects_dangling_baselines() {
+        Registry::new(vec![cell("base").reliable(TransportConfig::default(), 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "half: baseline and axis must be declared together")]
+    fn validation_rejects_a_baseline_without_an_axis() {
+        let mut half_pair = cell("half");
+        half_pair.baseline = Some("base".into());
+        Registry::new(vec![cell("base"), half_pair]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "base-reliable: axis transport violated: transport twin changed the graph family"
+    )]
     fn validation_rejects_off_axis_drift() {
-        let base = Scenario::new("base", "d", GraphFamily::Line, 16);
         // A "transport twin" that also changed the graph family must be refused.
+        let base = cell("base");
         let mut twin = base.reliable(TransportConfig::default(), 4);
         twin.family = GraphFamily::Cycle;
-        match Registry::new(vec![base, twin]).unwrap_err() {
-            RegistryError::AxisViolation { scenario, problem } => {
-                assert_eq!(scenario, "base-reliable");
-                assert!(problem.contains("graph family"), "{problem}");
-            }
-            other => panic!("expected AxisViolation, got {other:?}"),
-        }
+        Registry::new(vec![base, twin]);
     }
 
     #[test]

@@ -424,8 +424,8 @@ fn seeded_subset(n: usize, fraction: f64, rng: &mut StdRng) -> Vec<usize> {
 /// The axis along which a derived scenario differs from its baseline.
 ///
 /// Every scenario produced by one of the variant constructors
-/// ([`Scenario::reliable`], [`Scenario::with_phases`],
-/// [`Scenario::with_reinvitation`], [`Scenario::with_traffic_axis`]) records
+/// ([`Scenario::reliable`] and, inside this crate, `Scenario::with_phases`,
+/// `with_reinvitation` and `with_traffic_axis`) records
 /// its axis next to its [`baseline`](Scenario::baseline) name, so
 /// twin↔baseline pairing is scenario *data* that a [`crate::Registry`] can
 /// validate — a twin must differ from its baseline along its declared axis and
@@ -460,10 +460,10 @@ impl VariantAxis {
 
 /// One named experiment: everything needed to run the pipeline under a fault load.
 ///
-/// Hand-authored baselines are built with [`Scenario::new`] plus the `with_*`
-/// setters; derived matrix cells come from the variant axis constructors
-/// ([`Scenario::reliable`], [`Scenario::with_phases`],
-/// [`Scenario::with_reinvitation`], [`Scenario::with_traffic_axis`]), which
+/// Hand-authored baselines are built in `registry.rs` with [`Scenario::new`]
+/// plus the `with_*` setters; derived matrix cells come from the
+/// variant axis constructors ([`Scenario::reliable`] and, inside this crate,
+/// `Scenario::with_phases`, `with_reinvitation` and `with_traffic_axis`), which
 /// append a deterministic name suffix, rewrite the description, and record the
 /// baseline they were derived from.
 #[derive(Clone, Debug)]
@@ -606,7 +606,7 @@ pub struct TrafficRecord {
 impl TrafficRecord {
     /// The zeroed record of a traffic cell whose construction failed: nothing
     /// was routed, so nothing was delivered.
-    pub fn unrouted() -> Self {
+    pub(crate) fn unrouted() -> Self {
         TrafficRecord {
             routed: false,
             report: TrafficTally::new().report(),
@@ -664,7 +664,7 @@ impl Scenario {
     /// enters the continuous-maintenance loop described by `spec`
     /// (builder-style). The re-invitation *axis* is
     /// [`Scenario::with_reinvitation`].
-    pub fn with_serve(mut self, spec: ServeSpec) -> Self {
+    pub(crate) fn with_serve(mut self, spec: ServeSpec) -> Self {
         self.serve = Some(spec);
         self
     }
@@ -672,7 +672,7 @@ impl Scenario {
     /// Declares the scenario a `traffic-*` cell: after construction the
     /// finished overlay carries `spec`'s request workload (builder-style).
     /// The traffic *axis* is [`Scenario::with_traffic_axis`].
-    pub fn with_traffic(mut self, spec: TrafficSpec) -> Self {
+    pub(crate) fn with_traffic(mut self, spec: TrafficSpec) -> Self {
         self.traffic = Some(spec);
         self
     }
@@ -685,7 +685,7 @@ impl Scenario {
     }
 
     /// Sets the scenario-wide round budget (builder-style).
-    pub fn with_budget(mut self, budget: RoundBudget) -> Self {
+    pub(crate) fn with_budget(mut self, budget: RoundBudget) -> Self {
         self.round_budget = budget;
         self
     }
@@ -693,7 +693,7 @@ impl Scenario {
     /// Appends an explicit annotation tag (recorded in the report header).
     /// Idempotent: a tag the scenario already carries — e.g. inherited from the
     /// baseline of a derivation — is not duplicated.
-    pub fn with_tag(mut self, tag: impl Into<String>) -> Self {
+    pub(crate) fn with_tag(mut self, tag: impl Into<String>) -> Self {
         let tag = tag.into();
         if !self.tags.contains(&tag) {
             self.tags.push(tag);
@@ -778,7 +778,7 @@ impl Scenario {
     /// Panics when `overrides` is empty: an empty override set is bit-for-bit
     /// the baseline, so deriving a "twin" from it could only produce a
     /// duplicate experiment under a new name.
-    pub fn with_phases(&self, overrides: PhaseOverrides) -> Scenario {
+    pub(crate) fn with_phases(&self, overrides: PhaseOverrides) -> Scenario {
         assert!(
             !overrides.is_empty(),
             "a phase-override twin needs at least one override"
@@ -807,7 +807,7 @@ impl Scenario {
     ///
     /// Panics when the baseline is not a serve scenario, or already
     /// re-invites (the twin would be bit-for-bit the baseline).
-    pub fn with_reinvitation(&self) -> Scenario {
+    pub(crate) fn with_reinvitation(&self) -> Scenario {
         let spec = self
             .serve
             .expect("a re-invitation twin needs a serving baseline");
@@ -843,7 +843,7 @@ impl Scenario {
     ///
     /// Panics when the baseline carries no traffic, or when `spec` equals the
     /// baseline's (the twin would be bit-for-bit the baseline).
-    pub fn with_traffic_axis(&self, suffix: &str, spec: TrafficSpec) -> Scenario {
+    pub(crate) fn with_traffic_axis(&self, suffix: &str, spec: TrafficSpec) -> Scenario {
         let base = self
             .traffic
             .expect("a traffic-axis twin needs a traffic-carrying baseline");
@@ -1195,7 +1195,7 @@ impl Scenario {
     }
 
     /// A full label like `join-churn(cycle/128)`.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         format!("{}({}/{})", self.name, self.family.label(), self.actual_n())
     }
 }

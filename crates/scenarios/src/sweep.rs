@@ -107,7 +107,7 @@ impl SweepReport {
     }
 
     /// Mean coverage (alive tree nodes / initial nodes) across runs.
-    pub fn mean_coverage(&self) -> f64 {
+    pub(crate) fn mean_coverage(&self) -> f64 {
         mean(self.records.iter().map(|r| r.coverage))
     }
 
@@ -117,7 +117,7 @@ impl SweepReport {
     }
 
     /// Smallest and largest round counts observed.
-    pub fn round_range(&self) -> (usize, usize) {
+    pub(crate) fn round_range(&self) -> (usize, usize) {
         let min = self.records.iter().map(|r| r.rounds).min().unwrap_or(0);
         let max = self.records.iter().map(|r| r.rounds).max().unwrap_or(0);
         (min, max)

@@ -50,7 +50,7 @@ fn channel_label(channel: Channel) -> &'static str {
 }
 
 /// Renders one event as its JSONL object (see the module-level schema).
-pub fn event_json(event: &TraceEvent) -> Json {
+pub(crate) fn event_json(event: &TraceEvent) -> Json {
     let uint = |v: usize| Json::UInt(v as u64);
     match *event {
         TraceEvent::RoundStart { round } => Json::obj(vec![

@@ -41,12 +41,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unnameable_types)]
+#![warn(unreachable_pub)]
 
 mod report;
 mod router;
 mod workload;
 
 pub use report::{TrafficReport, TrafficTally};
-pub use router::{hop_rows, next_hops, HopRow, RoutingPolicy, NO_HOP, UNROUTABLE};
+pub use router::{hop_rows, next_hops, HopRow, RoutingPolicy};
 pub use router::{Delivery, Router, RouterConfig, RouterMsg, RouterSummary};
 pub use workload::{Request, Workload};

@@ -5,7 +5,7 @@ use crate::router::RouterSummary;
 
 /// Nearest-rank percentile of an **ascending-sorted** slice: `p` in `0..=100`.
 /// Returns 0 for an empty slice (an empty population has no latency).
-pub fn percentile(sorted: &[u32], p: u64) -> u32 {
+pub(crate) fn percentile(sorted: &[u32], p: u64) -> u32 {
     if sorted.is_empty() {
         return 0;
     }

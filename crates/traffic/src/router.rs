@@ -28,7 +28,7 @@ use crate::workload::Request;
 use overlay_core::Summarize;
 
 /// Sentinel next-hop entry: no route from this node to that destination.
-pub const UNROUTABLE: NodeId = NodeId::new(u32::MAX);
+pub(crate) const UNROUTABLE: NodeId = NodeId::new(u32::MAX);
 
 /// Which edge set requests ride over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,7 +53,7 @@ impl RoutingPolicy {
 
 /// Sentinel [`HopRow::hop`] entry: no route from this node to that
 /// destination.
-pub const NO_HOP: u8 = u8::MAX;
+pub(crate) const NO_HOP: u8 = u8::MAX;
 
 /// One node's row of the next-hop table, in the form a [`Router`] holds it.
 ///
@@ -61,14 +61,14 @@ pub const NO_HOP: u8 = u8::MAX;
 /// destination instead of four, and the position doubles as the index of the
 /// per-neighbor load counter. One byte is enough for the overlays this crate
 /// routes over: the paper's nodes keep at most `Δ/2 = 8⌈log₂ n⌉` edges, which
-/// stays below [`NO_HOP`] for every `n ≤ 2³¹`.
+/// stays below `NO_HOP` (`u8::MAX`) for every `n ≤ 2³¹`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HopRow {
     /// The node's distinct neighbors, ascending, without itself
-    /// ([`UGraph::distinct_neighbors`]). Fewer than [`NO_HOP`] of them.
+    /// ([`UGraph::distinct_neighbors`]). Fewer than `NO_HOP` of them.
     pub neighbors: Vec<NodeId>,
     /// Per destination, the position in `neighbors` of the neighbor to
-    /// forward to; [`NO_HOP`] when the destination is the node itself or
+    /// forward to; `NO_HOP` when the destination is the node itself or
     /// unreachable.
     pub hop: Vec<u8>,
 }
@@ -103,8 +103,8 @@ fn assert_positions_fit(neighbors: usize) {
 
 /// Builds the next-hop table of `graph`, one [`HopRow`] per node:
 /// `rows[src].hop[dst]` is the position in `rows[src].neighbors` of the
-/// neighbor `src` forwards to for `dst` ([`NO_HOP`] when `dst` is `src` itself
-/// or unreachable).
+/// neighbor `src` forwards to for `dst` (`NO_HOP` = `u8::MAX` when `dst` is
+/// `src` itself or unreachable).
 ///
 /// The entry is the neighbor strictly closer to the destination, ties broken
 /// by smallest node id — so the table (and every path routed over it) is a
@@ -157,7 +157,7 @@ fn assert_positions_fit(neighbors: usize) {
 ///
 /// # Panics
 ///
-/// Panics if a node has [`NO_HOP`] or more distinct neighbors.
+/// Panics if a node has `NO_HOP` (255) or more distinct neighbors.
 pub fn hop_rows(graph: &UGraph) -> Vec<HopRow> {
     let n = graph.node_count();
     // CSR adjacency: node `u`'s neighbors are `targets[offsets[u]..offsets[u + 1]]`.
@@ -256,10 +256,10 @@ pub fn hop_rows(graph: &UGraph) -> Vec<HopRow> {
 }
 
 /// The full next-hop table of `graph` with the neighbor spelled out:
-/// `table[src][dst]` is the node `src` forwards to for `dst` ([`UNROUTABLE`]
-/// when `dst` is `src` itself or unreachable) — [`hop_rows`] expanded, four
-/// bytes per entry. Routers hold the compact rows; this is the form to read
-/// or compare a table in.
+/// `table[src][dst]` is the node `src` forwards to for `dst` (`UNROUTABLE`,
+/// id `u32::MAX`, when `dst` is `src` itself or unreachable) — [`hop_rows`]
+/// expanded, four bytes per entry. Routers hold the compact rows; this is the
+/// form to read or compare a table in.
 pub fn next_hops(graph: &UGraph) -> Vec<Vec<NodeId>> {
     hop_rows(graph).iter().map(HopRow::expand).collect()
 }
@@ -341,7 +341,7 @@ impl Router {
     ///
     /// # Panics
     ///
-    /// Panics if the row lists [`NO_HOP`] or more neighbors.
+    /// Panics if the row lists `NO_HOP` (255) or more neighbors.
     pub fn new(me: NodeId, row: HopRow, schedule: Vec<Request>, config: RouterConfig) -> Self {
         assert_positions_fit(row.neighbors.len());
         Router {

@@ -448,7 +448,7 @@ impl<P: Protocol> Reliable<P> {
     }
 
     /// `true` while some outgoing payload is neither acknowledged nor abandoned.
-    pub fn has_outstanding(&self) -> bool {
+    pub(crate) fn has_outstanding(&self) -> bool {
         !self.sending.is_empty()
     }
 

@@ -1,7 +1,11 @@
 //! Each workspace crate's `lib.rs` names its API with `pub use`; its modules are
-//! private, so rustc's dead-code lint sees every `pub fn` that nothing calls.
-//! A `pub mod` switches that off for everything inside it, so the few that stay
-//! are listed here, each with the caller that imports it by its path.
+//! private, so rustc's dead-code lint sees every `pub fn` that nothing calls,
+//! and `#![warn(unreachable_pub)]` every `pub` item that the `pub use` list
+//! does not reach (it asks for `pub(crate)`), called or not. A `pub` method on
+//! a re-exported type that only its own crate calls is invisible to both: that
+//! stays a grep job. A `pub mod` switches the lints off for everything inside
+//! it, so the few that stay are listed here, each with the caller that imports
+//! it by its path.
 
 use std::fs;
 use std::path::{Path, PathBuf};
