@@ -27,9 +27,9 @@ pub struct SupernodeMergeReport {
     /// Number of merge phases executed.
     pub phases: usize,
     /// Rounds charged per phase.
-    pub rounds_per_phase: Vec<usize>,
+    pub(crate) rounds_per_phase: Vec<usize>,
     /// Number of supernodes after every phase.
-    pub supernodes_after_phase: Vec<usize>,
+    pub(crate) supernodes_after_phase: Vec<usize>,
 }
 
 impl SupernodeMergeReport {

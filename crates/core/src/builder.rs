@@ -182,10 +182,10 @@ pub struct BuildReport {
     /// Liveness of each core node at the very end of the pipeline (a node may crash
     /// after making it into the core). Empty if any phase before binarization
     /// stalled.
-    pub alive_at_end: Vec<bool>,
+    pub(crate) alive_at_end: Vec<bool>,
     /// Whether the final tree is valid restricted to the nodes alive at the end
     /// (`false` whenever `result` is `None`).
-    pub tree_valid_over_alive: bool,
+    pub(crate) tree_valid_over_alive: bool,
     /// Rounds per phase (zero for phases that never ran).
     pub rounds: RoundBreakdown,
     /// Message statistics across the phases that ran.

@@ -11,7 +11,7 @@
 //! `O(log m + log log n)`; this reproduction runs the plain evolutions, so measured
 //! rounds scale as `O(log m)` with the constant `ℓ + 1`.
 
-use crate::sparsify::{sparsify, SparsifyResult};
+use crate::sparsify::sparsify;
 use overlay_core::{ExpanderParams, OverlayBuilder, OverlayError, WellFormedTree};
 use overlay_graph::{analysis, DiGraph, NodeId};
 use overlay_netsim::caps::log2_ceil;
@@ -39,7 +39,7 @@ impl Default for ComponentsConfig {
 pub struct ComponentsResult {
     /// For every node, the identifier of its component (the root of its well-formed
     /// tree, in original node identifiers).
-    pub component_of: Vec<NodeId>,
+    pub(crate) component_of: Vec<NodeId>,
     /// The well-formed tree of every component, with node identifiers mapped back to
     /// the original graph. Singleton components get a single-node tree.
     pub trees: Vec<WellFormedTree>,
@@ -49,8 +49,6 @@ pub struct ComponentsResult {
     /// Rounds charged: preprocessing plus the maximum over components of the
     /// construction rounds (components run in parallel).
     pub rounds: usize,
-    /// The preprocessing result (kept for downstream algorithms).
-    pub sparsified: SparsifyResult,
 }
 
 impl ComponentsResult {
@@ -143,7 +141,6 @@ impl HybridComponents {
             trees,
             members: members_out,
             rounds: sparsified.rounds + max_component_rounds,
-            sparsified,
         })
     }
 }

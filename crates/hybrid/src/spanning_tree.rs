@@ -19,7 +19,7 @@
 //! level plus `O(log n)` for the loop erasure).
 
 use crate::components::component_params;
-use crate::sparsify::{sparsify, SparsifyResult};
+use crate::sparsify::sparsify;
 use crate::{norm, EdgeKey};
 use overlay_core::{make_benign, EvolutionEngine, ExpanderNode, ExpanderParams, OverlayError};
 use overlay_graph::{analysis, sequential, DiGraph, NodeId, UGraph};
@@ -88,8 +88,6 @@ pub struct SpanningTreeResult {
     pub parent: Vec<NodeId>,
     /// Rounds charged across all phases.
     pub rounds: usize,
-    /// The degree-reduction result (exposed for downstream algorithms).
-    pub sparsified: SparsifyResult,
 }
 
 /// Computes a spanning tree of a weakly connected graph in the hybrid model
@@ -131,7 +129,6 @@ impl HybridSpanningTree {
             return Ok(SpanningTreeResult {
                 parent: vec![NodeId::from(0usize)],
                 rounds: 0,
-                sparsified: sparsify(g, self.seed),
             });
         }
 
@@ -214,11 +211,7 @@ impl HybridSpanningTree {
             + params.bfs_rounds
             + params.evolutions // one round per unwinding level
             + 2 * log_n; // loop erasure via pointer jumping / prefix sums
-        Ok(SpanningTreeResult {
-            parent,
-            rounds,
-            sparsified,
-        })
+        Ok(SpanningTreeResult { parent, rounds })
     }
 }
 
@@ -301,7 +294,7 @@ mod tests {
             let parent: Vec<usize> = result.parent.iter().map(|p| p.index()).collect();
             assert_eq!(parent, parents, "seed {seed}");
 
-            let h = &result.sparsified.reduced;
+            let h = &sparsify(&g, seed).reduced;
             let h_digraph = DiGraph::from_edges(64, h.edges().into_iter().filter(|(a, b)| a != b));
             let params = ExpanderParams {
                 seed,

@@ -29,7 +29,7 @@ pub struct SparsifyResult {
     /// For every delegated edge `{a, b}` of `H` that is not an edge of `G`, the node `v`
     /// whose incoming edges were delegated (i.e. `{a, v}` and `{b, v}` are edges of
     /// `G`). Used by the spanning-tree algorithm to map `H`-edges back to `G`-edges.
-    pub delegation_center: Vec<((NodeId, NodeId), NodeId)>,
+    pub(crate) delegation_center: Vec<((NodeId, NodeId), NodeId)>,
     /// CONGEST rounds charged for the preprocessing.
     pub rounds: usize,
 }

@@ -30,7 +30,7 @@ use std::ops::Range;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DelayModel {
     /// Probability that a message is delayed at all.
-    pub prob: f64,
+    pub(crate) prob: f64,
     /// Maximum number of extra rounds a delayed message is held back (≥ 1).
     pub max_rounds: usize,
 }
@@ -369,6 +369,9 @@ pub(crate) struct FaultRouter<M> {
     /// [`FaultPlan::is_clean`], evaluated once: every message is delivered next
     /// round and [`FaultRouter::route`] says so before any per-node lookup.
     clean: bool,
+    /// The plan crashes or joins some node; without either, every node is
+    /// active from round 0 on and none is ever crashed.
+    lifecycle: bool,
     rng: StdRng,
     /// Messages in flight beyond the next round, keyed by (absolute) delivery round.
     in_flight: BTreeMap<usize, Vec<(NodeId, Envelope<M>)>>,
@@ -423,6 +426,7 @@ impl<M> FaultRouter<M> {
             loss_from: plan.loss_from,
             delay: plan.delay,
             clean: plan.is_clean(),
+            lifecycle: !plan.crashes.is_empty() || !plan.joins.is_empty(),
             rng: StdRng::seed_from_u64(seed.wrapping_add(0xFA17)),
             in_flight: BTreeMap::new(),
             spare: Vec::new(),
@@ -431,17 +435,25 @@ impl<M> FaultRouter<M> {
 
     /// `true` if `node` executes callbacks in `round` (joined and not yet crashed).
     pub(crate) fn is_active(&self, node: usize, round: usize) -> bool {
-        self.join_round[node] <= round && self.crash_round[node].is_none_or(|c| round < c)
+        !self.lifecycle
+            || (self.join_round[node] <= round && self.crash_round[node].is_none_or(|c| round < c))
     }
 
     /// `true` if `node` joins exactly at `round` (its `on_start` must run now).
     pub(crate) fn joins_at(&self, node: usize, round: usize) -> bool {
-        self.join_round[node] == round && round > 0
+        self.lifecycle && self.join_round[node] == round && round > 0
     }
 
     /// `true` if `node` is crashed at `round`.
     pub(crate) fn is_crashed(&self, node: usize, round: usize) -> bool {
         self.crash_round[node].is_some_and(|c| round >= c)
+    }
+
+    /// `true` if the plan crashes or joins some node of the run; when it does
+    /// not, [`FaultRouter::is_crashed`] is always `false` and
+    /// [`FaultRouter::join_round`] always 0.
+    pub(crate) fn has_lifecycle(&self) -> bool {
+        self.lifecycle
     }
 
     /// The round `node` becomes active.

@@ -253,14 +253,15 @@ pub(crate) struct EnvelopeArena<M> {
     inboxes: Vec<Envelope<M>>,
     /// Per node: where its inbox starts in `inboxes`, valid after [`Self::group`].
     starts: Vec<usize>,
-    /// Per node: the envelopes routed or staged for it since the last [`Self::clear`],
-    /// kept at [`Self::route`] and [`Self::push`] — after [`Self::group`], the length
-    /// of its inbox.
+    /// Per node: the envelopes routed or staged for it since the simulator's
+    /// delivery tally last zeroed it, kept at [`Self::route`] and [`Self::push`] —
+    /// at [`Self::group`], the length of its inbox.
     lens: Vec<usize>,
     /// Per node: how many of those travel on [`Channel::Global`].
     globals: Vec<usize>,
-    /// Scratch: per-node write cursors of the scatter.
-    cursors: Vec<usize>,
+    /// Per node: the scatter's write cursor, which [`Self::group`] leaves at the
+    /// end of its inbox in `inboxes` ([`Self::retain_range`] moves it back).
+    ends: Vec<usize>,
 }
 
 impl<M: Clone> EnvelopeArena<M> {
@@ -275,7 +276,7 @@ impl<M: Clone> EnvelopeArena<M> {
             starts: vec![0; n],
             lens: vec![0; n],
             globals: vec![0; n],
-            cursors: vec![0; n],
+            ends: vec![0; n],
         }
     }
 
@@ -309,27 +310,18 @@ impl<M: Clone> EnvelopeArena<M> {
         self.staged.push(env);
     }
 
-    /// Forgets the delivered round: empties every inbox and zeroes the counts, so the
-    /// arena can route the next one. Every buffer keeps its capacity.
-    fn clear(&mut self) {
-        self.routes.clear();
-        self.staged.clear();
-        self.to.clear();
-        self.lens.fill(0);
-        self.globals.fill(0);
-    }
-
     /// Turns the routed outbox entries and the staged envelopes into per-node inboxes:
     /// a prefix sum over the counts kept at [`Self::route`] and [`Self::push`], then
     /// one stable scatter into the inbox buffer that drains the envelopes filed from
     /// below the block, `outbox` (the entries the recorded routes belong to), then
-    /// the staging buffer.
+    /// the staging buffer. Every buffer it drains keeps its capacity; the counts
+    /// stay until the simulator's delivery tally has read them.
     fn group(&mut self, outbox: &mut Vec<(NodeId, Channel, M)>) {
         let mut total = 0usize;
         for ((start, cursor), &len) in self
             .starts
             .iter_mut()
-            .zip(self.cursors.iter_mut())
+            .zip(self.ends.iter_mut())
             .zip(&self.lens)
         {
             *start = total;
@@ -359,7 +351,7 @@ impl<M: Clone> EnvelopeArena<M> {
             self.inboxes.resize(total, filler);
         }
         let mut scattered = 0usize;
-        let (cursors, inboxes) = (&mut self.cursors, &mut self.inboxes);
+        let (cursors, inboxes) = (&mut self.ends, &mut self.inboxes);
         let mut place = |t: NodeId, env: Envelope<M>| {
             let cursor = &mut cursors[t.index()];
             inboxes[*cursor] = env;
@@ -391,27 +383,24 @@ impl<M: Clone> EnvelopeArena<M> {
 
     /// Node `i`'s inbox for the current round (valid after [`Self::group`]).
     fn inbox(&self, i: usize) -> &[Envelope<M>] {
-        let start = self.starts[i];
-        &self.inboxes[start..start + self.lens[i]]
+        &self.inboxes[self.starts[i]..self.ends[i]]
     }
 
     /// Shrinks node `i`'s inbox to the envelopes whose inbox-relative index is *not*
     /// marked in `drop` (one mark per envelope of the inbox), preserving their
-    /// relative order and keeping the counts true.
+    /// relative order. The counts are the caller's to settle.
     /// Dropped envelopes linger behind the shortened inbox until the next
     /// [`Self::group`] overwrites them; they are never observed.
     fn retain_range(&mut self, i: usize, drop: &[bool]) {
         let start = self.starts[i];
         let mut w = start;
         for (k, &dropped) in drop.iter().enumerate() {
-            if dropped {
-                self.globals[i] -= usize::from(self.inboxes[start + k].channel == Channel::Global);
-            } else {
+            if !dropped {
                 self.inboxes.swap(w, start + k);
                 w += 1;
             }
         }
-        self.lens[i] = w - start;
+        self.ends[i] = w;
     }
 }
 
@@ -583,13 +572,22 @@ fn eviction_rng(seed: u64, round: usize, recipient: usize) -> StdRng {
 /// recipient and sender; only a delayed message is copied besides, into the fault
 /// router's buffer, and staged in the arena when it is due. No stage reads more of a
 /// message than it needs: dispatch adds a sender's totals once per sender, a clean
-/// fault plan routes without touching the liveness tables, and the receive caps and
-/// the delivery tally are O(n) reads of the per-recipient counts the arena keeps
-/// while routing — an inbox is scanned only when it is over the cap. The remaining
+/// fault plan routes without touching the liveness tables, and the delivery tally
+/// (receive caps included) is one O(n) read of the per-recipient counts the arena
+/// keeps while routing — an inbox is scanned only when it is over the cap. The remaining
 /// per-node lookups are flat arrays too: local adjacency is CSR (offsets plus a
 /// sorted, deduplicated neighbor array with binary-search membership), per-edge
 /// CONGEST counters are an epoch-stamped array instead of a `HashMap`, and
 /// done-flags are cached per node so `all_done` never virtual-dispatches.
+///
+/// Besides the callbacks, a round makes four passes over its block's nodes, each
+/// over flat per-node arrays: the scatter's prefix sum over the routed counts; the
+/// delivery tally, one loop that applies the receive cap to an over-cap inbox,
+/// takes the delivery maxima and total, and zeroes the counts for the next round's
+/// routing; dispatch, which skips a node that sent nothing; and the stop rule's
+/// `done_count` over the cached done-flags. The liveness tables (a node's crash
+/// and join rounds) are read per node — by the callbacks' activity check and by
+/// `done_count` — only when the fault plan crashes or joins some node.
 ///
 /// # Within-round parallelism
 ///
@@ -848,9 +846,14 @@ impl<P: Protocol> Simulator<P> {
 
     /// Number of nodes currently accounted as done under [`Simulator::all_done`]'s
     /// rule: crashed, or joined and finished. Dormant joiners count as *not* done.
-    /// Reads the cached done-flags (refreshed after every callback), so the scan
-    /// is over flat arrays only.
+    /// Reads the cached done-flags (refreshed after every callback), and the fault
+    /// plan's liveness tables only when the plan crashes or joins a node: without
+    /// either, every node has joined and none has crashed, so the count is the
+    /// flags'.
     pub fn done_count(&self) -> usize {
+        if !self.router.has_lifecycle() {
+            return self.done_flags.iter().filter(|&&done| done).count();
+        }
         self.done_flags
             .iter()
             .zip(self.block())
@@ -949,14 +952,7 @@ impl<P: Protocol> Simulator<P> {
 
         let mut round_metrics = RoundMetrics::default();
         self.router.record_lifecycle(round, &mut round_metrics);
-        self.apply_receive_caps(&mut round_metrics);
-        for (&len, &globals) in self.arena.lens.iter().zip(&self.arena.globals) {
-            round_metrics.max_received = round_metrics.max_received.max(len);
-            round_metrics.max_global_received = round_metrics.max_global_received.max(globals);
-            round_metrics.delivered += len as u64;
-        }
-        #[cfg(debug_assertions)]
-        self.check_inbox_contracts();
+        self.tally_deliveries(&mut round_metrics);
 
         self.run_callbacks(round, &mut round_metrics);
         self.dispatch(&mut round_metrics);
@@ -966,30 +962,30 @@ impl<P: Protocol> Simulator<P> {
         self.metrics.record_round(round_metrics);
     }
 
-    /// The arena's books for the round being delivered, checked where they are
-    /// read (after the receive caps, before the callbacks): every node's global
-    /// count is a recount of its inbox, and no inbox is over the cap. That the
-    /// counts add up to the envelopes scattered is `group`'s own assertion.
+    /// The books of the inbox at arena slot `i`, checked where the delivery tally
+    /// reads them (after the receive cap, before the callbacks): its length and
+    /// global count, `(len, globals)`, are a recount of it, and it is not over
+    /// the cap. That the counts add up to the envelopes scattered is `group`'s
+    /// own assertion.
     #[cfg(debug_assertions)]
-    fn check_inbox_contracts(&self) {
-        let cap = self.caps.global_cap();
-        for (i, node) in self.block().enumerate() {
-            let inbox = self.arena.inbox(i);
-            let globals = inbox
-                .iter()
-                .filter(|e| e.channel == Channel::Global)
-                .count();
-            assert_eq!(
-                self.arena.globals[i], globals,
-                "round {}: node {node}'s global count is not a recount of its inbox",
-                self.round
-            );
-            assert!(
-                cap.is_none_or(|cap| globals <= cap),
-                "round {}: node {node}'s inbox holds {globals} global messages over the cap",
-                self.round
-            );
-        }
+    fn check_inbox_contracts(&self, i: usize, (len, globals): (usize, usize)) {
+        let node = self.base + i;
+        let inbox = self.arena.inbox(i);
+        let recount = inbox
+            .iter()
+            .filter(|e| e.channel == Channel::Global)
+            .count();
+        assert_eq!(
+            (len, globals),
+            (inbox.len(), recount),
+            "round {}: node {node}'s counts are not a recount of its inbox",
+            self.round
+        );
+        assert!(
+            self.caps.global_cap().is_none_or(|cap| globals <= cap),
+            "round {}: node {node}'s inbox holds {globals} global messages over the cap",
+            self.round
+        );
     }
 
     /// Message conservation for one round, stated on its [`RoundMetrics`]:
@@ -1138,11 +1134,36 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Applies the per-node receive cap for global messages at delivery time (local
-    /// messages are bounded by the CONGEST edge discipline already): a seeded random
-    /// subset of size `cap` is kept, the rest is dropped ("arbitrary subset" in the
-    /// paper). Applying the cap at delivery rather than at send time means injected
-    /// delays cannot be used to smuggle extra messages past the cap.
+    /// Books the round's deliveries in one pass over the arena's per-node counts:
+    /// per inbox, the receive cap ([`Simulator::evict`], only for an inbox whose
+    /// counted globals exceed it), then the delivery maxima and the delivered
+    /// total, then the counts zeroed for the next round's routing — the inboxes
+    /// themselves stay readable until the next scatter.
+    fn tally_deliveries(&mut self, round_metrics: &mut RoundMetrics) {
+        let cap = self.caps.global_cap().unwrap_or(usize::MAX);
+        for i in 0..self.nodes.len() {
+            let (mut len, mut globals) = (self.arena.lens[i], self.arena.globals[i]);
+            if globals > cap {
+                self.evict(i, cap, round_metrics);
+                len -= globals - cap;
+                globals = cap;
+            }
+            #[cfg(debug_assertions)]
+            self.check_inbox_contracts(i, (len, globals));
+            round_metrics.max_received = round_metrics.max_received.max(len);
+            round_metrics.max_global_received = round_metrics.max_global_received.max(globals);
+            round_metrics.delivered += len as u64;
+            self.arena.lens[i] = 0;
+            self.arena.globals[i] = 0;
+        }
+    }
+
+    /// Applies the receive cap for global messages to the inbox at arena slot `i`,
+    /// which holds more than `cap` of them, at delivery time (local messages are
+    /// bounded by the CONGEST edge discipline already): a seeded random subset of
+    /// size `cap` is kept, the rest is dropped ("arbitrary subset" in the paper).
+    /// Applying the cap at delivery rather than at send time means injected delays
+    /// cannot be used to smuggle extra messages past the cap.
     ///
     /// The evicted tail is chosen by the first `global_count − cap` steps of a
     /// Fisher–Yates shuffle of the inbox's global messages, drawn from
@@ -1150,48 +1171,38 @@ impl<P: Protocol> Simulator<P> {
     /// positions past the cap, so the steps that would only permute the kept prefix
     /// are neither run nor drawn. No per-inbox `Vec` or `HashSet` is allocated; the
     /// two scratch buffers are reused across rounds.
-    ///
-    /// Which inboxes are over the cap is read off the arena's per-recipient global
-    /// counts; only those are scanned.
-    fn apply_receive_caps(&mut self, round_metrics: &mut RoundMetrics) {
-        let Some(cap) = self.caps.global_cap() else {
-            return;
-        };
-        for i in 0..self.nodes.len() {
-            let global_count = self.arena.globals[i];
-            if global_count <= cap {
-                continue;
+    fn evict(&mut self, i: usize, cap: usize, round_metrics: &mut RoundMetrics) {
+        self.cap_scratch.clear();
+        let start = self.arena.starts[i];
+        let inbox = self.arena.inbox(i);
+        let len = inbox.len();
+        for (k, env) in inbox.iter().enumerate() {
+            if env.channel == Channel::Global {
+                self.cap_scratch.push(k);
             }
-            self.cap_scratch.clear();
-            let (start, len) = (self.arena.starts[i], self.arena.lens[i]);
-            for (k, env) in self.arena.inboxes[start..start + len].iter().enumerate() {
-                if env.channel == Channel::Global {
-                    self.cap_scratch.push(k);
-                }
-            }
-            let mut rng = eviction_rng(self.seed, self.round, self.base + i);
-            for k in (cap..global_count).rev() {
-                let j = rng.gen_range(0..k + 1);
-                self.cap_scratch.swap(k, j);
-            }
-            self.drop_mark.clear();
-            self.drop_mark.resize(len, false);
-            // The dropped senders are still readable here; `retain_range` below
-            // compacts them out of the inbox.
-            for &k in &self.cap_scratch[cap..] {
-                self.drop_mark[k] = true;
-                let from = self.arena.inboxes[start + k].from;
-                let to = NodeId::from(self.base + i);
-                self.drop_message(
-                    round_metrics,
-                    from,
-                    to,
-                    Channel::Global,
-                    DropCause::ReceiveCap,
-                );
-            }
-            self.arena.retain_range(i, &self.drop_mark);
         }
+        let mut rng = eviction_rng(self.seed, self.round, self.base + i);
+        for k in (cap..self.cap_scratch.len()).rev() {
+            let j = rng.gen_range(0..k + 1);
+            self.cap_scratch.swap(k, j);
+        }
+        self.drop_mark.clear();
+        self.drop_mark.resize(len, false);
+        // The dropped senders are still readable here; `retain_range` below
+        // compacts them out of the inbox.
+        for &k in &self.cap_scratch[cap..] {
+            self.drop_mark[k] = true;
+            let from = self.arena.inboxes[start + k].from;
+            let to = NodeId::from(self.base + i);
+            self.drop_message(
+                round_metrics,
+                from,
+                to,
+                Channel::Global,
+                DropCause::ReceiveCap,
+            );
+        }
+        self.arena.retain_range(i, &self.drop_mark);
     }
 
     /// Applies send-side caps to the outbox in place and routes every surviving
@@ -1205,9 +1216,8 @@ impl<P: Protocol> Simulator<P> {
         let global_send_cap = self.caps.global_cap();
         let local_edge_cap = self.caps.local_edge_cap();
 
-        // The arena's current contents were consumed by the protocol callbacks;
-        // recycle it to route the next round's deliveries.
-        self.arena.clear();
+        // The arena's counts were zeroed by the delivery tally; it routes the
+        // next round's deliveries from here.
         let mut messages = self.outbox.iter();
         for (k, i) in self.block().enumerate() {
             // A node that sent nothing has nothing to count or route.
@@ -1526,13 +1536,23 @@ mod tests {
         // Dropping the middle of an inbox preserves the order of the rest.
         arena.retain_range(2, &[false, true, false]);
         assert_eq!(payloads(&arena, 2), vec![10, 14]);
-        // Clearing retains nothing but keeps the arena usable.
+        // Zeroed counts retain nothing but keep the arena usable.
         arena.clear();
         arena.group(&mut outbox);
         assert!((0..3).all(|i| arena.inbox(i).is_empty()));
     }
 
     impl<M: Clone> EnvelopeArena<M> {
+        /// What dispatch did before routing while the delivery tally did not zero
+        /// the counts: empty every buffer and zero the counts.
+        fn clear(&mut self) {
+            self.routes.clear();
+            self.staged.clear();
+            self.to.clear();
+            self.lens.fill(0);
+            self.globals.fill(0);
+        }
+
         /// `group` as it was while every delivery was staged: a prefix sum over the
         /// counts kept at `push`, then one stable scatter of the staging buffer.
         fn reference_group(&mut self) {
@@ -1540,7 +1560,7 @@ mod tests {
             for ((start, cursor), &len) in self
                 .starts
                 .iter_mut()
-                .zip(self.cursors.iter_mut())
+                .zip(self.ends.iter_mut())
                 .zip(&self.lens)
             {
                 *start = total;
@@ -1557,7 +1577,7 @@ mod tests {
                 self.inboxes.resize(total, filler);
             }
             for (env, &t) in self.staged.drain(..).zip(&self.to) {
-                let cursor = &mut self.cursors[t.index()];
+                let cursor = &mut self.ends[t.index()];
                 self.inboxes[*cursor] = env;
                 *cursor += 1;
             }
@@ -1691,6 +1711,7 @@ mod tests {
                     .map(|(_, env)| env.clone())
                     .collect();
                 self.arena.lens[i] = kept.len();
+                self.arena.ends[i] = start + kept.len();
                 self.arena.inboxes[start..start + kept.len()].clone_from_slice(&kept);
             }
         }
@@ -2156,6 +2177,61 @@ mod tests {
             sent_by_joiner > 0,
             "the joiner does participate after joining"
         );
+    }
+
+    /// `done_count` against its definition, recounted from the plan and the
+    /// nodes every round: crashed by now, or joined by now (every join of the
+    /// node at or before the round) and done. A plan with crashes and joins
+    /// reads the liveness tables; a clean one counts the flags alone.
+    #[test]
+    fn done_count_is_the_crashed_or_joined_and_done_recount_every_round() {
+        let recount = |sim: &Simulator<Flooder>, plan: &FaultPlan| {
+            let round = sim.round();
+            let nodes = sim.nodes().iter().enumerate();
+            nodes
+                .filter(|&(i, node)| {
+                    let crashed =
+                        (plan.crashes.iter()).any(|c| c.node.index() == i && c.round <= round);
+                    let joined =
+                        (plan.joins.iter()).all(|j| j.node.index() != i || j.round <= round);
+                    crashed || (joined && node.is_done())
+                })
+                .count()
+        };
+        let id = NodeId::from;
+        let stormy = FaultPlan::default()
+            .with_crash(id(3usize), 2)
+            .with_crash(id(5usize), 4)
+            .with_crash(id(5usize), 7)
+            .with_join(id(6usize), 3)
+            .with_join(id(7usize), 2)
+            .with_join(id(7usize), 6);
+        for plan in [stormy, FaultPlan::default()] {
+            let nodes = (0..8)
+                .map(|i| Flooder {
+                    fan_out: 1,
+                    rounds: 2 + i % 4,
+                    received: 0,
+                    done: false,
+                })
+                .collect();
+            let config = SimConfig::default().with_faults(plan.clone());
+            let mut sim = Simulator::new(nodes, config);
+            let mut counts = Vec::new();
+            sim.run(0);
+            for _ in 0..12 {
+                assert_eq!(
+                    sim.done_count(),
+                    recount(&sim, &plan),
+                    "round {}",
+                    sim.round()
+                );
+                counts.push(sim.done_count());
+                sim.step();
+            }
+            assert_eq!(counts.first(), Some(&0));
+            assert_eq!(counts.last(), Some(&8));
+        }
     }
 
     #[test]

@@ -56,6 +56,12 @@
 //! per-n wall-clocks land in `<dir>/scaling.md`
 //!   --seed S, --par-threshold N, --dir PATH
 //!   --max-n N       cap the harness at cells with n <= N (default 65536)
+//!
+//! --scaling SCENARIO...: the harness over the named bases only (clean-line,
+//! lossy-ncc0-reliable; any other name exits 1 before anything runs); prints
+//! its rows and writes no report, so a partial table never replaces
+//! `scaling.md`
+//!   --seed S, --max-n N, --par-threshold N
 //! ```
 //!
 //! Reports are deterministic per `(scenario, seed set)`, so committing `reports/`
@@ -87,14 +93,19 @@ enum Mode {
 
 /// Each mode with its usage line, which is also the check of its command line:
 /// `parse_args` picks the first row whose bare flags (the ones that select it)
-/// are all given and refuses any flag the line does not name, so no mode
-/// ignores a flag while exiting 0. Only a line with `SCENARIO...` takes
-/// scenario names. The plain sweep selects on nothing, so it comes last.
-const MODES: [(Mode, &str); 6] = [
+/// are all given, and whose bare `SCENARIO...`, if it has one, is given too;
+/// it refuses any flag the line does not name, so no mode ignores a flag while
+/// exiting 0. Only a line with `SCENARIO...` takes scenario names. The plain
+/// sweep selects on nothing, so it comes last.
+const MODES: [(Mode, &str); 7] = [
     (Mode::List, "--list [--tag T]"),
     (
         Mode::Trace,
         "--trace NAME [--seed S] [--par-threshold N] [--dir PATH]",
+    ),
+    (
+        Mode::Scaling,
+        "--scaling [--seed S] [--max-n N] [--par-threshold N] SCENARIO...",
     ),
     (
         Mode::Scaling,
@@ -116,9 +127,11 @@ const MODES: [(Mode, &str); 6] = [
     ),
 ];
 
-/// The flags that select a usage line's mode: the ones outside brackets.
+/// The words that select a usage line's mode: its flags outside brackets, and
+/// a `SCENARIO...` outside them.
 fn selecting(line: &str) -> impl Iterator<Item = &str> {
-    line.split(' ').filter(|word| word.starts_with("--"))
+    line.split(' ')
+        .filter(|&word| word.starts_with("--") || word == "SCENARIO...")
 }
 
 fn usage() -> String {
@@ -199,9 +212,13 @@ fn parse_args() -> Result<Option<Options>, String> {
         }
         flags.push(arg);
     }
+    let given = |word: &str| match word {
+        "SCENARIO..." => !opts.names.is_empty(),
+        flag => flags.iter().any(|f| f == flag),
+    };
     let (mode, line) = MODES
         .iter()
-        .find(|(_, line)| selecting(line).all(|s| flags.iter().any(|f| f == s)))
+        .find(|(_, line)| selecting(line).all(given))
         .expect("the plain sweep selects on nothing");
     let selects: Vec<&str> = selecting(line).collect();
     let label = if selects.is_empty() {
@@ -387,9 +404,26 @@ fn compare_committed(opts: &Options) -> Result<(), String> {
 /// parallel path always runs). The per-cell results and wall-clocks, plus the
 /// machine's facts, are rendered to `<dir>/scaling.md` — committed next to the
 /// sweep baselines so scaling claims are pinned to a recorded measurement.
+/// A run that names bases keeps their cells and writes nothing: its rows are
+/// printed only, so a partial table never replaces the report.
 fn run_scaling(opts: &Options) -> Result<(), String> {
     let machine = scaling::MachineInfo::capture();
-    let cells = scaling::scaling_cells(opts.max_n);
+    let mut cells = scaling::scaling_cells(opts.max_n);
+    let named = !opts.names.is_empty();
+    if named {
+        let bases = scaling::scaling_cells(usize::MAX);
+        if let Some(name) = (opts.names.iter()).find(|&name| bases.iter().all(|b| &b.name != name))
+        {
+            let mut known: Vec<&str> = bases.iter().map(|b| b.name.as_str()).collect();
+            known.sort_unstable();
+            known.dedup();
+            return Err(format!(
+                "--scaling: {name:?} is not a scaling base; known: {}",
+                known.join(", ")
+            ));
+        }
+        cells.retain(|cell| opts.names.contains(&cell.name));
+    }
     if cells.is_empty() {
         return Err(format!(
             "--scaling: no scaling cell has n <= {}",
@@ -410,10 +444,20 @@ fn run_scaling(opts: &Options) -> Result<(), String> {
             " (single core: overhead, not speedup)".to_string()
         };
         println!(
-            "{:<36} n={:<6} rounds={:<4} success={} serial={:.2?} parallel={:.2?}{speedup}",
-            cell.name, cell.n, cell.rounds, cell.success, cell.serial_wall, cell.parallel_wall,
+            "{:<36} n={:<6} rounds={:<4} success={} delivered={} serial={:.2?} parallel={:.2?}{speedup}",
+            cell.name,
+            cell.n,
+            cell.rounds,
+            cell.success,
+            cell.delivered,
+            cell.serial_wall,
+            cell.parallel_wall,
         );
         measured.push(cell);
+    }
+    if named {
+        eprintln!("a named scaling run writes no report");
+        return Ok(());
     }
     let text = scaling::render_markdown(&machine, &measured);
     let path = opts.dir.join("scaling.md");

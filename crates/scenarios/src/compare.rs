@@ -289,9 +289,9 @@ pub struct PairThreshold {
     /// The twin whose pair is gated (the baseline comes from the registry).
     pub twin: String,
     /// Floor for `success.twin - success.baseline`.
-    pub min_success_delta: f64,
+    pub(crate) min_success_delta: f64,
     /// Floor for `coverage.twin - coverage.baseline`.
-    pub min_coverage_delta: f64,
+    pub(crate) min_coverage_delta: f64,
 }
 
 /// Slack absorbing float formatting, not behavior: deltas are pure functions of

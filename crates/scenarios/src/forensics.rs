@@ -34,7 +34,7 @@ pub struct MissingNode {
     pub node: usize,
     /// The first *global* round (cumulative across phases) the node went dark:
     /// its crash round, or the end of construction for nodes cut with the core.
-    pub first_silent: usize,
+    pub(crate) first_silent: usize,
     /// Why the node is missing.
     pub cause: MissingCause,
 }
@@ -53,19 +53,19 @@ pub struct PostMortem {
     /// every construction phase completed but the tree failed validation;
     /// `serve` when construction succeeded and a maintenance epoch's tree
     /// did not. `None` for successful runs.
-    pub failing_phase: Option<&'static str>,
+    pub(crate) failing_phase: Option<&'static str>,
     /// For a `serve` failure, the first maintenance epoch whose repaired
     /// tree failed validation (its `Repair` event in the trace).
-    pub failing_epoch: Option<usize>,
+    pub(crate) failing_epoch: Option<usize>,
     /// Every node absent from the final overlay, ordered by id.
     pub missing: Vec<MissingNode>,
     /// Per simulated phase, the dominant drop cause as `(phase, cause, count)`
     /// — phases that dropped nothing are omitted.
-    pub dominant_drops: Vec<(&'static str, &'static str, u64)>,
+    pub(crate) dominant_drops: Vec<(&'static str, &'static str, u64)>,
     /// Messages addressed to already-crashed nodes (`offline` drops to peers in
     /// the missing set) — the "dead-peer burn" that retransmission budgets leak
     /// into.
-    pub dead_peer_burn: u64,
+    pub(crate) dead_peer_burn: u64,
     /// Total transport retransmissions across the run.
     pub retransmits: u64,
     /// Total transport give-ups (payloads abandoned on presumed-dead peers).

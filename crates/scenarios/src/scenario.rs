@@ -537,10 +537,10 @@ pub struct RunRecord {
     pub seed: u64,
     /// The round-budget multiplier (percent of the clean schedule) this run was
     /// granted; `100` is the clean budget.
-    pub round_budget_percent: u32,
+    pub(crate) round_budget_percent: u32,
     /// Flat extra rounds granted to every phase on top of the percent scaling
     /// (declared by reliable-transport scenarios for retry round-trips).
-    pub round_budget_slack: u32,
+    pub(crate) round_budget_slack: u32,
     /// Pipeline completed *and* the tree is valid over the nodes alive at the end.
     pub success: bool,
     /// Pipeline produced a tree at all (may be invalid over the survivors).

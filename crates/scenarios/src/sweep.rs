@@ -37,9 +37,9 @@ impl Sweep {
     /// aggregates. Results are ordered by seed position, so the report is
     /// identical to running the seeds one after another on the calling thread.
     ///
-    /// The report's [`SweepReport::observed_workers`] is the number of threads
-    /// the seeds ran on, so a sweep shorter than the worker count reports the
-    /// parallelism it really got.
+    /// The report's summary line names the number of threads the seeds ran on,
+    /// so a sweep shorter than the worker count reports the parallelism it
+    /// really got.
     pub fn run(&self) -> SweepReport {
         let start = std::time::Instant::now();
         let workers = worker_count();
@@ -94,7 +94,7 @@ pub struct SweepReport {
     pub workers: usize,
     /// Threads that executed seeds, one per contiguous block of seeds — fewer
     /// than `workers` when the seeds do not fill that many blocks.
-    pub observed_workers: usize,
+    pub(crate) observed_workers: usize,
 }
 
 impl SweepReport {

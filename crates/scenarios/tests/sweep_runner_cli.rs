@@ -42,10 +42,11 @@ fn zero_seeds_is_refused_before_any_report_is_written() {
 /// runs: `--max-n` on a sweep (it caps `--scaling`), which the sweep would
 /// ignore while rewriting the report from seeds 0..16; with `--list`,
 /// `--trace`, `--scaling` or `--compare --no-run` any flag beyond the ones the
-/// mode reads, and any scenario name, which the run would ignore while exiting
-/// 0; `--no-run` and `--write-thresholds` without `--compare`; `--tag` beside a
-/// scenario name; the retired `--first-seed`; and a `--list --tag` no cell
-/// carries. A retired large-`n` cell name is an unknown scenario. Every
+/// mode reads, and (but for `--scaling`'s bases) any scenario name, which the
+/// run would ignore while exiting 0; `--no-run` and `--write-thresholds`
+/// without `--compare`; `--tag` beside a scenario name; the retired
+/// `--first-seed`; a `--dir` beside a named `--scaling` run, which writes no
+/// report; and a `--list --tag` no cell carries. A retired large-`n` cell name is an unknown scenario. Every
 /// `--scaling` input caps at `--max-n 1024`, so a runner that took it would
 /// finish in seconds, not run the 65 536-node cells. `--list` reads no `--dir`
 /// and writes nothing, so its cases run without one.
@@ -72,10 +73,7 @@ fn flags_their_mode_never_reads_are_refused() {
         ),
         (&["--scaling", "--max-n", "1024", "--check"], "--check"),
         (&["--scaling", "--max-n", "1024", "--seeds", "3"], "--seeds"),
-        (
-            &["--scaling", "--max-n", "1024", "clean-line"],
-            "clean-line",
-        ),
+        (&["--scaling", "--max-n", "1024", "clean-line"], "--dir"),
         (
             &[
                 "--compare",
@@ -127,6 +125,47 @@ fn flags_their_mode_never_reads_are_refused() {
         assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
         assert!(!dir.exists(), "{args:?}: nothing may be written");
     }
+}
+
+/// `--scaling` given base names runs those bases' cells only and writes no
+/// report: run from an empty directory, it leaves the directory empty, so no
+/// partial table can replace `reports/scaling.md`. A name that is not a
+/// scaling base, even beside one that is, exits 1 before anything runs.
+#[test]
+fn a_named_scaling_run_prints_its_rows_and_writes_no_report() {
+    let dir = temp_dir("named-scaling");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_sweep_runner"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("sweep_runner starts")
+    };
+    let written = || std::fs::read_dir(&dir).expect("temp dir").count();
+    let out = run(&["--scaling", "--max-n", "1024", "clean-line"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let rows: Vec<&str> = stdout.lines().collect();
+    assert_eq!(rows.len(), 1, "{stdout}");
+    // The committed `scaling.md` row of the same cell: the same computation.
+    assert!(
+        rows[0].starts_with("clean-line ")
+            && rows[0].contains("n=1024")
+            && rows[0].contains("rounds=289")
+            && rows[0].contains("delivered=1494038"),
+        "{stdout}"
+    );
+    assert_eq!(written(), 0, "a named run writes nothing");
+    let out = run(&["--scaling", "--max-n", "1024", "clean-line", "join-churn"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("\"join-churn\""),
+        "{out:?}"
+    );
+    assert!(out.stdout.is_empty(), "nothing may run: {out:?}");
+    assert_eq!(written(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `--seed` is the first seed of a sweep's range, as it is the seed of

@@ -34,6 +34,13 @@
 //!   (p50/p99/max) and the per-edge / per-node load maxima the paper's
 //!   constant-congestion claim is about.
 //!
+//! The next-hop table is a wave's largest cost that does not grow with its
+//! requests. [`hop_rows`] splits its 64-destination blocks over
+//! [`overlay_netsim::worker_count`] threads once the table has at least two
+//! blocks per worker; every committed traffic cell (`n ≤ 64`) builds it on
+//! the calling thread. At `n = 1024` it takes 4.9 ms on one worker and 2.9 ms
+//! on two (a 2-vCPU Xeon), with the same rows.
+//!
 //! The `overlay-scenarios` crate threads all of this through its registry as
 //! the `traffic` scenario axis; `crates/net/tests/backend_equivalence.rs`
 //! pins the simulator-vs-channel-backend delivery-set identity.

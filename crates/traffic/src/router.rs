@@ -133,6 +133,22 @@ fn assert_positions_fit(neighbors: usize) {
 /// set the moment it is hit, the neighbor that writes an entry is the first
 /// one in ascending order that qualifies: the smallest-id tie-break.
 ///
+/// The 64-destination blocks share nothing but the adjacency, so the table
+/// is split into contiguous, 64-aligned column ranges over
+/// [`overlay_netsim::worker_count`] threads, the way the simulator splits a
+/// round's nodes: part 0 on the calling thread, the others on scoped threads,
+/// each with its own search words and writing only its own columns of every
+/// row. The calling thread allocates and frees every part's buffers (freeing
+/// them on the workers read +0.2 MB of peak RSS on the benchmark's traffic
+/// wave). The kernel is the same, so the rows are the same at every part
+/// count. The split engages when the table has at least two blocks per
+/// worker (`n ≥ 256` on two workers); below that, every committed traffic
+/// cell included (`n ≤ 64`), the table is built on the calling thread, so a
+/// sweep's seed threads never start threads of their own. [`overlay_netsim::ParallelismConfig::min_nodes`] does not
+/// govern this split: it weighs a spawn against one round's callbacks, paid
+/// every round, while the table is built once per wave and one block of an
+/// `n = 1024` table is about 0.3 ms of work.
+///
 /// # Cost
 ///
 /// `⌈n/64⌉ · D · (n + m)` word operations for diameter `D` and `m` distinct
@@ -153,12 +169,23 @@ fn assert_positions_fit(neighbors: usize) {
 /// slower. The table is `n²` one-byte entries — 1 MB at `n = 1024`, half
 /// the per-core L2 of that Xeon, which it shares with the ledgers, schedules
 /// and arena of the wave. At two bytes per entry the table filled the L2 by
-/// itself, and a forward waited on the `hop[dst]` load.
+/// itself, and a forward waited on the `hop[dst]` load. The split halves
+/// what the writes leave: the built `n = 1024` overlay of the benchmark's
+/// traffic wave takes 4.9 ms on one worker (as before the split) and 2.9 ms
+/// on two, on that Xeon (medians of 40 calls each, alternating).
 ///
 /// # Panics
 ///
 /// Panics if a node has `NO_HOP` (255) or more distinct neighbors.
 pub fn hop_rows(graph: &UGraph) -> Vec<HopRow> {
+    let blocks = graph.node_count().div_ceil(64);
+    let workers = overlay_netsim::worker_count();
+    hop_rows_in_parts(graph, if blocks >= 2 * workers { workers } else { 1 })
+}
+
+/// [`hop_rows`] with its destination blocks split over `parts` contiguous
+/// column ranges (at most one per block), part 0 on the calling thread.
+pub(crate) fn hop_rows_in_parts(graph: &UGraph, parts: usize) -> Vec<HopRow> {
     let n = graph.node_count();
     // CSR adjacency: node `u`'s neighbors are `targets[offsets[u]..offsets[u + 1]]`.
     let mut offsets = Vec::with_capacity(n + 1);
@@ -172,15 +199,67 @@ pub fn hop_rows(graph: &UGraph) -> Vec<HopRow> {
     }
 
     let mut table = vec![vec![NO_HOP; n]; n];
-    let mut seen = vec![0u64; n];
-    let mut frontier = vec![0u64; n];
-    let mut next = vec![0u64; n];
+    // Per part, made and freed on this thread, so a worker allocates nothing:
+    // its first column, its slice of every row and its search words.
+    let part_cols = n.div_ceil(64).div_ceil(parts.max(1)).max(1) * 64;
+    let mut parts: Vec<_> = (0..n)
+        .step_by(part_cols)
+        .map(|first| (first, Vec::with_capacity(n), vec![0; 3 * n]))
+        .collect();
+    for row in &mut table {
+        let mut rest = row.as_mut_slice();
+        for (_, slices, _) in &mut parts {
+            let (part, tail) = rest.split_at_mut(rest.len().min(part_cols));
+            slices.push(part);
+            rest = tail;
+        }
+    }
+    let (offsets, targets) = (&offsets[..], &targets[..]);
+    let fill = |(first, rows, words): &mut (usize, Vec<_>, Vec<_>)| {
+        fill_columns(offsets, targets, *first, rows, words)
+    };
+    if let Some((part, others)) = parts.split_first_mut() {
+        std::thread::scope(|s| {
+            for other in others {
+                s.spawn(move || fill(other));
+            }
+            fill(part);
+        });
+    }
+    table
+        .into_iter()
+        .zip(offsets.windows(2))
+        .map(|(hop, span)| HopRow {
+            neighbors: targets[span[0]..span[1]].to_vec(),
+            hop,
+        })
+        .collect()
+}
+
+/// Fills the destination columns `first..first + rows[u].len()` (`first` a
+/// multiple of 64) of every row `u` of [`hop_rows`]' table over the CSR
+/// adjacency `offsets`/`targets`, one 64-destination block at a time. `words`
+/// holds the search's three words per node.
+fn fill_columns(
+    offsets: &[usize],
+    targets: &[NodeId],
+    first: usize,
+    rows: &mut [&mut [u8]],
+    words: &mut [u64],
+) {
+    let n = rows.len();
+    let Some(cols) = rows.first().map(|row| row.len()) else {
+        return;
+    };
+    let (seen, rest) = words.split_at_mut(n);
+    let (mut frontier, mut next) = rest.split_at_mut(n);
     // One node's positions found in one level, by destination bit; slot 64
     // takes the writes for the bits an empty word does not have. Only the
     // bits the level found are read back, so stale slots are never seen.
     let mut level_hops = [NO_HOP; 65];
-    for base in (0..n).step_by(64) {
-        let width = (n - base).min(64);
+    for col in (0..cols).step_by(64) {
+        let base = first + col;
+        let width = (cols - col).min(64);
         let all = u64::MAX >> (64 - width);
         seen.fill(0);
         frontier.fill(0);
@@ -225,7 +304,7 @@ pub fn hop_rows(graph: &UGraph) -> Vec<HopRow> {
                             break;
                         }
                     }
-                    let hops = &mut table[u][base..base + width];
+                    let hops = &mut rows[u][col..col + width];
                     let mut bits = found;
                     while bits != 0 {
                         let b = bits.trailing_zeros() as usize;
@@ -245,14 +324,6 @@ pub fn hop_rows(graph: &UGraph) -> Vec<HopRow> {
             std::mem::swap(&mut frontier, &mut next);
         }
     }
-    table
-        .into_iter()
-        .zip(offsets.windows(2))
-        .map(|(hop, span)| HopRow {
-            neighbors: targets[span[0]..span[1]].to_vec(),
-            hop,
-        })
-        .collect()
 }
 
 /// The full next-hop table of `graph` with the neighbor spelled out:
@@ -653,12 +724,33 @@ mod tests {
         }
     }
 
+    /// The part counts every table test builds its graph's table at: one,
+    /// two, three, and one more than the graph has 64-destination blocks.
+    fn part_counts(graph: &UGraph) -> [usize; 4] {
+        [1, 2, 3, graph.node_count().div_ceil(64) + 1]
+    }
+
+    /// The table of `graph` at every count of [`part_counts`]: each equal to
+    /// the one-part table and to what [`hop_rows`] returns.
+    fn assert_every_split_builds_one_table(graph: &UGraph) -> Vec<HopRow> {
+        let rows = hop_rows_in_parts(graph, 1);
+        for parts in part_counts(graph) {
+            assert!(
+                hop_rows_in_parts(graph, parts) == rows,
+                "{parts} parts build another table"
+            );
+        }
+        assert!(hop_rows(graph) == rows, "hop_rows builds another table");
+        rows
+    }
+
     /// The compact rows against the specification: expanded they are
     /// [`reference_next_hops`] (and what [`next_hops`] returns), `neighbors`
     /// is the node's `distinct_neighbors`, and exactly the self and
-    /// unreachable entries are [`NO_HOP`]. Returns the expanded table.
+    /// unreachable entries are [`NO_HOP`] — at every part count of the
+    /// split. Returns the expanded table.
     fn assert_rows_expand_to_the_reference(graph: &UGraph) -> Vec<Vec<NodeId>> {
-        let rows = hop_rows(graph);
+        let rows = assert_every_split_builds_one_table(graph);
         let reference = reference_next_hops(graph);
         assert_eq!(rows.len(), reference.len());
         for ((v, row), want) in graph.nodes().zip(&rows).zip(&reference) {
@@ -796,7 +888,21 @@ mod tests {
             g.add_edge(NodeId::from(v), NodeId::from(v + 1));
             g.add_edge(NodeId::from(v), NodeId::from(v + 1));
         }
-        assert_greedy_smallest_id(&g, &next_hops(&g));
+        let rows = assert_every_split_builds_one_table(&g);
+        assert_greedy_smallest_id(&g, &rows.iter().map(HopRow::expand).collect::<Vec<_>>());
+    }
+
+    /// A table whose last block is partial (333 nodes: five full blocks and
+    /// 13 columns), split into one to seven parts, so parts end inside and at
+    /// the partial block and the last ones get no block at all.
+    #[test]
+    fn every_split_of_a_table_with_a_partial_block_builds_one_table() {
+        let graph = generators::random_regular(333, 4, 5).to_undirected();
+        let rows = assert_every_split_builds_one_table(&graph);
+        for parts in 4..=7 {
+            assert!(hop_rows_in_parts(&graph, parts) == rows, "{parts} parts");
+        }
+        assert_greedy_smallest_id(&graph, &rows.iter().map(HopRow::expand).collect::<Vec<_>>());
     }
 
     /// A star: node 0 joined to nodes `1..=leaves`.

@@ -340,13 +340,13 @@ impl PeerState {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReliableStats {
     /// Fresh payloads handed to the inner protocol.
-    pub delivered_payloads: u64,
+    pub(crate) delivered_payloads: u64,
     /// Duplicate payloads suppressed before the inner protocol saw them.
     pub dupes_dropped: u64,
     /// Data messages re-sent after the retransmission timer fired.
     pub retransmits: u64,
     /// Acknowledgment messages sent.
-    pub acks_sent: u64,
+    pub(crate) acks_sent: u64,
     /// Payloads abandoned after [`TransportConfig::max_retransmits`] resends
     /// (the peer is presumed crashed or unreachable forever). With the
     /// per-peer failure detector on, this also counts payloads abandoned in
@@ -355,7 +355,7 @@ pub struct ReliableStats {
     pub abandoned: u64,
     /// Peers declared dead by the per-peer failure detector (always `0` when
     /// [`TransportConfig::failure_detector`] is off).
-    pub peers_failed: u64,
+    pub(crate) peers_failed: u64,
 }
 
 /// Wraps an inner [`Protocol`] with at-least-once delivery and duplicate
