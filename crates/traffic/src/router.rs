@@ -169,10 +169,10 @@ fn assert_positions_fit(neighbors: usize) {
 /// slower. The table is `n²` one-byte entries — 1 MB at `n = 1024`, half
 /// the per-core L2 of that Xeon, which it shares with the ledgers, schedules
 /// and arena of the wave. At two bytes per entry the table filled the L2 by
-/// itself, and a forward waited on the `hop[dst]` load. The split halves
-/// what the writes leave: the built `n = 1024` overlay of the benchmark's
-/// traffic wave takes 4.9 ms on one worker (as before the split) and 2.9 ms
-/// on two, on that Xeon (medians of 40 calls each, alternating).
+/// itself, and a forward waited on the `hop[dst]` load. The split (from two
+/// blocks per worker) halves what the writes leave: the `n = 1024` overlay of
+/// the benchmark's traffic wave takes 4.9 ms on one worker (as before the
+/// split) and 2.9 ms on two, on that Xeon (medians of 40 calls, alternating).
 ///
 /// # Panics
 ///
